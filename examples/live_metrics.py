@@ -1,7 +1,7 @@
 """Live telemetry: one bundle, every tier, three export formats.
 
 Drives a 20-timestep AML-Sim transaction stream through a 3-shard
-:class:`repro.serve.ShardedServer` with an attached
+:class:`repro.exec.ExecRouter` (in-process backend) with an attached
 :class:`repro.store.GraphStore` — the store's WAL spans nest under the
 router's ingest spans because ``attach_store`` rebinds the store onto
 the server's :class:`repro.obs.Telemetry` — and then dumps what the
@@ -23,10 +23,11 @@ import os
 import shutil
 import tempfile
 
+from repro.exec import ExecRouter
 from repro.graph import AMLSimConfig, generate_amlsim
 from repro.models import build_model
 from repro.obs import Telemetry
-from repro.serve import ShardedServer, events_between
+from repro.serve import events_between
 from repro.store import GraphStore
 
 NUM_TIMESTEPS = 20
@@ -43,8 +44,8 @@ def main() -> None:
     model = build_model("cdgcn", in_features=2, hidden=12, embed_dim=12,
                         seed=0)
     telemetry = Telemetry(tracing=True)
-    server = ShardedServer(model, dtdg[0], num_shards=NUM_SHARDS,
-                           telemetry=telemetry)
+    server = ExecRouter(model, dtdg[0], backend="simulated",
+                        num_shards=NUM_SHARDS, telemetry=telemetry)
     server.attach_store(GraphStore.create(os.path.join(workdir, "s"),
                                           dtdg.num_vertices,
                                           base_interval=5))

@@ -4,8 +4,9 @@ Demonstrates the sharded serving subsystem end to end:
 
 1. simulate a bank with 4 regional branches (AML-Sim with
    ``branch_locality``) and planted cross-region laundering patterns,
-2. boot a :class:`repro.serve.ShardedServer` whose 4 shards align with
-   the branches (2 replicas each),
+2. boot a :class:`repro.exec.ExecRouter` (the one sharded router, here
+   on its in-process ``backend="simulated"``) whose 4 shards align
+   with the branches (2 replicas each),
 3. stream held-out weeks of transactions through it while firing
    link/fraud queries — including queries that span shards,
 4. verify the sharded embeddings equal a single-worker full recompute,
@@ -19,10 +20,11 @@ Run:  PYTHONPATH=src python examples/sharded_serving.py
 
 import numpy as np
 
+from repro.exec import ExecRouter
 from repro.graph import AMLSimConfig, generate_amlsim
 from repro.models import build_model
 from repro.nn.linear import Linear
-from repro.serve import ModelServer, ShardedServer, events_between
+from repro.serve import ModelServer, events_between
 
 STREAM_FROM = 4          # weeks 0..3 are resident history
 NUM_SHARDS = 4
@@ -43,10 +45,11 @@ def main() -> None:
     model = build_model("cdgcn", in_features=2, hidden=16, embed_dim=16,
                         seed=0)
     fraud_head = Linear(16, 2, np.random.default_rng(7))
-    server = ShardedServer(model, dtdg[0], num_shards=NUM_SHARDS,
-                           replicas=2, fraud_head=fraud_head,
-                           max_batch_size=64, flush_latency_ms=10.0,
-                           rebalance_skew=1.8, rebalance_min_queries=400)
+    server = ExecRouter(model, dtdg[0], backend="simulated",
+                        num_shards=NUM_SHARDS, replicas=2,
+                        fraud_head=fraud_head, max_batch_size=64,
+                        flush_latency_ms=10.0, rebalance_skew=1.8,
+                        rebalance_min_queries=400)
     # single-worker reference for the exactness check
     ref_model = build_model("cdgcn", in_features=2, hidden=16,
                             embed_dim=16, seed=0)
@@ -98,7 +101,7 @@ def main() -> None:
     print(f"latency p50/p95/p99   {stats.latency_p50_ms:.2f} / "
           f"{stats.latency_p95_ms:.2f} / {stats.latency_p99_ms:.2f} ms")
     print(f"aggregate throughput  {stats.aggregate_qps:,.0f} q/s "
-          f"(simulated-parallel)")
+          f"(over the critical path)")
     print(f"events ingested       {c.events_ingested} "
           f"({c.cross_shard_events} delta edges crossed shards)")
     print(f"ghost dirty rows      {c.halo_dirty_rows}")

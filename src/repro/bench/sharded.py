@@ -1,9 +1,10 @@
 """Sharded-serving workload: the same AML-Sim replay, scaled out.
 
-The replay of :mod:`repro.bench.serving` is driven through a
-:class:`~repro.serve.sharded.router.ShardedServer` at shard counts
-``N = 1, 2, 4, 8``.  Every tier answers a byte-identical event + query
-stream; what changes is how the per-vertex model state is partitioned.
+The replay of :mod:`repro.bench.serving` is driven through an
+:class:`~repro.exec.router.ExecRouter` on its in-process
+``backend="simulated"`` at shard counts ``N = 1, 2, 4, 8``.  Every tier
+answers a byte-identical event + query stream; what changes is how the
+per-vertex model state is partitioned.
 
 **Throughput accounting.**  All shards execute serially inside one
 process (the repo's simulated-cluster idiom): each worker carries its
@@ -35,11 +36,11 @@ import numpy as np
 
 from repro.bench.reporting import render_table, write_bench_json, write_report
 from repro.bench.serving import build_event_schedule, build_query_plan
+from repro.exec import ExecRouter, ExecStats
 from repro.graph.amlsim import AMLSimConfig, generate_amlsim
 from repro.models import build_model
 from repro.nn.linear import Linear
 from repro.serve.server import ModelServer
-from repro.serve.sharded import ShardedServer, ShardedStats
 
 __all__ = ["ShardedWorkloadConfig", "ShardedScalePoint",
            "ShardedBenchResult", "run_sharded_benchmark"]
@@ -96,7 +97,7 @@ class ShardedScalePoint:
     """One shard count's outcome."""
 
     num_shards: int
-    stats: ShardedStats
+    stats: ExecStats
     wall_s: float              # simulated-parallel critical path
     coverage_rows: int         # sum of block + halo rows across shards
 
@@ -154,21 +155,22 @@ def run_sharded_benchmark(config: ShardedWorkloadConfig | None = None,
                             config.seed)
     num_events = sum(len(ev) for batches in schedule for ev in batches)
 
-    def boot(num_shards: int) -> ShardedServer:
+    def boot(num_shards: int) -> ExecRouter:
         model = build_model(config.model, in_features=2,
                             hidden=config.hidden,
                             embed_dim=config.embed_dim, seed=config.seed)
         fraud = Linear(config.embed_dim, 2,
                        np.random.default_rng(config.seed + 7))
-        server = ShardedServer(model, dtdg[0], num_shards=num_shards,
-                               replicas=config.replicas, fraud_head=fraud,
-                               max_batch_size=config.max_batch_size,
-                               flush_latency_ms=config.flush_latency_ms)
+        server = ExecRouter(model, dtdg[0], backend="simulated",
+                            num_shards=num_shards,
+                            replicas=config.replicas, fraud_head=fraud,
+                            max_batch_size=config.max_batch_size,
+                            flush_latency_ms=config.flush_latency_ms)
         for t in range(1, start):
             server.advance_time(dtdg[t])
         return server
 
-    def measure(n: int) -> tuple[float, ShardedServer]:
+    def measure(n: int) -> tuple[float, ExecRouter]:
         server = boot(n)
         base_stats = server.stats()
         base_busy = list(base_stats.per_shard_busy_s)
@@ -187,7 +189,7 @@ def run_sharded_benchmark(config: ShardedWorkloadConfig | None = None,
         _replay(warm, schedule[:1], plan[:1])
 
     walls: dict[int, float] = {n: float("inf") for n in config.shard_counts}
-    servers: dict[int, ShardedServer] = {}
+    servers: dict[int, ExecRouter] = {}
     for _ in range(max(1, config.measure_reps)):
         for n in config.shard_counts:
             wall, server = measure(n)
@@ -198,8 +200,8 @@ def run_sharded_benchmark(config: ShardedWorkloadConfig | None = None,
     final_embeddings = {}
     for n in config.shard_counts:
         server = servers[n]
-        coverage = sum(len(server.worker(s).engine.coverage)
-                       for s in range(n))
+        coverage = sum(t.worker_stats().coverage_rows
+                       for t in server.transports)
         points.append(ShardedScalePoint(num_shards=n, stats=server.stats(),
                                         wall_s=walls[n],
                                         coverage_rows=coverage))

@@ -1,10 +1,10 @@
-"""Real-process execution tier: transport-agnostic worker RPC.
+"""The sharded tier's front door and wire: one router, two transports.
 
-The tiers below this package simulate parallelism with per-worker busy
-clocks inside one process.  This package makes the worker boundary
-real: :class:`~repro.exec.router.ExecRouter` speaks a small RPC surface
-(:class:`~repro.exec.transport.WorkerTransport`) to its shard workers
-and does not care who answers —
+:class:`~repro.exec.router.ExecRouter` is the only sharded router.  It
+drives the :mod:`repro.serve.sharded` building blocks (plan, shard
+engine, shard worker) through a small RPC surface
+(:class:`~repro.exec.transport.WorkerTransport`) and does not care who
+answers —
 
 * :class:`~repro.exec.simulated.SimulatedBackend` runs the workers
   in-process over shared state (deterministic; the test oracle), while

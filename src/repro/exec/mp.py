@@ -238,6 +238,7 @@ class MultiprocessBackend:
 
     name = "multiprocess"
     shares_substrate = False  # workers fold deltas into private mirrors
+    maintainer = None         # ... and maintain private Ã operators
 
     def __init__(self, *, call_timeout_s: float = 120.0) -> None:
         self.call_timeout_s = call_timeout_s
@@ -246,8 +247,9 @@ class MultiprocessBackend:
         self._topology = None          # (snapshot id, manifest fragment)
         self.shm_bytes_mapped = 0      # summed across worker mappings
 
-    def attach(self, snapshot: GraphSnapshot) -> None:
-        """No shared substrate: workers mirror the topology privately."""
+    def attach(self, snapshot: GraphSnapshot, kernel_backend=None) -> None:
+        """No shared substrate: workers mirror the topology privately
+        (and resolve ``kernel_backend`` themselves at boot)."""
 
     def publish(self, snapshot, features, dinv, diff=None) -> None:
         """No-op — deltas reach real workers through apply_delta RPCs."""

@@ -1,14 +1,35 @@
-"""The execution tier's front door: admission, coalescing, fan-out.
+"""The sharded tier's front door: routing, admission, coalescing, fan-out.
 
-:class:`ExecRouter` serves the :class:`~repro.serve.server.QueryFrontend`
-surface (``submit_link`` / ``submit_fraud`` / ``tick`` / ``flush`` /
-``ingest_events`` / ``advance_time``) over ``N`` shard workers reached
-through :class:`~repro.exec.transport.WorkerTransport` — so the same
-router runs the in-process oracle (:class:`SimulatedBackend`) and real
-worker processes (:class:`MultiprocessBackend`) with identical numerics.
+:class:`ExecRouter` is the one sharded router.  It serves the
+:class:`~repro.serve.server.QueryFrontend` surface (``submit_link`` /
+``submit_fraud`` / ``tick`` / ``flush`` / ``ingest_events`` /
+``advance_time``) over ``N`` shard workers built from a
+:class:`~repro.serve.sharded.plan.ShardPlan` and reached through
+:class:`~repro.exec.transport.WorkerTransport` — so the same router
+runs the in-process oracle (:class:`SimulatedBackend`) and real worker
+processes (:class:`MultiprocessBackend`) with identical numerics.
 
-On top of the sharded tier's routing it adds what a real front door
-needs:
+* **ingestion** — the router keeps the authoritative topology mirror (a
+  :class:`~repro.serve.ingest.StreamIngestor`), commits each event
+  batch once, expands the dirty frontier once (k hops, k = model
+  depth), splits the GD delta by vertex block for wire accounting, and
+  fans delta + pre-expanded frontier out to the shards;
+* **queries** — micro-batched exactly like ``ModelServer``, routed to
+  the owner of the query's primary vertex; link queries whose endpoints
+  live on different shards gather the remote endpoint's embedding row
+  from its owner (counted as cross-shard row fetches);
+* **halo exchange** — ghost rows' frozen temporal state (LSTM carries,
+  M-product history) is mirrored owner → ghost in bulk at every
+  timestep boundary and incrementally whenever an event pulls a vertex
+  into a shard's halo mid-step (:class:`HaloTraffic` counts both);
+* **rebalancing** — per-vertex query loads are tracked, and when the
+  per-shard skew exceeds ``rebalance_skew`` at a timestep boundary the
+  tier re-partitions onto load-weighted blocks and transplants the
+  exact per-vertex state from the old owners
+  (:meth:`ExecRouter.rebalance`, same ``export_state`` /
+  ``adopt_state`` verbs as capture and recovery).
+
+On top of the routing it adds what a real front door needs:
 
 * **admission control** — a bounded in-flight queue
   (``max_inflight``): submits beyond the bound are *shed* (the query
@@ -119,6 +140,7 @@ class ExecCounters:
     degraded_queries: int = 0      # answered from stale cached rows
     queries_shed_stale: int = 0    # shed: staleness bound exceeded
     captures_skipped: int = 0      # state capture skipped, shard down
+    rebalances: int = 0            # load-weighted re-partitions performed
 
 
 @dataclass(frozen=True)
@@ -128,7 +150,9 @@ class ExecStats:
     counters: ExecCounters
     traffic: HaloTraffic
     num_shards: int
+    replicas: int
     backend: str
+    per_shard_queries: tuple
     per_shard_busy_s: tuple
     router_busy_s: float
     shm_bytes_mapped: int
@@ -143,6 +167,11 @@ class ExecStats:
     def __post_init__(self) -> None:
         object.__setattr__(self, "counters", replace(self.counters))
         object.__setattr__(self, "traffic", self.traffic.copy())
+
+    @property
+    def load_skew(self) -> float:
+        """max/mean queries per shard (1.0 = perfectly balanced)."""
+        return _skew(self.per_shard_queries)
 
     @property
     def critical_path_s(self) -> float:
@@ -160,6 +189,12 @@ class ExecStats:
         if self.critical_path_s <= 0:
             return float("nan")
         return self.counters.queries_completed / self.critical_path_s
+
+
+def _skew(loads) -> float:
+    """max/mean of per-shard loads (1.0 = perfectly balanced)."""
+    loads = np.asarray(loads, dtype=np.float64)
+    return float(loads.max() / loads.mean()) if loads.sum() else 1.0
 
 
 def _resolve_backend(backend):
@@ -194,6 +229,8 @@ class ExecRouter(QueryFrontend):
                  breaker_cooldown_s: float = 0.25,
                  fault_plan: FaultPlan | None = None,
                  max_staleness: int | None = None,
+                 rebalance_skew: float | None = None,
+                 rebalance_min_queries: int = 256,
                  telemetry: Telemetry | None = None,
                  kernel_backend: str | None = None,
                  clock: Callable[[], float] = time.perf_counter) -> None:
@@ -225,9 +262,8 @@ class ExecRouter(QueryFrontend):
         self.replicas_per_shard = replicas
         self.fault_plan = fault_plan
         self.max_staleness = max_staleness
-        self._retry_policy = retry
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown_s = breaker_cooldown_s
+        self.rebalance_skew = rebalance_skew
+        self.rebalance_min_queries = rebalance_min_queries
         # the sparse-kernel backend workers run on (`backend` above is
         # the *transport* backend — distinct seams, distinct names).
         # Shipped by name so each worker process resolves it at boot.
@@ -240,6 +276,10 @@ class ExecRouter(QueryFrontend):
         self.counters = ExecCounters()
         self.traffic = HaloTraffic()
         self.router_busy_s = 0.0
+        # critical-path seconds retired with the workers a rebalance
+        # replaced, so per-shard busy clocks stay monotone across it
+        self._busy_base = 0.0
+        self._vertex_load = np.zeros(snapshot.num_vertices)
         self._per_shard_queries = np.zeros(plan.num_shards, dtype=np.int64)
         self._backpressure = False
         self._last_heartbeat: float | None = None
@@ -260,31 +300,14 @@ class ExecRouter(QueryFrontend):
             for s in range(plan.num_shards)]
 
         self.backend = _resolve_backend(backend)
-        self.backend.attach(snapshot)
-        features, dinv = derive_serving_features(snapshot)
-        self.channels: list[ShardChannel] = []
-        for s in range(plan.num_shards):
-            members = []
-            for r in range(replicas):
-                boot = WorkerBoot(shard_id=s, model=model,
-                                  snapshot=snapshot, owner=plan.owner,
-                                  num_shards=plan.num_shards,
-                                  k_hops=self.k_hops, link_head=link_head,
-                                  fraud_head=fraud_head, features=features,
-                                  dinv=dinv, replica_id=r,
-                                  kernel_backend=kernel_backend)
-                transport = self.backend.spawn(boot, clock=self.clock)
-                # RPCs carry the router's trace context once tracing is on
-                transport.tracer = self.telemetry.tracer
-                if fault_plan is not None:
-                    transport = fault_plan.wrap(transport, shard=s,
-                                                replica=r)
-                members.append(transport)
-            self.channels.append(ShardChannel(
-                s, members, policy=retry,
-                breaker_threshold=breaker_threshold,
-                breaker_cooldown_s=breaker_cooldown_s,
-                clock=self.clock, on_event=self._channel_observer(s)))
+        self.backend.attach(snapshot, kernel_backend)
+        self.channels = [
+            ShardChannel(s, members, policy=retry,
+                         breaker_threshold=breaker_threshold,
+                         breaker_cooldown_s=breaker_cooldown_s,
+                         clock=self.clock,
+                         on_event=self._channel_observer(s))
+            for s, members in enumerate(self._spawn_tier(snapshot))]
         self._advance()  # prime embeddings for the initial snapshot
 
     # -- introspection ---------------------------------------------------------------
@@ -330,6 +353,44 @@ class ExecRouter(QueryFrontend):
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    # -- worker spawn ----------------------------------------------------------------
+    def _spawn(self, shard: int, replica: int, snapshot: GraphSnapshot, *,
+               features: np.ndarray | None = None,
+               dinv: np.ndarray | None = None, solo: bool = False,
+               stream: int = 0):
+        """One worker of ``shard`` under the current plan, booted at
+        ``snapshot`` and wrapped for tracing and chaos.  ``stream``
+        names the incarnation: a respawn takes a fresh fault RNG
+        stream, so a replayed storm stays deterministic per
+        incarnation."""
+        boot = WorkerBoot(shard_id=shard, model=self.model,
+                          snapshot=snapshot, owner=self.plan.owner,
+                          num_shards=self.num_shards, k_hops=self.k_hops,
+                          link_head=self.link_head,
+                          fraud_head=self.fraud_head, features=features,
+                          dinv=dinv, replica_id=replica,
+                          kernel_backend=self.kernel_backend)
+        transport = self.backend.spawn(boot, solo=solo, clock=self.clock)
+        # RPCs carry the router's trace context once tracing is on
+        transport.tracer = self.telemetry.tracer
+        if self.fault_plan is not None:
+            transport = self.fault_plan.wrap(transport, shard=shard,
+                                             replica=replica, stream=stream)
+        return transport
+
+    def _spawn_tier(self, snapshot: GraphSnapshot,
+                    stream: int = 0) -> list[list]:
+        """Every shard's replica set under the current plan."""
+        features, dinv = derive_serving_features(snapshot)
+        return [[self._spawn(s, r, snapshot, features=features, dinv=dinv,
+                             stream=stream)
+                 for r in range(self.replicas_per_shard)]
+                for s in range(self.num_shards)]
+
+    @property
+    def _next_incarnation(self) -> int:
+        return self.counters.worker_restarts + self.counters.rebalances + 1
 
     # -- RPC fan-out ------------------------------------------------------------------
     def _channel_observer(self, shard: int):
@@ -556,13 +617,21 @@ class ExecRouter(QueryFrontend):
 
     def advance_time(self, snapshot: GraphSnapshot | None = None, *,
                      diff=None) -> None:
-        """Cross a timestep boundary (see :class:`ShardedServer` — same
-        protocol, RPC-shaped): begin everywhere, bulk halo sync, finish
-        everywhere."""
+        """Cross a timestep boundary: promote carries everywhere, run
+        the bulk halo exchange, recompute every covered row, then let
+        the rebalancer look at the query skew.  With a store attached
+        the boundary seals a WAL timestep and the tier state is
+        captured every ``state_interval`` boundaries.  ``diff`` is the
+        optional GD delta from the current resident to a rebase
+        ``snapshot`` — with it workers fold the delta instead of
+        receiving the snapshot, and a shared Ã maintainer advances
+        incrementally (recovery replay passes the store-decoded delta
+        through here)."""
         self._store_log_boundary(snapshot)
         if snapshot is not None:
             self.ingestor.rebase(snapshot)
         self._advance(rebase=snapshot, diff=diff)
+        self._maybe_rebalance()
         self._store_maybe_capture()
 
     def _advance(self, rebase: GraphSnapshot | None = None,
@@ -683,7 +752,8 @@ class ExecRouter(QueryFrontend):
             return 0
         batch, self._queue = self._queue[:self.max_batch_size], \
             self._queue[self.max_batch_size:]
-        with self.telemetry.trace("exec.dispatch", batch=len(batch)):
+        with self.telemetry.trace("serve.query", batch=len(batch)), \
+                self.telemetry.trace("exec.dispatch", batch=len(batch)):
             try:
                 self._answer_batch(batch, down=self._down_shards())
             except (WorkerDeadError, WorkerTimeoutError):
@@ -728,9 +798,11 @@ class ExecRouter(QueryFrontend):
             fraud_by_shard: dict[int, list] = {}
             needed = set()
             degraded: list = []
+            touched: list = []
             for q in batch:
                 if q.done:
                     continue  # resolved by an earlier batch attempt
+                touched.extend(q.payload)
                 if q.kind == "link":
                     src, dst = q.payload
                     s = int(self.plan.owner[src])
@@ -754,6 +826,9 @@ class ExecRouter(QueryFrontend):
                         continue
                     fraud_by_shard.setdefault(s, []).append(q)
                     needed.add(s)
+            # the rebalancer's signal: queries per vertex, both link
+            # endpoints included
+            np.add.at(self._vertex_load, touched, 1.0)
         # every touched shard consumes its dirty set before any of its
         # embeddings are read — one pipelined refresh round-trip
         results, dead = self._fanout("refresh", lambda s: (),
@@ -876,38 +951,54 @@ class ExecRouter(QueryFrontend):
         return out
 
     # -- durability / recovery ---------------------------------------------------------
+    def _gather_state(self, stage: str) -> tuple[list, int, np.ndarray]:
+        """Every shard's owned-row export — the transplant payload
+        captures, recovery and the rebalancer share: ``(exports,
+        steps, dirty)`` with ``exports`` the ``[(block_rows, state),
+        ...]`` list a rebuilt worker adopts and ``dirty`` the rows
+        still awaiting a refresh somewhere."""
+        replies, dead = self._fanout("export_state", lambda s: ())
+        self._require_all_alive(dead, stage)
+        exports = [(self._blocks[s], replies[s][0])
+                   for s in range(self.num_shards)]
+        dirty = _EMPTY
+        for _, shard_dirty, _ in replies.values():
+            dirty = np.union1d(dirty, shard_dirty)
+        return exports, int(replies[0][2]), dirty
+
     def _capture_state(self) -> tuple[dict, dict]:
-        exports, dead = self._fanout("export_state", lambda s: ())
-        self._require_all_alive(dead, "state capture")
+        exports, steps, dirty = self._gather_state("state capture")
         kind = InferenceEngine._detect_kind(self.model)
-        steps = int(exports[0][2])
         meta: dict = {"type": "sharded", "engine_kind": kind,
                       "steps": steps, "num_shards": self.num_shards,
                       "replicas": self.replicas_per_shard,
                       "num_layers": self.model.num_layers, "shards": []}
-        arrays: dict = {"owner": np.array(self.plan.owner, copy=True)}
-        dirty = _EMPTY
-        for s in range(self.num_shards):
-            state, shard_dirty, _ = exports[s]
+        arrays: dict = {"owner": np.array(self.plan.owner, copy=True),
+                        "dirty": dirty}
+        for s, (_, state) in enumerate(exports):
             meta_shard: dict = {}
             pack_shard_export(f"shard/{s}", state, kind, meta_shard,
                               arrays)
             meta["shards"].append(meta_shard)
-            dirty = np.union1d(dirty, shard_dirty)
-        arrays["dirty"] = dirty
         return meta, arrays
 
     @classmethod
     def recover(cls, store, *, checkpoint: str | None = None,
                 model: DynamicGNN | None = None,
                 state_interval: int = 1, **kwargs) -> "ExecRouter":
-        """Reboot the whole tier from (checkpoint, newest capture, WAL
-        tail) — same contract as :meth:`ShardedServer.recover`, with
-        the state transplant delivered over adopt_state RPCs."""
+        """Reboot a crashed tier from (model checkpoint, newest
+        per-shard state capture, WAL tail replay).
+
+        The capture carries the shard plan that was live at crash time
+        (rebalances included), the replica count, every shard's
+        owned-row export, and the pending dirty rows; workers are
+        reassembled over ``adopt_state`` RPCs and the WAL tail re-runs
+        through the normal ingest/advance numerics."""
         model, meta, arrays, resident = cls._recovery_state(
             store, checkpoint, model, kwargs)
         owner, exports, dirty = unpack_sharded_state(meta, arrays)
         plan = ShardPlan(owner=owner, num_shards=meta["num_shards"])
+        kwargs.setdefault("replicas", meta["replicas"])
         router = cls(model, resident, plan=plan, **kwargs)
         steps = int(meta["steps"])
         _, dead = router._fanout("adopt_state",
@@ -965,22 +1056,10 @@ class ExecRouter(QueryFrontend):
         channel = self.channels[shard]
         channel.close()
         resident = self.store._state_at_record(meta["record_index"])
-        boot = WorkerBoot(shard_id=shard, model=self.model,
-                          snapshot=resident, owner=self.plan.owner,
-                          num_shards=self.num_shards, k_hops=self.k_hops,
-                          link_head=self.link_head,
-                          fraud_head=self.fraud_head,
-                          kernel_backend=self.kernel_backend)
         # solo: the revived worker folds deltas into a private mirror —
         # it must not rebuild a shared substrate to its older resident
-        transport = self.backend.spawn(boot, solo=True, clock=self.clock)
-        transport.tracer = self.telemetry.tracer
-        if self.fault_plan is not None:
-            # chaos does not pause for revivals; a fresh RNG stream
-            # keeps the replayed storm deterministic per incarnation
-            transport = self.fault_plan.wrap(
-                transport, shard=shard, replica=0,
-                stream=self.counters.worker_restarts + 1)
+        transport = self._spawn(shard, 0, resident, solo=True,
+                                stream=self._next_incarnation)
         channel.reset([transport])
         channel.call("adopt_state", exports, int(meta["steps"]), dirty)
         entrants = _EMPTY
@@ -1000,14 +1079,68 @@ class ExecRouter(QueryFrontend):
         self.counters.worker_restarts += 1
         return entrants
 
+    # -- rebalancing ------------------------------------------------------------------
+    def observed_skew(self) -> float:
+        """max/mean per-shard query load since the last rebalance."""
+        return _skew(np.bincount(self.plan.owner,
+                                 weights=self._vertex_load,
+                                 minlength=self.num_shards))
+
+    def _maybe_rebalance(self) -> None:
+        if self.rebalance_skew is None or self.num_shards < 2:
+            return
+        if self._vertex_load.sum() < self.rebalance_min_queries:
+            return
+        if self.observed_skew() <= self.rebalance_skew:
+            return
+        if any(not ch.alive for ch in self.channels):
+            return  # a down shard cannot export; wait for its revival
+        self.rebalance(ShardPlan.weighted(self._vertex_load,
+                                          self.num_shards))
+
+    def rebalance(self, plan: ShardPlan) -> None:
+        """Re-partition onto ``plan``, transplanting exact per-vertex
+        state from the old owners: gather every shard's export, respawn
+        the tier under the new plan, adopt — the path :meth:`recover`
+        takes, without the store in between."""
+        if plan.num_vertices != self.num_vertices:
+            raise ConfigError("rebalance plan does not cover the vertex set")
+        if plan.num_shards != self.num_shards:
+            raise ConfigError("rebalancing keeps the shard count fixed")
+        self.drain()
+        t0 = self.clock()
+        exports, steps, dirty = self._gather_state("rebalance")
+        self.router_busy_s += self.clock() - t0
+        # the transplant is a tier-wide barrier: every new worker
+        # resumes from the slowest old worker's clock
+        self._busy_base = max(self._per_shard_busy())
+        stream = self._next_incarnation
+        for ch in self.channels:
+            ch.close()
+        self.plan = plan
+        self._blocks = [plan.block(s) for s in range(plan.num_shards)]
+        tier = self._spawn_tier(self.ingestor.resident, stream=stream)
+        for ch, members in zip(self.channels, tier):
+            ch.reset(members)
+        _, dead = self._fanout("adopt_state",
+                               lambda s: (exports, steps, dirty))
+        self._require_all_alive(dead, "rebalance transplant")
+        self._stale_cache.clear()
+        self._update_stale_cache()
+        self._vertex_load[:] = 0.0
+        self.counters.rebalances += 1
+
     # -- observability ----------------------------------------------------------------
     def _collect_tier_metrics(self, reg) -> None:
         # fold in the latest worker-side telemetry first, so one
         # prometheus()/dashboard() call on the router exports the whole
         # cluster (worker series appear under worker=<id> labels)
         self.harvest_telemetry()
+        self._collect_maintainer(reg, self.backend.maintainer)
         reg.gauge("exec_shard_count", "Workers in the tier").set(
             self.num_shards)
+        reg.gauge("shard_load_skew",
+                  "max/mean per-shard query load").set(self.observed_skew())
         reg.gauge("serve_router_busy_seconds",
                   "Router busy clock").set(self.router_busy_s)
         reg.gauge("exec_shm_bytes_mapped",
@@ -1062,6 +1195,11 @@ class ExecRouter(QueryFrontend):
         reg.counter("shard_halo_bytes_total",
                     "Halo payload bytes shipped owner to ghost").set_to(
             traffic.bytes_shipped)
+        for s, nbytes in sorted(traffic.bytes_per_shard.items()):
+            reg.counter("shard_halo_bytes_total", shard=str(s)).set_to(
+                nbytes)
+        for s, rows in sorted(traffic.rows_per_shard.items()):
+            reg.counter("shard_halo_rows_total", shard=str(s)).set_to(rows)
         for label in sorted(self._comm_bytes):
             reg.counter("comm_bytes_total",
                         "Cross-shard payload bytes by traffic class",
@@ -1071,19 +1209,26 @@ class ExecRouter(QueryFrontend):
                         "shipped", label=label).set_to(
                 self._comm_full_bytes[label])
 
+    def _per_shard_busy(self) -> tuple:
+        """Each shard's busy clock as its serving worker reports it,
+        continued across rebalances."""
+        worker_stats, _ = self._fanout("stats", lambda s: ())
+        return tuple(self._busy_base + worker_stats[s].busy_s
+                     for s in sorted(worker_stats))
+
     def stats(self) -> ExecStats:
         now = self.clock()
         elapsed = (now - self._started_at) if self._started_at is not None \
             else 0.0
-        worker_stats, dead = self._fanout("stats", lambda s: ())
-        busy = tuple(worker_stats[s].busy_s
-                     for s in sorted(worker_stats))
         return ExecStats(
             counters=self.counters,
             traffic=self.traffic,
             num_shards=self.num_shards,
+            replicas=self.replicas_per_shard,
             backend=self.backend.name,
-            per_shard_busy_s=busy,
+            per_shard_queries=tuple(int(q) for q in
+                                    self._per_shard_queries),
+            per_shard_busy_s=self._per_shard_busy(),
             router_busy_s=self.router_busy_s,
             shm_bytes_mapped=self.backend.shm_bytes_mapped,
             rpc_roundtrips=sum(t.stats.roundtrips for t in self.transports),

@@ -7,7 +7,7 @@ resident topology mirror and resolves each RPC's graph arguments:
 
 * with a :class:`Substrate` (simulated backend), the snapshot /
   features / dinv are the router-published shared objects — zero-copy,
-  exactly today's in-process sharded tier;
+  the in-process oracle's memory-sharing fiction;
 * without one (real worker), each ``apply_delta`` / rebase folds the GD
   delta into the local mirror with :func:`~repro.graph.diff.apply_diff`
   (checksum-verified, bit-exact) and re-derives the degree features
@@ -98,8 +98,8 @@ class WorkerService:
             self._features, self._dinv = derive_serving_features(
                 boot.snapshot)
         self.worker = ShardWorker(
-            boot.shard_id, 0, boot.model, boot.snapshot, boot.block,
-            link_head=boot.link_head, fraud_head=boot.fraud_head,
+            boot.shard_id, boot.replica_id, boot.model, boot.snapshot,
+            boot.block, link_head=boot.link_head, fraud_head=boot.fraud_head,
             k_hops=boot.k_hops, features=self._features, dinv=self._dinv,
             maintainer=maintainer, kernel_backend=boot.kernel_backend,
             clock=clock)
@@ -225,10 +225,12 @@ class WorkerService:
                 int(engine.steps))
 
     def rpc_adopt_state(self, exports, steps, dirty) -> None:
+        t0 = self.worker.clock()
         engine = self.worker.engine
         engine.adopt_state(exports, steps)
         if len(dirty):
             engine.cache.mark_dirty(engine.restrict_to_coverage(dirty))
+        self.worker._charge(t0)
         self.on_embeddings()
 
     def rpc_stats(self) -> WorkerStats:

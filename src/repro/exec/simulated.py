@@ -1,13 +1,15 @@
-"""The simulated backend: today's in-process tier as the test oracle.
+"""The simulated backend: the in-process tier, and the test oracle.
 
 :class:`SimulatedBackend` runs every worker in the router's process,
 sharing one :class:`~repro.exec.service.Substrate` (snapshot, derived
 features) and one tier-wide Ã
-:class:`~repro.graph.inc_laplacian.LaplacianMaintainer` — exactly the
-memory-sharing fiction :class:`~repro.serve.sharded.router.ShardedServer`
-uses, now reached through the same :class:`WorkerTransport` verbs the
-real backend speaks.  Being deterministic and single-process, it is the
-oracle the multiprocessing backend must match bit for bit.
+:class:`~repro.graph.inc_laplacian.LaplacianMaintainer` — a
+memory-sharing fiction (topology is simulation substrate; the router
+applies each GD delta to the operator once and every worker/replica
+engine reads it), reached through the same :class:`WorkerTransport`
+verbs the real backend speaks.  Being deterministic and
+single-process, it is the oracle the multiprocessing backend must
+match bit for bit.
 
 ``spawn(boot, solo=True)`` builds a worker *without* the shared
 substrate/maintainer (it folds deltas into a private mirror, like a
@@ -31,9 +33,6 @@ from repro.exec.transport import TransportStats, WorkerBoot, \
     WorkerTransport, payload_nbytes
 
 __all__ = ["LocalTransport", "SimulatedBackend"]
-
-# back-compat alias: the shared measure now lives with the protocol
-_payload_nbytes = payload_nbytes
 
 
 class LocalTransport(WorkerTransport):
@@ -107,12 +106,14 @@ class SimulatedBackend:
         self.maintainer: LaplacianMaintainer | None = None
         self.shm_bytes_mapped = 0
 
-    def attach(self, snapshot: GraphSnapshot) -> None:
+    def attach(self, snapshot: GraphSnapshot, kernel_backend=None) -> None:
         self.substrate = Substrate(snapshot)
-        # one Ã maintainer for the whole tier (the ShardedServer
-        # invariant): the router applies each GD delta once, worker
-        # engines short-circuit on the already-current resident
-        self.maintainer = LaplacianMaintainer(snapshot)
+        # one Ã maintainer for the whole tier: the router applies each
+        # GD delta once, worker engines short-circuit on the
+        # already-current resident.  Pinned to the workers' kernel
+        # backend — an engine refuses an operator built on another one
+        self.maintainer = LaplacianMaintainer(snapshot,
+                                              backend=kernel_backend)
 
     def publish(self, snapshot: GraphSnapshot, features: np.ndarray,
                 dinv: np.ndarray, diff=None) -> None:

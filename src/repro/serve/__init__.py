@@ -16,9 +16,7 @@ from repro.serve.engine import InferenceEngine
 from repro.serve.server import (ModelServer, PendingQuery, QueryFrontend,
                                 score_fraud, score_links)
 from repro.serve.metrics import LatencyTracker, ServerCounters, ServerStats
-from repro.serve.sharded import (HaloExchange, ReplicaSet, ShardEngine,
-                                 ShardPlan, ShardWorker, ShardedServer,
-                                 ShardedStats)
+from repro.serve.sharded import ShardEngine, ShardPlan, ShardWorker
 
 __all__ = [
     "EdgeEvent", "IngestResult", "StreamIngestor", "events_between",
@@ -27,6 +25,5 @@ __all__ = [
     "ModelServer", "PendingQuery", "QueryFrontend", "score_links",
     "score_fraud",
     "LatencyTracker", "ServerCounters", "ServerStats",
-    "ShardPlan", "ShardEngine", "HaloExchange", "ReplicaSet",
-    "ShardWorker", "ShardedServer", "ShardedStats",
+    "ShardPlan", "ShardEngine", "ShardWorker",
 ]

@@ -234,30 +234,6 @@ class InferenceEngine:
         """The engine's incremental ``Ã`` maintainer."""
         return self._maintainer
 
-    def adopt_maintainer(self, maintainer: LaplacianMaintainer) -> None:
-        """Point this engine at a shared (router-owned) ``Ã`` maintainer.
-
-        The sharded tier holds ONE maintainer for all worker/replica
-        engines; recovery re-injects it here so a rebooted tier keeps
-        the shared-operator invariant (and its O(delta) update profile)
-        instead of silently falling back to per-engine copies.  The
-        maintainer must already be at this engine's resident — a shared
-        operator cannot be rebased per adopter, so a mismatch is a
-        caller bug, not something to repair here.
-        """
-        if self._resident is not None and \
-                maintainer.resident is not self._resident:
-            raise ConfigError(
-                "cannot adopt a shared maintainer whose resident differs "
-                "from this engine's — recover/rebuild through a common "
-                "snapshot before injecting")
-        if maintainer.backend is not self.kernel_backend:
-            raise KernelError(
-                f"cannot adopt a maintainer pinned to backend "
-                f"{maintainer.backend.name!r} into an engine running "
-                f"{self.kernel_backend.name!r}")
-        self._maintainer = maintainer
-
     def set_snapshot(self, snapshot: GraphSnapshot,
                      seeds: np.ndarray | None, *,
                      features: np.ndarray | None = None,

@@ -145,6 +145,18 @@ class QueryFrontend:
         """Answer (up to) one micro-batch; returns completed queries."""
         raise NotImplementedError
 
+    @classmethod
+    def from_checkpoint(cls, path: str, snapshot: GraphSnapshot,
+                        **kwargs):
+        """Boot a tier from a training checkpoint (model + heads
+        rebuilt through the model registry); ``kwargs`` go to the
+        tier's constructor."""
+        from repro.train.checkpoint import load_model_checkpoint
+        ckpt = load_model_checkpoint(path)
+        kwargs.setdefault("link_head", ckpt.link_head)
+        kwargs.setdefault("fraud_head", ckpt.fraud_head)
+        return cls(ckpt.model, snapshot, **kwargs)
+
     def submit_link(self, src: int, dst: int) -> PendingQuery:
         """Probability that edge ``(src, dst)`` exists/appears."""
         self._check_vertex(src)
@@ -268,7 +280,7 @@ class QueryFrontend:
         return render_dashboard(self.telemetry, slo=self.slo,
                                 title=title)
 
-    # -- durability plumbing (shared by ModelServer and ShardedServer) -----------
+    # -- durability plumbing (shared by ModelServer and ExecRouter) --------------
     def attach_store(self, store, *, state_interval: int = 1,
                      capture: bool = True) -> None:
         """Make ingestion durable through a
@@ -441,17 +453,6 @@ class ModelServer(QueryFrontend):
         self.counters = ServerCounters()
         self.engine.advance()  # prime embeddings for the initial snapshot
         self.counters.advances += 1
-
-    @classmethod
-    def from_checkpoint(cls, path: str, snapshot: GraphSnapshot,
-                        **kwargs) -> "ModelServer":
-        """Boot a server from a training checkpoint (model + heads
-        rebuilt through the model registry)."""
-        from repro.train.checkpoint import load_model_checkpoint
-        ckpt = load_model_checkpoint(path)
-        kwargs.setdefault("link_head", ckpt.link_head)
-        kwargs.setdefault("fraud_head", ckpt.fraud_head)
-        return cls(ckpt.model, snapshot, **kwargs)
 
     # -- durability ----------------------------------------------------------------
     # attach_store (WAL-before-ack, timestep seals, periodic captures)

@@ -1,30 +1,26 @@
-"""Sharded serving: partition-aware routing, halo exchange, replicas.
+"""Sharded serving building blocks: plans, shard engines, workers.
 
 The resident graph's per-vertex model state is split across ``N`` shard
 workers along a :class:`ShardPlan` built from the training-side
 partitioners (contiguous, hypergraph-vertex, or hybrid row chunks).
 Each shard owns its vertex block plus a ghost-vertex halo (k-hop
-fringe, k = model depth); a :class:`HaloExchange` mirrors frozen
-temporal state across shard boundaries so incremental refresh stays
-numerically equal to a single-worker full recompute even when an edge
-event's k-hop cone crosses shards.  A :class:`ShardedServer` front door
-mirrors the ``ModelServer`` request surface, routes queries to
-least-loaded replicas (:class:`ReplicaSet`), and re-partitions onto
-load-weighted blocks when per-shard query skew exceeds a threshold.
+fringe, k = model depth) in a :class:`ShardEngine`; frozen temporal
+state is mirrored across shard boundaries (:class:`HaloTraffic` counts
+it) so incremental refresh stays numerically equal to a single-worker
+full recompute even when an edge event's k-hop cone crosses shards.
+The front door over these pieces — routing, halo exchange, replication,
+rebalancing — is :class:`repro.exec.router.ExecRouter`.
 """
 
 from repro.serve.sharded.plan import (ShardPlan, block_distances,
                                       relax_distances)
 from repro.serve.sharded.engine import ShardEngine
-from repro.serve.sharded.halo import HaloExchange, HaloTraffic
-from repro.serve.sharded.worker import ReplicaSet, ShardWorker
-from repro.serve.sharded.router import (ShardedCounters, ShardedServer,
-                                        ShardedStats)
+from repro.serve.sharded.halo import HaloTraffic
+from repro.serve.sharded.worker import ShardWorker
 
 __all__ = [
     "ShardPlan", "block_distances", "relax_distances",
     "ShardEngine",
-    "HaloExchange", "HaloTraffic",
-    "ReplicaSet", "ShardWorker",
-    "ShardedCounters", "ShardedServer", "ShardedStats",
+    "HaloTraffic",
+    "ShardWorker",
 ]

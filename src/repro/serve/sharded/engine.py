@@ -13,20 +13,21 @@ recompute — the same exactness argument as the unsharded engine, applied
 ring-wise.
 
 The Eq. 1 operator reaches the shard through the engine's
-:class:`~repro.graph.inc_laplacian.LaplacianMaintainer` — the router
-owns one maintainer for the whole tier, applies each commit's GD delta
-to it exactly once, and injects it into every worker (the engines'
-own ``update()`` calls short-circuit on the already-current resident).
+:class:`~repro.graph.inc_laplacian.LaplacianMaintainer` — in-process
+tiers share one maintainer, to which each commit's GD delta is applied
+exactly once (the engines' own ``update()`` calls short-circuit on the
+already-current resident); a worker in its own process maintains a
+private one from the piped delta.
 Every layer's aggregation then row-slices that operator over the
 shard's covered rows (owned block + the live ghost rings), never the
 full vertex set.
 
 What cannot be derived locally is the frozen temporal state of ghost
 rows (LSTM carries entering the current timestep, M-product history
-frames): those are *owned* by their home shard and mirrored here through
-the :class:`~repro.serve.sharded.halo.HaloExchange` — once per timestep
-boundary for the whole halo, and incrementally whenever an edge event
-pulls a new vertex into the halo mid-step.  EvolveGCN has no per-vertex
+frames): those are *owned* by their home shard and mirrored here by the
+router's halo exchange (:mod:`repro.serve.sharded.halo`) — once per
+timestep boundary for the whole halo, and incrementally whenever an
+edge event pulls a new vertex into the halo mid-step.  EvolveGCN has no per-vertex
 recurrence; its weight LSTM is replicated and every shard evolves it
 identically, so its halo exchange ships zero temporal bytes.
 """

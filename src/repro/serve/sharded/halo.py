@@ -1,25 +1,26 @@
-"""Cross-shard halo exchange.
+"""Cross-shard halo traffic accounting.
 
 Ghost (halo) rows let each shard recompute its owned block exactly, but
 their *frozen temporal state* — LSTM carries entering the current
 timestep, M-product history frames — lives on the owning shard.  The
-exchange mirrors it across shard boundaries at two moments:
+router (:class:`~repro.exec.router.ExecRouter`) mirrors it across shard
+boundaries at two moments:
 
-* :meth:`HaloExchange.sync_halos` — at every timestep boundary, after
-  all shards promoted their carries and before any recomputes: each
-  shard imports the temporal rows of its entire ghost set from the
-  owners.  This is the classic bulk-synchronous halo exchange; its
-  volume is the per-advance halo traffic the benchmark reports.
-* :meth:`HaloExchange.sync_entrants` — mid-step, when an edge event
-  pulls new vertices into a shard's halo (the k-hop cone of the event
-  crossed a shard boundary): only the entrant rows ship, keeping
-  incremental refresh exact without re-syncing the whole fringe.
+* a **boundary sync** at every timestep boundary, after all shards
+  promoted their carries and before any recomputes: each shard imports
+  the temporal rows of its entire ghost set from the owners — the
+  classic bulk-synchronous halo exchange, whose volume is the
+  per-advance halo traffic the benchmark reports;
+* an **entrant sync** mid-step, when an edge event pulls new vertices
+  into a shard's halo (the k-hop cone of the event crossed a shard
+  boundary): only the entrant rows ship, keeping incremental refresh
+  exact without re-syncing the whole fringe.
 
 Because every owner recomputes its own block at every layer, the rows it
 exports are always exact — the exchange never forwards second-hand
 (ghost) state.  EvolveGCN ships zero temporal bytes (its recurrence runs
-over replicated weights); the counters still record the exchanged row
-sets so halo *pressure* stays observable for every model.
+over replicated weights); :class:`HaloTraffic` still records the
+exchanged row sets so halo *pressure* stays observable for every model.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from repro.serve.sharded.plan import ShardPlan
-from repro.serve.sharded.worker import ReplicaSet
-
-__all__ = ["HaloExchange", "HaloTraffic"]
+__all__ = ["HaloTraffic"]
 
 
 @dataclass
@@ -56,53 +52,3 @@ class HaloTraffic:
         """Deep point-in-time copy (the per-shard dicts are mutable)."""
         return replace(self, bytes_per_shard=dict(self.bytes_per_shard),
                        rows_per_shard=dict(self.rows_per_shard))
-
-
-class HaloExchange:
-    """Moves frozen temporal state between shard workers."""
-
-    def __init__(self, plan: ShardPlan) -> None:
-        self.plan = plan
-        self.traffic = HaloTraffic()
-
-    def _ship(self, shards: list[ReplicaSet], target: int,
-              rows: np.ndarray) -> None:
-        """Import ``rows``' temporal state into shard ``target`` from
-        each owning shard."""
-        if len(rows) == 0:
-            return
-        owners = self.plan.owner[rows]
-        for src in np.unique(owners):
-            src = int(src)
-            if src == target:
-                continue  # owned rows are authoritative already
-            chunk = rows[owners == src]
-            payload = shards[src].primary.engine.export_temporal(chunk)
-            nbytes = shards[target].import_temporal(chunk, payload)
-            self.traffic.rows_shipped += len(chunk)
-            self.traffic.bytes_shipped += nbytes
-            self.traffic.messages += 1
-            self.traffic.rows_per_shard[target] += len(chunk)
-            self.traffic.bytes_per_shard[target] += nbytes
-
-    def sync_halos(self, shards: list[ReplicaSet]) -> None:
-        """Bulk boundary sync: every shard imports its whole ghost set.
-
-        Must run after every shard's ``begin_advance`` (carries
-        promoted) and before any ``finish_advance`` (recompute reads the
-        mirrored state).
-        """
-        for target, rs in enumerate(shards):
-            self._ship(shards, target, rs.primary.engine.halo)
-        self.traffic.boundary_syncs += 1
-
-    def sync_entrants(self, shards: list[ReplicaSet],
-                      entrants_per_shard: list[np.ndarray]) -> None:
-        """Mid-step sync of rows that newly entered each shard's halo."""
-        shipped = False
-        for target, entrants in enumerate(entrants_per_shard):
-            if len(entrants):
-                self._ship(shards, target, entrants)
-                shipped = True
-        if shipped:
-            self.traffic.entrant_syncs += 1

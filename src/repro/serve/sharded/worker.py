@@ -1,20 +1,15 @@
-"""Shard workers and replica sets.
+"""The shard worker.
 
-A :class:`ShardWorker` is one serving process in the simulated sharded
-tier: it owns a :class:`~repro.serve.sharded.engine.ShardEngine` over
-its vertex block, applies routed deltas, refreshes its dirty rows, and
-scores the queries the router assigns it.  Every unit of work is timed
-into ``busy_s`` — the per-worker busy clock from which the benchmark
-derives the tier's simulated-parallel critical path, exactly how the
-training side charges per-rank :class:`~repro.cluster.clock.RankClock`
-seconds.
-
-A :class:`ReplicaSet` wraps ``R`` identical workers for one shard.
-Writes (deltas, advances, halo imports) fan out to every replica — the
-cost of replication; reads (query scoring, ghost-row exports) go to the
-replica the least-loaded router policy picks.  The load signal is the
-replica's accumulated busy time, so routing is deterministic whenever
-the injected clock is.
+A :class:`ShardWorker` is one serving process of the sharded tier: it
+owns a :class:`~repro.serve.sharded.engine.ShardEngine` over its vertex
+block, applies routed deltas, refreshes its dirty rows, and scores the
+queries the router assigns it.  Every unit of work is timed into
+``busy_s`` — the per-worker busy clock from which the tier's critical
+path is derived, exactly how the training side charges per-rank
+:class:`~repro.cluster.clock.RankClock` seconds.  The worker is hosted
+by a :class:`~repro.exec.service.WorkerService` (in-process or in its
+own OS process); replication is the router-side
+:class:`~repro.exec.channel.ShardChannel`'s business, not the worker's.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ from repro.nn.linear import EdgeScorer, Linear
 from repro.serve.server import score_fraud, score_links
 from repro.serve.sharded.engine import ShardEngine
 
-__all__ = ["ShardWorker", "ReplicaSet"]
+__all__ = ["ShardWorker"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -145,57 +140,3 @@ class ShardWorker:
         self.queries_scored += len(link_pairs) + len(fraud_accounts)
         self._charge(t0)
         return link_scores, fraud_scores
-
-
-class ReplicaSet:
-    """``R`` replicas of one shard behind least-loaded routing."""
-
-    def __init__(self, workers: list[ShardWorker]) -> None:
-        if not workers:
-            raise ConfigError("a replica set needs at least one worker")
-        self.workers = workers
-
-    @property
-    def primary(self) -> ShardWorker:
-        return self.workers[0]
-
-    @property
-    def num_replicas(self) -> int:
-        return len(self.workers)
-
-    def least_loaded(self) -> ShardWorker:
-        """Replica with the least accumulated busy time (deterministic
-        tie-break on replica id)."""
-        return min(self.workers, key=lambda w: (w.busy_s, w.replica_id))
-
-    # writes fan out to every replica
-    def begin_advance(self, snapshot, features, dinv) -> None:
-        for w in self.workers:
-            w.begin_advance(snapshot, features, dinv)
-
-    def finish_advance(self) -> None:
-        for w in self.workers:
-            w.finish_advance()
-
-    def apply_delta(self, snapshot, features, dinv, dirty,
-                    diff=None) -> np.ndarray:
-        entrants = _EMPTY
-        for w in self.workers:
-            entrants = w.apply_delta(snapshot, features, dinv, dirty,
-                                     diff=diff)
-        return entrants  # identical across replicas (same deterministic state)
-
-    def import_temporal(self, rows, payload) -> int:
-        """Install mirrored temporal rows on every replica; returns the
-        bytes of ONE transfer (replica fan-out is shard-internal, so
-        the cross-shard wire cost is counted once)."""
-        nbytes = 0
-        for w in self.workers:
-            nbytes = w.engine.import_temporal(rows, payload)
-        return nbytes
-
-    @property
-    def busy_s(self) -> float:
-        """Critical-path busy time across the replicas (they run in
-        parallel in a real deployment)."""
-        return max(w.busy_s for w in self.workers)

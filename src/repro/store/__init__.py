@@ -20,7 +20,6 @@ from repro.store.codec import (edge_checksum, fold_events, pack_record,
 from repro.store.compact import Compactor, list_bases, load_base, write_base
 from repro.store.store import GraphStore, StoreView
 from repro.store.recovery import (capture_engine_state,
-                                  capture_sharded_state,
                                   restore_engine_state,
                                   unpack_sharded_state)
 
@@ -31,5 +30,5 @@ __all__ = [
     "Compactor", "list_bases", "load_base", "write_base",
     "GraphStore", "StoreView",
     "capture_engine_state", "restore_engine_state",
-    "capture_sharded_state", "unpack_sharded_state",
+    "unpack_sharded_state",
 ]

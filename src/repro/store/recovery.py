@@ -17,9 +17,11 @@ dirty; the dirty set is captured alongside and re-marked on restore, so
 a recovered server refreshes exactly what the crashed one would have.
 
 For the sharded tier the capture reuses the rebalancer's wire format:
-each shard exports its owned rows (:meth:`ShardEngine.export_state_rows`)
-and a recovered tier reassembles every worker with
-:meth:`ShardEngine.adopt_state`.
+each shard exports its owned rows (:meth:`ShardEngine.export_state_rows`,
+gathered over ``export_state`` RPCs by
+:class:`~repro.exec.router.ExecRouter`, which assembles the record with
+:func:`pack_shard_export`) and a recovered tier reassembles every
+worker with :meth:`ShardEngine.adopt_state`.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 from repro.errors import StoreError
 
 __all__ = ["capture_engine_state", "restore_engine_state",
-           "capture_sharded_state", "unpack_sharded_state",
-           "pack_shard_export", "unpack_shard_export"]
+           "unpack_sharded_state", "pack_shard_export",
+           "unpack_shard_export"]
 
 
 def _copy(a: np.ndarray) -> np.ndarray:
@@ -132,11 +134,14 @@ def restore_engine_state(engine, meta: dict,
 
 
 # ---------------------------------------------------------------------------
-# sharded tier (ShardedServer)
+# sharded tier (ExecRouter)
 # ---------------------------------------------------------------------------
 
-def _pack_export(prefix: str, state: dict, kind: str, meta_shard: dict,
-                 arrays: dict[str, np.ndarray]) -> None:
+def pack_shard_export(prefix: str, state: dict, kind: str, meta_shard: dict,
+                      arrays: dict[str, np.ndarray]) -> None:
+    """Flatten one shard's owned-row export (``export_state`` reply)
+    into ``arrays`` under ``prefix``; shape metadata that the arrays
+    cannot carry lands in ``meta_shard``."""
     for i, z in enumerate(state["layer_outputs"]):
         arrays[f"{prefix}/layer_outputs/{i}"] = _copy(z)
     if kind == "cdgcn":
@@ -162,9 +167,10 @@ def _pack_export(prefix: str, state: dict, kind: str, meta_shard: dict,
                 arrays[f"{prefix}/current_y/{i}"] = _copy(y)
 
 
-def _unpack_export(prefix: str, kind: str, num_layers: int,
-                   meta_shard: dict,
-                   arrays: dict[str, np.ndarray]) -> dict:
+def unpack_shard_export(prefix: str, kind: str, num_layers: int,
+                        meta_shard: dict,
+                        arrays: dict[str, np.ndarray]) -> dict:
+    """Inverse of :func:`pack_shard_export`."""
     state: dict = {"layer_outputs": [arrays[f"{prefix}/layer_outputs/{i}"]
                                      for i in range(num_layers)]}
     if kind == "cdgcn":
@@ -188,38 +194,6 @@ def _unpack_export(prefix: str, kind: str, num_layers: int,
     return state
 
 
-# public aliases: the exec tier assembles sharded captures from RPC
-# exports worker by worker, so it needs the per-shard (en|de)coders —
-# same wire format as the in-process sharded capture above
-pack_shard_export = _pack_export
-unpack_shard_export = _unpack_export
-
-
-def capture_sharded_state(server) -> tuple[dict, dict[str, np.ndarray]]:
-    """Capture a :class:`~repro.serve.sharded.router.ShardedServer` as
-    (plan, per-shard owned-row exports, pending dirty rows)."""
-    kind = server.worker(0).engine.kind
-    meta: dict = {"type": "sharded", "engine_kind": kind,
-                  "steps": int(server.worker(0).engine.steps),
-                  "num_shards": server.num_shards,
-                  "replicas": server.replicas,
-                  "num_layers": server.model.num_layers,
-                  "shards": []}
-    arrays: dict[str, np.ndarray] = {
-        "owner": _copy(server.plan.owner).astype(np.int64)}
-    dirty = np.empty(0, dtype=np.int64)
-    for s in range(server.num_shards):
-        worker = server.worker(s)
-        block = server.plan.block(s)
-        state = worker.engine.export_state_rows(block)
-        meta_shard: dict = {}
-        _pack_export(f"shard/{s}", state, kind, meta_shard, arrays)
-        meta["shards"].append(meta_shard)
-        dirty = np.union1d(dirty, worker.engine.cache.dirty)
-    arrays["dirty"] = dirty
-    return meta, arrays
-
-
 def unpack_sharded_state(meta: dict, arrays: dict[str, np.ndarray]
                          ) -> tuple[np.ndarray, list, np.ndarray]:
     """Decode a sharded capture into ``(owner, exports, dirty)`` where
@@ -232,8 +206,9 @@ def unpack_sharded_state(meta: dict, arrays: dict[str, np.ndarray]
     exports = []
     for s in range(meta["num_shards"]):
         block = np.flatnonzero(owner == s)
-        state = _unpack_export(f"shard/{s}", kind, meta["num_layers"],
-                               meta["shards"][s], arrays)
+        state = unpack_shard_export(f"shard/{s}", kind,
+                                    meta["num_layers"],
+                                    meta["shards"][s], arrays)
         exports.append((block, state))
     dirty = np.asarray(arrays["dirty"], dtype=np.int64)
     return owner, exports, dirty

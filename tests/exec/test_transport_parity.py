@@ -15,12 +15,12 @@ import pytest
 from repro.exec import ExecRouter
 from repro.models import build_model
 from repro.nn.linear import Linear
-from repro.serve import ShardedServer, events_between
+from repro.serve import events_between
 
 MODELS = ["cdgcn", "egcn", "tmgcn"]
 
 
-def replay(router_or_server, world, *, start=1, stop=None):
+def replay(router, world, *, start=1, stop=None):
     """Drive the full 20-timestep stream; returns (scores, embeddings)."""
     dtdg = world.dtdg
     stop = dtdg.num_timesteps if stop is None else stop
@@ -29,15 +29,15 @@ def replay(router_or_server, world, *, start=1, stop=None):
         events = events_between(dtdg[t - 1], dtdg[t])
         half = len(events) // 2
         if half:
-            router_or_server.ingest_events(events[:half])
-        q1 = router_or_server.submit_link(0, 119)
-        q2 = router_or_server.submit_fraud(3 * t % 120)
-        router_or_server.drain()
+            router.ingest_events(events[:half])
+        q1 = router.submit_link(0, 119)
+        q2 = router.submit_fraud(3 * t % 120)
+        router.drain()
         scores += [q1.result, q2.result]
         if events[half:]:
-            router_or_server.ingest_events(events[half:])
-        router_or_server.advance_time(dtdg[t])
-    return np.array(scores), router_or_server.gathered_embeddings()
+            router.ingest_events(events[half:])
+        router.advance_time(dtdg[t])
+    return np.array(scores), router.gathered_embeddings()
 
 
 def make_router(world, model_kind, backend, **kwargs):
@@ -77,19 +77,33 @@ def test_shard_count_does_not_change_numerics(world, num_shards):
     assert float(np.abs(e_ref - e_mp).max()) == 0.0
 
 
-def test_exec_tier_matches_sharded_server(world):
-    """The exec tier reproduces the existing ShardedServer tier exactly
-    on the same stream — the RPC boundary adds no numerics."""
-    model = build_model("cdgcn", in_features=2, seed=0)
-    fraud = Linear(model.embed_dim, 2, np.random.default_rng(9))
-    server = ShardedServer(model, world.dtdg[0], num_shards=2,
-                           fraud_head=fraud, max_batch_size=8)
-    s_ref, e_ref = replay(server, world, stop=8)
-    mp = make_router(world, "cdgcn", "multiprocess")
-    s_mp, e_mp = replay(mp, world, stop=8)
-    mp.close()
-    assert float(np.abs(s_ref - s_mp).max()) == 0.0
-    assert float(np.abs(e_ref - e_mp).max()) == 0.0
+def test_skew_triggered_rebalance_is_exact_across_backends(world):
+    """A query flood on one shard trips the rebalancer at a boundary;
+    the re-partitioned multiprocess tier (respawned workers, state
+    transplanted over adopt_state RPCs) lands on the simulated tier's
+    plan and embeddings exactly."""
+
+    def run(backend):
+        router = make_router(world, "cdgcn", backend, num_shards=3,
+                             rebalance_skew=1.5, rebalance_min_queries=50)
+        hot = router.plan.block(0)[:3]
+        dtdg = world.dtdg
+        for t in range(1, 6):
+            router.ingest_events(events_between(dtdg[t - 1], dtdg[t]))
+            for i in range(60):
+                router.submit_fraud(int(hot[i % len(hot)]))
+            router.drain()
+            router.advance_time()
+        out = (router.counters.rebalances, router.plan.owner.copy(),
+               router.gathered_embeddings())
+        router.close()
+        return out
+
+    n_sim, owner_sim, e_sim = run("simulated")
+    n_mp, owner_mp, e_mp = run("multiprocess")
+    assert n_sim == n_mp >= 1
+    np.testing.assert_array_equal(owner_sim, owner_mp)
+    assert float(np.abs(e_sim - e_mp).max()) == 0.0
 
 
 def test_rpc_traffic_stays_delta_sized(world):

@@ -8,11 +8,12 @@ labeled per-shard series — rather than implementation internals.
 import numpy as np
 import pytest
 
+from repro.exec import ExecRouter
 from repro.graph import AMLSimConfig, generate_amlsim
 from repro.models import build_model
 from repro.nn.linear import Linear
 from repro.obs import Telemetry
-from repro.serve import ModelServer, ShardedServer, events_between
+from repro.serve import ModelServer, events_between
 from repro.store import GraphStore
 from repro.train import (LinkPredictionTask, SingleDeviceTrainer,
                          TrainerConfig)
@@ -112,8 +113,8 @@ class TestShardedWiring:
         model = build_model("cdgcn", in_features=2, seed=0)
         fraud = Linear(model.embed_dim, 2, np.random.default_rng(9))
         tel = Telemetry(tracing=True)
-        server = ShardedServer(model, stream[0], num_shards=3,
-                               fraud_head=fraud, telemetry=tel)
+        server = ExecRouter(model, stream[0], backend="simulated",
+                            num_shards=3, fraud_head=fraud, telemetry=tel)
         _drive(server, stream, range(1, 6))
 
         text = server.prometheus()
@@ -134,10 +135,11 @@ class TestShardedWiring:
             assert expected in names, f"missing span {expected}"
 
     def test_sharded_stats_snapshot_traffic(self, stream):
-        """Regression: ShardedStats must deep-copy halo traffic — a
+        """Regression: ExecStats must deep-copy halo traffic — a
         snapshot's per-shard dicts can't grow with later syncs."""
         model = build_model("cdgcn", in_features=2, seed=0)
-        server = ShardedServer(model, stream[0], num_shards=3)
+        server = ExecRouter(model, stream[0], backend="simulated",
+                            num_shards=3)
         _drive(server, stream, range(1, 3))
         before = server.stats()
         frozen_bytes = before.traffic.bytes_shipped

@@ -10,10 +10,11 @@ branch structure, so cross-shard cones occur throughout the stream).
 import numpy as np
 import pytest
 
+from repro.exec import ExecRouter
 from repro.graph import AMLSimConfig, generate_amlsim
 from repro.models import MODEL_NAMES, build_model
 from repro.nn.linear import Linear
-from repro.serve import ModelServer, ShardedServer, events_between
+from repro.serve import ModelServer, events_between
 from repro.serve.sharded import ShardPlan
 
 
@@ -36,9 +37,14 @@ def _servers(name, dtdg, num_shards=4, **kwargs):
                          incremental=False)
     model2 = build_model(name, in_features=2, seed=0)
     fraud2 = Linear(model2.embed_dim, 2, np.random.default_rng(7))
-    sharded = ShardedServer(model2, dtdg[0], num_shards=num_shards,
-                            fraud_head=fraud2, **kwargs)
+    sharded = ExecRouter(model2, dtdg[0], backend="simulated",
+                         num_shards=num_shards, fraud_head=fraud2, **kwargs)
     return single, sharded
+
+
+def _workers(sharded, shard):
+    """Every replica's in-process ShardWorker of ``shard``."""
+    return [t.service.worker for t in sharded.channels[shard].replicas]
 
 
 def _reference_embeddings(single):
@@ -74,7 +80,7 @@ def test_sharded_equals_full_recompute_over_stream(stream20, name):
                 err_msg=f"{name} diverged at t={t}, batch {i // chunk}")
     # the stream must actually have exercised cross-shard cones
     assert cross_cone_batches > 10
-    assert sharded.exchange.traffic.boundary_syncs == dtdg.num_timesteps
+    assert sharded.traffic.boundary_syncs == dtdg.num_timesteps
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -111,7 +117,7 @@ def test_sharded_queries_match_single_worker(stream20, name):
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_unflushed_boundaries_stay_exact(stream20, name):
-    """Regression: with R=2 replicas only the serving replica refreshes
+    """Regression: with R=2 replicas only the read primary refreshes
     at flush time; crossing a timestep boundary with dirty rows still
     pending on the idle replica must not poison its promoted carries
     (every replica settles in ``begin_advance``)."""
@@ -129,7 +135,7 @@ def test_unflushed_boundaries_stay_exact(stream20, name):
     want = _reference_embeddings(single)
     for s in range(3):
         block = sharded.plan.block(s)
-        for w in sharded.shards[s].workers:
+        for w in _workers(sharded, s):
             w.refresh()
             np.testing.assert_allclose(w.engine.embeddings[block],
                                        want[block], atol=1e-6,
@@ -146,7 +152,7 @@ def test_sharded_exact_under_hypergraph_plan(stream20):
     model = build_model("cdgcn", in_features=2, seed=0)
     single = ModelServer(model, dtdg[0], incremental=False)
     model2 = build_model("cdgcn", in_features=2, seed=0)
-    sharded = ShardedServer(model2, dtdg[0], plan=plan)
+    sharded = ExecRouter(model2, dtdg[0], backend="simulated", plan=plan)
     for t in range(1, 6):
         single.advance_time()
         sharded.advance_time()
@@ -172,9 +178,8 @@ def test_sharded_exact_with_replicas(stream20):
         np.testing.assert_allclose(sharded.gathered_embeddings(), want,
                                    atol=1e-6)
         for s in range(2):
-            rs = sharded.shards[s]
             block = sharded.plan.block(s)
-            for w in rs.workers:
+            for w in _workers(sharded, s):
                 w.refresh()
                 np.testing.assert_allclose(
                     w.engine.embeddings[block], want[block], atol=1e-6)

@@ -1,11 +1,9 @@
 """Worker time accounting: the clocks the scaling benches trust.
 
-Every simulated-parallel wall number in this repo reduces to two
-primitives — :meth:`ShardWorker._charge` accumulating busy seconds and
-:meth:`ReplicaSet.least_loaded` routing reads by them — so both get
-regression coverage of their exact contracts: charges are monotone and
-additive under an injected clock, and load ties break deterministically
-on replica id.
+Every critical-path wall number in this repo reduces to one primitive
+— :meth:`ShardWorker._charge` accumulating busy seconds — so it gets
+regression coverage of its exact contract: charges are monotone and
+additive under an injected clock.
 """
 
 import numpy as np
@@ -14,7 +12,7 @@ import pytest
 from repro.graph.snapshot import GraphSnapshot
 from repro.models import build_model
 from repro.serve.engine import derive_serving_features
-from repro.serve.sharded.worker import ReplicaSet, ShardWorker
+from repro.serve.sharded.worker import ShardWorker
 
 
 class FakeClock:
@@ -89,27 +87,3 @@ class TestCharge:
         before = worker.busy_s
         worker._charge(clock())   # no tick between t0 and charge
         assert worker.busy_s == before
-
-
-class TestLeastLoaded:
-    def test_tie_breaks_on_lowest_replica_id(self, snapshot):
-        clock = FakeClock()
-        workers = [make_worker(snapshot, r, clock) for r in (2, 0, 1)]
-        for w in workers:
-            w.busy_s = 1.0       # exact three-way tie
-        replica_set = ReplicaSet(workers)
-        assert replica_set.least_loaded().replica_id == 0
-        # deterministic: repeated calls never alternate
-        assert replica_set.least_loaded() is replica_set.least_loaded()
-
-    def test_prefers_strictly_less_loaded_replica(self, snapshot):
-        clock = FakeClock()
-        workers = [make_worker(snapshot, r, clock) for r in range(3)]
-        workers[0].busy_s = 2.0
-        workers[1].busy_s = 0.5
-        workers[2].busy_s = 1.0
-        replica_set = ReplicaSet(workers)
-        assert replica_set.least_loaded().replica_id == 1
-        # the routed replica accrues load and the choice moves on
-        workers[1].busy_s = 5.0
-        assert replica_set.least_loaded().replica_id == 2

@@ -13,10 +13,11 @@ falling back to rebuilds.
 import numpy as np
 import pytest
 
+from repro.exec import ExecRouter
 from repro.graph import AMLSimConfig, generate_amlsim, normalized_laplacian
 from repro.models import MODEL_NAMES, build_model
 from repro.nn.linear import Linear
-from repro.serve import ModelServer, ShardedServer, events_between
+from repro.serve import ModelServer, events_between
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +80,8 @@ def test_sharded_workers_route_through_maintainer(stream10, name):
                          incremental=False)
     model2 = build_model(name, in_features=2, seed=0)
     fraud2 = Linear(model2.embed_dim, 2, np.random.default_rng(7))
-    sharded = ShardedServer(model2, dtdg[0], num_shards=3,
-                            fraud_head=fraud2)
+    sharded = ExecRouter(model2, dtdg[0], backend="simulated",
+                         num_shards=3, fraud_head=fraud2)
     for t in range(1, dtdg.num_timesteps):
         single.advance_time()
         sharded.advance_time()
@@ -97,7 +98,7 @@ def test_sharded_workers_route_through_maintainer(stream10, name):
                 got, single.engine.embeddings, atol=1e-9,
                 err_msg=f"{name} sharded diverged at t={t}")
     for s in range(sharded.num_shards):
-        maintainer = sharded.worker(s).engine.maintainer
+        maintainer = sharded.transports[s].service.worker.engine.maintainer
         assert maintainer.incremental_updates > 0
         assert maintainer.fallbacks == 0
 

@@ -16,10 +16,11 @@ import os
 import numpy as np
 import pytest
 
+from repro.exec import ExecRouter
 from repro.graph import AMLSimConfig, generate_amlsim
 from repro.models import MODEL_NAMES, build_model
 from repro.nn.linear import Linear
-from repro.serve import ModelServer, ShardedServer, events_between
+from repro.serve import ModelServer, events_between
 from repro.store import GraphStore
 from repro.train.checkpoint import save_model_checkpoint
 
@@ -87,19 +88,19 @@ def test_sharded_server_recovers_exactly(stream20, name, tmp_path):
     to gathered embeddings equal to the pre-crash run."""
     dtdg = stream20
     model, fraud = _model_and_head(name)
-    live = ShardedServer(model, dtdg[0], num_shards=3, replicas=2,
-                         fraud_head=fraud)
+    live = ExecRouter(model, dtdg[0], backend="simulated", num_shards=3,
+                      replicas=2, fraud_head=fraud)
     store = GraphStore.create(str(tmp_path / "s"), dtdg.num_vertices,
                               base_interval=4)
     live.attach_store(store, state_interval=2)
     _drive(live, dtdg, range(1, 11), batches=2)
 
     model2, fraud2 = _model_and_head(name)
-    recovered = ShardedServer.recover(
+    recovered = ExecRouter.recover(
         GraphStore.open(str(tmp_path / "s")), model=model2,
-        fraud_head=fraud2)
+        backend="simulated", fraud_head=fraud2)
     assert recovered.num_shards == 3
-    assert recovered.replicas == 2
+    assert recovered.replicas_per_shard == 2
     np.testing.assert_array_equal(recovered.plan.owner, live.plan.owner)
     np.testing.assert_allclose(recovered.gathered_embeddings(),
                                live.gathered_embeddings(), atol=1e-6)
@@ -117,29 +118,30 @@ def _drive_with_rebases(server, dtdg, t_range):
 
 def test_sharded_recovery_shares_incremental_maintainer(stream20,
                                                         tmp_path):
-    """Satellite regression: a recovered sharded tier re-injects ONE
-    router-owned LaplacianMaintainer into every worker/replica engine,
+    """Satellite regression: a recovered sharded tier shares ONE
+    tier-wide LaplacianMaintainer across every worker/replica engine,
     and the WAL tail (snapshot-sealed boundaries included) replays
     through the O(delta) incremental path — no fallbacks, no per-
     boundary full rebuilds."""
     dtdg = stream20
     model, fraud = _model_and_head("cdgcn")
-    live = ShardedServer(model, dtdg[0], num_shards=3, replicas=2,
-                         fraud_head=fraud)
+    live = ExecRouter(model, dtdg[0], backend="simulated", num_shards=3,
+                      replicas=2, fraud_head=fraud)
     store = GraphStore.create(str(tmp_path / "s"), dtdg.num_vertices,
                               base_interval=4)
     live.attach_store(store, state_interval=3)
     _drive_with_rebases(live, dtdg, range(1, 9))
 
     model2, fraud2 = _model_and_head("cdgcn")
-    recovered = ShardedServer.recover(
+    recovered = ExecRouter.recover(
         GraphStore.open(str(tmp_path / "s")), model=model2,
-        fraud_head=fraud2)
-    m = recovered.maintainer
+        backend="simulated", fraud_head=fraud2)
+    m = recovered.backend.maintainer
     # one shared operator across the whole tier
-    for rs in recovered.shards:
-        for w in rs.workers:
-            assert w.engine.maintainer is m
+    for ch in recovered.channels:
+        assert len(ch.replicas) == 2
+        for t in ch.replicas:
+            assert t.service.worker.engine.maintainer is m
     # the tail replay (events AND rebase boundaries) stayed incremental:
     # the only full build is the boot-time construction
     assert m.incremental_updates > 0

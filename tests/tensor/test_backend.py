@@ -161,11 +161,16 @@ class TestMismatch:
             InferenceEngine(model, snap, maintainer=maintainer,
                             kernel_backend="mirror")
 
-    def test_adopt_maintainer_mismatch_raises(self, mirror):
-        snap = _small_snapshot()
+    def test_simulated_tier_pins_its_shared_maintainer(self, mirror):
+        """The in-process sharded tier builds its one shared operator
+        on the workers' kernel backend (a default-backend maintainer
+        would be refused by every worker engine)."""
+        from repro.exec import ExecRouter
         model = build_model("cdgcn", in_features=2, seed=0)
-        engine = InferenceEngine(model, snap,
-                                 kernel_backend="reference")
-        with pytest.raises(KernelError, match="adopt"):
-            engine.adopt_maintainer(
-                LaplacianMaintainer(snap, backend="mirror"))
+        router = ExecRouter(model, _small_snapshot(), backend="simulated",
+                            num_shards=2, kernel_backend="mirror")
+        assert router.backend.maintainer.backend is mirror
+        engine = router.transports[0].service.worker.engine
+        assert engine.kernel_backend is mirror
+        router.close()
+
