@@ -36,7 +36,8 @@ def test_kernel_layer_speedups(benchmark):
 
     # report files land in the standard results pipeline
     assert os.path.exists(os.path.join(results_dir(), "kernels.txt"))
-    assert os.path.exists(os.path.join(os.getcwd(), "BENCH_kernels.json"))
+    bench_dir = os.environ.get("REPRO_BENCH_DIR", os.getcwd())
+    assert os.path.exists(os.path.join(bench_dir, "BENCH_kernels.json"))
 
     # headline 1: incremental operator maintenance beats the per-commit
     # full rebuild ≥ 3x

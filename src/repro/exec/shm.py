@@ -73,15 +73,8 @@ def map_array(spec: ArraySpec, *, writeable: bool = False
 
 def snapshot_from_shared(num_vertices: int, edges: np.ndarray,
                          values: np.ndarray) -> GraphSnapshot:
-    """Zero-copy :class:`GraphSnapshot` over shared topology views.
-
-    The constructor would canonicalize (copy) the arrays; the shared
-    edge list was canonicalized *before* it was shared, so the slots
-    are assigned directly and the adjacency index builds lazily in the
-    worker as usual."""
-    snap = GraphSnapshot.__new__(GraphSnapshot)
-    snap.num_vertices = int(num_vertices)
-    snap.edges = edges
-    snap.values = values
-    snap._adj = None
-    return snap
+    """Zero-copy :class:`GraphSnapshot` over shared topology views: the
+    shared edge list was canonicalized *before* it was shared, so the
+    trusted constructor only verifies its order; the adjacency index
+    builds lazily in the worker as usual."""
+    return GraphSnapshot.from_canonical(int(num_vertices), edges, values)

@@ -25,12 +25,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import DatasetError
-from repro.graph.snapshot import GraphSnapshot, canonical_edges
+from repro.graph.snapshot import (GraphSnapshot, _edge_keys as _keys,
+                                  _strictly_increasing)
 from repro.tensor.sparse import INDEX_BYTES, VALUE_BYTES
 
-__all__ = ["SnapshotDiff", "diff_snapshots", "apply_diff",
-           "encode_sequence", "DiffDecoder", "sequence_transfer_stats",
-           "split_diff_by_blocks"]
+__all__ = ["SnapshotDiff", "diff_snapshots", "apply_diff", "merge_delta",
+           "fold_delta", "edge_checksum", "encode_sequence", "DiffDecoder",
+           "sequence_transfer_stats", "split_diff_by_blocks"]
 
 
 @dataclass(frozen=True)
@@ -81,27 +82,172 @@ class SnapshotDiff:
         return self.naive_nbytes / payload if payload else float("inf")
 
 
-def _keys(edges: np.ndarray, n: int) -> np.ndarray:
-    return edges[:, 0] * np.int64(n) + edges[:, 1]
-
-
 def _unkeys(keys: np.ndarray, n: int) -> np.ndarray:
     return np.stack([keys // n, keys % n], axis=1)
 
 
+def _mix(keys: np.ndarray) -> int:
+    """XOR of the multiplicatively mixed keys — the commutative core of
+    the checksum, so it is maintainable under set xor: the mix of the
+    next edge set is ``mix ^ _mix(removed) ^ _mix(added)``."""
+    if len(keys) == 0:
+        return 0
+    mixed = keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return int(np.bitwise_xor.reduce(mixed))
+
+
+def _seal(mix: int, count: int) -> int:
+    return (mix + count) & 0x7FFFFFFFFFFFFFFF if count else 0
+
+
 def _checksum(edges: np.ndarray, n: int) -> int:
     """Order-independent integrity token of an edge set."""
-    if len(edges) == 0:
-        return 0
-    keys = _keys(edges, n).astype(np.uint64)
-    mixed = keys * np.uint64(0x9E3779B97F4A7C15)
-    return int((np.bitwise_xor.reduce(mixed) + np.uint64(len(keys)))
-               & np.uint64(0x7FFFFFFFFFFFFFFF))
+    return _seal(_mix(_keys(edges, n)), len(edges))
+
+
+def edge_checksum(snapshot: GraphSnapshot) -> int:
+    """``_checksum`` of a snapshot's edge set.  The mix is cached on the
+    snapshot and carried forward by :func:`merge_delta`, so a resident
+    that advances by deltas pays O(E) once and O(delta) per step."""
+    if snapshot._mix is None:
+        snapshot._mix = _mix(snapshot.keys)
+    return _seal(snapshot._mix, snapshot.num_edges)
+
+
+def _locate(keys: np.ndarray, queries: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """``searchsorted`` positions of ``queries`` in sorted ``keys`` and
+    whether each query is present there."""
+    pos = np.searchsorted(keys, queries)
+    inside = pos < len(keys)
+    hit = np.zeros(len(queries), dtype=bool)
+    hit[inside] = keys[pos[inside]] == queries[inside]
+    return pos, hit
+
+
+def merge_delta(prev: GraphSnapshot, removed_keys: np.ndarray,
+                added_keys: np.ndarray,
+                added_values: np.ndarray | None = None,
+                values: np.ndarray | None = None
+                ) -> tuple[GraphSnapshot, np.ndarray, np.ndarray]:
+    """Advance a canonical snapshot by a sorted-key delta — the only way
+    a snapshot moves by a delta (event fold, :func:`apply_diff`, store
+    decode alike).
+
+    ``removed_keys`` (strictly increasing, all present in ``prev``) are
+    spliced out and ``added_keys`` (strictly increasing, none left in
+    ``prev`` after the removal) spliced in: two ``searchsorted`` and one
+    fused delete+insert splice per array, always into fresh arrays.
+    Nothing is sorted; the canonical order of the result is verified by
+    the trusted constructor and a delta that does not apply raises
+    :class:`DatasetError`.  Values are ``values`` when the caller holds
+    the complete new array (GD wire format), else ``prev``'s with
+    ``added_values`` spliced in.  The keys and the checksum mix are
+    carried onto the result.
+
+    Returns ``(curr, removed_pos, inserts)``: the removed positions in
+    ``prev``'s order and the insertion offsets into the order left by
+    the removal, which place any surviving edge (:func:`_moved`) and
+    the added ones (``inserts + arange``) in ``curr``'s order.
+    """
+    n = prev.num_vertices
+    keys = prev.keys
+    removed_pos, present = _locate(keys, removed_keys)
+    if not (_strictly_increasing(removed_keys) and present.all()
+            and _strictly_increasing(added_keys)):
+        raise DatasetError("delta does not apply: it removes an edge the "
+                           "resident snapshot does not hold, or is not in "
+                           "canonical order")
+    inserts = np.searchsorted(keys, added_keys)
+    inserts -= np.searchsorted(removed_pos, inserts)
+    # one gather index shared by the parallel arrays, one take each
+    keep = np.ones(len(keys), dtype=bool)
+    keep[removed_pos] = False
+    gather = np.insert(np.flatnonzero(keep), inserts,
+                       len(keys) + np.arange(len(inserts), dtype=np.int64))
+
+    def splice(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+        return np.concatenate([old, new]).take(gather, axis=0)
+
+    curr = GraphSnapshot.from_canonical(
+        n, splice(prev.edges, _unkeys(added_keys, n)),
+        values if values is not None else splice(prev.values, added_values),
+        splice(keys, added_keys))
+    if prev._mix is not None:
+        curr._mix = prev._mix ^ _mix(removed_keys) ^ _mix(added_keys)
+    return curr, removed_pos, inserts
+
+
+def _moved(pos: np.ndarray, removed_pos: np.ndarray,
+           inserts: np.ndarray) -> np.ndarray:
+    """Where the surviving edges at ``pos`` of the previous order sit in
+    the order :func:`merge_delta` produced."""
+    left = pos - np.searchsorted(removed_pos, pos)
+    return left + np.searchsorted(inserts, left, side="right")
+
+
+def _delta_keys(edges: np.ndarray, n: int) -> np.ndarray:
+    """Sorted unique keys of a diff's (delta-sized) edge list."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if len(edges) and (edges.min() < 0 or edges.max() >= n):
+        raise DatasetError("edge endpoint out of vertex range")
+    keys = _keys(edges, n)
+    return keys if _strictly_increasing(keys) else np.unique(keys)
+
+
+def fold_delta(prev: GraphSnapshot, dropped: np.ndarray, adds: np.ndarray,
+               add_values: np.ndarray) -> tuple[GraphSnapshot, SnapshotDiff]:
+    """Advance ``prev`` by a reduced event batch and encode the
+    transition in the same pass — what ``diff_snapshots(prev, curr)``
+    would re-derive, bit for bit, without looking at the graph again.
+
+    ``dropped`` and ``adds`` are the strictly increasing keys the batch
+    removed and (afterwards) added, ``add_values`` the accumulated add
+    values.  An add either lands on an edge that stays (it accumulates,
+    or replaces the value when the batch dropped the edge first) or
+    enters the topology; a drop leaves the topology unless the edge is
+    absent or added back.
+    """
+    base_checksum = edge_checksum(prev)
+    add_pos, stays = _locate(prev.keys, adds)
+    replaced = _locate(dropped, adds)[1][stays]
+    leaves = _locate(prev.keys, dropped)[1] & ~_locate(adds, dropped)[1]
+    stay_pos = add_pos[stays]
+    stay_vals = np.where(replaced, add_values[stays],
+                         prev.values[stay_pos] + add_values[stays])
+    changed = stay_vals != prev.values[stay_pos]
+
+    curr, removed_pos, inserts = merge_delta(
+        prev, dropped[leaves], adds[~stays], add_values[~stays])
+    added_pos = inserts + np.arange(len(inserts), dtype=np.int64)
+    changed_pos = _moved(stay_pos[changed], removed_pos, inserts)
+    curr.values[changed_pos] = stay_vals[changed]  # fresh array: ours
+    return curr, SnapshotDiff(removed=prev.edges[removed_pos],
+                              added=curr.edges[added_pos],
+                              values=curr.values,
+                              base_checksum=base_checksum,
+                              value_hint=(added_pos, changed_pos))
+
+
+def _changed_positions(prev: GraphSnapshot, curr: GraphSnapshot,
+                       removed_pos: np.ndarray,
+                       added_pos: np.ndarray) -> np.ndarray:
+    """Positions in ``curr`` of the common edges whose value changed:
+    common edges sit at identical offsets once the diffed positions are
+    pruned from either side's canonical order (one O(E) compare)."""
+    keep_prev = np.ones(prev.num_edges, dtype=bool)
+    keep_prev[removed_pos] = False
+    keep_curr = np.ones(curr.num_edges, dtype=bool)
+    keep_curr[added_pos] = False
+    changed = prev.values[keep_prev] != curr.values[keep_curr]
+    return np.flatnonzero(keep_curr)[changed]
 
 
 def diff_snapshots(prev: GraphSnapshot,
                    curr: GraphSnapshot) -> SnapshotDiff:
-    """Encode the transition ``prev → curr`` in GD wire format."""
+    """Encode the snapshot-to-snapshot transition ``prev → curr`` in GD
+    wire format (sequence encoding, store appends, rebases; a live
+    commit gets its diff from the event fold instead)."""
     if prev.num_vertices != curr.num_vertices:
         raise DatasetError("diff requires snapshots over the same vertices")
     n = prev.num_vertices
@@ -109,19 +255,13 @@ def diff_snapshots(prev: GraphSnapshot,
     curr_keys = _keys(curr.edges, n)
     removed_keys = np.setdiff1d(prev_keys, curr_keys, assume_unique=True)
     added_keys = np.setdiff1d(curr_keys, prev_keys, assume_unique=True)
-    # the value hint: common edges sit at identical offsets once the
-    # diffed positions are pruned from either side's canonical order
     added_pos = np.searchsorted(curr_keys, added_keys)
-    keep_prev = np.ones(len(prev_keys), dtype=bool)
-    keep_prev[np.searchsorted(prev_keys, removed_keys)] = False
-    keep_curr = np.ones(len(curr_keys), dtype=bool)
-    keep_curr[added_pos] = False
-    changed = prev.values[keep_prev] != curr.values[keep_curr]
-    changed_pos = np.flatnonzero(keep_curr)[changed]
+    changed_pos = _changed_positions(
+        prev, curr, np.searchsorted(prev_keys, removed_keys), added_pos)
     return SnapshotDiff(removed=_unkeys(removed_keys, n),
                         added=_unkeys(added_keys, n),
                         values=curr.values.copy(),
-                        base_checksum=_checksum(prev.edges, n),
+                        base_checksum=_seal(_mix(prev_keys), len(prev_keys)),
                         value_hint=(added_pos, changed_pos))
 
 
@@ -129,21 +269,19 @@ def apply_diff(prev: GraphSnapshot, diff: SnapshotDiff) -> GraphSnapshot:
     """Reconstruct ``A_{i+1}`` from a resident ``A_i`` plus a diff."""
     n = prev.num_vertices
     if diff.base_checksum != -1 and \
-            diff.base_checksum != _checksum(prev.edges, n):
+            diff.base_checksum != edge_checksum(prev):
         raise DatasetError(
             "diff does not apply: resident snapshot is not the base the "
             "diff was encoded against")
-    prev_keys = _keys(prev.edges, n)
-    removed_keys = _keys(np.asarray(diff.removed, dtype=np.int64).reshape(-1, 2), n)
-    common_keys = np.setdiff1d(prev_keys, removed_keys, assume_unique=True)
-    added = np.asarray(diff.added, dtype=np.int64).reshape(-1, 2)
-    edges = np.concatenate([_unkeys(common_keys, n), added], axis=0)
-    edges = canonical_edges(edges)
-    if len(edges) != len(diff.values):
+    removed_keys = _delta_keys(diff.removed, n)
+    added_keys = _delta_keys(diff.added, n)
+    values = np.asarray(diff.values, dtype=np.float64).reshape(-1)
+    count = prev.num_edges - len(removed_keys) + len(added_keys)
+    if count != len(values):
         raise DatasetError(
-            f"diff reconstruction produced {len(edges)} edges for "
-            f"{len(diff.values)} values — prev snapshot mismatch?")
-    return GraphSnapshot(n, edges, diff.values)
+            f"diff reconstruction produced {count} edges for "
+            f"{len(values)} values — prev snapshot mismatch?")
+    return merge_delta(prev, removed_keys, added_keys, values=values)[0]
 
 
 def encode_sequence(snapshots: Sequence[GraphSnapshot]

@@ -44,7 +44,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import DatasetError
-from repro.graph.diff import SnapshotDiff
+from repro.graph.diff import (SnapshotDiff, _changed_positions,
+                              _keys as _ekeys, _locate, _mix)
 from repro.graph.snapshot import GraphSnapshot
 from repro.tensor.backend import KernelBackend, resolve_backend
 from repro.tensor.sparse import SparseMatrix
@@ -53,25 +54,10 @@ __all__ = ["LaplacianMaintainer", "diff_touched_vertices"]
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
-# the diff checksum's multiplicative mixer (repro.graph.diff._checksum)
-_MIXER = 0x9E3779B97F4A7C15
 
 
 class _Inconsistent(Exception):
     """Internal: the diff does not apply to the resident state."""
-
-
-def _ekeys(edges: np.ndarray, n: int) -> np.ndarray:
-    return edges[:, 0] * np.int64(n) + edges[:, 1]
-
-
-def _mix(keys: np.ndarray) -> int:
-    """XOR accumulator of mixed keys — the commutative core of
-    :func:`repro.graph.diff._checksum`, maintainable under set xor."""
-    if len(keys) == 0:
-        return 0
-    mixed = keys.astype(np.uint64) * np.uint64(_MIXER)
-    return int(np.bitwise_xor.reduce(mixed))
 
 
 def _range_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -331,40 +317,13 @@ class LaplacianMaintainer:
             return ad_vals, chg_keys, chg_vals
         # no hint: align the common values of both canonical orders
         prev = self._snapshot
-        prev_keys = _ekeys(prev.edges, n) if prev.num_edges else _EMPTY_I
-        curr_keys = _ekeys(curr.edges, n) if curr.num_edges else _EMPTY_I
-        rm_pos = np.searchsorted(prev_keys, rm_keys)
-        if len(rm_keys) and (len(prev_keys) == 0 or not
-                             (prev_keys[np.minimum(
-                                 rm_pos, len(prev_keys) - 1)]
-                              == rm_keys).all()):
+        rm_pos, rm_hit = _locate(prev.keys, rm_keys)
+        ad_pos, ad_hit = _locate(curr.keys, ad_keys)
+        if not (rm_hit.all() and ad_hit.all()) or \
+                prev.num_edges - len(rm_pos) != curr.num_edges - len(ad_pos):
             raise _Inconsistent
-        ad_pos = np.searchsorted(curr_keys, ad_keys)
-        if len(ad_keys) and (len(curr_keys) == 0 or not
-                             (curr_keys[np.minimum(
-                                 ad_pos, len(curr_keys) - 1)]
-                              == ad_keys).all()):
-            raise _Inconsistent
-        common_prev = prev.values
-        if len(rm_pos):
-            keep = np.ones(prev.num_edges, dtype=bool)
-            keep[rm_pos] = False
-            common_prev = prev.values[keep]
-        if len(ad_pos):
-            keep_curr = np.ones(curr.num_edges, dtype=bool)
-            keep_curr[ad_pos] = False
-            common_curr = curr.values[keep_curr]
-        else:
-            keep_curr = None
-            common_curr = curr.values
-        if len(common_prev) != len(common_curr):
-            raise _Inconsistent
-        changed = common_prev != common_curr
-        if not changed.any():
-            return curr.values[ad_pos], _EMPTY_I, _EMPTY_F
-        chg_pos = np.flatnonzero(keep_curr)[changed] \
-            if keep_curr is not None else np.flatnonzero(changed)
-        return (curr.values[ad_pos], curr_keys[chg_pos],
+        chg_pos = _changed_positions(prev, curr, rm_pos, ad_pos)
+        return (curr.values[ad_pos], curr.keys[chg_pos],
                 curr.values[chg_pos])
 
     def _apply(self, curr: GraphSnapshot, diff: SnapshotDiff,

@@ -17,16 +17,46 @@ from repro.tensor.sparse import INDEX_BYTES, VALUE_BYTES, SparseMatrix
 __all__ = ["GraphSnapshot", "canonical_edges"]
 
 
+def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
+    """Encode (u, v) pairs as scalar ``u*n + v`` int64 keys: key order is
+    lexicographic edge order whenever every endpoint lies in ``[0, n)``."""
+    return edges[:, 0] * np.int64(n) + edges[:, 1]
+
+
+def _strictly_increasing(keys: np.ndarray) -> bool:
+    return len(keys) < 2 or bool((keys[1:] > keys[:-1]).all())
+
+
+def _canonicalize(edges: np.ndarray, values: np.ndarray | None,
+                  keys: np.ndarray):
+    """``(edges, values)`` in the canonical order their scalar ``keys``
+    define, duplicates merged (values summed in input order).  One
+    vectorised compare skips the sort for input that is already
+    canonical; otherwise one stable argsort of the keys orders edges and
+    values alike."""
+    if _strictly_increasing(keys):
+        return edges, values
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    if values is not None:
+        values = values[order]
+        if not first.all():
+            summed = np.zeros(int(first.sum()), dtype=np.float64)
+            np.add.at(summed, np.cumsum(first) - 1, values)
+            values = summed
+    return edges[order][first], values
+
+
 def canonical_edges(edges: np.ndarray) -> np.ndarray:
     """Sort an ``(m, 2)`` edge array lexicographically and drop duplicates."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if len(edges) == 0:
         return edges
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    edges = edges[order]
-    keep = np.ones(len(edges), dtype=bool)
-    keep[1:] = (np.diff(edges[:, 0]) != 0) | (np.diff(edges[:, 1]) != 0)
-    return edges[keep]
+    low = edges.min()  # endpoints may be any integers here: shift to 0
+    keys = _edge_keys(edges - low, int(edges.max() - low) + 1)
+    return _canonicalize(edges, None, keys)[0]
 
 
 class GraphSnapshot:
@@ -45,7 +75,7 @@ class GraphSnapshot:
         M-product — paper §5.4) carry non-unit values.
     """
 
-    __slots__ = ("num_vertices", "edges", "values", "_adj")
+    __slots__ = ("num_vertices", "edges", "values", "_adj", "_keys", "_mix")
 
     def __init__(self, num_vertices: int, edges: np.ndarray,
                  values: np.ndarray | None = None) -> None:
@@ -53,23 +83,60 @@ class GraphSnapshot:
             raise DatasetError(f"num_vertices must be positive, got "
                                f"{num_vertices}")
         raw = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        canon = canonical_edges(raw)
         if values is not None:
+            # values are aligned with the caller's raw edge order and
+            # follow it into canonical order (duplicates summed)
             values = np.asarray(values, dtype=np.float64).reshape(-1)
-            if len(values) == len(raw):
-                # values are aligned with the caller's raw edge order:
-                # re-sort (and merge duplicates) into canonical order
-                canon, values = _merge_values(raw, values)
-            else:
+            if len(values) != len(raw):
                 raise DatasetError(
                     f"{len(values)} values for {len(raw)} edges")
-        if len(canon) and (canon.min() < 0 or canon.max() >= num_vertices):
+        if len(raw) and (raw.min() < 0 or raw.max() >= num_vertices):
             raise DatasetError("edge endpoint out of vertex range")
+        # the keys are not retained here (a DTDG holds many snapshots);
+        # the first merge or checksum recomputes them in one pass
+        self._set(num_vertices, *_canonicalize(
+            raw, values, _edge_keys(raw, num_vertices)))
+
+    @classmethod
+    def from_canonical(cls, num_vertices: int, edges: np.ndarray,
+                       values: np.ndarray,
+                       keys: np.ndarray | None = None) -> "GraphSnapshot":
+        """Trusted zero-copy constructor over arrays that are already
+        canonical (the sorted-key merge's output, shared-memory views):
+        strict key order and key range are *verified* in one vectorised
+        compare — never established by sorting."""
+        if keys is None:
+            keys = _edge_keys(edges, num_vertices)
+        if len(keys) and (keys[0] < 0 or keys[-1] >= num_vertices ** 2
+                          or not _strictly_increasing(keys)):
+            raise DatasetError("edge arrays are not in canonical order")
+        snap = cls.__new__(cls)
+        snap._set(num_vertices, edges, values, keys)
+        return snap
+
+    def _set(self, num_vertices, edges, values, keys=None) -> None:
         self.num_vertices = int(num_vertices)
-        self.edges = canon
+        self.edges = edges
         self.values = (values if values is not None
-                       else np.ones(len(canon), dtype=np.float64))
+                       else np.ones(len(edges), dtype=np.float64))
         self._adj: SparseMatrix | None = None
+        self._keys = keys          # sorted src*N+dst keys (8 B/edge)
+        self._mix = None           # XOR-mix of the keys (graph.diff)
+
+    def __getstate__(self):
+        # ship the graph, never the caches derived from it
+        return self.num_vertices, self.edges, self.values
+
+    def __setstate__(self, state) -> None:
+        self._set(*state)
+
+    @property
+    def keys(self) -> np.ndarray:
+        """Strictly increasing ``src*N + dst`` int64 keys, one per edge —
+        what the sorted-key merge (:mod:`repro.graph.diff`) searches."""
+        if self._keys is None:
+            self._keys = _edge_keys(self.edges, self.num_vertices)
+        return self._keys
 
     # -- structure ----------------------------------------------------------------
     @property
@@ -146,11 +213,6 @@ class GraphSnapshot:
         return id(self)
 
 
-def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
-    """Encode (u, v) pairs as scalar int64 keys for fast set algebra."""
-    return edges[:, 0] * np.int64(n) + edges[:, 1]
-
-
 def count_common_edges(a: np.ndarray, b: np.ndarray) -> int:
     """Number of edges present in both canonical edge arrays."""
     if len(a) == 0 or len(b) == 0:
@@ -158,19 +220,3 @@ def count_common_edges(a: np.ndarray, b: np.ndarray) -> int:
     n = int(max(a.max(), b.max())) + 1
     return int(np.intersect1d(_edge_keys(a, n), _edge_keys(b, n),
                               assume_unique=True).size)
-
-
-def _merge_values(raw_edges: np.ndarray,
-                  raw_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonicalize raw (possibly duplicated) edges, summing their values."""
-    order = np.lexsort((raw_edges[:, 1], raw_edges[:, 0]))
-    edges = raw_edges[order]
-    values = raw_values[order]
-    if len(edges) == 0:
-        return edges, values
-    new_group = np.ones(len(edges), dtype=bool)
-    new_group[1:] = (np.diff(edges[:, 0]) != 0) | (np.diff(edges[:, 1]) != 0)
-    group_ids = np.cumsum(new_group) - 1
-    summed = np.zeros(group_ids[-1] + 1, dtype=np.float64)
-    np.add.at(summed, group_ids, values)
-    return edges[new_group], summed

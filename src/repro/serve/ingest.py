@@ -22,7 +22,8 @@ from typing import Iterable
 import numpy as np
 
 from repro.errors import ConfigError, DatasetError
-from repro.graph.diff import SnapshotDiff, diff_snapshots
+from repro.graph.diff import (SnapshotDiff, diff_snapshots, edge_checksum,
+                              fold_delta)
 from repro.graph.snapshot import GraphSnapshot
 
 __all__ = ["EdgeEvent", "IngestResult", "StreamIngestor",
@@ -50,51 +51,47 @@ class EdgeEvent:
 
 
 def fold_event_batch(snapshot: GraphSnapshot, events: Iterable[EdgeEvent]
-                     ) -> tuple[GraphSnapshot, np.ndarray]:
-    """Fold an event batch into a snapshot; returns the new snapshot
-    and the sorted touched-vertex array.
+                     ) -> tuple[GraphSnapshot, np.ndarray, SnapshotDiff]:
+    """Fold an event batch into a snapshot; returns the new snapshot,
+    the sorted touched-vertex array and the GD delta between the two.
 
     This is THE event-fold semantics — repeated adds accumulate, a
     removal drops the base edge *and* any adds buffered before it
-    (making remove+add an exact value replacement) — shared by the live
-    :class:`StreamIngestor` and the temporal store's WAL replay
-    (:mod:`repro.store.codec`), which must reconstruct bit-identical
-    snapshots from the same batches.
+    (making remove+add an exact value replacement), removing an absent
+    edge is a no-op — shared by the live :class:`StreamIngestor` and
+    the temporal store's WAL replay (:mod:`repro.store.codec`), which
+    must reconstruct bit-identical snapshots from the same batches.
+
+    The reduced batch names exactly which keys leave, enter or change
+    value, so :func:`~repro.graph.diff.fold_delta` advances the snapshot
+    by one sorted-key merge and writes the delta down in the same pass:
+    O(delta · log E) plus the splice, with no sort of the graph and no
+    snapshot-to-snapshot diff.
     """
     n = snapshot.num_vertices
-    add_value: dict[tuple[int, int], float] = {}
-    removed: set[tuple[int, int]] = set()
+    add_value: dict[int, float] = {}
+    removed: set[int] = set()
     touched: set[int] = set()
     for event in events:
-        key = (int(event.src), int(event.dst))
-        if not (0 <= key[0] < n and 0 <= key[1] < n):
-            raise DatasetError(
-                f"event endpoint {key} outside the vertex set of size {n}")
-        touched.update(key)
+        src, dst = int(event.src), int(event.dst)
+        if not (0 <= src < n and 0 <= dst < n):
+            raise DatasetError(f"event endpoint {(src, dst)} outside the "
+                               f"vertex set of size {n}")
+        touched.add(src)
+        touched.add(dst)
+        key = src * n + dst
         if event.op == "add":
             add_value[key] = add_value.get(key, 0.0) + event.value
         else:
             add_value.pop(key, None)
             removed.add(key)
 
-    keep = np.ones(snapshot.num_edges, dtype=bool)
-    if removed:
-        removed_arr = np.array(sorted(removed), dtype=np.int64)
-        prev_keys = snapshot.edges[:, 0] * np.int64(n) \
-            + snapshot.edges[:, 1]
-        removed_keys = removed_arr[:, 0] * np.int64(n) + removed_arr[:, 1]
-        keep = ~np.isin(prev_keys, removed_keys, assume_unique=False)
-    if add_value:
-        added_arr = np.array(sorted(add_value), dtype=np.int64)
-        added_vals = np.array([add_value[tuple(e)] for e in
-                               added_arr.tolist()], dtype=np.float64)
-        edges = np.concatenate([snapshot.edges[keep], added_arr], axis=0)
-        values = np.concatenate([snapshot.values[keep], added_vals])
-    else:
-        edges = snapshot.edges[keep]
-        values = snapshot.values[keep]
-    curr = GraphSnapshot(n, edges, values)
-    return curr, np.array(sorted(touched), dtype=np.int64)
+    adds = sorted(add_value.items())
+    curr, diff = fold_delta(
+        snapshot, np.array(sorted(removed), dtype=np.int64),
+        np.array([key for key, _ in adds], dtype=np.int64),
+        np.array([value for _, value in adds], dtype=np.float64))
+    return curr, np.array(sorted(touched), dtype=np.int64), diff
 
 
 @dataclass(frozen=True)
@@ -185,16 +182,18 @@ class StreamIngestor:
         prev = self._resident
         events = self._pending
         self._pending = []
-        if not events:
+        if not events:  # nothing changed: O(1), the resident stays
             empty = np.empty(0, dtype=np.int64)
-            diff = diff_snapshots(prev, prev)
+            diff = SnapshotDiff(removed=empty.reshape(0, 2),
+                                added=empty.reshape(0, 2),
+                                values=prev.values,
+                                base_checksum=edge_checksum(prev),
+                                value_hint=(empty, empty))
             return IngestResult(prev, diff, empty, 0)
 
-        curr, dirty = fold_event_batch(prev, events)
-
-        # encode the transition in the GD wire format and replay it onto
-        # the resident copy — the same path a remote mirror would take
-        diff = diff_snapshots(prev, curr)
+        # the fold hands back the transition in the GD wire format — what
+        # a remote mirror holding the same base replays
+        curr, dirty, diff = fold_event_batch(prev, events)
         self._resident = curr
         self._frontier.update(dirty.tolist())
         self.total_events += len(events)
@@ -213,28 +212,15 @@ def events_between(prev: GraphSnapshot,
     remove+add pair so the replayed resident matches ``curr`` exactly.
     """
     diff = diff_snapshots(prev, curr)
+    added_pos, changed_pos = diff.value_hint
     events = [EdgeEvent(int(u), int(v), "remove") for u, v in diff.removed]
-
-    n = prev.num_vertices
-    curr_keys = curr.edges[:, 0] * np.int64(n) + curr.edges[:, 1]
-    prev_keys = prev.edges[:, 0] * np.int64(n) + prev.edges[:, 1]
-    added_keys = (diff.added[:, 0] * np.int64(n) + diff.added[:, 1]
-                  if len(diff.added) else np.empty(0, dtype=np.int64))
-    added_pos = np.searchsorted(curr_keys, added_keys)
-    for (u, v), pos in zip(diff.added, added_pos):
-        events.append(EdgeEvent(int(u), int(v), "add",
-                                float(curr.values[pos])))
-
-    # common edges with changed values
-    common_mask = np.isin(curr_keys, prev_keys, assume_unique=True)
-    common_keys = curr_keys[common_mask]
-    prev_pos = np.searchsorted(prev_keys, common_keys)
-    curr_pos = np.nonzero(common_mask)[0]
-    # exact comparison: edge values are transaction amounts/counts, and
-    # a tolerance here would let the replayed resident silently drift
-    changed = prev.values[prev_pos] != curr.values[curr_pos]
-    for pp, cp in zip(prev_pos[changed], curr_pos[changed]):
-        u, v = int(prev.edges[pp, 0]), int(prev.edges[pp, 1])
-        events.append(EdgeEvent(u, v, "remove"))
-        events.append(EdgeEvent(u, v, "add", float(curr.values[cp])))
+    events += [EdgeEvent(int(u), int(v), "add", float(value))
+               for (u, v), value in zip(diff.added, curr.values[added_pos])]
+    # common edges whose value changed (compared exactly: edge values are
+    # transaction amounts/counts, and a tolerance here would let the
+    # replayed resident silently drift)
+    for (u, v), value in zip(curr.edges[changed_pos],
+                             curr.values[changed_pos]):
+        events.append(EdgeEvent(int(u), int(v), "remove"))
+        events.append(EdgeEvent(int(u), int(v), "add", float(value)))
     return events

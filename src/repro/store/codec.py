@@ -34,8 +34,9 @@ import zlib
 
 import numpy as np
 
-from repro.errors import StoreError
-from repro.graph.diff import SnapshotDiff, _checksum, _keys, _unkeys
+from repro.errors import DatasetError, StoreError
+from repro.graph.diff import (SnapshotDiff, _changed_positions, _delta_keys,
+                              _keys, _unkeys, edge_checksum, merge_delta)
 from repro.graph.snapshot import GraphSnapshot
 
 __all__ = ["pack_record", "unpack_record", "edge_checksum",
@@ -45,12 +46,6 @@ __all__ = ["pack_record", "unpack_record", "edge_checksum",
            "encode_events", "decode_events", "fold_events",
            "encode_features", "decode_features",
            "snapshot_record_nbytes"]
-
-
-def edge_checksum(snapshot: GraphSnapshot) -> int:
-    """Order-independent integrity token of a snapshot's edge set
-    (the same token :mod:`repro.graph.diff` stamps onto deltas)."""
-    return _checksum(snapshot.edges, snapshot.num_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -152,51 +147,27 @@ def snapshot_record_nbytes(snap: GraphSnapshot) -> int:
 # delta records
 # ---------------------------------------------------------------------------
 
-def encode_diff(prev: GraphSnapshot, diff: SnapshotDiff,
-                step: int) -> bytes:
-    """Store ``prev → curr`` as a value-delta-compressed GD record."""
+def encode_diff(prev: GraphSnapshot, curr: GraphSnapshot,
+                diff: SnapshotDiff, step: int) -> bytes:
+    """Store ``prev → curr`` (``curr = apply_diff(prev, diff)``) as a
+    value-delta-compressed GD record."""
     n = prev.num_vertices
-    prev_keys = _keys(prev.edges, n)
-    removed = np.asarray(diff.removed, dtype=np.int64).reshape(-1, 2)
-    removed_keys = np.sort(_keys(removed, n)) if len(removed) \
-        else np.empty(0, dtype=np.int64)
-    removed_pos = np.searchsorted(prev_keys, removed_keys)
-    if len(removed_keys) and (
-            removed_pos.max(initial=0) >= len(prev_keys)
-            or (prev_keys[np.minimum(removed_pos, len(prev_keys) - 1)]
-                != removed_keys).any()):
-        raise StoreError("delta removes edges absent from the previous "
-                         "snapshot — log does not apply")
-    added = np.asarray(diff.added, dtype=np.int64).reshape(-1, 2)
-    added_keys = np.sort(_keys(added, n)) if len(added) \
-        else np.empty(0, dtype=np.int64)
-    added = _unkeys(added_keys, n)
-
-    common_keys = np.setdiff1d(prev_keys, removed_keys, assume_unique=True)
-    curr_keys = np.sort(np.concatenate([common_keys, added_keys]))
-    values = np.asarray(diff.values, dtype=np.float64).reshape(-1)
-    if len(values) != len(curr_keys):
-        raise StoreError(
-            f"delta carries {len(values)} values for {len(curr_keys)} "
-            f"reconstructed edges — log does not apply")
-    cpos_curr = np.searchsorted(curr_keys, common_keys)
-    cpos_prev = np.searchsorted(prev_keys, common_keys)
-    changed = prev.values[cpos_prev] != values[cpos_curr]
-    changed_pos = cpos_curr[changed]
-    apos = np.searchsorted(curr_keys, added_keys)
-
+    removed_pos = np.searchsorted(prev.keys, _delta_keys(diff.removed, n))
+    added_keys = _delta_keys(diff.added, n)
+    added_pos = np.searchsorted(curr.keys, added_keys)
+    changed_pos = _changed_positions(prev, curr, removed_pos, added_pos)
     base_checksum = diff.base_checksum if diff.base_checksum != -1 \
-        else _checksum(prev.edges, n)
+        else edge_checksum(prev)
     meta = {"kind": "diff", "step": int(step),
             "base_checksum": int(base_checksum),
-            "result_checksum": _checksum(_unkeys(curr_keys, n), n),
-            "nnz": int(len(curr_keys))}
+            "result_checksum": edge_checksum(curr),
+            "nnz": curr.num_edges}
     return pack_record(meta, {
         "removed_pos": _narrow(removed_pos),
-        "added": _narrow(added),
-        "added_val": values[apos],
+        "added": _narrow(_unkeys(added_keys, n)),
+        "added_val": curr.values[added_pos],
         "changed_pos": _narrow(changed_pos),
-        "changed_val": values[changed_pos],
+        "changed_val": curr.values[changed_pos],
     })
 
 
@@ -206,36 +177,28 @@ def decode_diff(data: bytes, prev: GraphSnapshot
     produces from a stored delta plus the resident predecessor."""
     meta, arrays = unpack_record(data)
     n = prev.num_vertices
-    if meta["base_checksum"] != _checksum(prev.edges, n):
+    if meta["base_checksum"] != edge_checksum(prev):
         raise StoreError(
             f"delta for step {meta['step']} does not apply: resident "
             f"snapshot is not the base it was encoded against")
-    prev_keys = _keys(prev.edges, n)
     removed_pos = _widen(arrays["removed_pos"])
-    removed_keys = prev_keys[removed_pos]
     added = _widen(arrays["added"]).reshape(-1, 2)
-    added_keys = _keys(added, n) if len(added) \
-        else np.empty(0, dtype=np.int64)
-
-    common_keys = np.setdiff1d(prev_keys, removed_keys, assume_unique=True)
-    curr_keys = np.sort(np.concatenate([common_keys, added_keys]))
-    if len(curr_keys) != meta["nnz"]:
+    try:
+        curr, _, _ = merge_delta(prev, prev.keys[removed_pos],
+                                 _keys(added, n), arrays["added_val"])
+    except DatasetError as exc:
+        raise StoreError(f"delta for step {meta['step']} does not "
+                         f"apply: {exc}") from exc
+    if curr.num_edges != meta["nnz"]:
         raise StoreError(
-            f"delta for step {meta['step']} reconstructs {len(curr_keys)} "
+            f"delta for step {meta['step']} reconstructs {curr.num_edges} "
             f"edges, record says {meta['nnz']}")
-    values = np.empty(len(curr_keys), dtype=np.float64)
-    values[np.searchsorted(curr_keys, common_keys)] = \
-        prev.values[np.searchsorted(prev_keys, common_keys)]
-    values[np.searchsorted(curr_keys, added_keys)] = arrays["added_val"]
-    values[_widen(arrays["changed_pos"])] = arrays["changed_val"]
-
-    edges = _unkeys(curr_keys, n)
-    if _checksum(edges, n) != meta["result_checksum"]:
+    curr.values[_widen(arrays["changed_pos"])] = arrays["changed_val"]
+    if edge_checksum(curr) != meta["result_checksum"]:
         raise StoreError(
             f"delta for step {meta['step']} fails its result checksum")
-    curr = GraphSnapshot(n, edges, values)
-    diff = SnapshotDiff(removed=_unkeys(removed_keys, n), added=added,
-                        values=values.copy(),
+    diff = SnapshotDiff(removed=prev.edges[removed_pos], added=added,
+                        values=curr.values,
                         base_checksum=meta["base_checksum"])
     return diff, curr, meta
 
@@ -283,8 +246,7 @@ def fold_events(snapshot: GraphSnapshot, events) -> GraphSnapshot:
     importable without pulling the serving package in at import time.)
     """
     from repro.serve.ingest import fold_event_batch
-    curr, _ = fold_event_batch(snapshot, events)
-    return curr
+    return fold_event_batch(snapshot, events)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.errors import StoreError
+from repro.errors import DatasetError, StoreError
 from repro.graph.diff import SnapshotDiff, apply_diff, diff_snapshots
 from repro.graph.dtdg import DTDG, validate_feature_frames
 from repro.graph.snapshot import GraphSnapshot
@@ -199,8 +199,12 @@ class GraphStore:
         """Seal the next timestep by applying ``diff`` to the live tip."""
         with self.telemetry.trace("store.append", kind="diff"):
             step = len(self._seals)
-            payload = codec.encode_diff(self._tip, diff, step)
-            curr = apply_diff(self._tip, diff)
+            try:
+                curr = apply_diff(self._tip, diff)
+            except DatasetError as exc:
+                raise StoreError(f"delta does not apply to the live "
+                                 f"tip: {exc}") from exc
+            payload = codec.encode_diff(self._tip, curr, diff, step)
             idx = self.wal.append(KIND_DIFF, payload)
             self._seals.append(idx)
             self._events_since_seal = 0

@@ -1,0 +1,187 @@
+"""The sorted-key merge against the code it replaced (ROADMAP item 3).
+
+``tests.helpers`` keeps the old ingest path — re-sort the edge list on
+every commit, ``diff_snapshots(prev, curr)`` to re-derive the delta,
+``setdiff1d`` + re-canonicalization in every mirror — as oracles.  The
+live path (event fold → ``fold_delta`` → ``merge_delta``; ``apply_diff``
+on the same merge) must reproduce them bit for bit.
+"""
+
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import DatasetError
+from repro.graph import GraphSnapshot, apply_diff
+from repro.graph.diff import (SnapshotDiff, _checksum, edge_checksum,
+                              merge_delta)
+from repro.graph.inc_laplacian import LaplacianMaintainer
+from repro.serve.ingest import EdgeEvent, StreamIngestor, fold_event_batch
+from tests.helpers import oracle_apply_diff, oracle_fold_event_batch
+
+N = 5
+CLEAR = "clear"     # a batch entry: remove every resident edge
+
+_vertex = st.integers(0, N - 1)
+_event = st.tuples(_vertex, _vertex, st.sampled_from(["add", "add", "remove"]),
+                   st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0, 3.25]))
+_batch = st.lists(st.one_of(_event, st.just(CLEAR)), max_size=12)
+_initial = st.lists(st.tuples(_vertex, _vertex, st.sampled_from([1.0, 0.3])),
+                    max_size=10)
+
+
+def _events(batch, resident):
+    out = []
+    for entry in batch:
+        if entry == CLEAR:
+            out += [EdgeEvent(int(u), int(v), "remove")
+                    for u, v in resident.edges]
+        else:
+            out.append(EdgeEvent(*entry))
+    return out
+
+
+def _assert_same_snapshot(got, want):
+    assert got.num_vertices == want.num_vertices
+    np.testing.assert_array_equal(got.edges, want.edges)
+    np.testing.assert_array_equal(got.values, want.values)
+    assert got.edges.dtype == want.edges.dtype == np.int64
+    assert got.edges.shape == want.edges.shape      # (0, 2) when empty
+
+
+def _assert_same_diff(got, want):
+    for name in ("removed", "added", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+    assert got.base_checksum == want.base_checksum
+    for a, b in zip(got.value_hint, want.value_hint):
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == b.dtype == np.int64
+    assert got.payload_nbytes == want.payload_nbytes
+
+
+@settings(max_examples=120, deadline=None)
+@given(_initial, st.lists(_batch, min_size=1, max_size=6))
+def test_fold_and_apply_match_the_oracles(initial, batches):
+    """Adds, accumulating re-adds, removes, absent removes, remove+add
+    replacement, add+remove cancellation, self-loops, duplicates inside
+    one batch, empty batches, weighted values, first/last-key
+    insertions and removal of every edge (N is small, so all of them
+    collide constantly)."""
+    first = GraphSnapshot(
+        N, np.array([e[:2] for e in initial], dtype=np.int64).reshape(-1, 2),
+        np.array([e[2] for e in initial]))
+    resident = first
+    maintainer = LaplacianMaintainer(first)
+    for batch in batches:
+        events = _events(batch, resident)
+        want, want_touched, want_diff = oracle_fold_event_batch(
+            resident, events)
+        curr, touched, diff = fold_event_batch(resident, events)
+
+        _assert_same_snapshot(curr, want)
+        _assert_same_diff(diff, want_diff)
+        np.testing.assert_array_equal(touched, want_touched)
+        # the carried checksum is the from-scratch checksum
+        assert curr._mix is not None
+        assert edge_checksum(curr) == _checksum(curr.edges, N)
+        # the delta replays onto a mirror, on either implementation
+        _assert_same_snapshot(apply_diff(resident, diff), want)
+        _assert_same_snapshot(oracle_apply_diff(resident, diff), want)
+        _assert_same_snapshot(apply_diff(resident, want_diff), want)
+
+        maintainer.update(curr, diff)
+        resident = curr
+
+    rebuilt = LaplacianMaintainer(resident).laplacian.csr
+    live = maintainer.laplacian.csr
+    assert maintainer.fallbacks == 0
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(live, name),
+                                      getattr(rebuilt, name))
+
+
+def _snap(pairs, values=None, n=N):
+    return GraphSnapshot(n, np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                         values)
+
+
+class TestCarriedChecksum:
+    def test_wrong_base_still_rejected(self):
+        """A delta against another base is refused by ``apply_diff`` and
+        forces a maintainer fallback, carried checksum or not."""
+        base = _snap([[0, 1], [1, 2], [3, 4]])
+        other = _snap([[0, 1], [1, 2], [2, 4]])
+        curr, _, diff = fold_event_batch(base, [EdgeEvent(2, 2)])
+        edge_checksum(other)        # the mirror's mix is cached, too
+        with pytest.raises(DatasetError, match="not the base"):
+            apply_diff(other, diff)
+        maintainer = LaplacianMaintainer(other)
+        maintainer.update(curr, diff)
+        assert maintainer.fallbacks == 1
+        np.testing.assert_array_equal(
+            maintainer.laplacian.csr.data,
+            LaplacianMaintainer(curr).laplacian.csr.data)
+
+    def test_edge_count_mismatch_still_rejected(self):
+        base = _snap([[0, 1], [1, 2]])
+        _, _, diff = fold_event_batch(base, [EdgeEvent(2, 3)])
+        short = SnapshotDiff(removed=diff.removed, added=diff.added,
+                             values=diff.values[:-1])
+        with pytest.raises(DatasetError, match="edges for"):
+            apply_diff(base, short)
+
+    def test_chain_of_commits_carries_the_mix(self):
+        rng = np.random.default_rng(0)
+        ing = StreamIngestor(_snap([[0, 1]], n=40))
+        for _ in range(25):
+            ing.push_batch(
+                EdgeEvent(int(u), int(v), "add" if add else "remove", 1.5)
+                for u, v, add in zip(rng.integers(40, size=30),
+                                     rng.integers(40, size=30),
+                                     rng.random(30) < 0.6))
+            result = ing.commit()
+            assert result.snapshot._mix is not None
+            assert edge_checksum(result.snapshot) == \
+                _checksum(result.snapshot.edges, 40)
+
+
+class TestMergeContract:
+    def test_inputs_are_verified_not_sorted(self):
+        base = _snap([[0, 1], [1, 2], [3, 4]])
+        none = np.empty(0, dtype=np.int64)
+        with pytest.raises(DatasetError):      # removes an absent edge
+            merge_delta(base, np.array([2]), none, none)
+        with pytest.raises(DatasetError):      # adds a resident edge
+            merge_delta(base, none, np.array([1]), np.array([1.0]))
+        with pytest.raises(DatasetError):      # delta keys out of order
+            merge_delta(base, none, np.array([9, 3]), np.array([1.0, 1.0]))
+        with pytest.raises(DatasetError):      # key outside the vertex set
+            merge_delta(base, none, np.array([N * N]), np.array([1.0]))
+
+    def test_result_never_aliases_the_base(self):
+        base = _snap([[0, 1], [1, 2]], values=[2.0, 3.0])
+        curr, _, _ = fold_event_batch(base, [EdgeEvent(0, 1, "add", 1.0)])
+        np.testing.assert_array_equal(base.values, [2.0, 3.0])
+        np.testing.assert_array_equal(curr.values, [3.0, 3.0])
+
+    def test_unsorted_wire_delta_is_accepted(self):
+        """``apply_diff`` sorts a delta-sized edge list that arrives out
+        of order (the graph itself is never sorted)."""
+        base = _snap([[0, 1], [3, 4]])
+        target = _snap([[0, 1], [1, 1], [2, 0], [3, 4]])
+        diff = SnapshotDiff(removed=np.empty((0, 2), dtype=np.int64),
+                            added=np.array([[2, 0], [1, 1]]),
+                            values=np.ones(4))
+        assert apply_diff(base, diff) == target
+
+    def test_pickle_ships_the_graph_not_the_caches(self):
+        base = _snap([[0, 1], [1, 2], [3, 4]])
+        cold = len(pickle.dumps(base))
+        base.keys, edge_checksum(base), base.adjacency()
+        assert len(pickle.dumps(base)) == cold
+        clone = pickle.loads(pickle.dumps(base))
+        assert clone == base and clone._keys is None and clone._adj is None

@@ -62,9 +62,43 @@ class TestGraphSnapshot:
         assert s.num_edges == 1
         np.testing.assert_array_equal(s.values, [5.0])
 
+    def test_duplicates_sum_in_input_order(self):
+        # float addition is not associative: (1e16 + 1) - 1e16 == 0 but
+        # (1e16 - 1e16) + 1 == 1, so the merge order is observable
+        edges = [[2, 1], [0, 1], [0, 1], [0, 1]]
+        s = GraphSnapshot(3, edges, values=[4.0, 1e16, 1.0, -1e16])
+        np.testing.assert_array_equal(s.edges, [[0, 1], [2, 1]])
+        np.testing.assert_array_equal(s.values, [(1e16 + 1.0) - 1e16, 4.0])
+
+    def test_canonical_input_is_not_sorted_again(self, monkeypatch):
+        edges = np.array([[0, 1], [0, 2], [2, 0]])
+        values = np.array([3.0, 4.0, 5.0])
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("sorted an already canonical edge list")
+        for name in ("argsort", "lexsort", "sort"):
+            monkeypatch.setattr(np, name, no_sort)
+        s = GraphSnapshot(3, edges, values)
+        np.testing.assert_array_equal(s.edges, edges)
+        np.testing.assert_array_equal(s.values, values)
+        assert np.shares_memory(s.with_values(values * 2).edges, edges)
+        with pytest.raises(AssertionError):
+            GraphSnapshot(3, edges[::-1])
+
     def test_value_length_mismatch(self):
         with pytest.raises(DatasetError):
             GraphSnapshot(3, [[0, 1]], values=[1.0, 2.0, 3.0])
+
+    def test_from_canonical_verifies_instead_of_sorting(self):
+        edges = np.array([[0, 1], [0, 2], [2, 0]])
+        values = np.ones(3)
+        s = GraphSnapshot.from_canonical(3, edges, values)
+        assert s.edges is edges and s.values is values
+        assert s == GraphSnapshot(3, edges)
+        np.testing.assert_array_equal(s.keys, [1, 2, 6])
+        for bad in (edges[::-1], edges[[0, 0, 1]], edges + 3):
+            with pytest.raises(DatasetError):
+                GraphSnapshot.from_canonical(3, bad, values)
 
     def test_adjacency_matches_edges(self):
         s = GraphSnapshot(3, [[0, 1], [2, 0]], values=[2.0, 4.0])

@@ -69,3 +69,84 @@ def check_gradients(fn: Callable[[], Tensor], tensors: Sequence[Tensor],
         np.testing.assert_allclose(
             t.grad, num, rtol=rtol, atol=atol,
             err_msg=f"gradient mismatch for tensor {idx}")
+
+
+# ---------------------------------------------------------------------------
+# ingest oracles: the pre-merge fold / diff-on-commit / apply bodies
+# ---------------------------------------------------------------------------
+# Until the sorted-key merge (repro.graph.diff.merge_delta) these were the
+# live path: re-sort the whole edge list on every commit, re-derive the
+# diff from the two snapshots, rebuild every mirror with set algebra over
+# all E edges.  They stay here as the oracles the merge must match bit
+# for bit.
+
+def oracle_fold_event_batch(snapshot, events):
+    """The old ``fold_event_batch`` body plus the ``diff_snapshots(prev,
+    curr)`` call ``StreamIngestor.commit`` used to make: returns
+    ``(curr, touched, diff)`` like the live fold."""
+    from repro.errors import DatasetError
+    from repro.graph.diff import diff_snapshots
+    from repro.graph.snapshot import GraphSnapshot
+
+    n = snapshot.num_vertices
+    add_value: dict[tuple[int, int], float] = {}
+    removed: set[tuple[int, int]] = set()
+    touched: set[int] = set()
+    for event in events:
+        key = (int(event.src), int(event.dst))
+        if not (0 <= key[0] < n and 0 <= key[1] < n):
+            raise DatasetError(
+                f"event endpoint {key} outside the vertex set of size {n}")
+        touched.update(key)
+        if event.op == "add":
+            add_value[key] = add_value.get(key, 0.0) + event.value
+        else:
+            add_value.pop(key, None)
+            removed.add(key)
+
+    keep = np.ones(snapshot.num_edges, dtype=bool)
+    if removed:
+        removed_arr = np.array(sorted(removed), dtype=np.int64)
+        prev_keys = snapshot.edges[:, 0] * np.int64(n) \
+            + snapshot.edges[:, 1]
+        removed_keys = removed_arr[:, 0] * np.int64(n) + removed_arr[:, 1]
+        keep = ~np.isin(prev_keys, removed_keys, assume_unique=False)
+    if add_value:
+        added_arr = np.array(sorted(add_value), dtype=np.int64)
+        added_vals = np.array([add_value[tuple(e)] for e in
+                               added_arr.tolist()], dtype=np.float64)
+        edges = np.concatenate([snapshot.edges[keep], added_arr], axis=0)
+        values = np.concatenate([snapshot.values[keep], added_vals])
+    else:
+        edges = snapshot.edges[keep]
+        values = snapshot.values[keep]
+    curr = GraphSnapshot(n, edges, values)
+    return (curr, np.array(sorted(touched), dtype=np.int64),
+            diff_snapshots(snapshot, curr))
+
+
+def oracle_apply_diff(prev, diff):
+    """The old ``apply_diff`` body: ``setdiff1d`` over all E keys, then a
+    full re-canonicalization of the reconstructed edge list."""
+    from repro.errors import DatasetError
+    from repro.graph.diff import _checksum, _keys, _unkeys
+    from repro.graph.snapshot import GraphSnapshot, canonical_edges
+
+    n = prev.num_vertices
+    if diff.base_checksum != -1 and \
+            diff.base_checksum != _checksum(prev.edges, n):
+        raise DatasetError(
+            "diff does not apply: resident snapshot is not the base the "
+            "diff was encoded against")
+    prev_keys = _keys(prev.edges, n)
+    removed_keys = _keys(
+        np.asarray(diff.removed, dtype=np.int64).reshape(-1, 2), n)
+    common_keys = np.setdiff1d(prev_keys, removed_keys, assume_unique=True)
+    added = np.asarray(diff.added, dtype=np.int64).reshape(-1, 2)
+    edges = np.concatenate([_unkeys(common_keys, n), added], axis=0)
+    edges = canonical_edges(edges)
+    if len(edges) != len(diff.values):
+        raise DatasetError(
+            f"diff reconstruction produced {len(edges)} edges for "
+            f"{len(diff.values)} values — prev snapshot mismatch?")
+    return GraphSnapshot(n, edges, diff.values)

@@ -72,6 +72,11 @@ class TestStreamIngestor:
         assert result.num_events == 0
         assert result.snapshot is base
         assert len(result.dirty) == 0
+        # nothing changed, so nothing is rebuilt: the resident is the
+        # same object and the delta is the empty diff against it
+        assert ing.resident is base
+        assert len(result.diff.removed) == len(result.diff.added) == 0
+        assert apply_diff(base, result.diff) == base
 
     def test_diff_is_replayable(self):
         """The emitted SnapshotDiff must replay on a mirror of the old
