@@ -21,7 +21,7 @@ the same resident operator — one row per backend × kernel
 ``transpose``, ``maintainer_commit``) — and records the matrix under
 ``backend_matrix`` in ``BENCH_kernels.json``.  Matrix entries use the
 unguarded ``us`` / ``vs_reference`` key names on purpose: which
-backends are available varies by machine (numba is CI-matrix-only), and
+backends are available varies by machine (cnative needs a C compiler), and
 the perf guard must not fail on a backend the runner doesn't have.
 
 Each comparison also reports the maximum absolute divergence against
@@ -423,8 +423,7 @@ def run_kernels_benchmark(config: KernelWorkloadConfig | None = None,
             # per-backend entries deliberately avoid the guarded
             # "speedup" key names: backend availability varies by
             # machine and the perf guard must not fail on a backend the
-            # runner doesn't have (numba is installed in the CI matrix
-            # job only)
+            # runner doesn't have
             "backend_matrix": matrix,
         })
     return result

@@ -2,20 +2,22 @@
 
 :class:`~repro.exec.router.ExecRouter` is the only sharded router.  It
 drives the :mod:`repro.serve.sharded` building blocks (plan, shard
-engine, shard worker) through a small RPC surface
+engine) through a small RPC surface
 (:class:`~repro.exec.transport.WorkerTransport`) and does not care who
 answers —
 
 * :class:`~repro.exec.simulated.SimulatedBackend` runs the workers
-  in-process over shared state (deterministic; the test oracle), while
+  in-process (deterministic; the test oracle), while
 * :class:`~repro.exec.mp.MultiprocessBackend` runs each worker in its
-  own OS process with the read-mostly blocks in
+  own OS process with the boot topology and embedding blocks in
   ``multiprocessing.shared_memory`` and only deltas/queries on the
   pipe.
 
-Both backends drive identical :class:`ShardWorker` numerics, so their
-outputs agree bit for bit; the real backend adds what the simulation
-cannot — true wall-clock overlap, crash surfaces, and wire costs.
+Both backends host the same :class:`~repro.exec.service.WorkerService`
+— private mirror, private maintainer, every delta checksum-verified —
+so their outputs agree bit for bit; the real backend adds what the
+simulation cannot — true wall-clock overlap, crash surfaces, and wire
+costs.
 
 On top of the transports sits the resilience layer:
 :class:`~repro.exec.channel.ShardChannel` replicates each shard,
@@ -33,7 +35,7 @@ from repro.exec.faults import FAULT_KINDS, FaultPlan, FaultSpec, \
     FaultyTransport
 from repro.exec.mp import MultiprocessBackend, ProcessTransport
 from repro.exec.router import ExecCounters, ExecRouter, ExecStats
-from repro.exec.service import Substrate, WorkerService
+from repro.exec.service import WorkerService
 from repro.exec.shm import ArraySpec, map_array, share_array, \
     snapshot_from_shared
 from repro.exec.simulated import LocalTransport, SimulatedBackend
@@ -58,7 +60,6 @@ __all__ = [
     "RetryPolicy",
     "ShardChannel",
     "SimulatedBackend",
-    "Substrate",
     "TransportStats",
     "WorkerBoot",
     "WorkerService",

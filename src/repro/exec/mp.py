@@ -2,10 +2,9 @@
 
 :class:`MultiprocessBackend` spawns each shard worker into its own
 process (fork start method).  The read-mostly blocks — canonical edge
-list, edge values, degree features, inverse-degree vector, and the
-worker's embedding block — live in ``multiprocessing.shared_memory``
-segments mapped once at spawn; the pipe carries only GD deltas, row
-sets, scores, and control messages.  The worker binds its engine's
+list, edge values, and the worker's embedding block — live in
+``multiprocessing.shared_memory`` segments mapped once at spawn; the
+pipe carries only GD deltas, row sets, scores, and control messages.  The worker binds its engine's
 output layer directly onto the shared embedding block, so the router
 reads served rows with a memcpy instead of an RPC round-trip.
 
@@ -28,7 +27,6 @@ import numpy as np
 import repro.errors as errors
 from repro.errors import ExecError, ReproError, WorkerDeadError, \
     WorkerTimeoutError
-from repro.graph.snapshot import GraphSnapshot
 from repro.exec.service import WorkerService
 from repro.exec.shm import ArraySpec, map_array, share_array, \
     snapshot_from_shared
@@ -42,7 +40,7 @@ def _worker_main(conn, boot: WorkerBoot, manifest: dict) -> None:
     handles = []
     mapped = 0
     views = {}
-    for key in ("edges", "values", "features", "dinv"):
+    for key in ("edges", "values"):
         seg, view = map_array(manifest[key])
         handles.append(seg)
         views[key] = view
@@ -53,15 +51,13 @@ def _worker_main(conn, boot: WorkerBoot, manifest: dict) -> None:
 
     boot.snapshot = snapshot_from_shared(manifest["num_vertices"],
                                          views["edges"], views["values"])
-    boot.features = views["features"]
-    boot.dinv = views["dinv"]
     service = WorkerService(boot)
 
     def bind_embeddings() -> None:
         # the engine recomputes in place, so once the output layer IS
         # the shared block every refresh lands in shared memory; state
         # restores may swap the array object, hence the identity check
-        cache = service.worker.engine.cache
+        cache = service.engine.cache
         z = cache.layer_outputs[-1]
         if z is not emb_view:
             emb_view[...] = z
@@ -237,8 +233,6 @@ class MultiprocessBackend:
     """Spawns one worker process per shard over shared-memory blocks."""
 
     name = "multiprocess"
-    shares_substrate = False  # workers fold deltas into private mirrors
-    maintainer = None         # ... and maintain private Ã operators
 
     def __init__(self, *, call_timeout_s: float = 120.0) -> None:
         self.call_timeout_s = call_timeout_s
@@ -247,13 +241,6 @@ class MultiprocessBackend:
         self._topology = None          # (snapshot id, manifest fragment)
         self.shm_bytes_mapped = 0      # summed across worker mappings
 
-    def attach(self, snapshot: GraphSnapshot, kernel_backend=None) -> None:
-        """No shared substrate: workers mirror the topology privately
-        (and resolve ``kernel_backend`` themselves at boot)."""
-
-    def publish(self, snapshot, features, dinv, diff=None) -> None:
-        """No-op — deltas reach real workers through apply_delta RPCs."""
-
     def _topology_manifest(self, boot: WorkerBoot) -> dict:
         """Share the boot snapshot's read-mostly blocks once; sibling
         workers booted from the same resident reuse the segments."""
@@ -261,23 +248,17 @@ class MultiprocessBackend:
                 self._topology[0] is boot.snapshot:
             return self._topology[1]
         snap = boot.snapshot
-        features, dinv = boot.features, boot.dinv
-        if features is None:
-            from repro.serve.engine import derive_serving_features
-            features, dinv = derive_serving_features(snap)
         fragment = {"num_vertices": snap.num_vertices}
-        for key, arr in (("edges", snap.edges), ("values", snap.values),
-                         ("features", features), ("dinv", dinv)):
+        for key, arr in (("edges", snap.edges), ("values", snap.values)):
             seg, spec = share_array(arr, key)
             self._segments.append(seg)
             fragment[key] = spec
         self._topology = (snap, fragment)
         return fragment
 
-    def spawn(self, boot: WorkerBoot, *, solo: bool = False,
-              clock=None) -> ProcessTransport:
-        # ``solo`` and ``clock`` are oracle-backend knobs: every real
-        # worker is always its own process with its own perf_counter
+    def spawn(self, boot: WorkerBoot, *, clock=None) -> ProcessTransport:
+        # ``clock`` is an oracle-backend knob: every real worker is its
+        # own process with its own perf_counter
         manifest = dict(self._topology_manifest(boot))
         n = boot.snapshot.num_vertices
         emb_seg, emb_spec = share_array(

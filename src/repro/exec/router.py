@@ -90,7 +90,7 @@ from repro.models.base import DynamicGNN
 from repro.nn.linear import EdgeScorer, Linear
 from repro.obs import Telemetry
 from repro.serve.cache import expand_dirty
-from repro.serve.engine import InferenceEngine, derive_serving_features
+from repro.serve.engine import InferenceEngine
 from repro.serve.ingest import EdgeEvent, StreamIngestor
 from repro.serve.server import PendingQuery, QueryFrontend, \
     score_fraud, score_links
@@ -300,7 +300,6 @@ class ExecRouter(QueryFrontend):
             for s in range(plan.num_shards)]
 
         self.backend = _resolve_backend(backend)
-        self.backend.attach(snapshot, kernel_backend)
         self.channels = [
             ShardChannel(s, members, policy=retry,
                          breaker_threshold=breaker_threshold,
@@ -356,8 +355,6 @@ class ExecRouter(QueryFrontend):
 
     # -- worker spawn ----------------------------------------------------------------
     def _spawn(self, shard: int, replica: int, snapshot: GraphSnapshot, *,
-               features: np.ndarray | None = None,
-               dinv: np.ndarray | None = None, solo: bool = False,
                stream: int = 0):
         """One worker of ``shard`` under the current plan, booted at
         ``snapshot`` and wrapped for tracing and chaos.  ``stream``
@@ -368,10 +365,9 @@ class ExecRouter(QueryFrontend):
                           snapshot=snapshot, owner=self.plan.owner,
                           num_shards=self.num_shards, k_hops=self.k_hops,
                           link_head=self.link_head,
-                          fraud_head=self.fraud_head, features=features,
-                          dinv=dinv, replica_id=replica,
+                          fraud_head=self.fraud_head, replica_id=replica,
                           kernel_backend=self.kernel_backend)
-        transport = self.backend.spawn(boot, solo=solo, clock=self.clock)
+        transport = self.backend.spawn(boot, clock=self.clock)
         # RPCs carry the router's trace context once tracing is on
         transport.tracer = self.telemetry.tracer
         if self.fault_plan is not None:
@@ -382,9 +378,7 @@ class ExecRouter(QueryFrontend):
     def _spawn_tier(self, snapshot: GraphSnapshot,
                     stream: int = 0) -> list[list]:
         """Every shard's replica set under the current plan."""
-        features, dinv = derive_serving_features(snapshot)
-        return [[self._spawn(s, r, snapshot, features=features, dinv=dinv,
-                             stream=stream)
+        return [[self._spawn(s, r, snapshot, stream=stream)
                  for r in range(self.replicas_per_shard)]
                 for s in range(self.num_shards)]
 
@@ -580,10 +574,6 @@ class ExecRouter(QueryFrontend):
                 result = self.ingestor.commit()
             snap = result.snapshot
             t0 = self.clock()
-            if self.backend.shares_substrate:
-                features, dinv = derive_serving_features(snap)
-                self.backend.publish(snap, features, dinv,
-                                     diff=result.diff)
             dirty = expand_dirty(snap, result.dirty, self.k_hops)
             subs = split_diff_by_blocks(result.diff, snap, self.plan.owner,
                                         self.plan.num_shards)
@@ -624,7 +614,7 @@ class ExecRouter(QueryFrontend):
         captured every ``state_interval`` boundaries.  ``diff`` is the
         optional GD delta from the current resident to a rebase
         ``snapshot`` — with it workers fold the delta instead of
-        receiving the snapshot, and a shared Ã maintainer advances
+        receiving the snapshot, and their Ã maintainers advance
         incrementally (recovery replay passes the store-decoded delta
         through here)."""
         self._store_log_boundary(snapshot)
@@ -638,14 +628,8 @@ class ExecRouter(QueryFrontend):
                  diff=None) -> None:
         with self.telemetry.trace("serve.advance",
                                   rebase=rebase is not None):
-            snap = self.ingestor.resident
-            t0 = self.clock()
-            if self.backend.shares_substrate:
-                features, dinv = derive_serving_features(snap)
-                self.backend.publish(snap, features, dinv, diff=diff)
-            self.router_busy_s += self.clock() - t0
-            # real workers fold the rebase diff into their own mirror;
-            # the full snapshot ships only when there is no delta for it
+            # workers fold the rebase diff into their own mirror; the
+            # full snapshot ships only when there is no delta for it
             ship = rebase if (rebase is not None and diff is None) else None
             _, dead = self._fanout("begin_advance", lambda s: (ship, diff))
             down = self._tolerate_boundary_dead(dead, "begin_advance")
@@ -1056,9 +1040,7 @@ class ExecRouter(QueryFrontend):
         channel = self.channels[shard]
         channel.close()
         resident = self.store._state_at_record(meta["record_index"])
-        # solo: the revived worker folds deltas into a private mirror —
-        # it must not rebuild a shared substrate to its older resident
-        transport = self._spawn(shard, 0, resident, solo=True,
+        transport = self._spawn(shard, 0, resident,
                                 stream=self._next_incarnation)
         channel.reset([transport])
         channel.call("adopt_state", exports, int(meta["steps"]), dirty)
@@ -1136,7 +1118,6 @@ class ExecRouter(QueryFrontend):
         # prometheus()/dashboard() call on the router exports the whole
         # cluster (worker series appear under worker=<id> labels)
         self.harvest_telemetry()
-        self._collect_maintainer(reg, self.backend.maintainer)
         reg.gauge("exec_shard_count", "Workers in the tier").set(
             self.num_shards)
         reg.gauge("shard_load_skew",

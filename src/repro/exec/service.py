@@ -1,23 +1,22 @@
-"""Worker-side RPC dispatch: one :class:`ShardWorker` behind a mailbox.
+"""Worker-side RPC dispatch: one shard's engine behind a mailbox.
 
 A :class:`WorkerService` is the half of the execution tier that lives
 *with* the worker — in-process for the simulated backend, inside the
-spawned process for the multiprocessing backend.  It owns the worker's
-resident topology mirror and resolves each RPC's graph arguments:
+spawned process for the multiprocessing backend; the two backends host
+the same service and differ by the transport only.  It owns one
+:class:`~repro.serve.sharded.engine.ShardEngine` over its vertex block
+plus the scoring heads, and everything derived from the resident graph
+lives in that engine: each ``apply_delta`` / rebase folds the GD delta
+into the engine's resident snapshot with
+:func:`~repro.graph.diff.apply_diff` (checksum-verified before any
+state mutates, bit-exact) and the engine's own ``Ã`` maintainer advances
+by the same delta, degree features included.
 
-* with a :class:`Substrate` (simulated backend), the snapshot /
-  features / dinv are the router-published shared objects — zero-copy,
-  the in-process oracle's memory-sharing fiction;
-* without one (real worker), each ``apply_delta`` / rebase folds the GD
-  delta into the local mirror with :func:`~repro.graph.diff.apply_diff`
-  (checksum-verified, bit-exact) and re-derives the degree features
-  locally — the fold is genuine worker work and is charged to the
-  worker's busy clock.
-
-Both paths drive the *same* :class:`ShardWorker` numerics, which is the
-oracle-vs-real parity guarantee: the only difference between backends
-is who materializes the snapshot, and :func:`apply_diff` reconstructs
-it exactly.
+Every unit of model work is timed into ``busy_s`` — the per-worker busy
+clock from which the tier's critical path is derived, exactly how the
+training side charges per-rank :class:`~repro.cluster.clock.RankClock`
+seconds.  Replication is the router-side
+:class:`~repro.exec.channel.ShardChannel`'s business, not the worker's.
 """
 
 from __future__ import annotations
@@ -28,45 +27,28 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import ExecError
+from repro.errors import ConfigError, ExecError
 from repro.graph.diff import apply_diff
 from repro.graph.snapshot import GraphSnapshot
 from repro.obs import Telemetry
-from repro.serve.engine import derive_serving_features
-from repro.serve.sharded.worker import ShardWorker
+from repro.serve.server import score_fraud, score_links
+from repro.serve.sharded.engine import ShardEngine
 from repro.exec.transport import WorkerBoot, WorkerStats, payload_nbytes
 
-__all__ = ["Substrate", "WorkerService"]
+__all__ = ["WorkerService"]
 
-
-class Substrate:
-    """Router-published shared simulation substrate (simulated backend).
-
-    Holds the one resident snapshot + derived features every in-process
-    worker reads — the memory-sharing fiction the simulated tier has
-    always used, made explicit so the RPC layer can swap it out."""
-
-    def __init__(self, snapshot: GraphSnapshot) -> None:
-        self.snapshot = snapshot
-        self.features, self.dinv = derive_serving_features(snapshot)
-
-    def publish(self, snapshot: GraphSnapshot, features: np.ndarray,
-                dinv: np.ndarray) -> None:
-        self.snapshot = snapshot
-        self.features = features
-        self.dinv = dinv
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 class WorkerService:
-    """Hosts one shard worker and dispatches RPCs onto it."""
+    """One shard's serving worker (engine + heads + busy clock) and
+    the RPC dispatch onto it."""
 
-    def __init__(self, boot: WorkerBoot, *, substrate: Substrate | None = None,
-                 maintainer=None,
+    def __init__(self, boot: WorkerBoot, *,
                  clock: Callable[[], float] = time.perf_counter,
                  on_embeddings: Callable[[], None] | None = None,
                  telemetry: Telemetry | None = None) -> None:
         self.boot = boot
-        self.substrate = substrate
         self.owner = np.asarray(boot.owner, dtype=np.int64)
         self.shard_id = boot.shard_id
         # the worker's own telemetry: its registry is harvested (and
@@ -89,41 +71,30 @@ class WorkerService:
         self._applied: OrderedDict[int, object] = OrderedDict()
         self._dedup_window = 32
         self.rpc_deduped = 0
-        # the local resident mirror (real-worker path); the substrate
-        # path reads the shared snapshot instead and never touches these
-        self.resident = boot.snapshot
-        if boot.features is not None:
-            self._features, self._dinv = boot.features, boot.dinv
-        else:
-            self._features, self._dinv = derive_serving_features(
-                boot.snapshot)
-        self.worker = ShardWorker(
-            boot.shard_id, boot.replica_id, boot.model, boot.snapshot,
-            boot.block, link_head=boot.link_head, fraud_head=boot.fraud_head,
-            k_hops=boot.k_hops, features=self._features, dinv=self._dinv,
-            maintainer=maintainer, kernel_backend=boot.kernel_backend,
-            clock=clock)
+        self.engine = ShardEngine(boot.model, boot.snapshot, boot.block,
+                                  k_hops=boot.k_hops,
+                                  kernel_backend=boot.kernel_backend)
+        self.link_head = boot.link_head
+        self.fraud_head = boot.fraud_head
+        self.clock = clock
+        self.busy_s = 0.0
+        self.rows_recomputed = 0
+        self.rows_advanced = 0
+        self.queries_scored = 0
+        self.deltas_applied = 0
         # backend hook run after every op that (re)writes embeddings —
         # the mp backend uses it to keep the shared-memory embedding
         # block bound to the engine's output array
         self.on_embeddings = on_embeddings or (lambda: None)
         self.on_embeddings()
 
-    # -- graph-argument resolution ----------------------------------------------------
-    def _fold(self, diff) -> None:
-        """Advance the local mirror by one GD delta (exact), re-deriving
-        degree features; charged to the worker's busy clock — a real
-        worker pays this fold, the substrate fiction never did."""
-        t0 = self.worker.clock()
-        self.resident = apply_diff(self.resident, diff)
-        self._features, self._dinv = derive_serving_features(self.resident)
-        self.worker.busy_s += self.worker.clock() - t0
+    @property
+    def resident(self) -> GraphSnapshot:
+        """The worker's topology mirror (the engine's resident)."""
+        return self.engine.resident
 
-    def _resolved(self) -> tuple:
-        if self.substrate is not None:
-            sub = self.substrate
-            return sub.snapshot, sub.features, sub.dinv
-        return self.resident, self._features, self._dinv
+    def _charge(self, t0: float) -> None:
+        self.busy_s += self.clock() - t0
 
     # -- RPC surface (dispatch targets) -----------------------------------------------
     def dispatch(self, method: str, args: tuple, ctx: tuple | None = None,
@@ -170,77 +141,114 @@ class WorkerService:
         return out
 
     def rpc_begin_advance(self, snapshot, diff) -> None:
-        if self.substrate is None:
-            if diff is not None:
-                self._fold(diff)
-            elif snapshot is not None:
-                t0 = self.worker.clock()
-                self.resident = snapshot
-                self._features, self._dinv = derive_serving_features(
-                    snapshot)
-                self.worker.busy_s += self.worker.clock() - t0
-        snap, features, dinv = self._resolved()
-        self.worker.begin_advance(snap, features, dinv, diff=diff)
+        """Cross into a boundary, rebasing onto ``snapshot`` or — the
+        O(delta) wire — onto the resident advanced by ``diff``."""
+        t0 = self.clock()
+        if diff is not None:
+            snapshot = apply_diff(self.resident, diff)
+        self.engine.begin_advance(snapshot, diff=diff)
+        self._charge(t0)
 
     def rpc_finish_advance(self) -> int:
-        advanced = self.worker.finish_advance()
+        t0 = self.clock()
+        advanced = self.engine.finish_advance()
+        self.rows_advanced += advanced
+        self._charge(t0)
         self.on_embeddings()
         return advanced
 
     def rpc_apply_delta(self, diff, dirty) -> tuple:
-        if self.substrate is None:
-            self._fold(diff)
-        snap, features, dinv = self._resolved()
-        entrants = self.worker.apply_delta(snap, features, dinv, dirty,
-                                           diff=diff)
-        covered = self.worker.engine.restrict_to_coverage(dirty)
+        """Fold one commit's GD delta into the mirror and mark the
+        pre-expanded dirty region.  ``apply_diff`` rejects a delta that
+        does not extend the resident before anything mutates.  Returns
+        the rows newly pulled into this shard's halo (whose frozen
+        temporal state the exchange must import before the next refresh
+        touches them) and the count of dirty ghost rows."""
+        t0 = self.clock()
+        engine = self.engine
+        engine.set_snapshot(apply_diff(self.resident, diff), seeds=_EMPTY,
+                            diff=diff)
+        entrants = engine.relax_halo(dirty)
+        covered = engine.restrict_to_coverage(dirty)
+        engine.cache.mark_dirty(covered)
+        self.deltas_applied += 1
+        self._charge(t0)
         ghost_dirty = int((self.owner[covered] != self.shard_id).sum())
         return entrants, ghost_dirty
 
     def rpc_refresh(self) -> int:
-        recomputed = self.worker.refresh()
+        t0 = self.clock()
+        recomputed = self.engine.refresh()
+        self.rows_recomputed += recomputed
+        self._charge(t0)
         self.on_embeddings()
         return recomputed
 
     def rpc_embedding_rows(self, rows) -> np.ndarray:
-        return self.worker.embedding_rows(rows)
+        """Served embedding rows (caller must route owned/covered rows;
+        the engine is authoritative for its block only)."""
+        t0 = self.clock()
+        out = self.engine.embeddings[rows]
+        self._charge(t0)
+        return out
 
     def rpc_score(self, link_pairs, link_dst_rows, fraud_accounts) -> tuple:
-        return self.worker.score(link_pairs, link_dst_rows, fraud_accounts)
+        """Score a routed query group.
+
+        ``link_pairs`` are ``(src, dst)`` vertex ids with every ``src``
+        owned here; ``link_dst_rows`` carries the embedding rows of the
+        ``dst`` column (gathered remotely by the router when the owner
+        is another shard).  Returns (link scores, fraud scores).
+        """
+        t0 = self.clock()
+        z = self.engine.embeddings
+        link_scores = np.empty(0)
+        fraud_scores = np.empty(0)
+        if len(link_pairs):
+            stacked = np.concatenate([z[link_pairs[:, 0]], link_dst_rows],
+                                     axis=0)
+            m = len(link_pairs)
+            idx = np.stack([np.arange(m), np.arange(m, 2 * m)], axis=1)
+            link_scores = score_links(stacked, idx, self.link_head)
+        if len(fraud_accounts):
+            if self.fraud_head is None:
+                raise ConfigError("fraud queries need a fraud_head")
+            fraud_scores = score_fraud(z, fraud_accounts, self.fraud_head)
+        self.queries_scored += len(link_pairs) + len(fraud_accounts)
+        self._charge(t0)
+        return link_scores, fraud_scores
 
     def rpc_halo_rows(self) -> np.ndarray:
-        return self.worker.engine.halo
+        return self.engine.halo
 
     def rpc_export_temporal(self, rows) -> list:
-        return self.worker.engine.export_temporal(rows)
+        return self.engine.export_temporal(rows)
 
     def rpc_import_temporal(self, rows, payload) -> int:
-        return self.worker.engine.import_temporal(rows, payload)
+        return self.engine.import_temporal(rows, payload)
 
     def rpc_export_state(self) -> tuple:
-        engine = self.worker.engine
-        block = self.worker.engine.block
-        return (engine.export_state_rows(block),
+        engine = self.engine
+        return (engine.export_state_rows(engine.block),
                 np.array(engine.cache.dirty, copy=True),
                 int(engine.steps))
 
     def rpc_adopt_state(self, exports, steps, dirty) -> None:
-        t0 = self.worker.clock()
-        engine = self.worker.engine
+        t0 = self.clock()
+        engine = self.engine
         engine.adopt_state(exports, steps)
         if len(dirty):
             engine.cache.mark_dirty(engine.restrict_to_coverage(dirty))
-        self.worker._charge(t0)
+        self._charge(t0)
         self.on_embeddings()
 
     def rpc_stats(self) -> WorkerStats:
-        w = self.worker
-        return WorkerStats(busy_s=w.busy_s,
-                           rows_recomputed=w.rows_recomputed,
-                           rows_advanced=w.rows_advanced,
-                           queries_scored=w.queries_scored,
-                           deltas_applied=w.deltas_applied,
-                           coverage_rows=len(w.engine.coverage),
+        return WorkerStats(busy_s=self.busy_s,
+                           rows_recomputed=self.rows_recomputed,
+                           rows_advanced=self.rows_advanced,
+                           queries_scored=self.queries_scored,
+                           deltas_applied=self.deltas_applied,
+                           coverage_rows=len(self.engine.coverage),
                            rpc_calls=dict(self.rpc_calls),
                            rpc_payload_bytes=dict(self.rpc_payload_bytes))
 
@@ -249,20 +257,29 @@ class WorkerService:
         registry (export-time sync, same discipline as the serving
         tiers — nothing double-counts on a hot path)."""
         reg = self.telemetry.registry
-        w = self.worker
         reg.gauge("worker_busy_seconds",
                   "Worker busy clock (perf_counter inside the "
-                  "process)").set(w.busy_s)
+                  "process)").set(self.busy_s)
         reg.counter("worker_rows_recomputed_total").set_to(
-            w.rows_recomputed)
-        reg.counter("worker_rows_advanced_total").set_to(w.rows_advanced)
+            self.rows_recomputed)
+        reg.counter("worker_rows_advanced_total").set_to(
+            self.rows_advanced)
         reg.counter("worker_queries_scored_total").set_to(
-            w.queries_scored)
+            self.queries_scored)
         reg.counter("worker_deltas_applied_total").set_to(
-            w.deltas_applied)
+            self.deltas_applied)
         reg.gauge("worker_coverage_rows",
                   "Rows this worker covers (owned + halo)").set(
-            len(w.engine.coverage))
+            len(self.engine.coverage))
+        m = self.engine.maintainer
+        reg.counter("worker_maintainer_updates_total").set_to(m.updates)
+        reg.counter("worker_maintainer_incremental_total").set_to(
+            m.incremental_updates)
+        reg.counter("worker_maintainer_full_rebuilds_total").set_to(
+            m.full_rebuilds)
+        reg.counter("worker_maintainer_fallbacks_total",
+                    "Deltas this worker's maintainer could not apply "
+                    "and rebuilt in full for").set_to(m.fallbacks)
         reg.counter("worker_rpc_deduped_total",
                     "Sequenced RPCs answered from the reply cache "
                     "(duplicate call ids)").set_to(self.rpc_deduped)

@@ -1,8 +1,7 @@
 """Shared-memory plumbing for the multiprocessing backend.
 
-The read-mostly blocks of a serving tier — CSR topology (edge list +
-values), derived degree features, and each worker's embedding block —
-are mapped once into ``multiprocessing.shared_memory`` segments and
+The read-mostly blocks of a serving tier — the boot topology (edge list
++ values) and each worker's embedding block — are mapped once into ``multiprocessing.shared_memory`` segments and
 never travel over the pipe.  Only deltas, row sets, and scores do,
 which is the paper's wire discipline (ship O(delta), share O(graph)).
 

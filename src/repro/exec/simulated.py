@@ -1,21 +1,13 @@
 """The simulated backend: the in-process tier, and the test oracle.
 
 :class:`SimulatedBackend` runs every worker in the router's process,
-sharing one :class:`~repro.exec.service.Substrate` (snapshot, derived
-features) and one tier-wide Ã
-:class:`~repro.graph.inc_laplacian.LaplacianMaintainer` — a
-memory-sharing fiction (topology is simulation substrate; the router
-applies each GD delta to the operator once and every worker/replica
-engine reads it), reached through the same :class:`WorkerTransport`
-verbs the real backend speaks.  Being deterministic and
-single-process, it is the oracle the multiprocessing backend must
-match bit for bit.
-
-``spawn(boot, solo=True)`` builds a worker *without* the shared
-substrate/maintainer (it folds deltas into a private mirror, like a
-real worker).  Crash recovery uses this for revived workers: a freshly
-revived engine must not full-rebuild the tier-shared operator to its
-older capture-time snapshot.
+reached through the same :class:`WorkerTransport` verbs the real backend
+speaks and hosting the same
+:class:`~repro.exec.service.WorkerService` — private topology mirror,
+private ``Ã`` maintainer, every delta checksum-verified before it is
+folded.  It differs from the multiprocessing backend by the transport
+and nothing else; being deterministic and single-process, it is the
+oracle the real backend must match bit for bit.
 """
 
 from __future__ import annotations
@@ -23,12 +15,8 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-import numpy as np
-
 from repro.errors import WorkerDeadError
-from repro.graph.inc_laplacian import LaplacianMaintainer
-from repro.graph.snapshot import GraphSnapshot
-from repro.exec.service import Substrate, WorkerService
+from repro.exec.service import WorkerService
 from repro.exec.transport import TransportStats, WorkerBoot, \
     WorkerTransport, payload_nbytes
 
@@ -94,42 +82,16 @@ class LocalTransport(WorkerTransport):
 
 
 class SimulatedBackend:
-    """Spawns in-process workers over a shared substrate."""
+    """Spawns in-process workers."""
 
     name = "simulated"
-    # workers read router-published shared state; the router must
-    # publish() before fanning a delta/advance out
-    shares_substrate = True
+    shm_bytes_mapped = 0  # nothing is mapped: workers share the heap
 
-    def __init__(self) -> None:
-        self.substrate: Substrate | None = None
-        self.maintainer: LaplacianMaintainer | None = None
-        self.shm_bytes_mapped = 0
-
-    def attach(self, snapshot: GraphSnapshot, kernel_backend=None) -> None:
-        self.substrate = Substrate(snapshot)
-        # one Ã maintainer for the whole tier: the router applies each
-        # GD delta once, worker engines short-circuit on the
-        # already-current resident.  Pinned to the workers' kernel
-        # backend — an engine refuses an operator built on another one
-        self.maintainer = LaplacianMaintainer(snapshot,
-                                              backend=kernel_backend)
-
-    def publish(self, snapshot: GraphSnapshot, features: np.ndarray,
-                dinv: np.ndarray, diff=None) -> None:
-        self.maintainer.update(snapshot, diff)
-        self.substrate.publish(snapshot, features, dinv)
-
-    def spawn(self, boot: WorkerBoot, *, solo: bool = False,
+    def spawn(self, boot: WorkerBoot, *,
               clock: Callable[[], float] = time.perf_counter
               ) -> LocalTransport:
-        if solo:
-            service = WorkerService(boot, clock=clock)
-        else:
-            service = WorkerService(boot, substrate=self.substrate,
-                                    maintainer=self.maintainer, clock=clock)
-        return LocalTransport(boot.shard_id, service)
+        return LocalTransport(boot.shard_id,
+                              WorkerService(boot, clock=clock))
 
     def close(self) -> None:
-        self.substrate = None
-        self.maintainer = None
+        """Nothing to release."""

@@ -11,11 +11,11 @@ worker lives in this process (:mod:`repro.exec.simulated`, the
 deterministic oracle) or in its own OS process over pipes and shared
 memory (:mod:`repro.exec.mp`).
 
-The RPC surface is deliberately the :class:`ShardWorker` verb set —
+The RPC surface is deliberately the shard worker's verb set —
 ``begin_advance`` / ``finish_advance`` / ``apply_delta`` / ``refresh``
 / ``embedding_rows`` / ``score`` / ``import_temporal`` — plus the
 state-transplant verbs recovery needs.  Payloads are GD deltas and row
-sets, never snapshots: a real worker folds each delta into its own
+sets, never snapshots: every worker folds each delta into its own
 resident mirror (:func:`~repro.graph.diff.apply_diff` is exact), which
 is what keeps the wire O(delta) and the two backends bit-identical.
 """
@@ -72,8 +72,6 @@ class WorkerBoot:
     k_hops: int | None = None
     link_head: EdgeScorer | None = None
     fraud_head: Linear | None = None
-    features: np.ndarray | None = None
-    dinv: np.ndarray | None = None
     # which replica of the shard this worker is (0 = the initial
     # primary); only telemetry naming depends on it — replicas are
     # numerically identical by construction

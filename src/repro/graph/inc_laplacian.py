@@ -151,6 +151,13 @@ class LaplacianMaintainer:
         return self._dinv
 
     @property
+    def degree_features(self) -> np.ndarray:
+        """``(N, 2)`` float64 ``[in-degree, out-degree]`` of the
+        resident graph, from the maintained counts (a fresh array)."""
+        return np.stack([self._col_nnz, self._row_nnz],
+                        axis=1).astype(np.float64)
+
+    @property
     def base_checksum(self) -> int:
         """Integrity token of the resident edge set, maintained in
         O(delta); equals ``diff._checksum(resident.edges, n)``."""

@@ -16,7 +16,7 @@ from repro.serve.engine import InferenceEngine
 from repro.serve.server import (ModelServer, PendingQuery, QueryFrontend,
                                 score_fraud, score_links)
 from repro.serve.metrics import LatencyTracker, ServerCounters, ServerStats
-from repro.serve.sharded import ShardEngine, ShardPlan, ShardWorker
+from repro.serve.sharded import ShardEngine, ShardPlan
 
 __all__ = [
     "EdgeEvent", "IngestResult", "StreamIngestor", "events_between",
@@ -25,5 +25,5 @@ __all__ = [
     "ModelServer", "PendingQuery", "QueryFrontend", "score_links",
     "score_fraud",
     "LatencyTracker", "ServerCounters", "ServerStats",
-    "ShardPlan", "ShardEngine", "ShardWorker",
+    "ShardPlan", "ShardEngine",
 ]

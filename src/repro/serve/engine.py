@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigError, KernelError
+from repro.errors import ConfigError
 from repro.graph.diff import SnapshotDiff
 from repro.graph.inc_laplacian import LaplacianMaintainer
 from repro.tensor.backend import KernelBackend, resolve_backend
@@ -54,22 +54,7 @@ from repro.models.tmgcn import TMGCN
 from repro.obs import Telemetry
 from repro.serve.cache import EmbeddingCache
 
-__all__ = ["InferenceEngine", "derive_serving_features"]
-
-
-def derive_serving_features(snapshot: GraphSnapshot
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Degree features and Laplacian normalization for a resident graph.
-
-    The single definition both the engine and the shard router use —
-    sharded exactness depends on every worker deriving *identical*
-    features for the same snapshot.
-    """
-    in_deg = snapshot.in_degrees()
-    out_deg = snapshot.out_degrees()
-    features = np.stack([in_deg, out_deg], axis=1)
-    dinv = 1.0 / np.sqrt(1.0 + np.maximum(out_deg, in_deg))
-    return features, dinv
+__all__ = ["InferenceEngine"]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -109,19 +94,14 @@ class InferenceEngine:
         Invalidation radius; defaults to ``model.num_layers`` (the
         minimum that keeps incremental inference exact).
     kernel_backend:
-        Kernel backend (name or instance) the engine's SpMM calls run
-        on.  ``None`` adopts the injected ``maintainer``'s backend, or
-        applies the selection precedence (``REPRO_KERNEL_BACKEND`` env,
-        then ``reference``).  Injecting a maintainer pinned to a
-        *different* backend raises :class:`~repro.errors.KernelError`.
+        Kernel backend (name or instance) the engine's SpMM calls and
+        its ``Ã`` maintainer run on.  ``None`` applies the selection
+        precedence (``REPRO_KERNEL_BACKEND`` env, then ``reference``).
     """
 
     def __init__(self, model: DynamicGNN, snapshot: GraphSnapshot,
                  k_hops: int | None = None, *,
-                 features: np.ndarray | None = None,
-                 dinv: np.ndarray | None = None,
                  cache_max_rows: int | None = None,
-                 maintainer: LaplacianMaintainer | None = None,
                  telemetry: Telemetry | None = None,
                  kernel_backend: str | KernelBackend | None = None) -> None:
         if model.in_features != 2:
@@ -140,30 +120,15 @@ class InferenceEngine:
         self.steps = 0
         self._primed = False
         self._resident: GraphSnapshot | None = None
-        # the Ã maintainer may be injected and *shared*: engines fed the
-        # same snapshot/diff sequence (a shard's replicas, or every
-        # worker of a sharded tier whose router pre-applies the delta)
-        # hold one operator copy — update() short-circuits when the
-        # resident is already current, so redundant calls are free
-        self._maintainer = maintainer
-        if kernel_backend is None and maintainer is not None:
-            self.kernel_backend = maintainer.backend
-        else:
-            self.kernel_backend = resolve_backend(kernel_backend)
-        if maintainer is not None and \
-                maintainer.backend is not self.kernel_backend:
-            raise KernelError(
-                f"engine kernel_backend={self.kernel_backend.name!r} but "
-                f"the injected maintainer is pinned to "
-                f"{maintainer.backend.name!r}")
+        self._maintainer: LaplacianMaintainer | None = None
+        self.kernel_backend = resolve_backend(kernel_backend)
         # temporal state that is not per-vertex
         self._weight_state: list[tuple[np.ndarray, np.ndarray]] = []
         self._current_weights: list[np.ndarray] = []
         self._history: list[list[np.ndarray]] = []
         self._current_y: list[np.ndarray | None] = []
         self._init_carries(snapshot.num_vertices)
-        self.set_snapshot(snapshot, seeds=None, features=features,
-                          dinv=dinv)
+        self.set_snapshot(snapshot, seeds=None)
 
     # -- model introspection -----------------------------------------------------
     @staticmethod
@@ -236,20 +201,16 @@ class InferenceEngine:
 
     def set_snapshot(self, snapshot: GraphSnapshot,
                      seeds: np.ndarray | None, *,
-                     features: np.ndarray | None = None,
-                     dinv: np.ndarray | None = None,
                      diff: SnapshotDiff | None = None) -> None:
         """Install a new resident snapshot.
 
         ``seeds`` are the vertices incident to changed edges (the
         ingestor's dirty frontier); ``None`` invalidates everything
-        (initial install or an untracked graph swap).  ``features`` /
-        ``dinv`` short-circuit the degree recomputation when the caller
-        (e.g. a shard router fanning one snapshot out to many workers)
-        already derived them from the same snapshot.  ``diff`` is the
+        (initial install or an untracked graph swap).  ``diff`` is the
         GD delta from the previous resident to ``snapshot``: with it,
-        the resident ``Ã`` is maintained incrementally (O(delta)
-        operator work); without it the operator rebuilds in full.
+        the resident ``Ã`` — and the degree counts the features are
+        read from — is maintained incrementally (O(delta) operator
+        work); without it the operator rebuilds in full.
         """
         if self._resident is not None and \
                 snapshot.num_vertices != self._resident.num_vertices:
@@ -264,12 +225,9 @@ class InferenceEngine:
                     snapshot, backend=self.kernel_backend)
             else:
                 self._maintainer.update(snapshot, diff)
-        # degree features follow the graph (``dinv`` is accepted so a
-        # router's one-shot derivation fans out unchanged; the engine
-        # itself reads normalization from the maintainer)
-        if features is None:
-            features, _ = derive_serving_features(snapshot)
-        self.cache.features = features
+        # the maintainer owns everything derived from the resident
+        # graph: the degree features come from its counts
+        self.cache.features = self._maintainer.degree_features
         if seeds is None:
             self.cache.invalidate_all()
         elif len(seeds):

@@ -227,19 +227,6 @@ class QueryFrontend:
     def _collect_tier_metrics(self, reg) -> None:
         """Tier-specific registry sync (engine, maintainer, shards)."""
 
-    @staticmethod
-    def _collect_maintainer(reg, maintainer) -> None:
-        if maintainer is None:
-            return
-        reg.counter("serve_maintainer_updates_total").set_to(
-            maintainer.updates)
-        reg.counter("serve_maintainer_incremental_total").set_to(
-            maintainer.incremental_updates)
-        reg.counter("serve_maintainer_full_rebuilds_total").set_to(
-            maintainer.full_rebuilds)
-        reg.counter("serve_maintainer_fallbacks_total").set_to(
-            maintainer.fallbacks)
-
     def prometheus(self) -> str:
         """Live Prometheus text exposition (counters synced first)."""
         self._collect_metrics()
@@ -492,7 +479,15 @@ class ModelServer(QueryFrontend):
         return self.engine.num_vertices
 
     def _collect_tier_metrics(self, reg) -> None:
-        self._collect_maintainer(reg, self.engine.maintainer)
+        maintainer = self.engine.maintainer
+        reg.counter("serve_maintainer_updates_total").set_to(
+            maintainer.updates)
+        reg.counter("serve_maintainer_incremental_total").set_to(
+            maintainer.incremental_updates)
+        reg.counter("serve_maintainer_full_rebuilds_total").set_to(
+            maintainer.full_rebuilds)
+        reg.counter("serve_maintainer_fallbacks_total").set_to(
+            maintainer.fallbacks)
         reg.counter("serve_engine_steps_total",
                     "Timestep boundaries the engine crossed").set_to(
             self.engine.steps)

@@ -1,4 +1,4 @@
-"""Sharded serving building blocks: plans, shard engines, workers.
+"""Sharded serving building blocks: plans and shard engines.
 
 The resident graph's per-vertex model state is split across ``N`` shard
 workers along a :class:`ShardPlan` built from the training-side
@@ -16,11 +16,9 @@ from repro.serve.sharded.plan import (ShardPlan, block_distances,
                                       relax_distances)
 from repro.serve.sharded.engine import ShardEngine
 from repro.serve.sharded.halo import HaloTraffic
-from repro.serve.sharded.worker import ShardWorker
 
 __all__ = [
     "ShardPlan", "block_distances", "relax_distances",
     "ShardEngine",
     "HaloTraffic",
-    "ShardWorker",
 ]

@@ -12,15 +12,11 @@ owned rows come out **numerically identical** to a single-worker full
 recompute — the same exactness argument as the unsharded engine, applied
 ring-wise.
 
-The Eq. 1 operator reaches the shard through the engine's
-:class:`~repro.graph.inc_laplacian.LaplacianMaintainer` — in-process
-tiers share one maintainer, to which each commit's GD delta is applied
-exactly once (the engines' own ``update()`` calls short-circuit on the
-already-current resident); a worker in its own process maintains a
-private one from the piped delta.
-Every layer's aggregation then row-slices that operator over the
-shard's covered rows (owned block + the live ghost rings), never the
-full vertex set.
+The Eq. 1 operator and the degree features reach the shard through the
+engine's own :class:`~repro.graph.inc_laplacian.LaplacianMaintainer`,
+advanced by each commit's GD delta.  Every layer's aggregation then
+row-slices that operator over the shard's covered rows (owned block +
+the live ghost rings), never the full vertex set.
 
 What cannot be derived locally is the frozen temporal state of ghost
 rows (LSTM carries entering the current timestep, M-product history
@@ -59,13 +55,10 @@ class ShardEngine(InferenceEngine):
 
     def __init__(self, model: DynamicGNN, snapshot: GraphSnapshot,
                  block: np.ndarray, k_hops: int | None = None, *,
-                 features: np.ndarray | None = None,
-                 dinv: np.ndarray | None = None,
-                 maintainer=None, kernel_backend=None) -> None:
+                 kernel_backend=None) -> None:
         self._block = np.asarray(block, dtype=np.int64)
         self._dist: np.ndarray | None = None
-        super().__init__(model, snapshot, k_hops, features=features,
-                         dinv=dinv, maintainer=maintainer,
+        super().__init__(model, snapshot, k_hops,
                          kernel_backend=kernel_backend)
 
     # -- halo geometry ---------------------------------------------------------------
@@ -126,13 +119,10 @@ class ShardEngine(InferenceEngine):
     # exchange between carry promotion and recomputation (all shards
     # promote, then ghosts sync, then all shards compute).
     def begin_advance(self, snapshot: GraphSnapshot | None = None, *,
-                      features: np.ndarray | None = None,
-                      dinv: np.ndarray | None = None,
                       diff=None) -> None:
         self._settle()  # every replica, not just the ones that served
         if snapshot is not None:
-            self.set_snapshot(snapshot, seeds=None, features=features,
-                              dinv=dinv, diff=diff)
+            self.set_snapshot(snapshot, seeds=None, diff=diff)
         self.rebuild_halo()
         if self._primed:
             self._promote_carries()

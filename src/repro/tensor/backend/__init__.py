@@ -12,7 +12,7 @@ resolved by name through this registry.  Selection precedence:
 
 An **unknown** name raises :class:`~repro.errors.KernelError` — a typo
 must not silently run the slow path.  A **known but unavailable**
-backend (numba not importable, no C compiler for cnative) falls back to
+backend (no C compiler for cnative) falls back to
 ``reference`` with a single warning per name: availability is an
 environment property, and code written against an accelerated backend
 must still run everywhere.
@@ -30,7 +30,6 @@ import warnings
 from repro.errors import KernelError
 from repro.tensor.backend.base import KERNEL_NAMES, KernelBackend
 from repro.tensor.backend.cnative import CNativeBackend
-from repro.tensor.backend.numba_backend import NumbaBackend
 from repro.tensor.backend.reference import ReferenceBackend
 
 __all__ = ["KernelBackend", "KERNEL_NAMES", "DEFAULT_BACKEND", "ENV_VAR",
@@ -135,5 +134,4 @@ def _reset_for_tests() -> None:
 
 
 register_backend(ReferenceBackend)
-register_backend(NumbaBackend)
 register_backend(CNativeBackend)

@@ -1,9 +1,8 @@
 """The ``cnative`` backend: C kernels compiled at first use via gcc.
 
-Same fused gather-then-GEMM design as the numba backend, for
-environments that have a C compiler but not numba (notably this repo's
-own dev container).  The kernels are compiled once per process into a
-private temp directory and loaded with ctypes.
+Fused gather-then-GEMM CSR row kernels for any environment with a C
+compiler, with no Python dependency.  The kernels are compiled once per
+process into a private temp directory and loaded with ctypes.
 
 Bit-exactness hinges on one compiler flag: ``-ffp-contract=off``.  At
 ``-O2+`` gcc defaults to contracting ``acc += v * x`` into a fused

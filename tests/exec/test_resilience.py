@@ -18,15 +18,17 @@ dying: bounded-staleness answers from the last boundary's cached rows,
 stamped with their staleness, shedding anything beyond the bound.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.errors import WorkerDeadError, WorkerTimeoutError
+from repro.errors import DatasetError, WorkerDeadError, WorkerTimeoutError
 from repro.exec import ExecRouter, FaultPlan, FaultSpec, RetryPolicy, \
     ShardChannel, TransportStats
 from repro.models import build_model
 from repro.nn.linear import Linear
-from repro.serve import events_between
+from repro.serve import StreamIngestor, events_between, expand_dirty
 from repro.serve.server import score_fraud, score_links
 
 
@@ -160,13 +162,14 @@ def test_duplicated_apply_delta_is_noop(world, oracle, backend):
     assert float(np.abs(emb - e_ref).max()) == 0.0
 
 
-def test_corrupted_delta_rejected_then_redelivered(world, oracle):
+@pytest.mark.parametrize("backend", ["simulated", "multiprocess"])
+def test_corrupted_delta_rejected_then_redelivered(world, oracle, backend):
     """A corrupted delta payload fails the base-checksum gate *before*
     worker state mutates; the retry redelivers pristine bytes under the
     same sequence id and the stream stays bit-exact."""
     plan = FaultPlan(schedule=(
         FaultSpec("corrupt", verb="apply_delta", shard=0, call_index=1),))
-    router = make_router(world, backend="multiprocess", fault_plan=plan)
+    router = make_router(world, backend=backend, fault_plan=plan)
     scores, emb = replay(router, world)
     counters = router.counters
     router.close()
@@ -176,6 +179,32 @@ def test_corrupted_delta_rejected_then_redelivered(world, oracle):
     s_ref, e_ref = oracle
     assert float(np.abs(scores - s_ref).max()) == 0.0
     assert float(np.abs(emb - e_ref).max()) == 0.0
+
+
+def test_wrong_base_checksum_leaves_worker_untouched(world):
+    """The gate itself, on the in-process transport: a delta whose
+    ``base_checksum`` does not match the worker's resident raises
+    before the mirror, the dirty set or the counters move."""
+    router = make_router(world)
+    transport = router.transports[0]
+    service = transport.service
+    ingestor = StreamIngestor(world.dtdg[0])
+    ingestor.push_batch(events_between(world.dtdg[0], world.dtdg[1]))
+    commit = ingestor.commit()
+    dirty = expand_dirty(commit.snapshot, commit.dirty, router.k_hops)
+    bad = replace(commit.diff,
+                  base_checksum=commit.diff.base_checksum ^ 0x5A5A)
+    resident = service.resident
+    with pytest.raises(DatasetError):
+        transport.apply_delta(bad, dirty)
+    assert service.resident is resident
+    assert service.engine.cache.num_dirty == 0
+    assert service.deltas_applied == 0
+    # the pristine delta still applies afterwards
+    transport.apply_delta(commit.diff, dirty)
+    assert service.resident == commit.snapshot
+    assert service.deltas_applied == 1
+    router.close()
 
 
 # -- degraded serving -------------------------------------------------------------------

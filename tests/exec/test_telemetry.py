@@ -149,6 +149,24 @@ def test_worker_stats_break_down_per_verb(world, backend):
     router.close()
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_worker_maintainer_profile_is_harvested(world, backend):
+    """Each worker owns its Ã maintainer, so a fallback to a full
+    rebuild inside a worker — real process or not — is visible from
+    the router: after a streamed replay every worker advanced
+    incrementally and never fell back."""
+    router = make_router(world, backend, replicas=2)
+    replay(router, world, stop=4)
+    router.harvest_telemetry()
+    reg = router.telemetry.registry
+    for worker in ("0", "0r1", "1", "1r1"):
+        assert reg.value("worker_maintainer_incremental_total",
+                         worker=worker) > 0
+        assert reg.value("worker_maintainer_fallbacks_total",
+                         worker=worker) == 0
+    router.close()
+
+
 def test_repeat_harvest_does_not_double_count(world):
     """harvest_telemetry at any cadence: deltas are merged exactly
     once, so idle harvests leave the cluster counters unchanged."""

@@ -1,7 +1,7 @@
 """Worker time accounting: the clocks the scaling benches trust.
 
 Every critical-path wall number in this repo reduces to one primitive
-— :meth:`ShardWorker._charge` accumulating busy seconds — so it gets
+— :meth:`WorkerService._charge` accumulating busy seconds — so it gets
 regression coverage of its exact contract: charges are monotone and
 additive under an injected clock.
 """
@@ -9,10 +9,11 @@ additive under an injected clock.
 import numpy as np
 import pytest
 
+from repro.exec import WorkerBoot, WorkerService
 from repro.graph.snapshot import GraphSnapshot
 from repro.models import build_model
-from repro.serve.engine import derive_serving_features
-from repro.serve.sharded.worker import ShardWorker
+from repro.nn.linear import Linear
+from repro.serve import EdgeEvent, StreamIngestor, expand_dirty
 
 
 class FakeClock:
@@ -36,12 +37,13 @@ def snapshot():
 
 def make_worker(snapshot, replica_id, clock):
     model = build_model("cdgcn", in_features=2, seed=0)
-    features, dinv = derive_serving_features(snapshot)
-    return ShardWorker(0, replica_id, model, snapshot,
-                       np.arange(12, dtype=np.int64),
-                       link_head=None, fraud_head=None, k_hops=2,
-                       features=features, dinv=dinv, maintainer=None,
-                       clock=clock)
+    owner = np.repeat(np.arange(2, dtype=np.int64), 12)
+    boot = WorkerBoot(shard_id=0, model=model, snapshot=snapshot,
+                      owner=owner, num_shards=2, k_hops=2,
+                      fraud_head=Linear(model.embed_dim, 2,
+                                        np.random.default_rng(9)),
+                      replica_id=replica_id)
+    return WorkerService(boot, clock=clock)
 
 
 class TestCharge:
@@ -60,7 +62,8 @@ class TestCharge:
 
     def test_busy_never_decreases_across_operations(self, snapshot):
         # every clock() read advances time, so any charged span is
-        # strictly positive and busy_s must climb monotonically
+        # strictly positive and busy_s must climb with every charged
+        # verb — the delta fold included
         class AutoClock:
             t = 0.0
 
@@ -69,17 +72,29 @@ class TestCharge:
                 return AutoClock.t
 
         worker = make_worker(snapshot, 0, AutoClock())
-        features, dinv = derive_serving_features(snapshot)
+        ingestor = StreamIngestor(snapshot)
+        ingestor.push_batch([EdgeEvent(0, 13), EdgeEvent(5, 2)])
+        commit = ingestor.commit()
+        dirty = expand_dirty(commit.snapshot, commit.dirty, 2)
+        rows = np.arange(4, dtype=np.int64)
         seen = [worker.busy_s]
-        for op in (lambda: worker.begin_advance(snapshot, features, dinv),
-                   worker.finish_advance,
-                   worker.refresh,
-                   lambda: worker.embedding_rows(
-                       np.arange(4, dtype=np.int64))):
+        for op in (lambda: worker.rpc_begin_advance(None, None),
+                   worker.rpc_finish_advance,
+                   lambda: worker.rpc_apply_delta(commit.diff, dirty),
+                   worker.rpc_refresh,
+                   lambda: worker.rpc_embedding_rows(rows),
+                   lambda: worker.rpc_score(
+                       np.empty((0, 2), dtype=np.int64),
+                       np.empty((0, 0)), rows),
+                   lambda: worker.rpc_adopt_state(
+                       [(worker.engine.block,
+                         worker.rpc_export_state()[0])], 1,
+                       np.empty(0, dtype=np.int64))):
             op()
             seen.append(worker.busy_s)
-            assert seen[-1] >= seen[-2]
-        assert worker.busy_s > 0.0
+            assert seen[-1] > seen[-2]
+        assert worker.deltas_applied == 1
+        assert worker.resident == commit.snapshot
 
     def test_zero_elapsed_charges_zero(self, snapshot):
         clock = FakeClock()

@@ -8,6 +8,7 @@ on the same merge) must reproduce them bit for bit.
 """
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from repro.graph.diff import (SnapshotDiff, _checksum, edge_checksum,
                               merge_delta)
 from repro.graph.inc_laplacian import LaplacianMaintainer
 from repro.serve.ingest import EdgeEvent, StreamIngestor, fold_event_batch
+from repro.store.codec import decode_diff, encode_diff
+from repro.tensor.backend import available_backends
 from tests.helpers import oracle_apply_diff, oracle_fold_event_batch
 
 N = 5
@@ -63,6 +66,20 @@ def _assert_same_diff(got, want):
     assert got.payload_nbytes == want.payload_nbytes
 
 
+def _assert_degrees_from_scratch(maintainer, snap):
+    """The maintainer's degree features and ``D^-1/2`` against in/out
+    degrees recounted from the edge list."""
+    n = snap.num_vertices
+    in_deg = np.bincount(snap.edges[:, 1], minlength=n).astype(np.float64)
+    out_deg = np.bincount(snap.edges[:, 0], minlength=n).astype(np.float64)
+    features = maintainer.degree_features
+    assert features.dtype == np.float64
+    np.testing.assert_array_equal(features,
+                                  np.stack([in_deg, out_deg], axis=1))
+    np.testing.assert_array_equal(
+        maintainer.dinv, 1.0 / np.sqrt(1.0 + np.maximum(out_deg, in_deg)))
+
+
 @settings(max_examples=120, deadline=None)
 @given(_initial, st.lists(_batch, min_size=1, max_size=6))
 def test_fold_and_apply_match_the_oracles(initial, batches):
@@ -76,7 +93,13 @@ def test_fold_and_apply_match_the_oracles(initial, batches):
         np.array([e[2] for e in initial]))
     resident = first
     maintainer = LaplacianMaintainer(first)
-    for batch in batches:
+    # the one source of degree features, on every update path of every
+    # available kernel backend: hinted delta, hint-less store-decoded
+    # delta, wrong-base delta (guarded fallback), diff=None rebase
+    paths = {name: {path: LaplacianMaintainer(first, backend=name)
+                    for path in ("hinted", "decoded", "fallback", "rebase")}
+             for name in available_backends()}
+    for step, batch in enumerate(batches):
         events = _events(batch, resident)
         want, want_touched, want_diff = oracle_fold_event_batch(
             resident, events)
@@ -94,8 +117,25 @@ def test_fold_and_apply_match_the_oracles(initial, batches):
         _assert_same_snapshot(apply_diff(resident, want_diff), want)
 
         maintainer.update(curr, diff)
+        decoded, decoded_curr, _ = decode_diff(
+            encode_diff(resident, curr, diff, step), resident)
+        assert decoded.value_hint is None
+        wrong_base = replace(diff, base_checksum=diff.base_checksum ^ 1)
+        for by_path in paths.values():
+            by_path["hinted"].update(curr, diff)
+            by_path["decoded"].update(decoded_curr, decoded)
+            by_path["fallback"].update(curr, wrong_base)
+            by_path["rebase"].update(curr, None)
+            for m in by_path.values():
+                _assert_degrees_from_scratch(m, curr)
         resident = curr
 
+    for by_path in paths.values():
+        assert by_path["hinted"].fallbacks == 0
+        assert by_path["decoded"].fallbacks == 0
+        assert by_path["hinted"].full_rebuilds == 1
+        assert by_path["fallback"].incremental_updates == 0
+        assert by_path["rebase"].incremental_updates == 0
     rebuilt = LaplacianMaintainer(resident).laplacian.csr
     live = maintainer.laplacian.csr
     assert maintainer.fallbacks == 0

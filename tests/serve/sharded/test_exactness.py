@@ -43,8 +43,8 @@ def _servers(name, dtdg, num_shards=4, **kwargs):
 
 
 def _workers(sharded, shard):
-    """Every replica's in-process ShardWorker of ``shard``."""
-    return [t.service.worker for t in sharded.channels[shard].replicas]
+    """Every replica's in-process WorkerService of ``shard``."""
+    return [t.service for t in sharded.channels[shard].replicas]
 
 
 def _reference_embeddings(single):
@@ -136,11 +136,11 @@ def test_unflushed_boundaries_stay_exact(stream20, name):
     for s in range(3):
         block = sharded.plan.block(s)
         for w in _workers(sharded, s):
-            w.refresh()
+            w.rpc_refresh()
             np.testing.assert_allclose(w.engine.embeddings[block],
                                        want[block], atol=1e-6,
                                        err_msg=f"{name} replica "
-                                               f"{w.replica_id} stale")
+                                               f"{w.boot.replica_id} stale")
 
 
 def test_sharded_exact_under_hypergraph_plan(stream20):
@@ -180,6 +180,6 @@ def test_sharded_exact_with_replicas(stream20):
         for s in range(2):
             block = sharded.plan.block(s)
             for w in _workers(sharded, s):
-                w.refresh()
+                w.rpc_refresh()
                 np.testing.assert_allclose(
                     w.engine.embeddings[block], want[block], atol=1e-6)

@@ -43,8 +43,8 @@ def make_server(world, **kwargs):
 
 
 def workers(server, shard):
-    """Every replica's in-process ShardWorker of ``shard``."""
-    return [t.service.worker for t in server.channels[shard].replicas]
+    """Every replica's in-process WorkerService of ``shard``."""
+    return [t.service for t in server.channels[shard].replicas]
 
 
 class TestRequestSurface:

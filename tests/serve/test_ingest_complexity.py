@@ -22,7 +22,8 @@ from repro.graph import diff as graph_diff
 from repro.graph import snapshot as graph_snapshot
 from repro.models import build_model
 from repro.nn.linear import Linear
-from repro.serve import ModelServer, StreamIngestor, events_between
+from repro.serve import ModelServer, StreamIngestor, events_between, \
+    expand_dirty
 from repro.store import GraphStore
 
 GRAPH_SIZED = 300      # every snapshot below holds more edges than this,
@@ -124,12 +125,15 @@ def test_worker_mirror_fold(stream, arm):
     service = WorkerService(WorkerBoot(
         shard_id=0, model=model, snapshot=first,
         owner=np.zeros(first.num_vertices, dtype=np.int64), num_shards=1))
+    service.rpc_begin_advance(None, None)   # prime, as the router does
+    service.rpc_finish_advance()
     ingestor = StreamIngestor(first)
     arm()
     for batch in batches:
         ingestor.push_batch(batch)
         result = ingestor.commit()
-        service._fold(result.diff)
+        service.rpc_apply_delta(
+            result.diff, expand_dirty(result.snapshot, result.dirty, 2))
         np.testing.assert_array_equal(service.resident.edges,
                                       result.snapshot.edges)
         np.testing.assert_array_equal(service.resident.values,

@@ -98,7 +98,7 @@ def test_sharded_workers_route_through_maintainer(stream10, name):
                 got, single.engine.embeddings, atol=1e-9,
                 err_msg=f"{name} sharded diverged at t={t}")
     for s in range(sharded.num_shards):
-        maintainer = sharded.transports[s].service.worker.engine.maintainer
+        maintainer = sharded.transports[s].service.engine.maintainer
         assert maintainer.incremental_updates > 0
         assert maintainer.fallbacks == 0
 
@@ -114,3 +114,42 @@ def test_engine_full_aggregate_uses_maintained_operator(stream10):
     got = server.engine.maintainer.laplacian.csr
     ref = normalized_laplacian(resident).csr
     np.testing.assert_array_equal(got.toarray(), ref.toarray())
+
+
+def test_served_degree_features_follow_the_resident_graph(stream10):
+    """The model input every tier serves from is the maintainer's
+    degree counts: after each commit and each rebase boundary,
+    ``engine.cache.features`` equals the in/out degrees recounted from
+    the resident edge list — on the incremental server, the
+    full-rebuild baseline and every worker of a simulated 2-shard
+    tier."""
+    dtdg = stream10
+    n = dtdg.num_vertices
+
+    def model():
+        return build_model("cdgcn", in_features=2, seed=0)
+
+    servers = [ModelServer(model(), dtdg[0], incremental=True),
+               ModelServer(model(), dtdg[0], incremental=False),
+               ExecRouter(model(), dtdg[0], backend="simulated",
+                          num_shards=2)]
+
+    def check(server):
+        edges = server.ingestor.resident.edges
+        want = np.stack([np.bincount(edges[:, 1], minlength=n),
+                         np.bincount(edges[:, 0], minlength=n)],
+                        axis=1).astype(np.float64)
+        engines = [server.engine] if isinstance(server, ModelServer) \
+            else [t.service.engine for t in server.transports]
+        for engine in engines:
+            assert engine.cache.features.dtype == np.float64
+            np.testing.assert_array_equal(engine.cache.features, want)
+
+    for t in range(1, 5):
+        events = events_between(dtdg[t - 1], dtdg[t])
+        for server in servers:
+            server.ingest_events(events[:len(events) // 2])
+            check(server)
+            server.advance_time(dtdg[t])
+            check(server)
+    servers[2].close()

@@ -116,13 +116,13 @@ def _drive_with_rebases(server, dtdg, t_range):
             events_between(dtdg[t], dtdg[min(t + 1, len(dtdg) - 1)])[:20])
 
 
-def test_sharded_recovery_shares_incremental_maintainer(stream20,
-                                                        tmp_path):
-    """Satellite regression: a recovered sharded tier shares ONE
-    tier-wide LaplacianMaintainer across every worker/replica engine,
-    and the WAL tail (snapshot-sealed boundaries included) replays
-    through the O(delta) incremental path — no fallbacks, no per-
-    boundary full rebuilds."""
+def test_sharded_recovery_replays_incrementally_on_every_worker(
+        stream20, tmp_path):
+    """After a tier-level recover over a WAL with rebase-sealed
+    boundaries, every worker's own LaplacianMaintainer replayed the
+    tail (events AND rebase boundaries) through the O(delta)
+    incremental path — no fallbacks, no per-boundary full rebuilds —
+    and keeps that profile on the next ingest."""
     dtdg = stream20
     model, fraud = _model_and_head("cdgcn")
     live = ExecRouter(model, dtdg[0], backend="simulated", num_shards=3,
@@ -136,25 +136,24 @@ def test_sharded_recovery_shares_incremental_maintainer(stream20,
     recovered = ExecRouter.recover(
         GraphStore.open(str(tmp_path / "s")), model=model2,
         backend="simulated", fraud_head=fraud2)
-    m = recovered.backend.maintainer
-    # one shared operator across the whole tier
-    for ch in recovered.channels:
-        assert len(ch.replicas) == 2
-        for t in ch.replicas:
-            assert t.service.worker.engine.maintainer is m
-    # the tail replay (events AND rebase boundaries) stayed incremental:
-    # the only full build is the boot-time construction
-    assert m.incremental_updates > 0
-    assert m.fallbacks == 0
-    assert m.full_rebuilds == 1
+    maintainers = [t.service.engine.maintainer
+                   for ch in recovered.channels for t in ch.replicas]
+    assert len(maintainers) == 6
+    assert len({id(m) for m in maintainers}) == 6
+    for m in maintainers:
+        # the only full build is the boot-time construction
+        assert m.incremental_updates > 0
+        assert m.fallbacks == 0
+        assert m.full_rebuilds == 1
     np.testing.assert_allclose(recovered.gathered_embeddings(),
                                live.gathered_embeddings(), atol=1e-6)
 
-    # and serving after recovery keeps the incremental profile
-    before = m.incremental_updates
+    before = [m.incremental_updates for m in maintainers]
     recovered.ingest_events(events_between(dtdg[8], dtdg[9]))
-    assert m.incremental_updates > before
-    assert m.fallbacks == 0
+    for m, was in zip(maintainers, before):
+        assert m.incremental_updates > was
+        assert m.fallbacks == 0
+        assert m.full_rebuilds == 1
 
 
 def test_model_server_recovery_replays_rebases_incrementally(stream20,

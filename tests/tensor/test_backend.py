@@ -9,10 +9,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.errors import KernelError
-from repro.graph.inc_laplacian import LaplacianMaintainer
 from repro.graph.snapshot import GraphSnapshot
 from repro.models import build_model
-from repro.serve import InferenceEngine
 from repro.tensor import Tensor
 from repro.tensor import backend as backend_mod
 from repro.tensor.backend import (available_backends, get_backend,
@@ -57,7 +55,7 @@ def _small_snapshot():
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"reference", "numba", "cnative"} <= set(registered_backends())
+        assert {"reference", "cnative"} <= set(registered_backends())
 
     def test_reference_always_available(self):
         assert "reference" in available_backends()
@@ -105,19 +103,20 @@ class TestPrecedence:
 class TestFallback:
     def test_unavailable_backend_warns_once_then_reference(self,
                                                            monkeypatch):
-        # simulate `import numba` failing regardless of what this
-        # machine has installed (satellite: graceful degradation)
-        from repro.tensor.backend import numba_backend
-        monkeypatch.setattr(numba_backend, "_HAVE_NUMBA", False)
+        # simulate the C-compiler probe failing regardless of what
+        # this machine has installed (graceful degradation)
+        from repro.tensor.backend import cnative
+        monkeypatch.setattr(cnative, "_load_library", lambda: None)
         backend_mod._reset_for_tests()
         try:
-            with pytest.warns(RuntimeWarning, match="'numba' is unavailable"):
-                got = get_backend("numba")
+            with pytest.warns(RuntimeWarning,
+                              match="'cnative' is unavailable"):
+                got = get_backend("cnative")
             assert got is get_backend("reference")
             # second resolution: cached under the requested name, silent
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert get_backend("numba") is got
+                assert get_backend("cnative") is got
             # and the fallback instance still runs the kernel surface
             csr = sp.random(5, 5, density=0.5, random_state=1,
                             dtype=np.float64).tocsr()
@@ -146,31 +145,18 @@ class TestMismatch:
         out = spmm(s2, Tensor(np.ones((6, 2))), backend="mirror")
         np.testing.assert_array_equal(out.data, s.csr @ np.ones((6, 2)))
 
-    def test_engine_adopts_injected_maintainer_backend(self, mirror):
-        snap = _small_snapshot()
-        model = build_model("cdgcn", in_features=2, seed=0)
-        maintainer = LaplacianMaintainer(snap, backend="mirror")
-        engine = InferenceEngine(model, snap, maintainer=maintainer)
-        assert engine.kernel_backend is mirror
-
-    def test_engine_maintainer_mismatch_raises(self, mirror):
-        snap = _small_snapshot()
-        model = build_model("cdgcn", in_features=2, seed=0)
-        maintainer = LaplacianMaintainer(snap, backend="reference")
-        with pytest.raises(KernelError, match="pinned"):
-            InferenceEngine(model, snap, maintainer=maintainer,
-                            kernel_backend="mirror")
-
-    def test_simulated_tier_pins_its_shared_maintainer(self, mirror):
-        """The in-process sharded tier builds its one shared operator
-        on the workers' kernel backend (a default-backend maintainer
-        would be refused by every worker engine)."""
+    def test_exec_tier_workers_run_the_tier_backend(self, mirror):
+        """Every worker engine of a tier built with ``kernel_backend=``
+        runs that backend, and its own maintainer is pinned to it."""
         from repro.exec import ExecRouter
         model = build_model("cdgcn", in_features=2, seed=0)
         router = ExecRouter(model, _small_snapshot(), backend="simulated",
-                            num_shards=2, kernel_backend="mirror")
-        assert router.backend.maintainer.backend is mirror
-        engine = router.transports[0].service.worker.engine
-        assert engine.kernel_backend is mirror
+                            num_shards=2, replicas=2,
+                            kernel_backend="mirror")
+        engines = [t.service.engine for ch in router.channels
+                   for t in ch.replicas]
         router.close()
-
+        assert len(engines) == 4
+        for engine in engines:
+            assert engine.kernel_backend is mirror
+            assert engine.maintainer.backend is mirror
