@@ -79,12 +79,12 @@ class ServingBenchResult:
 
     incremental: ServerStats
     full: ServerStats
-    incremental_wall_s: float
-    full_wall_s: float
+    incremental_wall_s: float  # of the median-ratio pair of replays
+    full_wall_s: float         # likewise
     num_queries: int
     num_events: int
     max_abs_divergence: float  # embeddings: incremental vs full recompute
-    # per-stage wall seconds from the traced third replay ({span name:
+    # per-stage wall seconds from the extra traced replay ({span name:
     # seconds}; None when the traced replay was skipped)
     stage_seconds: dict | None = None
 
@@ -198,14 +198,22 @@ def run_serving_benchmark(config: ServingWorkloadConfig | None = None,
             server.advance_time(dtdg[t])
         return server
 
-    srv_inc = boot(incremental=True)
-    srv_full = boot(incremental=False)
-    wall_inc = replay_stream(srv_inc, schedule, plan)
-    wall_full = replay_stream(srv_full, schedule, plan)
+    # the two walls of a pair are timed back to back, so one host phase
+    # scales both and their ratio survives it; the median pair drops a
+    # phase change that fell between the two
+    pairs = []
+    for _ in range(3):
+        srv_inc = boot(incremental=True)
+        srv_full = boot(incremental=False)
+        pairs.append((replay_stream(srv_inc, schedule, plan),
+                      replay_stream(srv_full, schedule, plan),
+                      srv_inc, srv_full))
+    pairs.sort(key=lambda pair: pair[1] / pair[0])
+    wall_inc, wall_full, srv_inc, srv_full = pairs[len(pairs) // 2]
     divergence = float(np.abs(srv_inc.engine.embeddings
                               - srv_full.engine.embeddings).max())
 
-    # a third, span-traced replay answers "where do the incremental
+    # one more, span-traced replay answers "where do the incremental
     # milliseconds go?" — run separately so the A/B walls above stay
     # untraced (the tracing-off overhead guard's contract)
     srv_traced = boot(incremental=True, tracing=True)

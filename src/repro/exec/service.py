@@ -73,6 +73,7 @@ class WorkerService:
         self.rpc_deduped = 0
         self.engine = ShardEngine(boot.model, boot.snapshot, boot.block,
                                   k_hops=boot.k_hops,
+                                  telemetry=self.telemetry,
                                   kernel_backend=boot.kernel_backend)
         self.link_head = boot.link_head
         self.fraud_head = boot.fraud_head
@@ -280,6 +281,12 @@ class WorkerService:
         reg.counter("worker_maintainer_fallbacks_total",
                     "Deltas this worker's maintainer could not apply "
                     "and rebuilt in full for").set_to(m.fallbacks)
+        reg.counter("worker_epilogue_rows_total",
+                    "Rows this worker's dense epilogue computed, summed "
+                    "over layers").set_to(self.engine.epilogue_rows)
+        reg.counter("worker_epilogue_tiles_total",
+                    "Fixed-shape tiles those rows ran in").set_to(
+            self.engine.epilogue_tiles)
         reg.counter("worker_rpc_deduped_total",
                     "Sequenced RPCs answered from the reply cache "
                     "(duplicate call ids)").set_to(self.rpc_deduped)

@@ -26,6 +26,14 @@ the touched rows/columns instead of rebuilding, and partial refreshes
 compute the dirty rows' slice of ``Ã·X`` with the row-sliced SpMM
 kernel (bit-identical to the same rows of the full multiply).
 
+What runs on those rows afterwards — projection, skip-concat + ReLU,
+the LSTM / M-product part — is the *dense epilogue*.  It runs on an
+O(``PANEL_ROWS``) scratch held by the engine, and every GEMM in it
+takes a tile of exactly ``TILE_ROWS`` rows however many rows are dirty:
+the working set stays in cache, and a refreshed row is bit-identical to
+the same row of a full recompute on every BLAS kernel family
+(``docs/kernels.md``, "Dense epilogue: fixed-shape tiles").
+
 .. note::
    The engine evaluates the model on the **raw** event stream.  CD-GCN
    trains on raw snapshots (§5.1), so it is served exactly as trained.
@@ -57,27 +65,97 @@ from repro.serve.cache import EmbeddingCache
 __all__ = ["InferenceEngine"]
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+# Every dense-epilogue GEMM takes a tile of exactly TILE_ROWS rows (the
+# last one zero-padded up to it), so a row count never selects a BLAS
+# kernel.  The elementwise passes between them run over a panel of
+# tiles, on its live rows: numpy's per-call cost is spread over
+# PANEL_ROWS rows while a few-row refresh pays for one tile.  The sweep
+# that chose both is in docs/kernels.md, "Dense epilogue".
+TILE_ROWS = 64
+PANEL_ROWS = 4 * TILE_ROWS
+
+
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
+             e: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function, branch-free with a single ``exp``:
+    ``e = exp(-|z|); max(e, [z >= 0]) / (1 + e)``.  Bit-identical to the
+    masked two-branch form (``tests/helpers.py::oracle_sigmoid``) on
+    every float64.  ``out`` (which may be ``z``) and the scratch ``e``
+    make it allocation-free."""
+    e = np.abs(z, out=e)
+    np.exp(np.negative(e, out=e), out=e)
+    if out is None:
+        out = np.empty_like(e)
+    np.greater_equal(z, 0.0, out=out)
+    np.maximum(out, e, out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 @dataclass
 class _Layer:
-    """Numpy view of one model layer's parameters."""
+    """One model layer's parameters, packed C-contiguous (so every GEMM
+    on them is the same NN call whatever order the model holds them in)."""
 
     gcn_weight: np.ndarray
     skip_concat: bool
     out_dim: int
-    # LSTM part (CD-GCN only)
+    # LSTM part (CD-GCN only), one (in, hidden) block per gate stacked
+    # in the order i, f, o, g: each gate's GEMM writes its own
+    # contiguous plane and the three sigmoids run as one pass
     w_ih: np.ndarray | None = None
     w_hh: np.ndarray | None = None
     lstm_bias: np.ndarray | None = None
     hidden: int = 0
+
+
+def _gate_major(param: np.ndarray, hidden: int) -> np.ndarray:
+    """``(..., 4·hidden)`` in the model's ``[i, f, g, o]`` column layout
+    -> C-contiguous ``(4, 1, ..., hidden)`` in the order i, f, o, g (the
+    unit axis broadcasts over a panel's tiles, or its rows)."""
+    blocks = param.reshape(param.shape[:-1] + (4, hidden))
+    return np.ascontiguousarray(
+        np.moveaxis(blocks, -2, 0)[[0, 1, 3, 2], None])
+
+
+class _Panel:
+    """One layer's dense-epilogue scratch.  Every array has exactly
+    ``PANEL_ROWS`` rows, is allocated once per engine, and never leaves
+    ``_compute``: results reach the cache arrays by copy."""
+
+    def __init__(self, kind: str, layer: _Layer) -> None:
+        t, hs = PANEL_ROWS, layer.hidden
+        in_dim, proj_dim = layer.gcn_weight.shape
+        self.agg = np.zeros((t, in_dim))
+        self.y = np.zeros((t, layer.skip_concat * in_dim + proj_dim))
+        # under skip-concat the projection lands in y's right-hand columns
+        self.proj = self.y[:, -proj_dim:]
+        if kind == "cdgcn":
+            self.h = np.zeros((t, hs))
+            self.c = np.zeros((t, hs))
+            # gate planes i, f, o, g; the h·W_hh term (then sigmoid scratch)
+            self.gates = np.zeros((4, t, hs))
+            self.hh = np.zeros((4, t, hs))
+        elif kind == "tmgcn":
+            self.out = np.zeros_like(self.y)
+            self.frame = np.zeros_like(self.y)
+
+
+def _fill(dst: np.ndarray, src: np.ndarray) -> None:
+    """Load ``src`` into the top of panel array ``dst``, zero-padding the
+    rest: a short last tile still runs the full-shape GEMM."""
+    dst[:len(src)] = src
+    dst[len(src):] = 0.0
+
+
+def _gemm(a: np.ndarray, w: np.ndarray, out: np.ndarray, m: int) -> None:
+    """``out[..., :m, :] = a[:m] @ w`` on panel arrays: one batched
+    ``matmul`` over the tiles that hold a live row, so BLAS sees one
+    GEMM of exactly ``TILE_ROWS`` rows per tile (and gate)."""
+    tiles = -(-m // TILE_ROWS)
+    a = a.reshape(-1, TILE_ROWS, a.shape[-1])
+    out = out.reshape(out.shape[:-2] + a.shape[:2] + out.shape[-1:])
+    np.matmul(a[:tiles], w, out=out[..., :tiles, :, :])
 
 
 class InferenceEngine:
@@ -87,7 +165,10 @@ class InferenceEngine:
     ----------
     model:
         A (trained) CD-GCN, EvolveGCN or TM-GCN instance.  Parameters
-        are referenced, not copied — serving always sees current weights.
+        are read at construction: the GCN weights and CD-GCN's LSTM
+        cells are packed C-contiguous once, so serving updated weights
+        takes a new engine (EvolveGCN's tiny weight evolver alone is
+        read from the model at each ``advance()``).
     snapshot:
         The initial resident graph.
     k_hops:
@@ -114,6 +195,11 @@ class InferenceEngine:
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.kind = self._detect_kind(model)
         self.layers = self._extract_layers(model)
+        self._panels = [_Panel(self.kind, layer) for layer in self.layers]
+        # rows / tiles the dense epilogue ran, all layers (export-time
+        # counters, like the maintainer's)
+        self.epilogue_rows = 0
+        self.epilogue_tiles = 0
         self.cache = EmbeddingCache(snapshot.num_vertices,
                                     model.num_layers, k_hops,
                                     max_rows=cache_max_rows)
@@ -149,16 +235,16 @@ class InferenceEngine:
             gcn = model.gcn_layer(idx)
             if gcn.activation != "relu":
                 raise ConfigError("serving engine expects ReLU GCN layers")
-            layer = _Layer(gcn_weight=gcn.weight.data,
+            layer = _Layer(gcn_weight=np.array(gcn.weight.data, order="C"),
                            skip_concat=gcn.skip_concat,
                            out_dim=gcn.output_dim)
             if self.kind == "cdgcn":
                 lstm = model.lstm_layer(idx)
-                layer.w_ih = lstm.w_ih.data
-                layer.w_hh = lstm.w_hh.data
-                layer.lstm_bias = lstm.bias.data
-                layer.hidden = lstm.hidden_size
-                layer.out_dim = lstm.hidden_size
+                hs = lstm.hidden_size
+                layer.w_ih = _gate_major(lstm.w_ih.data, hs)
+                layer.w_hh = _gate_major(lstm.w_hh.data, hs)
+                layer.lstm_bias = _gate_major(lstm.bias.data, hs)
+                layer.hidden = layer.out_dim = hs
             layers.append(layer)
         return layers
 
@@ -339,42 +425,71 @@ class InferenceEngine:
         return rows
 
     def _compute(self, rows: np.ndarray | None) -> None:
-        """(Re)compute model rows; ``rows=None`` means all vertices."""
+        """(Re)compute model rows; ``rows=None`` means all vertices.
+
+        Per layer: one SpMM for the rows' slice of ``Ã·x`` (the only
+        O(rows) temporary), then the dense epilogue one panel at a time
+        on the layer's :class:`_Panel` — projection, skip-concat + ReLU,
+        the RNN part, scatter into the cache.  Only the GEMMs run on
+        zero-padded tiles; an elementwise pass gives a row the same bits
+        whatever rows surround it, so those take the ``m`` live rows.
+        """
         cache = self.cache
         x = cache.features
-        for idx, layer in enumerate(self.layers):
+        for idx, (layer, panel) in enumerate(zip(self.layers, self._panels)):
             layer_rows = self._layer_rows(idx, rows)
-            sel = slice(None) if layer_rows is None else layer_rows
-            agg = self._aggregate(x, layer_rows)
-            if self.kind == "egcn":
-                y = np.maximum(agg @ self._current_weights[idx], 0.0)
-            elif layer.skip_concat:
-                proj = agg @ layer.gcn_weight
-                y = np.maximum(np.concatenate([agg, proj], axis=1), 0.0)
-            else:
-                y = np.maximum(agg @ layer.gcn_weight, 0.0)
-            out = self._temporal(idx, y, sel)
-            cache.layer_outputs[idx][sel] = out
-            x = cache.layer_outputs[idx]
+            n = self.num_vertices if layer_rows is None else len(layer_rows)
+            tiles = -(-n // TILE_ROWS)
+            with self.telemetry.trace("serve.aggregate", layer=idx, rows=n):
+                agg = self._aggregate(x, layer_rows)
+            weight = self._current_weights[idx] if self.kind == "egcn" \
+                else layer.gcn_weight
+            out = cache.layer_outputs[idx]
+            with self.telemetry.trace("serve.epilogue", layer=idx, rows=n,
+                                      tiles=tiles):
+                for lo in range(0, n, PANEL_ROWS):
+                    hi = min(lo + PANEL_ROWS, n)
+                    m = hi - lo
+                    sel = slice(lo, hi) if layer_rows is None \
+                        else layer_rows[lo:hi]
+                    _fill(panel.agg, agg[lo:hi])
+                    _gemm(panel.agg, weight, panel.proj, m)
+                    if layer.skip_concat:
+                        panel.y[:, :agg.shape[1]] = panel.agg
+                    np.maximum(panel.y[:m], 0.0, out=panel.y[:m])
+                    out[sel] = self._temporal(idx, panel, sel, m)
+            self.epilogue_rows += n
+            self.epilogue_tiles += tiles
+            x = out
 
-    def _temporal(self, idx: int, y: np.ndarray, sel) -> np.ndarray:
-        """Apply layer ``idx``'s RNN component to GCN rows ``y``."""
+    def _temporal(self, idx: int, panel: _Panel, sel,
+                  m: int) -> np.ndarray:
+        """Apply layer ``idx``'s RNN component to the GCN rows in
+        ``panel.y`` (its first ``m`` rows are vertices ``sel``, the rest
+        of their tile zero); returns the layer's ``m`` output rows, a
+        view of the scratch."""
         if self.kind == "cdgcn":
             layer = self.layers[idx]
             h_pre, c_pre = self.cache.pre_carry[idx]
-            gates = y @ layer.w_ih + h_pre[sel] @ layer.w_hh \
-                + layer.lstm_bias
-            hs = layer.hidden
-            i = _sigmoid(gates[:, 0 * hs:1 * hs])
-            f = _sigmoid(gates[:, 1 * hs:2 * hs])
-            g = np.tanh(gates[:, 2 * hs:3 * hs])
-            o = _sigmoid(gates[:, 3 * hs:4 * hs])
-            c = f * c_pre[sel] + i * g
-            h = o * np.tanh(c)
+            h, c = panel.h[:m], panel.c[:m]
+            gates, hh = panel.gates[:, :m], panel.hh[:, :m]
+            _fill(panel.h, h_pre[sel])
+            # (y·W_ih + h·W_hh) + b, one GEMM per gate and weight
+            _gemm(panel.y, layer.w_ih, panel.gates, m)
+            _gemm(panel.h, layer.w_hh, panel.hh, m)
+            gates += hh
+            gates += layer.lstm_bias
+            i, f, o = _sigmoid(gates[:3], gates[:3], hh[:3])
+            g = np.tanh(gates[3], out=gates[3])
+            np.multiply(f, c_pre[sel], out=c)            # c = f·c_pre + i·g
+            np.multiply(i, g, out=g)
+            c += g
+            np.multiply(o, np.tanh(c, out=g), out=h)
             h_post, c_post = self.cache.post_carry[idx]
             h_post[sel] = h
             c_post[sel] = c
             return h
+        y = panel.y[:m]
         if self.kind == "tmgcn":
             if self._current_y[idx] is None:
                 self._current_y[idx] = np.zeros(
@@ -383,12 +498,12 @@ class InferenceEngine:
             active = (self._history[idx][-(self.window - 1):]
                       if self.window > 1 else [])
             scale = 1.0 / (len(active) + 1)
-            out = y * scale
+            out, part = panel.out[:m], panel.frame[:m]
+            np.multiply(y, scale, out=out)
             for frame in active:
-                out = out + frame[sel] * scale
+                out += np.multiply(frame[sel], scale, out=part)
             return out
         return y  # egcn: no vertex-level recurrence
-
 
     # -- bookkeeping -------------------------------------------------------------------
     @property

@@ -491,6 +491,12 @@ class ModelServer(QueryFrontend):
         reg.counter("serve_engine_steps_total",
                     "Timestep boundaries the engine crossed").set_to(
             self.engine.steps)
+        reg.counter("serve_epilogue_rows_total",
+                    "Rows the engine's dense epilogue computed, summed "
+                    "over layers").set_to(self.engine.epilogue_rows)
+        reg.counter("serve_epilogue_tiles_total",
+                    "Fixed-shape tiles those rows ran in").set_to(
+            self.engine.epilogue_tiles)
         reg.gauge("serve_cache_dirty_rows",
                   "Rows invalidated and awaiting recompute").set(
             self.cache.num_dirty)

@@ -46,19 +46,19 @@ class ShardEngine(InferenceEngine):
 
     Parameters
     ----------
-    model / snapshot / k_hops:
-        As for :class:`InferenceEngine` (parameters are shared across
-        shards — serving replicates weights, not state).
+    model / snapshot / k_hops / telemetry / kernel_backend:
+        As for :class:`InferenceEngine` (every shard packs the same
+        weights — serving replicates weights, not state).
     block:
         Sorted vertex ids this shard owns and serves.
     """
 
     def __init__(self, model: DynamicGNN, snapshot: GraphSnapshot,
                  block: np.ndarray, k_hops: int | None = None, *,
-                 kernel_backend=None) -> None:
+                 telemetry=None, kernel_backend=None) -> None:
         self._block = np.asarray(block, dtype=np.int64)
         self._dist: np.ndarray | None = None
-        super().__init__(model, snapshot, k_hops,
+        super().__init__(model, snapshot, k_hops, telemetry=telemetry,
                          kernel_backend=kernel_backend)
 
     # -- halo geometry ---------------------------------------------------------------

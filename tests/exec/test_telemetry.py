@@ -167,6 +167,29 @@ def test_worker_maintainer_profile_is_harvested(world, backend):
     router.close()
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_worker_epilogue_is_visible_from_the_router(world, backend):
+    """The engine inside a worker reports through the worker's
+    telemetry: per-layer ``serve.aggregate`` / ``serve.epilogue`` spans
+    nest under ``worker.refresh`` and ``worker.finish_advance``, and the
+    epilogue row/tile counters arrive with the harvest."""
+    router = make_router(world, backend, tracing=True)
+    replay(router, world, stop=4)
+    router.harvest_telemetry()
+    for verb in ("worker.refresh", "worker.finish_advance"):
+        spans = [s for root in router.telemetry.tracer.roots
+                 for _, s in root.walk() if s.name == verb]
+        assert spans
+        assert any([c.name for c in s.children] ==
+                   ["serve.aggregate", "serve.epilogue"] * 2 for s in spans)
+    reg = router.telemetry.registry
+    for worker in ("0", "1"):
+        rows = reg.value("worker_epilogue_rows_total", worker=worker)
+        tiles = reg.value("worker_epilogue_tiles_total", worker=worker)
+        assert rows >= tiles > 0
+    router.close()
+
+
 def test_repeat_harvest_does_not_double_count(world):
     """harvest_telemetry at any cadence: deltas are merged exactly
     once, so idle harvests leave the cluster counters unchanged."""

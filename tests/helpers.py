@@ -150,3 +150,19 @@ def oracle_apply_diff(prev, diff):
             f"diff reconstruction produced {len(edges)} edges for "
             f"{len(diff.values)} values — prev snapshot mismatch?")
     return GraphSnapshot(n, edges, diff.values)
+
+
+# ---------------------------------------------------------------------------
+# dense-epilogue oracle: the masked two-branch logistic
+# ---------------------------------------------------------------------------
+# Until the fixed-shape tiled epilogue this was repro.serve.engine._sigmoid:
+# split by sign with boolean masks, one ``exp`` per branch.  The engine's
+# branch-free single-``exp`` form must match it bit for bit.
+
+def oracle_sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out

@@ -14,6 +14,7 @@ from repro.models import build_model
 from repro.nn.linear import Linear
 from repro.obs import Telemetry
 from repro.serve import ModelServer, events_between
+from repro.serve.engine import TILE_ROWS
 from repro.store import GraphStore
 from repro.train import (LinkPredictionTask, SingleDeviceTrainer,
                          TrainerConfig)
@@ -94,6 +95,32 @@ class TestModelServerWiring:
         stages = tel.stage_seconds()
         assert {"serve.ingest", "serve.query"} <= stages.keys()
         assert all(v >= 0.0 for v in stages.values())
+
+    def test_refresh_splits_into_aggregate_and_epilogue(self, stream):
+        """One ``serve.aggregate`` + one ``serve.epilogue`` span per
+        layer (never per tile) under every refresh and advance, and the
+        epilogue counter pair agrees with their attributes."""
+        model = build_model("cdgcn", in_features=2, seed=0)
+        tel = Telemetry(tracing=True)
+        server = ModelServer(model, stream[0], telemetry=tel)
+        _drive(server, stream, range(1, 4))
+        refreshes = [s for root in tel.tracer.roots
+                     for _, s in root.walk() if s.name == "serve.refresh"]
+        assert refreshes
+        for span in refreshes:
+            assert [c.name for c in span.children] == \
+                ["serve.aggregate", "serve.epilogue"] * model.num_layers
+            assert [c.attrs["layer"] for c in span.children] == [0, 0, 1, 1]
+        epilogues = [s for root in tel.tracer.roots
+                     for _, s in root.walk() if s.name == "serve.epilogue"]
+        for span in epilogues:
+            assert span.attrs["tiles"] == -(-span.attrs["rows"] // TILE_ROWS)
+        server.prometheus()
+        reg = tel.registry
+        assert reg.value("serve_epilogue_rows_total") == \
+            sum(s.attrs["rows"] for s in epilogues)
+        assert reg.value("serve_epilogue_tiles_total") == \
+            sum(s.attrs["tiles"] for s in epilogues)
 
     def test_disabled_tracing_keeps_metrics(self, stream):
         """Metrics flow even with the span fast path off (default)."""
