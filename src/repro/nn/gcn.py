@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor import Module, Parameter, Tensor, functional as F, init, ops
+from repro.tensor import Module, Parameter, Tensor, functional as F, init
 from repro.tensor.sparse import SparseMatrix, spmm
 
 __all__ = ["GCNLayer", "gcn_spmm_flops", "gcn_dense_flops"]
@@ -71,14 +71,8 @@ class GCNLayer(Module):
 
     def forward_precomputed(self, aggregated: Tensor) -> Tensor:
         """Apply the parameterized part to a pre-computed ``Ã·X``."""
-        projected = aggregated @ self.weight
-        if self.skip_concat:
-            out = ops.concat([aggregated, projected], axis=1)
-        else:
-            out = projected
-        if self.activation == "relu":
-            out = F.relu(out)
-        return out
+        return F.gcn_project(aggregated, self.weight, self.skip_concat,
+                             relu=self.activation == "relu")
 
     def forward_with_weight(self, laplacian: SparseMatrix, x: Tensor,
                             weight: Tensor,
@@ -87,10 +81,8 @@ class GCNLayer(Module):
         (optionally over a pre-computed / reuse-patched ``Ã·X``)."""
         aggregated = precomputed if precomputed is not None \
             else spmm(laplacian, x)
-        projected = aggregated @ weight
-        if self.activation == "relu":
-            projected = F.relu(projected)
-        return projected
+        return F.gcn_project(aggregated, weight,
+                             relu=self.activation == "relu")
 
     # -- cost model ---------------------------------------------------------------
     def flops(self, nnz: int, rows: int) -> tuple[float, float]:

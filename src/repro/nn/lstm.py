@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor import Module, Parameter, Tensor, functional as F, init, ops
+from repro.tensor import Module, Parameter, Tensor, functional as F, init
 
 __all__ = ["LSTMCell", "WeightLSTMCell", "lstm_flops"]
 
@@ -57,15 +57,7 @@ class LSTMCell(Module):
     def forward(self, x: Tensor,
                 state: tuple[Tensor, Tensor]) -> tuple[Tensor,
                                                        tuple[Tensor, Tensor]]:
-        h_prev, c_prev = state
-        gates = x @ self.w_ih + h_prev @ self.w_hh + self.bias
-        hs = self.hidden_size
-        i = F.sigmoid(gates[:, 0 * hs:1 * hs])
-        f = F.sigmoid(gates[:, 1 * hs:2 * hs])
-        g = F.tanh(gates[:, 2 * hs:3 * hs])
-        o = F.sigmoid(gates[:, 3 * hs:4 * hs])
-        c = f * c_prev + i * g
-        h = o * F.tanh(c)
+        h, c = F.lstm_cell(x, *state, self.w_ih, self.w_hh, self.bias)
         return h, (h, c)
 
     def run_sequence(self, xs: list[Tensor],

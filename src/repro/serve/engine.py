@@ -61,6 +61,7 @@ from repro.models.evolvegcn import EvolveGCN
 from repro.models.tmgcn import TMGCN
 from repro.obs import Telemetry
 from repro.serve.cache import EmbeddingCache
+from repro.tensor.functional import _sigmoid, lstm_cell_forward
 
 __all__ = ["InferenceEngine"]
 
@@ -73,23 +74,6 @@ __all__ = ["InferenceEngine"]
 # that chose both is in docs/kernels.md, "Dense epilogue".
 TILE_ROWS = 64
 PANEL_ROWS = 4 * TILE_ROWS
-
-
-def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
-             e: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function, branch-free with a single ``exp``:
-    ``e = exp(-|z|); max(e, [z >= 0]) / (1 + e)``.  Bit-identical to the
-    masked two-branch form (``tests/helpers.py::oracle_sigmoid``) on
-    every float64.  ``out`` (which may be ``z``) and the scratch ``e``
-    make it allocation-free."""
-    e = np.abs(z, out=e)
-    np.exp(np.negative(e, out=e), out=e)
-    if out is None:
-        out = np.empty_like(e)
-    np.greater_equal(z, 0.0, out=out)
-    np.maximum(out, e, out=out)
-    e += 1.0
-    return np.divide(out, e, out=out)
 
 
 @dataclass
@@ -384,15 +368,9 @@ class InferenceEngine:
         for idx in range(self.model.num_layers):
             cell = self.model.evolver(idx).cell
             h_prev, c_prev = self._weight_state[idx]
-            gates = (h_prev @ cell.w_ih.data + h_prev @ cell.w_hh.data
-                     + cell.bias.data)
-            hs = cell.hidden_size
-            i = _sigmoid(gates[:, 0 * hs:1 * hs])
-            f = _sigmoid(gates[:, 1 * hs:2 * hs])
-            g = np.tanh(gates[:, 2 * hs:3 * hs])
-            o = _sigmoid(gates[:, 3 * hs:4 * hs])
-            c = f * c_prev + i * g
-            h = o * np.tanh(c)
+            h, c, _, _ = lstm_cell_forward(
+                h_prev, h_prev, c_prev, cell.w_ih.data, cell.w_hh.data,
+                cell.bias.data)
             self._weight_state[idx] = (h, c)
             self._current_weights[idx] = h
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.errors import ShapeError
 from repro.tensor.tensor import Tensor, as_tensor
@@ -156,6 +157,14 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return Tensor._make(out, (a,), backward)
 
 
+def _is_basic_index(index) -> bool:
+    """Slices, ints, ``...`` and ``None`` (or a tuple of them) select each
+    element at most once."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(isinstance(p, (slice, int, np.integer)) or p is None
+               or p is Ellipsis for p in parts)
+
+
 def getitem(a, index) -> Tensor:
     a = as_tensor(a)
     out = a.data[index]
@@ -163,8 +172,24 @@ def getitem(a, index) -> Tensor:
     dtype = a.data.dtype
 
     def backward(g):
-        full = np.zeros(shape, dtype=dtype)
-        np.add.at(full, index, g)
+        if _is_basic_index(index):
+            # nothing repeats: scatter by assignment
+            full = np.zeros(shape, dtype=dtype)
+            full[index] = g
+        elif isinstance(index, np.ndarray) and index.ndim == 1 \
+                and index.dtype.kind in "iu":
+            # row gather: the transposed gather matrix is CSC, whose
+            # product walks the index positions in order, so duplicates
+            # accumulate exactly as np.add.at would add them
+            count, width = len(index), int(np.prod(shape[1:]))
+            gather = sp.csr_matrix(
+                (np.ones(count, dtype=dtype),
+                 np.where(index < 0, index + shape[0], index),
+                 np.arange(count + 1)), shape=(count, shape[0]))
+            full = (gather.T @ g.reshape(count, width)).reshape(shape)
+        else:
+            full = np.zeros(shape, dtype=dtype)
+            np.add.at(full, index, g)
         return (full,)
 
     return Tensor._make(np.asarray(out), (a,), backward)

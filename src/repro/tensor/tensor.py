@@ -175,7 +175,7 @@ class Tensor:
         self.grad = None
 
     # -- backward pass ---------------------------------------------------------
-    def backward(self, grad: np.ndarray | None = None) -> None:
+    def backward(self, grad: np.ndarray | None = None) -> int:
         """Backpropagate from this tensor through the recorded tape.
 
         Parameters
@@ -183,6 +183,10 @@ class Tensor:
         grad:
             Upstream gradient.  Defaults to 1 for scalar tensors; required
             for non-scalars (mirrors the usual autograd contract).
+
+        Returns the number of tape nodes the sweep visited (leaves that
+        require a gradient included) — the size of the recorded graph,
+        which the trainers export as ``train_tape_nodes``.
         """
         if not self.requires_grad:
             raise GradientError(
@@ -223,6 +227,7 @@ class Tensor:
                 node._accumulate(g)
             if node._backward is not None:
                 node._backward_into(g, grads)
+        return len(topo)
 
     def _backward_into(self, g: np.ndarray,
                        grads: dict[int, np.ndarray]) -> None:

@@ -90,6 +90,8 @@ class CheckpointResult:
     # the backward schedule) — what the training bench reports as
     # per-epoch forward time
     forward_seconds: float = 0.0
+    # tape nodes visited, summed over the per-block backward sweeps
+    tape_nodes: int = 0
 
 
 class CheckpointRunner:
@@ -156,6 +158,7 @@ class CheckpointRunner:
 
         # ---- phase 2: reverse sweep with per-block re-run ------------------
         future_grads: list[np.ndarray] | None = None
+        tape_nodes = 0
         for b in range(nb - 1, -1, -1):
             lo, hi = ranges[b]
             carry_in = _leafify(carries[b])
@@ -184,7 +187,7 @@ class CheckpointRunner:
             if objective is None or not objective.requires_grad:
                 future_grads = [None] * len(in_leaves)
                 continue
-            objective.backward()
+            tape_nodes += objective.backward()
             future_grads = [leaf.grad for leaf in in_leaves]
 
         # route the gradient w.r.t. the initial carry into any learnable
@@ -199,7 +202,7 @@ class CheckpointRunner:
         return CheckpointResult(
             loss=total_loss, num_blocks=nb, peak_live_timesteps=bsize,
             carry_bytes=sum(carry_nbytes(c) for c in carries[1:]),
-            forward_seconds=forward_s)
+            forward_seconds=forward_s, tape_nodes=tape_nodes)
 
 
 # ---------------------------------------------------------------------------

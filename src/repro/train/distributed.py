@@ -785,7 +785,7 @@ class DistributedTrainer:
                     loss, last_embed = self._snapshot_epoch_forward()
             forward_wall = time.perf_counter() - t0
             with self.telemetry.trace("train.backward"):
-                loss.backward()
+                tape_nodes = loss.backward()
         finally:
             if self.reuse is not None:
                 self.reuse.release()
@@ -828,6 +828,7 @@ class DistributedTrainer:
                 self.cluster.comm.full_equivalent_units("allgather")),
             agg_flops=agg_flops,
             agg_flops_full_equivalent=agg_full,
+            tape_nodes=tape_nodes,
         )
         collect_epoch_metrics(self.telemetry, result,
                               self.reuse.stats if self.reuse is not None

@@ -38,6 +38,10 @@ class EpochResult:
     # always-full execution would have (cache-reported; 0 when off)
     agg_flops: float = 0.0
     agg_flops_full_equivalent: float = 0.0
+    # autograd tape nodes the epoch's backward sweeps visited: a
+    # deterministic size of the recorded graph (a dense stage falling
+    # back to composed ops shows here, not in a timing)
+    tape_nodes: int = 0
 
     @property
     def gd_savings_ratio(self) -> float:
@@ -105,6 +109,9 @@ def collect_epoch_metrics(telemetry, result: EpochResult,
     reg.gauge("train_peak_memory_bytes",
               "Peak device-ledger bytes last epoch").set(
         result.peak_memory_bytes)
+    reg.gauge("train_tape_nodes",
+              "Autograd tape nodes last epoch's backward visited").set(
+        result.tape_nodes)
     if reuse_stats is None:
         return
     # per-timestep aggregation decisions, labeled by how each

@@ -235,7 +235,7 @@ class SingleDeviceTrainer:
                 forward_wall = time.perf_counter() - t0
                 loss = self.task.loss_full(outs)
                 with self.telemetry.trace("train.backward"):
-                    loss.backward()
+                    tape_nodes = loss.backward()
                 loss_value = loss.item()
                 final_embed = outs[-1]
             else:
@@ -246,6 +246,7 @@ class SingleDeviceTrainer:
                     result = self._runner.run_epoch(laps, frames,
                                                     self.task.loss_block)
                 loss_value = result.loss
+                tape_nodes = result.tape_nodes
                 t0 = time.perf_counter()
                 final_embed = self._runner.forward_streaming(
                     laps, frames)[-1]
@@ -279,6 +280,7 @@ class SingleDeviceTrainer:
             forward_wall_s=forward_wall,
             agg_flops=agg_flops,
             agg_flops_full_equivalent=agg_full,
+            tape_nodes=tape_nodes,
         )
         collect_epoch_metrics(self.telemetry, result,
                               self.reuse.stats if self.reuse is not None

@@ -166,3 +166,35 @@ def oracle_sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+# ---------------------------------------------------------------------------
+# training dense-path oracles: the composed-op cell and GCN projection
+# ---------------------------------------------------------------------------
+# Until the fused tape nodes (repro.tensor.functional.lstm_cell /
+# gcn_project) these were the bodies of LSTMCell.forward and
+# GCNLayer.forward_precomputed: 17 and 3 tape nodes of elementary ops.
+# The fused primitives must match them: to the bit while the rows fit
+# one panel, to summation order above it (tests/nn/test_fused_ops.py).
+
+def oracle_lstm_cell(x, h_prev, c_prev, w_ih, w_hh, bias):
+    from repro.tensor import functional as F
+
+    gates = x @ w_ih + h_prev @ w_hh + bias
+    hs = c_prev.shape[1]
+    i = F.sigmoid(gates[:, 0 * hs:1 * hs])
+    f = F.sigmoid(gates[:, 1 * hs:2 * hs])
+    g = F.tanh(gates[:, 2 * hs:3 * hs])
+    o = F.sigmoid(gates[:, 3 * hs:4 * hs])
+    c = f * c_prev + i * g
+    h = o * F.tanh(c)
+    return h, c
+
+
+def oracle_gcn_project(aggregated, weight, skip_concat=False, relu=True):
+    from repro.tensor import functional as F, ops
+
+    out = aggregated @ weight
+    if skip_concat:
+        out = ops.concat([aggregated, out], axis=1)
+    return F.relu(out) if relu else out

@@ -4,6 +4,7 @@ gradcheck with hypothesis."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import ShapeError
 from repro.tensor import Tensor, ops
@@ -232,3 +233,30 @@ class TestPropertyBased:
         cat.sum().backward()
         np.testing.assert_array_equal(x.grad, np.ones_like(m))
         np.testing.assert_array_equal(y.grad, np.ones_like(m))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_getitem_gradient_matches_scatter_add_oracle(self, data):
+        """Basic indices scatter by assignment and a 1-D row gather by
+        an ordered sparse product; both must equal ``np.add.at`` (the
+        fallback for every other index form) bit for bit — duplicates
+        add in index-position order, negatives wrap."""
+        shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3,
+                                           min_side=1, max_side=5))
+        rows = st.integers(-shape[0], shape[0] - 1)
+        index = data.draw(st.one_of(
+            hnp.basic_indices(shape, allow_newaxis=True,
+                              allow_ellipsis=True),
+            rows,
+            hnp.arrays(np.int64, st.integers(0, 12), elements=rows),
+            hnp.arrays(np.int32, st.integers(1, 12), elements=rows),
+            hnp.arrays(bool, shape[0]),
+            hnp.integer_array_indices(shape)))
+        g = np.random.default_rng(data.draw(st.integers(0, 99)))
+        x = Tensor(g.normal(size=shape), requires_grad=True)
+        out = x[index]
+        upstream = g.normal(size=out.shape)
+        out.backward(upstream)
+        want = np.zeros(shape)
+        np.add.at(want, index, upstream)
+        np.testing.assert_array_equal(x.grad, want)
