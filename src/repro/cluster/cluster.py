@@ -77,11 +77,6 @@ class Cluster:
     def peak_memory(self) -> int:
         return max(d.peak_in_use for d in self.devices)
 
-    def barrier(self) -> None:
-        latest = max(c.now for c in self.clocks)
-        for c in self.clocks:
-            c.wait_until(latest, "comm")
-
     def reset(self) -> None:
         for d in self.devices:
             d.reset()

@@ -164,28 +164,6 @@ class Communicator:
                                      wall, full_equivalent_bytes=full_bytes))
         return wall
 
-    def all_to_all(self, buffers: list[list[np.ndarray]],
-                   label: str = "redistribution"
-                   ) -> list[list[np.ndarray]]:
-        """Exchange actual arrays: ``buffers[src][dst]`` → result[dst][src].
-
-        The data really moves (the receiving side gets the sender's
-        arrays), so downstream computation is numerically faithful, and
-        the byte matrix is derived from the true array sizes.
-        """
-        p = self.num_ranks
-        if len(buffers) != p or any(len(row) != p for row in buffers):
-            raise CommunicationError(
-                f"buffers must be a {p}×{p} nested list")
-        payload = np.zeros((p, p))
-        for src in range(p):
-            for dst in range(p):
-                arr = buffers[src][dst]
-                if arr is not None:
-                    payload[src, dst] = arr.nbytes
-        self.all_to_all_bytes(payload, label=label)
-        return [[buffers[src][dst] for src in range(p)] for dst in range(p)]
-
     # -- all-reduce ---------------------------------------------------------------------
     def all_reduce_sum(self, arrays: list[np.ndarray],
                        label: str = "gradient") -> np.ndarray:
@@ -216,29 +194,6 @@ class Communicator:
         moved = int(2 * (p - 1) / p * nbytes * p) if p > 1 else 0
         self.events.append(CommEvent("all_reduce", label, moved, seconds))
         return total
-
-    def broadcast(self, array: np.ndarray, root: int = 0,
-                  label: str = "broadcast") -> list[np.ndarray]:
-        """Root sends its array to every rank (tree broadcast model)."""
-        p = self.num_ranks
-        if not 0 <= root < p:
-            raise CommunicationError(f"root {root} out of range")
-        nbytes = array.nbytes
-        spec = self.spec
-        if p > 1:
-            multi_node = spec.node_of(p - 1) != spec.node_of(0)
-            bw = spec.inter_bandwidth if multi_node else spec.intra_bandwidth
-            lat = spec.inter_latency if multi_node else spec.intra_latency
-            hops = int(np.ceil(np.log2(p)))
-            seconds = hops * (nbytes / bw + lat)
-        else:
-            seconds = 0.0
-        for c in self.clocks:
-            c.advance("comm", seconds)
-        self._barrier()
-        self.events.append(
-            CommEvent("broadcast", label, nbytes * (p - 1), seconds))
-        return [array.copy() for _ in range(p)]
 
     def collect_metrics(self, reg) -> None:
         """Mirror the volume ledger into a metrics registry as labeled

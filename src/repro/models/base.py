@@ -7,11 +7,15 @@ consumes a contiguous run of timesteps plus a *carry* — the ``π_b``
 payload of paper Fig. 2 (RNN states and trailing window frames) — and
 returns the embeddings plus the carry for the next block.  Running a
 single block over the whole timeline recovers the plain forward pass.
+A block is one loop over ``layer_block``, the model's only numeric
+step: every trainer — sequential, checkpointed, distributed — drives
+that same step, so a data distribution is a cost model over it, never
+a second forward (paper §6.4).
 
 Two model kinds exist, distinguished by ``kind``:
 
 * ``"gcn_rnn"`` (CD-GCN, TM-GCN) — the RNN works on vertex features, so
-  the distributed engine must redistribute between the GCN and RNN
+  the snapshot distribution must redistribute between the GCN and RNN
   stages (§4.2);
 * ``"evolve"`` (EvolveGCN) — the recurrence runs over the *replicated*
   GCN weights, making every stage communication-free (§5.5).
@@ -52,21 +56,31 @@ def detach_carry(carry: Any) -> Any:
 class DynamicGNN(Module):
     """Base class for the three paper models.
 
-    Subclasses set ``kind``, ``embed_dim`` and ``num_layers`` and
-    implement the block protocol below.
+    Subclasses set ``kind``, ``embed_dim`` and ``num_layers``, expose
+    their per-layer :class:`~repro.nn.gcn.GCNLayer` as ``gcn_layer(idx)``
+    and implement ``init_carry`` and ``layer_block``.
     """
 
     kind: str = "gcn_rnn"
     embed_dim: int
     num_layers: int
 
-    # -- block protocol (must be implemented) ---------------------------------------
+    # -- block protocol (init_carry and layer_block must be implemented) ------------
     def init_carry(self, rows: int) -> list:
         """Fresh per-layer carry for a timeline starting at t=0.
 
         ``rows`` is the number of vertex rows the RNN will see (``N`` on
         a single device, ``N/P`` per rank under redistribution).
         """
+        raise NotImplementedError
+
+    def layer_block(self, idx: int, laplacians: list[SparseMatrix],
+                    xs: list[Tensor], state: Any,
+                    t0: int = 0) -> tuple[list[Tensor], Any]:
+        """Layer ``idx`` over one contiguous block of timesteps: the GCN
+        stage of every snapshot (through :meth:`aggregate`, keyed by the
+        global timestep ``t0 + i``), then the recurrence from ``state``
+        (``carry[idx]``).  Returns the layer's outputs and new state."""
         raise NotImplementedError
 
     def forward_block(self, laplacians: list[SparseMatrix],
@@ -77,7 +91,12 @@ class DynamicGNN(Module):
         ``t0`` is the block's global starting timestep — the index the
         aggregation hook (cross-timestep reuse) keys its cache by.
         """
-        raise NotImplementedError
+        xs, new_carry = frames, []
+        for idx in range(self.num_layers):
+            xs, state = self.layer_block(idx, laplacians, xs, carry[idx],
+                                         t0)
+            new_carry.append(state)
+        return xs, new_carry
 
     # -- aggregation hook (cross-timestep reuse) -----------------------------------
     def set_aggregation_hook(self, hook) -> None:
@@ -86,7 +105,8 @@ class DynamicGNN(Module):
         :func:`~repro.tensor.sparse.spmm`.  The training tier points
         this at an :class:`~repro.train.reuse.AggregationCache` so
         ``Ã_t·X`` products are patched from the previous timestep
-        instead of recomputed in full."""
+        instead of recomputed in full; the distributed trainer also
+        charges each call to its cost plan from here."""
         self._agg_hook = hook
 
     def aggregate(self, idx: int, t: int, laplacian: SparseMatrix,
@@ -131,7 +151,12 @@ class DynamicGNN(Module):
     # -- cost model (per single timestep) ------------------------------------------------
     def gcn_flops_per_step(self, nnz: int, rows: int) -> tuple[float, float]:
         """(sparse, dense) FLOPs of all GCN components at one timestep."""
-        raise NotImplementedError
+        sparse = dense = 0.0
+        for idx in range(self.num_layers):
+            s, d = self.gcn_layer(idx).flops(nnz, rows)
+            sparse += s
+            dense += d
+        return sparse, dense
 
     def rnn_flops_per_step(self, rows: int) -> float:
         """Dense FLOPs of all RNN components at one timestep."""

@@ -19,8 +19,6 @@ from repro.errors import ConfigError
 from repro.models.base import DynamicGNN
 from repro.nn.gcn import GCNLayer
 from repro.nn.lstm import LSTMCell
-from repro.tensor import Tensor
-from repro.tensor.sparse import SparseMatrix
 
 __all__ = ["CDGCN"]
 
@@ -69,40 +67,16 @@ class CDGCN(DynamicGNN):
     def lstm_layer(self, idx: int) -> LSTMCell:
         return getattr(self, f"lstm{idx}")
 
-    # -- distributed-engine hooks -----------------------------------------------------
-    def gcn_forward(self, idx: int, laplacian: SparseMatrix, frame: Tensor,
-                    precomputed: Tensor | None = None) -> Tensor:
-        """One snapshot through layer ``idx``'s GCN (optionally reusing a
-        pre-computed ``Ã·X`` per §5.5)."""
-        gcn = self.gcn_layer(idx)
-        if precomputed is not None:
-            return gcn.forward_precomputed(precomputed)
-        return gcn(laplacian, frame)
-
-    def rnn_block(self, idx: int, frames: list[Tensor],
-                  state: tuple[Tensor, Tensor]
-                  ) -> tuple[list[Tensor], tuple[Tensor, Tensor]]:
-        return self.lstm_layer(idx).run_sequence(frames, state)
-
-    def rnn_init(self, idx: int, rows: int) -> tuple[Tensor, Tensor]:
-        return self.lstm_layer(idx).init_state(rows)
-
     # -- block protocol ------------------------------------------------------------------
     def init_carry(self, rows: int) -> list:
-        return [self.rnn_init(idx, rows) for idx in range(self.num_layers)]
+        return [self.lstm_layer(idx).init_state(rows)
+                for idx in range(self.num_layers)]
 
-    def forward_block(self, laplacians, frames, carry, t0: int = 0):
-        xs = frames
-        new_carry = []
-        for idx in range(self.num_layers):
-            gcn = self.gcn_layer(idx)
-            ys = [gcn.forward_precomputed(
-                      self.aggregate(idx, t0 + i, lap, x))
-                  for i, (lap, x) in enumerate(zip(laplacians, xs))]
-            ys, state = self.rnn_block(idx, ys, carry[idx])
-            new_carry.append(state)
-            xs = ys
-        return xs, new_carry
+    def layer_block(self, idx, laplacians, xs, state, t0: int = 0):
+        gcn = self.gcn_layer(idx)
+        ys = [gcn.forward_precomputed(self.aggregate(idx, t0 + i, lap, x))
+              for i, (lap, x) in enumerate(zip(laplacians, xs))]
+        return self.lstm_layer(idx).run_sequence(ys, state)
 
     def reuse_profile(self) -> list:
         # the per-vertex LSTM re-mixes every row's state at every
@@ -110,14 +84,6 @@ class CDGCN(DynamicGNN):
         return ["dense"] * self.num_layers
 
     # -- cost model ------------------------------------------------------------------------
-    def gcn_flops_per_step(self, nnz: int, rows: int) -> tuple[float, float]:
-        sparse = dense = 0.0
-        for idx in range(self.num_layers):
-            s, d = self.gcn_layer(idx).flops(nnz, rows)
-            sparse += s
-            dense += d
-        return sparse, dense
-
     def rnn_flops_per_step(self, rows: int) -> float:
         return sum(self.lstm_layer(idx).flops(rows)
                    for idx in range(self.num_layers))

@@ -20,7 +20,6 @@ from repro.models.base import DynamicGNN
 from repro.nn.gcn import GCNLayer
 from repro.nn.lstm import WeightLSTMCell
 from repro.tensor import Tensor
-from repro.tensor.sparse import SparseMatrix
 
 __all__ = ["EvolveGCN"]
 
@@ -75,30 +74,18 @@ class EvolveGCN(DynamicGNN):
             weights.append(w)
         return weights, state
 
-    def gcn_with_weight(self, idx: int, laplacian: SparseMatrix,
-                        frame: Tensor, weight: Tensor) -> Tensor:
-        return self.gcn_layer(idx).forward_with_weight(laplacian, frame,
-                                                       weight)
-
     # -- block protocol -----------------------------------------------------------------
     def init_carry(self, rows: int) -> list:
         # carry is per-layer weight-LSTM state; `rows` is irrelevant here
         return [self.weight_init(idx) for idx in range(self.num_layers)]
 
-    def forward_block(self, laplacians, frames, carry, t0: int = 0):
-        xs = frames
-        new_carry = []
-        for idx in range(self.num_layers):
-            weights, state = self.evolve_weights(idx, len(laplacians),
-                                                 carry[idx])
-            gcn = self.gcn_layer(idx)
-            xs = [gcn.forward_with_weight(
-                      lap, x, w,
-                      precomputed=self.aggregate(idx, t0 + i, lap, x))
-                  for i, (lap, x, w) in enumerate(zip(laplacians, xs,
-                                                      weights))]
-            new_carry.append(state)
-        return xs, new_carry
+    def layer_block(self, idx, laplacians, xs, state, t0: int = 0):
+        weights, state = self.evolve_weights(idx, len(laplacians), state)
+        gcn = self.gcn_layer(idx)
+        ys = [gcn.forward_with_weight(
+                  lap, x, w, precomputed=self.aggregate(idx, t0 + i, lap, x))
+              for i, (lap, x, w) in enumerate(zip(laplacians, xs, weights))]
+        return ys, state
 
     def reuse_profile(self) -> list:
         # W_t evolves at every timestep, so every row of a layer's
@@ -106,14 +93,6 @@ class EvolveGCN(DynamicGNN):
         return ["dense"] * self.num_layers
 
     # -- cost model ------------------------------------------------------------------------
-    def gcn_flops_per_step(self, nnz: int, rows: int) -> tuple[float, float]:
-        sparse = dense = 0.0
-        for idx in range(self.num_layers):
-            s, d = self.gcn_layer(idx).flops(nnz, rows)
-            sparse += s
-            dense += d
-        return sparse, dense
-
     def rnn_flops_per_step(self, rows: int) -> float:
         """Weight-LSTM cost: independent of the vertex count."""
         return sum(self.evolver(idx).flops(self.gcn_layer(idx).in_features)
@@ -123,7 +102,3 @@ class EvolveGCN(DynamicGNN):
         per_layer = sum(self.gcn_layer(i).out_features
                         for i in range(self.num_layers))
         return int(4 * rows * per_layer)  # fp32 activations
-
-    def gradient_nbytes(self) -> int:
-        """Size of the gradient all-reduce buffer (tiny, per §5.5)."""
-        return sum(p.nbytes for p in self.parameters())

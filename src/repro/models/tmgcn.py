@@ -15,8 +15,6 @@ from repro.errors import ConfigError
 from repro.models.base import DynamicGNN
 from repro.nn.gcn import GCNLayer
 from repro.nn.mproduct import m_transform_flops, m_transform_frames
-from repro.tensor import Tensor
-from repro.tensor.sparse import SparseMatrix
 
 __all__ = ["TMGCN"]
 
@@ -56,37 +54,16 @@ class TMGCN(DynamicGNN):
     def gcn_layer(self, idx: int) -> GCNLayer:
         return getattr(self, f"gcn{idx}")
 
-    # -- distributed-engine hooks ---------------------------------------------------
-    def gcn_forward(self, idx: int, laplacian: SparseMatrix, frame: Tensor,
-                    precomputed: Tensor | None = None) -> Tensor:
-        gcn = self.gcn_layer(idx)
-        if precomputed is not None:
-            return gcn.forward_precomputed(precomputed)
-        return gcn(laplacian, frame)
-
-    def rnn_block(self, idx: int, frames: list[Tensor],
-                  state: list[Tensor]) -> tuple[list[Tensor], list[Tensor]]:
-        return m_transform_frames(frames, self.window, history=state)
-
-    def rnn_init(self, idx: int, rows: int) -> list[Tensor]:
-        return []  # empty history at the start of the timeline
-
     # -- block protocol -----------------------------------------------------------------
     def init_carry(self, rows: int) -> list:
-        return [self.rnn_init(idx, rows) for idx in range(self.num_layers)]
+        # empty frame history at the start of the timeline
+        return [[] for _ in range(self.num_layers)]
 
-    def forward_block(self, laplacians, frames, carry, t0: int = 0):
-        xs = frames
-        new_carry = []
-        for idx in range(self.num_layers):
-            gcn = self.gcn_layer(idx)
-            ys = [gcn.forward_precomputed(
-                      self.aggregate(idx, t0 + i, lap, x))
-                  for i, (lap, x) in enumerate(zip(laplacians, xs))]
-            ys, history = self.rnn_block(idx, ys, carry[idx])
-            new_carry.append(history)
-            xs = ys
-        return xs, new_carry
+    def layer_block(self, idx, laplacians, xs, state, t0: int = 0):
+        gcn = self.gcn_layer(idx)
+        ys = [gcn.forward_precomputed(self.aggregate(idx, t0 + i, lap, x))
+              for i, (lap, x) in enumerate(zip(laplacians, xs))]
+        return m_transform_frames(ys, self.window, history=state)
 
     def reuse_profile(self) -> list:
         # the M-transform is a trailing-window average over GCN outputs
@@ -96,14 +73,6 @@ class TMGCN(DynamicGNN):
         return [("window", self.window)] * self.num_layers
 
     # -- cost model -----------------------------------------------------------------------
-    def gcn_flops_per_step(self, nnz: int, rows: int) -> tuple[float, float]:
-        sparse = dense = 0.0
-        for idx in range(self.num_layers):
-            s, d = self.gcn_layer(idx).flops(nnz, rows)
-            sparse += s
-            dense += d
-        return sparse, dense
-
     def rnn_flops_per_step(self, rows: int) -> float:
         return sum(m_transform_flops(rows, self.gcn_layer(idx).out_features,
                                      self.window)

@@ -2,7 +2,7 @@
 
 from repro.train.preprocess import (apply_edge_life, apply_mproduct_smoothing,
                                     compute_laplacians, degree_features,
-                                    precompute_aggregation, smooth_for_model)
+                                    smooth_for_model)
 from repro.train.checkpoint import (CheckpointRunner, ModelCheckpoint,
                                     carry_nbytes, flatten_tensors,
                                     load_model_checkpoint,
@@ -14,7 +14,7 @@ from repro.train.distributed import DistConfig, DistributedTrainer
 
 __all__ = [
     "degree_features", "apply_edge_life", "apply_mproduct_smoothing",
-    "compute_laplacians", "precompute_aggregation", "smooth_for_model",
+    "compute_laplacians", "smooth_for_model",
     "CheckpointRunner", "carry_nbytes", "flatten_tensors",
     "ModelCheckpoint", "save_model_checkpoint", "load_model_checkpoint",
     "LinkPredictionTask", "NodeClassificationTask",

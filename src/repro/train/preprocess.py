@@ -7,9 +7,9 @@
 * :func:`apply_mproduct_smoothing` — TM-GCN's smoothing: the sparse
   adjacency tensor (and optionally the features) is M-transformed along
   the timeline.
-* :func:`compute_laplacians` / :func:`precompute_aggregation` — Eq. 1
-  operators and the §5.5 trick of pre-computing the parameter-free
-  ``Ã·X`` of the first layer once before training.
+* :func:`compute_laplacians` — the Eq. 1 operators.  (The §5.5 trick
+  of computing the parameter-free first layer's ``Ã·X`` once is the
+  reuse cache's memo path, :mod:`repro.train.reuse`.)
 
 Both smoothing operations *increase* the overlap between consecutive
 snapshots — the property that magnifies graph-difference gains for
@@ -30,7 +30,7 @@ from repro.tensor.sparse import SparseMatrix
 
 __all__ = ["degree_features", "apply_edge_life", "apply_mproduct_smoothing",
            "compute_laplacians", "compute_laplacians_with_diffs",
-           "precompute_aggregation", "smooth_for_model"]
+           "smooth_for_model"]
 
 
 def degree_features(dtdg: DTDG) -> list[np.ndarray]:
@@ -144,13 +144,3 @@ def compute_laplacians_with_diffs(dtdg: DTDG, *, backend=None):
         maintainer.update(snap, diff)
         laplacians.append(maintainer.export())
     return laplacians, diffs
-
-
-def precompute_aggregation(laplacians: list[SparseMatrix],
-                           frames: list[np.ndarray]) -> list[np.ndarray]:
-    """§5.5: the first layer's ``Ã·X`` is parameter-free — compute it
-    once and reuse it every epoch."""
-    if len(laplacians) != len(frames):
-        raise ConfigError("laplacian/frame count mismatch")
-    return [lap.backend.spmm(lap.csr, np.asarray(frame)) for lap, frame
-            in zip(laplacians, frames)]

@@ -107,8 +107,9 @@ class SingleDeviceTrainer:
     @classmethod
     def from_store(cls, model: DynamicGNN, store, task_factory,
                    config: TrainerConfig, device: Device | None = None, *,
-                   start: int = 0, stop: int | None = None
-                   ) -> "SingleDeviceTrainer":
+                   start: int = 0, stop: int | None = None,
+                   telemetry: Telemetry | None = None,
+                   kernel_backend=None) -> "SingleDeviceTrainer":
         """Train over a :class:`~repro.store.store.GraphStore` window.
 
         ``store.window(start, stop)`` hands the trainer a lazy
@@ -118,7 +119,8 @@ class SingleDeviceTrainer:
         up front.  ``task_factory(dtdg)`` builds the training task over
         the view (tasks need the timeline to draw their samples)."""
         view = store.window(start, stop)
-        return cls(model, view, task_factory(view), config, device)
+        return cls(model, view, task_factory(view), config, device,
+                   telemetry=telemetry, kernel_backend=kernel_backend)
 
     # -- memory & transfer accounting -------------------------------------------------
     def _input_bytes(self, lo: int, hi: int) -> int:

@@ -168,12 +168,6 @@ class TestEvolveGCNSpecifics:
         assert len(weights) == 3
         assert not np.allclose(weights[0].data, weights[1].data)
 
-    def test_gradient_nbytes_small(self):
-        model = EvolveGCN(F_IN, hidden=4, embed_dim=3,
-                          rng=np.random.default_rng(0))
-        # "the weight matrices are small": well under a typical frame
-        assert model.gradient_nbytes() < 8 * 10000 * 3
-
     def test_rnn_flops_independent_of_rows(self):
         model = EvolveGCN(F_IN, hidden=4, embed_dim=3,
                           rng=np.random.default_rng(0))

@@ -261,6 +261,34 @@ class TestTapeSize:
             result.tape_nodes
 
 
+class TestOneForward:
+    """A distribution is a cost plan over the sequential forward, never
+    a forward of its own — checked by count, not by timing: every plan
+    records exactly the tape the sequential trainer records (vertex adds
+    one gather per timestep, mapping renamed rows back to the task's
+    vertex ids).  A plan that re-spells the numerics — say, the RNN per
+    row block through slices and a concat — fails the count."""
+
+    @pytest.mark.parametrize("model_name", MODEL_NAMES)
+    def test_every_plan_records_the_sequential_tape(self, model_name):
+        dtdg = make_dtdg(seed=4)
+        model = build_model(model_name, in_features=2, hidden=4,
+                            embed_dim=4, seed=0)
+        task = LinkPredictionTask(dtdg, embed_dim=4, theta=0.4, seed=0)
+        sequential = SingleDeviceTrainer(
+            model, dtdg, task, TrainerConfig()).train_epoch().tape_nodes
+
+        def tape_nodes(partitioning):
+            trainer = make_distributed(model_name, dtdg, num_ranks=2,
+                                       partitioning=partitioning,
+                                       group_size=2)
+            return trainer.train_epoch().tape_nodes
+
+        assert tape_nodes("snapshot") == sequential
+        assert tape_nodes("hybrid") == sequential
+        assert tape_nodes("vertex") == sequential + task.num_train_timesteps
+
+
 class TestConfigValidation:
     def test_bad_partitioning(self):
         with pytest.raises(ConfigError):

@@ -1,4 +1,4 @@
-"""Tests for smoothing, features and the Ã·X precompute."""
+"""Tests for smoothing, features and the Eq. 1 operators."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from repro.graph import DTDG, GraphSnapshot, evolving_dtdg
 from repro.nn import m_matrix
 from repro.train import (apply_edge_life, apply_mproduct_smoothing,
                          compute_laplacians, degree_features,
-                         precompute_aggregation, smooth_for_model)
+                         smooth_for_model)
 
 
 def snap(n, pairs, values=None):
@@ -144,19 +144,3 @@ class TestComputeLaplacians:
         np.testing.assert_array_equal(
             laps[0].csr.toarray(),
             normalized_laplacian(d[0]).csr.toarray())
-
-
-class TestPrecompute:
-    def test_matches_spmm(self):
-        d = evolving_dtdg(12, 3, 24, churn=0.2, seed=6)
-        frames = degree_features(d)
-        laps = compute_laplacians(d)
-        pre = precompute_aggregation(laps, frames)
-        for t in range(3):
-            np.testing.assert_allclose(pre[t], laps[t].csr @ frames[t])
-
-    def test_count_mismatch(self):
-        d = evolving_dtdg(12, 3, 24, churn=0.2, seed=6)
-        laps = compute_laplacians(d)
-        with pytest.raises(ConfigError):
-            precompute_aggregation(laps, [np.zeros((12, 2))])

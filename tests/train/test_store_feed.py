@@ -13,7 +13,9 @@ import pytest
 from repro.cluster import Cluster, ClusterSpec
 from repro.graph import evolving_dtdg
 from repro.models import build_model
+from repro.obs import Telemetry
 from repro.store import GraphStore, StoreView
+from repro.tensor.backend.reference import ReferenceBackend
 from repro.train import (DistConfig, DistributedTrainer,
                          LinkPredictionTask, SingleDeviceTrainer,
                          TrainerConfig)
@@ -91,3 +93,36 @@ def test_distributed_training_from_store_matches(stored):
     ref = boot(d, from_store=False)
     got = boot(store, from_store=True)
     np.testing.assert_allclose(_losses(got), _losses(ref), rtol=1e-10)
+
+
+@pytest.mark.parametrize("distributed", [False, True],
+                         ids=["single", "distributed"])
+def test_from_store_forwards_telemetry_and_kernel_backend(stored,
+                                                          distributed):
+    """A store-fed trainer can be traced and pinned to a kernel backend
+    like a directly constructed one."""
+    _, store = stored
+    tel = Telemetry()
+    pinned = ReferenceBackend()   # a private instance, not the singleton
+    model = build_model("cdgcn", in_features=2, hidden=6, embed_dim=6,
+                        seed=0)
+
+    def task_factory(view):
+        return LinkPredictionTask(view, embed_dim=6, theta=0.5, seed=0)
+
+    if distributed:
+        trainer = DistributedTrainer.from_store(
+            model, store, task_factory,
+            Cluster(ClusterSpec(num_nodes=1, gpus_per_node=2)),
+            DistConfig(partitioning="vertex"),
+            telemetry=tel, kernel_backend=pinned)
+        # the renamed operators the vertex plan multiplies through too
+        assert trainer.plan.laplacians[0].backend is pinned
+    else:
+        trainer = SingleDeviceTrainer.from_store(
+            model, store, task_factory, TrainerConfig(),
+            telemetry=tel, kernel_backend=pinned)
+    assert trainer.telemetry is tel
+    assert trainer.laplacians[0].backend is pinned
+    result = trainer.train_epoch()
+    assert tel.registry.value("train_tape_nodes") == result.tape_nodes
