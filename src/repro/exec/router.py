@@ -738,8 +738,10 @@ class ExecRouter(QueryFrontend):
             self._queue[self.max_batch_size:]
         with self.telemetry.trace("serve.query", batch=len(batch)), \
                 self.telemetry.trace("exec.dispatch", batch=len(batch)):
+            flushed_at = self.clock()
             try:
-                self._answer_batch(batch, down=self._down_shards())
+                self._answer_batch(batch, flushed_at,
+                                   down=self._down_shards())
             except (WorkerDeadError, WorkerTimeoutError):
                 try:
                     down = set()
@@ -748,7 +750,7 @@ class ExecRouter(QueryFrontend):
                                 self._revive_or_degrade(s) is None and \
                                 not self.channels[s].alive:
                             down.add(s)
-                    self._answer_batch(batch, down=down)
+                    self._answer_batch(batch, flushed_at, down=down)
                 except (ExecError, StoreError):
                     self._abort_batch(batch)
                     raise
@@ -776,7 +778,8 @@ class ExecRouter(QueryFrontend):
                 q.done = True
                 self.counters.queries_shed += 1
 
-    def _answer_batch(self, batch: list, down=frozenset()) -> None:
+    def _answer_batch(self, batch: list, flushed_at: float,
+                      down=frozenset()) -> None:
         with self.telemetry.trace("exec.coalesce", batch=len(batch)):
             link_by_shard: dict[int, list] = {}
             fraud_by_shard: dict[int, list] = {}
@@ -853,13 +856,14 @@ class ExecRouter(QueryFrontend):
                 q._resolve(score, now)
             for q, score in zip(frauds, fraud_scores):
                 q._resolve(score, now)
-        answered = 0
-        for q in batch:
-            if q.shed:
-                continue
-            self.latency.record(q.latency_ms)
-            answered += 1
-        self.counters.queries_completed += answered
+        answered = [q for q in batch if not q.shed]
+        if answered:
+            # per flush, not per query: one reservoir update per series
+            self._record_flush(
+                np.array([q.latency_ms for q in answered]),
+                np.array([q.enqueued_at for q in answered]),
+                flushed_at, now)
+        self.counters.queries_completed += len(answered)
         self.counters.batches_flushed += 1
 
     def _answer_degraded(self, queries: list, down) -> None:

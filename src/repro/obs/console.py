@@ -116,11 +116,16 @@ def render_dashboard(telemetry, *, slo=None,
         if not math.isnan(depth):
             head += f"   queue depth {_fmt(depth)}"
         lines.append(head)
-    latency = reg.get("serve_latency_ms")
-    if latency is not None and latency.count:
-        lines.append(f"latency ms  p50 {latency.p50:.2f}  "
-                     f"p95 {latency.p95:.2f}  p99 {latency.p99:.2f}  "
-                     f"(n={latency.count})")
+    # a query's latency, then where it went: waiting for its flush, and
+    # the flush's own refresh + scoring (one observation per flush)
+    for label, name in (("latency ms", "serve_latency_ms"),
+                        ("queue wait ms", "serve_queue_wait_ms"),
+                        ("compute ms", "serve_compute_ms")):
+        hist = reg.get(name)
+        if hist is not None and hist.count:
+            lines.append(f"{label}  p50 {hist.p50:.2f}  "
+                         f"p95 {hist.p95:.2f}  p99 {hist.p99:.2f}  "
+                         f"(n={hist.count})")
     if len(lines) > 2:
         lines.append("")
 

@@ -122,14 +122,65 @@ class Histogram:
                 f"silently poison the running mean and every percentile")
         self._count += 1
         self._sum += value
-        if len(self._samples) < self.reservoir_size:
-            self._samples.append(value)
+        self._offer((value,), self._count)
+
+    def observe_many(self, values) -> None:
+        """:meth:`observe` applied to each of ``values`` in stream
+        order, at one validation, one sum and one RNG draw per batch.
+
+        All-or-nothing: a non-finite value anywhere in the batch raises
+        :class:`ValueError` before any stream state moves.  ``count`` is
+        exact; ``sum`` accumulates the batch's own sum (so it can differ
+        from the scalar path in the last bits); the reservoir ends up
+        sample for sample where scalar calls would have left it.
+        """
+        values = np.asarray(values, dtype=np.float64).ravel()
+        if not values.size:
             return
-        # Algorithm R: the i-th observation replaces a reservoir slot
-        # with probability reservoir_size / i (uniform slot choice)
-        slot = int(self._rng.integers(0, self._count))
-        if slot < self.reservoir_size:
-            self._samples[slot] = value
+        total = float(values.sum())
+        # a finite sum proves every term finite (NaN and inf both
+        # survive addition); only a non-finite one needs the full scan
+        if not math.isfinite(total) and not np.isfinite(values).all():
+            raise ValueError(
+                "refusing a batch with non-finite observations: they "
+                "would silently poison the running mean and every "
+                "percentile")
+        first = self._count + 1
+        self._count += values.size
+        self._sum += total
+        self._offer(values.tolist(), first)
+
+    def _offer(self, values, first: int) -> None:
+        """The one reservoir update rule.  ``values`` (a sequence of
+        finite floats) are items ``first, first + 1, ...`` of the
+        stream, 1-based: they fill the reservoir while there is room;
+        after that item ``i`` draws slot ``floor(u * i)`` with ``u``
+        uniform on [0, 1) and lands only if the slot is inside the
+        reservoir — Algorithm R: the item is kept with probability
+        ``reservoir_size / i`` — applied in stream order, so a later
+        item wins a shared slot.  One RNG call covers the whole run,
+        and a run of one draws a plain float, so a stream split into
+        runs any way leaves the same reservoir."""
+        samples = self._samples
+        size = self.reservoir_size
+        room = size - len(samples)
+        if room >= len(values):
+            samples.extend(values)
+            return
+        if room > 0:
+            samples.extend(values[:room])
+            values = values[room:]
+            first += room
+        if len(values) == 1:
+            slot = int(self._rng.random() * first)
+            if slot < size:
+                samples[slot] = values[0]
+            return
+        slots = (self._rng.random(len(values))
+                 * np.arange(first, first + len(values))).astype(np.int64)
+        landed = (slots < size).nonzero()[0]
+        for j, slot in zip(landed.tolist(), slots[landed].tolist()):
+            samples[slot] = values[j]
 
     @property
     def count(self) -> int:
@@ -198,16 +249,11 @@ class Histogram:
         if count < 0 or not math.isfinite(total):
             raise ValueError(
                 f"cannot absorb count={count}, sum={total}")
+        samples = [float(v) for v in samples]
         self._count += count
         self._sum += total
-        for value in samples:
-            value = float(value)
-            if len(self._samples) < self.reservoir_size:
-                self._samples.append(value)
-                continue
-            slot = int(self._rng.integers(0, max(self._count, 1)))
-            if slot < self.reservoir_size:
-                self._samples[slot] = value
+        # the shipped samples stand for the tail of the merged stream
+        self._offer(samples, max(self._count - len(samples), 0) + 1)
 
 
 class _Family:

@@ -48,6 +48,11 @@ class LatencyTracker(Histogram):
     def record(self, latency_ms: float) -> None:
         self.observe(latency_ms)
 
+    def record_many(self, latencies_ms) -> None:
+        """One micro-batch of latencies at per-batch cost
+        (:meth:`~repro.obs.registry.Histogram.observe_many`)."""
+        self.observe_many(latencies_ms)
+
 
 @dataclass
 class ServerCounters:

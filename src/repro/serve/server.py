@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from operator import attrgetter, index, itemgetter
 from typing import Callable, Iterable
 
 import numpy as np
@@ -39,6 +40,12 @@ from repro.store.recovery import (capture_engine_state,
 
 __all__ = ["PendingQuery", "QueryFrontend", "ModelServer", "score_links",
            "score_fraud"]
+
+
+# C-speed field readers: a flush decodes its batch through these instead
+# of running a Python-level pass per query
+_payload, _enqueued_at = attrgetter("payload"), attrgetter("enqueued_at")
+_first, _last = itemgetter(0), itemgetter(-1)
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -76,7 +83,7 @@ def score_fraud(z: np.ndarray, accounts: np.ndarray,
     return _softmax_rows(logits)[:, 1]
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingQuery:
     """Handle returned by ``submit_*``; resolved at flush time."""
 
@@ -124,12 +131,17 @@ class QueryFrontend:
         self.flush_latency_ms = flush_latency_ms
         self.clock = clock
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.latency = LatencyTracker()
-        # the latency reservoir IS the exported histogram — attaching it
+        # the reservoirs ARE the exported histograms — attaching them
         # keeps one source of truth between stats() and the exporters
-        self.telemetry.registry.attach(
-            "serve_latency_ms", self.latency,
-            "Per-request latency (bounded reservoir)")
+        attach = self.telemetry.registry.attach
+        self.latency = attach("serve_latency_ms", LatencyTracker(),
+                              "Per-request latency (bounded reservoir)")
+        self._queue_wait = attach(
+            "serve_queue_wait_ms", LatencyTracker(),
+            "Per-request wait from submit to the start of its flush")
+        self._flush_compute = attach(
+            "serve_compute_ms", LatencyTracker(),
+            "Per-flush time from flush entry to the batch scored")
         self._queue: list[PendingQuery] = []
         self._started_at: float | None = None
         self.slo = None              # attached SloEngine (attach_slo)
@@ -159,28 +171,45 @@ class QueryFrontend:
 
     def submit_link(self, src: int, dst: int) -> PendingQuery:
         """Probability that edge ``(src, dst)`` exists/appears."""
-        self._check_vertex(src)
-        self._check_vertex(dst)
-        return self._submit(PendingQuery("link", (int(src), int(dst)),
-                                         self.clock()))
+        n = self.num_vertices
+        try:
+            s, d = index(src), index(dst)
+        except TypeError:
+            s = d = -1
+        if not (0 <= s < n and 0 <= d < n):
+            self._reject_vertices((src, dst), n)
+        return self._submit(PendingQuery("link", (s, d), self.clock()))
 
     def submit_fraud(self, account: int) -> PendingQuery:
         """Probability that ``account`` is a suspicious (laundering)
         vertex, from the node-classification head."""
         if self.fraud_head is None:
             raise ConfigError("fraud queries need a fraud_head")
-        self._check_vertex(account)
-        return self._submit(PendingQuery("fraud", (int(account),),
-                                         self.clock()))
+        n = self.num_vertices
+        try:
+            a = index(account)
+        except TypeError:
+            a = -1
+        if not 0 <= a < n:
+            self._reject_vertices((account,), n)
+        return self._submit(PendingQuery("fraud", (a,), self.clock()))
 
-    def _check_vertex(self, v: int) -> None:
-        """Reject bad ids at submit time: a negative id would silently
-        score the wrong vertex (numpy indexing) and an oversized one
-        would fail mid-flush, taking its co-batched queries with it."""
-        if not 0 <= int(v) < self.num_vertices:
-            raise ConfigError(
-                f"query vertex {v} outside the resident vertex set of "
-                f"size {self.num_vertices}")
+    @staticmethod
+    def _reject_vertices(ids: tuple, n: int) -> None:
+        """Cold half of the submit-time id check: name the first bad id.
+        A negative id would silently score the wrong vertex (numpy
+        indexing), an oversized one would fail mid-flush with its
+        co-batched queries, and a float would be truncated to some other
+        vertex — ``operator.index`` admits ints, bools, numpy integers."""
+        for v in ids:
+            try:
+                ok = 0 <= index(v) < n
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ConfigError(
+                    f"query vertex {v} outside the resident vertex set "
+                    f"of size {n}")
 
     def _submit(self, query: PendingQuery) -> PendingQuery:
         if self._started_at is None:
@@ -207,6 +236,16 @@ class QueryFrontend:
         while self._queue:
             total += self.flush()
         return total
+
+    def _record_flush(self, latency_ms: np.ndarray, enqueued_at: np.ndarray,
+                      flushed_at: float, scored_at: float) -> None:
+        """Where the answered queries' time went, at one reservoir
+        update per series per flush: latency as the tier defines it,
+        queue wait from each submit to the flush's entry, and one
+        compute observation (entry → scored) the whole batch shares."""
+        self.latency.record_many(latency_ms)
+        self._queue_wait.record_many((flushed_at - enqueued_at) * 1e3)
+        self._flush_compute.record((scored_at - flushed_at) * 1e3)
 
     # -- observability export (shared by both serving tiers) ---------------------------
     def _collect_metrics(self) -> None:
@@ -573,42 +612,52 @@ class ModelServer(QueryFrontend):
 
     # -- queries ----------------------------------------------------------------------
     def flush(self) -> int:
-        """Refresh the cache and answer every queued query in one batch."""
+        """Refresh the cache and answer every queued query in one batch.
+
+        What does not depend on the individual query is paid once per
+        batch: it decodes into arrays, both heads score into one array
+        and each latency series takes one reservoir update.  The batch
+        leaves the queue only once answered, so a flush that raises (a
+        failing refresh) loses nothing — the next flush answers it."""
         if not self._queue:
             return 0
-        batch, self._queue = self._queue[:self.max_batch_size], \
-            self._queue[self.max_batch_size:]
-        with self.telemetry.trace("serve.query", batch=len(batch)):
-            touched = {v for q in batch for v in
-                       (q.payload if q.kind == "link" else q.payload[:1])}
-            self.cache.touch(np.fromiter(touched, dtype=np.int64,
-                                         count=len(touched)))
+        batch = self._queue[:self.max_batch_size]
+        n = len(batch)
+        with self.telemetry.trace("serve.query", batch=n):
+            flushed_at = self.clock()
+            payloads = list(map(_payload, batch))
+            # a row of endpoints per query; a fraud query's account is both
+            ends = np.empty((n, 2), dtype=np.int64)
+            ends[:, 0] = np.fromiter(map(_first, payloads), np.int64, n)
+            ends[:, 1] = np.fromiter(map(_last, payloads), np.int64, n)
+            is_link = np.fromiter(map(len, payloads), np.int64, n) == 2
+            enqueued_at = np.fromiter(map(_enqueued_at, batch),
+                                      np.float64, n)
+            if self.cache.max_rows is not None:  # else touch is a no-op
+                self.cache.touch(ends.ravel())
             self._refresh()
             z = self.engine.embeddings
-            links = [(i, q) for i, q in enumerate(batch)
-                     if q.kind == "link"]
-            frauds = [(i, q) for i, q in enumerate(batch)
-                      if q.kind == "fraud"]
             now = self.clock()
-            if links:
-                pairs = np.array([q.payload for _, q in links],
-                                 dtype=np.int64)
-                scores = self._score_links(z, pairs)
-                for (_, q), s in zip(links, scores):
-                    q._resolve(s, now)
-            if frauds:
-                accounts = np.array([q.payload[0] for _, q in frauds],
-                                    dtype=np.int64)
-                scores = self._score_fraud(z, accounts)
-                for (_, q), s in zip(frauds, scores):
-                    q._resolve(s, now)
-            for q in batch:
-                self.latency.record(q.latency_ms)
-            self.counters.queries_completed += len(batch)
+            scores = np.empty(n)
+            if is_link.any():
+                scores[is_link] = self._score_links(z, ends[is_link])
+            if not is_link.all():
+                is_fraud = ~is_link
+                scores[is_fraud] = self._score_fraud(z, ends[is_fraud, 0])
+            latency_ms = (now - enqueued_at) * 1e3
+            self._record_flush(latency_ms, enqueued_at, flushed_at,
+                               self.clock())
+            for q, score, ms in zip(batch, scores.tolist(),
+                                    latency_ms.tolist()):
+                q.result = score
+                q.latency_ms = ms
+                q.done = True
+            del self._queue[:n]
+            self.counters.queries_completed += n
             self.counters.batches_flushed += 1
         if self._queue:  # drained in max_batch_size chunks
-            return len(batch) + self.flush()
-        return len(batch)
+            return n + self.flush()
+        return n
 
     # -- scoring ----------------------------------------------------------------------
     def _refresh(self) -> None:

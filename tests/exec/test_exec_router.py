@@ -140,6 +140,37 @@ class TestObservability:
         assert reg.value("comm_bytes_total", label="query_rows") > 0
         router.close()
 
+    def test_latency_split_recorded_per_flush(self, world):
+        """The router records the frontend's three latency series once
+        per flush, over the answered (non-shed) queries only, and never
+        through the scalar path."""
+        router = make_router(world, max_inflight=6, max_batch_size=64,
+                             flush_latency_ms=1e6)
+
+        def scalar(value):
+            raise AssertionError("per-query series observed one by one")
+
+        for tracker in (router.latency, router._queue_wait):
+            tracker.observe = scalar
+        queries = [router.submit_link(i, 119 - i) for i in range(3)]
+        queries += [router.submit_fraud(i) for i in range(7)]   # 4 shed
+        router.drain()
+        queries += [router.submit_fraud(i) for i in range(3)]
+        router.drain()
+        answered = [q for q in queries if not q.shed]
+        flushes = router.counters.batches_flushed
+        assert (len(answered), flushes) == (9, 2)
+        assert router.counters.queries_shed == len(queries) - len(answered)
+        assert router.counters.queries_completed == len(answered)
+        assert router.latency.count == len(answered)
+        assert sorted(router.latency._samples) == sorted(
+            q.latency_ms for q in answered)
+        text = router.prometheus()
+        assert f"serve_latency_ms_count {len(answered)}" in text
+        assert f"serve_queue_wait_ms_count {len(answered)}" in text
+        assert f"serve_compute_ms_count {flushes}" in text
+        router.close()
+
     def test_exec_spans_traced(self, world):
         router = make_router(world, telemetry=Telemetry(tracing=True))
         router.submit_fraud(3)

@@ -198,3 +198,46 @@ def oracle_gcn_project(aggregated, weight, skip_concat=False, relu=True):
     if skip_concat:
         out = ops.concat([aggregated, out], axis=1)
     return F.relu(out) if relu else out
+
+
+# ---------------------------------------------------------------------------
+# read-path oracle: the per-query flush
+# ---------------------------------------------------------------------------
+# Until the array-shaped flush this was the body of ModelServer.flush: a
+# touched-vertex set, two enumerate passes, np.array over a list of
+# tuples, one _resolve and one scalar latency.record per query.  The live
+# flush must leave every handle, counter, LRU stamp and the latency
+# reservoir exactly where this leaves them.
+
+def flush_oracle(server) -> int:
+    if not server._queue:
+        return 0
+    batch, server._queue = server._queue[:server.max_batch_size], \
+        server._queue[server.max_batch_size:]
+    touched = {v for q in batch for v in
+               (q.payload if q.kind == "link" else q.payload[:1])}
+    server.cache.touch(np.fromiter(touched, dtype=np.int64,
+                                   count=len(touched)))
+    server._refresh()
+    z = server.engine.embeddings
+    links = [(i, q) for i, q in enumerate(batch) if q.kind == "link"]
+    frauds = [(i, q) for i, q in enumerate(batch) if q.kind == "fraud"]
+    now = server.clock()
+    if links:
+        pairs = np.array([q.payload for _, q in links], dtype=np.int64)
+        scores = server._score_links(z, pairs)
+        for (_, q), s in zip(links, scores):
+            q._resolve(s, now)
+    if frauds:
+        accounts = np.array([q.payload[0] for _, q in frauds],
+                            dtype=np.int64)
+        scores = server._score_fraud(z, accounts)
+        for (_, q), s in zip(frauds, scores):
+            q._resolve(s, now)
+    for q in batch:
+        server.latency.record(q.latency_ms)
+    server.counters.queries_completed += len(batch)
+    server.counters.batches_flushed += 1
+    if server._queue:  # drained in max_batch_size chunks
+        return len(batch) + flush_oracle(server)
+    return len(batch)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.graph import AMLSimConfig, generate_amlsim
@@ -9,15 +10,18 @@ from repro.models import build_model
 from repro.nn.linear import EdgeScorer, Linear
 from repro.serve import EdgeEvent, ModelServer, events_between
 from repro.train import save_model_checkpoint
+from tests.helpers import flush_oracle
 
 
 class FakeClock:
-    """Deterministic injectable clock (seconds)."""
+    """Deterministic injectable clock (seconds) that counts its reads."""
 
     def __init__(self) -> None:
         self.now = 0.0
+        self.reads = 0
 
     def __call__(self) -> float:
+        self.reads += 1
         return self.now
 
     def tick(self, seconds: float) -> None:
@@ -109,8 +113,26 @@ class TestScoring:
             server.submit_fraud(n)
         with pytest.raises(ConfigError):
             server.submit_link(0, n)
+        # a float id used to be truncated ((2.9, 1.2) scored the pair
+        # (2, 1)) and NaN escaped as a bare ValueError
+        for bad in (2.9, 1.0, float("nan"), np.float64(3.0), "3", None):
+            with pytest.raises(ConfigError, match="query vertex"):
+                server.submit_fraud(bad)
+            with pytest.raises(ConfigError, match="query vertex"):
+                server.submit_link(1, bad)
+            with pytest.raises(ConfigError, match="query vertex"):
+                server.submit_link(bad, 1)
+        with pytest.raises(ConfigError, match=f"vertex {n} outside"):
+            server.submit_link(np.int64(1), n)  # names the bad id
+        assert server.counters.queries_submitted == 0
+        assert not server._queue
+        # every integer type is an id, and lands as a plain int
+        for ids in ((np.int32(0), np.int64(1)), (np.uint8(2), True)):
+            assert server.submit_link(*ids).payload == tuple(map(int, ids))
+            assert all(type(v) is int for v in server._queue[-1].payload)
+        assert type(server.submit_fraud(np.int64(n - 1)).payload[0]) is int
         ok = server.submit_link(0, 1)  # queue survived the rejections
-        server.drain()
+        assert server.drain() == 4
         assert ok.done
 
     def test_scores_follow_ingested_events(self, world):
@@ -122,6 +144,178 @@ class TestScoring:
         server.ingest_events(events)
         after = server.submit_link(0, 1).result
         assert before != after  # degree features of 0/1 changed
+
+
+class TestFlushFailure:
+    def test_a_flush_that_raises_keeps_its_batch(self, world,
+                                                 monkeypatch):
+        """The batch used to be sliced off the queue before the refresh
+        ran: one failing refresh and both handles dangled forever."""
+        events = [EdgeEvent(0, 1), EdgeEvent(2, 3)]
+        calm = make_server(world, max_batch_size=8)
+        calm.ingest_events(events)
+        want = [calm.submit_link(0, 1), calm.submit_fraud(2)]
+        calm.drain()
+
+        server = make_server(world, max_batch_size=8)
+        first = server.submit_fraud(5)
+        server.drain()
+        server.ingest_events(events)        # dirty rows: flush must refresh
+        handles = [server.submit_link(0, 1), server.submit_fraud(2)]
+        refresh = server.engine.refresh
+        monkeypatch.setattr(server.engine, "refresh",
+                            lambda: (_ for _ in ()).throw(
+                                RuntimeError("boom")))
+        with pytest.raises(RuntimeError, match="boom"):
+            server.flush()
+        assert server._queue == handles     # back at the head, in order
+        assert not any(q.done for q in handles)
+        assert server.counters.queries_completed == 1
+        assert server.counters.batches_flushed == 1
+        assert server.latency.count == 1    # nothing recorded either
+        monkeypatch.setattr(server.engine, "refresh", refresh)
+        assert server.drain() == 2
+        assert first.done and all(q.done for q in handles)
+        assert [q.result for q in handles] == [q.result for q in want]
+        assert server.counters.queries_submitted \
+            == server.counters.queries_completed == 3
+
+
+class TestPerFlushNotPerQuery:
+    """The read path's fixed costs, pinned by counts rather than timing."""
+
+    def test_clock_reads_per_flush_are_fixed(self, world):
+        clock = FakeClock()
+        server = make_server(world, max_batch_size=64, clock=clock)
+        before = clock.reads
+        for i in range(63):
+            server.submit_link(i % 80, (i * 7) % 80)
+        assert clock.reads - before == 63       # one per submit_*
+        server.submit_fraud(3)                  # fills the batch: flushes
+        assert server.counters.batches_flushed == 1
+        assert clock.reads - before - 64 <= 3   # flushed / now / scored
+
+    def test_latency_series_never_take_the_scalar_path(self, world,
+                                                       monkeypatch):
+        server = make_server(world, max_batch_size=16)
+
+        def scalar(value):
+            raise AssertionError("per-query series observed one by one")
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.draws = rng, 0
+
+            def random(self, size=None):
+                self.draws += 1
+                return self.rng.random(size)
+
+        for tracker in (server.latency, server._queue_wait):
+            monkeypatch.setattr(tracker, "observe", scalar)
+            tracker.reservoir_size = 8      # full after the first flush
+            tracker._rng = CountingRng(tracker._rng)
+        handles = []
+        for i in range(160):
+            handles.append(server.submit_link(i % 80, (i * 3) % 80)
+                           if i % 3 else server.submit_fraud(i % 80))
+            if i == 70:
+                server.ingest_events([EdgeEvent(1, 2)])
+        server.drain()
+        flushes = server.counters.batches_flushed
+        assert flushes == 10 and all(q.done for q in handles)
+        for tracker in (server.latency, server._queue_wait):
+            assert tracker.count == 160 and tracker.sampled == 8
+            assert 1 <= tracker._rng.draws <= flushes
+
+    def test_queue_wait_and_compute_are_exported(self, world):
+        """``serve_queue_wait_ms`` counts queries, ``serve_compute_ms``
+        flushes; each brackets what its stamps say."""
+        clock = FakeClock()
+        server = make_server(world, max_batch_size=4, clock=clock)
+        server.submit_link(0, 1)
+        clock.tick(0.010)
+        server.submit_fraud(1)
+        clock.tick(0.005)
+        assert server.drain() == 2
+        for i in range(4):
+            server.submit_fraud(i)              # a second, full batch
+        reg = server.telemetry.registry
+        wait = reg.get("serve_queue_wait_ms")
+        assert wait.count == 6 and reg.get("serve_compute_ms").count == 2
+        assert reg.get("serve_latency_ms") is server.latency
+        assert sorted(wait._samples) == pytest.approx(
+            [0.0, 0.0, 0.0, 0.0, 5.0, 15.0])
+        text = server.prometheus()
+        assert "serve_queue_wait_ms_count 6" in text
+        assert "serve_compute_ms_count 2" in text
+        assert "# TYPE serve_queue_wait_ms summary" in text
+        board = server.dashboard()
+        assert "queue wait ms  p50 0.00  p95 12.50" in board
+        assert "compute ms  p50 0.00" in board and "(n=2)" in board
+
+
+_vertex = st.integers(0, 79)
+_query = st.one_of(st.tuples(_vertex, _vertex), st.tuples(_vertex))
+_burst = st.tuples(
+    st.lists(_query, max_size=14),                        # mixed
+    st.sampled_from(["mixed", "links", "frauds"]),
+    st.lists(st.tuples(_vertex, _vertex), max_size=3),    # ingest after
+    st.integers(0, 3))                                    # ms between submits
+
+
+class TestFlushMatchesThePerQueryOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(_burst, min_size=1, max_size=4), st.booleans(),
+           st.sampled_from([None, 5, 30]), st.sampled_from([1, 4, 64]))
+    def test_twin_servers_agree_exactly(self, world, bursts, with_head,
+                                        cache_max_rows, max_batch_size):
+        """Random mixed batches (duplicates, self-pairs, one-kind
+        batches) through ``ModelServer.flush`` and through
+        ``flush_oracle`` on twin servers sharing a clock: handles,
+        counters, LRU stamps and the latency reservoir agree exactly."""
+        clock = FakeClock()
+        kwargs = dict(clock=clock, max_batch_size=64, flush_latency_ms=1e9,
+                      cache_max_rows=cache_max_rows)
+        if not with_head:
+            kwargs["link_head"] = None
+        live, twin = make_server(world, **kwargs), make_server(world,
+                                                               **kwargs)
+        for server in (live, twin):     # queue past one batch, then cut it
+            server.latency.reservoir_size = 6
+        pairs = []
+        for queries, only, events, gap_ms in bursts:
+            for ids in queries:
+                if (only == "links" and len(ids) == 1) or \
+                        (only == "frauds" and len(ids) == 2):
+                    continue
+                submit = "submit_link" if len(ids) == 2 else "submit_fraud"
+                pairs.append((getattr(live, submit)(*ids),
+                              getattr(twin, submit)(*ids)))
+                clock.tick(gap_ms * 1e-3)
+            for server in (live, twin):
+                server.max_batch_size = max_batch_size
+            assert live.flush() == flush_oracle(twin)
+            for server in (live, twin):
+                server.max_batch_size = 64
+                server.ingest_events([EdgeEvent(u, v) for u, v in events])
+        for got, want in pairs:
+            assert got.done and want.done
+            assert got.result == want.result
+            assert type(got.result) is float
+            assert got.latency_ms == want.latency_ms
+            assert (got.kind, got.payload, got.enqueued_at) == \
+                (want.kind, want.payload, want.enqueued_at)
+        assert live.counters == twin.counters
+        assert not live._queue and not twin._queue
+        for name in ("_last_used", "_evicted", "_dirty"):
+            np.testing.assert_array_equal(getattr(live.cache, name),
+                                          getattr(twin.cache, name))
+        assert live.cache._use_clock == twin.cache._use_clock
+        assert live.cache.rows_reloaded == twin.cache.rows_reloaded
+        assert live.latency.count == twin.latency.count
+        assert live.latency._samples == twin.latency._samples
+        assert live.latency.sum == pytest.approx(twin.latency.sum,
+                                                 rel=1e-12, abs=1e-12)
 
 
 class TestIncrementalVsFull:
