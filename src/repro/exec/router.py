@@ -568,10 +568,7 @@ class ExecRouter(QueryFrontend):
         the latest capture + WAL tail before the method returns."""
         events = list(events)
         with self.telemetry.trace("serve.ingest", events=len(events)):
-            self._store_log_events(events)
-            with self.telemetry.trace("serve.commit"):
-                count = self.ingestor.push_batch(events)
-                result = self.ingestor.commit()
+            count, result = self._commit_events(events)
             snap = result.snapshot
             t0 = self.clock()
             dirty = expand_dirty(snap, result.dirty, self.k_hops)
@@ -961,11 +958,10 @@ class ExecRouter(QueryFrontend):
                       "steps": steps, "num_shards": self.num_shards,
                       "replicas": self.replicas_per_shard,
                       "num_layers": self.model.num_layers, "shards": []}
-        arrays: dict = {"owner": np.array(self.plan.owner, copy=True),
-                        "dirty": dirty}
+        arrays: dict = {"owner": self.plan.owner, "dirty": dirty}
         for s, (_, state) in enumerate(exports):
             meta_shard: dict = {}
-            pack_shard_export(f"shard/{s}", state, kind, meta_shard,
+            pack_shard_export(f"shard/{s}/", state, kind, meta_shard,
                               arrays)
             meta["shards"].append(meta_shard)
         return meta, arrays
@@ -992,8 +988,11 @@ class ExecRouter(QueryFrontend):
         _, dead = router._fanout("adopt_state",
                                  lambda s: (exports, steps, dirty))
         router._require_all_alive(dead, "recovery transplant")
-        router._replay_store_tail(store, meta["record_index"],
-                                  state_interval)
+        if router._replay_store_tail(store, meta["record_index"],
+                                     state_interval):
+            # worker revival replays event-only tails: a tail that
+            # crossed a boundary needs a capture past it
+            router._capture_store_state()
         return router
 
     def _store_maybe_capture(self) -> None:

@@ -171,13 +171,16 @@ class StreamIngestor:
         return count
 
     # -- commit ------------------------------------------------------------------------
-    def commit(self) -> IngestResult:
+    def commit(self, folded: tuple | None = None) -> IngestResult:
         """Fold every pending event into the resident snapshot.
 
         The new snapshot is materialized, the transition is encoded as a
         :class:`SnapshotDiff` (checksummed against the old resident, so
         the wire format stays replayable to any mirror holding the same
         base), and the dirty frontier absorbs the touched endpoints.
+        ``folded`` is ``fold_event_batch(resident, pending)`` when the
+        caller already computed it (a serving tier folds once, logs the
+        batch, then commits): it is adopted instead of folding again.
         """
         prev = self._resident
         events = self._pending
@@ -193,7 +196,8 @@ class StreamIngestor:
 
         # the fold hands back the transition in the GD wire format — what
         # a remote mirror holding the same base replays
-        curr, dirty, diff = fold_event_batch(prev, events)
+        curr, dirty, diff = folded if folded is not None \
+            else fold_event_batch(prev, events)
         self._resident = curr
         self._frontier.update(dirty.tolist())
         self.total_events += len(events)

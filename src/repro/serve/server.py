@@ -33,7 +33,8 @@ from repro.nn.linear import EdgeScorer, Linear
 from repro.obs import SloEngine, Telemetry, render_dashboard
 from repro.serve.cache import EmbeddingCache
 from repro.serve.engine import InferenceEngine
-from repro.serve.ingest import EdgeEvent, StreamIngestor
+from repro.serve.ingest import (EdgeEvent, IngestResult, StreamIngestor,
+                                fold_event_batch)
 from repro.serve.metrics import LatencyTracker, ServerCounters, ServerStats
 from repro.store.recovery import (capture_engine_state,
                                   restore_engine_state)
@@ -351,10 +352,18 @@ class QueryFrontend:
         meta, arrays = self._capture_state()
         self.store.save_engine_state(meta, arrays)
 
-    def _store_log_events(self, events: list) -> None:
-        """WAL the batch before it is applied or acknowledged."""
-        if self.store is not None and not self._store_replaying and events:
-            self.store.append_events(events)
+    def _commit_events(self, events: list) -> tuple[int, IngestResult]:
+        """Fold the batch over the resident once, WAL it before anything
+        moves or is acknowledged, and commit that same fold (an empty
+        batch commits in O(1), unfolded and unlogged)."""
+        with self.telemetry.trace("serve.commit"):
+            folded = fold_event_batch(self.ingestor.resident, events) \
+                if events else None
+            if folded is not None and self.store is not None and \
+                    not self._store_replaying:
+                self.store.append_events(events, folded=folded)
+            count = self.ingestor.push_batch(events)
+            return count, self.ingestor.commit(folded)
 
     def _store_log_boundary(self, snapshot) -> None:
         """Seal a WAL timestep at an ``advance_time`` boundary (a
@@ -395,10 +404,13 @@ class QueryFrontend:
         return model, meta, arrays, resident
 
     def _replay_store_tail(self, store, record_index: int,
-                           state_interval: int) -> None:
+                           state_interval: int) -> bool:
         """Re-run the WAL ops after ``record_index`` through the normal
-        ingest/advance paths (with logging suspended), then re-attach
-        the store and capture the recovered state."""
+        ingest/advance paths (with logging suspended) and re-attach the
+        store.  Takes no capture: the one recovery started from plus the
+        WAL still reproduce this state.  Returns whether the tail
+        crossed a timestep boundary."""
+        crossed = False
         self.store = store
         store.telemetry = self.telemetry
         self._store_state_interval = max(1, int(state_interval))
@@ -418,9 +430,10 @@ class QueryFrontend:
                     self.advance_time(snapshot, diff=diff)
                 else:
                     self.advance_time(payload)
+                crossed = crossed or op != "events"
         finally:
             self._store_replaying = False
-        self._capture_store_state()
+        return crossed
 
 
 class ModelServer(QueryFrontend):
@@ -569,10 +582,7 @@ class ModelServer(QueryFrontend):
         """
         events = list(events)
         with self.telemetry.trace("serve.ingest", events=len(events)):
-            self._store_log_events(events)
-            with self.telemetry.trace("serve.commit"):
-                count = self.ingestor.push_batch(events)
-                result = self.ingestor.commit()
+            count, result = self._commit_events(events)
             self.counters.events_ingested += result.num_events
             self.counters.commits += 1
             if self.incremental:

@@ -24,12 +24,18 @@ domain encodings live here:
 Integer arrays are narrowed to int32 on disk whenever their values fit
 (vertex ids and edge positions almost always do) and widened back to the
 library's int64 convention on decode.
+
+Engine captures, tens of megabytes written on the ingest path, skip the
+npz container: :func:`write_capture` / :func:`read_capture` frame them.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import struct
+import zipfile
 import zlib
 
 import numpy as np
@@ -39,8 +45,8 @@ from repro.graph.diff import (SnapshotDiff, _changed_positions, _delta_keys,
                               _keys, _unkeys, edge_checksum, merge_delta)
 from repro.graph.snapshot import GraphSnapshot
 
-__all__ = ["pack_record", "unpack_record", "edge_checksum",
-           "snapshot_to_csr", "csr_to_snapshot",
+__all__ = ["pack_record", "unpack_record", "write_capture", "read_capture",
+           "edge_checksum", "snapshot_to_csr", "csr_to_snapshot",
            "encode_base", "decode_base",
            "encode_diff", "decode_diff",
            "encode_events", "decode_events", "fold_events",
@@ -69,9 +75,82 @@ def unpack_record(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
             meta = json.loads(bytes(archive["__meta__"].tobytes()).decode())
             arrays = {k: archive[k] for k in archive.files
                       if k != "__meta__"}
-    except (ValueError, KeyError, OSError, zlib.error) as exc:
+    # a torn or bit-flipped archive surfaces as any of these from zipfile
+    except (ValueError, KeyError, OSError, EOFError, RuntimeError,
+            NotImplementedError, zlib.error, zipfile.BadZipFile) as exc:
         raise StoreError(f"undecodable store record: {exc}") from exc
     return meta, arrays
+
+
+# ---------------------------------------------------------------------------
+# engine captures: one CRC-framed file of aligned arrays
+# ---------------------------------------------------------------------------
+
+CAPTURE_MAGIC = b"RGC1"
+_ALIGN = 64
+
+
+def _aligned(n: int) -> int:
+    return -(-n // _ALIGN) * _ALIGN
+
+
+def write_capture(path: str, meta: dict,
+                  arrays: dict[str, np.ndarray]) -> int:
+    """Write ``(meta, arrays)`` to ``path`` as ``magic | u32 header
+    length | JSON header | zero pad to 64 | each array's C-order bytes on
+    a 64-byte boundary | u32 CRC-32 of every preceding byte``, streamed
+    from the caller's arrays; header offsets count from the first array
+    byte.  Returns the file size."""
+    specs, bodies, end = [], [], 0
+    for name, a in arrays.items():
+        a = np.asarray(a, order="C")  # copies only a non-C-ordered one
+        start = _aligned(end)
+        specs.append([name, a.dtype.str, list(a.shape), start])
+        bodies += [bytes(start - end), a.reshape(-1).view(np.uint8)]
+        end = start + a.nbytes
+    header = json.dumps({"meta": meta, "arrays": specs},
+                        sort_keys=True).encode()
+    head = CAPTURE_MAGIC + struct.pack("<I", len(header)) + header
+    head += bytes(_aligned(len(head)) - len(head))
+    crc = 0
+    with open(path, "wb") as fh:
+        for piece in [head] + bodies:
+            fh.write(piece)
+            crc = zlib.crc32(piece, crc)
+        fh.write(struct.pack("<I", crc))
+    return len(head) + end + 4
+
+
+def read_capture(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Inverse of :func:`write_capture`: one ``readinto`` a 64-aligned
+    buffer, the CRC checked before anything is parsed, and the arrays
+    returned as aligned, writable views into that buffer."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buf = bytearray(size + _ALIGN)
+        base = -np.frombuffer(buf, np.uint8).ctypes.data % _ALIGN
+        view = memoryview(buf)[base:base + size]
+        got = fh.readinto(view)
+    if got != size or size < 12 or view[:4] != CAPTURE_MAGIC:
+        raise StoreError(f"torn or foreign engine capture: {path}")
+    if zlib.crc32(view[:-4]) != struct.unpack_from("<I", view, size - 4)[0]:
+        raise StoreError(f"engine capture fails its CRC: {path}")
+    (hlen,) = struct.unpack_from("<I", view, 4)
+    body = base + _aligned(8 + hlen)
+    try:
+        header = json.loads(bytes(view[8:8 + hlen]))
+        arrays = {}
+        for name, dtype, shape, offset in header["arrays"]:
+            dtype = np.dtype(dtype)
+            count = int(np.prod(shape))
+            if body + offset + count * dtype.itemsize > base + size - 4:
+                raise ValueError(f"array {name!r} overruns the file")
+            arrays[name] = np.frombuffer(buf, dtype, count,
+                                         body + offset).reshape(shape)
+        return header["meta"], arrays
+    except (ValueError, KeyError, TypeError) as exc:
+        raise StoreError(f"undecodable engine capture {path}: {exc}") \
+            from exc
 
 
 def _narrow(a: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ A server's resident *graph* is recoverable from the delta log alone,
 but its *temporal model state* (LSTM carries, evolved weights, M-product
 history) is a function of the whole op history.  Rather than replay
 from t=0, the serving tier periodically captures the engine state into
-``<store>/engine/state_*.npz``; recovery then is
+``<store>/engine/state_*.cap``; recovery then is
 
     model checkpoint  +  newest engine capture  +  WAL tail replay
 
@@ -35,17 +35,16 @@ __all__ = ["capture_engine_state", "restore_engine_state",
            "unpack_shard_export"]
 
 
-def _copy(a: np.ndarray) -> np.ndarray:
-    return np.array(a, copy=True)
-
-
 # ---------------------------------------------------------------------------
 # single-worker engine (ModelServer)
 # ---------------------------------------------------------------------------
 
 def capture_engine_state(engine) -> tuple[dict, dict[str, np.ndarray]]:
     """Flatten an :class:`~repro.serve.engine.InferenceEngine`'s mutable
-    state into ``(meta, arrays)`` ready for :func:`codec.pack_record`."""
+    state into ``(meta, arrays)`` ready for
+    :meth:`GraphStore.save_engine_state` — the export layout of
+    :func:`pack_shard_export` without a prefix.  The arrays are the
+    engine's own, not copies: valid until the engine next moves."""
     cache = engine.cache
     meta: dict = {"type": "engine", "engine_kind": engine.kind,
                   "steps": int(engine.steps),
@@ -53,43 +52,27 @@ def capture_engine_state(engine) -> tuple[dict, dict[str, np.ndarray]]:
                   "num_layers": len(engine.layers),
                   "use_clock": int(cache._use_clock)}
     arrays: dict[str, np.ndarray] = {
-        "dirty": _copy(cache._dirty),
-        "expanded": _copy(cache._expanded),
+        "dirty": cache._dirty,
+        "expanded": cache._expanded,
         # bounded-cache LRU state, so a recovered server evicts and
         # reloads exactly like the crashed one would have
-        "evicted": _copy(cache._evicted),
-        "last_used": _copy(cache._last_used),
+        "evicted": cache._evicted,
+        "last_used": cache._last_used,
     }
-    for i, z in enumerate(cache.layer_outputs):
-        arrays[f"layer_outputs/{i}"] = _copy(z)
-    if engine.kind == "cdgcn":
-        for name, carries in (("pre_carry", cache.pre_carry),
-                              ("post_carry", cache.post_carry)):
-            for i, (h, c) in enumerate(carries):
-                arrays[f"{name}/{i}/h"] = _copy(h)
-                arrays[f"{name}/{i}/c"] = _copy(c)
-    elif engine.kind == "egcn":
-        for i, (h, c) in enumerate(engine._weight_state):
-            arrays[f"weight_state/{i}/h"] = _copy(h)
-            arrays[f"weight_state/{i}/c"] = _copy(c)
-        for i, w in enumerate(engine._current_weights):
-            arrays[f"current_weights/{i}"] = _copy(w)
-    elif engine.kind == "tmgcn":
-        meta["history_lens"] = [len(frames) for frames in engine._history]
-        meta["current_y_present"] = [y is not None
-                                     for y in engine._current_y]
-        for i, frames in enumerate(engine._history):
-            for j, frame in enumerate(frames):
-                arrays[f"history/{i}/{j}"] = _copy(frame)
-        for i, y in enumerate(engine._current_y):
-            if y is not None:
-                arrays[f"current_y/{i}"] = _copy(y)
+    state = {"layer_outputs": cache.layer_outputs,
+             "pre_carry": cache.pre_carry, "post_carry": cache.post_carry,
+             "weight_state": engine._weight_state,
+             "current_weights": engine._current_weights,
+             "history": engine._history, "current_y": engine._current_y}
+    pack_shard_export("", state, engine.kind, meta, arrays)
     return meta, arrays
 
 
 def restore_engine_state(engine, meta: dict,
                          arrays: dict[str, np.ndarray]) -> None:
-    """Overwrite a freshly constructed engine with a captured state."""
+    """Overwrite a freshly constructed engine with a captured state.
+    The engine adopts ``arrays`` as they are (the store's read buffer
+    views are writable and private to this restore), without a copy."""
     if meta.get("type") != "engine":
         raise StoreError("capture is not a single-engine state record")
     if meta["engine_kind"] != engine.kind:
@@ -98,38 +81,24 @@ def restore_engine_state(engine, meta: dict,
             f"{engine.kind!r} — wrong model checkpoint?")
     if meta["num_layers"] != len(engine.layers):
         raise StoreError("capture layer count does not match the model")
+    state = unpack_shard_export("", engine.kind, meta["num_layers"], meta,
+                                arrays)
     cache = engine.cache
-    for i in range(len(cache.layer_outputs)):
-        cache.layer_outputs[i] = _copy(arrays[f"layer_outputs/{i}"])
+    cache.layer_outputs[:] = state["layer_outputs"]
     if engine.kind == "cdgcn":
-        for name in ("pre_carry", "post_carry"):
-            carries = getattr(cache, name)
-            for i in range(len(carries)):
-                carries[i] = (_copy(arrays[f"{name}/{i}/h"]),
-                              _copy(arrays[f"{name}/{i}/c"]))
+        cache.pre_carry[:] = state["pre_carry"]
+        cache.post_carry[:] = state["post_carry"]
     elif engine.kind == "egcn":
-        engine._weight_state = [
-            (_copy(arrays[f"weight_state/{i}/h"]),
-             _copy(arrays[f"weight_state/{i}/c"]))
-            for i in range(len(engine._weight_state))]
-        engine._current_weights = [
-            _copy(arrays[f"current_weights/{i}"])
-            for i in range(len(engine._current_weights))]
+        engine._weight_state = state["weight_state"]
+        engine._current_weights = state["current_weights"]
     elif engine.kind == "tmgcn":
-        engine._history = [
-            [_copy(arrays[f"history/{i}/{j}"]) for j in range(length)]
-            for i, length in enumerate(meta["history_lens"])]
-        engine._current_y = [
-            _copy(arrays[f"current_y/{i}"]) if present else None
-            for i, present in enumerate(meta["current_y_present"])]
+        engine._history = state["history"]
+        engine._current_y = state["current_y"]
     engine.steps = int(meta["steps"])
     engine._primed = bool(meta["primed"])
-    cache._dirty = np.asarray(arrays["dirty"], dtype=np.int64).copy()
-    cache._expanded = np.asarray(arrays["expanded"],
-                                 dtype=np.int64).copy()
-    cache._evicted = np.asarray(arrays["evicted"], dtype=np.int64).copy()
-    cache._last_used = np.asarray(arrays["last_used"],
-                                  dtype=np.int64).copy()
+    for name in ("dirty", "expanded", "evicted", "last_used"):
+        setattr(cache, f"_{name}",
+                np.asarray(arrays[name], dtype=np.int64))
     cache._use_clock = int(meta["use_clock"])
 
 
@@ -140,56 +109,58 @@ def restore_engine_state(engine, meta: dict,
 def pack_shard_export(prefix: str, state: dict, kind: str, meta_shard: dict,
                       arrays: dict[str, np.ndarray]) -> None:
     """Flatten one shard's owned-row export (``export_state`` reply)
-    into ``arrays`` under ``prefix``; shape metadata that the arrays
-    cannot carry lands in ``meta_shard``."""
+    into ``arrays``, every name prefixed by ``prefix``; shape metadata
+    that the arrays cannot carry lands in ``meta_shard``.  The export's
+    arrays go in as they are (views, valid until the engine next
+    moves)."""
     for i, z in enumerate(state["layer_outputs"]):
-        arrays[f"{prefix}/layer_outputs/{i}"] = _copy(z)
+        arrays[f"{prefix}layer_outputs/{i}"] = z
     if kind == "cdgcn":
         for name in ("pre_carry", "post_carry"):
             for i, (h, c) in enumerate(state[name]):
-                arrays[f"{prefix}/{name}/{i}/h"] = _copy(h)
-                arrays[f"{prefix}/{name}/{i}/c"] = _copy(c)
+                arrays[f"{prefix}{name}/{i}/h"] = h
+                arrays[f"{prefix}{name}/{i}/c"] = c
     elif kind == "egcn":
         for i, (h, c) in enumerate(state["weight_state"]):
-            arrays[f"{prefix}/weight_state/{i}/h"] = _copy(h)
-            arrays[f"{prefix}/weight_state/{i}/c"] = _copy(c)
+            arrays[f"{prefix}weight_state/{i}/h"] = h
+            arrays[f"{prefix}weight_state/{i}/c"] = c
         for i, w in enumerate(state["current_weights"]):
-            arrays[f"{prefix}/current_weights/{i}"] = _copy(w)
+            arrays[f"{prefix}current_weights/{i}"] = w
     elif kind == "tmgcn":
         meta_shard["history_lens"] = [len(f) for f in state["history"]]
         meta_shard["current_y_present"] = [y is not None
                                           for y in state["current_y"]]
         for i, frames in enumerate(state["history"]):
             for j, frame in enumerate(frames):
-                arrays[f"{prefix}/history/{i}/{j}"] = _copy(frame)
+                arrays[f"{prefix}history/{i}/{j}"] = frame
         for i, y in enumerate(state["current_y"]):
             if y is not None:
-                arrays[f"{prefix}/current_y/{i}"] = _copy(y)
+                arrays[f"{prefix}current_y/{i}"] = y
 
 
 def unpack_shard_export(prefix: str, kind: str, num_layers: int,
                         meta_shard: dict,
                         arrays: dict[str, np.ndarray]) -> dict:
     """Inverse of :func:`pack_shard_export`."""
-    state: dict = {"layer_outputs": [arrays[f"{prefix}/layer_outputs/{i}"]
+    state: dict = {"layer_outputs": [arrays[f"{prefix}layer_outputs/{i}"]
                                      for i in range(num_layers)]}
     if kind == "cdgcn":
         for name in ("pre_carry", "post_carry"):
-            state[name] = [(arrays[f"{prefix}/{name}/{i}/h"],
-                            arrays[f"{prefix}/{name}/{i}/c"])
+            state[name] = [(arrays[f"{prefix}{name}/{i}/h"],
+                            arrays[f"{prefix}{name}/{i}/c"])
                            for i in range(num_layers)]
     elif kind == "egcn":
-        state["weight_state"] = [(arrays[f"{prefix}/weight_state/{i}/h"],
-                                  arrays[f"{prefix}/weight_state/{i}/c"])
+        state["weight_state"] = [(arrays[f"{prefix}weight_state/{i}/h"],
+                                  arrays[f"{prefix}weight_state/{i}/c"])
                                  for i in range(num_layers)]
-        state["current_weights"] = [arrays[f"{prefix}/current_weights/{i}"]
+        state["current_weights"] = [arrays[f"{prefix}current_weights/{i}"]
                                     for i in range(num_layers)]
     elif kind == "tmgcn":
         state["history"] = [
-            [arrays[f"{prefix}/history/{i}/{j}"] for j in range(length)]
+            [arrays[f"{prefix}history/{i}/{j}"] for j in range(length)]
             for i, length in enumerate(meta_shard["history_lens"])]
         state["current_y"] = [
-            arrays[f"{prefix}/current_y/{i}"] if present else None
+            arrays[f"{prefix}current_y/{i}"] if present else None
             for i, present in enumerate(meta_shard["current_y_present"])]
     return state
 
@@ -206,7 +177,7 @@ def unpack_sharded_state(meta: dict, arrays: dict[str, np.ndarray]
     exports = []
     for s in range(meta["num_shards"]):
         block = np.flatnonzero(owner == s)
-        state = unpack_shard_export(f"shard/{s}", kind,
+        state = unpack_shard_export(f"shard/{s}/", kind,
                                     meta["num_layers"],
                                     meta["shards"][s], arrays)
         exports.append((block, state))

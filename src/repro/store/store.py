@@ -5,7 +5,7 @@ A :class:`GraphStore` is a directory::
     <path>/
       wal.log            append-only delta log (repro.store.wal framing)
       bases/base_*.npz   compacted CSR snapshots (acceleration only)
-      engine/state_*.npz serving-engine state captures (crash recovery)
+      engine/state_*.cap serving-engine state captures (crash recovery)
 
 The WAL is authoritative.  Its record stream defines a timeline: every
 ``DIFF`` record both mutates the graph and **seals** the next timestep;
@@ -49,7 +49,7 @@ __all__ = ["GraphStore", "StoreView"]
 
 WAL_NAME = "wal.log"
 ENGINE_DIR = "engine"
-_STATE_RE = re.compile(r"^state_(\d{8})\.npz$")
+_STATE_RE = re.compile(r"^state_(\d{8})\.(cap|npz)$")  # .npz: legacy
 
 _SEALING = (KIND_DIFF, KIND_SEAL)
 
@@ -85,6 +85,8 @@ class GraphStore:
             raise StoreError(f"no graph store at {path}")
         self.wal = DeltaLog(wal_path, sync=sync)
         self.records_replayed = 0
+        self.captures = 0
+        self.capture_bytes = 0
         self._mat_cache: OrderedDict[int, GraphSnapshot] = OrderedDict()
         self._mat_cache_size = 4
         if creating:
@@ -212,14 +214,25 @@ class GraphStore:
             self.compactor.maybe_compact(step)
         return curr
 
-    def append_events(self, events: Iterable) -> int:
+    def append_events(self, events: Iterable, folded=None) -> int:
         """Log one live edge-event batch (intra-step mutation); returns
         the WAL record index.  The fold is validated before the bytes
-        are committed, so a bad batch never lands in the log."""
+        are committed, so a bad batch never lands in the log.
+
+        ``folded`` is a serving tier's own ``fold_event_batch(tip,
+        events)`` result ``(curr, touched, diff)``: the tip adopts its
+        ``curr`` instead of folding the batch a second time, once its
+        diff's base checksum proves it was folded over this tip."""
         events = list(events)
         with self.telemetry.trace("store.append", kind="events",
                                   events=len(events)):
-            new_tip = codec.fold_events(self._tip, events)
+            if folded is None:
+                new_tip = codec.fold_events(self._tip, events)
+            elif folded[2].base_checksum != codec.edge_checksum(self._tip):
+                raise StoreError("event batch was folded over a graph "
+                                 "that is not the store tip")
+            else:
+                new_tip = folded[0]
             idx = self.wal.append(KIND_EVENTS, codec.encode_events(events))
             self._tip = new_tip
             self._events_since_seal += 1
@@ -416,6 +429,10 @@ class GraphStore:
         reg.counter("store_records_replayed_total",
                     "WAL records replayed by materializations").set_to(
             self.records_replayed)
+        reg.counter("store_captures_total", "Engine-state captures "
+                    "written by this process").set_to(self.captures)
+        reg.counter("store_capture_bytes_total", "Bytes of those "
+                    "captures").set_to(self.capture_bytes)
         reg.attach("store_replay_depth", self.replay_depth,
                    "WAL records replayed per materialization "
                    "(bounded by the compaction interval)")
@@ -453,17 +470,22 @@ class GraphStore:
                           arrays: dict[str, np.ndarray], *,
                           keep: int = 2) -> str:
         """Persist a serving-engine state capture tied to the current
-        end of the log; prunes captures beyond the newest ``keep``."""
+        end of the log; prunes captures beyond the newest ``keep``.
+        ``arrays`` may be a live engine's own: they are written out,
+        uncopied, before this returns."""
         record_index = self.wal.num_records - 1
         meta = dict(meta)
         meta["record_index"] = record_index
         os.makedirs(self._engine_dir(), exist_ok=True)
         path = os.path.join(self._engine_dir(),
-                            f"state_{record_index:08d}.npz")
+                            f"state_{record_index:08d}.cap")
         tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(codec.pack_record(meta, arrays))
-        os.replace(tmp, path)
+        with self.telemetry.trace("store.capture") as span:
+            nbytes = codec.write_capture(tmp, meta, arrays)
+            os.replace(tmp, path)
+            span.set(bytes=nbytes)
+        self.captures += 1
+        self.capture_bytes += nbytes
         for _, old in self._engine_states()[:-keep]:
             if old != path:
                 os.remove(old)
@@ -483,11 +505,16 @@ class GraphStore:
 
     def latest_engine_state(self) -> tuple[dict, dict] | None:
         """Newest decodable engine-state capture as ``(meta, arrays)``
-        (``meta['record_index']`` says where WAL tail replay resumes)."""
+        (``meta['record_index']`` says where WAL tail replay resumes).
+        Arrays of a ``.cap`` capture are writable views into one read
+        buffer, which a restore adopts as they are."""
         for record_index, path in reversed(self._engine_states()):
             try:
-                with open(path, "rb") as fh:
-                    meta, arrays = codec.unpack_record(fh.read())
+                if path.endswith(".cap"):
+                    meta, arrays = codec.read_capture(path)
+                else:
+                    with open(path, "rb") as fh:
+                        meta, arrays = codec.unpack_record(fh.read())
             except (StoreError, OSError):
                 continue  # torn capture: fall back to the previous one
             if meta.get("record_index") == record_index:

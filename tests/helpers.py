@@ -241,3 +241,30 @@ def flush_oracle(server) -> int:
     if server._queue:  # drained in max_batch_size chunks
         return len(batch) + flush_oracle(server)
     return len(batch)
+
+
+# ---------------------------------------------------------------------------
+# store oracle: the npz engine-capture writer
+# ---------------------------------------------------------------------------
+# Until the CRC-framed ``.cap`` file this was GraphStore.save_engine_state:
+# every array copied by the capture, packed by np.savez through zipfile
+# into a BytesIO, and written as ``engine/state_<r>.npz``.  Stores written
+# that way must still recover, bit for bit.
+
+def legacy_save_engine_state(store, meta, arrays, *, keep=2) -> str:
+    from repro.store import codec
+
+    record_index = store.wal.num_records - 1
+    meta = dict(meta)
+    meta["record_index"] = record_index
+    os.makedirs(store._engine_dir(), exist_ok=True)
+    path = os.path.join(store._engine_dir(),
+                        f"state_{record_index:08d}.npz")
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(codec.pack_record(meta, arrays))
+    os.replace(tmp, path)
+    for _, old in store._engine_states()[:-keep]:
+        if old != path:
+            os.remove(old)
+    return path

@@ -131,6 +131,23 @@ class TestCompaction:
             fh.write(b"\xff" * 16)
         assert store.replay_to(19) == aml20[19]
 
+    @pytest.mark.parametrize("keep", [0, 1, 30, 0.5, -4])
+    def test_torn_base_falls_back_to_older(self, aml20, tmp_path, keep):
+        """A base cut short (a crash mid-write without the rename, a
+        full disk) is skipped like a corrupt one, never raised."""
+        store = GraphStore.from_dtdg(str(tmp_path / "s"), aml20,
+                                     base_interval=5)
+        newest = list_bases(store.path)[-1][1]
+        size = os.path.getsize(newest)
+        with open(newest, "r+b") as fh:
+            fh.truncate(int(keep * size) if isinstance(keep, float)
+                        else keep % size)
+        before = store.records_replayed
+        assert store.replay_to(19) == aml20[19]
+        assert store.records_replayed - before == 9   # from base 10
+        assert GraphStore.open(str(tmp_path / "s")).replay_to(17) == \
+            aml20[17]
+
     def test_manual_compact(self, aml20, tmp_path):
         store = GraphStore.from_dtdg(str(tmp_path / "s"), aml20,
                                      base_interval=None)
