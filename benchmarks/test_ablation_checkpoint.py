@@ -28,8 +28,8 @@ def _sweep():
     return out
 
 
-def test_ablation_checkpoint_blocks(benchmark):
-    results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_ablation_checkpoint_blocks():
+    results = _sweep()
     rows = []
     for nb, r in results.items():
         rows.append((nb, f"{r.peak_memory_bytes:,}",

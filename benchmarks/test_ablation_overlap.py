@@ -41,8 +41,8 @@ def _window_sweep():
     return out
 
 
-def test_ablation_overlap_drives_gd_gains(benchmark):
-    churn = benchmark.pedantic(_churn_sweep, rounds=1, iterations=1)
+def test_ablation_overlap_drives_gd_gains():
+    churn = _churn_sweep()
     window = _window_sweep()
 
     rows = [("churn", f"{c:g}", round(ov, 3), round(sv, 2))

@@ -14,8 +14,6 @@ Shape checks (the paper's claims):
   small P, the checkpointed implementation does.
 """
 
-import pytest
-
 from repro.bench import (DATASET_NAMES, GPU_COUNTS, MODEL_LABELS,
                          cached_point, render_table, write_report)
 from repro.models import MODEL_NAMES
@@ -51,11 +49,8 @@ def _sweep():
     return rows, results
 
 
-def test_fig4_graph_difference_transfer(benchmark):
+def test_fig4_graph_difference_transfer():
     rows, results = _sweep()
-    benchmark.pedantic(
-        lambda: cached_point.__wrapped__("epinions", "tmgcn", 8, True),
-        rounds=1, iterations=1)
     table = render_table(
         ["dataset", "model", "P", "Base transfer ms", "GD transfer ms",
          "GD transfer speedup", "Base total ms", "overall reduction"],
@@ -104,19 +99,13 @@ def test_fig4_graph_difference_transfer(benchmark):
     assert best_overall > 0.30, f"best overall reduction {best_overall}"
 
 
-def test_fig4_memory_claim_baseline_vs_checkpoint(benchmark):
+def test_fig4_memory_claim_baseline_vs_checkpoint():
     """§6.2: 'the baseline did not execute on a single node … the
     checkpoint based implementation was able to successfully run'."""
-
-    def probe():
-        baseline = cached_point("amlsim", "tmgcn", 1, use_gd=True,
-                                num_blocks=1, tune_blocks=False)
-        checkpointed = cached_point("amlsim", "tmgcn", 1, use_gd=True,
-                                    num_blocks=4, tune_blocks=True)
-        return baseline, checkpointed
-
-    baseline, checkpointed = benchmark.pedantic(probe, rounds=1,
-                                                iterations=1)
+    baseline = cached_point("amlsim", "tmgcn", 1, use_gd=True,
+                            num_blocks=1, tune_blocks=False)
+    checkpointed = cached_point("amlsim", "tmgcn", 1, use_gd=True,
+                                num_blocks=4, tune_blocks=True)
     assert baseline is None, "non-checkpointed baseline should OOM at P=1"
     assert checkpointed is not None, "checkpointed run should fit at P=1"
     rows = [("baseline (no checkpoint)", "DNR (out of memory)", "-"),

@@ -28,11 +28,8 @@ def _collect(model):
     return per_dataset
 
 
-def test_fig5_strong_scaling(benchmark):
+def test_fig5_strong_scaling():
     all_results = {model: _collect(model) for model in MODEL_NAMES}
-    benchmark.pedantic(
-        lambda: cached_point.__wrapped__("youtube", "cdgcn", 8, True),
-        rounds=1, iterations=1)
 
     rows = []
     summary_rows = []

@@ -40,15 +40,13 @@ def _run_curve(model_name, partitioning):
     return curve
 
 
-def test_fig6_convergence_identical(benchmark):
+def test_fig6_convergence_identical():
     curves = {}
     for model_name in MODEL_NAMES:
         curves[model_name] = {
             "snapshot": _run_curve(model_name, "snapshot"),
             "hypergraph": _run_curve(model_name, "vertex"),
         }
-    benchmark.pedantic(lambda: _run_curve("tmgcn", "snapshot"),
-                       rounds=1, iterations=1)
 
     rows = []
     for model_name in MODEL_NAMES:

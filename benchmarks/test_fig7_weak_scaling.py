@@ -75,9 +75,8 @@ def _sweep(model_name):
     return through
 
 
-def test_fig7_weak_scaling(benchmark):
+def test_fig7_weak_scaling():
     throughputs = {m: _sweep(m) for m in MODEL_NAMES}
-    benchmark.pedantic(lambda: _sweep("egcn"), rounds=1, iterations=1)
 
     rows = []
     speedups = {}

@@ -69,7 +69,7 @@ def _run(name, num_ranks, group_size):
     return trainer.fit(EPOCHS)
 
 
-def test_sec65_hybrid_splits_large_snapshots(benchmark):
+def test_sec65_hybrid_splits_large_snapshots():
     rows = []
     for name in VARIANTS:
         dtdg = _large_dtdg(name)
@@ -90,8 +90,6 @@ def test_sec65_hybrid_splits_large_snapshots(benchmark):
         assert results[-1].loss < results[0].loss, name
         assert accuracy > 0.55, (name, accuracy)
 
-    benchmark.pedantic(lambda: _run("AMLSim-Large-1", 2, 2)[-1],
-                       rounds=1, iterations=1)
     table = render_table(
         ["dataset", "T", "nnz", "per-GPU budget", "test accuracy"],
         rows, title="§6.5: TM-GCN on large snapshots, split across a "

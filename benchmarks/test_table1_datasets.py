@@ -32,8 +32,8 @@ def _rows():
     return rows
 
 
-def test_table1_dataset_statistics(benchmark):
-    rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
+def test_table1_dataset_statistics():
+    rows = _rows()
     table = render_table(
         ["dataset", "N", "T", "nnz", "M-product", "edge-life",
          "raw overlap", "smoothed overlap"],

@@ -50,15 +50,13 @@ def _paper_equivalent_volume(model_name, units):
     return units / feature_factor / 1e9
 
 
-def test_table2_snapshot_vs_hypergraph(benchmark):
+def test_table2_snapshot_vs_hypergraph():
     results = {}
     for model_name in MODEL_NAMES:
         for partitioning in ("snapshot", "vertex"):
             for p in RANKS:
                 results[(model_name, partitioning, p)] = _run(
                     model_name, partitioning, p)
-    benchmark.pedantic(lambda: _run.__wrapped__("tmgcn", "snapshot", 4),
-                       rounds=1, iterations=1)
 
     rows = []
     for model_name in MODEL_NAMES:

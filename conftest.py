@@ -1,16 +1,15 @@
 """Collection order and output location for the tier-1 command
 (`pytest -x -q` at the root).
 
-Unit suites run before the benchmark and perf suites, whatever order
-the directories collect in: with ``-x`` a host-dependent timing guard
-in ``benchmarks/`` must not stop the run before a single unit test has
+Unit suites run before the paper-figure benches and the perf suites,
+whatever order the directories collect in: with ``-x`` a failing
+figure bench must not stop the run before a single unit test has
 executed.
 
-The bench suites write ``BENCH_*.json`` and ``results/*.txt``; both are
-tracked, so a test run sends them to a session temp dir and leaves the
-tree clean.  ``REPRO_BENCH_WRITE=1`` writes them in place (recording a
-bench, CI's perf guard); an explicit ``REPRO_BENCH_DIR`` /
-``REPRO_RESULTS_DIR`` is always honoured.
+The figure benches write ``results/*.txt``, which is tracked, so a test
+run sends it to a session temp dir and leaves the tree clean.
+``REPRO_BENCH_WRITE=1`` writes the reports in place (regenerating a
+figure); an explicit ``REPRO_RESULTS_DIR`` is always honoured.
 """
 
 import os
@@ -18,19 +17,17 @@ import shutil
 import tempfile
 
 _LATE = ("benchmarks", "perf")
-_OUTPUT_VARS = ("REPRO_BENCH_DIR", "REPRO_RESULTS_DIR")
 
 
 def pytest_configure(config):
-    if os.environ.get("REPRO_BENCH_WRITE") == "1":
+    if os.environ.get("REPRO_BENCH_WRITE") == "1" \
+            or "REPRO_RESULTS_DIR" in os.environ:
         return
     scratch = tempfile.mkdtemp(prefix="repro-bench-")
-    ours = [var for var in _OUTPUT_VARS if var not in os.environ]
-    os.environ.update({var: scratch for var in ours})
+    os.environ["REPRO_RESULTS_DIR"] = scratch
 
     def cleanup():
-        for var in ours:
-            os.environ.pop(var, None)
+        os.environ.pop("REPRO_RESULTS_DIR", None)
         shutil.rmtree(scratch, ignore_errors=True)
 
     config.add_cleanup(cleanup)

@@ -26,8 +26,7 @@ Subpackages
     Temporal graph store: append-only delta-log WAL, CSR snapshot
     compaction, time-travel views, and crash-recoverable serving state.
 ``repro.bench``
-    Harness that regenerates every table and figure of the paper, plus
-    the serving replay workload.
+    Harness that regenerates every table and figure of the paper.
 """
 
 __version__ = "1.0.0"

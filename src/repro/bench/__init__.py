@@ -2,49 +2,16 @@
 
 from repro.bench.harness import (PointSpec, cached_point, run_point,
                                  speedup_series)
-from repro.bench.reporting import (fmt, render_table, results_dir,
-                                   write_bench_json, write_report)
-from repro.bench.workloads import (BENCH_SCALE, DATASET_NAMES, GPU_COUNTS,
+from repro.bench.reporting import fmt, render_table, results_dir, write_report
+from repro.bench.workloads import (DATASET_NAMES, DATASET_SCALE, GPU_COUNTS,
                                    MODEL_LABELS, bench_dtdg,
                                    calibrated_overrides, hardware_scale,
                                    raw_bench_dtdg)
-from repro.bench.serving import (ServingBenchResult, ServingWorkloadConfig,
-                                 build_event_schedule, build_query_plan,
-                                 replay_stream, run_serving_benchmark)
-from repro.bench.sharded import (ShardedBenchResult, ShardedScalePoint,
-                                 ShardedWorkloadConfig,
-                                 run_sharded_benchmark)
-from repro.bench.exec import (ExecBenchResult, ExecScalePoint,
-                              ExecWorkloadConfig, run_exec_benchmark)
-from repro.bench.resilience import (ResilienceBenchResult,
-                                    ResilienceModeResult,
-                                    ResilienceWorkloadConfig,
-                                    run_resilience_benchmark)
-from repro.bench.store import (StoreBenchResult, StoreWorkloadConfig,
-                               run_store_benchmark)
-from repro.bench.kernels import (KernelsBenchResult, KernelWorkloadConfig,
-                                 run_kernels_benchmark)
-from repro.bench.training import (TrainingBenchResult,
-                                  TrainingWorkloadConfig,
-                                  run_training_benchmark)
 
 __all__ = [
     "PointSpec", "run_point", "speedup_series", "cached_point",
-    "render_table", "write_report", "write_bench_json", "results_dir",
-    "fmt",
-    "GPU_COUNTS", "DATASET_NAMES", "MODEL_LABELS", "BENCH_SCALE",
+    "render_table", "write_report", "results_dir", "fmt",
+    "GPU_COUNTS", "DATASET_NAMES", "MODEL_LABELS", "DATASET_SCALE",
     "bench_dtdg", "raw_bench_dtdg", "hardware_scale",
     "calibrated_overrides",
-    "ServingWorkloadConfig", "ServingBenchResult", "build_event_schedule",
-    "build_query_plan", "replay_stream", "run_serving_benchmark",
-    "ShardedWorkloadConfig", "ShardedScalePoint", "ShardedBenchResult",
-    "run_sharded_benchmark",
-    "ExecWorkloadConfig", "ExecScalePoint", "ExecBenchResult",
-    "run_exec_benchmark",
-    "ResilienceWorkloadConfig", "ResilienceModeResult",
-    "ResilienceBenchResult", "run_resilience_benchmark",
-    "StoreWorkloadConfig", "StoreBenchResult", "run_store_benchmark",
-    "KernelWorkloadConfig", "KernelsBenchResult", "run_kernels_benchmark",
-    "TrainingWorkloadConfig", "TrainingBenchResult",
-    "run_training_benchmark",
 ]

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Iterable, Sequence
 
-__all__ = ["render_table", "write_report", "write_bench_json",
-           "results_dir", "fmt"]
+__all__ = ["render_table", "write_report", "results_dir", "fmt"]
 
 
 def results_dir() -> str:
@@ -63,21 +61,4 @@ def write_report(name: str, text: str) -> str:
     with open(path, "w") as fh:
         fh.write(text + "\n")
     print(f"\n{text}\n[report written to {path}]")
-    return path
-
-
-def write_bench_json(name: str, payload: dict) -> str:
-    """Write a machine-readable bench trajectory file.
-
-    ``BENCH_<name>.json`` lands next to the repo's top-level docs (or in
-    ``REPRO_BENCH_DIR``) so external tooling can track headline numbers
-    across commits without parsing the human tables in ``results/``.
-    """
-    base = os.environ.get("REPRO_BENCH_DIR", os.getcwd())
-    os.makedirs(base, exist_ok=True)
-    path = os.path.join(base, f"BENCH_{name}.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"[bench json written to {path}]")
     return path

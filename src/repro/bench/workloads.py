@@ -16,7 +16,7 @@ from repro.graph.dtdg import DTDG
 from repro.train.preprocess import degree_features, smooth_for_model
 
 __all__ = ["GPU_COUNTS", "DATASET_NAMES", "MODEL_LABELS", "bench_dtdg",
-           "raw_bench_dtdg", "BENCH_SCALE", "hardware_scale",
+           "raw_bench_dtdg", "DATASET_SCALE", "hardware_scale",
            "calibrated_overrides"]
 
 # the paper's strong-scaling sweep: P = 1 … 128, node boundary at 8
@@ -29,7 +29,7 @@ MODEL_LABELS = {"tmgcn": "TM-GCN", "cdgcn": "CD-GCN", "egcn": "EvolveGCN"}
 # relative dataset sizes and temporal overlap.  Timelines are kept at
 # ≈130 snapshots so the strong-scaling sweep up to P=128 never leaves
 # ranks idle (the paper's datasets satisfy T ≥ P as well).
-BENCH_SCALE = {
+DATASET_SCALE = {
     "epinions": (3.0e-4, 0.26),
     "flickr": (1.0e-4, 0.97),
     "youtube": (0.8e-4, 0.64),
@@ -47,7 +47,7 @@ EDGE_LIFE = 48
 @lru_cache(maxsize=None)
 def raw_bench_dtdg(dataset: str, seed: int = 0) -> DTDG:
     """Unsmoothed calibrated dataset at bench scale (cached)."""
-    scale, t_scale = BENCH_SCALE[dataset]
+    scale, t_scale = DATASET_SCALE[dataset]
     return load_dataset(dataset, scale=scale, t_scale=t_scale, seed=seed)
 
 

@@ -44,8 +44,7 @@ On top of the routing it adds what a real front door needs:
   evaluations;
 * **pipelined fan-out** — writes submit to every shard before
   collecting any reply (``pipeline=False`` serializes, which keeps
-  per-worker busy clocks clean on a single-core host — the bench's
-  critical-path mode);
+  per-worker busy clocks clean on a single-core host);
 * **robustness** — per-call timeouts and heartbeats
   (:meth:`heartbeat`, driven by :meth:`tick` when
   ``heartbeat_interval_s`` is set) detect dead or hung workers; a dead

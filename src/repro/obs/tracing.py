@@ -11,8 +11,9 @@ bounded buffer.  Spans carry wall time plus arbitrary user attributes::
 
 **Disabled is the default and is (almost) free**: ``trace()`` on a
 disabled tracer returns one shared no-op span object without
-allocating, so instrumentation can live permanently on hot paths — the
-serving-bench overhead guard in CI holds this to "within noise".
+allocating and without reading the clock, so instrumentation can live
+permanently on hot paths; ``tests/obs/test_wiring.py`` pins both on the
+single-process and the sharded serving tier.
 
 When the tracer is built over a :class:`~repro.obs.registry.MetricsRegistry`
 every finished span also folds into two labeled counter families —

@@ -109,7 +109,7 @@ class ServerStats:
         return self.counters.queries_completed / self.elapsed_s
 
     def row(self) -> tuple:
-        """Report row for the bench reporting pipeline."""
+        """One table row: queries, qps, p50/p95/p99 ms, cache hit rate."""
         hit_rate = self.counters.cache_hit_rate
         return (self.counters.queries_completed,
                 round(self.queries_per_second, 1),

@@ -4,7 +4,7 @@
 :class:`~repro.serve.ingest.StreamIngestor` keeps the resident graph
 current, an :class:`~repro.serve.engine.InferenceEngine` keeps the
 embedding cache fresh (incrementally or via full recompute — the
-``incremental`` flag is the benchmark's A/B switch), and a micro-batching
+``incremental=False`` server is the exactness oracle), and a micro-batching
 request queue amortizes head evaluation: requests buffer until either
 ``max_batch_size`` is reached or the oldest request has waited
 ``flush_latency_ms`` (checked by :meth:`tick`, the event-loop hook).
@@ -458,7 +458,7 @@ class ModelServer(QueryFrontend):
         Cache invalidation radius (default: model depth).
     incremental:
         ``False`` recomputes every row on each refresh — the full
-        recompute baseline the serving benchmark compares against.
+        recompute oracle incremental serving must equal.
     kernel_backend:
         Kernel backend (name or instance) the engine's sparse kernels
         run on; ``None`` applies the selection precedence

@@ -215,7 +215,7 @@ def decode_base(data: bytes) -> tuple[dict, GraphSnapshot]:
 
 def snapshot_record_nbytes(snap: GraphSnapshot) -> int:
     """On-disk bytes a *full* per-snapshot record would take — the naive
-    storage baseline the delta log is benchmarked against (the legacy
+    storage baseline the delta log is measured against (the legacy
     ``save_dtdg`` representation: int64 edge pairs + float64 values)."""
     payload = pack_record({"kind": "naive", "nnz": snap.num_edges},
                           {"edges": snap.edges, "values": snap.values})

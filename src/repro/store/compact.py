@@ -77,7 +77,7 @@ class Compactor:
     """Base-materialization policy bound to one store.
 
     ``interval=None`` disables automatic compaction (pure delta log —
-    the full-replay baseline the store benchmark measures against).
+    the full-replay baseline that bases bound).
     """
 
     def __init__(self, store, interval: int | None) -> None:

@@ -359,7 +359,7 @@ class GraphStore:
         """Decode sealed timestep ``t`` straight from disk (nearest base
         + log tail replay), bypassing the live-tip and LRU
         short-circuits — exactly the work a cold open or crash recovery
-        pays, and what the store benchmark measures."""
+        pays."""
         return self._state_at_record(self.seal_record_index(t))
 
     def window(self, start: int = 0, stop: int | None = None, *,

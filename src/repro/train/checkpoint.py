@@ -87,8 +87,7 @@ class CheckpointResult:
     carry_bytes: int
     # wall seconds of the two forward sweeps (phase-1 streaming plus the
     # phase-2 per-block re-runs, which are forward work re-executed for
-    # the backward schedule) — what the training bench reports as
-    # per-epoch forward time
+    # the backward schedule) — the per-epoch forward time
     forward_seconds: float = 0.0
     # tape nodes visited, summed over the per-block backward sweeps
     tape_nodes: int = 0

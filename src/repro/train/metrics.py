@@ -28,7 +28,7 @@ class EpochResult:
     transfer_naive_equivalent_bytes: int = 0
     peak_memory_bytes: int = 0
     # wall seconds the epoch spent in forward sweeps (numerics, not the
-    # simulated clocks) — the training-reuse bench's headline metric
+    # simulated clocks)
     forward_wall_s: float = 0.0
     # full-halo equivalent of comm_volume_units: what the exchanges
     # would have shipped without delta-aware shrinking (equal to

@@ -4,7 +4,7 @@ calibration and the run_point driver."""
 import numpy as np
 import pytest
 
-from repro.bench import (BENCH_SCALE, DATASET_NAMES, PointSpec,
+from repro.bench import (DATASET_SCALE, DATASET_NAMES, PointSpec,
                          calibrated_overrides, fmt, hardware_scale,
                          render_table, run_point, speedup_series)
 from repro.bench.workloads import bench_dtdg, raw_bench_dtdg
@@ -51,7 +51,7 @@ class TestSpeedupSeries:
 
 class TestWorkloadCalibration:
     def test_bench_scales_cover_paper_datasets(self):
-        assert set(BENCH_SCALE) == set(DATASET_NAMES)
+        assert set(DATASET_SCALE) == set(DATASET_NAMES)
 
     def test_timelines_cover_p128(self):
         for name in DATASET_NAMES:

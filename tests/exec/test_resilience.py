@@ -30,6 +30,7 @@ from repro.models import build_model
 from repro.nn.linear import Linear
 from repro.serve import StreamIngestor, events_between, expand_dirty
 from repro.serve.server import score_fraud, score_links
+from tests.helpers import replay_stream
 
 
 def make_router(world, **kwargs):
@@ -113,6 +114,89 @@ def test_fault_storm_replay_is_bit_exact(world, oracle, seed):
     s_ref, e_ref = oracle
     assert float(np.abs(scores - s_ref).max()) == 0.0
     assert float(np.abs(emb - e_ref).max()) == 0.0
+
+
+@pytest.fixture(scope="module")
+def storm_runs(world):
+    """One seeded storm against three protections, driven by a replay
+    that counts raising operations, plus the fault-free baseline.  The
+    storm crashes shards 0 and 1; shard 2 stays up, so boundaries keep
+    committing and a dead shard's staleness grows.  Each entry is
+    ``(plan, counters, failed_ops, final_embeddings or None)``."""
+    protections = {"baseline": None, "unprotected": {},
+                   "degraded": {"max_staleness": 4},
+                   "replicated": {"replicas": 2}}
+    runs = {}
+    for name, kwargs in protections.items():
+        if kwargs is None:
+            plan, kwargs = None, {}
+        else:
+            plan = storm_plan(0)
+            kwargs = dict(kwargs, fault_plan=plan,
+                          retry=RetryPolicy(max_attempts=6,
+                                            deadline_s=10.0))
+        router = make_router(world, num_shards=3, **kwargs)
+        failed = replay_stream(router, world.dtdg, tolerate=True)
+        # a tier with a dead shard cannot gather its embeddings
+        emb = router.gathered_embeddings() \
+            if name in ("baseline", "replicated") else None
+        runs[name] = (plan, router.counters, failed, emb)
+        router.close()
+    return runs
+
+
+def availability(runs, name):
+    counters = runs[name][1]
+    return counters.queries_completed / counters.queries_submitted
+
+
+def test_storm_actually_stormed(storm_runs):
+    for name in ("unprotected", "degraded", "replicated"):
+        plan, counters, _, _ = storm_runs[name]
+        assert plan.total_injected > 10, name
+        assert counters.replica_deaths >= 1, name
+
+
+def test_replicated_storm_is_bit_exact(storm_runs):
+    """Retries + dedup + failover are lossless under the tolerant
+    replay too: the replicated tier's final embeddings match the
+    fault-free baseline exactly."""
+    emb = storm_runs["replicated"][3]
+    ref = storm_runs["baseline"][3]
+    assert float(np.abs(emb - ref).max()) == 0.0
+
+
+def test_replicated_availability_is_total(storm_runs):
+    _, counters, failed, _ = storm_runs["replicated"]
+    assert availability(storm_runs, "replicated") == 1.0
+    assert counters.queries_shed == 0
+    assert failed == 0
+    assert counters.failovers >= 1
+
+
+def test_unprotected_tier_loses_queries(storm_runs):
+    """Without replicas the scheduled crashes take shards down for
+    good: queries are shed and tier operations fail."""
+    _, counters, failed, _ = storm_runs["unprotected"]
+    assert availability(storm_runs, "unprotected") < 1.0
+    assert counters.queries_shed > 0
+    assert failed > 0
+
+
+def test_degraded_serving_recovers_availability(storm_runs):
+    """Bounded-staleness answers put degraded availability strictly
+    between the unprotected and replicated tiers, at the cost of stale
+    results, and fail nothing."""
+    _, counters, failed, _ = storm_runs["degraded"]
+    assert availability(storm_runs, "unprotected") \
+        < availability(storm_runs, "degraded") < 1.0
+    assert counters.degraded_queries > 0
+    assert failed == 0
+
+
+def test_availability_speedup_is_material(storm_runs):
+    assert availability(storm_runs, "replicated") \
+        >= 1.2 * availability(storm_runs, "unprotected")
 
 
 def test_mp_replica_failover_mid_stream(world):

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from repro.exec import ExecRouter
+from repro.graph import AMLSimConfig, generate_amlsim
 from repro.models import build_model
 from repro.nn.linear import Linear
 from repro.serve import events_between
+from tests.helpers import replay_stream
 
 MODELS = ["cdgcn", "egcn", "tmgcn"]
 
@@ -117,3 +119,35 @@ def test_rpc_traffic_stays_delta_sized(world):
     mp.close()
     assert commits > 0
     assert sent < shm * commits
+
+
+@pytest.fixture(scope="module")
+def four_workers():
+    """Four real worker processes over a branch-local stream large
+    enough that the resident blocks outweigh the per-query traffic."""
+    dtdg = generate_amlsim(AMLSimConfig(
+        num_accounts=2000, num_timesteps=6, background_per_step=1500,
+        partner_persistence=0.95, activity_skew=0.0, num_branches=8,
+        branch_locality=0.9, seed=0)).dtdg
+    model = build_model("cdgcn", in_features=2, seed=0)
+    fraud = Linear(model.embed_dim, 2, np.random.default_rng(7))
+    router = ExecRouter(model, dtdg[0], backend="multiprocess",
+                        num_shards=4, fraud_head=fraud, max_batch_size=128)
+    replay_stream(router, dtdg, start=2, queries_per_batch=24)
+    stats = router.stats()
+    router.close()
+    return stats
+
+
+def test_wire_stays_delta_sized(four_workers):
+    """Shared memory carries the O(graph) blocks; the pipe carries
+    O(delta + queries).  If a snapshot ever leaks onto the pipe, sent
+    bytes jump by orders of magnitude."""
+    assert four_workers.shm_bytes_mapped > 0
+    assert four_workers.rpc_bytes_sent < 8 * four_workers.shm_bytes_mapped
+
+
+def test_halo_traffic_flows(four_workers):
+    assert four_workers.traffic.rows_shipped > 0
+    assert four_workers.traffic.bytes_shipped > 0
+    assert four_workers.counters.cross_shard_events > 0

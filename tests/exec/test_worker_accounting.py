@@ -1,9 +1,10 @@
-"""Worker time accounting: the clocks the scaling benches trust.
+"""Worker time accounting: the clocks the exec tier reports.
 
-Every critical-path wall number in this repo reduces to one primitive
-— :meth:`WorkerService._charge` accumulating busy seconds — so it gets
-regression coverage of its exact contract: charges are monotone and
-additive under an injected clock.
+Every worker busy-time number in this repo (``ExecStats`` per-shard
+busy seconds, ``perf/``'s ``exec.worker.busy_*``) reduces to one
+primitive — :meth:`WorkerService._charge` accumulating busy seconds —
+so it gets regression coverage of its exact contract: charges are
+monotone and additive under an injected clock.
 """
 
 import numpy as np

@@ -244,6 +244,58 @@ def flush_oracle(server) -> int:
 
 
 # ---------------------------------------------------------------------------
+# stream replay: micro-batched events with seeded queries between them
+# ---------------------------------------------------------------------------
+
+def replay_stream(server, dtdg, start=1, *, batches_per_step=2,
+                  queries_per_batch=8, seed=0, tolerate=False) -> int:
+    """Drive a ``ModelServer`` or ``ExecRouter`` through ``dtdg``.
+
+    Timesteps before ``start`` are boundaries only.  Every later
+    timestep opens with a boundary, replays its transition as
+    ``batches_per_step`` micro-batches of edge events, and flushes
+    half-link / half-fraud queries with seeded endpoints after each
+    batch.  With ``tolerate`` a call that raises ``ExecError`` (a dead
+    or timed-out worker) is counted and the stream goes on, as a
+    supervisor loop would; returns that count.
+    """
+    from repro.errors import ExecError
+    from repro.serve import events_between
+
+    rng = np.random.default_rng(seed + 1)
+    n = dtdg.num_vertices
+    failed = 0
+
+    def attempt(op, *args):
+        nonlocal failed
+        try:
+            op(*args)
+        except ExecError:
+            if not tolerate:
+                raise
+            failed += 1
+
+    for t in range(1, start):
+        server.advance_time(dtdg[t])
+    for t in range(start, dtdg.num_timesteps):
+        attempt(server.advance_time)
+        events = events_between(dtdg[t - 1], dtdg[t])
+        chunk = max(1, -(-len(events) // batches_per_step))
+        for lo in range(0, max(len(events), 1), chunk):
+            if events[lo:lo + chunk]:
+                attempt(server.ingest_events, events[lo:lo + chunk])
+            for q in range(queries_per_batch):
+                if q % 2:
+                    attempt(server.submit_fraud, int(rng.integers(n)))
+                else:
+                    attempt(server.submit_link, int(rng.integers(n)),
+                            int(rng.integers(n)))
+            attempt(server.flush)
+    attempt(server.drain)
+    return failed
+
+
+# ---------------------------------------------------------------------------
 # store oracle: the npz engine-capture writer
 # ---------------------------------------------------------------------------
 # Until the CRC-framed ``.cap`` file this was GraphStore.save_engine_state:

@@ -12,7 +12,7 @@ from repro.exec import ExecRouter
 from repro.graph import AMLSimConfig, generate_amlsim
 from repro.models import build_model
 from repro.nn.linear import Linear
-from repro.obs import Telemetry
+from repro.obs import NULL_SPAN, Span, Telemetry, Tracer
 from repro.serve import ModelServer, events_between
 from repro.serve.engine import TILE_ROWS
 from repro.store import GraphStore
@@ -133,6 +133,58 @@ class TestModelServerWiring:
         reg = server.telemetry.registry
         assert reg.value("serve_queries_completed_total") == \
             server.counters.queries_completed
+
+
+class TestTracingOffIsFree:
+    """Tracing off allocates no span and reads no tracer clock on either
+    serving tier: the injected clock raises, ``Span.__init__`` raises,
+    and every ``trace()`` call must hand back the shared NULL_SPAN."""
+
+    @pytest.fixture
+    def returned(self, monkeypatch):
+        def no_span(*args, **kwargs):
+            raise AssertionError("span allocated with tracing off")
+
+        monkeypatch.setattr(Span, "__init__", no_span)
+        returned = []
+        trace = Tracer.trace
+
+        def spy(self, name, parent=None, **attrs):
+            out = trace(self, name, parent=parent, **attrs)
+            returned.append(out)
+            return out
+
+        monkeypatch.setattr(Tracer, "trace", spy)
+        return returned
+
+    @staticmethod
+    def _telemetry():
+        def clock():
+            raise AssertionError("tracer clock read with tracing off")
+
+        return Telemetry(tracer=Tracer(False, clock=clock))
+
+    def test_model_server(self, stream, returned):
+        model = build_model("cdgcn", in_features=2, seed=0)
+        fraud = Linear(model.embed_dim, 2, np.random.default_rng(9))
+        server = ModelServer(model, stream[0], fraud_head=fraud,
+                             telemetry=self._telemetry())
+        _drive(server, stream, range(1, 6))
+        server.submit_fraud(3)
+        server.drain()
+        assert returned and all(s is NULL_SPAN for s in returned)
+
+    def test_exec_router(self, stream, returned):
+        model = build_model("cdgcn", in_features=2, seed=0)
+        fraud = Linear(model.embed_dim, 2, np.random.default_rng(9))
+        router = ExecRouter(model, stream[0], backend="simulated",
+                            num_shards=3, fraud_head=fraud,
+                            telemetry=self._telemetry())
+        _drive(router, stream, range(1, 6))
+        router.submit_fraud(3)
+        router.drain()
+        router.close()
+        assert returned and all(s is NULL_SPAN for s in returned)
 
 
 class TestShardedWiring:

@@ -10,7 +10,7 @@ from repro.models import build_model
 from repro.nn.linear import EdgeScorer, Linear
 from repro.serve import EdgeEvent, ModelServer, events_between
 from repro.train import save_model_checkpoint
-from tests.helpers import flush_oracle
+from tests.helpers import flush_oracle, replay_stream
 
 
 class FakeClock:
@@ -352,6 +352,33 @@ class TestIncrementalVsFull:
         assert inc.counters.rows_recomputed < full.counters.rows_recomputed
         assert inc.counters.rows_served_from_cache > 0
         assert full.counters.cache_hit_rate == 0.0
+
+    def test_cache_advantage_grows_with_graph_size(self):
+        """Deltas stay event-sized while full recompute scales with N:
+        from a small resident graph to a larger one the hit rate rises
+        and the share of full recompute's rows the cache recomputes
+        falls."""
+        def economics(num_accounts, background):
+            dtdg = generate_amlsim(AMLSimConfig(
+                num_accounts=num_accounts, num_timesteps=6,
+                background_per_step=background, partner_persistence=0.95,
+                activity_skew=0.4, seed=0)).dtdg
+            counters = {}
+            for incremental in (True, False):
+                model = build_model("cdgcn", in_features=2, seed=0)
+                fraud = Linear(model.embed_dim, 2, np.random.default_rng(7))
+                server = ModelServer(model, dtdg[0], fraud_head=fraud,
+                                     incremental=incremental)
+                replay_stream(server, dtdg, start=3, batches_per_step=4)
+                counters[incremental] = server.counters
+            inc, full = counters[True], counters[False]
+            return (inc.cache_hit_rate,
+                    inc.rows_recomputed / full.rows_recomputed)
+
+        small_hit, small_fraction = economics(200, 250)
+        large_hit, large_fraction = economics(1200, 1500)
+        assert large_hit > small_hit
+        assert large_fraction < small_fraction
 
 
 class TestStats:

@@ -203,9 +203,10 @@ class TestTrainerExactness:
             else:
                 np.testing.assert_allclose(a, b, atol=1e-9)
 
-    def test_reuse_reports_aggregation_savings(self):
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_reuse_reports_aggregation_savings(self, name):
         dtdg = _amlsim()
-        model = build_model("cdgcn", in_features=2, seed=0)
+        model = build_model(name, in_features=2, seed=0)
         task = LinkPredictionTask(dtdg, embed_dim=model.embed_dim, seed=1)
         trainer = SingleDeviceTrainer(
             model, dtdg, task,
