@@ -231,7 +231,7 @@ class WorkerService:
     def rpc_export_state(self) -> tuple:
         engine = self.engine
         return (engine.export_state_rows(engine.block),
-                np.array(engine.cache.dirty, copy=True),
+                engine.cache.dirty,
                 int(engine.steps))
 
     def rpc_adopt_state(self, exports, steps, dirty) -> None:

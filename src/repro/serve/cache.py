@@ -1,4 +1,4 @@
-"""Per-vertex model-state cache with k-hop invalidation.
+"""Per-vertex model-state cache with layer-stratified k-hop invalidation.
 
 The serving engine keeps, for every vertex, the outputs of each GCN
 layer plus the temporal carries (LSTM ``(h, c)`` rows, M-product history
@@ -7,17 +7,39 @@ of edge events lands, only vertices whose rows can actually have changed
 need recomputation.  The reach of a delta is bounded by the network
 depth: with degree features, an edge touching vertex set ``D₀`` perturbs
 
-* the feature rows of ``D₀`` only,
-* layer-ℓ outputs of vertices within ℓ hops of ``D₀`` (each GCN layer
-  reads one ring of neighbors, and the Laplacian's degree normalization
-  reaches the same ring),
+* the feature rows of ``D₀`` only (and the ``Ã`` entries of its rows
+  and columns — the degree normalization),
+* the layer-ℓ output of a vertex ``d`` hops from ``D₀`` only when
+  ``d ≤ ℓ + 1``: layer 0 reads one ring of neighbors, and each further
+  layer reads one more,
 
-so invalidating the ``k = num_layers`` hop neighborhood of the touched
-endpoints is sufficient for exact (not approximate) incremental
+so the ``k = num_layers`` hop neighborhood of the touched endpoints
+bounds the invalidation, and within it a vertex ``d`` hops out is stale
+only from layer ``d − 1`` on.  Exact (not approximate) incremental
 inference — the ReInc/InstantGNN observation mapped onto this codebase's
 snapshot machinery.  Expansion only needs the *new* topology: an edge
 present solely in the old snapshot was removed, so both its endpoints
 are already seeds.
+
+Stale layers
+------------
+The cache holds one ``int8`` per vertex: the lowest layer whose output
+row is stale (``num_layers`` means clean; a row stale from layer ``s``
+is stale at every layer ``≥ s``).  The bookkeeping keeps one invariant:
+
+    a row clean at layer ℓ has every column of its ``Ã`` row clean at
+    layer ℓ − 1,
+
+i.e. ``stale[u] ≥ stale[v] − 1`` for every ``Ã[v, u] ≠ 0``.  It is what
+makes a clean row an exact one — a change that reaches a column at
+layer ℓ − 1 reaches every row reading it at ℓ — so a refresh that needs
+some rows can recompute their stale inputs and stop at clean ones.
+:meth:`EmbeddingCache.invalidate` keeps it by construction (neighbors
+are at most one hop apart), a refresh keeps it by recomputing a row's
+stale columns before the row, and :meth:`EmbeddingCache.restore_dirty`
+re-establishes it after recovery.  :meth:`EmbeddingCache.mark_dirty`
+(the sharded tiers, which refresh in full) marks rows stale from layer
+0 without it.
 """
 
 from __future__ import annotations
@@ -29,6 +51,8 @@ from repro.graph.snapshot import GraphSnapshot
 from repro.graph.traversal import undirected_distances
 
 __all__ = ["EmbeddingCache", "expand_dirty"]
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def expand_dirty(snapshot: GraphSnapshot, seeds: np.ndarray,
@@ -48,7 +72,7 @@ def expand_dirty(snapshot: GraphSnapshot, seeds: np.ndarray,
 
 
 class EmbeddingCache:
-    """Holds per-vertex layer outputs/carries and the pending dirty set.
+    """Holds per-vertex layer outputs/carries and their stale layers.
 
     The cache itself is storage plus invalidation bookkeeping; the
     :class:`~repro.serve.engine.InferenceEngine` reads and writes the
@@ -64,14 +88,18 @@ class EmbeddingCache:
         Temporal state per layer *entering* the current timestep (frozen
         while events stream in) and *leaving* it (what the next
         ``advance`` promotes).  Structure is model-kind specific and
-        owned by the engine.
+        owned by the engine.  CD-GCN keeps ``(h, c)`` entering and ``c``
+        alone leaving: a layer's post-step ``h`` is its output row, held
+        once, in ``layer_outputs``.
+    ``stale``
+        The lowest stale layer per vertex (module notes).
     """
 
     def __init__(self, num_vertices: int, num_layers: int,
                  k_hops: int | None = None, *,
                  max_rows: int | None = None) -> None:
-        if num_layers < 1:
-            raise ConfigError("num_layers must be >= 1")
+        if not 1 <= num_layers <= np.iinfo(np.int8).max:
+            raise ConfigError("num_layers must be in [1, 127]")
         k = num_layers if k_hops is None else k_hops
         if k < num_layers:
             raise ConfigError(
@@ -87,17 +115,19 @@ class EmbeddingCache:
         self.layer_outputs: list[np.ndarray] = []
         self.pre_carry: list = []
         self.post_carry: list = []
-        self._dirty: np.ndarray = np.arange(num_vertices, dtype=np.int64)
-        # seeds already expanded since the last clean(); re-walking them
-        # is redundant (see invalidate) and bursts of events sharing
-        # endpoints are common in transaction streams
-        self._expanded: np.ndarray = np.empty(0, dtype=np.int64)
+        # every row starts stale from layer 0
+        self._stale = np.zeros(num_vertices, dtype=np.int8)
+        self._num_dirty = num_vertices
+        # seeds already expanded since a refresh last cleaned a row;
+        # re-walking them is redundant (see invalidate) and bursts of
+        # events sharing endpoints are common in transaction streams
+        self._expanded: np.ndarray = _EMPTY
         # LRU bookkeeping for bounded-memory serving: a logical clock
         # stamped onto rows as they are read, plus the evicted
         # (logically non-resident) row set
         self._last_used = np.zeros(num_vertices, dtype=np.int64)
         self._use_clock = 0
-        self._evicted: np.ndarray = np.empty(0, dtype=np.int64)
+        self._evicted: np.ndarray = _EMPTY
         self.invalidations = 0
         self.rows_invalidated = 0
         self.seeds_deduplicated = 0
@@ -105,67 +135,105 @@ class EmbeddingCache:
         self.rows_evicted = 0
         self.rows_reloaded = 0
 
-    # -- dirty tracking ------------------------------------------------------------
+    # -- stale tracking ------------------------------------------------------------
+    @property
+    def stale(self) -> np.ndarray:
+        """Lowest stale layer per vertex (``num_layers`` = clean)."""
+        return self._stale
+
     @property
     def dirty(self) -> np.ndarray:
-        return self._dirty
+        """Rows stale at some layer (sorted)."""
+        return np.flatnonzero(self._stale < self.num_layers)
 
     @property
     def num_dirty(self) -> int:
-        return len(self._dirty)
+        return self._num_dirty
 
     @property
     def all_dirty(self) -> bool:
-        return len(self._dirty) == self.num_vertices
+        """Every row stale from layer 0."""
+        return self._num_dirty == self.num_vertices and \
+            not self._stale.any()
+
+    def _lower(self, rows: np.ndarray, layer) -> None:
+        """Mark unique ``rows`` stale from ``layer`` (scalar or per-row)
+        on, keeping any lower stale layer they already have."""
+        old = self._stale[rows]
+        self._num_dirty += int(np.count_nonzero(old == self.num_layers))
+        self._stale[rows] = np.minimum(old, layer)
 
     def invalidate(self, snapshot: GraphSnapshot,
-                   seeds: np.ndarray) -> np.ndarray:
-        """Mark the k-hop neighborhood of ``seeds`` stale; returns the
-        newly computed dirty set (cumulative until :meth:`clean`).
+                   seeds: np.ndarray) -> None:
+        """Mark the k-hop neighborhood of ``seeds`` stale, each vertex
+        from the first layer its hop distance lets the change reach:
+        ``d`` hops out it is layer ``d − 1 − (k_hops − num_layers)``
+        (floored at 0 — a wider radius widens every layer alike).
 
-        Seeds already expanded since the last :meth:`clean` are skipped
-        instead of re-walked.  This is exact, not heuristic: a repeated
-        seed's k-hop reach can only grow through edges added *after* its
-        first expansion, and every such edge contributes its own (fresh)
-        endpoints to the seed set of the commit that added it — so the
-        repeat's reach is covered by the old expansion plus the fresh
-        seeds' expansions.  Removed edges only shrink reach, and
-        over-invalidation never serves a stale row.
+        Seeds already expanded since a refresh last cleaned a row are
+        skipped instead of re-walked.  This is exact, not heuristic: a
+        repeated seed's reach can only grow through edges added *after*
+        its first expansion, and every such edge contributes its own
+        (fresh) endpoints to the seed set of the commit that added it —
+        so the repeat's reach is covered by the old expansion, whose
+        rows are all still stale, plus the fresh seeds' expansions.
+        Removed edges only shrink reach, and over-invalidation never
+        serves a stale row.
         """
         if self.all_dirty:
-            return self._dirty
+            return
         seeds = np.unique(np.asarray(seeds, dtype=np.int64))
         fresh = np.setdiff1d(seeds, self._expanded, assume_unique=True)
         self.seeds_deduplicated += len(seeds) - len(fresh)
         if len(fresh) == 0:
-            return self._dirty
-        region = expand_dirty(snapshot, fresh, self.k_hops)
-        self._dirty = np.union1d(self._dirty, region)
+            return
+        k = self.k_hops
+        dist = undirected_distances(self.num_vertices, snapshot.edges,
+                                    fresh, k)
+        region = np.flatnonzero(dist <= k)
+        self._lower(region, np.maximum(
+            dist[region] - (1 + k - self.num_layers), 0))
         self._reclaim(region)
         self._expanded = np.union1d(self._expanded, fresh)
         self.invalidations += 1
         self.rows_invalidated += len(region)
-        return self._dirty
 
-    def mark_dirty(self, rows: np.ndarray) -> np.ndarray:
-        """Union pre-expanded rows into the dirty set without walking
-        the graph (a router that already expanded the frontier once
-        hands shards their slice through this)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if len(rows) == 0:
-            return self._dirty
-        if not self.all_dirty:
-            self._dirty = np.union1d(self._dirty, rows)
+    def mark_dirty(self, rows: np.ndarray) -> None:
+        """Mark pre-expanded rows stale from layer 0 without walking the
+        graph (a router that already expanded the frontier once hands
+        shards their slice through this).  A whole region stale from
+        layer 0 is an over-approximation only a full refresh consumes
+        (it does not keep the module's invariant at its border)."""
+        rows = np.unique(np.asarray(rows, dtype=np.int64))
+        if len(rows) and not self.all_dirty:
+            self._lower(rows, 0)
             self._reclaim(rows)
             self.invalidations += 1
             self.rows_invalidated += len(rows)
-        return self._dirty
 
     def invalidate_all(self) -> None:
-        self._dirty = np.arange(self.num_vertices, dtype=np.int64)
-        self._evicted = np.empty(0, dtype=np.int64)
+        self._stale[:] = 0
+        self._num_dirty = self.num_vertices
+        self._evicted = _EMPTY
         self.invalidations += 1
         self.rows_invalidated += self.num_vertices
+
+    def restore_dirty(self, snapshot: GraphSnapshot,
+                      rows: np.ndarray) -> None:
+        """Re-mark a recovered capture's dirty ``rows`` (whose stale
+        layers the capture does not keep): each stale from layer 0, and
+        every vertex ``d < num_layers`` hops from them stale from layer
+        ``d``, which restores the module's invariant.  Over-invalidation,
+        so still exact; and since no row ends up stale from a higher
+        layer than at capture, the captured expanded seeds stay valid
+        for :meth:`invalidate`."""
+        dist = undirected_distances(self.num_vertices, snapshot.edges,
+                                    np.asarray(rows, dtype=np.int64),
+                                    self.num_layers - 1)
+        self._stale[:] = np.minimum(dist, self.num_layers)
+        dirty = self.dirty
+        self._num_dirty = len(dirty)
+        self._reclaim(dirty)
 
     def _reclaim(self, rows: np.ndarray) -> None:
         """Pull ``rows`` back out of the evicted set when they get
@@ -177,19 +245,36 @@ class EmbeddingCache:
             self._evicted = np.setdiff1d(self._evicted, rows)
 
     def clean(self) -> np.ndarray:
-        """Consume the dirty set (the engine recomputed those rows)."""
-        out = self._dirty
-        self._dirty = np.empty(0, dtype=np.int64)
-        self._expanded = np.empty(0, dtype=np.int64)
+        """Consume every stale row (the engine recomputed them all);
+        returns the rows that were stale."""
+        out = self.dirty
+        self._stale[:] = self.num_layers
+        self._num_dirty = 0
+        self._expanded = _EMPTY
         return out
+
+    def clean_layers(self, plan: list[np.ndarray]) -> None:
+        """Record a refresh: ``plan[ℓ]`` are the stale rows the engine
+        recomputed at layer ℓ — every row stale there, or a read cone —
+        each with its stale columns in ``plan[ℓ − 1]``, so the invariant
+        holds after.  Cleaning any row ends the dedup window of
+        :meth:`invalidate`: a seed expanded before may now sit in a
+        cleaned region, so it must re-expand when it arrives again."""
+        if not any(len(rows) for rows in plan):
+            return
+        for layer, rows in enumerate(plan):
+            self._stale[rows] = layer + 1
+        # a row leaves the dirty set once clean at the last layer
+        self._num_dirty -= len(plan[-1])
+        self._expanded = _EMPTY
 
     # -- bounded-memory eviction ---------------------------------------------------
     # Eviction is *lazy*: a victim leaves the logically resident set
     # (its storage stays allocated in this in-process simulation) but
     # is NOT recomputed until a read actually touches it — touch()
-    # reloads it into the dirty set, and the pre-read refresh recomputes
-    # it.  Bounded memory is traded for on-demand recompute, never for
-    # staleness, and rows nobody asks for again cost nothing.
+    # reloads it, and the pre-read refresh recomputes it.  Bounded
+    # memory is traded for on-demand recompute, never for staleness,
+    # and rows nobody asks for again cost nothing.
 
     @property
     def evicted(self) -> np.ndarray:
@@ -201,8 +286,10 @@ class EmbeddingCache:
 
     def touch(self, rows: np.ndarray | None) -> None:
         """Stamp ``rows`` (``None`` = every row) as recently read and
-        reload any of them that were evicted (cache miss → the row goes
-        dirty and the next refresh recomputes it before it is served).
+        reload any of them that were evicted (cache miss → the row's
+        served, last-layer output goes stale and the next refresh
+        recomputes it before it is served; its lower layers are exact,
+        since a dirtied row is reclaimed from the evicted set).
 
         Only *reads* count as use — recomputation does not, or refresh
         sweeps would stamp victims most-recent and invert the LRU
@@ -222,7 +309,7 @@ class EmbeddingCache:
         if len(misses):
             self._evicted = np.setdiff1d(self._evicted, misses,
                                          assume_unique=True)
-            self._dirty = np.union1d(self._dirty, misses)
+            self._lower(misses, self.num_layers - 1)
             self.rows_reloaded += len(misses)
 
     def maybe_evict(self) -> int:
@@ -232,8 +319,7 @@ class EmbeddingCache:
         if self.max_rows is None:
             return 0
         resident = np.setdiff1d(
-            np.setdiff1d(np.arange(self.num_vertices, dtype=np.int64),
-                         self._dirty, assume_unique=True),
+            np.flatnonzero(self._stale == self.num_layers),
             self._evicted, assume_unique=True)
         excess = len(resident) - self.max_rows
         if excess <= 0:
@@ -248,7 +334,8 @@ class EmbeddingCache:
     # -- embeddings ----------------------------------------------------------------
     @property
     def embeddings(self) -> np.ndarray:
-        """The served per-vertex embedding matrix (last layer output)."""
+        """The stored last-layer output matrix, stale rows included (the
+        engine's ``embeddings`` refreshes them first)."""
         if not self.layer_outputs:
             raise ConfigError("cache not primed: run an engine step first")
         return self.layer_outputs[-1]

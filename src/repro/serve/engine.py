@@ -10,14 +10,29 @@ the serving tier, with two entry points:
     M-product history shifts — and every row is recomputed.  This is the
     periodic resync a production tier runs at window boundaries.
 
-``refresh()``
+``refresh(reads=None)``
     An *intra-step* update: edge events changed the resident graph, the
-    temporal carry is frozen, and only the rows marked dirty by the
-    :class:`~repro.serve.cache.EmbeddingCache` (the k-hop neighborhood
-    of the touched endpoints) are recomputed.  Because embeddings at a
-    fixed timestep are a pure function of (frozen carry, current graph),
-    the refreshed rows are *numerically identical* to a full recompute —
-    incremental serving trades no accuracy.
+    temporal carry is frozen, and only rows the
+    :class:`~repro.serve.cache.EmbeddingCache` holds stale are
+    recomputed, each layer at the rows stale *at that layer* (layer 0
+    runs the 1-hop region of the touched endpoints, not the k-hop one).
+    With ``reads`` the refresh is lazier still: it recomputes only the
+    in-cone of those vertices — the last layer at ``reads ∩ stale``,
+    each earlier layer at the ``Ã``-row columns of the rows the layer
+    above recomputes, intersected with that layer's stale rows — and
+    leaves every other stale row for a later refresh.  Because
+    embeddings at a fixed timestep are a pure function of (frozen carry,
+    current graph), the refreshed rows are *numerically identical* to a
+    full recompute — incremental serving trades no accuracy.
+
+    The cone is exact by the cache's invariant: a row clean at layer ℓ
+    has every column of its ``Ã`` row clean at ℓ − 1, so a clean row is
+    an exact one and the descent stops there; ``Ã``'s self-loop (the
+    identity of ``A + I`` is always stored) keeps each recomputed row in
+    its own cone one layer down.
+    :attr:`InferenceEngine.embeddings` refreshes whatever is still stale
+    before it returns the matrix, so a whole-matrix reader always sees
+    the exact state.
 
 The Eq. 1 operator ``Ã`` is kept current by a
 :class:`~repro.graph.inc_laplacian.LaplacianMaintainer`: each ingest
@@ -184,6 +199,8 @@ class InferenceEngine:
         # counters, like the maintainer's)
         self.epilogue_rows = 0
         self.epilogue_tiles = 0
+        # rows the latest refresh recomputed at each layer
+        self.refresh_layer_rows: tuple[int, ...] = ()
         self.cache = EmbeddingCache(snapshot.num_vertices,
                                     model.num_layers, k_hops,
                                     max_rows=cache_max_rows)
@@ -235,11 +252,12 @@ class InferenceEngine:
     def _init_carries(self, n: int) -> None:
         cache = self.cache
         if self.kind == "cdgcn":
+            # the post-step h of a layer is its output row, so the step
+            # leaving carry keeps c alone (layer_outputs holds h)
             for layer in self.layers:
                 cache.pre_carry.append(
                     (np.zeros((n, layer.hidden)), np.zeros((n, layer.hidden))))
-                cache.post_carry.append(
-                    (np.zeros((n, layer.hidden)), np.zeros((n, layer.hidden))))
+                cache.post_carry.append(np.zeros((n, layer.hidden)))
         elif self.kind == "egcn":
             for idx in range(self.model.num_layers):
                 base = self.model.gcn_layer(idx).weight.data
@@ -261,7 +279,10 @@ class InferenceEngine:
 
     @property
     def embeddings(self) -> np.ndarray:
-        """Served per-vertex embeddings for the current (step, graph)."""
+        """Served per-vertex embeddings for the current (step, graph).
+        Rows still stale are refreshed first, so every row is exact."""
+        if self._primed and self.cache.num_dirty:
+            self.refresh()
         return self.cache.embeddings
 
     @property
@@ -335,26 +356,63 @@ class InferenceEngine:
         if self._primed and self.cache.num_dirty:
             self.refresh()
 
-    def refresh(self) -> int:
-        """Recompute the dirty rows (frozen carry); returns row count."""
+    def refresh(self, reads: np.ndarray | None = None) -> int:
+        """Recompute stale rows against the frozen carry: every one, or
+        with ``reads`` only those the rows of vertices ``reads`` depend
+        on (module notes).  Returns how many distinct rows were
+        recomputed; :attr:`refresh_layer_rows` holds the count per
+        layer."""
         if not self._primed:
             raise ConfigError("advance() must run once before refresh()")
-        rows = self.cache.clean()
-        if len(rows) == 0:
-            return 0
-        if len(rows) == self.cache.num_vertices:
-            self._compute(None)
+        cache = self.cache
+        if reads is not None:
+            plan = self._cone(reads)
+            recomputed = len(np.unique(np.concatenate(plan)))
+        elif cache.num_dirty:
+            dirty = cache.dirty
+            stale = cache.stale[dirty]
+            # stale sets nest up the layers: the last one is every row
+            plan = [dirty[stale <= idx] for idx in range(len(self.layers))]
+            recomputed = len(dirty)
         else:
-            self._compute(rows)
-        return len(rows)
+            plan, recomputed = [], 0
+        self.refresh_layer_rows = tuple(map(len, plan))
+        if recomputed == 0:
+            return 0
+        n = self.num_vertices
+        self._compute([None if len(rows) == n else rows for rows in plan])
+        cache.clean_layers(plan)
+        return recomputed
+
+    def _cone(self, reads: np.ndarray) -> list[np.ndarray]:
+        """Rows to recompute per layer so the last-layer rows of
+        ``reads`` are exact: ``reads ∩ stale`` at the last layer, then
+        each layer down the stale ``Ã``-row columns of the rows above
+        (sorted, unique).  The descent stops at clean rows, which are
+        exact (the cache's invariant)."""
+        stale = self.cache.stale
+        csr = self._maintainer.laplacian.csr
+        rows = np.unique(np.asarray(reads, dtype=np.int64))
+        top = len(self.layers) - 1
+        plan = []
+        for idx in range(top, -1, -1):
+            if idx < top:
+                rows = self.kernel_backend.row_slice(csr, rows).indices
+            rows = np.unique(rows[stale[rows] <= idx])
+            plan.append(rows)
+        return plan[::-1]
 
     # -- carry management ---------------------------------------------------------------
     def _promote_carries(self) -> None:
         cache = self.cache
         if self.kind == "cdgcn":
-            cache.pre_carry = cache.post_carry
-            cache.post_carry = [(np.empty_like(h), np.empty_like(c))
-                                for h, c in cache.pre_carry]
+            # the step's output h enters the next step by copy into the
+            # old pre-h buffer; the c buffers trade places, so a boundary
+            # allocates no (N, H) array
+            for idx, (h_pre, c_pre) in enumerate(cache.pre_carry):
+                np.copyto(h_pre, cache.layer_outputs[idx])
+                cache.pre_carry[idx] = (h_pre, cache.post_carry[idx])
+                cache.post_carry[idx] = c_pre
         elif self.kind == "tmgcn":
             keep = self.window - 1
             for idx in range(len(self.layers)):
@@ -393,17 +451,20 @@ class InferenceEngine:
 
     def _layer_rows(self, idx: int,
                     rows: np.ndarray | None) -> np.ndarray | None:
-        """Rows to compute at layer ``idx`` (``None`` = every vertex).
+        """Rows to compute at layer ``idx`` out of the ``rows`` scheduled
+        there (``None`` = every vertex).
 
-        The base engine computes the same row set at every layer; the
-        sharded engine overrides this to shrink the halo ring as depth
-        grows (layer ``ℓ`` outputs are only needed within ``L-1-ℓ`` hops
-        of the owned block).
+        The base engine computes what was scheduled; the sharded engine
+        overrides this to shrink the halo ring as depth grows (layer
+        ``ℓ`` outputs are only needed within ``L-1-ℓ`` hops of the owned
+        block).
         """
         return rows
 
-    def _compute(self, rows: np.ndarray | None) -> None:
-        """(Re)compute model rows; ``rows=None`` means all vertices.
+    def _compute(self, plan: list | None) -> None:
+        """(Re)compute model rows: ``plan[ℓ]`` are the rows of layer ℓ
+        (``None`` = every vertex), ``plan=None`` every row of every
+        layer.
 
         Per layer: one SpMM for the rows' slice of ``Ã·x`` (the only
         O(rows) temporary), then the dense epilogue one panel at a time
@@ -415,7 +476,8 @@ class InferenceEngine:
         cache = self.cache
         x = cache.features
         for idx, (layer, panel) in enumerate(zip(self.layers, self._panels)):
-            layer_rows = self._layer_rows(idx, rows)
+            layer_rows = self._layer_rows(
+                idx, None if plan is None else plan[idx])
             n = self.num_vertices if layer_rows is None else len(layer_rows)
             tiles = -(-n // TILE_ROWS)
             with self.telemetry.trace("serve.aggregate", layer=idx, rows=n):
@@ -463,9 +525,7 @@ class InferenceEngine:
             np.multiply(i, g, out=g)
             c += g
             np.multiply(o, np.tanh(c, out=g), out=h)
-            h_post, c_post = self.cache.post_carry[idx]
-            h_post[sel] = h
-            c_post[sel] = c
+            self.cache.post_carry[idx][sel] = c
             return h
         y = panel.y[:m]
         if self.kind == "tmgcn":

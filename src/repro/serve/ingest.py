@@ -30,14 +30,16 @@ __all__ = ["EdgeEvent", "IngestResult", "StreamIngestor",
            "events_between", "fold_event_batch"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeEvent:
     """One live graph mutation.
 
     ``op`` is ``"add"`` or ``"remove"``.  Adding an edge that already
     exists accumulates its value (repeated transactions between the same
     accounts add up, matching how AML-Sim snapshots merge duplicates);
-    removing an edge that is absent is a no-op.
+    removing an edge that is absent is a no-op.  Slotted: a stream holds
+    events by the ten thousand, and a per-instance ``__dict__`` would
+    add a fifth to each one's size.
     """
 
     src: int
@@ -121,7 +123,9 @@ class StreamIngestor:
     def __init__(self, snapshot: GraphSnapshot) -> None:
         self._resident = snapshot
         self._pending: list[EdgeEvent] = []
-        self._frontier: set[int] = set()
+        # one flag per vertex: a long-lived server touches most of the
+        # graph, and a set of boxed ints would cost ~100 bytes a vertex
+        self._frontier = np.zeros(snapshot.num_vertices, dtype=bool)
         self.total_events = 0
         self.total_commits = 0
         self.total_payload_nbytes = 0
@@ -138,12 +142,12 @@ class StreamIngestor:
     @property
     def frontier(self) -> np.ndarray:
         """Dirty vertices accumulated since :meth:`take_frontier`."""
-        return np.array(sorted(self._frontier), dtype=np.int64)
+        return np.flatnonzero(self._frontier)
 
     def take_frontier(self) -> np.ndarray:
         """Return and clear the accumulated dirty-vertex frontier."""
         out = self.frontier
-        self._frontier.clear()
+        self._frontier[out] = False
         return out
 
     def rebase(self, snapshot: GraphSnapshot) -> None:
@@ -199,7 +203,7 @@ class StreamIngestor:
         curr, dirty, diff = folded if folded is not None \
             else fold_event_batch(prev, events)
         self._resident = curr
-        self._frontier.update(dirty.tolist())
+        self._frontier[dirty] = True
         self.total_events += len(events)
         self.total_commits += 1
         self.total_payload_nbytes += diff.payload_nbytes

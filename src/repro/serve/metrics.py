@@ -66,7 +66,7 @@ class ServerCounters:
     commits: int = 0
     refreshes: int = 0
     advances: int = 0
-    rows_recomputed: int = 0        # by refreshes (cache economics)
+    rows_recomputed: int = 0        # by refreshes and settles (cache economics)
     rows_advanced: int = 0          # by timestep-boundary advances
     rows_served_from_cache: int = 0
     evictions: int = 0              # LRU eviction passes (bounded cache)

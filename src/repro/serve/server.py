@@ -490,6 +490,9 @@ class ModelServer(QueryFrontend):
         self.fraud_head = fraud_head
         self.incremental = incremental
         self.counters = ServerCounters()
+        # a commit since the last flush: the next flush refreshes only
+        # its batch's cone (see flush)
+        self._fresh_commit = False
         self.engine.advance()  # prime embeddings for the initial snapshot
         self.counters.advances += 1
 
@@ -578,7 +581,8 @@ class ModelServer(QueryFrontend):
         applied (and before this method returns — ingestion is only
         acknowledged once durable).  The embedding cache is invalidated
         (k-hop) but not refreshed — recomputation is deferred to the
-        next flush so event bursts coalesce into one partial recompute.
+        flushes that read it, so event bursts coalesce into partial
+        recomputes.
         """
         events = list(events)
         with self.telemetry.trace("serve.ingest", events=len(events)):
@@ -591,6 +595,7 @@ class ModelServer(QueryFrontend):
                 self.engine.set_snapshot(result.snapshot,
                                          seeds=result.dirty,
                                          diff=result.diff)
+                self._fresh_commit = True
             else:
                 # the full-recompute baseline keeps the pre-kernel cost
                 # profile: no delta, full operator rebuild
@@ -599,18 +604,22 @@ class ModelServer(QueryFrontend):
 
     def advance_time(self, snapshot: GraphSnapshot | None = None, *,
                      diff=None) -> None:
-        """Cross a timestep boundary: temporal carries move forward and
-        every row recomputes (both serving modes pay this).  With a
-        store attached the boundary seals a timestep in the WAL (a
-        rebase snapshot lands as a GD delta) and the engine state is
-        captured every ``state_interval`` boundaries.  ``diff`` is the
-        optional GD delta from the current resident to a rebase
-        ``snapshot`` — with it the engine's Ã maintainer advances
-        incrementally instead of rebuilding (recovery replay passes the
-        store-decoded delta here)."""
+        """Cross a timestep boundary: rows still stale against the ending
+        step's graph are settled (one full refresh, counted like any
+        other), then temporal carries move forward and every row
+        recomputes (both serving modes pay this).  With a store attached
+        the boundary seals a timestep in the WAL (a rebase snapshot
+        lands as a GD delta) and the engine state is captured every
+        ``state_interval`` boundaries.  ``diff`` is the optional GD
+        delta from the current resident to a rebase ``snapshot`` — with
+        it the engine's Ã maintainer advances incrementally instead of
+        rebuilding (recovery replay passes the store-decoded delta
+        here)."""
         with self.telemetry.trace("serve.advance",
                                   rebase=snapshot is not None):
             self._store_log_boundary(snapshot)
+            self._refresh()
+            self._fresh_commit = False
             self.engine.advance(snapshot, diff=diff if self.incremental
                                 else None)
             if snapshot is not None:
@@ -628,7 +637,13 @@ class ModelServer(QueryFrontend):
         batch: it decodes into arrays, both heads score into one array
         and each latency series takes one reservoir update.  The batch
         leaves the queue only once answered, so a flush that raises (a
-        failing refresh) loses nothing — the next flush answers it."""
+        failing refresh) loses nothing — the next flush answers it.
+
+        The refresh follows a ski-rental rule.  The first flush after a
+        commit recomputes only its batch's read cone; a second flush
+        before the next commit recomputes every row still stale, so
+        read-heavy steps pay at most two refreshes per commit, and the
+        boundary settles whatever no flush read."""
         if not self._queue:
             return 0
         batch = self._queue[:self.max_batch_size]
@@ -645,8 +660,10 @@ class ModelServer(QueryFrontend):
                                       np.float64, n)
             if self.cache.max_rows is not None:  # else touch is a no-op
                 self.cache.touch(ends.ravel())
-            self._refresh()
-            z = self.engine.embeddings
+            self._refresh(ends.ravel() if self._fresh_commit else None)
+            self._fresh_commit = False
+            self._evict()
+            z = self.cache.embeddings
             now = self.clock()
             scores = np.empty(n)
             if is_link.any():
@@ -670,21 +687,26 @@ class ModelServer(QueryFrontend):
         return n
 
     # -- scoring ----------------------------------------------------------------------
-    def _refresh(self) -> None:
+    def _refresh(self, reads: np.ndarray | None = None) -> None:
+        """Recompute the stale rows vertices ``reads`` depend on (every
+        stale row when ``None``; every row at all without
+        ``incremental``), counted as one refresh if any row ran."""
         cache = self.cache
         if cache.num_dirty == 0:
-            self._evict()
             return
         if not self.incremental:
             cache.invalidate_all()
-        with self.telemetry.trace("serve.refresh") as span:
-            recomputed = self.engine.refresh()
-            span.set(rows=recomputed)
-        self.counters.refreshes += 1
-        self.counters.rows_recomputed += recomputed
-        self.counters.rows_served_from_cache += \
-            self.engine.num_vertices - recomputed
-        self._evict()
+            reads = None
+        with self.telemetry.trace("serve.refresh",
+                                  cone=reads is not None) as span:
+            recomputed = self.engine.refresh(reads)
+            span.set(rows=recomputed,
+                     layer_rows=self.engine.refresh_layer_rows)
+        if recomputed:
+            self.counters.refreshes += 1
+            self.counters.rows_recomputed += recomputed
+            self.counters.rows_served_from_cache += \
+                self.engine.num_vertices - recomputed
 
     def _evict(self) -> None:
         """Bound the resident row set (no-op without ``cache_max_rows``)."""

@@ -192,8 +192,7 @@ class ShardEngine(InferenceEngine):
         if self.kind == "cdgcn":
             state["pre_carry"] = [(h[rows], c[rows])
                                   for h, c in self.cache.pre_carry]
-            state["post_carry"] = [(h[rows], c[rows])
-                                   for h, c in self.cache.post_carry]
+            state["post_carry"] = [c[rows] for c in self.cache.post_carry]
         elif self.kind == "tmgcn":
             state["history"] = [[f[rows] for f in frames]
                                 for frames in self._history]
@@ -222,9 +221,8 @@ class ShardEngine(InferenceEngine):
                 for idx, (h, c) in enumerate(state["pre_carry"]):
                     self.cache.pre_carry[idx][0][rows] = h
                     self.cache.pre_carry[idx][1][rows] = c
-                for idx, (h, c) in enumerate(state["post_carry"]):
-                    self.cache.post_carry[idx][0][rows] = h
-                    self.cache.post_carry[idx][1][rows] = c
+                for idx, c in enumerate(state["post_carry"]):
+                    self.cache.post_carry[idx][rows] = c
             elif self.kind == "tmgcn":
                 for idx, frames in enumerate(state["history"]):
                     while len(self._history[idx]) < len(frames):

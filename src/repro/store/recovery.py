@@ -13,8 +13,12 @@ bit-copy of the per-vertex arrays, and the tail ops re-run through the
 same ``ingest_events`` / ``advance_time`` numerics the live server used.
 
 Captures taken mid-step may contain rows the embedding cache had marked
-dirty; the dirty set is captured alongside and re-marked on restore, so
-a recovered server refreshes exactly what the crashed one would have.
+stale; the union of those rows is captured alongside and re-marked on
+restore, stale from layer 0 (their per-layer stale depth is not kept),
+and the cache widens the marking over their ``num_layers − 1`` hop
+surroundings so its stale-layer invariant holds again.  A recovered
+server refreshes at least what the crashed one would have — over-
+invalidation, so its served rows are still exact.
 
 For the sharded tier the capture reuses the rebalancer's wire format:
 each shard exports its owned rows (:meth:`ShardEngine.export_state_rows`,
@@ -52,7 +56,7 @@ def capture_engine_state(engine) -> tuple[dict, dict[str, np.ndarray]]:
                   "num_layers": len(engine.layers),
                   "use_clock": int(cache._use_clock)}
     arrays: dict[str, np.ndarray] = {
-        "dirty": cache._dirty,
+        "dirty": cache.dirty,
         "expanded": cache._expanded,
         # bounded-cache LRU state, so a recovered server evicts and
         # reloads exactly like the crashed one would have
@@ -96,9 +100,10 @@ def restore_engine_state(engine, meta: dict,
         engine._current_y = state["current_y"]
     engine.steps = int(meta["steps"])
     engine._primed = bool(meta["primed"])
-    for name in ("dirty", "expanded", "evicted", "last_used"):
+    for name in ("expanded", "evicted", "last_used"):
         setattr(cache, f"_{name}",
                 np.asarray(arrays[name], dtype=np.int64))
+    cache.restore_dirty(engine.resident, arrays["dirty"])
     cache._use_clock = int(meta["use_clock"])
 
 
@@ -116,10 +121,12 @@ def pack_shard_export(prefix: str, state: dict, kind: str, meta_shard: dict,
     for i, z in enumerate(state["layer_outputs"]):
         arrays[f"{prefix}layer_outputs/{i}"] = z
     if kind == "cdgcn":
-        for name in ("pre_carry", "post_carry"):
-            for i, (h, c) in enumerate(state[name]):
-                arrays[f"{prefix}{name}/{i}/h"] = h
-                arrays[f"{prefix}{name}/{i}/c"] = c
+        for i, (h, c) in enumerate(state["pre_carry"]):
+            arrays[f"{prefix}pre_carry/{i}/h"] = h
+            arrays[f"{prefix}pre_carry/{i}/c"] = c
+        # the post-step h is layer_outputs/{i}; only c is written
+        for i, c in enumerate(state["post_carry"]):
+            arrays[f"{prefix}post_carry/{i}/c"] = c
     elif kind == "egcn":
         for i, (h, c) in enumerate(state["weight_state"]):
             arrays[f"{prefix}weight_state/{i}/h"] = h
@@ -145,10 +152,13 @@ def unpack_shard_export(prefix: str, kind: str, num_layers: int,
     state: dict = {"layer_outputs": [arrays[f"{prefix}layer_outputs/{i}"]
                                      for i in range(num_layers)]}
     if kind == "cdgcn":
-        for name in ("pre_carry", "post_carry"):
-            state[name] = [(arrays[f"{prefix}{name}/{i}/h"],
-                            arrays[f"{prefix}{name}/{i}/c"])
-                           for i in range(num_layers)]
+        state["pre_carry"] = [(arrays[f"{prefix}pre_carry/{i}/h"],
+                               arrays[f"{prefix}pre_carry/{i}/c"])
+                              for i in range(num_layers)]
+        # older captures also hold post_carry/{i}/h, a bit-copy of
+        # layer_outputs/{i}: it is left unread
+        state["post_carry"] = [arrays[f"{prefix}post_carry/{i}/c"]
+                               for i in range(num_layers)]
     elif kind == "egcn":
         state["weight_state"] = [(arrays[f"{prefix}weight_state/{i}/h"],
                                   arrays[f"{prefix}weight_state/{i}/c"])

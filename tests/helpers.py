@@ -216,10 +216,13 @@ def flush_oracle(server) -> int:
         server._queue[server.max_batch_size:]
     touched = {v for q in batch for v in
                (q.payload if q.kind == "link" else q.payload[:1])}
-    server.cache.touch(np.fromiter(touched, dtype=np.int64,
-                                   count=len(touched)))
-    server._refresh()
-    z = server.engine.embeddings
+    reads = np.fromiter(touched, dtype=np.int64, count=len(touched))
+    server.cache.touch(reads)
+    # the first flush after a commit refreshes its batch's cone only
+    server._refresh(reads if server._fresh_commit else None)
+    server._fresh_commit = False
+    server._evict()
+    z = server.cache.embeddings
     links = [(i, q) for i, q in enumerate(batch) if q.kind == "link"]
     frauds = [(i, q) for i, q in enumerate(batch) if q.kind == "fraud"]
     now = server.clock()
@@ -241,6 +244,58 @@ def flush_oracle(server) -> int:
     if server._queue:  # drained in max_batch_size chunks
         return len(batch) + flush_oracle(server)
     return len(batch)
+
+
+# ---------------------------------------------------------------------------
+# refresh oracle: the eager, unstratified refresh
+# ---------------------------------------------------------------------------
+# Until the stale-layer cache and the read-cone refresh this was
+# InferenceEngine.refresh: every row stale at any layer recomputed at every
+# layer, on every flush.  The lazy refresh must leave every layer output
+# exactly where this leaves it.
+
+def eager_refresh(engine) -> int:
+    rows = engine.cache.clean()
+    if len(rows) == 0:
+        return 0
+    if len(rows) == engine.num_vertices:
+        engine._compute(None)
+    else:
+        engine._compute([rows] * len(engine.layers))
+    return len(rows)
+
+
+def assert_stale_invariant(engine) -> None:
+    """The embedding cache's stale-layer bookkeeping: levels in
+    ``[0, num_layers]``, ``num_dirty`` counting the rows stale anywhere,
+    no stale row in the evicted set, and the invariant the read cone
+    relies on — a row clean at layer ℓ has every column of its ``Ã``
+    row clean at ℓ − 1, i.e. ``stale[u] >= stale[v] - 1`` for every
+    ``Ã[v, u] != 0``."""
+    cache = engine.cache
+    stale = cache.stale.astype(np.int64)
+    top = cache.num_layers
+    assert stale.min() >= 0 and stale.max() <= top
+    assert cache.num_dirty == int(np.count_nonzero(stale < top))
+    assert (stale[cache.evicted] == top).all()
+    csr = engine.maintainer.laplacian.csr
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    bad = stale[csr.indices] < stale[rows] - 1
+    assert not bad.any(), (
+        f"row {rows[bad][0]} (stale from {stale[rows[bad][0]]}) reads "
+        f"column {csr.indices[bad][0]} (stale from "
+        f"{stale[csr.indices[bad][0]]})")
+
+
+def assert_clean_rows_exact(engine, reference) -> None:
+    """Every row ``engine`` holds clean at a layer equals ``reference``'s
+    (a fully refreshed engine over the same graph and step) there, bit
+    for bit: clean means exact, not merely bookkept."""
+    stale = engine.cache.stale
+    for layer, (got, want) in enumerate(zip(engine.cache.layer_outputs,
+                                           reference.cache.layer_outputs)):
+        clean = stale > layer
+        np.testing.assert_array_equal(got[clean], want[clean])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The dense epilogue's row-subset invariance (docs/kernels.md, "Dense
 epilogue: fixed-shape tiles").
 
-``_compute(rows)`` must leave those rows bit-identical to
+``_compute`` over a row subset must leave those rows bit-identical to
 ``_compute(None)`` for every subset size >= 1.  Before the fixed-shape
 tiles this held only while BLAS picked the same kernel for ``rows x K``
 as for ``N x K``: OpenBLAS switches to GEMV at one row and to a
@@ -119,7 +119,7 @@ def _engine(stream, name, hidden, order, cls=InferenceEngine, **kwargs):
 def _temporal_state(engine) -> list:
     cache = engine.cache
     arrays = list(cache.layer_outputs)
-    arrays += [a for pair in cache.post_carry for a in pair]
+    arrays += cache.post_carry   # CD-GCN's post-step c (h is the output)
     arrays += [y for y in engine._current_y if y is not None]
     return arrays
 
@@ -141,7 +141,7 @@ def test_row_subsets_recompute_bit_identically(stream, name, hidden, order,
     for lo, hi in ((1, 40), (40, n)):
         rows = np.array(sorted(data.draw(st.sets(
             st.integers(0, n - 1), min_size=lo, max_size=hi))))
-        engine._compute(rows)
+        engine._compute([rows] * len(engine.layers))
         for got, ref in zip(_temporal_state(engine), want):
             np.testing.assert_array_equal(got, ref)
 
@@ -153,7 +153,7 @@ def test_panel_scratch_never_escapes(stream, name):
     engine, returned = _engine(stream, name, 16, "C", cls=ShardEngine,
                                block=np.arange(0, 900, 2))
     rows = np.arange(PANEL_ROWS + 7)
-    engine._compute(rows)
+    engine._compute([rows] * len(engine.layers))
     cache = engine.cache
     exported = engine.export_state_rows(engine.block)
     reachable = [returned, engine.embeddings, cache.features]

@@ -164,7 +164,7 @@ class TestFlushFailure:
         handles = [server.submit_link(0, 1), server.submit_fraud(2)]
         refresh = server.engine.refresh
         monkeypatch.setattr(server.engine, "refresh",
-                            lambda: (_ for _ in ()).throw(
+                            lambda reads=None: (_ for _ in ()).throw(
                                 RuntimeError("boom")))
         with pytest.raises(RuntimeError, match="boom"):
             server.flush()
@@ -307,7 +307,7 @@ class TestFlushMatchesThePerQueryOracle:
                 (want.kind, want.payload, want.enqueued_at)
         assert live.counters == twin.counters
         assert not live._queue and not twin._queue
-        for name in ("_last_used", "_evicted", "_dirty"):
+        for name in ("_last_used", "_evicted", "_stale"):
             np.testing.assert_array_equal(getattr(live.cache, name),
                                           getattr(twin.cache, name))
         assert live.cache._use_clock == twin.cache._use_clock

@@ -358,3 +358,79 @@ def test_capture_holds_no_staging_copy(tmp_path, monkeypatch):
     assert server.store.captures == 2
     assert server.store.capture_bytes == 2 * captured
     assert peak < 0.1 * captured, (peak, captured)
+
+
+# ---------------------------------------------------------------------------
+# CD-GCN's post-step h lives in layer_outputs only
+# ---------------------------------------------------------------------------
+
+def _with_post_h(meta, arrays):
+    """The capture layout before the post-step ``h`` was held once: a
+    ``post_carry/{i}/h`` bit-copy of every ``layer_outputs/{i}``."""
+    arrays = dict(arrays)
+    for i in range(meta["num_layers"]):
+        arrays[f"post_carry/{i}/h"] = arrays[f"layer_outputs/{i}"].copy()
+    return arrays
+
+
+@pytest.mark.parametrize("writer", ["cap", "npz"])
+def test_capture_with_post_h_restores_and_serves_bit_equal(stream, tmp_path,
+                                                           writer):
+    """A capture an older writer left — one that still holds
+    ``post_carry/{i}/h`` — taken mid-step, with rows stale, restores and
+    serves what the live server serves, bit for bit."""
+    model, fraud = _model_and_head("cdgcn")
+    live = ModelServer(model, stream[0], fraud_head=fraud)
+    live.attach_store(GraphStore.create(str(tmp_path / "s"),
+                                        stream.num_vertices))
+    _drive(live, stream, range(1, 4))
+    assert live.cache.num_dirty > 0
+    meta, arrays = live._capture_state()
+    arrays = _with_post_h(meta, arrays)
+    if writer == "cap":
+        live.store.save_engine_state(meta, arrays)
+    else:
+        legacy_save_engine_state(live.store, meta, arrays)
+    model2, fraud2 = _model_and_head("cdgcn")
+    rec = ModelServer.recover(GraphStore.open(str(tmp_path / "s")),
+                              model=model2, fraud_head=fraud2)
+    accounts = range(0, stream.num_vertices, 7)
+    got = [rec.submit_fraud(v) for v in accounts]
+    want = [live.submit_fraud(v) for v in accounts]
+    rec.drain()
+    live.drain()
+    assert [q.result for q in got] == [q.result for q in want]
+    rec.advance_time()
+    live.advance_time()
+    np.testing.assert_array_equal(rec.engine.embeddings,
+                                  live.engine.embeddings)
+    for (h, c), (h2, c2) in zip(rec.cache.pre_carry, live.cache.pre_carry):
+        np.testing.assert_array_equal(h, h2)
+        np.testing.assert_array_equal(c, c2)
+
+
+def test_capture_bytes_drop_by_the_post_h_arrays(stream, tmp_path,
+                                                 monkeypatch):
+    """The same replay, captured in the new layout and in the old one:
+    each new capture is the ``L`` post-step ``h`` arrays smaller, a
+    fifth of its CD-GCN state (the LRU clock and the frame headers keep
+    the whole file just above 0.8 of the old one)."""
+    def replay(path):
+        model, fraud = _model_and_head("cdgcn")
+        server = ModelServer(model, stream[0], fraud_head=fraud)
+        server.attach_store(GraphStore.create(path, stream.num_vertices))
+        _drive(server, stream, range(1, 5))
+        return server
+
+    server = replay(str(tmp_path / "new"))
+    new = server.store
+    post_h = sum(z.nbytes for z in server.cache.layer_outputs)
+    capture_state = ModelServer._capture_state
+    monkeypatch.setattr(ModelServer, "_capture_state",
+                        lambda self: (lambda meta, arrays: (
+                            meta, _with_post_h(meta, arrays)))(
+                                *capture_state(self)))
+    old = replay(str(tmp_path / "old")).store
+    assert new.captures == old.captures == 5
+    assert old.capture_bytes - new.capture_bytes >= new.captures * post_h
+    assert new.capture_bytes < 0.81 * old.capture_bytes
