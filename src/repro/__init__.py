@@ -17,7 +17,7 @@ Subpackages
     GCN/LSTM/M-product blocks and the CD-GCN, EvolveGCN, TM-GCN models.
 ``repro.train``
     Smoothing pre-processing, timeline gradient checkpointing, tasks,
-    single-device and distributed trainers, model checkpoint save/load.
+    the trainer (one rank is one GPU), model checkpoint save/load.
 ``repro.serve``
     Streaming inference: live edge-event ingestion via graph-difference
     deltas, a k-hop-invalidated embedding cache, and a micro-batching

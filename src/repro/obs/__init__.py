@@ -1,7 +1,7 @@
 """Unified cross-tier observability: metrics, spans, exporters.
 
 Every tier of the system — the streaming server, the sharded router,
-the temporal store, both trainers — reports through one dependency-free
+the temporal store, the trainer — reports through one dependency-free
 substrate:
 
 * :class:`~repro.obs.registry.MetricsRegistry` — named counters, gauges

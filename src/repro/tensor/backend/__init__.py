@@ -5,7 +5,7 @@ resolved by name through this registry.  Selection precedence:
 
 1. an explicit ``backend=`` kwarg (a name or an instance) wherever the
    seam is exposed — ``SparseMatrix``, ``LaplacianMaintainer``, the
-   serving engines, both trainers, ``WorkerBoot``;
+   serving engines, the trainer, ``WorkerBoot``;
 2. the ``REPRO_KERNEL_BACKEND`` environment variable, read at resolve
    time (so exec-tier workers spawned with it inherit the choice);
 3. the default, ``reference``.

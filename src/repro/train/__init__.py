@@ -1,4 +1,4 @@
-"""Training systems: preprocessing, checkpointing, tasks, trainers."""
+"""Training systems: preprocessing, checkpointing, tasks, the trainer."""
 
 from repro.train.preprocess import (apply_edge_life, apply_mproduct_smoothing,
                                     compute_laplacians, degree_features,
@@ -9,7 +9,6 @@ from repro.train.checkpoint import (CheckpointRunner, ModelCheckpoint,
                                     save_model_checkpoint)
 from repro.train.tasks import LinkPredictionTask, NodeClassificationTask
 from repro.train.metrics import ConvergenceCurve, EpochResult
-from repro.train.trainer import SingleDeviceTrainer, TrainerConfig
 from repro.train.distributed import DistConfig, DistributedTrainer
 
 __all__ = [
@@ -19,6 +18,5 @@ __all__ = [
     "ModelCheckpoint", "save_model_checkpoint", "load_model_checkpoint",
     "LinkPredictionTask", "NodeClassificationTask",
     "EpochResult", "ConvergenceCurve",
-    "SingleDeviceTrainer", "TrainerConfig",
     "DistConfig", "DistributedTrainer",
 ]

@@ -26,11 +26,13 @@ algorithms faithfully").  Time, volume and memory are charged per rank
 onto the cluster's clocks/ledgers as the real schedule would.
 
 So a distribution is a *cost plan*, not a second forward: the trainer
-drives :meth:`~repro.models.base.DynamicGNN.layer_block` — the step the
-sequential trainer runs — and a plan says what each stage costs each
-rank.  Charges are issued in schedule order, which is part of the
-ledger: every collective barriers the rank clocks, so moving a charge
-across one changes who waits for whom.
+drives :meth:`~repro.models.base.DynamicGNN.layer_block` — the model's
+one numeric step — and a plan says what each stage costs each rank.
+One GPU is this trainer on a one-rank cluster (``Cluster.of_size(1)``),
+as the paper's 1-GPU points are its algorithm at ``P = 1``.  Charges
+are issued in schedule order, which is part of the ledger: every
+collective barriers the rank clocks, so moving a charge across one
+changes who waits for whom.
 """
 
 from __future__ import annotations
@@ -249,7 +251,9 @@ class _Plan:
             self._exchange(matrix.T, label,
                            full.T if full is not None else None,
                            record=False)
-        if self.cfg.num_blocks > 1:
+        # checkpointing is more than one *effective* block: ``ranges``
+        # holds min(num_blocks, train_t) of them
+        if len(self.ranges) > 1:
             for args in self._transfers:
                 self._send(*args)
 
@@ -325,7 +329,7 @@ class _SnapshotPlan(_Plan):
 
     def retire_block(self) -> None:
         super().retire_block()
-        if self.cfg.num_blocks > 1:
+        if len(self.ranges) > 1:
             # the π_b carry stays resident until backward (§3.1)
             for device in self.cluster.devices:
                 device.alloc(max(self.act_per_step // 4, 1), "carry")

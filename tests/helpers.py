@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -375,3 +375,64 @@ def legacy_save_engine_state(store, meta, arrays, *, keep=2) -> str:
         if old != path:
             os.remove(old)
     return path
+
+
+# ---------------------------------------------------------------------------
+# training oracle: the sequential single-device loop
+# ---------------------------------------------------------------------------
+# Until the one-rank DistributedTrainer replaced it, a separate
+# single-device trainer ran this loop (plus a resource ledger of its own):
+# the whole timeline on one tape at ``num_blocks == 1``, otherwise the
+# executed §3.1 schedule of CheckpointRunner.  Every cost plan must
+# reproduce its losses and gradients.
+
+class SequentialFit(NamedTuple):
+    losses: list[float]
+    tape_nodes: list[int]
+    reuse_stats: list      # one ReuseStats per epoch; empty without reuse
+
+
+def sequential_fit(model, dtdg, task, *, num_blocks, epochs, learning_rate,
+                   reuse_aggregation=False) -> SequentialFit:
+    from repro.tensor import Adam
+    from repro.train.checkpoint import CheckpointRunner
+    from repro.train.preprocess import (compute_laplacians_with_diffs,
+                                        degree_features)
+    from repro.train.reuse import AggregationCache
+
+    if dtdg.features is None:
+        dtdg.set_features(degree_features(dtdg))
+    laplacians, diffs = compute_laplacians_with_diffs(dtdg)
+    frames = [Tensor(f) for f in dtdg.features]
+    train_t = task.num_train_timesteps
+    laps, frames = laplacians[:train_t], frames[:train_t]
+    optimizer = Adam(model.parameters() + task.head.parameters(),
+                     lr=learning_rate)
+    runner = CheckpointRunner(model, num_blocks)
+    reuse = None
+    if reuse_aggregation:
+        reuse = AggregationCache(laplacians, diffs, dtdg.snapshots,
+                                 model.reuse_profile())
+    fit = SequentialFit([], [], [])
+    for _ in range(epochs):
+        optimizer.zero_grad()
+        if reuse is not None:
+            reuse.begin_epoch()
+        model.set_aggregation_hook(
+            reuse.aggregate if reuse is not None else None)
+        try:
+            if num_blocks == 1:
+                loss = task.loss_full(model(laps, frames))
+                fit.tape_nodes.append(loss.backward())
+                fit.losses.append(loss.item())
+            else:
+                result = runner.run_epoch(laps, frames, task.loss_block)
+                fit.tape_nodes.append(result.tape_nodes)
+                fit.losses.append(result.loss)
+        finally:
+            model.set_aggregation_hook(None)
+            if reuse is not None:
+                reuse.release()
+                fit.reuse_stats.append(reuse.stats)
+        optimizer.step()
+    return fit

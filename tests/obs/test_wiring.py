@@ -8,6 +8,7 @@ labeled per-shard series — rather than implementation internals.
 import numpy as np
 import pytest
 
+from repro.cluster import Cluster
 from repro.exec import ExecRouter
 from repro.graph import AMLSimConfig, generate_amlsim
 from repro.models import build_model
@@ -16,8 +17,7 @@ from repro.obs import NULL_SPAN, Span, Telemetry, Tracer
 from repro.serve import ModelServer, events_between
 from repro.serve.engine import TILE_ROWS
 from repro.store import GraphStore
-from repro.train import (LinkPredictionTask, SingleDeviceTrainer,
-                         TrainerConfig)
+from repro.train import DistConfig, DistributedTrainer, LinkPredictionTask
 
 
 @pytest.fixture(scope="module")
@@ -261,9 +261,9 @@ class TestTrainerWiring:
         task = LinkPredictionTask(stream, embed_dim=model.embed_dim,
                                   seed=1)
         tel = Telemetry(tracing=True)
-        trainer = SingleDeviceTrainer(
-            model, stream, task,
-            TrainerConfig(num_blocks=2, reuse_aggregation=True),
+        trainer = DistributedTrainer(
+            model, stream, task, Cluster.of_size(1),
+            DistConfig(num_blocks=2, reuse_aggregation=True),
             telemetry=tel)
         trainer.fit(2)
 
@@ -282,9 +282,10 @@ class TestTrainerWiring:
         task = LinkPredictionTask(stream, embed_dim=model.embed_dim,
                                   seed=1)
         tel = Telemetry(tracing=True)
-        trainer = SingleDeviceTrainer(model, stream, task,
-                                      TrainerConfig(num_blocks=1),
-                                      telemetry=tel)
+        trainer = DistributedTrainer(model, stream, task,
+                                     Cluster.of_size(1),
+                                     DistConfig(num_blocks=1),
+                                     telemetry=tel)
         trainer.fit(1)
         names = _span_names(tel.tracer)
         assert {"train.forward", "train.backward"} <= names

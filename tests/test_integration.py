@@ -15,9 +15,9 @@ from repro.models import MODEL_NAMES, build_model
 from repro.tensor import Adam, Tensor
 from repro.train import (CheckpointRunner, DistConfig, DistributedTrainer,
                          LinkPredictionTask, NodeClassificationTask,
-                         SingleDeviceTrainer, TrainerConfig,
                          compute_laplacians, degree_features,
                          smooth_for_model)
+from tests.helpers import sequential_fit
 
 
 @pytest.mark.parametrize("model_name", MODEL_NAMES)
@@ -68,8 +68,9 @@ def test_amlsim_node_classification_pipeline():
 
 
 def test_single_device_and_distributed_agree():
-    """The single-device checkpointed trainer and the P-rank snapshot
-    engine are the same algorithm: per-epoch losses must agree."""
+    """The sequential checkpointed schedule on one device and the
+    P-rank snapshot engine are the same algorithm: per-epoch losses must
+    agree."""
     raw = load_dataset("amlsim", scale=1e-4, t_scale=0.05, seed=2)
     raw.set_features(degree_features(raw))
 
@@ -80,14 +81,12 @@ def test_single_device_and_distributed_agree():
         return model, task
 
     model_a, task_a = fresh()
-    single = SingleDeviceTrainer(
-        model_a, raw, task_a,
-        TrainerConfig(num_blocks=3, learning_rate=0.02))
+    losses_single = sequential_fit(model_a, raw, task_a, num_blocks=3,
+                                   epochs=3, learning_rate=0.02).losses
     model_b, task_b = fresh()
     distributed = DistributedTrainer(
         model_b, raw, task_b, Cluster.of_size(3),
         DistConfig(num_blocks=3, learning_rate=0.02))
-    losses_single = [r.loss for r in single.fit(3)]
     losses_dist = [r.loss for r in distributed.fit(3)]
     np.testing.assert_allclose(losses_single, losses_dist, rtol=1e-8)
 

@@ -13,9 +13,9 @@ from repro.cluster import Cluster
 from repro.errors import ConfigError, DeviceOOM
 from repro.graph import evolving_dtdg
 from repro.models import MODEL_NAMES, build_model
-from repro.train import (DistConfig, DistributedTrainer, LinkPredictionTask,
-                         SingleDeviceTrainer, TrainerConfig)
+from repro.train import DistConfig, DistributedTrainer, LinkPredictionTask
 from repro.train.preprocess import degree_features
+from tests.helpers import sequential_fit
 
 
 N, T = 18, 9
@@ -28,13 +28,12 @@ def make_dtdg(seed=0, n=N, t=T):
 
 
 def sequential_reference(model_name, dtdg, epochs=1):
-    """Per-epoch losses of the plain single-device run."""
+    """Per-epoch losses of the plain sequential run."""
     model = build_model(model_name, in_features=2, hidden=4, embed_dim=4,
                         seed=0)
     task = LinkPredictionTask(dtdg, embed_dim=4, theta=0.4, seed=0)
-    trainer = SingleDeviceTrainer(model, dtdg, task,
-                                  TrainerConfig(learning_rate=0.02))
-    return [r.loss for r in trainer.fit(epochs)]
+    return sequential_fit(model, dtdg, task, num_blocks=1, epochs=epochs,
+                          learning_rate=0.02).losses
 
 
 def make_distributed(model_name, dtdg, num_ranks, **cfg_kwargs):
@@ -71,6 +70,34 @@ class TestSnapshotEngineFidelity:
                                    partitioning="snapshot")
         result = trainer.train_epoch()
         assert np.isfinite(result.loss)
+
+
+class TestOneRankIsTheSequentialAlgorithm:
+    """One GPU is the one-rank trainer: its losses and gradients are the
+    sequential loop's, full-tape at one block and the executed §3.1
+    schedule at more."""
+
+    @pytest.mark.parametrize("num_blocks", [1, 3])
+    @pytest.mark.parametrize("model_name", MODEL_NAMES)
+    def test_matches_sequential_fit(self, model_name, num_blocks):
+        dtdg = make_dtdg(seed=9)
+        model = build_model(model_name, in_features=2, hidden=4,
+                            embed_dim=4, seed=0)
+        task = LinkPredictionTask(dtdg, embed_dim=4, theta=0.4, seed=0)
+        ref = sequential_fit(model, dtdg, task, num_blocks=num_blocks,
+                             epochs=2, learning_rate=0.02)
+        ref_grads = [p.grad for p in model.parameters() +
+                     task.head.parameters()]
+        trainer = make_distributed(model_name, dtdg, num_ranks=1,
+                                   num_blocks=num_blocks)
+        got = [r.loss for r in trainer.fit(2)]
+        np.testing.assert_allclose(got, ref.losses, rtol=1e-8)
+        got_grads = [p.grad for p in trainer.model.parameters() +
+                     trainer.task.head.parameters()]
+        for a, b in zip(got_grads, ref_grads):
+            assert (a is None) == (b is None)
+            if a is not None:
+                np.testing.assert_allclose(a, b, rtol=1e-8)
 
 
 class TestSnapshotEngineCosts:
@@ -134,6 +161,19 @@ class TestSnapshotEngineCosts:
             dtdg, LinkPredictionTask(dtdg, embed_dim=4, theta=0.4, seed=0),
             cluster2, DistConfig(num_blocks=4))
         assert np.isfinite(trainer2.train_epoch().loss)
+
+    def test_one_effective_block_is_not_checkpointing(self):
+        """``num_blocks`` above the training timesteps clamps to them; a
+        single effective block re-runs nothing, so it is charged no
+        re-run transfer and keeps no π carry."""
+        dtdg = make_dtdg(seed=10, t=2)          # one train step + held-out
+        one = make_distributed("tmgcn", dtdg, 1, num_blocks=1)
+        four = make_distributed("tmgcn", dtdg, 1, num_blocks=4)
+        assert one.train_t == 1
+        r1, r4 = one.train_epoch(), four.train_epoch()
+        assert r4.transfer_bytes == r1.transfer_bytes
+        assert r4.peak_memory_bytes == r1.peak_memory_bytes
+        assert r4.breakdown.transfer == r1.breakdown.transfer
 
 
 class TestVertexEngine:
@@ -264,7 +304,7 @@ class TestTapeSize:
 class TestOneForward:
     """A distribution is a cost plan over the sequential forward, never
     a forward of its own — checked by count, not by timing: every plan
-    records exactly the tape the sequential trainer records (vertex adds
+    records exactly the tape the sequential loop records (vertex adds
     one gather per timestep, mapping renamed rows back to the task's
     vertex ids).  A plan that re-spells the numerics — say, the RNN per
     row block through slices and a concat — fails the count."""
@@ -275,8 +315,9 @@ class TestOneForward:
         model = build_model(model_name, in_features=2, hidden=4,
                             embed_dim=4, seed=0)
         task = LinkPredictionTask(dtdg, embed_dim=4, theta=0.4, seed=0)
-        sequential = SingleDeviceTrainer(
-            model, dtdg, task, TrainerConfig()).train_epoch().tape_nodes
+        sequential = sequential_fit(model, dtdg, task, num_blocks=1,
+                                    epochs=1,
+                                    learning_rate=0.01).tape_nodes[0]
 
         def tape_nodes(partitioning):
             trainer = make_distributed(model_name, dtdg, num_ranks=2,

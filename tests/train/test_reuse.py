@@ -4,7 +4,7 @@ The reuse layer's contract is *bit-exactness*: patched/memoized
 aggregations (and the gradients routed through them) must equal the
 always-full execution — not approximately, exactly.  These tests pin
 that contract on the kernel flavors, on the cache's decision cascade,
-and end-to-end through both trainers.
+and end-to-end through the sequential oracle and the trainer.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ from repro.train.distributed import DistConfig, DistributedTrainer
 from repro.train.preprocess import compute_laplacians_with_diffs
 from repro.train.reuse import AggregationCache
 from repro.train.tasks import LinkPredictionTask
-from repro.train.trainer import SingleDeviceTrainer, TrainerConfig
+from tests.helpers import sequential_fit
 
 
 def _chain(n=40, steps=5, seed=0):
@@ -190,10 +190,9 @@ class TestTrainerExactness:
             model = build_model(name, in_features=2, seed=0)
             task = LinkPredictionTask(dtdg, embed_dim=model.embed_dim,
                                       seed=1)
-            trainer = SingleDeviceTrainer(
-                model, dtdg, task,
-                TrainerConfig(num_blocks=2, reuse_aggregation=reuse))
-            losses[reuse] = [r.loss for r in trainer.fit(2)]
+            losses[reuse] = sequential_fit(
+                model, dtdg, task, num_blocks=2, epochs=2,
+                learning_rate=0.01, reuse_aggregation=reuse).losses
             grads[reuse] = [None if p.grad is None else p.grad.copy()
                             for p in model.parameters()]
         assert losses[False] == pytest.approx(losses[True], abs=1e-9)
@@ -208,16 +207,14 @@ class TestTrainerExactness:
         dtdg = _amlsim()
         model = build_model(name, in_features=2, seed=0)
         task = LinkPredictionTask(dtdg, embed_dim=model.embed_dim, seed=1)
-        trainer = SingleDeviceTrainer(
-            model, dtdg, task,
-            TrainerConfig(num_blocks=2, reuse_aggregation=True))
-        results = trainer.fit(2)
-        warm = results[1]
-        assert warm.agg_flops_full_equivalent > 0
-        # the checkpointed re-run and streaming sweeps memoize, so the
-        # warm epoch executes well under half the always-full FLOPs
-        assert warm.agg_flops < 0.5 * warm.agg_flops_full_equivalent
-        assert trainer.reuse.stats.memo_hits > 0
+        fit = sequential_fit(model, dtdg, task, num_blocks=2, epochs=2,
+                             learning_rate=0.01, reuse_aggregation=True)
+        warm = fit.reuse_stats[1]
+        assert warm.full_equivalent_flops > 0
+        # the checkpointed re-run sweep memoizes, so the warm epoch
+        # executes well under half the always-full FLOPs
+        assert warm.forward_flops < 0.5 * warm.full_equivalent_flops
+        assert warm.memo_hits > 0
 
     @pytest.mark.parametrize("mode", ["snapshot", "vertex", "hybrid"])
     def test_distributed_losses_exact_and_halos_shrink(self, mode):

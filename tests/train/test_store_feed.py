@@ -2,9 +2,9 @@
 
 Training from a lazy :class:`~repro.store.store.StoreView` must be
 *numerically identical* to training from the equivalent in-memory DTDG
-— the store is a representation change, not an approximation — for both
-the single-device trainer (baseline and checkpointed paths) and the
-distributed trainer.
+— the store is a representation change, not an approximation — on one
+GPU (a one-rank cluster; baseline and checkpointed paths) and on a
+multi-rank cluster.
 """
 
 import numpy as np
@@ -16,9 +16,7 @@ from repro.models import build_model
 from repro.obs import Telemetry
 from repro.store import GraphStore, StoreView
 from repro.tensor.backend.reference import ReferenceBackend
-from repro.train import (DistConfig, DistributedTrainer,
-                         LinkPredictionTask, SingleDeviceTrainer,
-                         TrainerConfig)
+from repro.train import DistConfig, DistributedTrainer, LinkPredictionTask
 
 
 def make_dtdg(n=16, t=7, seed=0):
@@ -39,20 +37,20 @@ def _losses(trainer, epochs=2):
 @pytest.mark.parametrize("num_blocks", [1, 3])
 def test_single_device_training_from_store_matches(stored, num_blocks):
     d, store = stored
-    config = TrainerConfig(num_blocks=num_blocks)
+    config = DistConfig(num_blocks=num_blocks)
 
     model_a = build_model("cdgcn", in_features=2, hidden=6, embed_dim=6,
                           seed=0)
     task_a = LinkPredictionTask(d, embed_dim=6, theta=0.5, seed=0)
-    ref = SingleDeviceTrainer(model_a, d, task_a, config)
+    ref = DistributedTrainer(model_a, d, task_a, Cluster.of_size(1), config)
 
     model_b = build_model("cdgcn", in_features=2, hidden=6, embed_dim=6,
                           seed=0)
-    got = SingleDeviceTrainer.from_store(
+    got = DistributedTrainer.from_store(
         model_b, store,
         lambda view: LinkPredictionTask(view, embed_dim=6, theta=0.5,
                                         seed=0),
-        config)
+        Cluster.of_size(1), config)
     assert isinstance(got.dtdg, StoreView)
 
     np.testing.assert_allclose(_losses(got), _losses(ref), rtol=1e-10)
@@ -62,11 +60,11 @@ def test_from_store_window_slices_timeline(stored):
     d, store = stored
     model = build_model("cdgcn", in_features=2, hidden=6, embed_dim=6,
                         seed=0)
-    trainer = SingleDeviceTrainer.from_store(
+    trainer = DistributedTrainer.from_store(
         model, store,
         lambda view: LinkPredictionTask(view, embed_dim=6, theta=0.5,
                                         seed=0),
-        TrainerConfig(), start=2, stop=7)
+        Cluster.of_size(1), DistConfig(), start=2, stop=7)
     assert trainer.dtdg.num_timesteps == 5
     assert trainer.dtdg[0] == d[2]
     result = trainer.fit(1)[0]
@@ -119,8 +117,8 @@ def test_from_store_forwards_telemetry_and_kernel_backend(stored,
         # the renamed operators the vertex plan multiplies through too
         assert trainer.plan.laplacians[0].backend is pinned
     else:
-        trainer = SingleDeviceTrainer.from_store(
-            model, store, task_factory, TrainerConfig(),
+        trainer = DistributedTrainer.from_store(
+            model, store, task_factory, Cluster.of_size(1), DistConfig(),
             telemetry=tel, kernel_backend=pinned)
     assert trainer.telemetry is tel
     assert trainer.laplacians[0].backend is pinned

@@ -1,15 +1,15 @@
-"""Tests for tasks and the single-device trainer."""
+"""Tests for tasks and the trainer on one GPU (a one-rank cluster)."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterSpec, Device
+from repro.cluster import Cluster, ClusterSpec
 from repro.errors import ConfigError, DatasetError, DeviceOOM
 from repro.graph import evolving_dtdg
 from repro.models import build_model
 from repro.tensor import Tensor
-from repro.train import (LinkPredictionTask, NodeClassificationTask,
-                         SingleDeviceTrainer, TrainerConfig)
+from repro.train import (DistConfig, DistributedTrainer, LinkPredictionTask,
+                         NodeClassificationTask)
 from repro.train.preprocess import degree_features
 
 
@@ -108,16 +108,23 @@ class TestNodeClassificationTask:
             NodeClassificationTask(np.zeros((3, 4), dtype=int), 2, 4)
 
 
-class TestSingleDeviceTrainer:
-    def _trainer(self, num_blocks=1, use_gd=False, device=None, seed=0):
+def one_gpu(**spec_overrides):
+    return Cluster(ClusterSpec.single_node(1, **spec_overrides))
+
+
+class TestOneRankTrainer:
+    def _trainer(self, num_blocks=1, use_gd=False, cluster=None, seed=0,
+                 learning_rate=0.02):
         d = make_dtdg(seed=seed)
         model = build_model("tmgcn", in_features=2, hidden=4, embed_dim=4,
                             seed=0)
         task = LinkPredictionTask(d, embed_dim=4, theta=0.4, seed=0)
-        cfg = TrainerConfig(num_blocks=num_blocks,
-                            use_graph_difference=use_gd,
-                            learning_rate=0.02)
-        return SingleDeviceTrainer(model, d, task, cfg, device=device)
+        cfg = DistConfig(num_blocks=num_blocks,
+                         use_graph_difference=use_gd,
+                         learning_rate=learning_rate)
+        return DistributedTrainer(model, d, task,
+                                  cluster if cluster is not None
+                                  else one_gpu(), cfg)
 
     def test_baseline_epoch(self):
         trainer = self._trainer()
@@ -138,28 +145,23 @@ class TestSingleDeviceTrainer:
         assert results[-1].loss < results[0].loss
 
     def test_device_memory_baseline_oom(self):
-        spec = ClusterSpec.single_node(1, gpu_memory_bytes=13_000)
-        device = Device(0, spec)
-        trainer = self._trainer(num_blocks=1, device=device)
+        cluster = one_gpu(gpu_memory_bytes=13_000)
+        trainer = self._trainer(num_blocks=1, cluster=cluster)
         with pytest.raises(DeviceOOM):
             trainer.train_epoch()
 
     def test_checkpoint_fits_where_baseline_ooms(self):
-        spec = ClusterSpec.single_node(1, gpu_memory_bytes=13_000)
-        base_device = Device(0, spec)
-        ck_device = Device(0, spec)
+        base = one_gpu(gpu_memory_bytes=13_000)
+        ck = one_gpu(gpu_memory_bytes=13_000)
         with pytest.raises(DeviceOOM):
-            self._trainer(num_blocks=1, device=base_device).train_epoch()
-        result = self._trainer(num_blocks=6, device=ck_device).train_epoch()
+            self._trainer(num_blocks=1, cluster=base).train_epoch()
+        result = self._trainer(num_blocks=6, cluster=ck).train_epoch()
         assert np.isfinite(result.loss)
-        assert ck_device.peak_in_use < base_device.spec.gpu_memory_bytes
+        assert ck.device(0).peak_in_use < base.spec.gpu_memory_bytes
 
     def test_gd_reduces_transfer_time(self):
-        spec = ClusterSpec.single_node(1)
-        base = self._trainer(num_blocks=2, use_gd=False,
-                             device=Device(0, spec), seed=2)
-        gd = self._trainer(num_blocks=2, use_gd=True,
-                           device=Device(0, spec), seed=2)
+        base = self._trainer(num_blocks=2, use_gd=False, seed=2)
+        gd = self._trainer(num_blocks=2, use_gd=True, seed=2)
         r_base = base.train_epoch()
         r_gd = gd.train_epoch()
         assert r_gd.breakdown.transfer < r_base.breakdown.transfer
@@ -168,15 +170,14 @@ class TestSingleDeviceTrainer:
         assert r_gd.loss == pytest.approx(r_base.loss, rel=1e-9)
 
     def test_transfer_charged_twice_under_checkpoint(self):
-        spec = ClusterSpec.single_node(1)
-        once = self._trainer(num_blocks=1, device=Device(0, spec), seed=3)
-        twice = self._trainer(num_blocks=2, device=Device(0, spec), seed=3)
+        once = self._trainer(num_blocks=1, seed=3)
+        twice = self._trainer(num_blocks=2, seed=3)
         r1 = once.train_epoch()
         r2 = twice.train_epoch()
         assert r2.transfer_bytes > 1.8 * r1.transfer_bytes
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
-            TrainerConfig(num_blocks=0)
+            DistConfig(num_blocks=0)
         with pytest.raises(ConfigError):
-            TrainerConfig(learning_rate=-1)
+            self._trainer(learning_rate=-1)
