@@ -13,7 +13,6 @@ Kernel cost: ``flops / rate`` with separate effective rates for dense
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 from repro.cluster.clock import RankClock
@@ -71,15 +70,6 @@ class Device:
             raise KeyError(f"double free / unknown allocation {handle}")
         self.in_use -= live.nbytes
 
-    @contextlib.contextmanager
-    def hold(self, nbytes: int, tag: str = "scratch"):
-        """Scoped allocation (freed on exit even on error)."""
-        handle = self.alloc(nbytes, tag)
-        try:
-            yield handle
-        finally:
-            self.free(handle)
-
     def free_all(self, tag: str | None = None) -> int:
         """Free every live allocation (optionally only those with ``tag``);
         returns bytes released."""
@@ -90,10 +80,6 @@ class Device:
                 self.in_use -= self._live[serial].nbytes
                 del self._live[serial]
         return released
-
-    @property
-    def live_allocations(self) -> list[Allocation]:
-        return list(self._live.values())
 
     @property
     def available(self) -> int:

@@ -128,9 +128,11 @@ class WorkerTransport:
     pipelines across *shards*, not within one worker, which keeps every
     worker single-threaded and deterministic.
 
-    The typed wrappers below are the protocol: routers call these, so
-    method-name typos die at the call site rather than in a worker
-    process.
+    Routers submit verbs by name; the protocol is the worker's
+    ``rpc_<verb>`` set (:class:`~repro.exec.service.WorkerService`).
+    The wrappers below are the verbs a backend serves its own way
+    (:meth:`embedding_rows`, from shared memory in worker processes)
+    or whose reply callers read typed.
 
     When the owning router traces, it sets :attr:`tracer` and every
     submit carries the innermost open span as a trace-context envelope
@@ -166,57 +168,11 @@ class WorkerTransport:
         self.submit(method, *args, seq=seq)
         return self.result()
 
-    # -- lifecycle ------------------------------------------------------------------
-    def begin_advance(self, snapshot: GraphSnapshot | None,
-                      diff=None) -> None:
-        """Cross into a timestep boundary: settle, optionally rebase
-        onto ``snapshot`` (or fold the rebase ``diff``), promote
-        carries.  Pipelined by the router; the reply is collected before
-        the halo sync."""
-        return self.call("begin_advance", snapshot, diff)
-
-    def finish_advance(self) -> int:
-        """Recompute the covered rows; returns how many were computed."""
-        return self.call("finish_advance")
-
-    def apply_delta(self, diff, dirty: np.ndarray) -> tuple:
-        """Fold one commit's GD delta + pre-expanded dirty frontier into
-        the worker's mirror.  Returns ``(entrant_rows, ghost_dirty)``."""
-        return self.call("apply_delta", diff, dirty)
-
-    def refresh(self) -> int:
-        """Recompute the worker's dirty covered rows; returns the count."""
-        return self.call("refresh")
-
     # -- reads ----------------------------------------------------------------------
     def embedding_rows(self, rows: np.ndarray) -> np.ndarray:
         """Served embedding rows (backends may satisfy this from a
         shared-memory mapping instead of an RPC round-trip)."""
         return self.call("embedding_rows", rows)
-
-    def score(self, link_pairs: np.ndarray, link_dst_rows: np.ndarray,
-              fraud_accounts: np.ndarray) -> tuple:
-        return self.call("score", link_pairs, link_dst_rows,
-                         fraud_accounts)
-
-    # -- halo / temporal state -------------------------------------------------------
-    def halo_rows(self) -> np.ndarray:
-        return self.call("halo_rows")
-
-    def export_temporal(self, rows: np.ndarray) -> list:
-        return self.call("export_temporal", rows)
-
-    def import_temporal(self, rows: np.ndarray, payload: list) -> int:
-        return self.call("import_temporal", rows, payload)
-
-    # -- state transplant (capture / recovery) ---------------------------------------
-    def export_state(self) -> tuple:
-        """(owned-row state export, dirty rows, steps) for captures."""
-        return self.call("export_state")
-
-    def adopt_state(self, exports: list, steps: int,
-                    dirty: np.ndarray) -> None:
-        return self.call("adopt_state", exports, steps, dirty)
 
     # -- introspection / liveness ----------------------------------------------------
     def worker_stats(self) -> WorkerStats:

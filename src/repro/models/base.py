@@ -149,15 +149,6 @@ class DynamicGNN(Module):
         return outs
 
     # -- cost model (per single timestep) ------------------------------------------------
-    def gcn_flops_per_step(self, nnz: int, rows: int) -> tuple[float, float]:
-        """(sparse, dense) FLOPs of all GCN components at one timestep."""
-        sparse = dense = 0.0
-        for idx in range(self.num_layers):
-            s, d = self.gcn_layer(idx).flops(nnz, rows)
-            sparse += s
-            dense += d
-        return sparse, dense
-
     def rnn_flops_per_step(self, rows: int) -> float:
         """Dense FLOPs of all RNN components at one timestep."""
         raise NotImplementedError

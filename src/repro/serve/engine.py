@@ -8,7 +8,8 @@ the serving tier, with two entry points:
     A *timestep boundary*: temporal state moves forward one step — LSTM
     states advance for every vertex, EvolveGCN weights evolve once, the
     M-product history shifts — and every row is recomputed.  This is the
-    periodic resync a production tier runs at window boundaries.
+    periodic resync a production tier runs at window boundaries (a
+    sharded tier splits it to run its halo exchange in between).
 
 ``refresh(reads=None)``
     An *intra-step* update: edge events changed the resident graph, the
@@ -49,6 +50,10 @@ the working set stays in cache, and a refreshed row is bit-identical to
 the same row of a full recompute on every BLAS kernel family
 (``docs/kernels.md``, "Dense epilogue: fixed-shape tiles").
 
+Which temporal-state arrays each model keeps, and in what order, is
+written down once, as a named schema (:meth:`_state_slots`): captures,
+restores, the rebalance transplant and the halo exchange walk it.
+
 .. note::
    The engine evaluates the model on the **raw** event stream.  CD-GCN
    trains on raw snapshots (§5.1), so it is served exactly as trained.
@@ -78,7 +83,11 @@ from repro.obs import Telemetry
 from repro.serve.cache import EmbeddingCache
 from repro.tensor.functional import _sigmoid, lstm_cell_forward
 
-__all__ = ["InferenceEngine"]
+__all__ = ["InferenceEngine", "REPLICATED_STATE"]
+
+# state-schema name prefixes of the arrays that are not per-vertex:
+# EvolveGCN's weight LSTM, which every shard evolves identically
+REPLICATED_STATE = ("weight_state/", "current_weights/")
 
 
 # Every dense-epilogue GEMM takes a tile of exactly TILE_ROWS rows (the
@@ -210,7 +219,7 @@ class InferenceEngine:
         self._maintainer: LaplacianMaintainer | None = None
         self.kernel_backend = resolve_backend(kernel_backend)
         # temporal state that is not per-vertex
-        self._weight_state: list[tuple[np.ndarray, np.ndarray]] = []
+        self._weight_state: list[list[np.ndarray]] = []
         self._current_weights: list[np.ndarray] = []
         self._history: list[list[np.ndarray]] = []
         self._current_y: list[np.ndarray | None] = []
@@ -256,13 +265,13 @@ class InferenceEngine:
             # leaving carry keeps c alone (layer_outputs holds h)
             for layer in self.layers:
                 cache.pre_carry.append(
-                    (np.zeros((n, layer.hidden)), np.zeros((n, layer.hidden))))
+                    [np.zeros((n, layer.hidden)), np.zeros((n, layer.hidden))])
                 cache.post_carry.append(np.zeros((n, layer.hidden)))
         elif self.kind == "egcn":
             for idx in range(self.model.num_layers):
                 base = self.model.gcn_layer(idx).weight.data
-                self._weight_state.append((base.copy(),
-                                           np.zeros_like(base)))
+                self._weight_state.append([base.copy(),
+                                           np.zeros_like(base)])
                 self._current_weights.append(base.copy())
         else:  # tmgcn
             self.window = self.model.window
@@ -332,29 +341,33 @@ class InferenceEngine:
         ``diff`` is the optional GD delta from the current resident to
         the rebase ``snapshot``; with it the maintained ``Ã`` advances
         incrementally instead of rebuilding in full."""
-        self._settle()
+        self.begin_advance(snapshot, diff=diff)
+        self.finish_advance()
+        return self.embeddings
+
+    def begin_advance(self, snapshot: GraphSnapshot | None = None, *,
+                      diff: SnapshotDiff | None = None) -> None:
+        """First half of :meth:`advance`: settle, rebase, promote."""
+        # rows still dirty against the current resident are consumed
+        # first: the carries a boundary promotes must reflect the
+        # end-of-step graph, not a mid-step one
+        if self._primed and self.cache.num_dirty:
+            self.refresh()
         if snapshot is not None:
             self.set_snapshot(snapshot, seeds=None, diff=diff)
         if self._primed:
             self._promote_carries()
-        if self.kind == "egcn":
-            self._evolve_weights()
+        self._evolve_weights()
+
+    def finish_advance(self) -> int:
+        """Second half of :meth:`advance`: recompute every row; returns
+        how many rows that computed."""
         self.cache.invalidate_all()
         self.cache.clean()
         self._compute(None)
         self._primed = True
         self.steps += 1
-        return self.embeddings
-
-    def _settle(self) -> None:
-        """Consume any dirty rows still pending against the *current*
-        resident before a timestep boundary.  The temporal carries a
-        boundary promotes must reflect the end-of-step graph — skipping
-        this (e.g. events ingested but never flushed before an advance)
-        would promote carries computed against a mid-step topology.
-        """
-        if self._primed and self.cache.num_dirty:
-            self.refresh()
+        return self.num_vertices
 
     def refresh(self, reads: np.ndarray | None = None) -> int:
         """Recompute stale rows against the frozen carry: every one, or
@@ -409,9 +422,10 @@ class InferenceEngine:
             # the step's output h enters the next step by copy into the
             # old pre-h buffer; the c buffers trade places, so a boundary
             # allocates no (N, H) array
-            for idx, (h_pre, c_pre) in enumerate(cache.pre_carry):
+            for idx, pair in enumerate(cache.pre_carry):
+                h_pre, c_pre = pair
                 np.copyto(h_pre, cache.layer_outputs[idx])
-                cache.pre_carry[idx] = (h_pre, cache.post_carry[idx])
+                pair[1] = cache.post_carry[idx]
                 cache.post_carry[idx] = c_pre
         elif self.kind == "tmgcn":
             keep = self.window - 1
@@ -422,15 +436,82 @@ class InferenceEngine:
                 self._current_y[idx] = None
 
     def _evolve_weights(self) -> None:
-        """One weight-LSTM step per layer (EvolveGCN's recurrence)."""
-        for idx in range(self.model.num_layers):
+        """One weight-LSTM step per layer (EvolveGCN's recurrence; the
+        other models hold no weight state)."""
+        for idx, (h_prev, c_prev) in enumerate(self._weight_state):
             cell = self.model.evolver(idx).cell
-            h_prev, c_prev = self._weight_state[idx]
             h, c, _, _ = lstm_cell_forward(
                 h_prev, h_prev, c_prev, cell.w_ih.data, cell.w_hh.data,
                 cell.bias.data)
-            self._weight_state[idx] = (h, c)
+            self._weight_state[idx] = [h, c]
             self._current_weights[idx] = h
+
+    # -- state schema --------------------------------------------------------------------
+    def _state_slots(self):
+        """``(name, list, index)`` per temporal-state array, in capture
+        order: the array named ``name`` is ``list[index]``.  Every
+        reader and writer of the state walks this one layout."""
+        cache = self.cache
+        for i in range(len(cache.layer_outputs)):
+            yield f"layer_outputs/{i}", cache.layer_outputs, i
+        for i, pair in enumerate(cache.pre_carry):
+            yield f"pre_carry/{i}/h", pair, 0
+            yield f"pre_carry/{i}/c", pair, 1
+        # the post-step h is layer_outputs/{i}; only c is kept
+        for i in range(len(cache.post_carry)):
+            yield f"post_carry/{i}/c", cache.post_carry, i
+        for i, pair in enumerate(self._weight_state):
+            yield f"weight_state/{i}/h", pair, 0
+            yield f"weight_state/{i}/c", pair, 1
+        for i in range(len(self._current_weights)):
+            yield f"current_weights/{i}", self._current_weights, i
+        for i, frames in enumerate(self._history):
+            for j in range(len(frames)):
+                yield f"history/{i}/{j}", frames, j
+        for i, y in enumerate(self._current_y):
+            if y is not None:
+                yield f"current_y/{i}", self._current_y, i
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """The engine's temporal state by schema name, in capture order.
+        The arrays are the engine's own, not copies: valid until the
+        engine next moves."""
+        return {name: slots[idx] for name, slots, idx in self._state_slots()}
+
+    def load_state(self, arrays: dict[str, np.ndarray],
+                   rows: np.ndarray | None = None) -> None:
+        """Install state named as :meth:`state_arrays` names it (other
+        names are left unread).  ``rows=None`` adopts the arrays as they
+        are, without a copy; otherwise the per-vertex arrays hold rows
+        ``rows`` and are scattered in, the replicated ones copied."""
+        self._fit_frames(arrays, rows)
+        for name, slots, idx in self._state_slots():
+            src = arrays[name]
+            if rows is None:
+                slots[idx] = src
+            elif name.startswith(REPLICATED_STATE):
+                slots[idx] = src.copy()
+            else:
+                slots[idx][rows] = src
+
+    def _fit_frames(self, arrays: dict[str, np.ndarray],
+                    rows: np.ndarray | None) -> None:
+        """Size TM-GCN's frame lists to the frames ``arrays`` names: as
+        those arrays (``rows=None``), or adding zero frames to scatter
+        rows into."""
+        def frame(name):
+            return arrays[name] if rows is None else \
+                np.zeros((self.num_vertices, arrays[name].shape[1]))
+
+        for i, frames in enumerate(self._history):
+            if rows is None:
+                frames.clear()
+            while (name := f"history/{i}/{len(frames)}") in arrays:
+                frames.append(frame(name))
+        for i, y in enumerate(self._current_y):
+            name = f"current_y/{i}"
+            if rows is None or (y is None and name in arrays):
+                self._current_y[i] = frame(name) if name in arrays else None
 
     # -- numerics -------------------------------------------------------------------------
     def _aggregate(self, x: np.ndarray,

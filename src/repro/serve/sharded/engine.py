@@ -35,10 +35,13 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.graph.snapshot import GraphSnapshot
 from repro.models.base import DynamicGNN
-from repro.serve.engine import InferenceEngine
+from repro.serve.engine import REPLICATED_STATE, InferenceEngine
 from repro.serve.sharded.plan import block_distances, relax_distances
 
 __all__ = ["ShardEngine"]
+
+# state-schema prefixes of the frozen per-vertex state a ghost row mirrors
+_MIRRORED = ("pre_carry/", "history/")
 
 
 class ShardEngine(InferenceEngine):
@@ -115,95 +118,47 @@ class ShardEngine(InferenceEngine):
         return rows[self._dist[rows] <= limit]
 
     # -- advance protocol -------------------------------------------------------------
-    # A sharded advance is split in two so the router can run the halo
-    # exchange between carry promotion and recomputation (all shards
-    # promote, then ghosts sync, then all shards compute).
+    # The router runs the halo exchange between the two halves of the
+    # inherited advance (all shards promote, then ghosts sync, then all
+    # shards compute).
     def begin_advance(self, snapshot: GraphSnapshot | None = None, *,
                       diff=None) -> None:
-        self._settle()  # every replica, not just the ones that served
-        if snapshot is not None:
-            self.set_snapshot(snapshot, seeds=None, diff=diff)
+        super().begin_advance(snapshot, diff=diff)
         self.rebuild_halo()
-        if self._primed:
-            self._promote_carries()
-        if self.kind == "egcn":
-            self._evolve_weights()
 
     def finish_advance(self) -> int:
         """Recompute the covered rows; returns how many were computed."""
-        self.cache.invalidate_all()
-        self.cache.clean()
-        self._compute(None)
-        self._primed = True
-        self.steps += 1
+        super().finish_advance()
         return len(self.coverage)
-
-    def advance(self, snapshot: GraphSnapshot | None = None) -> np.ndarray:
-        """Single-shard convenience (full halo sync is a no-op when no
-        ghost row has remote temporal state — i.e. one shard)."""
-        self.begin_advance(snapshot)
-        self.finish_advance()
-        return self.embeddings
 
     # -- temporal-state mirroring ----------------------------------------------------
     # The frozen per-vertex temporal state entering the current timestep
-    # is what a ghost row cannot reproduce locally.  Rows are exported
-    # by the owner (always exact for its block) and written into a
-    # mirroring shard's arrays.
+    # is what a ghost row cannot reproduce locally: the schema's
+    # pre_carry/ and history/ arrays.  Rows are exported by the owner
+    # (always exact for its block) and written into a mirroring shard's
+    # arrays, in schema order.
+    def _frozen(self) -> list[np.ndarray]:
+        return [array for name, array in self.state_arrays().items()
+                if name.startswith(_MIRRORED)]
+
     def export_temporal(self, rows: np.ndarray) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        if self.kind == "cdgcn":
-            for h, c in self.cache.pre_carry:
-                out.append(h[rows])
-                out.append(c[rows])
-        elif self.kind == "tmgcn":
-            for frames in self._history:
-                for frame in frames:
-                    out.append(frame[rows])
-        return out
+        return [array[rows] for array in self._frozen()]
 
     def import_temporal(self, rows: np.ndarray,
                         payload: list[np.ndarray]) -> int:
         """Install exported temporal rows; returns payload bytes."""
-        nbytes = 0
-        i = 0
-        if self.kind == "cdgcn":
-            for h, c in self.cache.pre_carry:
-                h[rows] = payload[i]
-                c[rows] = payload[i + 1]
-                nbytes += payload[i].nbytes + payload[i + 1].nbytes
-                i += 2
-        elif self.kind == "tmgcn":
-            for frames in self._history:
-                for frame in frames:
-                    frame[rows] = payload[i]
-                    nbytes += payload[i].nbytes
-                    i += 1
-        return nbytes
+        for array, part in zip(self._frozen(), payload, strict=True):
+            array[rows] = part
+        return sum(part.nbytes for part in payload)
 
     # -- state transplant (rebalancing) ----------------------------------------------
     def export_state_rows(self, rows: np.ndarray) -> dict:
-        """Every per-vertex array this shard is authoritative for
-        (``rows`` must be owned rows), plus the replicated non-vertex
-        temporal state — the rebalancer's wire format."""
-        state: dict = {
-            "layer_outputs": [z[rows] for z in self.cache.layer_outputs],
-        }
-        if self.kind == "cdgcn":
-            state["pre_carry"] = [(h[rows], c[rows])
-                                  for h, c in self.cache.pre_carry]
-            state["post_carry"] = [c[rows] for c in self.cache.post_carry]
-        elif self.kind == "tmgcn":
-            state["history"] = [[f[rows] for f in frames]
-                                for frames in self._history]
-            state["current_y"] = [None if y is None else y[rows]
-                                  for y in self._current_y]
-        elif self.kind == "egcn":
-            state["weight_state"] = [(h.copy(), c.copy())
-                                     for h, c in self._weight_state]
-            state["current_weights"] = [w.copy()
-                                        for w in self._current_weights]
-        return state
+        """The state schema at ``rows`` (which must be owned rows), plus
+        the replicated non-vertex state whole — the rebalancer's wire
+        format."""
+        return {name: array if name.startswith(REPLICATED_STATE)
+                else array[rows]
+                for name, array in self.state_arrays().items()}
 
     def adopt_state(self, rows_per_source: list[tuple[np.ndarray, dict]],
                     steps: int) -> None:
@@ -215,35 +170,7 @@ class ShardEngine(InferenceEngine):
         with a clean cache, ready for refreshes and future advances.
         """
         for rows, state in rows_per_source:
-            for idx, z in enumerate(state["layer_outputs"]):
-                self.cache.layer_outputs[idx][rows] = z
-            if self.kind == "cdgcn":
-                for idx, (h, c) in enumerate(state["pre_carry"]):
-                    self.cache.pre_carry[idx][0][rows] = h
-                    self.cache.pre_carry[idx][1][rows] = c
-                for idx, c in enumerate(state["post_carry"]):
-                    self.cache.post_carry[idx][rows] = c
-            elif self.kind == "tmgcn":
-                for idx, frames in enumerate(state["history"]):
-                    while len(self._history[idx]) < len(frames):
-                        self._history[idx].append(
-                            np.zeros((self.num_vertices,
-                                      frames[len(self._history[idx])]
-                                      .shape[1])))
-                    for j, f in enumerate(frames):
-                        self._history[idx][j][rows] = f
-                for idx, y in enumerate(state["current_y"]):
-                    if y is None:
-                        continue
-                    if self._current_y[idx] is None:
-                        self._current_y[idx] = np.zeros(
-                            (self.num_vertices, y.shape[1]))
-                    self._current_y[idx][rows] = y
-            elif self.kind == "egcn":
-                self._weight_state = [(h.copy(), c.copy())
-                                      for h, c in state["weight_state"]]
-                self._current_weights = [w.copy()
-                                         for w in state["current_weights"]]
+            self.load_state(state, rows)
         self.steps = steps
         self._primed = True
         self.rebuild_halo()

@@ -20,6 +20,11 @@ surroundings so its stale-layer invariant holds again.  A recovered
 server refreshes at least what the crashed one would have — over-
 invalidation, so its served rows are still exact.
 
+A capture holds the engine's state schema under its names
+(``InferenceEngine.state_arrays``, handed back to ``load_state``):
+nothing here spells out which arrays a model keeps.  A name the schema
+expects that a capture lacks is a :class:`~repro.errors.StoreError`.
+
 For the sharded tier the capture reuses the rebalancer's wire format:
 each shard exports its owned rows (:meth:`ShardEngine.export_state_rows`,
 gathered over ``export_state`` RPCs by
@@ -37,6 +42,27 @@ from repro.errors import StoreError
 __all__ = ["capture_engine_state", "restore_engine_state",
            "unpack_sharded_state", "pack_shard_export",
            "unpack_shard_export"]
+
+
+# TM-GCN's frame arrays: how many a capture holds is kept in its meta
+_FRAMES = ("history/", "current_y/")
+
+
+def _frame_names(meta_shard: dict) -> list[str]:
+    """The frame names ``meta_shard``'s counts say a capture holds."""
+    names = [f"history/{i}/{j}"
+             for i, count in enumerate(meta_shard.get("history_lens", ()))
+             for j in range(count)]
+    return names + [f"current_y/{i}" for i, present in
+                    enumerate(meta_shard.get("current_y_present", ()))
+                    if present]
+
+
+def _require(names: list[str], state: dict, prefix: str) -> None:
+    missing = [name for name in names if name not in state]
+    if missing:
+        raise StoreError(
+            f"capture lacks state array {prefix + missing[0]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -63,12 +89,7 @@ def capture_engine_state(engine) -> tuple[dict, dict[str, np.ndarray]]:
         "evicted": cache._evicted,
         "last_used": cache._last_used,
     }
-    state = {"layer_outputs": cache.layer_outputs,
-             "pre_carry": cache.pre_carry, "post_carry": cache.post_carry,
-             "weight_state": engine._weight_state,
-             "current_weights": engine._current_weights,
-             "history": engine._history, "current_y": engine._current_y}
-    pack_shard_export("", state, engine.kind, meta, arrays)
+    pack_shard_export("", engine.state_arrays(), engine.kind, meta, arrays)
     return meta, arrays
 
 
@@ -85,21 +106,15 @@ def restore_engine_state(engine, meta: dict,
             f"{engine.kind!r} — wrong model checkpoint?")
     if meta["num_layers"] != len(engine.layers):
         raise StoreError("capture layer count does not match the model")
-    state = unpack_shard_export("", engine.kind, meta["num_layers"], meta,
-                                arrays)
-    cache = engine.cache
-    cache.layer_outputs[:] = state["layer_outputs"]
-    if engine.kind == "cdgcn":
-        cache.pre_carry[:] = state["pre_carry"]
-        cache.post_carry[:] = state["post_carry"]
-    elif engine.kind == "egcn":
-        engine._weight_state = state["weight_state"]
-        engine._current_weights = state["current_weights"]
-    elif engine.kind == "tmgcn":
-        engine._history = state["history"]
-        engine._current_y = state["current_y"]
+    # the engine's schema names every array but TM-GCN's frames, whose
+    # counts the capture's meta carries
+    expected = [name for name in engine.state_arrays()
+                if not name.startswith(_FRAMES)] + _frame_names(meta)
+    _require(expected, arrays, "")
+    engine.load_state(arrays)
     engine.steps = int(meta["steps"])
     engine._primed = bool(meta["primed"])
+    cache = engine.cache
     for name in ("expanded", "evicted", "last_used"):
         setattr(cache, f"_{name}",
                 np.asarray(arrays[name], dtype=np.int64))
@@ -113,66 +128,30 @@ def restore_engine_state(engine, meta: dict,
 
 def pack_shard_export(prefix: str, state: dict, kind: str, meta_shard: dict,
                       arrays: dict[str, np.ndarray]) -> None:
-    """Flatten one shard's owned-row export (``export_state`` reply)
-    into ``arrays``, every name prefixed by ``prefix``; shape metadata
-    that the arrays cannot carry lands in ``meta_shard``.  The export's
-    arrays go in as they are (views, valid until the engine next
-    moves)."""
-    for i, z in enumerate(state["layer_outputs"]):
-        arrays[f"{prefix}layer_outputs/{i}"] = z
-    if kind == "cdgcn":
-        for i, (h, c) in enumerate(state["pre_carry"]):
-            arrays[f"{prefix}pre_carry/{i}/h"] = h
-            arrays[f"{prefix}pre_carry/{i}/c"] = c
-        # the post-step h is layer_outputs/{i}; only c is written
-        for i, c in enumerate(state["post_carry"]):
-            arrays[f"{prefix}post_carry/{i}/c"] = c
-    elif kind == "egcn":
-        for i, (h, c) in enumerate(state["weight_state"]):
-            arrays[f"{prefix}weight_state/{i}/h"] = h
-            arrays[f"{prefix}weight_state/{i}/c"] = c
-        for i, w in enumerate(state["current_weights"]):
-            arrays[f"{prefix}current_weights/{i}"] = w
-    elif kind == "tmgcn":
-        meta_shard["history_lens"] = [len(f) for f in state["history"]]
-        meta_shard["current_y_present"] = [y is not None
-                                          for y in state["current_y"]]
-        for i, frames in enumerate(state["history"]):
-            for j, frame in enumerate(frames):
-                arrays[f"{prefix}history/{i}/{j}"] = frame
-        for i, y in enumerate(state["current_y"]):
-            if y is not None:
-                arrays[f"{prefix}current_y/{i}"] = y
+    """Write one engine's state (:meth:`InferenceEngine.state_arrays`,
+    or a shard's ``export_state`` reply) into ``arrays``, every name
+    prefixed by ``prefix``.  The arrays go in as they are (views, valid
+    until the engine next moves).  TM-GCN's frame counts, which a fresh
+    engine cannot know, land in ``meta_shard``."""
+    for name, array in state.items():
+        arrays[prefix + name] = array
+    if kind == "tmgcn":
+        layers = range(sum(name.startswith("layer_outputs/")
+                           for name in state))
+        meta_shard["history_lens"] = [
+            sum(name.startswith(f"history/{i}/") for name in state)
+            for i in layers]
+        meta_shard["current_y_present"] = [f"current_y/{i}" in state
+                                          for i in layers]
 
 
-def unpack_shard_export(prefix: str, kind: str, num_layers: int,
-                        meta_shard: dict,
-                        arrays: dict[str, np.ndarray]) -> dict:
-    """Inverse of :func:`pack_shard_export`."""
-    state: dict = {"layer_outputs": [arrays[f"{prefix}layer_outputs/{i}"]
-                                     for i in range(num_layers)]}
-    if kind == "cdgcn":
-        state["pre_carry"] = [(arrays[f"{prefix}pre_carry/{i}/h"],
-                               arrays[f"{prefix}pre_carry/{i}/c"])
-                              for i in range(num_layers)]
-        # older captures also hold post_carry/{i}/h, a bit-copy of
-        # layer_outputs/{i}: it is left unread
-        state["post_carry"] = [arrays[f"{prefix}post_carry/{i}/c"]
-                               for i in range(num_layers)]
-    elif kind == "egcn":
-        state["weight_state"] = [(arrays[f"{prefix}weight_state/{i}/h"],
-                                  arrays[f"{prefix}weight_state/{i}/c"])
-                                 for i in range(num_layers)]
-        state["current_weights"] = [arrays[f"{prefix}current_weights/{i}"]
-                                    for i in range(num_layers)]
-    elif kind == "tmgcn":
-        state["history"] = [
-            [arrays[f"{prefix}history/{i}/{j}"] for j in range(length)]
-            for i, length in enumerate(meta_shard["history_lens"])]
-        state["current_y"] = [
-            arrays[f"{prefix}current_y/{i}"] if present else None
-            for i, present in enumerate(meta_shard["current_y_present"])]
-    return state
+def unpack_shard_export(prefix: str, arrays: dict[str, np.ndarray]) -> dict:
+    """Inverse of :func:`pack_shard_export`: the arrays under
+    ``prefix``, by schema name.  Older captures also hold
+    ``post_carry/{i}/h``, a bit-copy of ``layer_outputs/{i}``: no schema
+    slot names it, so the engine leaves it unread."""
+    return {name[len(prefix):]: array for name, array in arrays.items()
+            if name.startswith(prefix)}
 
 
 def unpack_sharded_state(meta: dict, arrays: dict[str, np.ndarray]
@@ -183,13 +162,11 @@ def unpack_sharded_state(meta: dict, arrays: dict[str, np.ndarray]
     if meta.get("type") != "sharded":
         raise StoreError("capture is not a sharded-tier state record")
     owner = np.asarray(arrays["owner"], dtype=np.int64)
-    kind = meta["engine_kind"]
     exports = []
     for s in range(meta["num_shards"]):
-        block = np.flatnonzero(owner == s)
-        state = unpack_shard_export(f"shard/{s}/", kind,
-                                    meta["num_layers"],
-                                    meta["shards"][s], arrays)
-        exports.append((block, state))
+        prefix = f"shard/{s}/"
+        state = unpack_shard_export(prefix, arrays)
+        _require(_frame_names(meta["shards"][s]), state, prefix)
+        exports.append((np.flatnonzero(owner == s), state))
     dirty = np.asarray(arrays["dirty"], dtype=np.int64)
     return owner, exports, dirty

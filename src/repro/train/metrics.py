@@ -65,12 +65,6 @@ class ConvergenceCurve:
         self.losses.append(result.loss)
         self.accuracies.append(result.test_accuracy)
 
-    def final_loss(self) -> float:
-        return self.losses[-1] if self.losses else float("nan")
-
-    def final_accuracy(self) -> float:
-        return self.accuracies[-1] if self.accuracies else float("nan")
-
     def max_divergence(self, other: "ConvergenceCurve") -> float:
         """Largest per-epoch |loss difference| against another run."""
         if len(self.losses) != len(other.losses):

@@ -94,10 +94,6 @@ class ReuseStats:
     backward_flops: float = 0.0
     full_equivalent_flops: float = 0.0
 
-    @property
-    def forward_flops_saved(self) -> float:
-        return self.full_equivalent_flops - self.forward_flops
-
 
 @dataclass(frozen=True)
 class AggregateCall:

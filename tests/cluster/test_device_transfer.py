@@ -55,19 +55,6 @@ class TestDeviceMemory:
         with pytest.raises(ValueError):
             make_device().alloc(-5)
 
-    def test_hold_context_frees_on_exit(self):
-        d = make_device(100)
-        with d.hold(50):
-            assert d.in_use == 50
-        assert d.in_use == 0
-
-    def test_hold_frees_on_exception(self):
-        d = make_device(100)
-        with pytest.raises(RuntimeError):
-            with d.hold(50):
-                raise RuntimeError("kernel failed")
-        assert d.in_use == 0
-
     def test_free_all_by_tag(self):
         d = make_device(100)
         d.alloc(10, "a")

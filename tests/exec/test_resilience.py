@@ -280,12 +280,12 @@ def test_wrong_base_checksum_leaves_worker_untouched(world):
                   base_checksum=commit.diff.base_checksum ^ 0x5A5A)
     resident = service.resident
     with pytest.raises(DatasetError):
-        transport.apply_delta(bad, dirty)
+        transport.call("apply_delta", bad, dirty)
     assert service.resident is resident
     assert service.engine.cache.num_dirty == 0
     assert service.deltas_applied == 0
     # the pristine delta still applies afterwards
-    transport.apply_delta(commit.diff, dirty)
+    transport.call("apply_delta", commit.diff, dirty)
     assert service.resident == commit.snapshot
     assert service.deltas_applied == 1
     router.close()

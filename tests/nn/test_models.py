@@ -81,8 +81,6 @@ class TestCommonProtocol:
 
     def test_flop_model_positive(self, factory, workload):
         model = factory()
-        sparse, dense = model.gcn_flops_per_step(nnz=100, rows=N)
-        assert sparse > 0 and dense > 0
         assert model.rnn_flops_per_step(N) > 0
         assert model.activation_bytes_per_step(N) > 0
 

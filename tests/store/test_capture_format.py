@@ -434,3 +434,52 @@ def test_capture_bytes_drop_by_the_post_h_arrays(stream, tmp_path,
     assert new.captures == old.captures == 5
     assert old.capture_bytes - new.capture_bytes >= new.captures * post_h
     assert new.capture_bytes < 0.81 * old.capture_bytes
+
+
+# ---------------------------------------------------------------------------
+# a capture missing a state array does not restore
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, dropped", [("cdgcn", "pre_carry/0/c"),
+                                           ("tmgcn", "history/0/0"),
+                                           ("egcn", "weight_state/1/c")])
+def test_capture_missing_an_array_is_a_store_error(stream, tmp_path, name,
+                                                   dropped):
+    """Every array the model's state schema names must be in the
+    capture: one dropped is a ``StoreError`` naming it, never a restore
+    that reads zeros (or the engine's own fresh state) in its place."""
+    model, fraud = _model_and_head(name)
+    live = ModelServer(model, stream[0], fraud_head=fraud)
+    live.attach_store(GraphStore.create(str(tmp_path / "s"),
+                                        stream.num_vertices))
+    _drive(live, stream, range(1, 5))
+    meta, arrays = live._capture_state()
+    del arrays[dropped]
+    live.store.save_engine_state(meta, arrays)
+    model2, fraud2 = _model_and_head(name)
+    with pytest.raises(StoreError, match=dropped):
+        ModelServer.recover(GraphStore.open(str(tmp_path / "s")),
+                            model=model2, fraud_head=fraud2)
+
+
+def test_sharded_capture_missing_a_frame_is_a_store_error(stream, tmp_path):
+    """A sharded TM-GCN capture that lacks a frame its ``meta`` counts
+    (here a shard's last history frame, which a walk of the names alone
+    would never miss) does not restore."""
+    model, fraud = _model_and_head("tmgcn")
+    live = ExecRouter(model, stream[0], backend="simulated", num_shards=2,
+                      fraud_head=fraud)
+    live.attach_store(GraphStore.create(str(tmp_path / "s"),
+                                        stream.num_vertices))
+    _drive(live, stream, range(1, 5), batches=2)
+    meta, arrays = live._capture_state()
+    last = meta["shards"][1]["history_lens"][0] - 1
+    dropped = f"shard/1/history/0/{last}"
+    del arrays[dropped]
+    live.store.save_engine_state(meta, arrays)
+    live.close()
+    model2, fraud2 = _model_and_head("tmgcn")
+    with pytest.raises(StoreError, match=dropped):
+        ExecRouter.recover(GraphStore.open(str(tmp_path / "s")),
+                           model=model2, backend="simulated",
+                           fraud_head=fraud2)
