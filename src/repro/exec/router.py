@@ -940,14 +940,13 @@ class ExecRouter(QueryFrontend):
         captures, recovery and the rebalancer share: ``(exports,
         steps, dirty)`` with ``exports`` the ``[(block_rows, state),
         ...]`` list a rebuilt worker adopts and ``dirty`` the rows
-        still awaiting a refresh somewhere."""
+        still stale at their owners."""
         replies, dead = self._fanout("export_state", lambda s: ())
         self._require_all_alive(dead, stage)
         exports = [(self._blocks[s], replies[s][0])
                    for s in range(self.num_shards)]
-        dirty = _EMPTY
-        for _, shard_dirty, _ in replies.values():
-            dirty = np.union1d(dirty, shard_dirty)
+        # each shard reports its own block's stale rows: disjoint sets
+        dirty = np.sort(np.concatenate([r[1] for r in replies.values()]))
         return exports, int(replies[0][2]), dirty
 
     def _capture_state(self) -> tuple[dict, dict]:
@@ -1056,10 +1055,9 @@ class ExecRouter(QueryFrontend):
                     "revival cannot replay it — recover() the tier")
             ingestor.push_batch(payload)
             result = ingestor.commit()
-            dirty_rows = expand_dirty(result.snapshot, result.dirty,
-                                      self.k_hops)
-            entrants, _ = channel.call("apply_delta", result.diff,
-                                       dirty_rows)
+            dirty = expand_dirty(result.snapshot, result.dirty,
+                                 self.k_hops)
+            entrants, _ = channel.call("apply_delta", result.diff, dirty)
         self.counters.worker_restarts += 1
         return entrants
 

@@ -10,7 +10,8 @@ lives in that engine: each ``apply_delta`` / rebase folds the GD delta
 into the engine's resident snapshot with
 :func:`~repro.graph.diff.apply_diff` (checksum-verified before any
 state mutates, bit-exact) and the engine's own ``Ã`` maintainer advances
-by the same delta, degree features included.
+by the same delta, degree features included.  Its cache keeps the
+single-engine stale-layer rule (:mod:`repro.serve.sharded.engine`).
 
 Every unit of model work is timed into ``busy_s`` — the per-worker busy
 clock from which the tier's critical path is derived, exactly how the
@@ -49,7 +50,6 @@ class WorkerService:
                  on_embeddings: Callable[[], None] | None = None,
                  telemetry: Telemetry | None = None) -> None:
         self.boot = boot
-        self.owner = np.asarray(boot.owner, dtype=np.int64)
         self.shard_id = boot.shard_id
         # the worker's own telemetry: its registry is harvested (and
         # its finished spans shipped) through the `telemetry` RPC verb;
@@ -160,22 +160,23 @@ class WorkerService:
 
     def rpc_apply_delta(self, diff, dirty) -> tuple:
         """Fold one commit's GD delta into the mirror and mark the
-        pre-expanded dirty region.  ``apply_diff`` rejects a delta that
-        does not extend the resident before anything mutates.  Returns
-        the rows newly pulled into this shard's halo (whose frozen
-        temporal state the exchange must import before the next refresh
-        touches them) and the count of dirty ghost rows."""
+        router's expansion ``dirty = (rows, hops)`` stale by hop count.
+        ``apply_diff`` rejects a delta that does not extend the resident
+        before anything mutates.  Returns the rows newly pulled into
+        this shard's halo (whose frozen temporal state the exchange must
+        import before the next refresh touches them) and the count of
+        dirty ghost rows."""
         t0 = self.clock()
         engine = self.engine
+        rows, hops = dirty
         engine.set_snapshot(apply_diff(self.resident, diff), seeds=_EMPTY,
                             diff=diff)
-        entrants = engine.relax_halo(dirty)
-        covered = engine.restrict_to_coverage(dirty)
-        engine.cache.mark_dirty(covered)
+        entrants = engine.relax_halo(rows)
+        engine.cache.mark_within(rows, hops)
         self.deltas_applied += 1
         self._charge(t0)
-        ghost_dirty = int((self.owner[covered] != self.shard_id).sum())
-        return entrants, ghost_dirty
+        return entrants, len(np.intersect1d(rows, engine.halo,
+                                            assume_unique=True))
 
     def rpc_refresh(self) -> int:
         t0 = self.clock()
@@ -230,16 +231,14 @@ class WorkerService:
 
     def rpc_export_state(self) -> tuple:
         engine = self.engine
-        return (engine.export_state_rows(engine.block),
-                engine.cache.dirty,
+        block = engine.block
+        return (engine.export_state_rows(block),
+                block[engine.cache.stale[block] < engine.cache.num_layers],
                 int(engine.steps))
 
     def rpc_adopt_state(self, exports, steps, dirty) -> None:
         t0 = self.clock()
-        engine = self.engine
-        engine.adopt_state(exports, steps)
-        if len(dirty):
-            engine.cache.mark_dirty(engine.restrict_to_coverage(dirty))
+        self.engine.adopt_state(exports, steps, dirty)
         self._charge(t0)
         self.on_embeddings()
 

@@ -1,15 +1,15 @@
 """The transport-agnostic worker RPC boundary.
 
 The sharded tier's router/worker split was designed as a message
-protocol (deltas and pre-expanded dirty frontiers in, entrant rows and
-scores out) but executed as plain method calls.  This module names that
-protocol: a :class:`WorkerTransport` is one shard worker reachable
-through ``submit``/``result`` — submit posts an RPC and returns
-immediately, result blocks for the reply — so a router can *pipeline* a
-fan-out (submit to every shard, then collect) regardless of whether the
-worker lives in this process (:mod:`repro.exec.simulated`, the
-deterministic oracle) or in its own OS process over pipes and shared
-memory (:mod:`repro.exec.mp`).
+protocol (deltas and pre-expanded dirty frontiers with their hop
+counts in, entrant rows and scores out) but executed as plain method
+calls.  This module names that protocol: a :class:`WorkerTransport` is
+one shard worker reachable through ``submit``/``result`` — submit posts
+an RPC and returns immediately, result blocks for the reply — so a
+router can *pipeline* a fan-out (submit to every shard, then collect)
+regardless of whether the worker lives in this process
+(:mod:`repro.exec.simulated`, the deterministic oracle) or in its own
+OS process over pipes and shared memory (:mod:`repro.exec.mp`).
 
 The RPC surface is deliberately the shard worker's verb set —
 ``begin_advance`` / ``finish_advance`` / ``apply_delta`` / ``refresh``

@@ -37,9 +37,9 @@ some rows can recompute their stale inputs and stop at clean ones.
 :meth:`EmbeddingCache.invalidate` keeps it by construction (neighbors
 are at most one hop apart), a refresh keeps it by recomputing a row's
 stale columns before the row, and :meth:`EmbeddingCache.restore_dirty`
-re-establishes it after recovery.  :meth:`EmbeddingCache.mark_dirty`
-(the sharded tiers, which refresh in full) marks rows stale from layer
-0 without it.
+re-establishes it after recovery.  A shard worker marks the router's
+one expansion (:func:`expand_dirty`: rows and hop counts) with the
+same hop → layer rule, :meth:`EmbeddingCache.mark_within`.
 """
 
 from __future__ import annotations
@@ -56,19 +56,23 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 
 def expand_dirty(snapshot: GraphSnapshot, seeds: np.ndarray,
-                 hops: int) -> np.ndarray:
-    """Vertices within ``hops`` undirected hops of ``seeds``.
+                 hops: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices within ``hops`` undirected hops of ``seeds``, and each
+    one's hop count (what :meth:`EmbeddingCache.mark_within` takes).
 
     Runs the shared vectorized mask-frontier BFS over the snapshot's
     edge array (O(E) boolean work per hop, no sorting); returns a
-    sorted unique vertex array including the seeds.
+    sorted unique vertex array including the seeds, and ``int8`` hops.
     """
+    if hops > np.iinfo(np.int8).max:
+        raise ConfigError(f"hops={hops} does not fit int8 hop counts")
     seeds = np.unique(np.asarray(seeds, dtype=np.int64))
     if hops <= 0 or len(seeds) == 0 or snapshot.num_edges == 0:
-        return seeds
+        return seeds, np.zeros(len(seeds), dtype=np.int8)
     dist = undirected_distances(snapshot.num_vertices, snapshot.edges,
                                 seeds, hops)
-    return np.flatnonzero(dist <= hops)
+    rows = np.flatnonzero(dist <= hops)
+    return rows, dist[rows].astype(np.int8)
 
 
 class EmbeddingCache:
@@ -166,9 +170,8 @@ class EmbeddingCache:
     def invalidate(self, snapshot: GraphSnapshot,
                    seeds: np.ndarray) -> None:
         """Mark the k-hop neighborhood of ``seeds`` stale, each vertex
-        from the first layer its hop distance lets the change reach:
-        ``d`` hops out it is layer ``d − 1 − (k_hops − num_layers)``
-        (floored at 0 — a wider radius widens every layer alike).
+        from the first layer its hop distance lets the change reach
+        (:meth:`mark_within`).
 
         Seeds already expanded since a refresh last cleaned a row are
         skipped instead of re-walked.  This is exact, not heuristic: a
@@ -187,29 +190,24 @@ class EmbeddingCache:
         self.seeds_deduplicated += len(seeds) - len(fresh)
         if len(fresh) == 0:
             return
-        k = self.k_hops
         dist = undirected_distances(self.num_vertices, snapshot.edges,
-                                    fresh, k)
-        region = np.flatnonzero(dist <= k)
-        self._lower(region, np.maximum(
-            dist[region] - (1 + k - self.num_layers), 0))
-        self._reclaim(region)
+                                    fresh, self.k_hops)
+        region = np.flatnonzero(dist <= self.k_hops)
+        self.mark_within(region, dist[region])
         self._expanded = np.union1d(self._expanded, fresh)
-        self.invalidations += 1
-        self.rows_invalidated += len(region)
 
-    def mark_dirty(self, rows: np.ndarray) -> None:
-        """Mark pre-expanded rows stale from layer 0 without walking the
-        graph (a router that already expanded the frontier once hands
-        shards their slice through this).  A whole region stale from
-        layer 0 is an over-approximation only a full refresh consumes
-        (it does not keep the module's invariant at its border)."""
-        rows = np.unique(np.asarray(rows, dtype=np.int64))
-        if len(rows) and not self.all_dirty:
-            self._lower(rows, 0)
-            self._reclaim(rows)
-            self.invalidations += 1
-            self.rows_invalidated += len(rows)
+    def mark_within(self, rows: np.ndarray, hops: np.ndarray) -> None:
+        """Mark the unique ``rows`` of a k-hop region stale, each from the
+        first layer its hop count lets the change reach: ``hops − 1 −
+        (k_hops − num_layers)``, floored at 0.  Neighbors are at most one
+        hop apart, so a whole region marked so keeps the invariant."""
+        if len(rows) == 0 or self.all_dirty:
+            return
+        lead = 1 + self.k_hops - self.num_layers
+        self._lower(rows, np.maximum(hops.astype(np.int64) - lead, 0))
+        self._reclaim(rows)
+        self.invalidations += 1
+        self.rows_invalidated += len(rows)
 
     def invalidate_all(self) -> None:
         self._stale[:] = 0
@@ -244,22 +242,14 @@ class EmbeddingCache:
         if len(self._evicted):
             self._evicted = np.setdiff1d(self._evicted, rows)
 
-    def clean(self) -> np.ndarray:
-        """Consume every stale row (the engine recomputed them all);
-        returns the rows that were stale."""
-        out = self.dirty
-        self._stale[:] = self.num_layers
-        self._num_dirty = 0
-        self._expanded = _EMPTY
-        return out
-
     def clean_layers(self, plan: list[np.ndarray]) -> None:
         """Record a refresh: ``plan[ℓ]`` are the stale rows the engine
-        recomputed at layer ℓ — every row stale there, or a read cone —
-        each with its stale columns in ``plan[ℓ − 1]``, so the invariant
-        holds after.  Cleaning any row ends the dedup window of
-        :meth:`invalidate`: a seed expanded before may now sit in a
-        cleaned region, so it must re-expand when it arrives again."""
+        recomputed at layer ℓ — every row stale there, a read cone, or a
+        shard's rows within reach of its block — each with its stale
+        columns in ``plan[ℓ − 1]``, so the invariant holds after.
+        Cleaning any row ends the dedup window of :meth:`invalidate`: a
+        seed expanded before may now sit in a cleaned region, so it must
+        re-expand when it arrives again."""
         if not any(len(rows) for rows in plan):
             return
         for layer, rows in enumerate(plan):

@@ -363,11 +363,10 @@ class InferenceEngine:
         """Second half of :meth:`advance`: recompute every row; returns
         how many rows that computed."""
         self.cache.invalidate_all()
-        self.cache.clean()
-        self._compute(None)
+        computed = self._run([np.arange(self.num_vertices)] * len(self.layers))
         self._primed = True
         self.steps += 1
-        return self.num_vertices
+        return computed
 
     def refresh(self, reads: np.ndarray | None = None) -> int:
         """Recompute stale rows against the frozen carry: every one, or
@@ -377,25 +376,29 @@ class InferenceEngine:
         layer."""
         if not self._primed:
             raise ConfigError("advance() must run once before refresh()")
-        cache = self.cache
         if reads is not None:
-            plan = self._cone(reads)
-            recomputed = len(np.unique(np.concatenate(plan)))
-        elif cache.num_dirty:
-            dirty = cache.dirty
-            stale = cache.stale[dirty]
-            # stale sets nest up the layers: the last one is every row
-            plan = [dirty[stale <= idx] for idx in range(len(self.layers))]
-            recomputed = len(dirty)
-        else:
-            plan, recomputed = [], 0
+            return self._run(self._cone(reads))
+        dirty = self.cache.dirty
+        stale = self.cache.stale[dirty]
+        return self._run([dirty[stale <= idx]
+                          for idx in range(len(self.layers))])
+
+    def _run(self, plan: list[np.ndarray]) -> int:
+        """Compute the stale rows ``plan`` schedules per layer, cut by
+        :meth:`_layer_rows`, and record them clean; returns how many
+        distinct rows ran (each runs first at its stale layer: ``Ã``'s
+        self-loop puts a row among its own columns)."""
+        plan = [self._layer_rows(idx, rows) for idx, rows in enumerate(plan)]
         self.refresh_layer_rows = tuple(map(len, plan))
-        if recomputed == 0:
-            return 0
-        n = self.num_vertices
-        self._compute([None if len(rows) == n else rows for rows in plan])
-        cache.clean_layers(plan)
-        return recomputed
+        stale = self.cache.stale
+        computed = sum(int(np.count_nonzero(stale[rows] == idx))
+                       for idx, rows in enumerate(plan))
+        if computed:
+            n = self.num_vertices
+            self._compute([None if len(rows) == n else rows
+                           for rows in plan])
+            self.cache.clean_layers(plan)
+        return computed
 
     def _cone(self, reads: np.ndarray) -> list[np.ndarray]:
         """Rows to recompute per layer so the last-layer rows of
@@ -530,10 +533,9 @@ class InferenceEngine:
         out, _ = kb.spmm_rows(lap.csr, rows, x)
         return out
 
-    def _layer_rows(self, idx: int,
-                    rows: np.ndarray | None) -> np.ndarray | None:
+    def _layer_rows(self, idx: int, rows: np.ndarray) -> np.ndarray:
         """Rows to compute at layer ``idx`` out of the ``rows`` scheduled
-        there (``None`` = every vertex).
+        there.
 
         The base engine computes what was scheduled; the sharded engine
         overrides this to shrink the halo ring as depth grows (layer
@@ -542,10 +544,9 @@ class InferenceEngine:
         """
         return rows
 
-    def _compute(self, plan: list | None) -> None:
+    def _compute(self, plan: list) -> None:
         """(Re)compute model rows: ``plan[ℓ]`` are the rows of layer ℓ
-        (``None`` = every vertex), ``plan=None`` every row of every
-        layer.
+        (``None`` = every vertex).
 
         Per layer: one SpMM for the rows' slice of ``Ã·x`` (the only
         O(rows) temporary), then the dense epilogue one panel at a time
@@ -556,9 +557,8 @@ class InferenceEngine:
         """
         cache = self.cache
         x = cache.features
-        for idx, (layer, panel) in enumerate(zip(self.layers, self._panels)):
-            layer_rows = self._layer_rows(
-                idx, None if plan is None else plan[idx])
+        for idx, (layer, panel, layer_rows) in enumerate(
+                zip(self.layers, self._panels, plan)):
             n = self.num_vertices if layer_rows is None else len(layer_rows)
             tiles = -(-n // TILE_ROWS)
             with self.telemetry.trace("serve.aggregate", layer=idx, rows=n):

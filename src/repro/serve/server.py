@@ -32,7 +32,7 @@ from repro.models.base import DynamicGNN
 from repro.nn.linear import EdgeScorer, Linear
 from repro.obs import SloEngine, Telemetry, render_dashboard
 from repro.serve.cache import EmbeddingCache
-from repro.serve.engine import InferenceEngine
+from repro.serve.engine import TILE_ROWS, InferenceEngine
 from repro.serve.ingest import (EdgeEvent, IngestResult, StreamIngestor,
                                 fold_event_batch)
 from repro.serve.metrics import LatencyTracker, ServerCounters, ServerStats
@@ -55,6 +55,20 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return ez / ez.sum(axis=-1, keepdims=True)
 
 
+def _head_logits(head: Linear, x: np.ndarray) -> np.ndarray:
+    """``x @ W + b`` on zero-padded tiles of ``TILE_ROWS`` rows: the row
+    count never picks the BLAS kernel, so a query's score does not
+    depend on which queries share its flush (or its shard's group)."""
+    m, k = x.shape
+    tiles = np.zeros((-(-m // TILE_ROWS), TILE_ROWS, k))
+    tiles.reshape(-1, k)[:m] = x
+    logits = np.matmul(tiles, head.weight.data)
+    logits = logits.reshape(-1, head.out_features)[:m]
+    if head.use_bias:
+        logits += head.bias.data
+    return logits
+
+
 def score_links(z: np.ndarray, pairs: np.ndarray,
                 link_head: EdgeScorer | None) -> np.ndarray:
     """Link-existence probabilities for ``(src, dst)`` pairs.
@@ -67,10 +81,7 @@ def score_links(z: np.ndarray, pairs: np.ndarray,
     """
     if link_head is not None:
         feats = np.concatenate([z[pairs[:, 0]], z[pairs[:, 1]]], axis=1)
-        logits = feats @ link_head.fc.weight.data
-        if link_head.fc.use_bias:
-            logits = logits + link_head.fc.bias.data
-        return _softmax_rows(logits)[:, 1]
+        return _softmax_rows(_head_logits(link_head.fc, feats))[:, 1]
     dots = (z[pairs[:, 0]] * z[pairs[:, 1]]).sum(axis=1)
     return 1.0 / (1.0 + np.exp(-dots))
 
@@ -78,10 +89,7 @@ def score_links(z: np.ndarray, pairs: np.ndarray,
 def score_fraud(z: np.ndarray, accounts: np.ndarray,
                 fraud_head: Linear) -> np.ndarray:
     """Suspicious-account probabilities from the classification head."""
-    logits = z[accounts] @ fraud_head.weight.data
-    if fraud_head.use_bias:
-        logits = logits + fraud_head.bias.data
-    return _softmax_rows(logits)[:, 1]
+    return _softmax_rows(_head_logits(fraud_head, z[accounts]))[:, 1]
 
 
 @dataclass(slots=True)

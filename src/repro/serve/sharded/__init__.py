@@ -12,13 +12,12 @@ The front door over these pieces — routing, halo exchange, replication,
 rebalancing — is :class:`repro.exec.router.ExecRouter`.
 """
 
-from repro.serve.sharded.plan import (ShardPlan, block_distances,
-                                      relax_distances)
+from repro.serve.sharded.plan import ShardPlan, relax_distances
 from repro.serve.sharded.engine import ShardEngine
 from repro.serve.sharded.halo import HaloTraffic
 
 __all__ = [
-    "ShardPlan", "block_distances", "relax_distances",
+    "ShardPlan", "relax_distances",
     "ShardEngine",
     "HaloTraffic",
 ]

@@ -10,7 +10,10 @@ layer.  Everything a computed row reads is therefore computed one ring
 wider at the previous layer (or is a globally-exact degree feature), and
 owned rows come out **numerically identical** to a single-worker full
 recompute — the same exactness argument as the unsharded engine, applied
-ring-wise.
+ring-wise.  The rings are the block's read cone in closed form, and
+the cache keeps the unsharded stale-layer rule: a shard marks clean
+exactly the rows it computed, so ring ``d`` stays stale from layer
+``L-d`` on.
 
 The Eq. 1 operator and the degree features reach the shard through the
 engine's own :class:`~repro.graph.inc_laplacian.LaplacianMaintainer`,
@@ -32,11 +35,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigError
 from repro.graph.snapshot import GraphSnapshot
+from repro.graph.traversal import undirected_distances
 from repro.models.base import DynamicGNN
 from repro.serve.engine import REPLICATED_STATE, InferenceEngine
-from repro.serve.sharded.plan import block_distances, relax_distances
+from repro.serve.sharded.plan import relax_distances
 
 __all__ = ["ShardEngine"]
 
@@ -60,9 +63,9 @@ class ShardEngine(InferenceEngine):
                  block: np.ndarray, k_hops: int | None = None, *,
                  telemetry=None, kernel_backend=None) -> None:
         self._block = np.asarray(block, dtype=np.int64)
-        self._dist: np.ndarray | None = None
         super().__init__(model, snapshot, k_hops, telemetry=telemetry,
                          kernel_backend=kernel_backend)
+        self.rebuild_halo()
 
     # -- halo geometry ---------------------------------------------------------------
     @property
@@ -86,36 +89,25 @@ class ShardEngine(InferenceEngine):
 
     def rebuild_halo(self) -> None:
         """Exact truncated BFS from the block on the resident topology."""
-        self._dist = block_distances(self.num_vertices, self._resident.edges,
-                                     self._block, self.max_ring)
+        self._dist = undirected_distances(
+            self.num_vertices, self._resident.edges, self._block,
+            self.max_ring)
 
     def relax_halo(self, region: np.ndarray) -> np.ndarray:
         """Lower the distance field after edge additions touching
         ``region`` (the global dirty set); returns the rows that newly
         entered (or deepened into) the computed coverage and therefore
         need their frozen temporal state imported from their owner."""
-        if self._dist is None:
-            raise ConfigError("rebuild_halo() must run before relax_halo()")
         before = self._dist.copy()
         relax_distances(self._dist, self._resident.edges, region,
                         self.max_ring)
         return np.flatnonzero((self._dist < before)
                               & (self._dist <= self.max_ring))
 
-    def restrict_to_coverage(self, rows: np.ndarray) -> np.ndarray:
-        """Subset of ``rows`` this shard materializes."""
-        return rows[self._dist[rows] <= self.max_ring]
-
-    def _layer_rows(self, idx: int,
-                    rows: np.ndarray | None) -> np.ndarray | None:
-        if self._dist is None:  # not yet sharded-primed: behave unsharded
-            return rows
-        limit = self.model.num_layers - 1 - idx
-        if rows is None:
-            sched = np.flatnonzero(self._dist <= limit)
-            # full coverage keeps the cached-Laplacian SpMM fast path
-            return None if len(sched) == self.num_vertices else sched
-        return rows[self._dist[rows] <= limit]
+    def _layer_rows(self, idx: int, rows: np.ndarray) -> np.ndarray:
+        """The scheduled ``rows`` within ``L-1-idx`` hops of the block:
+        its last layer's read cone, in closed form (the rest stay stale)."""
+        return rows[self._dist[rows] <= self.max_ring - idx]
 
     # -- advance protocol -------------------------------------------------------------
     # The router runs the halo exchange between the two halves of the
@@ -125,11 +117,6 @@ class ShardEngine(InferenceEngine):
                       diff=None) -> None:
         super().begin_advance(snapshot, diff=diff)
         self.rebuild_halo()
-
-    def finish_advance(self) -> int:
-        """Recompute the covered rows; returns how many were computed."""
-        super().finish_advance()
-        return len(self.coverage)
 
     # -- temporal-state mirroring ----------------------------------------------------
     # The frozen per-vertex temporal state entering the current timestep
@@ -161,17 +148,19 @@ class ShardEngine(InferenceEngine):
                 for name, array in self.state_arrays().items()}
 
     def adopt_state(self, rows_per_source: list[tuple[np.ndarray, dict]],
-                    steps: int) -> None:
+                    steps: int, dirty: np.ndarray) -> None:
         """Assemble this engine's state from per-source row exports.
 
         Each ``(rows, state)`` pair scatters one source shard's owned
         rows into the full-width arrays; together the sources must cover
-        every vertex this shard will read.  Leaves the engine primed
-        with a clean cache, ready for refreshes and future advances.
+        every vertex, and every row but the ``dirty`` ones (stale at
+        their owners) is exact: ``restore_dirty`` re-marks the stale
+        layers from those.  Leaves the engine primed, ready for
+        refreshes and future advances.
         """
         for rows, state in rows_per_source:
             self.load_state(state, rows)
         self.steps = steps
         self._primed = True
         self.rebuild_halo()
-        self.cache.clean()
+        self.cache.restore_dirty(self._resident, dirty)

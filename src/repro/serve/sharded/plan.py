@@ -18,8 +18,9 @@ The halo geometry is a truncated distance-to-block field: a shard with
 an ``L``-layer model computes layer ``ℓ`` outputs for every vertex
 within ``L-1-ℓ`` hops of its block, so rows at distance ``d`` are ghost
 (halo) rows mirrored for ``d ∈ [1, L-1]`` and ring ``L`` contributes
-degree features only.  :func:`block_distances` builds the field exactly
-(used at timestep boundaries); :func:`relax_distances` lowers it in
+degree features only.  The shared truncated BFS
+(:func:`~repro.graph.traversal.undirected_distances`) builds the field
+exactly at timestep boundaries; :func:`relax_distances` lowers it in
 place after intra-step edge additions — lowering is the exactness-safe
 direction, since an overestimate would shrink coverage below what
 owned-row recomputation needs, while an underestimate merely recomputes
@@ -33,12 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.graph.traversal import undirected_distances
 from repro.partition.base import VertexChunks
 from repro.partition.hybrid import HybridPlan
 from repro.partition.vertex_part import VertexPartition
 
-__all__ = ["ShardPlan", "block_distances", "relax_distances"]
+__all__ = ["ShardPlan", "relax_distances"]
 
 
 @dataclass(frozen=True)
@@ -129,13 +129,6 @@ class ShardPlan:
         """max/mean shard size (1.0 = perfectly balanced)."""
         sizes = self.block_sizes().astype(np.float64)
         return float(sizes.max() / sizes.mean()) if sizes.mean() else 1.0
-
-
-def block_distances(num_vertices: int, edges: np.ndarray,
-                    block: np.ndarray, max_dist: int) -> np.ndarray:
-    """Exact undirected hop distance to ``block``, truncated at
-    ``max_dist`` (unreached vertices get ``max_dist + 1``)."""
-    return undirected_distances(num_vertices, edges, block, max_dist)
 
 
 def relax_distances(dist: np.ndarray, edges: np.ndarray,

@@ -255,13 +255,12 @@ def flush_oracle(server) -> int:
 # exactly where this leaves it.
 
 def eager_refresh(engine) -> int:
-    rows = engine.cache.clean()
+    rows = engine.cache.dirty
     if len(rows) == 0:
         return 0
-    if len(rows) == engine.num_vertices:
-        engine._compute(None)
-    else:
-        engine._compute([rows] * len(engine.layers))
+    full = len(rows) == engine.num_vertices
+    engine._compute([None if full else rows] * len(engine.layers))
+    engine.cache.clean_layers([rows] * len(engine.layers))
     return len(rows)
 
 

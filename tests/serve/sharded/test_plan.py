@@ -9,7 +9,8 @@ from repro.graph.diff import diff_snapshots, split_diff_by_blocks
 from repro.partition import (VertexChunks, hybrid_partition,
                              random_vertex_partition)
 from repro.serve.sharded import ShardPlan
-from repro.serve.sharded.plan import block_distances, relax_distances
+from repro.graph.traversal import undirected_distances
+from repro.serve.sharded.plan import relax_distances
 
 
 class TestShardPlan:
@@ -66,7 +67,7 @@ class TestHaloGeometry:
     edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]])
 
     def test_block_distances_truncated(self):
-        dist = block_distances(6, self.edges, np.array([0, 1]), max_dist=2)
+        dist = undirected_distances(6, self.edges, np.array([0, 1]), 2)
         np.testing.assert_array_equal(dist, [0, 0, 1, 2, 3, 3])
 
     def test_vertex_chunks_fringe(self):
@@ -82,7 +83,7 @@ class TestHaloGeometry:
             chunks.fringe(self.edges, 0, hops=-1)
 
     def test_relax_distances_lowers_after_addition(self):
-        dist = block_distances(6, self.edges, np.array([0, 1]), max_dist=2)
+        dist = undirected_distances(6, self.edges, np.array([0, 1]), 2)
         # new edge (1, 5) pulls 5 and 4 closer to the block
         new_edges = np.concatenate([self.edges, [[1, 5]]], axis=0)
         relax_distances(dist, new_edges, np.array([1, 4, 5]), max_dist=2)
@@ -92,7 +93,7 @@ class TestHaloGeometry:
         assert dist[2] == 1 and dist[3] == 2
 
     def test_relax_never_raises_distances(self):
-        dist = block_distances(6, self.edges, np.array([0, 1]), max_dist=2)
+        dist = undirected_distances(6, self.edges, np.array([0, 1]), 2)
         before = dist.copy()
         relax_distances(dist, self.edges, np.arange(6), max_dist=2)
         assert (dist <= before).all()

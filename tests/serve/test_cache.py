@@ -16,42 +16,57 @@ def snap(n, pairs):
 PATH = snap(6, [[i, i + 1] for i in range(5)])
 
 
+def clean(cache):
+    """Record every row recomputed at every layer."""
+    cache.clean_layers([np.arange(cache.num_vertices)] * cache.num_layers)
+
+
 class TestExpandDirty:
+    """The rows within ``hops`` hops of the seeds, and each one's hop
+    count (``int8``, what the cache's marker takes)."""
+
+    def check(self, graph, seeds, hops, rows, counts):
+        got_rows, got_hops = expand_dirty(graph, np.array(seeds), hops)
+        np.testing.assert_array_equal(got_rows, rows)
+        np.testing.assert_array_equal(got_hops, counts)
+        assert got_hops.dtype == np.int8
+
     def test_zero_hops_returns_seeds(self):
-        np.testing.assert_array_equal(
-            expand_dirty(PATH, np.array([2]), 0), [2])
+        self.check(PATH, [2], 0, [2], [0])
 
     def test_one_hop_is_undirected(self):
         # vertex 2 reaches 1 (in-edge) and 3 (out-edge)
-        np.testing.assert_array_equal(
-            expand_dirty(PATH, np.array([2]), 1), [1, 2, 3])
+        self.check(PATH, [2], 1, [1, 2, 3], [1, 0, 1])
 
     def test_two_hops(self):
-        np.testing.assert_array_equal(
-            expand_dirty(PATH, np.array([2]), 2), [0, 1, 2, 3, 4])
+        self.check(PATH, [2], 2, [0, 1, 2, 3, 4], [2, 1, 0, 1, 2])
 
     def test_hops_saturate(self):
-        out = expand_dirty(PATH, np.array([0]), 50)
-        np.testing.assert_array_equal(out, np.arange(6))
+        self.check(PATH, [0], 50, np.arange(6), np.arange(6))
 
     def test_disconnected_component_untouched(self):
         g = snap(6, [[0, 1], [1, 2], [4, 5]])
-        out = expand_dirty(g, np.array([0]), 10)
-        np.testing.assert_array_equal(out, [0, 1, 2])
+        self.check(g, [0], 10, [0, 1, 2], [0, 1, 2])
 
     def test_empty_seeds(self):
-        assert len(expand_dirty(PATH, np.empty(0, dtype=np.int64), 3)) == 0
+        rows, hops = expand_dirty(PATH, np.empty(0, dtype=np.int64), 3)
+        assert len(rows) == 0 and len(hops) == 0
 
     def test_multiple_seeds_merge(self):
-        out = expand_dirty(PATH, np.array([0, 5]), 1)
-        np.testing.assert_array_equal(out, [0, 1, 4, 5])
+        # each row counts hops to its nearest seed
+        self.check(PATH, [0, 5], 1, [0, 1, 4, 5], [0, 1, 1, 0])
+
+    def test_radius_beyond_int8_rejected(self):
+        with pytest.raises(ConfigError):
+            expand_dirty(PATH, np.array([0]), 128)
 
 
 class TestEmbeddingCache:
     def test_starts_fully_dirty(self):
         cache = EmbeddingCache(6, num_layers=2)
         assert cache.all_dirty
-        np.testing.assert_array_equal(cache.clean(), np.arange(6))
+        np.testing.assert_array_equal(cache.dirty, np.arange(6))
+        clean(cache)
         assert cache.num_dirty == 0
 
     def test_k_defaults_to_depth(self):
@@ -63,13 +78,13 @@ class TestEmbeddingCache:
 
     def test_invalidate_expands_k_hops(self):
         cache = EmbeddingCache(6, num_layers=2)
-        cache.clean()
+        clean(cache)
         cache.invalidate(PATH, np.array([0]))
         np.testing.assert_array_equal(cache.dirty, [0, 1, 2])
 
     def test_invalidations_accumulate(self):
         cache = EmbeddingCache(6, num_layers=1)
-        cache.clean()
+        clean(cache)
         cache.invalidate(PATH, np.array([0]))
         cache.invalidate(PATH, np.array([5]))
         np.testing.assert_array_equal(cache.dirty, [0, 1, 4, 5])
@@ -88,7 +103,7 @@ class TestSeedDeduplication:
 
     def test_repeated_seed_skipped(self):
         cache = EmbeddingCache(6, num_layers=2)
-        cache.clean()
+        clean(cache)
         cache.invalidate(PATH, np.array([0]))
         walks = cache.invalidations
         cache.invalidate(PATH, np.array([0]))   # same endpoint again
@@ -98,13 +113,13 @@ class TestSeedDeduplication:
 
     def test_duplicate_seeds_within_one_batch(self):
         cache = EmbeddingCache(6, num_layers=2)
-        cache.clean()
+        clean(cache)
         cache.invalidate(PATH, np.array([0, 0, 0, 3]))
         np.testing.assert_array_equal(cache.dirty, [0, 1, 2, 3, 4, 5])
 
     def test_mixed_batch_walks_only_fresh_seeds(self):
         cache = EmbeddingCache(6, num_layers=2)
-        cache.clean()
+        clean(cache)
         cache.invalidate(PATH, np.array([0]))
         before = cache.rows_invalidated
         cache.invalidate(PATH, np.array([0, 5]))   # 0 repeats, 5 fresh
@@ -118,7 +133,7 @@ class TestSeedDeduplication:
         # endpoints are seeds of the adding commit, so the repeat skip
         # loses nothing
         cache = EmbeddingCache(6, num_layers=1)
-        cache.clean()
+        clean(cache)
         cache.invalidate(PATH, np.array([0]))
         grown = snap(6, [[i, i + 1] for i in range(5)] + [[0, 4]])
         cache.invalidate(grown, np.array([0, 4]))
@@ -126,25 +141,61 @@ class TestSeedDeduplication:
 
     def test_clean_resets_dedup_window(self):
         cache = EmbeddingCache(6, num_layers=2)
-        cache.clean()
+        clean(cache)
         cache.invalidate(PATH, np.array([0]))
-        cache.clean()
+        clean(cache)
         cache.invalidate(PATH, np.array([0]))
         assert cache.seeds_deduplicated == 0
         np.testing.assert_array_equal(cache.dirty, [0, 1, 2])
 
 
-class TestMarkDirty:
+class TestMarkWithin:
+    """The one hop → layer marker: a row ``h`` hops from a change is
+    stale from layer ``h − 1 − (k_hops − num_layers)``, floored at 0."""
+
     def test_unions_without_walking(self):
         cache = EmbeddingCache(6, num_layers=2)
-        cache.clean()
-        cache.mark_dirty(np.array([4, 1]))
+        clean(cache)
+        cache.mark_within(np.array([1, 4]), np.zeros(2, dtype=np.int8))
         np.testing.assert_array_equal(cache.dirty, [1, 4])
+        assert cache.invalidations == 1 and cache.rows_invalidated == 2
+
+    @pytest.mark.parametrize("k_hops, layers", [
+        (2, [0, 0, 1]),            # k = L: hop h is stale from h − 1
+        (3, [0, 0, 0, 1]),         # k = L + 1: one layer later per hop
+    ], ids=["k=L", "k=L+1"])
+    def test_hops_map_to_layers(self, k_hops, layers):
+        cache = EmbeddingCache(6, num_layers=2, k_hops=k_hops)
+        clean(cache)
+        hops = np.arange(len(layers), dtype=np.int8)
+        cache.mark_within(np.arange(len(layers)), hops)
+        np.testing.assert_array_equal(cache.stale[:len(layers)], layers)
+        assert (cache.stale[len(layers):] == 2).all()
+        assert cache.num_dirty == len(layers)
+
+    def test_keeps_a_lower_stale_layer(self):
+        cache = EmbeddingCache(6, num_layers=2)
+        clean(cache)
+        cache.mark_within(np.array([3]), np.array([0], dtype=np.int8))
+        cache.mark_within(np.array([3]), np.array([2], dtype=np.int8))
+        assert cache.stale[3] == 0 and cache.num_dirty == 1
+
+    @pytest.mark.parametrize("k_hops", [2, 3])
+    def test_router_expansion_marks_what_invalidate_marks(self, k_hops):
+        walked = EmbeddingCache(6, num_layers=2, k_hops=k_hops)
+        marked = EmbeddingCache(6, num_layers=2, k_hops=k_hops)
+        for cache in (walked, marked):
+            clean(cache)
+        walked.invalidate(PATH, np.array([2]))
+        marked.mark_within(*expand_dirty(PATH, np.array([2]), k_hops))
+        np.testing.assert_array_equal(marked.stale, walked.stale)
+        assert marked.num_dirty == walked.num_dirty
 
     def test_empty_rows_noop(self):
         cache = EmbeddingCache(6, num_layers=2)
-        cache.clean()
-        cache.mark_dirty(np.empty(0, dtype=np.int64))
+        clean(cache)
+        cache.mark_within(np.empty(0, dtype=np.int64),
+                          np.empty(0, dtype=np.int8))
         assert cache.num_dirty == 0
         assert cache.invalidations == 0
 
@@ -156,12 +207,12 @@ class TestLRUEviction:
 
     def _cache(self, n=6, max_rows=3):
         cache = EmbeddingCache(n, num_layers=1, max_rows=max_rows)
-        cache.clean()
+        clean(cache)
         return cache
 
     def test_unbounded_cache_never_evicts(self):
         cache = EmbeddingCache(6, num_layers=1)
-        cache.clean()
+        clean(cache)
         cache.touch(np.array([0, 1]))
         assert cache.maybe_evict() == 0
         assert cache.evictions == 0
@@ -212,7 +263,7 @@ class TestLRUEviction:
 
     def test_dirty_rows_do_not_count_as_resident(self):
         cache = self._cache(max_rows=4)
-        cache.mark_dirty(np.array([0, 1]))
+        cache.mark_within(np.array([0, 1]), np.zeros(2, dtype=np.int8))
         # 4 resident rows, bound 4: nothing to evict
         assert cache.maybe_evict() == 0
 

@@ -2,7 +2,7 @@
 epilogue: fixed-shape tiles").
 
 ``_compute`` over a row subset must leave those rows bit-identical to
-``_compute(None)`` for every subset size >= 1.  Before the fixed-shape
+a full ``_compute`` for every subset size >= 1.  Before the fixed-shape
 tiles this held only while BLAS picked the same kernel for ``rows x K``
 as for ``N x K``: OpenBLAS switches to GEMV at one row and to a
 small-matrix path below ten, so a handful of dirty rows — a single

@@ -166,8 +166,7 @@ def _count_computes(server, monkeypatch) -> list:
     n = server.num_vertices
 
     def counting(plan):
-        calls.append([n if rows is None else len(rows) for rows in plan]
-                     if plan is not None else None)
+        calls.append([n if rows is None else len(rows) for rows in plan])
         compute(plan)
 
     monkeypatch.setattr(server.engine, "_compute", counting)
@@ -214,7 +213,9 @@ def test_one_flush_per_commit_computes_only_its_cone(stream, monkeypatch):
     # the boundary settles what no flush read, counted like a refresh
     assert server.counters.refreshes == refreshes + 1
     assert server.counters.rows_recomputed == rows + left
-    assert calls[-2][-1] == left and calls[-1] is None
+    # and the boundary computes every row of every layer
+    assert calls[-2][-1] == left
+    assert calls[-1] == [server.num_vertices] * server.cache.num_layers
 
 
 def test_second_flush_before_the_next_commit_consumes_every_dirty_row(
@@ -248,6 +249,25 @@ def test_many_flushes_per_commit_compute_at_most_twice(stream, monkeypatch):
             server.submit_fraud(int(v))      # a flush per query
         assert len(calls) - before <= 2
         assert server.cache.num_dirty == 0
+
+
+def test_a_cone_refresh_counts_each_row_once(stream):
+    """``refresh(reads)`` returns the distinct rows its cone recomputed,
+    counted at each row's stale layer; ``np.unique`` over the plan, the
+    count it replaced, is the oracle."""
+    server = _stream_server(stream)
+    rng = np.random.default_rng(4)
+    engine = server.engine
+    for t in (1, 2):
+        server.advance_time()
+        for batch in _batches(stream, t):
+            server.ingest_events(batch)
+            reads = np.array([batch[0].src, batch[0].dst,
+                              *rng.integers(stream.num_vertices, size=6)])
+            want = len(np.unique(np.concatenate(engine._cone(reads))))
+            assert want > 0
+            assert engine.refresh(reads) == want
+            assert_stale_invariant(engine)
 
 
 def test_refresh_span_records_the_cone_and_rows_per_layer(stream):
