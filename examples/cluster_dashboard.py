@@ -67,8 +67,7 @@ def main() -> None:
             router.advance_time(dtdg[t])
 
         # drain worker registries + finished spans into the router
-        # (dashboard()/prometheus() also do this; with a
-        # heartbeat_interval_s the tick loop does it continuously)
+        # (dashboard()/prometheus() also do this before each export)
         router.harvest_telemetry()
 
         # -- 1. one cross-process trace --------------------------------------

@@ -268,7 +268,7 @@ class MultiprocessBackend:
 
         lite = WorkerBoot(shard_id=boot.shard_id, model=boot.model,
                           snapshot=None, owner=boot.owner,
-                          num_shards=boot.num_shards, k_hops=boot.k_hops,
+                          num_shards=boot.num_shards,
                           link_head=boot.link_head,
                           fraud_head=boot.fraud_head,
                           replica_id=boot.replica_id,

@@ -45,10 +45,9 @@ On top of the routing it adds what a real front door needs:
 * **pipelined fan-out** — writes submit to every shard before
   collecting any reply (``pipeline=False`` serializes, which keeps
   per-worker busy clocks clean on a single-core host);
-* **robustness** — per-call timeouts and heartbeats
-  (:meth:`heartbeat`, driven by :meth:`tick` when
-  ``heartbeat_interval_s`` is set) detect dead or hung workers; a dead
-  worker is respawned from the latest store capture and the WAL tail
+* **robustness** — per-call timeouts and heartbeats (:meth:`heartbeat`)
+  detect dead or hung workers; a dead worker is respawned from the
+  latest store capture and the WAL tail
   replays through it (:meth:`_revive`), reusing the PR-3 recovery
   machinery worker-by-worker;
 * **resilience** — every shard is reached through a
@@ -217,10 +216,8 @@ class ExecRouter(QueryFrontend):
                  fraud_head: Linear | None = None,
                  max_batch_size: int = 64,
                  flush_latency_ms: float = 2.0,
-                 k_hops: int | None = None,
                  max_inflight: int | None = None,
                  backpressure_ratio: float = 0.75,
-                 heartbeat_interval_s: float | None = None,
                  pipeline: bool = True,
                  replicas: int = 1,
                  retry: RetryPolicy | None = None,
@@ -253,10 +250,8 @@ class ExecRouter(QueryFrontend):
         self.plan = plan
         self.link_head = link_head
         self.fraud_head = fraud_head
-        self.k_hops = model.num_layers if k_hops is None else k_hops
         self.max_inflight = max_inflight
         self.backpressure_ratio = backpressure_ratio
-        self.heartbeat_interval_s = heartbeat_interval_s
         self.pipeline = pipeline
         self.replicas_per_shard = replicas
         self.fault_plan = fault_plan
@@ -281,7 +276,6 @@ class ExecRouter(QueryFrontend):
         self._vertex_load = np.zeros(snapshot.num_vertices)
         self._per_shard_queries = np.zeros(plan.num_shards, dtype=np.int64)
         self._backpressure = False
-        self._last_heartbeat: float | None = None
         # cross-shard payload ledger, exported in the Communicator's
         # comm_bytes_total{label=} family: labels "delta" (delta
         # fan-out), "halo" (temporal-state mirroring), "query_rows"
@@ -362,7 +356,7 @@ class ExecRouter(QueryFrontend):
         incarnation."""
         boot = WorkerBoot(shard_id=shard, model=self.model,
                           snapshot=snapshot, owner=self.plan.owner,
-                          num_shards=self.num_shards, k_hops=self.k_hops,
+                          num_shards=self.num_shards,
                           link_head=self.link_head,
                           fraud_head=self.fraud_head, replica_id=replica,
                           kernel_backend=self.kernel_backend)
@@ -514,22 +508,6 @@ class ExecRouter(QueryFrontend):
                 dead.append(s)
         return dead
 
-    def tick(self) -> int:
-        """Event-loop hook: heartbeat on schedule (reviving any dead
-        shard — or leaving it degraded when revival is impossible and
-        ``max_staleness`` allows stale serving — then draining worker
-        telemetry on the same cadence), then the inherited
-        latency-budget flush check."""
-        if self.heartbeat_interval_s is not None:
-            now = self.clock()
-            if self._last_heartbeat is None or \
-                    now - self._last_heartbeat >= self.heartbeat_interval_s:
-                self._last_heartbeat = now
-                for s in self.heartbeat():
-                    self._revive_or_degrade(s)
-                self.harvest_telemetry()
-        return super().tick()
-
     # -- worker-telemetry harvest ------------------------------------------------------
     def harvest_telemetry(self) -> int:
         """Drain every live worker's registry and finished spans into
@@ -570,7 +548,7 @@ class ExecRouter(QueryFrontend):
             count, result = self._commit_events(events)
             snap = result.snapshot
             t0 = self.clock()
-            dirty = expand_dirty(snap, result.dirty, self.k_hops)
+            dirty = expand_dirty(snap, result.dirty, self.model.num_layers)
             subs = split_diff_by_blocks(result.diff, snap, self.plan.owner,
                                         self.plan.num_shards)
             delta_bytes = sum(d.payload_nbytes for d in subs)
@@ -1056,7 +1034,7 @@ class ExecRouter(QueryFrontend):
             ingestor.push_batch(payload)
             result = ingestor.commit()
             dirty = expand_dirty(result.snapshot, result.dirty,
-                                 self.k_hops)
+                                 self.model.num_layers)
             entrants, _ = channel.call("apply_delta", result.diff, dirty)
         self.counters.worker_restarts += 1
         return entrants

@@ -72,7 +72,6 @@ class WorkerService:
         self._dedup_window = 32
         self.rpc_deduped = 0
         self.engine = ShardEngine(boot.model, boot.snapshot, boot.block,
-                                  k_hops=boot.k_hops,
                                   telemetry=self.telemetry,
                                   kernel_backend=boot.kernel_backend)
         self.link_head = boot.link_head

@@ -69,7 +69,6 @@ class WorkerBoot:
     snapshot: GraphSnapshot
     owner: np.ndarray
     num_shards: int
-    k_hops: int | None = None
     link_head: EdgeScorer | None = None
     fraud_head: Linear | None = None
     # which replica of the shard this worker is (0 = the initial

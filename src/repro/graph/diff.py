@@ -206,7 +206,9 @@ def fold_delta(prev: GraphSnapshot, dropped: np.ndarray, adds: np.ndarray,
     values.  An add either lands on an edge that stays (it accumulates,
     or replaces the value when the batch dropped the edge first) or
     enters the topology; a drop leaves the topology unless the edge is
-    absent or added back.
+    absent or added back.  A value it would write that is not finite
+    (a NaN, an infinity, an accumulation that overflows) raises
+    :class:`DatasetError` before anything is built.
     """
     base_checksum = edge_checksum(prev)
     add_pos, stays = _locate(prev.keys, adds)
@@ -216,9 +218,14 @@ def fold_delta(prev: GraphSnapshot, dropped: np.ndarray, adds: np.ndarray,
     stay_vals = np.where(replaced, add_values[stays],
                          prev.values[stay_pos] + add_values[stays])
     changed = stay_vals != prev.values[stay_pos]
+    enter_vals = add_values[~stays]
+    if not np.isfinite(np.concatenate((enter_vals,
+                                       stay_vals[changed]))).all():
+        raise DatasetError("event batch writes an edge value that is not "
+                           "finite")
 
     curr, removed_pos, inserts = merge_delta(
-        prev, dropped[leaves], adds[~stays], add_values[~stays])
+        prev, dropped[leaves], adds[~stays], enter_vals)
     added_pos = inserts + np.arange(len(inserts), dtype=np.int64)
     changed_pos = _moved(stay_pos[changed], removed_pos, inserts)
     curr.values[changed_pos] = stay_vals[changed]  # fresh array: ours

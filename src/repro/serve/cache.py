@@ -99,22 +99,11 @@ class EmbeddingCache:
         The lowest stale layer per vertex (module notes).
     """
 
-    def __init__(self, num_vertices: int, num_layers: int,
-                 k_hops: int | None = None, *,
-                 max_rows: int | None = None) -> None:
+    def __init__(self, num_vertices: int, num_layers: int) -> None:
         if not 1 <= num_layers <= np.iinfo(np.int8).max:
             raise ConfigError("num_layers must be in [1, 127]")
-        k = num_layers if k_hops is None else k_hops
-        if k < num_layers:
-            raise ConfigError(
-                f"k_hops={k} below num_layers={num_layers} would serve "
-                f"stale rows; exactness needs k >= depth")
-        if max_rows is not None and max_rows < 1:
-            raise ConfigError(f"max_rows must be >= 1, got {max_rows}")
         self.num_vertices = num_vertices
         self.num_layers = num_layers
-        self.k_hops = k
-        self.max_rows = max_rows
         self.features: np.ndarray | None = None
         self.layer_outputs: list[np.ndarray] = []
         self.pre_carry: list = []
@@ -126,18 +115,9 @@ class EmbeddingCache:
         # re-walking them is redundant (see invalidate) and bursts of
         # events sharing endpoints are common in transaction streams
         self._expanded: np.ndarray = _EMPTY
-        # LRU bookkeeping for bounded-memory serving: a logical clock
-        # stamped onto rows as they are read, plus the evicted
-        # (logically non-resident) row set
-        self._last_used = np.zeros(num_vertices, dtype=np.int64)
-        self._use_clock = 0
-        self._evicted: np.ndarray = _EMPTY
         self.invalidations = 0
         self.rows_invalidated = 0
         self.seeds_deduplicated = 0
-        self.evictions = 0
-        self.rows_evicted = 0
-        self.rows_reloaded = 0
 
     # -- stale tracking ------------------------------------------------------------
     @property
@@ -191,28 +171,25 @@ class EmbeddingCache:
         if len(fresh) == 0:
             return
         dist = undirected_distances(self.num_vertices, snapshot.edges,
-                                    fresh, self.k_hops)
-        region = np.flatnonzero(dist <= self.k_hops)
+                                    fresh, self.num_layers)
+        region = np.flatnonzero(dist <= self.num_layers)
         self.mark_within(region, dist[region])
         self._expanded = np.union1d(self._expanded, fresh)
 
     def mark_within(self, rows: np.ndarray, hops: np.ndarray) -> None:
         """Mark the unique ``rows`` of a k-hop region stale, each from the
-        first layer its hop count lets the change reach: ``hops − 1 −
-        (k_hops − num_layers)``, floored at 0.  Neighbors are at most one
-        hop apart, so a whole region marked so keeps the invariant."""
+        first layer its hop count lets the change reach: ``hops − 1``,
+        floored at 0.  Neighbors are at most one hop apart, so a whole
+        region marked so keeps the invariant."""
         if len(rows) == 0 or self.all_dirty:
             return
-        lead = 1 + self.k_hops - self.num_layers
-        self._lower(rows, np.maximum(hops.astype(np.int64) - lead, 0))
-        self._reclaim(rows)
+        self._lower(rows, np.maximum(hops.astype(np.int64) - 1, 0))
         self.invalidations += 1
         self.rows_invalidated += len(rows)
 
     def invalidate_all(self) -> None:
         self._stale[:] = 0
         self._num_dirty = self.num_vertices
-        self._evicted = _EMPTY
         self.invalidations += 1
         self.rows_invalidated += self.num_vertices
 
@@ -229,18 +206,7 @@ class EmbeddingCache:
                                     np.asarray(rows, dtype=np.int64),
                                     self.num_layers - 1)
         self._stale[:] = np.minimum(dist, self.num_layers)
-        dirty = self.dirty
-        self._num_dirty = len(dirty)
-        self._reclaim(dirty)
-
-    def _reclaim(self, rows: np.ndarray) -> None:
-        """Pull ``rows`` back out of the evicted set when they get
-        dirtied: a dirty row *will* be recomputed at the next refresh,
-        and exactness demands it — rows inside an invalidation cone
-        feed other dirty rows' aggregations, so their stored layer
-        outputs must never be left stale, evicted or not."""
-        if len(self._evicted):
-            self._evicted = np.setdiff1d(self._evicted, rows)
+        self._num_dirty = len(self.dirty)
 
     def clean_layers(self, plan: list[np.ndarray]) -> None:
         """Record a refresh: ``plan[ℓ]`` are the stale rows the engine
@@ -257,69 +223,6 @@ class EmbeddingCache:
         # a row leaves the dirty set once clean at the last layer
         self._num_dirty -= len(plan[-1])
         self._expanded = _EMPTY
-
-    # -- bounded-memory eviction ---------------------------------------------------
-    # Eviction is *lazy*: a victim leaves the logically resident set
-    # (its storage stays allocated in this in-process simulation) but
-    # is NOT recomputed until a read actually touches it — touch()
-    # reloads it, and the pre-read refresh recomputes it.  Bounded
-    # memory is traded for on-demand recompute, never for staleness,
-    # and rows nobody asks for again cost nothing.
-
-    @property
-    def evicted(self) -> np.ndarray:
-        return self._evicted
-
-    @property
-    def num_evicted(self) -> int:
-        return len(self._evicted)
-
-    def touch(self, rows: np.ndarray | None) -> None:
-        """Stamp ``rows`` (``None`` = every row) as recently read and
-        reload any of them that were evicted (cache miss → the row's
-        served, last-layer output goes stale and the next refresh
-        recomputes it before it is served; its lower layers are exact,
-        since a dirtied row is reclaimed from the evicted set).
-
-        Only *reads* count as use — recomputation does not, or refresh
-        sweeps would stamp victims most-recent and invert the LRU
-        order.  A no-op unless ``max_rows`` bounds the resident set.
-        """
-        if self.max_rows is None:
-            return
-        self._use_clock += 1
-        if rows is None:
-            self._last_used[:] = self._use_clock
-            rows = self._evicted
-        elif len(rows):
-            self._last_used[rows] = self._use_clock
-        if rows is None or len(rows) == 0 or len(self._evicted) == 0:
-            return
-        misses = np.intersect1d(rows, self._evicted)
-        if len(misses):
-            self._evicted = np.setdiff1d(self._evicted, misses,
-                                         assume_unique=True)
-            self._lower(misses, self.num_layers - 1)
-            self.rows_reloaded += len(misses)
-
-    def maybe_evict(self) -> int:
-        """Trim the clean resident set down to ``max_rows`` by moving
-        the least-recently-read rows to the evicted set; returns how
-        many were evicted."""
-        if self.max_rows is None:
-            return 0
-        resident = np.setdiff1d(
-            np.flatnonzero(self._stale == self.num_layers),
-            self._evicted, assume_unique=True)
-        excess = len(resident) - self.max_rows
-        if excess <= 0:
-            return 0
-        order = np.argsort(self._last_used[resident], kind="stable")
-        victims = resident[order[:excess]]
-        self._evicted = np.union1d(self._evicted, victims)
-        self.evictions += 1
-        self.rows_evicted += len(victims)
-        return len(victims)
 
     # -- embeddings ----------------------------------------------------------------
     @property

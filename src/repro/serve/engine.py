@@ -179,18 +179,13 @@ class InferenceEngine:
         read from the model at each ``advance()``).
     snapshot:
         The initial resident graph.
-    k_hops:
-        Invalidation radius; defaults to ``model.num_layers`` (the
-        minimum that keeps incremental inference exact).
     kernel_backend:
         Kernel backend (name or instance) the engine's SpMM calls and
         its ``Ã`` maintainer run on.  ``None`` applies the selection
         precedence (``REPRO_KERNEL_BACKEND`` env, then ``reference``).
     """
 
-    def __init__(self, model: DynamicGNN, snapshot: GraphSnapshot,
-                 k_hops: int | None = None, *,
-                 cache_max_rows: int | None = None,
+    def __init__(self, model: DynamicGNN, snapshot: GraphSnapshot, *,
                  telemetry: Telemetry | None = None,
                  kernel_backend: str | KernelBackend | None = None) -> None:
         if model.in_features != 2:
@@ -210,9 +205,7 @@ class InferenceEngine:
         self.epilogue_tiles = 0
         # rows the latest refresh recomputed at each layer
         self.refresh_layer_rows: tuple[int, ...] = ()
-        self.cache = EmbeddingCache(snapshot.num_vertices,
-                                    model.num_layers, k_hops,
-                                    max_rows=cache_max_rows)
+        self.cache = EmbeddingCache(snapshot.num_vertices, model.num_layers)
         self.steps = 0
         self._primed = False
         self._resident: GraphSnapshot | None = None

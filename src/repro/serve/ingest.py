@@ -16,6 +16,7 @@ by k hops to decide which rows of the model state must be recomputed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -69,13 +70,21 @@ def fold_event_batch(snapshot: GraphSnapshot, events: Iterable[EdgeEvent]
     by one sorted-key merge and writes the delta down in the same pass:
     O(delta · log E) plus the splice, with no sort of the graph and no
     snapshot-to-snapshot diff.
+
+    A batch with an endpoint that is not an integer, or one that would
+    write an edge value that is not finite, raises
+    :class:`~repro.errors.DatasetError` before anything moves.
     """
     n = snapshot.num_vertices
     add_value: dict[int, float] = {}
     removed: set[int] = set()
     touched: set[int] = set()
     for event in events:
-        src, dst = int(event.src), int(event.dst)
+        try:
+            src, dst = operator.index(event.src), operator.index(event.dst)
+        except TypeError:
+            raise DatasetError(f"event endpoint {(event.src, event.dst)} "
+                               f"is not an integer vertex id") from None
         if not (0 <= src < n and 0 <= dst < n):
             raise DatasetError(f"event endpoint {(src, dst)} outside the "
                                f"vertex set of size {n}")

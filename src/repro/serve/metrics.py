@@ -69,8 +69,6 @@ class ServerCounters:
     rows_recomputed: int = 0        # by refreshes and settles (cache economics)
     rows_advanced: int = 0          # by timestep-boundary advances
     rows_served_from_cache: int = 0
-    evictions: int = 0              # LRU eviction passes (bounded cache)
-    rows_evicted: int = 0           # rows dropped from the resident set
 
     @property
     def cache_hit_rate(self) -> float:

@@ -49,7 +49,7 @@ _payload, _enqueued_at = attrgetter("payload"), attrgetter("enqueued_at")
 _first, _last = itemgetter(0), itemgetter(-1)
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
+def _row_softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     ez = np.exp(shifted)
     return ez / ez.sum(axis=-1, keepdims=True)
@@ -81,7 +81,7 @@ def score_links(z: np.ndarray, pairs: np.ndarray,
     """
     if link_head is not None:
         feats = np.concatenate([z[pairs[:, 0]], z[pairs[:, 1]]], axis=1)
-        return _softmax_rows(_head_logits(link_head.fc, feats))[:, 1]
+        return _row_softmax(_head_logits(link_head.fc, feats))[:, 1]
     dots = (z[pairs[:, 0]] * z[pairs[:, 1]]).sum(axis=1)
     return 1.0 / (1.0 + np.exp(-dots))
 
@@ -89,7 +89,7 @@ def score_links(z: np.ndarray, pairs: np.ndarray,
 def score_fraud(z: np.ndarray, accounts: np.ndarray,
                 fraud_head: Linear) -> np.ndarray:
     """Suspicious-account probabilities from the classification head."""
-    return _softmax_rows(_head_logits(fraud_head, z[accounts]))[:, 1]
+    return _row_softmax(_head_logits(fraud_head, z[accounts]))[:, 1]
 
 
 @dataclass(slots=True)
@@ -462,8 +462,6 @@ class ModelServer(QueryFrontend):
     max_batch_size / flush_latency_ms:
         Micro-batching knobs: flush when the queue is full, or when the
         oldest queued request exceeds the latency budget.
-    k_hops:
-        Cache invalidation radius (default: model depth).
     incremental:
         ``False`` recomputes every row on each refresh — the full
         recompute oracle incremental serving must equal.
@@ -480,17 +478,14 @@ class ModelServer(QueryFrontend):
                  fraud_head: Linear | None = None,
                  max_batch_size: int = 64,
                  flush_latency_ms: float = 2.0,
-                 k_hops: int | None = None,
                  incremental: bool = True,
-                 cache_max_rows: int | None = None,
                  telemetry: Telemetry | None = None,
                  kernel_backend=None,
                  clock: Callable[[], float] = time.perf_counter) -> None:
         self._init_frontend(max_batch_size, flush_latency_ms, clock,
                             telemetry)
         self.model = model
-        self.engine = InferenceEngine(model, snapshot, k_hops=k_hops,
-                                      cache_max_rows=cache_max_rows,
+        self.engine = InferenceEngine(model, snapshot,
                                       telemetry=self.telemetry,
                                       kernel_backend=kernel_backend)
         self.ingestor = StreamIngestor(snapshot)
@@ -634,7 +629,6 @@ class ModelServer(QueryFrontend):
                 self.ingestor.rebase(snapshot)
             self.counters.advances += 1
             self.counters.rows_advanced += self.engine.num_vertices
-            self._evict()
             self._store_maybe_capture()
 
     # -- queries ----------------------------------------------------------------------
@@ -666,11 +660,8 @@ class ModelServer(QueryFrontend):
             is_link = np.fromiter(map(len, payloads), np.int64, n) == 2
             enqueued_at = np.fromiter(map(_enqueued_at, batch),
                                       np.float64, n)
-            if self.cache.max_rows is not None:  # else touch is a no-op
-                self.cache.touch(ends.ravel())
             self._refresh(ends.ravel() if self._fresh_commit else None)
             self._fresh_commit = False
-            self._evict()
             z = self.cache.embeddings
             now = self.clock()
             scores = np.empty(n)
@@ -715,13 +706,6 @@ class ModelServer(QueryFrontend):
             self.counters.rows_recomputed += recomputed
             self.counters.rows_served_from_cache += \
                 self.engine.num_vertices - recomputed
-
-    def _evict(self) -> None:
-        """Bound the resident row set (no-op without ``cache_max_rows``)."""
-        evicted = self.cache.maybe_evict()
-        if evicted:
-            self.counters.evictions += 1
-            self.counters.rows_evicted += evicted
 
     def _score_links(self, z: np.ndarray, pairs: np.ndarray) -> np.ndarray:
         return score_links(z, pairs, self.link_head)

@@ -52,7 +52,7 @@ class ShardEngine(InferenceEngine):
 
     Parameters
     ----------
-    model / snapshot / k_hops / telemetry / kernel_backend:
+    model / snapshot / telemetry / kernel_backend:
         As for :class:`InferenceEngine` (every shard packs the same
         weights — serving replicates weights, not state).
     block:
@@ -60,10 +60,10 @@ class ShardEngine(InferenceEngine):
     """
 
     def __init__(self, model: DynamicGNN, snapshot: GraphSnapshot,
-                 block: np.ndarray, k_hops: int | None = None, *,
-                 telemetry=None, kernel_backend=None) -> None:
+                 block: np.ndarray, *, telemetry=None,
+                 kernel_backend=None) -> None:
         self._block = np.asarray(block, dtype=np.int64)
-        super().__init__(model, snapshot, k_hops, telemetry=telemetry,
+        super().__init__(model, snapshot, telemetry=telemetry,
                          kernel_backend=kernel_backend)
         self.rebuild_halo()
 

@@ -79,16 +79,9 @@ def capture_engine_state(engine) -> tuple[dict, dict[str, np.ndarray]]:
     meta: dict = {"type": "engine", "engine_kind": engine.kind,
                   "steps": int(engine.steps),
                   "primed": bool(engine._primed),
-                  "num_layers": len(engine.layers),
-                  "use_clock": int(cache._use_clock)}
-    arrays: dict[str, np.ndarray] = {
-        "dirty": cache.dirty,
-        "expanded": cache._expanded,
-        # bounded-cache LRU state, so a recovered server evicts and
-        # reloads exactly like the crashed one would have
-        "evicted": cache._evicted,
-        "last_used": cache._last_used,
-    }
+                  "num_layers": len(engine.layers)}
+    arrays: dict[str, np.ndarray] = {"dirty": cache.dirty,
+                                     "expanded": cache._expanded}
     pack_shard_export("", engine.state_arrays(), engine.kind, meta, arrays)
     return meta, arrays
 
@@ -114,12 +107,12 @@ def restore_engine_state(engine, meta: dict,
     engine.load_state(arrays)
     engine.steps = int(meta["steps"])
     engine._primed = bool(meta["primed"])
+    # captures of the retired bounded cache also hold its LRU state
+    # (``evicted`` / ``last_used`` arrays, a ``use_clock`` meta key);
+    # nothing reads them
     cache = engine.cache
-    for name in ("expanded", "evicted", "last_used"):
-        setattr(cache, f"_{name}",
-                np.asarray(arrays[name], dtype=np.int64))
+    cache._expanded = np.asarray(arrays["expanded"], dtype=np.int64)
     cache.restore_dirty(engine.resident, arrays["dirty"])
-    cache._use_clock = int(meta["use_clock"])
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,8 @@ def test_wrong_base_checksum_leaves_worker_untouched(world):
     ingestor = StreamIngestor(world.dtdg[0])
     ingestor.push_batch(events_between(world.dtdg[0], world.dtdg[1]))
     commit = ingestor.commit()
-    dirty = expand_dirty(commit.snapshot, commit.dirty, router.k_hops)
+    dirty = expand_dirty(commit.snapshot, commit.dirty,
+                         router.model.num_layers)
     bad = replace(commit.diff,
                   base_checksum=commit.diff.base_checksum ^ 0x5A5A)
     resident = service.resident

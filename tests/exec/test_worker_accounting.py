@@ -40,7 +40,7 @@ def make_worker(snapshot, replica_id, clock):
     model = build_model("cdgcn", in_features=2, seed=0)
     owner = np.repeat(np.arange(2, dtype=np.int64), 12)
     boot = WorkerBoot(shard_id=0, model=model, snapshot=snapshot,
-                      owner=owner, num_shards=2, k_hops=2,
+                      owner=owner, num_shards=2,
                       fraud_head=Linear(model.embed_dim, 2,
                                         np.random.default_rng(9)),
                       replica_id=replica_id)

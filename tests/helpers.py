@@ -206,7 +206,7 @@ def oracle_gcn_project(aggregated, weight, skip_concat=False, relu=True):
 # Until the array-shaped flush this was the body of ModelServer.flush: a
 # touched-vertex set, two enumerate passes, np.array over a list of
 # tuples, one _resolve and one scalar latency.record per query.  The live
-# flush must leave every handle, counter, LRU stamp and the latency
+# flush must leave every handle, counter, stale layer and the latency
 # reservoir exactly where this leaves them.
 
 def flush_oracle(server) -> int:
@@ -217,11 +217,9 @@ def flush_oracle(server) -> int:
     touched = {v for q in batch for v in
                (q.payload if q.kind == "link" else q.payload[:1])}
     reads = np.fromiter(touched, dtype=np.int64, count=len(touched))
-    server.cache.touch(reads)
     # the first flush after a commit refreshes its batch's cone only
     server._refresh(reads if server._fresh_commit else None)
     server._fresh_commit = False
-    server._evict()
     z = server.cache.embeddings
     links = [(i, q) for i, q in enumerate(batch) if q.kind == "link"]
     frauds = [(i, q) for i, q in enumerate(batch) if q.kind == "fraud"]
@@ -267,16 +265,14 @@ def eager_refresh(engine) -> int:
 def assert_stale_invariant(engine) -> None:
     """The embedding cache's stale-layer bookkeeping: levels in
     ``[0, num_layers]``, ``num_dirty`` counting the rows stale anywhere,
-    no stale row in the evicted set, and the invariant the read cone
-    relies on — a row clean at layer ℓ has every column of its ``Ã``
-    row clean at ℓ − 1, i.e. ``stale[u] >= stale[v] - 1`` for every
-    ``Ã[v, u] != 0``."""
+    and the invariant the read cone relies on — a row clean at layer ℓ
+    has every column of its ``Ã`` row clean at ℓ − 1, i.e.
+    ``stale[u] >= stale[v] - 1`` for every ``Ã[v, u] != 0``."""
     cache = engine.cache
     stale = cache.stale.astype(np.int64)
     top = cache.num_layers
     assert stale.min() >= 0 and stale.max() <= top
     assert cache.num_dirty == int(np.count_nonzero(stale < top))
-    assert (stale[cache.evicted] == top).all()
     csr = engine.maintainer.laplacian.csr
     rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
     bad = stale[csr.indices] < stale[rows] - 1

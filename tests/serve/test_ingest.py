@@ -7,6 +7,7 @@ from repro.errors import ConfigError, DatasetError
 from repro.graph import GraphSnapshot, apply_diff
 from repro.graph.generators import evolving_dtdg
 from repro.serve import EdgeEvent, StreamIngestor, events_between
+from repro.serve.ingest import fold_event_batch
 
 
 def snap(n, pairs, values=None):
@@ -110,6 +111,35 @@ class TestStreamIngestor:
         ing = StreamIngestor(snap(4, [[0, 1]]))
         with pytest.raises(DatasetError):
             ing.rebase(snap(5, [[0, 1]]))
+
+
+class TestFoldValidation:
+    """The one event fold rejects what would corrupt the graph — an
+    endpoint that is not an integer, a value that is not finite — and
+    folds numpy integers like Python ones."""
+
+    BASE = snap(4, [[0, 1]], values=[1e308])
+
+    @pytest.mark.parametrize("events", [
+        [EdgeEvent(1.0, 2)],                              # not truncated
+        [EdgeEvent(2, 3, value=float("nan"))],            # enters
+        [EdgeEvent(2, 3, value=float("-inf"))],
+        [EdgeEvent(2, 3, value=-1e308)] * 2,              # sum overflows
+        [EdgeEvent(0, 1, value=1e308)],                   # stays, overflows
+        [EdgeEvent(0, 1, op="remove"),
+         EdgeEvent(0, 1, value=float("nan"))],            # replaces
+    ], ids=["float-endpoint", "nan", "inf", "overflow-enters",
+            "overflow-stays", "nan-replaces"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in add")
+    def test_rejected_before_anything_is_built(self, events):
+        with pytest.raises(DatasetError):
+            fold_event_batch(self.BASE, [EdgeEvent(2, 3)] + events)
+
+    def test_numpy_integer_endpoints_fold_like_ints(self):
+        want = fold_event_batch(self.BASE, [EdgeEvent(2, 3)])[0]
+        got = fold_event_batch(self.BASE,
+                               [EdgeEvent(np.int32(2), np.int64(3))])[0]
+        assert got == want
 
 
 class TestEventsBetween:

@@ -2,8 +2,10 @@
 "Refresh: stale layers and the read cone").
 
 The embedding cache holds, per vertex, the lowest layer whose row is
-stale; a refresh recomputes each layer only where that layer is stale,
-and a flush's first refresh after a commit only where its batch reads.
+stale (a row ``d`` hops from a change is stale from layer ``d − 1``,
+out to the model depth ``L``, the one invalidation radius); a refresh
+recomputes each layer only where that layer is stale, and a flush's
+first refresh after a commit only where its batch reads.
 Everything here is pinned by exact equality against a full recompute
 (``ModelServer(incremental=False)``) or the eager refresh oracle, and
 by counting engine ``_compute`` calls — never by timing.  Few-row cones
@@ -53,11 +55,10 @@ def stream():
         partner_persistence=0.8, seed=8)).dtdg
 
 
-def _kwargs(parts, name, extra_hops):
+def _kwargs(parts, name):
     model, link, fraud = parts[name]
     return model, dict(link_head=link, fraud_head=fraud, max_batch_size=64,
-                       flush_latency_ms=1e9,
-                       k_hops=model.num_layers + extra_hops)
+                       flush_latency_ms=1e9)
 
 
 def _submit(server, query):
@@ -86,19 +87,16 @@ _op = st.one_of(_commit, _commit, st.tuples(st.just("advance")),
                 st.tuples(st.just("recover"), st.booleans()))
 
 
-@pytest.mark.parametrize("extra_hops", [0, 1])     # k_hops = L, L + 1
-@pytest.mark.parametrize("max_rows", [None, 8])
 @pytest.mark.parametrize("name", MODEL_NAMES)
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(schedule=st.lists(_op, min_size=1, max_size=8))
-def test_random_schedules_serve_the_oracle_bit_for_bit(small, name, max_rows,
-                                                       extra_hops, schedule):
+def test_random_schedules_serve_the_oracle_bit_for_bit(small, name, schedule):
     """Every served score equals the full recompute's, bit for bit, and
     after every operation the cache keeps its invariant and every row
     it holds clean is exact."""
     snapshot, parts = small
-    model, kwargs = _kwargs(parts, name, extra_hops)
-    live = ModelServer(model, snapshot, cache_max_rows=max_rows, **kwargs)
+    model, kwargs = _kwargs(parts, name)
+    live = ModelServer(model, snapshot, **kwargs)
     oracle = ModelServer(model, snapshot, incremental=False, **kwargs)
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/store"
@@ -126,8 +124,7 @@ def test_random_schedules_serve_the_oracle_bit_for_bit(small, name, max_rows,
                     live._capture_store_state()
                 live.store = None   # the crashed writer lets go of the WAL
                 live = ModelServer.recover(GraphStore.open(path),
-                                           model=model,
-                                           cache_max_rows=max_rows, **kwargs)
+                                           model=model, **kwargs)
                 _check(live, oracle)
         np.testing.assert_array_equal(live.engine.embeddings,
                                       oracle.engine.embeddings)
@@ -141,7 +138,7 @@ def test_repeated_seed_re_expands_after_its_cone_is_cleaned(small):
     that cleans part of the region ends that window: the repeat must
     re-expand, or the rows it changes are served stale."""
     snapshot, parts = small
-    model, kwargs = _kwargs(parts, "cdgcn", 0)
+    model, kwargs = _kwargs(parts, "cdgcn")
     live = ModelServer(model, snapshot, **kwargs)
     oracle = ModelServer(model, snapshot, incremental=False, **kwargs)
     s, t = (int(v) for v in snapshot.edges[0])
@@ -287,7 +284,7 @@ def test_refresh_span_records_the_cone_and_rows_per_layer(stream):
         assert len(layer_rows) == 2 and span.attrs["rows"] > 0
         assert span.attrs["rows"] >= max(layer_rows)
     # a full refresh runs each layer only where it is stale: layer 0
-    # sees the 1-hop region, the last layer the whole k-hop one
+    # sees the 1-hop region, the last layer the whole L-hop one
     assert spans[-1].attrs["layer_rows"][0] < spans[-1].attrs["layer_rows"][1]
 
 

@@ -6,7 +6,9 @@ A layer's post-step ``h`` is its output row, so the engine keeps it in
 four ``(N, H)`` arrays per layer — the output, the entering ``(h, c)``
 and the leaving ``c``.  A boundary copies the output into the entering
 ``h`` buffer and swaps the two ``c`` buffers, so it allocates no state
-array.  Pinned by counting arrays and allocations, never by timing.
+array.  Beside that state and the input features, the cache's only
+per-vertex array is its ``int8`` stale layer.  Pinned by counting
+arrays and allocations, never by timing.
 """
 
 import tracemalloc
@@ -70,6 +72,17 @@ def test_cdgcn_engine_holds_four_arrays_per_layer(stream):
     # the post-step h is the output, held once
     for z, c in zip(engine.cache.layer_outputs, engine.cache.post_carry):
         assert isinstance(c, np.ndarray) and c.shape == z.shape
+
+
+def test_cache_bookkeeping_is_one_int8_per_vertex(stream):
+    engine = _engine(stream)
+    cache, n = engine.cache, engine.num_vertices
+    state = {id(a) for a in _row_arrays(engine)} | {id(cache.features)}
+    per_vertex = [name for name, value in vars(cache).items()
+                  if isinstance(value, np.ndarray) and
+                  value.shape[:1] == (n,) and id(value) not in state]
+    assert per_vertex == ["_stale"]
+    assert cache.stale.dtype == np.int8 and cache.stale.nbytes == n
 
 
 @pytest.mark.parametrize("rebase", [False, True])

@@ -373,24 +373,23 @@ def _with_post_h(meta, arrays):
     return arrays
 
 
-@pytest.mark.parametrize("writer", ["cap", "npz"])
-def test_capture_with_post_h_restores_and_serves_bit_equal(stream, tmp_path,
-                                                           writer):
-    """A capture an older writer left — one that still holds
-    ``post_carry/{i}/h`` — taken mid-step, with rows stale, restores and
-    serves what the live server serves, bit for bit."""
+def _old_capture_serves_bit_equal(stream, tmp_path, writer, rewrite):
+    """Capture a server mid-step, with rows stale, rewrite the capture
+    into an older layout (``rewrite(meta, arrays, cache)``), write it
+    with ``writer``, and recover: the recovered server serves what the
+    live one serves, bit for bit, also after the next boundary."""
     model, fraud = _model_and_head("cdgcn")
     live = ModelServer(model, stream[0], fraud_head=fraud)
     live.attach_store(GraphStore.create(str(tmp_path / "s"),
                                         stream.num_vertices))
     _drive(live, stream, range(1, 4))
     assert live.cache.num_dirty > 0
-    meta, arrays = live._capture_state()
-    arrays = _with_post_h(meta, arrays)
+    meta, arrays = rewrite(*live._capture_state(), live.cache)
     if writer == "cap":
         live.store.save_engine_state(meta, arrays)
     else:
         legacy_save_engine_state(live.store, meta, arrays)
+    assert set(live.store.latest_engine_state()[1]) == set(arrays)
     model2, fraud2 = _model_and_head("cdgcn")
     rec = ModelServer.recover(GraphStore.open(str(tmp_path / "s")),
                               model=model2, fraud_head=fraud2)
@@ -409,12 +408,51 @@ def test_capture_with_post_h_restores_and_serves_bit_equal(stream, tmp_path,
         np.testing.assert_array_equal(c, c2)
 
 
+@pytest.mark.parametrize("writer", ["cap", "npz"])
+def test_capture_with_post_h_restores_and_serves_bit_equal(stream, tmp_path,
+                                                           writer):
+    """A capture an older writer left — one that still holds
+    ``post_carry/{i}/h`` — taken mid-step, with rows stale, restores and
+    serves what the live server serves, bit for bit."""
+    _old_capture_serves_bit_equal(
+        stream, tmp_path, writer,
+        lambda meta, arrays, cache: (meta, _with_post_h(meta, arrays)))
+
+
+# ---------------------------------------------------------------------------
+# captures of the bounded cache still restore
+# ---------------------------------------------------------------------------
+
+def _with_lru(meta, arrays, cache):
+    """The capture layout while the cache simulated LRU eviction: an
+    ``evicted`` row set, a ``last_used`` clock per vertex and a
+    ``use_clock`` meta key (here as a bounded cache would leave them:
+    some clean rows evicted, read at distinct times)."""
+    clean_rows = np.flatnonzero(cache.stale == cache.num_layers)
+    n = cache.num_vertices
+    meta = dict(meta, use_clock=n + 3)
+    arrays = dict(arrays, evicted=clean_rows[::5],
+                  last_used=np.arange(n, dtype=np.int64)[::-1].copy())
+    return meta, arrays
+
+
+@pytest.mark.parametrize("writer", ["cap", "npz"])
+def test_capture_with_lru_state_restores_and_serves_bit_equal(stream,
+                                                              tmp_path,
+                                                              writer):
+    """A capture an older writer left — one that still holds the LRU
+    state — taken mid-step, with rows stale, restores (its LRU fields
+    read and ignored) and serves what the live server serves, bit for
+    bit."""
+    _old_capture_serves_bit_equal(stream, tmp_path, writer, _with_lru)
+
+
 def test_capture_bytes_drop_by_the_post_h_arrays(stream, tmp_path,
                                                  monkeypatch):
     """The same replay, captured in the new layout and in the old one:
     each new capture is the ``L`` post-step ``h`` arrays smaller, a
-    fifth of its CD-GCN state (the LRU clock and the frame headers keep
-    the whole file just above 0.8 of the old one)."""
+    fifth of its CD-GCN state (the frame headers and the dirty-row
+    bookkeeping keep the whole file above 0.8 of the old one)."""
     def replay(path):
         model, fraud = _model_and_head("cdgcn")
         server = ModelServer(model, stream[0], fraud_head=fraud)

@@ -8,6 +8,9 @@ state moves, and no redundant capture after recovery.
 * If the WAL append raises, nothing has moved: resident, frontier,
   counters, engine and store tip are as before, and the same batch then
   ingests cleanly.
+* A batch the fold rejects (an endpoint that is not an integer, an edge
+  value that is not finite) raises before the WAL append: the resident
+  graph, every cache and the log stay as they were.
 * ``recover()`` takes no capture of its own on an event-only tail (the
   capture it started from plus the WAL still reproduce the state); the
   sharded tier takes one only when the tail crossed a boundary, because
@@ -20,11 +23,12 @@ import sys
 import numpy as np
 import pytest
 
+from repro.errors import DatasetError
 from repro.exec import ExecRouter
 from repro.graph import AMLSimConfig, generate_amlsim
 from repro.models import build_model
 from repro.nn.linear import Linear
-from repro.serve import ModelServer, events_between
+from repro.serve import EdgeEvent, ModelServer, events_between
 from repro.serve import ingest
 from repro.store import GraphStore
 from repro.store.wal import DeltaLog
@@ -153,6 +157,58 @@ def test_failed_wal_append_moves_nothing(stream, kind, tmp_path,
     assert GraphStore.open(str(tmp_path / "s")).tip == \
         clean.ingestor.resident
     np.testing.assert_array_equal(_embeddings(tier), _embeddings(clean))
+    _close(tier, clean)
+
+
+def _caches(tier):
+    if isinstance(tier, ExecRouter):
+        return [ch.replicas[0].service.engine.cache for ch in tier.channels]
+    return [tier.cache]
+
+
+BAD_BATCHES = {
+    "float-endpoints": [EdgeEvent(3.7, 5.2)],
+    "nan-value": [EdgeEvent(1, 2, "add", float("nan"))],
+    "overflow": [EdgeEvent(1, 2, "add", -1e308)] * 2,
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_BATCHES))
+@pytest.mark.parametrize("kind", TIERS)
+def test_rejected_batch_moves_nothing(stream, kind, bad, tmp_path):
+    """The whole batch is refused — its good events too — before the
+    WAL append, and the tier then serves what a twin that never saw it
+    serves, after the next boundary as well."""
+    tier = _tier(kind, stream, tmp_path / "s")
+    clean = _tier(kind, stream, tmp_path / "ref")
+    first = events_between(stream[0], stream[1])
+    for t in (tier, clean):
+        t.ingest_events(first)
+    resident, tip = tier.ingestor.resident, tier.store.tip
+    records = tier.store.wal.num_records
+    stale = [cache.stale.copy() for cache in _caches(tier)]
+
+    with pytest.raises(DatasetError):
+        tier.ingest_events([EdgeEvent(0, 1)] + BAD_BATCHES[bad])
+
+    assert tier.ingestor.resident is resident
+    assert tier.store.tip is tip
+    assert tier.store.wal.num_records == records
+    assert tier.ingestor.num_pending == 0
+    for before, cache in zip(stale, _caches(tier)):
+        np.testing.assert_array_equal(cache.stale, before)
+    for t in (tier, clean):
+        t.advance_time()
+    accounts = range(stream.num_vertices)
+    got = [tier.submit_fraud(v) for v in accounts]
+    want = [clean.submit_fraud(v) for v in accounts]
+    tier.drain()
+    clean.drain()
+    assert [q.result for q in got] == [q.result for q in want]
+    assert np.isfinite([q.result for q in got]).all()
+    np.testing.assert_array_equal(_embeddings(tier), _embeddings(clean))
+    assert GraphStore.open(str(tmp_path / "s")).tip == \
+        clean.ingestor.resident
     _close(tier, clean)
 
 

@@ -224,40 +224,6 @@ def test_recovery_replays_queries_identically(stream20, tmp_path):
         assert abs(a.result - b.result) < 1e-9
 
 
-def test_recovery_preserves_bounded_cache_state(stream20, tmp_path):
-    """With cache_max_rows, the capture carries the LRU state
-    (evicted set, recency clocks) so the recovered server evicts and
-    reloads exactly like the crashed one would have."""
-    dtdg = stream20
-    n = dtdg.num_vertices
-    model, fraud = _model_and_head("cdgcn")
-    live = ModelServer(model, dtdg[0], fraud_head=fraud,
-                       cache_max_rows=40)
-    store = GraphStore.create(str(tmp_path / "s"), n)
-    live.attach_store(store, state_interval=1)
-    for t in range(1, 6):
-        live.advance_time()
-        live.ingest_events(events_between(dtdg[t - 1], dtdg[t]))
-        for v in (t, n - t, n // 2):
-            live.submit_fraud(v)
-        live.drain()
-    # crash right after a boundary + one event batch (queries since the
-    # last capture are not durable ops, so none happen here)
-    live.advance_time()
-    live.ingest_events(events_between(dtdg[5], dtdg[6]))
-    assert live.cache.num_evicted > 0
-
-    model2, fraud2 = _model_and_head("cdgcn")
-    rec = ModelServer.recover(GraphStore.open(str(tmp_path / "s")),
-                              model=model2, fraud_head=fraud2,
-                              cache_max_rows=40)
-    np.testing.assert_array_equal(rec.cache.evicted, live.cache.evicted)
-    np.testing.assert_array_equal(rec.cache._last_used,
-                                  live.cache._last_used)
-    assert rec.cache._use_clock == live.cache._use_clock
-    assert rec.cache.num_evicted == live.cache.num_evicted
-
-
 def test_wal_logged_before_acknowledgment(stream20, tmp_path):
     """Every acknowledged ingest is on disk before the call returns:
     a crash immediately after ingest_events loses nothing."""
