@@ -13,8 +13,12 @@ The receiver removes ``A_i^ext`` from its resident copy of ``A_i`` to get
 the common part, then inserts ``A_{i+1}^ext`` to reconstruct ``A_{i+1}``'s
 index structure, and attaches the freshly shipped values.
 
-This module implements both directions plus the exact byte accounting the
-transfer-time model consumes (index bytes are what GD saves).
+A :class:`SnapshotDiff` carries only what changed: the added edges'
+values and the common edges whose value moved (the resident copy holds
+the rest) — the layout the temporal store's ``DIFF`` record writes.
+Its byte accounting stays §3.2's transfer list, every value of
+``A_{i+1}`` included, which is what the transfer-time model consumes
+(index bytes are what GD saves).
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ __all__ = ["SnapshotDiff", "diff_snapshots", "apply_diff", "merge_delta",
            "sequence_transfer_stats", "split_diff_by_blocks"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SnapshotDiff:
-    """The GD wire format for one snapshot transition ``A_i → A_{i+1}``.
+    """The GD delta for one snapshot transition ``A_i → A_{i+1}``.
 
     Attributes
     ----------
@@ -44,36 +48,39 @@ class SnapshotDiff:
         Canonical ``(r, 2)`` edges present in ``A_i`` but not ``A_{i+1}``.
     added:
         Canonical ``(a, 2)`` edges present in ``A_{i+1}`` but not ``A_i``.
-    values:
-        All ``A_{i+1}`` values, aligned with its canonical edge order.
+    added_values:
+        Their values, aligned with ``added``'s rows.
+    changed_pos:
+        Positions in ``A_{i+1}``'s canonical order of the common edges
+        whose value changed, increasing.
+    changed_values:
+        Their new values, aligned with ``changed_pos``.
+    base_checksum:
+        Integrity token over the *base* snapshot's edge keys, so a
+        receiver applying the diff to the wrong resident snapshot fails
+        fast instead of silently reconstructing garbage (``-1``: none).
+    nnz:
+        Edge count of ``A_{i+1}``.
     """
 
     removed: np.ndarray
     added: np.ndarray
-    values: np.ndarray
-    # cheap integrity token over the *base* snapshot's edge keys, so a
-    # receiver applying the diff to the wrong resident snapshot fails fast
-    # instead of silently reconstructing garbage
+    added_values: np.ndarray
+    changed_pos: np.ndarray
+    changed_values: np.ndarray
     base_checksum: int = -1
-    # receiver-side acceleration, derived (redundant) data computed at
-    # encode time where both aligned value arrays are in hand: positions
-    # into the *new* snapshot's canonical order of (a) the added edges
-    # (aligned with ``added``'s row order) and (b) the common edges whose
-    # value changed.  Lets an incremental operator maintainer work in
-    # O(delta) instead of re-deriving the changed values with an O(nnz)
-    # alignment pass.  Not part of the §3.2 wire payload accounting.
-    value_hint: tuple | None = None
+    nnz: int
 
     @property
     def payload_nbytes(self) -> int:
         """Bytes on the wire under GD (paper §3.2's transfer list)."""
         index_bytes = 2 * INDEX_BYTES * (len(self.removed) + len(self.added))
-        return index_bytes + VALUE_BYTES * len(self.values)
+        return index_bytes + VALUE_BYTES * self.nnz
 
     @property
     def naive_nbytes(self) -> int:
         """Bytes a naive (index, value) transfer of ``A_{i+1}`` would use."""
-        return (2 * INDEX_BYTES + VALUE_BYTES) * len(self.values)
+        return (2 * INDEX_BYTES + VALUE_BYTES) * self.nnz
 
     @property
     def savings_ratio(self) -> float:
@@ -126,9 +133,7 @@ def _locate(keys: np.ndarray, queries: np.ndarray
 
 
 def merge_delta(prev: GraphSnapshot, removed_keys: np.ndarray,
-                added_keys: np.ndarray,
-                added_values: np.ndarray | None = None,
-                values: np.ndarray | None = None
+                added_keys: np.ndarray, added_values: np.ndarray
                 ) -> tuple[GraphSnapshot, np.ndarray, np.ndarray]:
     """Advance a canonical snapshot by a sorted-key delta — the only way
     a snapshot moves by a delta (event fold, :func:`apply_diff`, store
@@ -136,14 +141,12 @@ def merge_delta(prev: GraphSnapshot, removed_keys: np.ndarray,
 
     ``removed_keys`` (strictly increasing, all present in ``prev``) are
     spliced out and ``added_keys`` (strictly increasing, none left in
-    ``prev`` after the removal) spliced in: two ``searchsorted`` and one
-    fused delete+insert splice per array, always into fresh arrays.
-    Nothing is sorted; the canonical order of the result is verified by
-    the trusted constructor and a delta that does not apply raises
-    :class:`DatasetError`.  Values are ``values`` when the caller holds
-    the complete new array (GD wire format), else ``prev``'s with
-    ``added_values`` spliced in.  The keys and the checksum mix are
-    carried onto the result.
+    ``prev`` after the removal) spliced in with ``added_values``: two
+    ``searchsorted`` and one fused delete+insert splice per array, always
+    into fresh arrays.  Nothing is sorted; the canonical order of the
+    result is verified by the trusted constructor and a delta that does
+    not apply raises :class:`DatasetError`.  The keys and the checksum
+    mix are carried onto the result.
 
     Returns ``(curr, removed_pos, inserts)``: the removed positions in
     ``prev``'s order and the insertion offsets into the order left by
@@ -171,8 +174,7 @@ def merge_delta(prev: GraphSnapshot, removed_keys: np.ndarray,
 
     curr = GraphSnapshot.from_canonical(
         n, splice(prev.edges, _unkeys(added_keys, n)),
-        values if values is not None else splice(prev.values, added_values),
-        splice(keys, added_keys))
+        splice(prev.values, added_values), splice(keys, added_keys))
     if prev._mix is not None:
         curr._mix = prev._mix ^ _mix(removed_keys) ^ _mix(added_keys)
     return curr, removed_pos, inserts
@@ -186,13 +188,48 @@ def _moved(pos: np.ndarray, removed_pos: np.ndarray,
     return left + np.searchsorted(inserts, left, side="right")
 
 
-def _delta_keys(edges: np.ndarray, n: int) -> np.ndarray:
-    """Sorted unique keys of a diff's (delta-sized) edge list."""
+def _delta_keys(edges: np.ndarray, n: int,
+                values: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Increasing keys of a diff's (delta-sized) edge list, and
+    ``values`` (aligned with its rows) in the same order: a list that
+    arrives out of order is sorted."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if len(edges) and (edges.min() < 0 or edges.max() >= n):
         raise DatasetError("edge endpoint out of vertex range")
     keys = _keys(edges, n)
-    return keys if _strictly_increasing(keys) else np.unique(keys)
+    if _strictly_increasing(keys):
+        return keys, values
+    order = np.argsort(keys, kind="stable")
+    return keys[order], None if values is None else values[order]
+
+
+def _read_delta(diff: SnapshotDiff, n: int, nnz: int) -> tuple:
+    """``(removed keys, added keys, added values, changed positions,
+    changed values)`` of a diff over ``n`` vertices producing ``nnz``
+    edges, the added keys strictly increasing.  Raises
+    :class:`DatasetError` unless the value fields line up with their
+    edges and positions, no edge is added twice and every changed
+    position lies in ``[0, nnz)`` — before anything is built."""
+    added_values = np.asarray(diff.added_values,
+                              dtype=np.float64).reshape(-1)
+    changed_pos = np.asarray(diff.changed_pos, dtype=np.int64).reshape(-1)
+    changed_values = np.asarray(diff.changed_values,
+                                dtype=np.float64).reshape(-1)
+    if len(added_values) != len(diff.added) or \
+            len(changed_values) != len(changed_pos):
+        raise DatasetError("diff values do not line up with its edges "
+                           "and positions")
+    if len(changed_pos) and (changed_pos.min() < 0
+                             or changed_pos.max() >= nnz):
+        raise DatasetError("diff changes values at positions outside the "
+                           "snapshot it produces")
+    removed_keys, _ = _delta_keys(diff.removed, n)
+    added_keys, added_values = _delta_keys(diff.added, n, added_values)
+    if not _strictly_increasing(added_keys):
+        raise DatasetError("diff adds an edge twice")
+    return (removed_keys, added_keys, added_values, changed_pos,
+            changed_values)
 
 
 def fold_delta(prev: GraphSnapshot, dropped: np.ndarray, adds: np.ndarray,
@@ -218,22 +255,24 @@ def fold_delta(prev: GraphSnapshot, dropped: np.ndarray, adds: np.ndarray,
     stay_vals = np.where(replaced, add_values[stays],
                          prev.values[stay_pos] + add_values[stays])
     changed = stay_vals != prev.values[stay_pos]
-    enter_vals = add_values[~stays]
+    enter_keys, enter_vals = adds[~stays], add_values[~stays]
     if not np.isfinite(np.concatenate((enter_vals,
                                        stay_vals[changed]))).all():
         raise DatasetError("event batch writes an edge value that is not "
                            "finite")
 
     curr, removed_pos, inserts = merge_delta(
-        prev, dropped[leaves], adds[~stays], enter_vals)
-    added_pos = inserts + np.arange(len(inserts), dtype=np.int64)
+        prev, dropped[leaves], enter_keys, enter_vals)
     changed_pos = _moved(stay_pos[changed], removed_pos, inserts)
-    curr.values[changed_pos] = stay_vals[changed]  # fresh array: ours
+    changed_vals = stay_vals[changed]
+    curr.values[changed_pos] = changed_vals  # fresh array: ours
     return curr, SnapshotDiff(removed=prev.edges[removed_pos],
-                              added=curr.edges[added_pos],
-                              values=curr.values,
+                              added=_unkeys(enter_keys, prev.num_vertices),
+                              added_values=enter_vals,
+                              changed_pos=changed_pos,
+                              changed_values=changed_vals,
                               base_checksum=base_checksum,
-                              value_hint=(added_pos, changed_pos))
+                              nnz=curr.num_edges)
 
 
 def _changed_positions(prev: GraphSnapshot, curr: GraphSnapshot,
@@ -267,28 +306,34 @@ def diff_snapshots(prev: GraphSnapshot,
         prev, curr, np.searchsorted(prev_keys, removed_keys), added_pos)
     return SnapshotDiff(removed=_unkeys(removed_keys, n),
                         added=_unkeys(added_keys, n),
-                        values=curr.values.copy(),
+                        added_values=curr.values[added_pos],
+                        changed_pos=changed_pos,
+                        changed_values=curr.values[changed_pos],
                         base_checksum=_seal(_mix(prev_keys), len(prev_keys)),
-                        value_hint=(added_pos, changed_pos))
+                        nnz=curr.num_edges)
 
 
 def apply_diff(prev: GraphSnapshot, diff: SnapshotDiff) -> GraphSnapshot:
-    """Reconstruct ``A_{i+1}`` from a resident ``A_i`` plus a diff."""
-    n = prev.num_vertices
+    """Reconstruct ``A_{i+1}`` from a resident ``A_i`` plus a diff: the
+    topology delta and the added values in one :func:`merge_delta`, then
+    the changed values written over the result.  A diff that does not
+    describe a successor of ``prev`` raises :class:`DatasetError`
+    before anything is built."""
     if diff.base_checksum != -1 and \
             diff.base_checksum != edge_checksum(prev):
         raise DatasetError(
             "diff does not apply: resident snapshot is not the base the "
             "diff was encoded against")
-    removed_keys = _delta_keys(diff.removed, n)
-    added_keys = _delta_keys(diff.added, n)
-    values = np.asarray(diff.values, dtype=np.float64).reshape(-1)
-    count = prev.num_edges - len(removed_keys) + len(added_keys)
-    if count != len(values):
+    removed, added, added_values, changed_pos, changed_values = \
+        _read_delta(diff, prev.num_vertices, diff.nnz)
+    count = prev.num_edges - len(removed) + len(added)
+    if count != diff.nnz:
         raise DatasetError(
             f"diff reconstruction produced {count} edges for "
-            f"{len(values)} values — prev snapshot mismatch?")
-    return merge_delta(prev, removed_keys, added_keys, values=values)[0]
+            f"{diff.nnz} — prev snapshot mismatch?")
+    curr = merge_delta(prev, removed, added, added_values)[0]
+    curr.values[changed_pos] = changed_values  # fresh array: ours
+    return curr
 
 
 def encode_sequence(snapshots: Sequence[GraphSnapshot]
@@ -381,24 +426,20 @@ def split_diff_by_blocks(diff: SnapshotDiff, curr: GraphSnapshot,
 
     ``owners`` maps each vertex to its block (shard).  Block ``b``'s
     sub-delta contains every removed/added edge *incident* to a vertex
-    it owns plus the new values of ``curr``'s edges incident to it —
-    exactly what a shard mirroring only its vertex block (and ghost
-    fringe) needs to stay current.  An edge whose endpoints live in two
-    different blocks appears in both sub-deltas; the duplication is the
-    cross-shard delta traffic the sharded serving tier accounts for.
+    it owns, with the added and changed values of ``curr``'s edges
+    incident to it — exactly what a shard mirroring only its vertex
+    block (and ghost fringe) needs to stay current.  An edge whose
+    endpoints live in two different blocks appears in both sub-deltas;
+    the duplication is the cross-shard delta traffic the sharded serving
+    tier accounts for.
 
     Sub-deltas carry no base checksum (they do not apply against the
     full resident base); their summed ``payload_nbytes`` is the total
-    wire cost of fanning the delta out to all shards.
-
-    When the parent diff carries an encoder-side ``value_hint``, each
-    sub-delta's hint is **re-indexed into the block-local value order**:
-    hinted positions point into that block's ``values`` array (the
-    incident edges of ``curr`` in canonical order), never into the
-    whole-graph canonical order — whole-graph positions in a shard-local
-    diff would silently address the wrong edges.  A hint-less parent
-    yields hint-less sub-deltas (the consumers' aligned fallback is
-    exact either way).
+    wire cost of fanning the delta out to all shards.  A sub-delta's
+    ``changed_pos`` and ``nnz`` are **block-local**: positions into, and
+    the length of, that block's incident edges of ``curr`` in canonical
+    order — whole-graph positions in a shard-local diff would silently
+    address the wrong edges.
     """
     owners = np.asarray(owners, dtype=np.int64)
     if len(owners) != curr.num_vertices:
@@ -411,42 +452,25 @@ def split_diff_by_blocks(diff: SnapshotDiff, curr: GraphSnapshot,
 
     removed = np.asarray(diff.removed, dtype=np.int64).reshape(-1, 2)
     added = np.asarray(diff.added, dtype=np.int64).reshape(-1, 2)
-    if diff.value_hint is not None:
-        added_pos = np.asarray(diff.value_hint[0], dtype=np.int64)
-        changed_pos = np.asarray(diff.value_hint[1], dtype=np.int64)
-    else:
-        added_pos = changed_pos = None
+    added_values = np.asarray(diff.added_values, dtype=np.float64)
+    changed_pos = np.asarray(diff.changed_pos, dtype=np.int64)
+    changed_values = np.asarray(diff.changed_values, dtype=np.float64)
 
     def incident_mask(edges: np.ndarray, b: int) -> np.ndarray:
         return (owners[edges[:, 0]] == b) | (owners[edges[:, 1]] == b)
 
     out = []
     for b in range(blocks):
-        if curr.num_edges:
-            vmask = incident_mask(curr.edges, b)
-            values = curr.values[vmask]
-        else:
-            vmask = np.zeros(0, dtype=bool)
-            values = curr.values[:0]
-        rmask = incident_mask(removed, b) if len(removed) \
-            else np.zeros(0, dtype=bool)
-        amask = incident_mask(added, b) if len(added) \
-            else np.zeros(0, dtype=bool)
-        hint = None
-        if added_pos is not None:
-            # global canonical position -> position within this block's
-            # value array (the incident edges of curr, in order)
-            local_of_global = np.cumsum(vmask) - 1
-            sub_added_pos = local_of_global[added_pos[amask]] \
-                if amask.any() else added_pos[:0]
-            if len(changed_pos):
-                cmask = vmask[changed_pos]
-                sub_changed_pos = local_of_global[changed_pos[cmask]]
-            else:
-                sub_changed_pos = changed_pos[:0]
-            hint = (sub_added_pos, sub_changed_pos)
-        out.append(SnapshotDiff(removed=removed[rmask],
+        vmask = incident_mask(curr.edges, b)
+        amask = incident_mask(added, b)
+        cmask = vmask[changed_pos]
+        # global canonical position -> position among the block's edges
+        local = np.cumsum(vmask)[changed_pos[cmask]] - 1 if cmask.any() \
+            else changed_pos[:0]
+        out.append(SnapshotDiff(removed=removed[incident_mask(removed, b)],
                                 added=added[amask],
-                                values=values,
-                                value_hint=hint))
+                                added_values=added_values[amask],
+                                changed_pos=local,
+                                changed_values=changed_values[cmask],
+                                nnz=int(vmask.sum())))
     return out

@@ -22,10 +22,10 @@ codebase: it keeps a resident ``Ã`` and applies a
    ``D^{-1/2}`` changed, whose stored weight changed, or that were just
    inserted.
 
-With the encoder-computed ``value_hint`` a diff carries (positions of
-added and value-changed edges in the new canonical order), the whole
-update runs in O(delta + touched) plus the memcpy-class splice; without
-it the maintainer falls back to one aligned O(nnz) value compare.
+A diff carries the added edges' values and the positions and values of
+the common edges whose weight changed, so the whole update runs in
+O(delta + touched) plus the memcpy-class splice, whichever producer
+built the diff (event fold, snapshot diff, store decode).
 
 Every recomputed entry is evaluated with the *same* floating-point
 expression the full rebuild uses (``(w · dinv_u) · dinv_v``), so the
@@ -44,8 +44,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import DatasetError
-from repro.graph.diff import (SnapshotDiff, _changed_positions,
-                              _keys as _ekeys, _locate, _mix)
+from repro.graph.diff import (SnapshotDiff, _keys as _ekeys, _mix,
+                              _read_delta)
 from repro.graph.snapshot import GraphSnapshot
 from repro.tensor.backend import KernelBackend, resolve_backend
 from repro.tensor.sparse import SparseMatrix
@@ -72,35 +72,22 @@ def _range_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def diff_touched_vertices(diff: SnapshotDiff,
-                          curr: GraphSnapshot) -> np.ndarray | None:
+                          curr: GraphSnapshot) -> np.ndarray:
     """Endpoints of every edge the transition structurally changed or
     re-weighted — the delta seed set from which the training tier's
-    cross-timestep reuse (and the serving tier's dirty frontier) expand.
+    cross-timestep reuse (and the serving tier's invalidation) expand.
 
     Vertices incident to added or removed edges come from the diff's
-    index lists; vertices incident to value-changed common edges are
-    named by the encoder-side ``value_hint``.  Returns ``None`` when the
-    diff carries no hint (e.g. a store-decoded delta): the value-changed
-    endpoints cannot then be derived in O(delta), and callers must treat
-    the touched set as unknown.
+    edge lists; vertices incident to value-changed common edges from
+    its changed positions in ``curr``, the snapshot the diff produces.
     """
-    if diff.value_hint is None:
-        return None
-    parts = []
-    removed = np.asarray(diff.removed, dtype=np.int64).reshape(-1, 2)
-    added = np.asarray(diff.added, dtype=np.int64).reshape(-1, 2)
-    if len(removed):
-        parts.append(removed.ravel())
-    if len(added):
-        parts.append(added.ravel())
-    changed_pos = np.asarray(diff.value_hint[1], dtype=np.int64)
-    if len(changed_pos):
-        if len(changed_pos) and changed_pos.max() >= curr.num_edges:
-            return None  # hint does not describe this snapshot
-        parts.append(curr.edges[changed_pos].ravel())
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(parts))
+    if diff.nnz != curr.num_edges:
+        raise DatasetError(f"diff produces {diff.nnz} edges, snapshot "
+                           f"holds {curr.num_edges}")
+    changed = curr.edges[np.asarray(diff.changed_pos, dtype=np.int64)]
+    return np.unique(np.concatenate([
+        np.asarray(edges, dtype=np.int64).reshape(-1)
+        for edges in (diff.removed, diff.added, changed)]))
 
 
 class LaplacianMaintainer:
@@ -279,7 +266,7 @@ class LaplacianMaintainer:
         removed = np.asarray(diff.removed, dtype=np.int64).reshape(-1, 2)
         added = np.asarray(diff.added, dtype=np.int64).reshape(-1, 2)
         if self._edge_count - len(removed) + len(added) \
-                != curr.num_edges or len(curr.edges) != len(diff.values):
+                != curr.num_edges or diff.nnz != curr.num_edges:
             self.fallbacks += 1
             return self._rebuild(curr)
         try:
@@ -292,64 +279,15 @@ class LaplacianMaintainer:
         self._install()
         return self._lap
 
-    def _changed_values(self, curr: GraphSnapshot, diff: SnapshotDiff,
-                        rm_keys: np.ndarray, ad_keys: np.ndarray,
-                        ad_order: np.ndarray):
-        """(added values, changed-common keys, changed-common values).
-
-        Uses the diff's encoder-computed ``value_hint`` when present
-        (O(delta)); otherwise falls back to one aligned O(nnz) compare
-        of the pruned previous and current value arrays.
-        """
-        n = self._n
-        if diff.value_hint is not None:
-            added_pos, changed_pos = diff.value_hint
-            added_pos = np.asarray(added_pos, dtype=np.int64)
-            changed_pos = np.asarray(changed_pos, dtype=np.int64)
-            if len(added_pos) != len(ad_keys):
-                raise _Inconsistent
-            added_pos = added_pos[ad_order]
-            # spot-verify the hint against the new snapshot: the hinted
-            # positions must actually hold the added edges
-            if len(added_pos):
-                if added_pos.max() >= curr.num_edges or not np.array_equal(
-                        _ekeys(curr.edges[added_pos], n), ad_keys):
-                    raise _Inconsistent
-            if len(changed_pos) and changed_pos.max() >= curr.num_edges:
-                raise _Inconsistent
-            ad_vals = curr.values[added_pos]
-            chg_keys = _ekeys(curr.edges[changed_pos], n) \
-                if len(changed_pos) else _EMPTY_I
-            chg_vals = curr.values[changed_pos]
-            return ad_vals, chg_keys, chg_vals
-        # no hint: align the common values of both canonical orders
-        prev = self._snapshot
-        rm_pos, rm_hit = _locate(prev.keys, rm_keys)
-        ad_pos, ad_hit = _locate(curr.keys, ad_keys)
-        if not (rm_hit.all() and ad_hit.all()) or \
-                prev.num_edges - len(rm_pos) != curr.num_edges - len(ad_pos):
-            raise _Inconsistent
-        chg_pos = _changed_positions(prev, curr, rm_pos, ad_pos)
-        return (curr.values[ad_pos], curr.keys[chg_pos],
-                curr.values[chg_pos])
-
     def _apply(self, curr: GraphSnapshot, diff: SnapshotDiff,
                removed: np.ndarray, added: np.ndarray) -> None:
         n = self._n
-        rm_keys = np.sort(_ekeys(removed, n)) if len(removed) \
-            else _EMPTY_I
-        if len(added):
-            ad_raw = _ekeys(added, n)
-            ad_order = np.argsort(ad_raw, kind="stable")
-            ad_keys = ad_raw[ad_order]
-            if len(ad_keys) > 1 and not (np.diff(ad_keys) > 0).all():
-                raise _Inconsistent
-        else:
-            ad_order = _EMPTY_I
-            ad_keys = _EMPTY_I
-
-        ad_vals, chg_keys, chg_vals = self._changed_values(
-            curr, diff, rm_keys, ad_keys, ad_order)
+        try:
+            rm_keys, ad_keys, ad_vals, chg_pos, chg_vals = \
+                _read_delta(diff, n, curr.num_edges)
+        except DatasetError:
+            raise _Inconsistent from None
+        chg_keys = _ekeys(curr.edges[chg_pos], n)
 
         # -- 1. degree deltas: touched endpoints only ---------------------------
         kb = self.backend

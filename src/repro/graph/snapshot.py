@@ -207,7 +207,7 @@ class GraphSnapshot:
                 and self.num_vertices == other.num_vertices
                 and self.edges.shape == other.edges.shape
                 and bool((self.edges == other.edges).all())
-                and bool(np.allclose(self.values, other.values)))
+                and bool(np.array_equal(self.values, other.values)))
 
     def __hash__(self):  # snapshots are mutable-ish; identity hashing
         return id(self)

@@ -297,8 +297,8 @@ class InferenceEngine:
                      diff: SnapshotDiff | None = None) -> None:
         """Install a new resident snapshot.
 
-        ``seeds`` are the vertices incident to changed edges (the
-        ingestor's dirty frontier); ``None`` invalidates everything
+        ``seeds`` are the vertices incident to changed edges (a
+        commit's ``IngestResult.dirty``); ``None`` invalidates everything
         (initial install or an untracked graph swap).  ``diff`` is the
         GD delta from the previous resident to ``snapshot``: with it,
         the resident ``Ã`` — and the degree counts the features are

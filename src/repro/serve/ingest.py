@@ -8,10 +8,10 @@ applying a :class:`~repro.graph.diff.SnapshotDiff` — the same GD delta
 machinery the trainer uses for CPU→GPU transfer (paper §3.2), pointed at
 a new job: keeping a server's resident graph current.
 
-Alongside the snapshot the ingestor maintains the **dirty-vertex
-frontier**: every vertex incident to an edge that changed since the
-frontier was last consumed.  The embedding cache expands this seed set
-by k hops to decide which rows of the model state must be recomputed.
+Each commit also names its **dirty vertices** (``IngestResult.dirty``):
+every vertex incident to an edge the batch touched.  The embedding
+cache expands this seed set by the model depth to decide which rows of
+the model state must be recomputed.
 """
 
 from __future__ import annotations
@@ -132,9 +132,6 @@ class StreamIngestor:
     def __init__(self, snapshot: GraphSnapshot) -> None:
         self._resident = snapshot
         self._pending: list[EdgeEvent] = []
-        # one flag per vertex: a long-lived server touches most of the
-        # graph, and a set of boxed ints would cost ~100 bytes a vertex
-        self._frontier = np.zeros(snapshot.num_vertices, dtype=bool)
         self.total_events = 0
         self.total_commits = 0
         self.total_payload_nbytes = 0
@@ -147,17 +144,6 @@ class StreamIngestor:
     @property
     def num_pending(self) -> int:
         return len(self._pending)
-
-    @property
-    def frontier(self) -> np.ndarray:
-        """Dirty vertices accumulated since :meth:`take_frontier`."""
-        return np.flatnonzero(self._frontier)
-
-    def take_frontier(self) -> np.ndarray:
-        """Return and clear the accumulated dirty-vertex frontier."""
-        out = self.frontier
-        self._frontier[out] = False
-        return out
 
     def rebase(self, snapshot: GraphSnapshot) -> None:
         """Swap the resident snapshot wholesale (e.g. a periodic resync
@@ -190,7 +176,7 @@ class StreamIngestor:
         The new snapshot is materialized, the transition is encoded as a
         :class:`SnapshotDiff` (checksummed against the old resident, so
         the wire format stays replayable to any mirror holding the same
-        base), and the dirty frontier absorbs the touched endpoints.
+        base), and the touched endpoints are returned as ``dirty``.
         ``folded`` is ``fold_event_batch(resident, pending)`` when the
         caller already computed it (a serving tier folds once, logs the
         batch, then commits): it is adopted instead of folding again.
@@ -202,9 +188,11 @@ class StreamIngestor:
             empty = np.empty(0, dtype=np.int64)
             diff = SnapshotDiff(removed=empty.reshape(0, 2),
                                 added=empty.reshape(0, 2),
-                                values=prev.values,
+                                added_values=np.empty(0),
+                                changed_pos=empty,
+                                changed_values=np.empty(0),
                                 base_checksum=edge_checksum(prev),
-                                value_hint=(empty, empty))
+                                nnz=prev.num_edges)
             return IngestResult(prev, diff, empty, 0)
 
         # the fold hands back the transition in the GD wire format — what
@@ -212,7 +200,6 @@ class StreamIngestor:
         curr, dirty, diff = folded if folded is not None \
             else fold_event_batch(prev, events)
         self._resident = curr
-        self._frontier[dirty] = True
         self.total_events += len(events)
         self.total_commits += 1
         self.total_payload_nbytes += diff.payload_nbytes
@@ -229,15 +216,14 @@ def events_between(prev: GraphSnapshot,
     remove+add pair so the replayed resident matches ``curr`` exactly.
     """
     diff = diff_snapshots(prev, curr)
-    added_pos, changed_pos = diff.value_hint
     events = [EdgeEvent(int(u), int(v), "remove") for u, v in diff.removed]
     events += [EdgeEvent(int(u), int(v), "add", float(value))
-               for (u, v), value in zip(diff.added, curr.values[added_pos])]
+               for (u, v), value in zip(diff.added, diff.added_values)]
     # common edges whose value changed (compared exactly: edge values are
     # transaction amounts/counts, and a tolerance here would let the
     # replayed resident silently drift)
-    for (u, v), value in zip(curr.edges[changed_pos],
-                             curr.values[changed_pos]):
+    for (u, v), value in zip(curr.edges[diff.changed_pos],
+                             diff.changed_values):
         events.append(EdgeEvent(int(u), int(v), "remove"))
         events.append(EdgeEvent(int(u), int(v), "add", float(value)))
     return events

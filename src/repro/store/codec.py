@@ -10,12 +10,11 @@ domain encodings live here:
   :class:`~repro.graph.snapshot.GraphSnapshot` makes the conversion a
   bincount + cumsum in each direction.
 * **delta records** — a :class:`~repro.graph.diff.SnapshotDiff` stored
-  *against the previous snapshot*: removed edges become positions into
-  the previous canonical order, and only the values of added or changed
-  edges are kept (the wire-format GD diff ships every value of
-  ``A_{i+1}``; on disk the unchanged ones are recoverable from the
-  previous snapshot, which is what pushes storage well below the §3.2
-  transfer payload).
+  *against the previous snapshot*: the diff's own fields (added edges
+  and values, changed positions and values), with the removed edges as
+  positions into the previous canonical order.  Unchanged values are
+  recoverable from the previous snapshot, which is what pushes storage
+  well below the §3.2 transfer payload.
 * **event batches** — columnar ``(src, dst, op, value)`` arrays, folded
   with exactly the semantics of
   :meth:`repro.serve.ingest.StreamIngestor.commit` so a store replay and
@@ -41,8 +40,8 @@ import zlib
 import numpy as np
 
 from repro.errors import DatasetError, StoreError
-from repro.graph.diff import (SnapshotDiff, _changed_positions, _delta_keys,
-                              _keys, _unkeys, edge_checksum, merge_delta)
+from repro.graph.diff import (SnapshotDiff, _delta_keys, apply_diff,
+                              edge_checksum)
 from repro.graph.snapshot import GraphSnapshot
 
 __all__ = ["pack_record", "unpack_record", "write_capture", "read_capture",
@@ -229,56 +228,50 @@ def snapshot_record_nbytes(snap: GraphSnapshot) -> int:
 def encode_diff(prev: GraphSnapshot, curr: GraphSnapshot,
                 diff: SnapshotDiff, step: int) -> bytes:
     """Store ``prev → curr`` (``curr = apply_diff(prev, diff)``) as a
-    value-delta-compressed GD record."""
-    n = prev.num_vertices
-    removed_pos = np.searchsorted(prev.keys, _delta_keys(diff.removed, n))
-    added_keys = _delta_keys(diff.added, n)
-    added_pos = np.searchsorted(curr.keys, added_keys)
-    changed_pos = _changed_positions(prev, curr, removed_pos, added_pos)
+    GD record: the diff's own fields, its removed edges as positions
+    into ``prev``'s canonical order."""
+    removed_keys, _ = _delta_keys(diff.removed, prev.num_vertices)
     base_checksum = diff.base_checksum if diff.base_checksum != -1 \
         else edge_checksum(prev)
     meta = {"kind": "diff", "step": int(step),
             "base_checksum": int(base_checksum),
             "result_checksum": edge_checksum(curr),
-            "nnz": curr.num_edges}
+            "nnz": int(diff.nnz)}
     return pack_record(meta, {
-        "removed_pos": _narrow(removed_pos),
-        "added": _narrow(_unkeys(added_keys, n)),
-        "added_val": curr.values[added_pos],
-        "changed_pos": _narrow(changed_pos),
-        "changed_val": curr.values[changed_pos],
+        "removed_pos": _narrow(np.searchsorted(prev.keys, removed_keys)),
+        "added": _narrow(np.asarray(diff.added,
+                                    dtype=np.int64).reshape(-1, 2)),
+        "added_val": np.asarray(diff.added_values, dtype=np.float64),
+        "changed_pos": _narrow(np.asarray(diff.changed_pos,
+                                          dtype=np.int64)),
+        "changed_val": np.asarray(diff.changed_values, dtype=np.float64),
     })
 
 
 def decode_diff(data: bytes, prev: GraphSnapshot
                 ) -> tuple[SnapshotDiff, GraphSnapshot, dict]:
-    """Rebuild the full :class:`SnapshotDiff` and the snapshot it
-    produces from a stored delta plus the resident predecessor."""
+    """Read a stored delta back as its :class:`SnapshotDiff` and the
+    snapshot it produces from the resident predecessor."""
     meta, arrays = unpack_record(data)
-    n = prev.num_vertices
     if meta["base_checksum"] != edge_checksum(prev):
         raise StoreError(
             f"delta for step {meta['step']} does not apply: resident "
             f"snapshot is not the base it was encoded against")
-    removed_pos = _widen(arrays["removed_pos"])
-    added = _widen(arrays["added"]).reshape(-1, 2)
+    diff = SnapshotDiff(
+        removed=prev.edges[_widen(arrays["removed_pos"])],
+        added=_widen(arrays["added"]).reshape(-1, 2),
+        added_values=arrays["added_val"],
+        changed_pos=_widen(arrays["changed_pos"]),
+        changed_values=arrays["changed_val"],
+        base_checksum=meta["base_checksum"], nnz=meta["nnz"])
     try:
-        curr, _, _ = merge_delta(prev, prev.keys[removed_pos],
-                                 _keys(added, n), arrays["added_val"])
+        curr = apply_diff(prev, diff)
     except DatasetError as exc:
         raise StoreError(f"delta for step {meta['step']} does not "
                          f"apply: {exc}") from exc
-    if curr.num_edges != meta["nnz"]:
-        raise StoreError(
-            f"delta for step {meta['step']} reconstructs {curr.num_edges} "
-            f"edges, record says {meta['nnz']}")
-    curr.values[_widen(arrays["changed_pos"])] = arrays["changed_val"]
     if edge_checksum(curr) != meta["result_checksum"]:
         raise StoreError(
             f"delta for step {meta['step']} fails its result checksum")
-    diff = SnapshotDiff(removed=prev.edges[removed_pos], added=added,
-                        values=curr.values,
-                        base_checksum=meta["base_checksum"])
     return diff, curr, meta
 
 

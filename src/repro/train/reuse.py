@@ -16,7 +16,9 @@ from ``Ã_{t-1} X^ℓ_{t-1}`` are bounded by
     touched = seeds ∪ dirty_in ∪ rows_reading(seeds ∪ dirty_in)
 
 where ``seeds`` are the diff's endpoint vertices (added, removed and
-value-changed edges — the same seed set the serving frontier expands)
+value-changed edges, read off every diff in O(delta) by
+``diff_touched_vertices``, store-decoded ones included; the same seed
+set the serving tier expands)
 and ``dirty_in`` are the input rows that changed across the timestep.
 ``rows_reading`` — the rows whose ``Ã_t`` row reads a changed column —
 is one O(E) boolean scan of the snapshot's directed edge array (the
@@ -175,7 +177,8 @@ class AggregationCache:
         self.last_call: AggregateCall | None = None
         self._layers: dict[int, _LayerState] = {}
         # delta seed vertices per transition: seeds[t] are the endpoints
-        # of every edge changed by A_{t-1} -> A_t (None = unknown)
+        # of every edge changed by A_{t-1} -> A_t (None at t = 0, which
+        # has no predecessor)
         self._seeds: list[np.ndarray | None] = [None]
         for diff, snap in zip(diffs or [], snapshots[1:]):
             self._seeds.append(diff_touched_vertices(diff, snap))

@@ -8,7 +8,6 @@ from repro.errors import DatasetError
 from repro.graph import (DiffDecoder, GraphSnapshot, apply_diff,
                          diff_snapshots, encode_sequence,
                          sequence_transfer_stats, split_diff_by_blocks)
-from repro.graph.diff import SnapshotDiff
 from repro.graph.generators import evolving_dtdg
 from repro.graph.inc_laplacian import LaplacianMaintainer
 from repro.tensor.sparse import VALUE_BYTES
@@ -26,7 +25,10 @@ class TestDiffSnapshots:
         d = diff_snapshots(a, b)
         assert len(d.removed) == 0
         assert len(d.added) == 0
-        np.testing.assert_array_equal(d.values, [3.0, 4.0])
+        # only the values that moved travel, at their positions
+        np.testing.assert_array_equal(d.changed_pos, [0, 1])
+        np.testing.assert_array_equal(d.changed_values, [3.0, 4.0])
+        assert d.nnz == 2
 
     def test_pure_addition(self):
         a = snap(4, [[0, 1]])
@@ -273,9 +275,9 @@ class TestSplitDiffByBlocks:
         for sub in subs:
             assert len(sub.removed) == 0
             assert len(sub.added) == 0
-        # values of incident current edges still fan out (they are the
-        # per-shard refresh payload even when topology is unchanged)
-        assert sum(len(s.values) for s in subs) >= a.num_edges
+        # values of incident current edges are still charged (they are
+        # the per-shard refresh payload even when topology is unchanged)
+        assert sum(s.nnz for s in subs) >= a.num_edges
 
     def test_single_block_plan_gets_everything(self):
         a = snap(6, [[0, 1], [2, 3]])
@@ -286,7 +288,9 @@ class TestSplitDiffByBlocks:
         assert len(subs) == 1
         np.testing.assert_array_equal(subs[0].removed, diff.removed)
         np.testing.assert_array_equal(subs[0].added, diff.added)
-        np.testing.assert_array_equal(subs[0].values, b.values)
+        np.testing.assert_array_equal(subs[0].added_values,
+                                      diff.added_values)
+        assert subs[0].nnz == b.num_edges
 
     def test_empty_current_snapshot(self):
         a = snap(6, [[0, 1], [2, 3]])
@@ -296,7 +300,7 @@ class TestSplitDiffByBlocks:
         assert len(subs) == 2
         for sub in subs:
             assert len(sub.added) == 0
-            assert len(sub.values) == 0
+            assert sub.nnz == 0
         # every removed edge reaches the shard(s) owning its endpoints
         removed_total = sum(len(s.removed) for s in subs)
         assert removed_total >= a.num_edges
@@ -323,9 +327,9 @@ class TestSplitDiffByBlocks:
 
 
 class TestSplitDiffValueHints:
-    """Per-block diffs must re-index encoder hints into the block-local
+    """Per-block diffs carry their changed positions in the block-local
     value order — whole-graph positions in a shard-local diff would
-    address the wrong edges (regression for the PR-4 value_hint)."""
+    address the wrong edges."""
 
     def _weighted(self, n, pairs, values):
         return GraphSnapshot(n, np.array(pairs, dtype=np.int64),
@@ -353,49 +357,38 @@ class TestSplitDiffValueHints:
         a, b, diff, owners = self._scenario()
         subs = split_diff_by_blocks(diff, b, owners)
         for block, sub in enumerate(subs):
-            assert sub.value_hint is not None
-            added_pos, changed_pos = sub.value_hint
             local = self._block_view(b, owners, block)
-            # hinted added positions address exactly the added edges,
-            # in the block-local canonical order
-            np.testing.assert_array_equal(local.edges[added_pos],
-                                          sub.added)
-            # hinted changed positions address edges whose value really
-            # changed from the previous snapshot
+            assert sub.nnz == local.num_edges
+            # the added values follow their edges into the block
+            want = {tuple(e): v for e, v in zip(b.edges, b.values)}
+            for edge, value in zip(sub.added, sub.added_values):
+                assert want[tuple(edge)] == value
+            # changed positions address edges whose value really
+            # changed from the previous snapshot, in the block-local
+            # canonical order, with their new values
+            assert len(sub.changed_pos)
             prev = {tuple(e): v for e, v in zip(a.edges, a.values)}
-            for pos in changed_pos:
+            for pos, value in zip(sub.changed_pos, sub.changed_values):
                 edge = tuple(local.edges[pos])
-                assert prev[edge] != local.values[pos]
+                assert local.values[pos] == value != prev[edge]
 
-    def test_hinted_and_hintless_maintainers_agree(self):
-        """The satellite contract: a shard-local mirror updated through
-        the re-indexed hint equals the hint-less (aligned-compare) path
-        bit for bit, with no maintainer fallback on either."""
+    def test_block_maintainer_matches_rebuild(self):
+        """A shard-local mirror updated through its sub-delta equals a
+        full rebuild of the block's operator bit for bit, with no
+        maintainer fallback."""
         a, b, diff, owners = self._scenario()
         subs = split_diff_by_blocks(diff, b, owners)
         for block, sub in enumerate(subs):
             base = self._block_view(a, owners, block)
             curr = self._block_view(b, owners, block)
+            assert apply_diff(base, sub) == curr
 
-            hinted = LaplacianMaintainer(base)
-            hinted.update(curr, sub)
-            stripped = SnapshotDiff(removed=sub.removed, added=sub.added,
-                                    values=sub.values)
-            aligned = LaplacianMaintainer(base)
-            aligned.update(curr, stripped)
-
-            assert hinted.incremental_updates == 1
-            assert hinted.fallbacks == 0
-            assert aligned.incremental_updates == 1
-            h, al = hinted.export().csr, aligned.export().csr
-            np.testing.assert_array_equal(h.indptr, al.indptr)
-            np.testing.assert_array_equal(h.indices, al.indices)
-            np.testing.assert_array_equal(h.data, al.data)
-
-    def test_hintless_parent_yields_hintless_subs(self):
-        a, b, diff, owners = self._scenario()
-        stripped = SnapshotDiff(removed=diff.removed, added=diff.added,
-                                values=diff.values,
-                                base_checksum=diff.base_checksum)
-        subs = split_diff_by_blocks(stripped, b, owners)
-        assert all(s.value_hint is None for s in subs)
+            maintainer = LaplacianMaintainer(base)
+            maintainer.update(curr, sub)
+            assert maintainer.incremental_updates == 1
+            assert maintainer.fallbacks == 0
+            got = maintainer.export().csr
+            want = LaplacianMaintainer(curr).export().csr
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            np.testing.assert_array_equal(got.data, want.data)

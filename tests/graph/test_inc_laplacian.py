@@ -14,6 +14,7 @@ from repro.graph import (GraphSnapshot, LaplacianMaintainer, diff_snapshots,
                          encode_sequence, evolving_dtdg,
                          normalized_laplacian)
 from repro.graph.diff import SnapshotDiff, _checksum
+from repro.store.codec import decode_diff, encode_diff
 from tests.helpers import all_backends_fixture
 
 # the maintainer's bit-compatibility contract must hold on every
@@ -45,18 +46,21 @@ class TestStreaming:
         assert m.fallbacks == 0
 
     def test_no_hint_path_is_bit_exact(self):
-        """Diffs without the encoder value hint (e.g. decoded from the
-        store) take the aligned-compare path; same answer."""
+        """Diffs decoded from the store take the same incremental path
+        as the encoder's; same answer, no fallback."""
         dtdg = evolving_dtdg(num_vertices=80, num_timesteps=6,
                              edges_per_snapshot=300, churn=0.3, seed=3)
         first, diffs = encode_sequence(dtdg.snapshots)
         m = LaplacianMaintainer(first)
-        for snap, diff in zip(dtdg.snapshots[1:], diffs):
-            bare = SnapshotDiff(diff.removed, diff.added, diff.values,
-                                diff.base_checksum)
-            m.update(snap, bare)
+        prev = first
+        for step, (snap, diff) in enumerate(zip(dtdg.snapshots[1:], diffs)):
+            decoded, curr, _ = decode_diff(
+                encode_diff(prev, snap, diff, step), prev)
+            m.update(curr, decoded)
             assert_bitwise(m, snap)
+            prev = curr
         assert m.incremental_updates == len(diffs)
+        assert m.fallbacks == 0
 
     def test_maintained_checksum_tracks_resident(self):
         dtdg = evolving_dtdg(num_vertices=60, num_timesteps=5,
@@ -157,7 +161,9 @@ class TestEdgeCases:
         # handcrafted diff whose counts cannot reproduce the target
         bogus = SnapshotDiff(removed=np.empty((0, 2), dtype=np.int64),
                              added=np.array([[2, 3], [3, 4]]),
-                             values=target.values)
+                             added_values=np.ones(2),
+                             changed_pos=np.empty(0, dtype=np.int64),
+                             changed_values=np.empty(0), nnz=3)
         m = LaplacianMaintainer(base)
         m.update(target, bogus)
         assert m.fallbacks == 1

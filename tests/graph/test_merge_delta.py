@@ -18,7 +18,8 @@ from repro.errors import DatasetError
 from repro.graph import GraphSnapshot, apply_diff
 from repro.graph.diff import (SnapshotDiff, _checksum, edge_checksum,
                               merge_delta)
-from repro.graph.inc_laplacian import LaplacianMaintainer
+from repro.graph.inc_laplacian import (LaplacianMaintainer,
+                                      diff_touched_vertices)
 from repro.serve.ingest import EdgeEvent, StreamIngestor, fold_event_batch
 from repro.store.codec import decode_diff, encode_diff
 from repro.tensor.backend import available_backends
@@ -55,14 +56,14 @@ def _assert_same_snapshot(got, want):
 
 
 def _assert_same_diff(got, want):
-    for name in ("removed", "added", "values"):
+    for name in ("removed", "added", "added_values", "changed_pos",
+                 "changed_values"):
         a, b = getattr(got, name), getattr(want, name)
         np.testing.assert_array_equal(a, b)
         assert a.dtype == b.dtype and a.shape == b.shape, name
+    assert got.changed_pos.dtype == np.int64
     assert got.base_checksum == want.base_checksum
-    for a, b in zip(got.value_hint, want.value_hint):
-        np.testing.assert_array_equal(a, b)
-        assert a.dtype == b.dtype == np.int64
+    assert got.nnz == want.nnz
     assert got.payload_nbytes == want.payload_nbytes
 
 
@@ -94,10 +95,10 @@ def test_fold_and_apply_match_the_oracles(initial, batches):
     resident = first
     maintainer = LaplacianMaintainer(first)
     # the one source of degree features, on every update path of every
-    # available kernel backend: hinted delta, hint-less store-decoded
-    # delta, wrong-base delta (guarded fallback), diff=None rebase
+    # available kernel backend: folded delta, store-decoded delta,
+    # wrong-base delta (guarded fallback), diff=None rebase
     paths = {name: {path: LaplacianMaintainer(first, backend=name)
-                    for path in ("hinted", "decoded", "fallback", "rebase")}
+                    for path in ("folded", "decoded", "fallback", "rebase")}
              for name in available_backends()}
     for step, batch in enumerate(batches):
         events = _events(batch, resident)
@@ -119,10 +120,16 @@ def test_fold_and_apply_match_the_oracles(initial, batches):
         maintainer.update(curr, diff)
         decoded, decoded_curr, _ = decode_diff(
             encode_diff(resident, curr, diff, step), resident)
-        assert decoded.value_hint is None
+        # the store holds the delta in the form the fold wrote it
+        _assert_same_diff(decoded, diff)
+        _assert_same_snapshot(decoded_curr, want)
+        seeds = diff_touched_vertices(diff, curr)
+        np.testing.assert_array_equal(
+            diff_touched_vertices(decoded, decoded_curr), seeds)
+        assert np.isin(seeds, touched).all()
         wrong_base = replace(diff, base_checksum=diff.base_checksum ^ 1)
         for by_path in paths.values():
-            by_path["hinted"].update(curr, diff)
+            by_path["folded"].update(curr, diff)
             by_path["decoded"].update(decoded_curr, decoded)
             by_path["fallback"].update(curr, wrong_base)
             by_path["rebase"].update(curr, None)
@@ -131,9 +138,10 @@ def test_fold_and_apply_match_the_oracles(initial, batches):
         resident = curr
 
     for by_path in paths.values():
-        assert by_path["hinted"].fallbacks == 0
+        assert by_path["folded"].fallbacks == 0
         assert by_path["decoded"].fallbacks == 0
-        assert by_path["hinted"].full_rebuilds == 1
+        assert by_path["folded"].full_rebuilds == 1
+        assert by_path["decoded"].full_rebuilds == 1
         assert by_path["fallback"].incremental_updates == 0
         assert by_path["rebase"].incremental_updates == 0
     rebuilt = LaplacianMaintainer(resident).laplacian.csr
@@ -169,10 +177,31 @@ class TestCarriedChecksum:
     def test_edge_count_mismatch_still_rejected(self):
         base = _snap([[0, 1], [1, 2]])
         _, _, diff = fold_event_batch(base, [EdgeEvent(2, 3)])
-        short = SnapshotDiff(removed=diff.removed, added=diff.added,
-                             values=diff.values[:-1])
         with pytest.raises(DatasetError, match="edges for"):
-            apply_diff(base, short)
+            apply_diff(base, replace(diff, nnz=diff.nnz - 1))
+
+    def test_value_fields_are_checked_before_anything_moves(self):
+        """Lengths, changed positions inside ``[0, nnz)`` and a repeated
+        added edge are refused with the resident untouched."""
+        base = _snap([[0, 1], [1, 2]], values=[2.0, 3.0])
+        _, _, diff = fold_event_batch(base, [EdgeEvent(2, 3, "add", 4.0),
+                                             EdgeEvent(0, 1, "add", 1.0)])
+        assert list(diff.changed_pos) == [0]
+        bad = [replace(diff, added_values=diff.added_values[:0]),
+               replace(diff, changed_values=diff.changed_values[:0]),
+               replace(diff, changed_pos=np.array([diff.nnz])),
+               replace(diff, changed_pos=np.array([-1])),
+               replace(diff, added=np.repeat(diff.added, 2, axis=0),
+                       added_values=np.repeat(diff.added_values, 2),
+                       nnz=diff.nnz + 1)]
+        for wrong in bad:
+            with pytest.raises(DatasetError):
+                apply_diff(base, wrong)
+            maintainer = LaplacianMaintainer(base)
+            maintainer.update(apply_diff(base, diff), wrong)
+            assert maintainer.fallbacks == 1
+        np.testing.assert_array_equal(base.values, [2.0, 3.0])
+        assert base.num_edges == 2
 
     def test_chain_of_commits_carries_the_mix(self):
         rng = np.random.default_rng(0)
@@ -210,13 +239,24 @@ class TestMergeContract:
 
     def test_unsorted_wire_delta_is_accepted(self):
         """``apply_diff`` sorts a delta-sized edge list that arrives out
-        of order (the graph itself is never sorted)."""
-        base = _snap([[0, 1], [3, 4]])
-        target = _snap([[0, 1], [1, 1], [2, 0], [3, 4]])
+        of order, its values with it (the graph itself is never
+        sorted); the maintainer takes the same delta incrementally."""
+        base = _snap([[0, 1], [3, 4]], values=[2.0, 5.0])
+        target = _snap([[0, 1], [1, 1], [2, 0], [3, 4]],
+                       values=[2.0, 7.5, 0.25, 6.0])
         diff = SnapshotDiff(removed=np.empty((0, 2), dtype=np.int64),
                             added=np.array([[2, 0], [1, 1]]),
-                            values=np.ones(4))
+                            added_values=np.array([0.25, 7.5]),
+                            changed_pos=np.array([3]),
+                            changed_values=np.array([6.0]),
+                            base_checksum=edge_checksum(base), nnz=4)
         assert apply_diff(base, diff) == target
+        maintainer = LaplacianMaintainer(base)
+        maintainer.update(target, diff)
+        assert maintainer.incremental_updates == 1
+        np.testing.assert_array_equal(
+            maintainer.laplacian.csr.data,
+            LaplacianMaintainer(target).laplacian.csr.data)
 
     def test_pickle_ships_the_graph_not_the_caches(self):
         base = _snap([[0, 1], [1, 2], [3, 4]])

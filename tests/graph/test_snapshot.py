@@ -100,6 +100,15 @@ class TestGraphSnapshot:
             with pytest.raises(DatasetError):
                 GraphSnapshot.from_canonical(3, bad, values)
 
+    def test_equality_is_exact_in_the_values(self):
+        """One ulp on one edge value is another graph (a store or a
+        mirror that is almost the resident is not the resident)."""
+        a = GraphSnapshot(4, [[0, 1], [2, 3]], [1.5, 0.1])
+        values = a.values.copy()
+        values[1] = np.nextafter(values[1], 1.0)
+        assert a == GraphSnapshot(4, [[0, 1], [2, 3]], [1.5, 0.1])
+        assert not a == GraphSnapshot(4, a.edges, values)
+
     def test_adjacency_matches_edges(self):
         s = GraphSnapshot(3, [[0, 1], [2, 0]], values=[2.0, 4.0])
         dense = s.adjacency().csr.toarray()

@@ -145,11 +145,18 @@ def oracle_apply_diff(prev, diff):
     added = np.asarray(diff.added, dtype=np.int64).reshape(-1, 2)
     edges = np.concatenate([_unkeys(common_keys, n), added], axis=0)
     edges = canonical_edges(edges)
-    if len(edges) != len(diff.values):
+    if len(edges) != diff.nnz:
         raise DatasetError(
             f"diff reconstruction produced {len(edges)} edges for "
-            f"{len(diff.values)} values — prev snapshot mismatch?")
-    return GraphSnapshot(n, edges, diff.values)
+            f"{diff.nnz} — prev snapshot mismatch?")
+    # the values: the resident's for common edges, then the diff's
+    value = dict(zip(prev_keys.tolist(), prev.values.tolist()))
+    value.update(zip(_keys(added, n).tolist(), diff.added_values))
+    values = np.array([value[k] for k in _keys(edges, n).tolist()],
+                      dtype=np.float64)
+    values[np.asarray(diff.changed_pos, dtype=np.int64)] = \
+        diff.changed_values
+    return GraphSnapshot(n, edges, values)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,9 @@ class TestSplitDiffByBlocks:
         owners = np.array([0, 0, 1, 1, 2, 2])
         subs = split_diff_by_blocks(diff, curr, owners)
         # block 0's incident current edges: (0,1), (0,3)
-        assert len(subs[0].values) == 2
+        assert subs[0].nnz == 2
+        # the added (0,3) carries its value into block 0
+        np.testing.assert_array_equal(subs[0].added_values, [1.0])
 
     def test_owner_array_must_cover_vertices(self):
         prev, curr, diff = self.make()

@@ -89,16 +89,6 @@ class TestStreamIngestor:
         result = ing.commit()
         assert apply_diff(mirror, result.diff) == result.snapshot
 
-    def test_frontier_accumulates_until_taken(self):
-        ing = StreamIngestor(snap(6, [[0, 1]]))
-        ing.push(EdgeEvent(2, 3))
-        ing.commit()
-        ing.push(EdgeEvent(4, 5))
-        ing.commit()
-        np.testing.assert_array_equal(ing.frontier, [2, 3, 4, 5])
-        np.testing.assert_array_equal(ing.take_frontier(), [2, 3, 4, 5])
-        assert len(ing.frontier) == 0
-
     def test_counters_and_payload(self):
         ing = StreamIngestor(snap(4, [[0, 1]]))
         ing.push_batch([EdgeEvent(1, 2), EdgeEvent(2, 3)])

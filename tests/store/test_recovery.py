@@ -260,3 +260,21 @@ def test_attach_rejects_mismatched_store(stream20, tmp_path):
     store.append_snapshot(dtdg[5])
     with pytest.raises(ConfigError):
         server.attach_store(store)
+
+
+def test_attach_rejects_store_whose_values_differ(stream20, tmp_path):
+    """A store whose tip has the resident's edges but every value
+    5e-6 off (inside ``np.allclose``'s tolerance) is another graph:
+    attaching it would let a recovery serve embeddings that diverge
+    from the live server's."""
+    from repro.errors import ConfigError
+    from repro.graph import GraphSnapshot
+    resident = stream20[0]
+    model, _ = _model_and_head("cdgcn")
+    server = ModelServer(model, resident)
+    store = GraphStore.create(str(tmp_path / "s"), resident.num_vertices)
+    store.append_snapshot(GraphSnapshot(resident.num_vertices,
+                                        resident.edges,
+                                        resident.values + 5e-6))
+    with pytest.raises(ConfigError, match="does not match"):
+        server.attach_store(store)

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.errors import DatasetError
 from repro.cluster.config import ClusterSpec
 from repro.graph.diff import diff_snapshots, encode_sequence
 from repro.graph.dtdg import DTDG
 from repro.graph.inc_laplacian import diff_touched_vertices
 from repro.graph.snapshot import GraphSnapshot
 from repro.models import MODEL_NAMES, build_model
+from repro.store.codec import decode_diff, encode_diff
 from repro.tensor import Tensor
 from repro.tensor.sparse import (SparseMatrix, spmm, spmm_memo, spmm_patch)
 from repro.train.distributed import DistConfig, DistributedTrainer
@@ -134,20 +136,22 @@ class TestAggregationCache:
         assert cache.stats.patches == 0
         assert cache.stats.crossover_fallbacks == len(laps) - 1
 
-    def test_hintless_diff_forbids_patching(self):
+    def test_store_decoded_diffs_patch(self):
+        """A delta read back from the store names its touched vertices
+        like the encoder's, so reuse patches over it exactly."""
         snaps = _chain()
         dtdg = DTDG(list(snaps), name="chain")
         laps, diffs = compute_laplacians_with_diffs(dtdg)
-        stripped = [type(d)(removed=d.removed, added=d.added,
-                            values=d.values,
-                            base_checksum=d.base_checksum)
-                    for d in diffs]
-        cache = AggregationCache(laps, stripped, snaps, ["local"])
+        decoded = [decode_diff(encode_diff(prev, curr, d, t), prev)[0]
+                   for t, (prev, curr, d)
+                   in enumerate(zip(snaps, snaps[1:], diffs))]
+        cache = AggregationCache(laps, decoded, snaps, ["local"],
+                                 crossover=0.9)
         x = Tensor(np.ones((40, 3)))
         for t, lap in enumerate(laps):
             out = cache.aggregate(0, t, lap, x)
             np.testing.assert_array_equal(out.data, lap.csr @ x.data)
-        assert cache.stats.patches == 0
+        assert cache.stats.patches == len(laps) - 1
 
     def test_unknown_operator_runs_full(self):
         snaps = _chain()
@@ -167,10 +171,9 @@ class TestAggregationCache:
         diff = diff_snapshots(a, b)
         touched = diff_touched_vertices(diff, b)
         np.testing.assert_array_equal(touched, [2, 3])
-        # a hint-less diff cannot name value changes
-        stripped = type(diff)(removed=diff.removed, added=diff.added,
-                              values=diff.values)
-        assert diff_touched_vertices(stripped, b) is None
+        # changed positions only name edges of the snapshot they produce
+        with pytest.raises(DatasetError):
+            diff_touched_vertices(diff, GraphSnapshot(n, [[0, 1]]))
 
 
 def _amlsim(seed=5):
