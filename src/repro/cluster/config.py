@@ -13,7 +13,7 @@ only the ratios between the constants matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
@@ -101,21 +101,3 @@ class ClusterSpec:
     @classmethod
     def single_node(cls, gpus: int = 8, **overrides) -> "ClusterSpec":
         return cls(num_nodes=1, gpus_per_node=gpus, **overrides)
-
-    def with_gpus(self, total_gpus: int) -> "ClusterSpec":
-        """Smallest prefix of this cluster exposing ``total_gpus`` ranks.
-
-        Mirrors how the paper's strong-scaling study grows P = 1 … 128 on
-        the same machine: fill nodes one at a time, 8 ranks per node.
-        """
-        if total_gpus <= 0:
-            raise ConfigError("total_gpus must be positive")
-        full_nodes, rem = divmod(total_gpus, self.gpus_per_node)
-        if rem:
-            if full_nodes == 0:
-                return replace(self, num_nodes=1, gpus_per_node=total_gpus)
-            # uneven tail: round the layout up to whole nodes; callers use
-            # exactly `total_gpus` ranks out of it
-            full_nodes += 1
-        nodes = max(1, full_nodes)
-        return replace(self, num_nodes=nodes)

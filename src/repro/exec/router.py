@@ -167,11 +167,6 @@ class ExecStats:
         object.__setattr__(self, "traffic", self.traffic.copy())
 
     @property
-    def load_skew(self) -> float:
-        """max/mean queries per shard (1.0 = perfectly balanced)."""
-        return _skew(self.per_shard_queries)
-
-    @property
     def critical_path_s(self) -> float:
         """Router busy time plus the slowest worker's busy time — the
         tier's wall-clock under ideal parallelism.  For real worker

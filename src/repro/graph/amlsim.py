@@ -105,15 +105,6 @@ class AMLSimResult:
     # account ids participating in any laundering pattern
     suspicious_accounts: set = field(default_factory=set)
 
-    def edge_labels(self, t: int) -> np.ndarray:
-        """Boolean labels aligned with snapshot ``t``'s canonical edges."""
-        snap = self.dtdg[t]
-        labels = np.zeros(snap.num_edges, dtype=bool)
-        for i, (u, v) in enumerate(snap.edges):
-            if (t, int(u), int(v)) in self.suspicious:
-                labels[i] = True
-        return labels
-
     def account_labels(self) -> np.ndarray:
         labels = np.zeros(self.dtdg.num_vertices, dtype=np.int64)
         for acct in self.suspicious_accounts:

@@ -167,10 +167,6 @@ class GraphSnapshot:
             np.add.at(deg, self.edges[:, 1], 1.0)
         return deg
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        """Python-set view of the topology (small graphs / tests only)."""
-        return set(map(tuple, self.edges.tolist()))
-
     # -- transfer accounting (paper §3.2) ------------------------------------------
     @property
     def index_nbytes(self) -> int:
@@ -186,10 +182,6 @@ class GraphSnapshot:
         return self.index_nbytes + self.value_nbytes
 
     # -- misc -----------------------------------------------------------------------
-    def with_values(self, values: np.ndarray) -> "GraphSnapshot":
-        """Same topology, new edge values (canonical order)."""
-        return GraphSnapshot(self.num_vertices, self.edges, values)
-
     def topology_overlap(self, other: "GraphSnapshot") -> float:
         """Jaccard similarity of the two edge sets (paper's GD motivation)."""
         if self.num_edges == 0 and other.num_edges == 0:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.tensor import Tensor
+from repro.tensor import Tensor, functional as F
 from repro.tensor.tensor import as_tensor
 
 __all__ = ["m_matrix", "m_transform_frames", "m_transform_flops",
@@ -28,21 +28,25 @@ __all__ = ["m_matrix", "m_transform_frames", "m_transform_flops",
 
 
 def window_average(contributors: list[Tensor]) -> Tensor:
-    """Uniform average of equally shaped frames as ONE tape node.
+    """Uniform average of equally shaped frames, oldest first, as ONE
+    tape node.
 
     The naive ``x₀·s + x₁·s + …`` chain allocates an intermediate (and
     an autograd node) per contributor; a T-step timeline pays that for
-    every output frame.  This op accumulates in place and records a
-    single backward (each parent receives ``g · 1/len``), which is what
-    keeps the M-transform off the training profile's hot list.
+    every output frame.  This op sums in place (:func:`~repro.tensor.
+    functional.window_mean`, the sum the serving engine runs) and
+    records a single backward (each parent receives ``g · 1/len``),
+    which is what keeps the M-transform off the training profile's hot
+    list.
     """
     contributors = [as_tensor(c) for c in contributors]
     if not contributors:
         raise ConfigError("window_average needs at least one frame")
+    shape = contributors[0].shape
+    acc = F.window_mean([c.data for c in contributors], np.empty(shape),
+                        np.empty(shape))
     scale = 1.0 / len(contributors)
-    acc = contributors[0].data * scale
-    for extra in contributors[1:]:
-        acc += extra.data * scale
+
     def backward(g):
         shared = g * scale
         return tuple(shared for _ in contributors)

@@ -83,9 +83,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += float(amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= float(amount)
-
 
 class Histogram:
     """A bounded-reservoir distribution (Vitter's Algorithm R).

@@ -264,13 +264,6 @@ class Tracer:
         self.roots.clear()
         return out
 
-    def annotate(self, **attrs) -> None:
-        """Attach attributes to the innermost open span, if any —
-        lets helpers deep in the call tree enrich their caller's span
-        without threading the span object through."""
-        if self._stack:
-            self._stack[-1].attrs.update(attrs)
-
     # -- span lifecycle (driven by Span.__enter__/__exit__) ----------------------------
     def _assign_ids(self, span: Span) -> None:
         self._seq += 1

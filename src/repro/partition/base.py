@@ -53,14 +53,6 @@ class TimestepAssignment:
     def num_ranks(self) -> int:
         return len(self.owned)
 
-    def owner_of(self, t: int) -> int:
-        if not 0 <= t < self.num_timesteps:
-            raise PartitionError(f"timestep {t} out of range")
-        for rank, steps in enumerate(self.owned):
-            if t in steps:
-                return rank
-        raise PartitionError(f"timestep {t} unassigned")
-
     def owner_map(self) -> np.ndarray:
         """Array mapping each timestep to its owning rank."""
         owners = np.full(self.num_timesteps, -1, dtype=np.int64)
@@ -108,10 +100,6 @@ class VertexChunks:
     def size(self, rank: int) -> int:
         lo, hi = self.ranges[rank]
         return hi - lo
-
-    def slice_of(self, rank: int) -> slice:
-        lo, hi = self.ranges[rank]
-        return slice(lo, hi)
 
     def owner_array(self) -> np.ndarray:
         owners = np.empty(self.num_vertices, dtype=np.int64)

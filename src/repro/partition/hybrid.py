@@ -59,10 +59,6 @@ class HybridPlan:
                 return g
         raise PartitionError(f"rank {rank} not in any group")
 
-    def member_index(self, rank: int) -> int:
-        g = self.group_of_rank(rank)
-        return self.groups[g].index(rank)
-
 
 def hybrid_partition(num_timesteps: int, num_vertices: int, num_ranks: int,
                      group_size: int,

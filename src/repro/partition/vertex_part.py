@@ -127,12 +127,6 @@ class SnapshotCommPlan:
     def num_ranks(self) -> int:
         return len(self.send)
 
-    def volume_vectors(self) -> int:
-        """Feature vectors exchanged (the paper's per-snapshot volume)."""
-        return sum(len(self.send[p][q])
-                   for p in range(self.num_ranks)
-                   for q in range(self.num_ranks))
-
     def bytes_matrix(self, feature_dim: int,
                      bytes_per_value: int = 4) -> np.ndarray:
         """P×P payload matrix for the communicator."""

@@ -43,12 +43,18 @@ compute the dirty rows' slice of ``Ã·X`` with the row-sliced SpMM
 kernel (bit-identical to the same rows of the full multiply).
 
 What runs on those rows afterwards — projection, skip-concat + ReLU,
-the LSTM / M-product part — is the *dense epilogue*.  It runs on an
-O(``PANEL_ROWS``) scratch held by the engine, and every GEMM in it
-takes a tile of exactly ``TILE_ROWS`` rows however many rows are dirty:
-the working set stays in cache, and a refreshed row is bit-identical to
-the same row of a full recompute on every BLAS kernel family
-(``docs/kernels.md``, "Dense epilogue: fixed-shape tiles").
+the LSTM / M-product part — is the *dense epilogue*: the trained
+model's own steps (:func:`~repro.tensor.functional.project_panel`,
+:func:`~repro.tensor.functional.lstm_panel`,
+:func:`~repro.tensor.functional.window_mean`; EvolveGCN's weights
+evolve through ``lstm_cell_forward``), so a served row is
+bit-identical to the trained model's forward.  The engine keeps only
+the carry bookkeeping.  The steps run on an O(``PANEL_ROWS``) scratch
+held by the engine, and every GEMM takes a tile of exactly
+``TILE_ROWS`` rows however many rows are dirty: the working set stays
+in cache, and a refreshed row is bit-identical to the same row of a
+full recompute on every BLAS kernel family (``docs/kernels.md``,
+"Dense epilogue: fixed-shape tiles").
 
 Which temporal-state arrays each model keeps, and in what order, is
 written down once, as a named schema (:meth:`_state_slots`): captures,
@@ -81,23 +87,15 @@ from repro.models.evolvegcn import EvolveGCN
 from repro.models.tmgcn import TMGCN
 from repro.obs import Telemetry
 from repro.serve.cache import EmbeddingCache
-from repro.tensor.functional import _sigmoid, lstm_cell_forward
+from repro.tensor.functional import (PANEL_ROWS, TILE_ROWS, _fill,
+                                     _gate_major, lstm_cell_forward,
+                                     lstm_panel, project_panel, window_mean)
 
 __all__ = ["InferenceEngine", "REPLICATED_STATE"]
 
 # state-schema name prefixes of the arrays that are not per-vertex:
 # EvolveGCN's weight LSTM, which every shard evolves identically
 REPLICATED_STATE = ("weight_state/", "current_weights/")
-
-
-# Every dense-epilogue GEMM takes a tile of exactly TILE_ROWS rows (the
-# last one zero-padded up to it), so a row count never selects a BLAS
-# kernel.  The elementwise passes between them run over a panel of
-# tiles, on its live rows: numpy's per-call cost is spread over
-# PANEL_ROWS rows while a few-row refresh pays for one tile.  The sweep
-# that chose both is in docs/kernels.md, "Dense epilogue".
-TILE_ROWS = 64
-PANEL_ROWS = 4 * TILE_ROWS
 
 
 @dataclass
@@ -117,15 +115,6 @@ class _Layer:
     hidden: int = 0
 
 
-def _gate_major(param: np.ndarray, hidden: int) -> np.ndarray:
-    """``(..., 4·hidden)`` in the model's ``[i, f, g, o]`` column layout
-    -> C-contiguous ``(4, 1, ..., hidden)`` in the order i, f, o, g (the
-    unit axis broadcasts over a panel's tiles, or its rows)."""
-    blocks = param.reshape(param.shape[:-1] + (4, hidden))
-    return np.ascontiguousarray(
-        np.moveaxis(blocks, -2, 0)[[0, 1, 3, 2], None])
-
-
 class _Panel:
     """One layer's dense-epilogue scratch.  Every array has exactly
     ``PANEL_ROWS`` rows, is allocated once per engine, and never leaves
@@ -136,34 +125,15 @@ class _Panel:
         in_dim, proj_dim = layer.gcn_weight.shape
         self.agg = np.zeros((t, in_dim))
         self.y = np.zeros((t, layer.skip_concat * in_dim + proj_dim))
-        # under skip-concat the projection lands in y's right-hand columns
-        self.proj = self.y[:, -proj_dim:]
         if kind == "cdgcn":
             self.h = np.zeros((t, hs))
             self.c = np.zeros((t, hs))
-            # gate planes i, f, o, g; the h·W_hh term (then sigmoid scratch)
+            # gate planes i, f, o, g; the h·W_hh term, then scratch
             self.gates = np.zeros((4, t, hs))
             self.hh = np.zeros((4, t, hs))
         elif kind == "tmgcn":
             self.out = np.zeros_like(self.y)
             self.frame = np.zeros_like(self.y)
-
-
-def _fill(dst: np.ndarray, src: np.ndarray) -> None:
-    """Load ``src`` into the top of panel array ``dst``, zero-padding the
-    rest: a short last tile still runs the full-shape GEMM."""
-    dst[:len(src)] = src
-    dst[len(src):] = 0.0
-
-
-def _gemm(a: np.ndarray, w: np.ndarray, out: np.ndarray, m: int) -> None:
-    """``out[..., :m, :] = a[:m] @ w`` on panel arrays: one batched
-    ``matmul`` over the tiles that hold a live row, so BLAS sees one
-    GEMM of exactly ``TILE_ROWS`` rows per tile (and gate)."""
-    tiles = -(-m // TILE_ROWS)
-    a = a.reshape(-1, TILE_ROWS, a.shape[-1])
-    out = out.reshape(out.shape[:-2] + a.shape[:2] + out.shape[-1:])
-    np.matmul(a[:tiles], w, out=out[..., :tiles, :, :])
 
 
 class InferenceEngine:
@@ -567,10 +537,7 @@ class InferenceEngine:
                     sel = slice(lo, hi) if layer_rows is None \
                         else layer_rows[lo:hi]
                     _fill(panel.agg, agg[lo:hi])
-                    _gemm(panel.agg, weight, panel.proj, m)
-                    if layer.skip_concat:
-                        panel.y[:, :agg.shape[1]] = panel.agg
-                    np.maximum(panel.y[:m], 0.0, out=panel.y[:m])
+                    project_panel(panel.agg, weight, panel.y, m)
                     out[sel] = self._temporal(idx, panel, sel, m)
             self.epilogue_rows += n
             self.epilogue_tiles += tiles
@@ -582,26 +549,17 @@ class InferenceEngine:
         ``panel.y`` (its first ``m`` rows are vertices ``sel``, the rest
         of their tile zero); returns the layer's ``m`` output rows, a
         view of the scratch."""
+        y = panel.y[:m]
         if self.kind == "cdgcn":
             layer = self.layers[idx]
             h_pre, c_pre = self.cache.pre_carry[idx]
-            h, c = panel.h[:m], panel.c[:m]
-            gates, hh = panel.gates[:, :m], panel.hh[:, :m]
             _fill(panel.h, h_pre[sel])
-            # (y·W_ih + h·W_hh) + b, one GEMM per gate and weight
-            _gemm(panel.y, layer.w_ih, panel.gates, m)
-            _gemm(panel.h, layer.w_hh, panel.hh, m)
-            gates += hh
-            gates += layer.lstm_bias
-            i, f, o = _sigmoid(gates[:3], gates[:3], hh[:3])
-            g = np.tanh(gates[3], out=gates[3])
-            np.multiply(f, c_pre[sel], out=c)            # c = f·c_pre + i·g
-            np.multiply(i, g, out=g)
-            c += g
-            np.multiply(o, np.tanh(c, out=g), out=h)
+            h, c = panel.h[:m], panel.c[:m]
+            lstm_panel(panel.y, panel.h, c_pre[sel], layer.w_ih, layer.w_hh,
+                       layer.lstm_bias, panel.gates, panel.hh, m, c=c,
+                       h_out=h)
             self.cache.post_carry[idx][sel] = c
             return h
-        y = panel.y[:m]
         if self.kind == "tmgcn":
             if self._current_y[idx] is None:
                 self._current_y[idx] = np.zeros(
@@ -609,12 +567,8 @@ class InferenceEngine:
             self._current_y[idx][sel] = y
             active = (self._history[idx][-(self.window - 1):]
                       if self.window > 1 else [])
-            scale = 1.0 / (len(active) + 1)
-            out, part = panel.out[:m], panel.frame[:m]
-            np.multiply(y, scale, out=out)
-            for frame in active:
-                out += np.multiply(frame[sel], scale, out=part)
-            return out
+            return window_mean([frame[sel] for frame in active] + [y],
+                               panel.out[:m], panel.frame[:m])
         return y  # egcn: no vertex-level recurrence
 
     # -- bookkeeping -------------------------------------------------------------------

@@ -141,10 +141,6 @@ class StreamIngestor:
     def resident(self) -> GraphSnapshot:
         return self._resident
 
-    @property
-    def num_pending(self) -> int:
-        return len(self._pending)
-
     def rebase(self, snapshot: GraphSnapshot) -> None:
         """Swap the resident snapshot wholesale (e.g. a periodic resync
         from an authoritative store).  Pending events are kept and will

@@ -32,12 +32,13 @@ from repro.models.base import DynamicGNN
 from repro.nn.linear import EdgeScorer, Linear
 from repro.obs import SloEngine, Telemetry, render_dashboard
 from repro.serve.cache import EmbeddingCache
-from repro.serve.engine import TILE_ROWS, InferenceEngine
+from repro.serve.engine import InferenceEngine
 from repro.serve.ingest import (EdgeEvent, IngestResult, StreamIngestor,
                                 fold_event_batch)
 from repro.serve.metrics import LatencyTracker, ServerCounters, ServerStats
 from repro.store.recovery import (capture_engine_state,
                                   restore_engine_state)
+from repro.tensor.functional import _fill, _gemm, _tiled
 
 __all__ = ["PendingQuery", "QueryFrontend", "ModelServer", "score_links",
            "score_fraud"]
@@ -56,14 +57,16 @@ def _row_softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _head_logits(head: Linear, x: np.ndarray) -> np.ndarray:
-    """``x @ W + b`` on zero-padded tiles of ``TILE_ROWS`` rows: the row
-    count never picks the BLAS kernel, so a query's score does not
-    depend on which queries share its flush (or its shard's group)."""
-    m, k = x.shape
-    tiles = np.zeros((-(-m // TILE_ROWS), TILE_ROWS, k))
-    tiles.reshape(-1, k)[:m] = x
-    logits = np.matmul(tiles, head.weight.data)
-    logits = logits.reshape(-1, head.out_features)[:m]
+    """``x @ W + b`` on zero-padded tiles of ``TILE_ROWS`` rows (the
+    model steps' padded-tile GEMM): the row count never picks the BLAS
+    kernel, so a query's score does not depend on which queries share
+    its flush (or its shard's group)."""
+    m = len(x)
+    tiles = np.empty((_tiled(m), x.shape[1]))
+    _fill(tiles, x)
+    logits = np.empty((len(tiles), head.out_features))
+    _gemm(tiles, head.weight.data, logits, m)
+    logits = logits[:m]
     if head.use_bias:
         logits += head.bias.data
     return logits

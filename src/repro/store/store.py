@@ -387,16 +387,6 @@ class GraphStore:
             return None
         return [self.features_for(t) for t in range(start, stop)]
 
-    def iter_snapshots(self, start: int = 0, stop: int | None = None
-                       ) -> Iterator[GraphSnapshot]:
-        """Stream sealed snapshots in order, one delta apart."""
-        stop = len(self._seals) if stop is None else stop
-        prev: tuple[int, GraphSnapshot] | None = None
-        for t in range(start, stop):
-            snap = self.materialize(t, cached=False, hint=prev)
-            prev = (t, snap)
-            yield snap
-
     # -- observability -------------------------------------------------------------------
     def collect_metrics(self, reg) -> None:
         """Sync the store's authoritative counters into ``reg``.

@@ -5,10 +5,14 @@ Eq. 2), sigmoid/tanh for the LSTM gates (paper §5.1/§5.2), and the
 cross-entropy losses used for link prediction and node classification
 (paper §2.2, §6.4).
 
-The two dense stages the models spend their time in, one LSTM cell step
-and the GCN projection, are fused primitives (:func:`lstm_cell`,
-:func:`gcn_project`): O(1) tape nodes each and a hand-written backward
-(``docs/kernels.md``, "Training dense path: fused tape nodes").
+Each model step's dense arithmetic is written once here, on arrays:
+the LSTM cell (:func:`lstm_panel`), the GCN projection
+(:func:`project_panel`) and TM-GCN's window sum (:func:`window_mean`).
+The serving engine runs them on its panel scratch; the fused tape
+primitives :func:`lstm_cell` and :func:`gcn_project` run them for their
+forward, O(1) tape nodes each with a hand-written backward
+(``docs/kernels.md``, "Training dense path: fused tape nodes").  So a
+served row has the bits of the trained one.
 """
 
 from __future__ import annotations
@@ -21,13 +25,20 @@ from repro.tensor.tensor import Tensor, as_tensor, is_grad_enabled
 __all__ = [
     "relu", "sigmoid", "tanh", "softmax", "log_softmax", "cross_entropy",
     "binary_cross_entropy_with_logits", "mse_loss",
-    "lstm_cell", "lstm_cell_forward", "gcn_project", "PANEL_ROWS",
+    "lstm_cell", "lstm_cell_forward", "lstm_panel", "gcn_project",
+    "project_panel", "window_mean", "TILE_ROWS", "PANEL_ROWS",
 ]
 
-# Rows the fused cell works on at a time: one panel's gates and scratch
-# stay cache-resident between its GEMMs and its elementwise passes (the
-# sweep that chose it is in docs/kernels.md, "Training dense path").
-PANEL_ROWS = 512
+# Every dense GEMM of a model step takes a tile of exactly TILE_ROWS rows
+# (the last one zero-padded up to it), so a row count never selects a
+# BLAS kernel: a row gets the same bits in a training forward, a full
+# serving recompute and a one-row refresh.  The elementwise passes
+# between the GEMMs run over a panel of tiles, on its live rows: numpy's
+# per-call cost is spread over PANEL_ROWS rows while a few-row refresh
+# pays for one tile.  The sweeps that chose both are in docs/kernels.md
+# ("Dense epilogue", "Training dense path").
+TILE_ROWS = 64
+PANEL_ROWS = 4 * TILE_ROWS
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
@@ -47,6 +58,104 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
     return np.divide(out, e, out=out)
 
 
+# -- the model steps on arrays ---------------------------------------------------
+def _tiled(rows: int) -> int:
+    """``rows`` rounded up to whole tiles."""
+    return -(-rows // TILE_ROWS) * TILE_ROWS
+
+
+def _panels(rows: int):
+    """The ``(lo, hi)`` row ranges of at most ``PANEL_ROWS`` rows that
+    cover ``rows``, in order (the order fixes every panel-wise sum)."""
+    return ((lo, min(lo + PANEL_ROWS, rows))
+            for lo in range(0, rows, PANEL_ROWS))
+
+
+def _fill(dst: np.ndarray, src: np.ndarray) -> None:
+    """Load ``src`` into the top of panel array ``dst``, zero-padding the
+    rest: a short last tile still runs the full-shape GEMM."""
+    dst[:len(src)] = src
+    dst[len(src):] = 0.0
+
+
+def _gemm(a: np.ndarray, w: np.ndarray, out: np.ndarray, m: int) -> None:
+    """``out[..., :m, :] = a[:m] @ w`` on panel arrays (whole tiles of
+    rows): one batched ``matmul`` over the tiles that hold a live row,
+    so BLAS sees one GEMM of exactly ``TILE_ROWS`` rows per tile (and
+    gate)."""
+    tiles = -(-m // TILE_ROWS)
+    a = a.reshape(-1, TILE_ROWS, a.shape[-1])
+    out = out.reshape(out.shape[:-2] + (-1, TILE_ROWS) + out.shape[-1:])
+    np.matmul(a[:tiles], w, out=out[..., :tiles, :, :])
+
+
+def _gate_major(param: np.ndarray, hidden: int) -> np.ndarray:
+    """``(..., 4·hidden)`` in the parameters' ``[i, f, g, o]`` column
+    layout -> C-contiguous ``(4, 1, ..., hidden)`` in the order i, f, o,
+    g (the unit axis broadcasts over a panel's tiles, or its rows)."""
+    blocks = param.reshape(param.shape[:-1] + (4, hidden))
+    return np.ascontiguousarray(
+        np.moveaxis(blocks, -2, 0)[[0, 1, 3, 2], None])
+
+
+def lstm_panel(x: np.ndarray, h: np.ndarray, c_prev: np.ndarray,
+               w_ih: np.ndarray, w_hh: np.ndarray, bias: np.ndarray,
+               gates: np.ndarray, scratch: np.ndarray, m: int, *,
+               c: np.ndarray, h_out: np.ndarray,
+               tanh_c: np.ndarray | None = None) -> None:
+    """One LSTM cell step on one panel, ``m`` live rows:
+    ``z = (x·W_ih + h·W_hh) + b``, ``c = f·c_prev + i·g``,
+    ``h = o·tanh(c)``.
+
+    ``x`` and ``h`` hold the inputs zero-padded to whole tiles; the
+    weights and bias are packed by :func:`_gate_major`.  ``gates`` and
+    ``scratch`` are ``(4, ≥ tiles·TILE_ROWS, hidden)`` planes: each
+    gate's GEMM writes its own plane, and ``gates`` is left holding the
+    activated i, f, o, g.  ``c`` and ``h_out`` (which may be ``h``'s
+    live rows: its GEMM is done by then) receive the ``m`` new rows,
+    ``tanh_c`` (default: scratch) ``tanh(c)``."""
+    _gemm(x, w_ih, gates, m)
+    _gemm(h, w_hh, scratch, m)
+    z, e = gates[:, :m], scratch[:, :m]
+    z += e
+    z += bias
+    i, f, o = _sigmoid(z[:3], z[:3], e[:3])
+    g = np.tanh(z[3], out=z[3])
+    np.multiply(f, c_prev, out=c)
+    c += np.multiply(i, g, out=e[3])
+    tanh_c = np.tanh(c, out=e[3] if tanh_c is None else tanh_c)
+    np.multiply(o, tanh_c, out=h_out)
+
+
+def project_panel(agg: np.ndarray, weight: np.ndarray, y: np.ndarray,
+                  m: int, relu: bool = True) -> np.ndarray:
+    """The GCN projection on ``m`` live rows held in whole tiles (a
+    panel, or all rows): ``agg·W`` into the right-hand columns of ``y``,
+    under CD-GCN's skip-concatenation ``agg`` into the left-hand ones,
+    then ReLU in place.  Returns ``y``'s live rows."""
+    skip = y.shape[1] - weight.shape[1]
+    _gemm(agg, weight, y[:, skip:], m)
+    if skip:
+        y[:, :skip] = agg
+    y = y[:m]
+    if relu:
+        np.maximum(y, 0.0, out=y)
+    return y
+
+
+def window_mean(frames: list[np.ndarray], out: np.ndarray,
+                part: np.ndarray) -> np.ndarray:
+    """TM-GCN's M-product window into ``out``: the mean of equally
+    shaped ``frames``, each scaled by ``1/len`` and summed oldest frame
+    first, current last (``part`` is scratch)."""
+    scale = 1.0 / len(frames)
+    np.multiply(frames[0], scale, out=out)
+    for frame in frames[1:]:
+        out += np.multiply(frame, scale, out=part)
+    return out
+
+
+# -- tape ops ---------------------------------------------------------------------
 def relu(x) -> Tensor:
     x = as_tensor(x)
     mask = x.data > 0
@@ -78,48 +187,35 @@ def tanh(x) -> Tensor:
     return Tensor._make(out, (x,), backward)
 
 
-def _panels(rows: int):
-    """The ``(lo, hi)`` row ranges of at most ``PANEL_ROWS`` rows that
-    cover ``rows``, in order (the order fixes every panel-wise sum)."""
-    return ((lo, min(lo + PANEL_ROWS, rows))
-            for lo in range(0, rows, PANEL_ROWS))
-
-
 def lstm_cell_forward(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
                       w_ih: np.ndarray, w_hh: np.ndarray, bias: np.ndarray,
                       keep: bool = False):
-    """One LSTM cell step on arrays, a row panel at a time:
-    ``z = (x·W_ih + h_prev·W_hh) + b`` with gate columns ``[i, f, g, o]``,
-    ``c = f·c_prev + i·g``, ``h = o·tanh(c)``.
+    """One LSTM cell step on arrays: :func:`lstm_panel` a panel at a
+    time, the parameters in their ``[i, f, g, o]`` column layout.
 
-    Returns ``(h, c, gates, tanh_c)``.  The activated gates
-    ``(rows, 4·hidden)`` and ``tanh(c)`` are all a backward needs beside
-    the inputs and outputs; without ``keep`` they live on one panel of
-    scratch and come back as ``None``.
+    Returns ``(h, c, gates, tanh_c)``.  The activated gate planes
+    ``(4, rows, hidden)`` (order i, f, o, g) and ``tanh(c)`` are all a
+    backward needs beside the inputs and outputs; without ``keep`` they
+    live on one panel of scratch and come back as ``None``.
     """
     rows, hs = c_prev.shape
+    packed = [_gate_major(p, hs) for p in (w_ih, w_hh, bias)]
     h, c = np.empty((rows, hs)), np.empty((rows, hs))
-    span = min(rows, PANEL_ROWS)
-    held = rows if keep else span
-    gates, tanh_c = np.empty((held, 4 * hs)), np.empty((held, hs))
-    scratch = np.empty((span, 4 * hs))
+    gates, tanh_c = (np.empty((4, rows, hs)), np.empty((rows, hs))) if keep \
+        else (None, None)
+    span = min(_tiled(rows), PANEL_ROWS)
+    xs, hp = np.empty((span, x.shape[1])), np.empty((span, hs))
+    planes, scratch = np.empty((4, span, hs)), np.empty((4, span, hs))
     for lo, hi in _panels(rows):
-        at = slice(lo, hi) if keep else slice(0, hi - lo)
-        z, tc, e = gates[at], tanh_c[at], scratch[:hi - lo]
-        np.matmul(x[lo:hi], w_ih, out=z)
-        np.matmul(h_prev[lo:hi], w_hh, out=e)
-        z += e
-        z += bias
-        i, f, g, o = (z[:, k * hs:(k + 1) * hs] for k in range(4))
-        # one contiguous logistic pass over all four blocks beats three
-        # strided ones; g's own activation is parked in tc meanwhile
-        np.tanh(g, out=tc)
-        _sigmoid(z, z, e)
-        g[...] = tc
-        c_new = np.multiply(f, c_prev[lo:hi], out=c[lo:hi])
-        c_new += np.multiply(i, g, out=e[:, :hs])
-        np.multiply(o, np.tanh(c_new, out=tc), out=h[lo:hi])
-    return (h, c, gates, tanh_c) if keep else (h, c, None, None)
+        _fill(xs, x[lo:hi])
+        _fill(hp, h_prev[lo:hi])
+        lstm_panel(xs, hp, c_prev[lo:hi], *packed, planes, scratch, hi - lo,
+                   c=c[lo:hi], h_out=h[lo:hi],
+                   tanh_c=None if tanh_c is None else tanh_c[lo:hi])
+        if keep:
+            # the panel ran on cache-resident planes; keep a copy
+            gates[:, lo:hi] = planes[:, :hi - lo]
+    return h, c, gates, tanh_c
 
 
 def lstm_cell(x, h_prev, c_prev, w_ih, w_hh, bias) -> tuple[Tensor, Tensor]:
@@ -130,9 +226,10 @@ def lstm_cell(x, h_prev, c_prev, w_ih, w_hh, bias) -> tuple[Tensor, Tensor]:
     it hands ``c`` the ``dh·o·(1 − tanh²c)`` term and leaves ``dh``
     itself in ``pending`` for ``c``'s backward to take for the o-gate
     (an unused ``h`` leaves it empty: ``do = 0``).  ``c``'s backward
-    forms ``dz`` one panel at a time and issues each of ``dz·W_ihᵀ``,
-    ``dz·W_hhᵀ``, ``xᵀ·dz``, ``h_prevᵀ·dz`` once per panel, for the
-    inputs that require a gradient.
+    forms ``dz`` (columns ``[i, f, g, o]``, the parameters' layout) one
+    panel at a time from the kept gate planes and issues each of
+    ``dz·W_ihᵀ``, ``dz·W_hhᵀ``, ``xᵀ·dz``, ``h_prevᵀ·dz`` once per
+    panel, for the inputs that require a gradient.
     """
     ins = tuple(as_tensor(t) for t in (x, h_prev, c_prev, w_ih, w_hh, bias))
     need = [t.requires_grad for t in ins]
@@ -146,7 +243,7 @@ def lstm_cell(x, h_prev, c_prev, w_ih, w_hh, bias) -> tuple[Tensor, Tensor]:
         pending.append(dh)
         d = np.multiply(tanh_c, tanh_c)
         np.subtract(1.0, d, out=d)
-        return (np.multiply(d, dh * gates[:, 3 * hs:], out=d),)
+        return (np.multiply(d, dh * gates[2], out=d),)
 
     def backward_c(dc):
         dh = pending.pop() if pending else None
@@ -154,26 +251,27 @@ def lstm_cell(x, h_prev, c_prev, w_ih, w_hh, bias) -> tuple[Tensor, Tensor]:
             np.zeros(t.shape) if n else None
             for t, n in zip((xd, hd, cd, wi, wh, bd), need))
         span = min(rows, PANEL_ROWS)
-        dzs, slopes = np.empty((span, 4 * hs)), np.empty((span, 4 * hs))
+        dzs, slope = np.empty((span, 4 * hs)), np.empty((span, hs))
         for lo, hi in _panels(rows):
-            a, dz, s = gates[lo:hi], dzs[:hi - lo], slopes[:hi - lo]
-            i, f, g, o = (a[:, k * hs:(k + 1) * hs] for k in range(4))
+            i, f, o, g = gates[:, lo:hi]
+            dz, s = dzs[:hi - lo], slope[:hi - lo]
             di, df, dg, do = (dz[:, k * hs:(k + 1) * hs] for k in range(4))
             d = dc[lo:hi]
+            # through the activations: s·(1 − s) on i, f, o; 1 − g² on g
             np.multiply(d, g, out=di)
+            di *= i
+            di *= np.subtract(1.0, i, out=s)
             np.multiply(d, cd[lo:hi], out=df)
+            df *= f
+            df *= np.subtract(1.0, f, out=s)
             np.multiply(d, i, out=dg)
+            dg *= np.subtract(1.0, np.multiply(g, g, out=s), out=s)
             if dh is None:
                 do[...] = 0.0
             else:
                 np.multiply(dh[lo:hi], tanh_c[lo:hi], out=do)
-            # through the activations: s·(1 − s) on i, f, o; 1 − g² on g
-            np.subtract(1.0, a, out=s)
-            sg = s[:, 2 * hs:3 * hs]
-            np.subtract(1.0, np.multiply(g, g, out=sg), out=sg)
-            dz[:, :2 * hs] *= a[:, :2 * hs]
-            do *= o
-            dz *= s
+                do *= o
+                do *= np.subtract(1.0, o, out=s)
             if need[0]:
                 np.matmul(dz, wi.T, out=dx[lo:hi])
             if need[1]:
@@ -197,18 +295,17 @@ def gcn_project(aggregated, weight, skip_concat: bool = False,
     """The parameterized half of a graph convolution over a pre-computed
     ``Y₀ = Ã·X``, as one tape node: ``σ(Y₀·W)``, or CD-GCN's
     skip-concatenation ``σ(Y₀ ∘ Y₀·W)`` of width ``F + F'`` (§5.1).
-    ``σ`` is ReLU, or the identity with ``relu=False``.  The projection
-    lands in the output's right-hand columns and the ReLU runs in place;
-    backward re-derives the mask from the output, so nothing is saved."""
+    ``σ`` is ReLU, or the identity with ``relu=False``.  The forward is
+    :func:`project_panel` over all rows' tiles; backward re-derives the
+    ReLU mask from the output, so nothing is saved."""
     a, w = as_tensor(aggregated), as_tensor(weight)
-    ad, wd = a.data, w.data
-    skip = ad.shape[1] if skip_concat else 0
-    out = np.empty((ad.shape[0], skip + wd.shape[1]))
-    if skip:
-        out[:, :skip] = ad
-    np.matmul(ad, wd, out=out[:, skip:])
-    if relu:
-        np.maximum(out, 0.0, out=out)
+    ad, wd = a.data, np.ascontiguousarray(w.data)
+    rows, f_in = ad.shape
+    skip = f_in if skip_concat else 0
+    agg = np.empty((_tiled(rows), f_in))
+    _fill(agg, ad)
+    out = project_panel(agg, wd, np.empty((len(agg), skip + wd.shape[1])),
+                        rows, relu)
 
     def backward(g):
         if relu:

@@ -75,9 +75,6 @@ class Module:
             m.train(mode)
         return self
 
-    def eval(self) -> "Module":
-        return self.train(False)
-
     # -- serialization ---------------------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
@@ -97,9 +94,6 @@ class Module:
                     f"parameter {name}: shape {value.shape} != "
                     f"{p.data.shape}")
             p.data = value.copy()
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
 
     # -- call protocol ---------------------------------------------------------------
     def forward(self, *args, **kwargs):  # pragma: no cover - abstract

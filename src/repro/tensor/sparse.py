@@ -146,12 +146,6 @@ class SparseMatrix:
         order = np.lexsort((edges[:, 1], edges[:, 0]))
         return edges[order]
 
-    def values_sorted(self) -> np.ndarray:
-        """Values aligned with :meth:`coo_edges` ordering."""
-        coo = self.csr.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return coo.data[order]
-
     # -- byte accounting (paper §3.2) -------------------------------------------
     @property
     def index_nbytes(self) -> int:
@@ -167,10 +161,6 @@ class SparseMatrix:
     def nbytes(self) -> int:
         """Full naive (index, value) sparse-transfer footprint."""
         return self.index_nbytes + self.value_nbytes
-
-    # -- algebra ----------------------------------------------------------------
-    def matmul_dense(self, dense: np.ndarray) -> np.ndarray:
-        return self.backend.spmm(self.csr, dense)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"SparseMatrix(shape={self.shape}, nnz={self.nnz}, "

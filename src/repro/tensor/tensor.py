@@ -24,7 +24,7 @@ Design notes
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -165,11 +165,6 @@ class Tensor:
         rebuilt and freed independently (paper §3.1).
         """
         return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
-    def clone(self) -> "Tensor":
-        """Return a leaf copy of this tensor (fresh storage)."""
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad,
-                      dtype=self.data.dtype)
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -16,7 +16,7 @@ case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,19 +135,6 @@ class LinkPredictionTask:
             logits = self.head(final_embedding, sample.pairs)
         pred = logits.data.argmax(axis=1)
         return float((pred == sample.labels).mean())
-
-    def train_accuracy(self, embeddings: list[Tensor]) -> float:
-        correct = 0
-        total = 0
-        with no_grad():
-            for t, z in enumerate(embeddings[:self.num_train_timesteps]):
-                sample = self.samples[t]
-                if len(sample.pairs) == 0:
-                    continue
-                pred = self.head(z, sample.pairs).data.argmax(axis=1)
-                correct += int((pred == sample.labels).sum())
-                total += len(sample.labels)
-        return correct / total if total else float("nan")
 
     def head_flops_per_step(self) -> float:
         rows = int(np.mean([len(s.pairs) for s in self.samples])) \

@@ -53,19 +53,6 @@ class TestClusterSpec:
         assert spec.total_gpus == 4
         assert spec.same_node(0, 3)
 
-    def test_with_gpus_whole_nodes(self):
-        spec = ClusterSpec.aimos().with_gpus(32)
-        assert spec.num_nodes == 4
-
-    def test_with_gpus_sub_node(self):
-        spec = ClusterSpec.aimos().with_gpus(4)
-        assert spec.num_nodes == 1
-        assert spec.gpus_per_node == 4
-
-    def test_with_gpus_invalid(self):
-        with pytest.raises(ConfigError):
-            ClusterSpec.aimos().with_gpus(0)
-
 
 class TestTimeBreakdown:
     def test_total(self):

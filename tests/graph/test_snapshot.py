@@ -81,7 +81,8 @@ class TestGraphSnapshot:
         s = GraphSnapshot(3, edges, values)
         np.testing.assert_array_equal(s.edges, edges)
         np.testing.assert_array_equal(s.values, values)
-        assert np.shares_memory(s.with_values(values * 2).edges, edges)
+        assert np.shares_memory(GraphSnapshot(3, s.edges, values * 2).edges,
+                                edges)
         with pytest.raises(AssertionError):
             GraphSnapshot(3, edges[::-1])
 
@@ -137,22 +138,12 @@ class TestGraphSnapshot:
         assert s.value_nbytes == 3 * 4
         assert s.nbytes == 3 * 20
 
-    def test_with_values(self):
-        s = GraphSnapshot(3, [[0, 1], [1, 2]])
-        s2 = s.with_values([5.0, 6.0])
-        np.testing.assert_array_equal(s2.values, [5.0, 6.0])
-        np.testing.assert_array_equal(s2.edges, s.edges)
-
     def test_equality(self):
         a = GraphSnapshot(3, [[0, 1]])
         b = GraphSnapshot(3, [[0, 1]])
         c = GraphSnapshot(3, [[0, 2]])
         assert a == b
         assert a != c
-
-    def test_edge_set(self):
-        s = GraphSnapshot(3, [[0, 1], [1, 2]])
-        assert s.edge_set() == {(0, 1), (1, 2)}
 
 
 class TestOverlap:

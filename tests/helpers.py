@@ -159,12 +159,18 @@ def oracle_apply_diff(prev, diff):
     return GraphSnapshot(n, edges, values)
 
 
+def edge_set(snapshot) -> set[tuple[int, int]]:
+    """A snapshot's topology as a Python set of ``(src, dst)`` pairs."""
+    return set(map(tuple, snapshot.edges.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # dense-epilogue oracle: the masked two-branch logistic
 # ---------------------------------------------------------------------------
 # Until the fixed-shape tiled epilogue this was repro.serve.engine._sigmoid:
-# split by sign with boolean masks, one ``exp`` per branch.  The engine's
-# branch-free single-``exp`` form must match it bit for bit.
+# split by sign with boolean masks, one ``exp`` per branch.  The
+# branch-free single-``exp`` form (repro.tensor.functional._sigmoid) must
+# match it bit for bit.
 
 def oracle_sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
@@ -181,8 +187,8 @@ def oracle_sigmoid(z: np.ndarray) -> np.ndarray:
 # Until the fused tape nodes (repro.tensor.functional.lstm_cell /
 # gcn_project) these were the bodies of LSTMCell.forward and
 # GCNLayer.forward_precomputed: 17 and 3 tape nodes of elementary ops.
-# The fused primitives must match them: to the bit while the rows fit
-# one panel, to summation order above it (tests/nn/test_fused_ops.py).
+# The fused primitives, whose GEMMs run on fixed tiles, must match them
+# to summation order (tests/nn/test_fused_ops.py).
 
 def oracle_lstm_cell(x, h_prev, c_prev, w_ih, w_hh, bias):
     from repro.tensor import functional as F

@@ -33,12 +33,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_inc(self):
         g = Gauge()
         g.set(5)
         g.inc(2)
-        g.dec()
-        assert g.value == 6.0
+        assert g.value == 7.0
 
     def test_nan_set_rejected(self):
         with pytest.raises(ValueError):

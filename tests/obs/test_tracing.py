@@ -73,18 +73,16 @@ class TestTree:
         walked = [(d, s.name) for d, s in tracer.roots[0].walk()]
         assert walked == [(0, "a"), (1, "b"), (2, "c"), (1, "d")]
 
-    def test_set_annotate_and_error_attr(self):
+    def test_set_and_error_attr(self):
         tracer = Tracer(enabled=True)
         try:
             with tracer.trace("risky") as span:
                 span.set(step=3)
-                tracer.annotate(deep="yes")
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
         root = tracer.roots[0]
-        assert root.attrs == {"step": 3, "deep": "yes",
-                              "error": "RuntimeError"}
+        assert root.attrs == {"step": 3, "error": "RuntimeError"}
 
     def test_bounded_roots(self):
         tracer = Tracer(enabled=True, max_roots=4)

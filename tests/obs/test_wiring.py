@@ -15,7 +15,7 @@ from repro.models import build_model
 from repro.nn.linear import Linear
 from repro.obs import NULL_SPAN, Span, Telemetry, Tracer
 from repro.serve import ModelServer, events_between
-from repro.serve.engine import TILE_ROWS
+from repro.tensor.functional import TILE_ROWS
 from repro.store import GraphStore
 from repro.train import DistConfig, DistributedTrainer, LinkPredictionTask
 

@@ -49,12 +49,6 @@ class TestSnapshotPartition:
         a = snapshot_partition(6, 3)
         np.testing.assert_array_equal(a.owner_map(), [0, 0, 1, 1, 2, 2])
 
-    def test_owner_of(self):
-        a = snapshot_partition(6, 3)
-        assert a.owner_of(3) == 1
-        with pytest.raises(PartitionError):
-            a.owner_of(6)
-
     def test_more_ranks_than_timesteps(self):
         a = snapshot_partition(2, 4)
         assert a.owned[2] == () and a.owned[3] == ()
@@ -113,7 +107,6 @@ class TestVertexChunks:
         vc = VertexChunks.uniform(10, 3)
         assert vc.ranges == ((0, 4), (4, 7), (7, 10))
         assert vc.size(0) == 4
-        assert vc.slice_of(1) == slice(4, 7)
 
     def test_owner_array(self):
         vc = VertexChunks.uniform(5, 2)

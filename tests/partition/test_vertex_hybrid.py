@@ -50,6 +50,12 @@ class TestVertexPartition:
         assert vp.imbalance() < 1.6
 
 
+def _volume(plan) -> int:
+    """Feature vectors the plan exchanges (the paper's per-snapshot
+    volume): its payload matrix at one one-byte value per vector."""
+    return int(plan.bytes_matrix(1, 1).sum())
+
+
 class TestSnapshotCommPlan:
     def _plan(self, edges, assignment, p):
         n = len(assignment)
@@ -62,21 +68,21 @@ class TestSnapshotCommPlan:
     def test_no_comm_when_partition_respects_edges(self):
         # vertices {0,1} on rank 0, {2,3} on rank 1, edges only inside
         plan, _ = self._plan([[0, 1], [2, 3]], [0, 0, 1, 1], 2)
-        assert plan.volume_vectors() == 0
+        assert _volume(plan) == 0
 
     def test_cross_edge_requires_send(self):
         # edge 0 -> 2 crosses ranks: owner of column 0 must send to the
         # rank owning row 2's block... rows needing col 0 = {0 (diag), 2}
         plan, vp = self._plan([[2, 0]], [0, 0, 1, 1], 2)
         # column 0 (renamed) has support {0, 2}: rank 0 sends to rank 1
-        assert plan.volume_vectors() == 1
+        assert _volume(plan) == 1
         assert len(plan.send[0][1]) + len(plan.send[1][0]) == 1
 
     def test_volume_counts_lambda_minus_one(self):
         # star: vertex 0 feeds rows on both other ranks
         plan, _ = self._plan([[1, 0], [2, 0], [3, 0]], [0, 0, 1, 2], 3)
         # column 0 support {0,1,2,3} spans ranks {0,1,2}: λ−1 = 2 sends
-        assert plan.volume_vectors() == 2
+        assert _volume(plan) == 2
 
     def test_bytes_matrix(self):
         plan, _ = self._plan([[2, 0]], [0, 0, 1, 1], 2)
@@ -89,7 +95,7 @@ class TestSnapshotCommPlan:
         snap = GraphSnapshot(n, np.empty((0, 2), dtype=np.int64))
         vp = random_vertex_partition(n, 3, seed=0)
         plan = SnapshotCommPlan.build(normalized_laplacian(snap), vp)
-        assert plan.volume_vectors() == 0
+        assert _volume(plan) == 0
 
     def test_volume_increases_with_ranks(self):
         dtdg = evolving_dtdg(60, 1, 300, churn=0.0, seed=1)
@@ -99,7 +105,7 @@ class TestSnapshotCommPlan:
             vp = random_vertex_partition(60, p, seed=0)
             renamed = GraphSnapshot(60, vp.rename_edges(snap.edges))
             plan = SnapshotCommPlan.build(normalized_laplacian(renamed), vp)
-            volumes.append(plan.volume_vectors())
+            volumes.append(_volume(plan))
         assert volumes[0] < volumes[1] < volumes[2]
 
 
@@ -120,10 +126,9 @@ class TestHybridPartition:
         # groups split the timeline contiguously
         assert plan.timestep_assignment.owned == ((0, 1, 2, 3), (4, 5, 6, 7))
 
-    def test_group_of_rank_and_member_index(self):
+    def test_group_of_rank(self):
         plan = hybrid_partition(8, 40, num_ranks=4, group_size=2)
         assert plan.group_of_rank(3) == 1
-        assert plan.member_index(3) == 1
         with pytest.raises(PartitionError):
             plan.group_of_rank(9)
 
@@ -167,11 +172,10 @@ class TestHybridPartition:
         plan.timestep_assignment.validate()
         owners = plan.timestep_assignment.owner_map()
         assert owners.tolist() == [0, 1, 2]
-        # every rank still resolves to a group and a member slot
+        # every rank still resolves to a group
         for rank in range(8):
             g = plan.group_of_rank(rank)
             assert rank in plan.groups[g]
-            assert plan.groups[g][plan.member_index(rank)] == rank
 
     def test_group_wider_than_vertex_set(self):
         # group_size > V: trailing members own empty row ranges but the

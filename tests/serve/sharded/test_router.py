@@ -96,7 +96,6 @@ class TestRequestSurface:
         assert stats.counters.cross_shard_events >= 1
         assert stats.num_shards == 4
         assert len(stats.per_shard_queries) == 4
-        assert stats.load_skew >= 1.0
         assert stats.critical_path_s > 0
         assert stats.aggregate_qps > 0
 

@@ -51,7 +51,8 @@ def test_recompute_and_coverage_grow_only_by_the_halo(points):
 
 def test_load_balance_and_cross_shard_traffic(points):
     for n in SHARD_COUNTS:
-        assert points[n][0].load_skew < 1.25, n
+        queries = np.asarray(points[n][0].per_shard_queries)
+        assert queries.max() / queries.mean() < 1.25, n
     stats4 = points[4][0]
     assert stats4.traffic.rows_shipped > 0
     assert stats4.traffic.bytes_shipped > 0

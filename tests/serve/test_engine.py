@@ -1,9 +1,10 @@
 """The serving engine's exactness contract (acceptance criterion).
 
-Incremental, cache-invalidated inference must be numerically equal
-(atol 1e-6) to a full recompute while a 20-timestep AML-Sim event
-stream replays — for every supported model — and the engine's timeline
-semantics must match the training-side ``model.forward``.
+Incremental, cache-invalidated inference must be bit-identical to a
+full recompute while a 20-timestep AML-Sim event stream replays — for
+every supported model — and the engine's timeline must reproduce the
+training-side ``model.forward`` bit for bit: both run the same kernels
+of ``repro.tensor.functional``.
 """
 
 import numpy as np
@@ -32,7 +33,8 @@ def stream20():
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_engine_matches_training_forward(stream20, name):
-    """advance() over the timeline == model.forward embeddings."""
+    """advance() over the timeline == model.forward embeddings, to the
+    bit."""
     dtdg = stream20
     model = build_model(name, in_features=2, seed=0)
     reference = model(compute_laplacians(dtdg),
@@ -40,15 +42,15 @@ def test_engine_matches_training_forward(stream20, name):
     engine = InferenceEngine(model, dtdg[0])
     for t in range(dtdg.num_timesteps):
         got = engine.advance(dtdg[t] if t else None)
-        np.testing.assert_allclose(got, reference[t].data, atol=1e-6,
-                                   err_msg=f"{name} diverged at t={t}")
+        np.testing.assert_array_equal(got, reference[t].data,
+                                      err_msg=f"{name} diverged at t={t}")
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_incremental_equals_full_recompute_over_stream(stream20, name):
     """Acceptance: replay 20 timesteps as micro-batched edge events;
     after every batch the incrementally refreshed embeddings must equal
-    a full recompute to atol 1e-6 (observed: exact to fp64 rounding)."""
+    a full recompute bit for bit."""
     dtdg = stream20
     model = build_model(name, in_features=2, seed=0)
     inc = InferenceEngine(model, dtdg[0])
@@ -69,13 +71,12 @@ def test_incremental_equals_full_recompute_over_stream(stream20, name):
             full.refresh()
             if rows < inc.num_vertices:
                 partial_refreshes += 1
-            np.testing.assert_allclose(
-                inc.embeddings, full.embeddings, atol=1e-6,
+            np.testing.assert_array_equal(
+                inc.embeddings, full.embeddings,
                 err_msg=f"{name} incremental != full at t={t}")
         assert ingestor.resident == dtdg[t]
         # timestep boundary: both advance their temporal carries
-        np.testing.assert_allclose(inc.advance(), full.advance(),
-                                   atol=1e-6)
+        np.testing.assert_array_equal(inc.advance(), full.advance())
     # the stream must actually have exercised partial recomputes,
     # otherwise this test proves nothing about the cache
     assert partial_refreshes > 10
@@ -106,9 +107,8 @@ def test_unflushed_events_settle_before_advance(stream20, name):
             eager.refresh()
             # lazy accumulates dirt, deliberately never refreshed
             lazy.set_snapshot(result.snapshot, seeds=result.dirty)
-        np.testing.assert_allclose(lazy.advance(), eager.advance(),
-                                   atol=1e-6,
-                                   err_msg=f"{name} stale carries at t={t}")
+        np.testing.assert_array_equal(lazy.advance(), eager.advance(),
+                                      err_msg=f"{name} stale carries at t={t}")
 
 
 def test_partial_aggregation_matches_spmm(stream20):

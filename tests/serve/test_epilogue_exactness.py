@@ -20,7 +20,7 @@ from repro.exec import ExecRouter
 from repro.graph import AMLSimConfig, GraphSnapshot, generate_amlsim
 from repro.models import MODEL_NAMES, build_model
 from repro.serve import EdgeEvent, InferenceEngine, ModelServer
-from repro.serve.engine import PANEL_ROWS, _sigmoid
+from repro.tensor.functional import PANEL_ROWS, _sigmoid
 from repro.serve.sharded import ShardPlan
 from repro.serve.sharded.engine import ShardEngine
 from tests.helpers import oracle_sigmoid

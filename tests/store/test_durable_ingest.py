@@ -145,7 +145,7 @@ def test_failed_wal_append_moves_nothing(stream, kind, tmp_path,
     assert tier.ingestor.resident is resident
     assert tier.store.tip is tip
     assert tier.store.wal.num_records == records
-    assert tier.ingestor.num_pending == 0
+    assert not tier.ingestor._pending
     assert (tier.counters.events_ingested, tier.counters.commits) == \
         counters
     # the same batch then ingests cleanly, exactly once
@@ -192,7 +192,7 @@ def test_rejected_batch_moves_nothing(stream, kind, bad, tmp_path):
     assert tier.ingestor.resident is resident
     assert tier.store.tip is tip
     assert tier.store.wal.num_records == records
-    assert tier.ingestor.num_pending == 0
+    assert not tier.ingestor._pending
     for before, cache in zip(stale, _caches(tier)):
         np.testing.assert_array_equal(cache.stale, before)
     for t in (tier, clean):

@@ -320,11 +320,6 @@ class TestFeaturesAndMisc:
         with pytest.raises(StoreError):
             store.append_features(np.zeros((10, 2)))
 
-    def test_iter_snapshots(self, aml20, tmp_path):
-        store = GraphStore.from_dtdg(str(tmp_path / "s"), aml20)
-        got = list(store.iter_snapshots(4, 9))
-        assert all(a == b for a, b in zip(got, aml20.snapshots[4:9]))
-
     def test_engine_state_pruning(self, tmp_path):
         store = GraphStore.from_dtdg(str(tmp_path / "s"), small_dtdg())
         for i in range(4):

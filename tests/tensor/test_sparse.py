@@ -56,16 +56,6 @@ class TestSparseMatrix:
         assert (np.lexsort((out[:, 1], out[:, 0])) == np.arange(len(out))).all()
         assert set(map(tuple, out)) == set(map(tuple, edges))
 
-    def test_values_sorted_alignment(self):
-        edges = np.array([[1, 0], [0, 2]])
-        vals = np.array([7.0, 5.0])
-        s = SparseMatrix.from_edges(edges, vals, (3, 3))
-        e = s.coo_edges()
-        v = s.values_sorted()
-        # first sorted edge is (0,2) -> 5.0, then (1,0) -> 7.0
-        np.testing.assert_array_equal(e, [[0, 2], [1, 0]])
-        np.testing.assert_array_equal(v, [5.0, 7.0])
-
     def test_byte_accounting(self):
         s = random_sparse(10, 10, density=0.2, seed=3)
         assert s.index_nbytes == 2 * INDEX_BYTES * s.nnz
@@ -75,12 +65,8 @@ class TestSparseMatrix:
     def test_from_edges_default_values(self):
         edges = np.array([[0, 1], [1, 2]])
         s = SparseMatrix.from_edges(edges, None, (3, 3))
-        np.testing.assert_array_equal(s.values_sorted(), [1.0, 1.0])
-
-    def test_matmul_dense(self):
-        s = random_sparse(4, 4, seed=5)
-        x = np.ones((4, 2))
-        np.testing.assert_allclose(s.matmul_dense(x), s.csr @ x)
+        np.testing.assert_array_equal(s.csr.toarray()[[0, 1], [1, 2]],
+                                      [1.0, 1.0])
 
 
 class TestSpMM:

@@ -146,13 +146,6 @@ class TestDetachClone:
         d = x.detach()
         assert d.data is x.data
 
-    def test_clone_copies_data(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        c = x.clone()
-        c.data[0] = 99.0
-        assert x.data[0] == 1.0
-        assert c.requires_grad
-
 
 class TestOperatorSugar:
     def test_radd_rsub_rmul_rdiv(self):

@@ -9,6 +9,7 @@ from repro.nn import m_matrix
 from repro.train import (apply_edge_life, apply_mproduct_smoothing,
                          compute_laplacians, degree_features,
                          smooth_for_model)
+from tests.helpers import edge_set
 
 
 def snap(n, pairs, values=None):
@@ -31,9 +32,9 @@ class TestEdgeLife:
     def test_carries_edges_forward(self):
         d = DTDG([snap(4, [[0, 1]]), snap(4, [[1, 2]]), snap(4, [[2, 3]])])
         out = apply_edge_life(d, life=2)
-        assert out[0].edge_set() == {(0, 1)}
-        assert out[1].edge_set() == {(0, 1), (1, 2)}
-        assert out[2].edge_set() == {(1, 2), (2, 3)}  # (0,1) expired
+        assert edge_set(out[0]) == {(0, 1)}
+        assert edge_set(out[1]) == {(0, 1), (1, 2)}
+        assert edge_set(out[2]) == {(1, 2), (2, 3)}  # (0,1) expired
 
     def test_values_accumulate(self):
         d = DTDG([snap(3, [[0, 1]], values=[2.0]),

@@ -11,6 +11,7 @@ from repro.tensor import Tensor
 from repro.train import (DistConfig, DistributedTrainer, LinkPredictionTask,
                          NodeClassificationTask)
 from repro.train.preprocess import degree_features
+from tests.helpers import edge_set
 
 
 def make_dtdg(n=16, t=7, seed=0):
@@ -36,7 +37,7 @@ class TestLinkPredictionTask:
         d = make_dtdg()
         task = LinkPredictionTask(d, embed_dim=4, theta=0.5, seed=0)
         for t, sample in enumerate(task.samples):
-            edges = d[t].edge_set()
+            edges = edge_set(d[t])
             pos = sample.pairs[sample.labels == 1]
             for u, v in pos:
                 assert (u, v) in edges
@@ -83,7 +84,6 @@ class TestLinkPredictionTask:
                   for _ in range(task.num_train_timesteps)]
         acc = task.test_accuracy(embeds[-1])
         assert 0.0 <= acc <= 1.0
-        assert 0.0 <= task.train_accuracy(embeds) <= 1.0
 
 
 class TestNodeClassificationTask:
