@@ -1,9 +1,9 @@
-"""The sharded tier's front door: routing, admission, coalescing, fan-out.
+"""The sharded tier: routing, admission, coalescing, fan-out.
 
-:class:`ExecRouter` is the one sharded router.  It serves the
-:class:`~repro.serve.server.QueryFrontend` surface (``submit_link`` /
-``submit_fraud`` / ``tick`` / ``flush`` / ``ingest_events`` /
-``advance_time``) over ``N`` shard workers built from a
+:class:`ExecRouter` is the one sharded router.  It is a tier on the
+shared :class:`~repro.serve.server.QueryFrontend` (the same
+``ingest_events`` / ``advance_time`` / ``flush`` / ``recover`` /
+``stats`` as ``ModelServer``) over ``N`` shard workers built from a
 :class:`~repro.serve.sharded.plan.ShardPlan` and reached through
 :class:`~repro.exec.transport.WorkerTransport` — so the same router
 runs the in-process oracle (:class:`SimulatedBackend`) and real worker
@@ -14,10 +14,12 @@ processes (:class:`MultiprocessBackend`) with identical numerics.
   batch once, expands the dirty frontier once (k hops, k = model
   depth), splits the GD delta by vertex block for wire accounting, and
   fans delta + pre-expanded frontier out to the shards;
-* **queries** — micro-batched exactly like ``ModelServer``, routed to
-  the owner of the query's primary vertex; link queries whose endpoints
-  live on different shards gather the remote endpoint's embedding row
-  from its owner (counted as cross-shard row fetches);
+* **queries** — the same flush as ``ModelServer``; each batch groups
+  by the owner of its queries' primary vertices with array operations
+  (span ``exec.coalesce``) and issues one pipelined refresh + one score
+  RPC per touched shard (span ``exec.rpc``); link queries whose
+  endpoints live on different shards gather the remote endpoint's
+  embedding row from its owner (counted as cross-shard row fetches);
 * **halo exchange** — ghost rows' frozen temporal state (LSTM carries,
   M-product history) is mirrored owner → ghost in bulk at every
   timestep boundary and incrementally whenever an event pulls a vertex
@@ -37,11 +39,6 @@ On top of the routing it adds what a real front door needs:
   queues cannot grow without bound; crossing
   ``backpressure_ratio * max_inflight`` raises an edge-triggered
   backpressure signal callers can poll (:attr:`under_backpressure`);
-* **micro-batch coalescing** — queued queries group per owner shard
-  (span ``exec.coalesce``) and each flush issues one pipelined refresh
-  + one score RPC per touched shard (span ``exec.rpc``), amortizing
-  round-trips exactly as the single-process tier amortizes head
-  evaluations;
 * **pipelined fan-out** — writes submit to every shard before
   collecting any reply (``pipeline=False`` serializes, which keeps
   per-worker busy clocks clean on a single-core host);
@@ -75,8 +72,8 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -89,7 +86,8 @@ from repro.nn.linear import EdgeScorer, Linear
 from repro.obs import Telemetry
 from repro.serve.cache import expand_dirty
 from repro.serve.engine import InferenceEngine
-from repro.serve.ingest import EdgeEvent, StreamIngestor
+from repro.serve.ingest import StreamIngestor
+from repro.serve.metrics import FrontendCounters, FrontendStats
 from repro.serve.server import PendingQuery, QueryFrontend, \
     score_fraud, score_links
 from repro.serve.sharded.halo import HaloTraffic
@@ -107,19 +105,10 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 
 @dataclass
-class ExecCounters:
-    """Monotonic counters the exec router increments as it works."""
+class ExecCounters(FrontendCounters):
+    """The exec router's counters: the front door's plus its own."""
 
-    queries_submitted: int = 0
-    queries_completed: int = 0
     queries_shed: int = 0          # rejected by admission control
-    batches_flushed: int = 0
-    events_ingested: int = 0
-    commits: int = 0
-    advances: int = 0
-    refreshes: int = 0
-    rows_recomputed: int = 0
-    rows_advanced: int = 0
     halo_dirty_rows: int = 0
     cross_shard_events: int = 0
     remote_row_fetches: int = 0
@@ -142,10 +131,10 @@ class ExecCounters:
 
 
 @dataclass(frozen=True)
-class ExecStats:
-    """Point-in-time view of the execution tier."""
+class ExecStats(FrontendStats):
+    """Point-in-time view of the execution tier (its ``counters`` are
+    :class:`ExecCounters`)."""
 
-    counters: ExecCounters
     traffic: HaloTraffic
     num_shards: int
     replicas: int
@@ -157,13 +146,9 @@ class ExecStats:
     rpc_roundtrips: int
     rpc_bytes_sent: int
     rpc_bytes_received: int
-    latency_p50_ms: float
-    latency_p95_ms: float
-    latency_p99_ms: float
-    elapsed_s: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counters", replace(self.counters))
+        super().__post_init__()
         object.__setattr__(self, "traffic", self.traffic.copy())
 
     @property
@@ -184,6 +169,33 @@ class ExecStats:
         return self.counters.queries_completed / self.critical_path_s
 
 
+# channel event -> (counter field, registry series, its help text)
+_CHANNEL_EVENTS = {
+    "retry": ("rpc_retries", "exec_rpc_retries_total",
+              "RPC redeliveries (idempotent retries and sequenced write "
+              "redeliveries)"),
+    "timeout": ("rpc_timeouts", "exec_rpc_timeouts_total",
+                "RPCs that missed their reply deadline"),
+    "failover": ("failovers", "exec_failovers_total",
+                 "Read-primary promotions to a live replica"),
+    "breaker_trip": ("breaker_trips", "exec_breaker_trips_total",
+                     "Circuit breakers tripped open"),
+    "replica_dead": ("replica_deaths", "exec_replica_deaths_total",
+                     "Replicas dropped from their shard"),
+}
+
+# transport stat -> (registry series, its help text), one per shard
+_TRANSPORT_SERIES = (
+    ("roundtrips", "exec_rpc_roundtrips_total", "RPC round-trips per shard"),
+    ("bytes_sent", "exec_rpc_bytes_sent_total",
+     "Request payload bytes per shard"),
+    ("bytes_received", "exec_rpc_bytes_received_total",
+     "Reply payload bytes per shard"),
+    ("shm_rows_read", "exec_shm_rows_read_total",
+     "Embedding rows read via shared memory"),
+)
+
+
 def _skew(loads) -> float:
     """max/mean of per-shard loads (1.0 = perfectly balanced)."""
     loads = np.asarray(loads, dtype=np.float64)
@@ -202,6 +214,8 @@ def _resolve_backend(backend):
 
 class ExecRouter(QueryFrontend):
     """Admission-controlled router over transport-reached shard workers."""
+
+    _stats_type = ExecStats
 
     def __init__(self, model: DynamicGNN, snapshot: GraphSnapshot, *,
                  backend="simulated",
@@ -239,12 +253,10 @@ class ExecRouter(QueryFrontend):
             raise ConfigError("replicas must be >= 1")
         if max_staleness is not None and max_staleness < 0:
             raise ConfigError("max_staleness must be >= 0")
-        self._init_frontend(max_batch_size, flush_latency_ms, clock,
-                            telemetry)
-        self.model = model
+        self._init_frontend(model, snapshot, ExecCounters(), link_head,
+                            fraud_head, max_batch_size, flush_latency_ms,
+                            clock, telemetry)
         self.plan = plan
-        self.link_head = link_head
-        self.fraud_head = fraud_head
         self.max_inflight = max_inflight
         self.backpressure_ratio = backpressure_ratio
         self.pipeline = pipeline
@@ -261,8 +273,6 @@ class ExecRouter(QueryFrontend):
         # shard's block, counters.advances at capture time)
         self._stale_cache: dict[int, tuple[np.ndarray, int]] = {}
         self._blocks = [plan.block(s) for s in range(plan.num_shards)]
-        self.ingestor = StreamIngestor(snapshot)
-        self.counters = ExecCounters()
         self.traffic = HaloTraffic()
         self.router_busy_s = 0.0
         # critical-path seconds retired with the workers a rebalance
@@ -270,7 +280,6 @@ class ExecRouter(QueryFrontend):
         self._busy_base = 0.0
         self._vertex_load = np.zeros(snapshot.num_vertices)
         self._per_shard_queries = np.zeros(plan.num_shards, dtype=np.int64)
-        self._backpressure = False
         # cross-shard payload ledger, exported in the Communicator's
         # comm_bytes_total{label=} family: labels "delta" (delta
         # fan-out), "halo" (temporal-state mirroring), "query_rows"
@@ -295,7 +304,7 @@ class ExecRouter(QueryFrontend):
                          clock=self.clock,
                          on_event=self._channel_observer(s))
             for s, members in enumerate(self._spawn_tier(snapshot))]
-        self._advance()  # prime embeddings for the initial snapshot
+        self.advance_time()  # prime embeddings for the initial snapshot
 
     # -- introspection ---------------------------------------------------------------
     @property
@@ -309,7 +318,8 @@ class ExecRouter(QueryFrontend):
     @property
     def under_backpressure(self) -> bool:
         """True while the queue sits above the high watermark."""
-        return self._backpressure
+        return self.max_inflight is not None and \
+            len(self._queue) >= self.backpressure_ratio * self.max_inflight
 
     @property
     def transports(self) -> list:
@@ -382,32 +392,9 @@ class ExecRouter(QueryFrontend):
         counters = self.counters
 
         def observe(event: str, **kw) -> None:
-            if event == "retry":
-                counters.rpc_retries += 1
-                reg.counter("exec_rpc_retries_total",
-                            "RPC redeliveries (idempotent retries and "
-                            "sequenced write redeliveries)",
-                            shard=label).inc()
-            elif event == "timeout":
-                counters.rpc_timeouts += 1
-                reg.counter("exec_rpc_timeouts_total",
-                            "RPCs that missed their reply deadline",
-                            shard=label).inc()
-            elif event == "failover":
-                counters.failovers += 1
-                reg.counter("exec_failovers_total",
-                            "Read-primary promotions to a live replica",
-                            shard=label).inc()
-            elif event == "breaker_trip":
-                counters.breaker_trips += 1
-                reg.counter("exec_breaker_trips_total",
-                            "Circuit breakers tripped open",
-                            shard=label).inc()
-            elif event == "replica_dead":
-                counters.replica_deaths += 1
-                reg.counter("exec_replica_deaths_total",
-                            "Replicas dropped from their shard",
-                            shard=label).inc()
+            field, series, help = _CHANNEL_EVENTS[event]
+            setattr(counters, field, getattr(counters, field) + 1)
+            reg.counter(series, help, shard=label).inc()
         return observe
 
     def _fanout(self, method: str, args_fn, shards=None) -> tuple:
@@ -462,32 +449,20 @@ class ExecRouter(QueryFrontend):
                                             else full_nbytes)
 
     # -- admission control -------------------------------------------------------------
-    def _submit(self, query: PendingQuery) -> PendingQuery:
-        if self._started_at is None:
-            self._started_at = query.enqueued_at
-        self.counters.queries_submitted += 1
-        if self.max_inflight is not None and \
-                len(self._queue) >= self.max_inflight:
+    def _admit(self, query: PendingQuery) -> bool:
+        if self.max_inflight is None:
+            return True
+        depth = len(self._queue)
+        if depth >= self.max_inflight:
             # shed: resolve immediately with no result so the caller
             # can retry/degrade instead of waiting behind a full queue
             self.counters.queries_shed += 1
             query.shed = True
             query.done = True
-            return query
-        self._queue.append(query)
-        self._signal_backpressure()
-        if len(self._queue) >= self.max_batch_size:
-            self.flush()
-        return query
-
-    def _signal_backpressure(self) -> None:
-        if self.max_inflight is None:
-            return
-        watermark = self.backpressure_ratio * self.max_inflight
-        above = len(self._queue) >= watermark
-        if above and not self._backpressure:
+            return False
+        if depth < self.backpressure_ratio * self.max_inflight <= depth + 1:
             self.counters.backpressure_events += 1  # edge-triggered
-        self._backpressure = above
+        return True
 
     # -- liveness ----------------------------------------------------------------------
     def heartbeat(self, timeout: float = 1.0) -> list[int]:
@@ -532,87 +507,60 @@ class ExecRouter(QueryFrontend):
                     self.telemetry.tracer.graft(spans)
         return updated
 
-    # -- ingestion --------------------------------------------------------------------
-    def ingest_events(self, events: Iterable[EdgeEvent]) -> int:
-        """Commit live edge events once, fan the GD delta out to every
-        worker, sync halo entrants.  WAL-before-ack when a store is
-        attached; a worker that dies during the fan-out is revived from
-        the latest capture + WAL tail before the method returns."""
-        events = list(events)
-        with self.telemetry.trace("serve.ingest", events=len(events)):
-            count, result = self._commit_events(events)
-            snap = result.snapshot
-            t0 = self.clock()
-            dirty = expand_dirty(snap, result.dirty, self.model.num_layers)
-            subs = split_diff_by_blocks(result.diff, snap, self.plan.owner,
-                                        self.plan.num_shards)
-            delta_bytes = sum(d.payload_nbytes for d in subs)
-            self.counters.delta_bytes_fanout += delta_bytes
-            self._comm_charge("delta", delta_bytes,
-                              result.diff.naive_nbytes * self.num_shards)
-            for edges in (result.diff.added, result.diff.removed):
-                if len(edges):
-                    self.counters.cross_shard_events += int(
-                        (self.plan.owner[edges[:, 0]]
-                         != self.plan.owner[edges[:, 1]]).sum())
-            self.router_busy_s += self.clock() - t0
-            with self.telemetry.trace("serve.fanout",
-                                      shards=self.num_shards):
-                results, dead = self._fanout(
-                    "apply_delta", lambda s: (result.diff, dirty))
-            entrants: dict = {}
-            for s, (rows, ghost_dirty) in results.items():
-                entrants[s] = rows
-                self.counters.halo_dirty_rows += ghost_dirty
-            for s in dead:
-                revived = self._revive_or_degrade(s)
-                if revived is not None:
-                    entrants[s] = revived
-            with self.telemetry.trace("serve.halo_sync", kind="entrants"):
-                self._sync_entrants(entrants)
-            self.counters.events_ingested += result.num_events
-            self.counters.commits += 1
-        return count
+    # -- commits and boundaries --------------------------------------------------------
+    def _apply_commit(self, result) -> None:
+        """Expand the dirty frontier once, fan the GD delta out to every
+        worker and sync halo entrants; a worker that dies during the
+        fan-out is revived from the latest capture + WAL tail before
+        the commit returns."""
+        snap = result.snapshot
+        t0 = self.clock()
+        dirty = expand_dirty(snap, result.dirty, self.model.num_layers)
+        subs = split_diff_by_blocks(result.diff, snap, self.plan.owner,
+                                    self.plan.num_shards)
+        delta_bytes = sum(d.payload_nbytes for d in subs)
+        self.counters.delta_bytes_fanout += delta_bytes
+        self._comm_charge("delta", delta_bytes,
+                          result.diff.naive_nbytes * self.num_shards)
+        for edges in (result.diff.added, result.diff.removed):
+            if len(edges):
+                self.counters.cross_shard_events += int(
+                    (self.plan.owner[edges[:, 0]]
+                     != self.plan.owner[edges[:, 1]]).sum())
+        self.router_busy_s += self.clock() - t0
+        with self.telemetry.trace("serve.fanout", shards=self.num_shards):
+            results, dead = self._fanout(
+                "apply_delta", lambda s: (result.diff, dirty))
+        entrants: dict = {}
+        for s, (rows, ghost_dirty) in results.items():
+            entrants[s] = rows
+            self.counters.halo_dirty_rows += ghost_dirty
+        for s in dead:
+            revived = self._revive_or_degrade(s)
+            if revived is not None:
+                entrants[s] = revived
+        with self.telemetry.trace("serve.halo_sync", kind="entrants"):
+            self._sync_entrants(entrants)
 
-    def advance_time(self, snapshot: GraphSnapshot | None = None, *,
-                     diff=None) -> None:
-        """Cross a timestep boundary: promote carries everywhere, run
-        the bulk halo exchange, recompute every covered row, then let
-        the rebalancer look at the query skew.  With a store attached
-        the boundary seals a WAL timestep and the tier state is
-        captured every ``state_interval`` boundaries.  ``diff`` is the
-        optional GD delta from the current resident to a rebase
-        ``snapshot`` — with it workers fold the delta instead of
-        receiving the snapshot, and their Ã maintainers advance
-        incrementally (recovery replay passes the store-decoded delta
-        through here)."""
-        self._store_log_boundary(snapshot)
-        if snapshot is not None:
-            self.ingestor.rebase(snapshot)
-        self._advance(rebase=snapshot, diff=diff)
+    def _cross_boundary(self, rebase: GraphSnapshot | None, diff) -> int:
+        """Promote carries everywhere, run the bulk halo exchange,
+        recompute every covered row, then let the rebalancer look at
+        the query skew.  Workers fold a rebase ``diff`` into their own
+        mirror; the full snapshot ships only when there is no delta
+        for it."""
+        ship = rebase if (rebase is not None and diff is None) else None
+        _, dead = self._fanout("begin_advance", lambda s: (ship, diff))
+        down = self._tolerate_boundary_dead(dead, "begin_advance")
+        if self.num_shards > 1:
+            with self.telemetry.trace("serve.halo_sync", kind="boundary"):
+                self._sync_halos(down=down)
+        live = [s for s in range(self.num_shards) if s not in down]
+        results, dead = self._fanout("finish_advance", lambda s: (),
+                                     shards=live)
+        down |= self._tolerate_boundary_dead(dead, "finish_advance")
+        self._update_stale_cache(down)
         self._maybe_rebalance()
-        self._store_maybe_capture()
-
-    def _advance(self, rebase: GraphSnapshot | None = None,
-                 diff=None) -> None:
-        with self.telemetry.trace("serve.advance",
-                                  rebase=rebase is not None):
-            # workers fold the rebase diff into their own mirror; the
-            # full snapshot ships only when there is no delta for it
-            ship = rebase if (rebase is not None and diff is None) else None
-            _, dead = self._fanout("begin_advance", lambda s: (ship, diff))
-            down = self._tolerate_boundary_dead(dead, "begin_advance")
-            if self.num_shards > 1:
-                with self.telemetry.trace("serve.halo_sync",
-                                          kind="boundary"):
-                    self._sync_halos(down=down)
-            live = [s for s in range(self.num_shards) if s not in down]
-            results, dead = self._fanout("finish_advance", lambda s: (),
-                                         shards=live)
-            down |= self._tolerate_boundary_dead(dead, "finish_advance")
-            self.counters.rows_advanced += sum(results.values())
-            self.counters.advances += 1
-            self._update_stale_cache(down)
+        return sum(results.values())
 
     def _require_all_alive(self, dead: list[int], stage: str) -> None:
         if dead:
@@ -694,23 +642,26 @@ class ExecRouter(QueryFrontend):
             self.traffic.entrant_syncs += 1
 
     # -- queries ----------------------------------------------------------------------
-    def flush(self) -> int:
-        """Route and answer one micro-batch.  A worker death mid-batch
+    def _answer_batch(self, batch: list, ends: np.ndarray,
+                      is_link: np.ndarray) -> tuple:
+        """Route and score one decoded batch.  A worker death mid-batch
         triggers revival (or, with degraded serving enabled, leaves the
         shard down) and a single retry of the whole batch; a batch the
         tier still cannot answer is *aborted* — every unresolved query
-        resolves shed — so admission slots always release instead of
-        leaking with their callers parked forever."""
-        if not self._queue:
-            return 0
-        batch, self._queue = self._queue[:self.max_batch_size], \
-            self._queue[self.max_batch_size:]
-        with self.telemetry.trace("serve.query", batch=len(batch)), \
-                self.telemetry.trace("exec.dispatch", batch=len(batch)):
-            flushed_at = self.clock()
+        resolves shed, so the batch leaves the queue and its admission
+        slots release instead of leaking with their callers parked."""
+        with self.telemetry.trace("exec.dispatch", batch=len(batch)):
+            home = self.plan.owner[ends[:, 0]]
+            np.add.at(self._per_shard_queries, home, 1)
+            # the rebalancer's signal: queries per vertex, both link
+            # endpoints included
+            np.add.at(self._vertex_load,
+                      np.concatenate([ends[:, 0], ends[is_link, 1]]), 1.0)
+            down = set() if self.max_staleness is None else {
+                s for s in range(self.num_shards)
+                if not self.channels[s].alive}
             try:
-                self._answer_batch(batch, flushed_at,
-                                   down=self._down_shards())
+                return self._route(batch, ends, is_link, down=down)
             except (WorkerDeadError, WorkerTimeoutError):
                 try:
                     down = set()
@@ -719,168 +670,119 @@ class ExecRouter(QueryFrontend):
                                 self._revive_or_degrade(s) is None and \
                                 not self.channels[s].alive:
                             down.add(s)
-                    self._answer_batch(batch, flushed_at, down=down)
+                    pending = np.fromiter((not q.done for q in batch),
+                                          bool, len(batch))
+                    return self._route(batch, ends, is_link, down=down,
+                                       pending=pending)
                 except (ExecError, StoreError):
-                    self._abort_batch(batch)
+                    for q in batch:
+                        if not q.done:
+                            q.shed = True
+                            q.done = True
+                            self.counters.queries_shed += 1
                     raise
-        self._signal_backpressure()
-        if self._queue:
-            return len(batch) + self.flush()
-        return len(batch)
 
-    def _down_shards(self) -> set:
-        if self.max_staleness is None:
-            return set()
-        return {s for s in range(self.num_shards)
-                if not self.channels[s].alive}
-
-    def _abort_batch(self, batch: list) -> None:
-        """Resolve every unanswered query in a failed batch as shed:
-        the caller gets a definitive (empty) answer and the admission
-        slot it held is released.  Without this, a batch that died
-        twice — e.g. on an RPC timeout with revival impossible — left
-        its queries dangling and the in-flight queue permanently
-        smaller."""
-        for q in batch:
-            if not q.done:
-                q.shed = True
-                q.done = True
-                self.counters.queries_shed += 1
-
-    def _answer_batch(self, batch: list, flushed_at: float,
-                      down=frozenset()) -> None:
-        with self.telemetry.trace("exec.coalesce", batch=len(batch)):
-            link_by_shard: dict[int, list] = {}
-            fraud_by_shard: dict[int, list] = {}
-            needed = set()
-            degraded: list = []
-            touched: list = []
-            for q in batch:
-                if q.done:
-                    continue  # resolved by an earlier batch attempt
-                touched.extend(q.payload)
-                if q.kind == "link":
-                    src, dst = q.payload
-                    s = int(self.plan.owner[src])
-                    sd = int(self.plan.owner[dst])
-                    self._per_shard_queries[s] += 1
-                    if s in down or sd in down:
-                        degraded.append(q)
-                        # live endpoints still need a refresh before
-                        # their rows are read for the stale answer
-                        needed.update(e for e in (s, sd)
-                                      if e not in down)
-                        continue
-                    link_by_shard.setdefault(s, []).append(q)
-                    needed.add(s)
-                    needed.add(sd)
-                else:
-                    s = int(self.plan.owner[q.payload[0]])
-                    self._per_shard_queries[s] += 1
-                    if s in down:
-                        degraded.append(q)
-                        continue
-                    fraud_by_shard.setdefault(s, []).append(q)
-                    needed.add(s)
-            # the rebalancer's signal: queries per vertex, both link
-            # endpoints included
-            np.add.at(self._vertex_load, touched, 1.0)
+    def _route(self, batch: list, ends: np.ndarray, is_link: np.ndarray, *,
+               down, pending: np.ndarray | None = None) -> tuple:
+        """One attempt at a batch: group the ``pending`` queries (all
+        when ``None``) by owner shard, refresh every touched live shard
+        in one pipelined round, answer queries that touch a ``down``
+        shard from its boundary cache, then one score RPC per owner."""
+        n = len(batch)
+        owner = self.plan.owner
+        with self.telemetry.trace("exec.coalesce", batch=n):
+            home, other = owner[ends[:, 0]], owner[ends[:, 1]]
+            ok = np.ones(n, dtype=bool) if pending is None \
+                else pending.copy()
+            touched = np.concatenate([home[ok], other[ok]])
+            degraded = np.zeros(n, dtype=bool)
+            if down:
+                dead = np.fromiter(down, np.int64, len(down))
+                degraded = ok & (np.isin(home, dead) | np.isin(other, dead))
+                ok &= ~degraded
+            # live endpoints of a degraded query still need a refresh
+            # before their rows are read for the stale answer
+            needed = sorted(set(np.unique(touched).tolist()) - set(down))
+            scoring = np.unique(home[ok]).tolist()
         # every touched shard consumes its dirty set before any of its
         # embeddings are read — one pipelined refresh round-trip
-        results, dead = self._fanout("refresh", lambda s: (),
-                                     shards=sorted(needed))
-        if dead:
-            raise WorkerDeadError(f"shards {dead} died during refresh")
-        for s, recomputed in results.items():
-            if recomputed:
-                self.counters.refreshes += 1
-                self.counters.rows_recomputed += recomputed
-        if degraded:
-            self._answer_degraded(degraded, down)
+        results, dead_shards = self._fanout("refresh", lambda s: (),
+                                            shards=needed)
+        if dead_shards:
+            raise WorkerDeadError(f"shards {dead_shards} died during "
+                                  f"refresh")
+        fresh_at = self.clock()
+        self.counters.refreshes += sum(map(bool, results.values()))
+        self.counters.rows_recomputed += sum(results.values())
+        stale = self._answer_degraded(batch, ends, is_link,
+                                      np.flatnonzero(degraded), down) \
+            if degraded.any() else {}
         # gather the remote link endpoints first (shared-memory reads
         # for the real backend), then pipeline one score RPC per shard
-        scoring = sorted(set(link_by_shard) | set(fraud_by_shard))
         calls = {}
         for s in scoring:
-            links = link_by_shard.get(s, [])
-            frauds = fraud_by_shard.get(s, [])
-            pairs = np.array([q.payload for q in links],
-                             dtype=np.int64).reshape(-1, 2)
-            accounts = np.array([q.payload[0] for q in frauds],
-                                dtype=np.int64)
+            mine = ok & (home == s)
+            links, frauds = mine & is_link, mine & ~is_link
+            pairs = ends[links]
             dst_rows = self._gather_rows(pairs[:, 1], home=s) \
                 if len(pairs) else np.empty((0, self.model.embed_dim))
-            calls[s] = (links, frauds, pairs, dst_rows, accounts)
-        results, dead = self._fanout(
-            "score", lambda s: (calls[s][2], calls[s][3], calls[s][4]),
-            shards=scoring)
-        if dead:
-            raise WorkerDeadError(f"shards {dead} died during scoring")
+            calls[s] = (links, frauds, pairs, dst_rows, ends[frauds, 0])
+        results, dead_shards = self._fanout(
+            "score", lambda s: calls[s][2:], shards=scoring)
+        if dead_shards:
+            raise WorkerDeadError(f"shards {dead_shards} died during "
+                                  f"scoring")
         self.counters.score_rpcs += len(scoring)
-        now = self.clock()
+        scores = np.empty(n)
         for s in scoring:
-            links, frauds = calls[s][0], calls[s][1]
-            link_scores, fraud_scores = results[s]
-            for q, score in zip(links, link_scores):
-                q._resolve(score, now)
-            for q, score in zip(frauds, fraud_scores):
-                q._resolve(score, now)
-        answered = [q for q in batch if not q.shed]
-        if answered:
-            # per flush, not per query: one reservoir update per series
-            self._record_flush(
-                np.array([q.latency_ms for q in answered]),
-                np.array([q.enqueued_at for q in answered]),
-                flushed_at, now)
-        self.counters.queries_completed += len(answered)
-        self.counters.batches_flushed += 1
+            links, frauds = calls[s][:2]
+            scores[links], scores[frauds] = results[s]
+        for i, (score, staleness) in stale.items():
+            scores[i] = score
+            batch[i].staleness = staleness
+            ok[i] = True
+        self.counters.degraded_queries += len(stale)
+        return scores, None if ok.all() else ok, fresh_at
 
-    def _answer_degraded(self, queries: list, down) -> None:
-        """Bounded-staleness serving for queries touching down shards:
-        answer from the last boundary's cached embeddings, stamp each
-        result with how many boundaries behind the tip it is, and shed
-        anything staler than ``max_staleness`` (or unservable because
-        nothing was ever cached)."""
-        now = self.clock()
-        for q in queries:
-            if q.done:
-                continue
-            vertices = list(q.payload) if q.kind == "link" \
-                else [q.payload[0]]
+    def _answer_degraded(self, batch: list, ends: np.ndarray,
+                         is_link: np.ndarray, rows: np.ndarray,
+                         down) -> dict:
+        """Bounded-staleness serving for the queries at ``rows``, which
+        touch down shards: score each from the last boundary's cached
+        embeddings with how many boundaries behind the tip it is, and
+        shed anything staler than ``max_staleness`` (or unservable
+        because nothing was ever cached).  Returns ``{row: (score,
+        staleness)}`` for the queries answered."""
+        answers = {}
+        for i in rows.tolist():
+            vertices = ends[i].tolist() if is_link[i] else [int(ends[i, 0])]
             staleness = 0
             vecs = []
-            servable = True
             for v in vertices:
                 s = int(self.plan.owner[v])
-                if s in down:
-                    cached = self._stale_cache.get(s)
-                    lag = self.shard_staleness(s)
-                    if cached is None or lag > self.max_staleness:
-                        servable = False
-                        break
-                    rows, _ = cached
-                    idx = int(np.searchsorted(self._blocks[s], v))
-                    vecs.append(rows[idx])
-                    staleness = max(staleness, lag)
-                else:
+                if s not in down:
                     vecs.append(self.channels[s].embedding_rows(
                         np.array([v], dtype=np.int64))[0])
-            if not servable:
-                q.shed = True
-                q.done = True
-                self.counters.queries_shed += 1
-                self.counters.queries_shed_stale += 1
-                continue
-            z = np.stack(vecs)
-            if q.kind == "link":
-                score = score_links(
-                    z, np.array([[0, 1]]), self.link_head)[0]
+                    continue
+                cached = self._stale_cache.get(s)
+                lag = self.shard_staleness(s)
+                if cached is None or lag > self.max_staleness:
+                    break
+                vecs.append(cached[0][np.searchsorted(self._blocks[s], v)])
+                staleness = max(staleness, lag)
             else:
-                score = score_fraud(
-                    z, np.array([0], dtype=np.int64), self.fraud_head)[0]
-            q.staleness = staleness
-            q._resolve(score, now)
-            self.counters.degraded_queries += 1
+                z = np.stack(vecs)
+                score = score_links(z, np.array([[0, 1]]),
+                                    self.link_head)[0] if is_link[i] \
+                    else score_fraud(z, np.array([0], dtype=np.int64),
+                                     self.fraud_head)[0]
+                answers[i] = (score, staleness)
+                continue
+            batch[i].shed = True
+            batch[i].done = True
+            self.counters.queries_shed += 1
+            self.counters.queries_shed_stale += 1
+        return answers
 
     def _gather_rows(self, rows: np.ndarray, home: int) -> np.ndarray:
         owners = self.plan.owner[rows]
@@ -938,19 +840,12 @@ class ExecRouter(QueryFrontend):
         return meta, arrays
 
     @classmethod
-    def recover(cls, store, *, checkpoint: str | None = None,
-                model: DynamicGNN | None = None,
-                state_interval: int = 1, **kwargs) -> "ExecRouter":
-        """Reboot a crashed tier from (model checkpoint, newest
-        per-shard state capture, WAL tail replay).
-
-        The capture carries the shard plan that was live at crash time
-        (rebalances included), the replica count, every shard's
+    def _restore(cls, model: DynamicGNN, resident: GraphSnapshot,
+                 meta: dict, arrays: dict, kwargs: dict) -> "ExecRouter":
+        """The capture carries the shard plan that was live at crash
+        time (rebalances included), the replica count, every shard's
         owned-row export, and the pending dirty rows; workers are
-        reassembled over ``adopt_state`` RPCs and the WAL tail re-runs
-        through the normal ingest/advance numerics."""
-        model, meta, arrays, resident = cls._recovery_state(
-            store, checkpoint, model, kwargs)
+        reassembled over ``adopt_state`` RPCs."""
         owner, exports, dirty = unpack_sharded_state(meta, arrays)
         plan = ShardPlan(owner=owner, num_shards=meta["num_shards"])
         kwargs.setdefault("replicas", meta["replicas"])
@@ -959,12 +854,17 @@ class ExecRouter(QueryFrontend):
         _, dead = router._fanout("adopt_state",
                                  lambda s: (exports, steps, dirty))
         router._require_all_alive(dead, "recovery transplant")
-        if router._replay_store_tail(store, meta["record_index"],
-                                     state_interval):
+        return router
+
+    def _replay_store_tail(self, store, record_index: int,
+                           state_interval: int) -> bool:
+        crossed = super()._replay_store_tail(store, record_index,
+                                             state_interval)
+        if crossed:
             # worker revival replays event-only tails: a tail that
             # crossed a boundary needs a capture past it
-            router._capture_store_state()
-        return router
+            self._capture_store_state()
+        return crossed
 
     def _store_maybe_capture(self) -> None:
         # a capture needs every shard's export; with a shard down the
@@ -1026,8 +926,7 @@ class ExecRouter(QueryFrontend):
                 raise ExecError(
                     "WAL tail crosses a timestep boundary; single-worker "
                     "revival cannot replay it — recover() the tier")
-            ingestor.push_batch(payload)
-            result = ingestor.commit()
+            result = ingestor.commit(payload)
             dirty = expand_dirty(result.snapshot, result.dirty,
                                  self.model.num_layers)
             entrants, _ = channel.call("apply_delta", result.diff, dirty)
@@ -1121,18 +1020,9 @@ class ExecRouter(QueryFrontend):
                           shard=label).set(self.shard_staleness(s))
         for s, t in enumerate(self.transports):
             label = str(s)
-            reg.counter("exec_rpc_roundtrips_total",
-                        "RPC round-trips per shard",
-                        shard=label).set_to(t.stats.roundtrips)
-            reg.counter("exec_rpc_bytes_sent_total",
-                        "Request payload bytes per shard",
-                        shard=label).set_to(t.stats.bytes_sent)
-            reg.counter("exec_rpc_bytes_received_total",
-                        "Reply payload bytes per shard",
-                        shard=label).set_to(t.stats.bytes_received)
-            reg.counter("exec_shm_rows_read_total",
-                        "Embedding rows read via shared memory",
-                        shard=label).set_to(t.stats.shm_rows_read)
+            for field, series, help in _TRANSPORT_SERIES:
+                reg.counter(series, help, shard=label).set_to(
+                    getattr(t.stats, field))
             reg.counter("shard_queries_total",
                         "Queries routed to each shard",
                         shard=label).set_to(
@@ -1170,26 +1060,17 @@ class ExecRouter(QueryFrontend):
         return tuple(self._busy_base + worker_stats[s].busy_s
                      for s in sorted(worker_stats))
 
-    def stats(self) -> ExecStats:
-        now = self.clock()
-        elapsed = (now - self._started_at) if self._started_at is not None \
-            else 0.0
-        return ExecStats(
-            counters=self.counters,
+    def _tier_stats(self) -> dict:
+        return dict(
             traffic=self.traffic,
             num_shards=self.num_shards,
             replicas=self.replicas_per_shard,
             backend=self.backend.name,
-            per_shard_queries=tuple(int(q) for q in
-                                    self._per_shard_queries),
+            per_shard_queries=tuple(self._per_shard_queries.tolist()),
             per_shard_busy_s=self._per_shard_busy(),
             router_busy_s=self.router_busy_s,
             shm_bytes_mapped=self.backend.shm_bytes_mapped,
             rpc_roundtrips=sum(t.stats.roundtrips for t in self.transports),
             rpc_bytes_sent=sum(t.stats.bytes_sent for t in self.transports),
             rpc_bytes_received=sum(t.stats.bytes_received
-                                   for t in self.transports),
-            latency_p50_ms=self.latency.p50,
-            latency_p95_ms=self.latency.p95,
-            latency_p99_ms=self.latency.p99,
-            elapsed_s=elapsed)
+                                   for t in self.transports))

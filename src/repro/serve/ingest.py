@@ -1,11 +1,11 @@
 """Live edge-event ingestion into a resident snapshot.
 
-:class:`StreamIngestor` is the front door of the serving subsystem: it
-accepts individual edge events (a payment, a new link, a retraction),
-buffers them, and on :meth:`commit` folds the pending batch into the
-resident :class:`~repro.graph.snapshot.GraphSnapshot` by building and
-applying a :class:`~repro.graph.diff.SnapshotDiff` — the same GD delta
-machinery the trainer uses for CPU→GPU transfer (paper §3.2), pointed at
+:class:`StreamIngestor` keeps the serving tier's resident graph: each
+:meth:`~StreamIngestor.commit` folds one batch of edge events (payments,
+new links, retractions) into the resident
+:class:`~repro.graph.snapshot.GraphSnapshot` by building and applying a
+:class:`~repro.graph.diff.SnapshotDiff` — the same GD delta machinery
+the trainer uses for CPU→GPU transfer (paper §3.2), pointed at
 a new job: keeping a server's resident graph current.
 
 Each commit also names its **dirty vertices** (``IngestResult.dirty``):
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -131,7 +131,6 @@ class StreamIngestor:
 
     def __init__(self, snapshot: GraphSnapshot) -> None:
         self._resident = snapshot
-        self._pending: list[EdgeEvent] = []
         self.total_events = 0
         self.total_commits = 0
         self.total_payload_nbytes = 0
@@ -143,43 +142,27 @@ class StreamIngestor:
 
     def rebase(self, snapshot: GraphSnapshot) -> None:
         """Swap the resident snapshot wholesale (e.g. a periodic resync
-        from an authoritative store).  Pending events are kept and will
-        apply against the new base on the next commit."""
+        from an authoritative store)."""
         if snapshot.num_vertices != self._resident.num_vertices:
             raise DatasetError("rebase must keep the vertex set fixed")
         self._resident = snapshot
 
-    # -- event intake ----------------------------------------------------------------
-    def push(self, event: EdgeEvent) -> None:
-        n = self._resident.num_vertices
-        if not (0 <= event.src < n and 0 <= event.dst < n):
-            raise DatasetError(
-                f"event endpoint ({event.src}, {event.dst}) outside the "
-                f"resident vertex set of size {n}")
-        self._pending.append(event)
-
-    def push_batch(self, events: Iterable[EdgeEvent]) -> int:
-        count = 0
-        for event in events:
-            self.push(event)
-            count += 1
-        return count
-
     # -- commit ------------------------------------------------------------------------
-    def commit(self, folded: tuple | None = None) -> IngestResult:
-        """Fold every pending event into the resident snapshot.
+    def commit(self, events: Sequence[EdgeEvent] = (),
+               folded: tuple | None = None) -> IngestResult:
+        """Fold the batch ``events`` into the resident snapshot.
 
         The new snapshot is materialized, the transition is encoded as a
         :class:`SnapshotDiff` (checksummed against the old resident, so
         the wire format stays replayable to any mirror holding the same
         base), and the touched endpoints are returned as ``dirty``.
-        ``folded`` is ``fold_event_batch(resident, pending)`` when the
+        ``folded`` is ``fold_event_batch(resident, events)`` when the
         caller already computed it (a serving tier folds once, logs the
         batch, then commits): it is adopted instead of folding again.
+        The fold validates every event, so a bad endpoint raises
+        :class:`~repro.errors.DatasetError` before anything moves.
         """
         prev = self._resident
-        events = self._pending
-        self._pending = []
         if not events:  # nothing changed: O(1), the resident stays
             empty = np.empty(0, dtype=np.int64)
             diff = SnapshotDiff(removed=empty.reshape(0, 2),

@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 from repro.obs.registry import Histogram
 
-__all__ = ["LatencyTracker", "ServerCounters", "ServerStats"]
+__all__ = ["LatencyTracker", "FrontendCounters", "ServerCounters",
+           "FrontendStats", "ServerStats"]
 
 
 class LatencyTracker(Histogram):
@@ -55,9 +56,10 @@ class LatencyTracker(Histogram):
 
 
 @dataclass
-class ServerCounters:
-    """Monotonic counters a :class:`~repro.serve.server.ModelServer`
-    increments as it works."""
+class FrontendCounters:
+    """Monotonic counters every serving tier's front door increments
+    (:class:`~repro.serve.server.QueryFrontend`); each tier's counter
+    class adds the fields only it keeps."""
 
     queries_submitted: int = 0
     queries_completed: int = 0
@@ -68,6 +70,12 @@ class ServerCounters:
     advances: int = 0
     rows_recomputed: int = 0        # by refreshes and settles (cache economics)
     rows_advanced: int = 0          # by timestep-boundary advances
+
+
+@dataclass
+class ServerCounters(FrontendCounters):
+    """The counters of a :class:`~repro.serve.server.ModelServer`."""
+
     rows_served_from_cache: int = 0
 
     @property
@@ -80,15 +88,15 @@ class ServerCounters:
 
 
 @dataclass(frozen=True)
-class ServerStats:
-    """Point-in-time snapshot of a server's observable state.
+class FrontendStats:
+    """Point-in-time snapshot of a serving tier's observable state.
 
     The counters really are a snapshot: construction copies the
-    (mutable) :class:`ServerCounters` it is handed, so traffic served
-    after ``stats()`` never mutates an already-taken stats object.
+    (mutable) counters it is handed, so traffic served after
+    ``stats()`` never mutates an already-taken stats object.
     """
 
-    counters: ServerCounters
+    counters: FrontendCounters
     latency_p50_ms: float
     latency_p95_ms: float
     latency_p99_ms: float
@@ -105,6 +113,11 @@ class ServerStats:
         if self.elapsed_s <= 0:
             return float("nan")
         return self.counters.queries_completed / self.elapsed_s
+
+
+@dataclass(frozen=True)
+class ServerStats(FrontendStats):
+    """A :class:`~repro.serve.server.ModelServer`'s stats."""
 
     def row(self) -> tuple:
         """One table row: queries, qps, p50/p95/p99 ms, cache hit rate."""

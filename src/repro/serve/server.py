@@ -1,13 +1,11 @@
-"""The batched model server: queries in, fraud/link scores out.
+"""The serving front door and the batched model server: queries in,
+fraud/link scores out.
 
-:class:`ModelServer` glues the serving subsystem together: a
-:class:`~repro.serve.ingest.StreamIngestor` keeps the resident graph
-current, an :class:`~repro.serve.engine.InferenceEngine` keeps the
-embedding cache fresh (incrementally or via full recompute — the
-``incremental=False`` server is the exactness oracle), and a micro-batching
-request queue amortizes head evaluation: requests buffer until either
-``max_batch_size`` is reached or the oldest request has waited
-``flush_latency_ms`` (checked by :meth:`tick`, the event-loop hook).
+:class:`QueryFrontend` is the one front door of both serving tiers;
+:class:`ModelServer` is the single-worker tier on it, whose
+:class:`~repro.serve.engine.InferenceEngine` keeps the embedding cache
+fresh (incrementally or via full recompute — the ``incremental=False``
+server is the exactness oracle).
 
 The server is deliberately single-threaded and deterministic — the same
 design as the simulated cluster: batching *policy* is what the paper's
@@ -20,7 +18,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from itertools import compress
 from operator import attrgetter, index, itemgetter
 from typing import Callable, Iterable
 
@@ -35,7 +34,9 @@ from repro.serve.cache import EmbeddingCache
 from repro.serve.engine import InferenceEngine
 from repro.serve.ingest import (EdgeEvent, IngestResult, StreamIngestor,
                                 fold_event_batch)
-from repro.serve.metrics import LatencyTracker, ServerCounters, ServerStats
+from repro.serve.metrics import (FrontendCounters, FrontendStats,
+                                 LatencyTracker, ServerCounters,
+                                 ServerStats)
 from repro.store.recovery import (capture_engine_state,
                                   restore_engine_state)
 from repro.tensor.functional import _fill, _gemm, _tiled
@@ -113,32 +114,51 @@ class PendingQuery:
     # fresh; None means the query never went through a degraded path.
     staleness: int | None = None
 
-    def _resolve(self, value: float, now: float) -> None:
-        self.result = float(value)
-        self.latency_ms = (now - self.enqueued_at) * 1e3
-        self.done = True
-
 
 class QueryFrontend:
-    """The micro-batched request surface shared by the single-worker
-    :class:`ModelServer` and the sharded router.
+    """The one front door of both serving tiers (:class:`ModelServer`
+    and the sharded :class:`~repro.exec.router.ExecRouter`): ingest,
+    advance, flush, recover and stats are written here once, with the
+    query queue (flushed when ``max_batch_size`` requests are queued or
+    the oldest has waited ``flush_latency_ms``, checked by :meth:`tick`),
+    the WAL and captures, the counters and the latency series.
 
-    Owns the pending-query queue and its batching policy: flush when
-    ``max_batch_size`` requests are queued, or when the oldest request
-    has waited ``flush_latency_ms`` (checked by :meth:`tick`).
-    Subclasses implement :meth:`flush` (how a batch is answered) and
-    ``num_vertices`` (the resident vertex set queries validate against),
-    and provide ``counters`` with a ``queries_submitted`` field plus the
-    optional ``fraud_head``.
+    A tier supplies only what touches its engines (``docs/execution.md``):
+
+    * ``_apply_commit(result)`` — bring the engine(s) to a committed
+      :class:`~repro.serve.ingest.IngestResult`;
+    * ``_cross_boundary(snapshot, diff)`` — move every engine past a
+      timestep boundary (onto ``snapshot`` when it rebases, ``diff``
+      being the delta to it when known); returns the rows advanced;
+    * ``_answer_batch(batch, ends, is_link)`` — score one decoded batch
+      (``ends`` holds a row of endpoints per query, a fraud query's
+      account in both columns).  Returns ``(scores, served, fresh_at)``:
+      ``served`` is ``None`` when every query was answered, else the
+      mask of those that were (the tier resolved the rest as shed), and
+      ``fresh_at`` is the clock once the rows the batch reads were
+      fresh, where the answered queries' latency ends;
+    * ``_capture_state()`` / ``_restore(model, resident, meta, arrays,
+      kwargs)`` — the engine state as ``(meta, arrays)``, and a tier
+      booted at ``resident`` holding a capture;
+
+    plus ``num_vertices`` and ``_stats_type``.
     """
 
-    def _init_frontend(self, max_batch_size: int, flush_latency_ms: float,
-                       clock: Callable[[], float],
-                       telemetry: Telemetry | None = None) -> None:
+    def _init_frontend(self, model: DynamicGNN, snapshot: GraphSnapshot,
+                       counters: FrontendCounters,
+                       link_head: EdgeScorer | None,
+                       fraud_head: Linear | None, max_batch_size: int,
+                       flush_latency_ms: float, clock: Callable[[], float],
+                       telemetry: Telemetry | None) -> None:
         if max_batch_size < 1:
             raise ConfigError("max_batch_size must be >= 1")
         if flush_latency_ms < 0:
             raise ConfigError("flush_latency_ms must be >= 0")
+        self.model = model
+        self.ingestor = StreamIngestor(snapshot)
+        self.counters = counters
+        self.link_head = link_head
+        self.fraud_head = fraud_head
         self.max_batch_size = max_batch_size
         self.flush_latency_ms = flush_latency_ms
         self.clock = clock
@@ -161,13 +181,9 @@ class QueryFrontend:
         self._store_state_interval = 1
         self._store_replaying = False
 
-    @property
-    def num_vertices(self) -> int:
-        raise NotImplementedError
-
-    def flush(self) -> int:
-        """Answer (up to) one micro-batch; returns completed queries."""
-        raise NotImplementedError
+    def _tier_stats(self) -> dict:
+        """Extra fields of the tier's stats type."""
+        return {}
 
     @classmethod
     def from_checkpoint(cls, path: str, snapshot: GraphSnapshot,
@@ -181,6 +197,7 @@ class QueryFrontend:
         kwargs.setdefault("fraud_head", ckpt.fraud_head)
         return cls(ckpt.model, snapshot, **kwargs)
 
+    # -- queries ----------------------------------------------------------------------
     def submit_link(self, src: int, dst: int) -> PendingQuery:
         """Probability that edge ``(src, dst)`` exists/appears."""
         n = self.num_vertices
@@ -226,11 +243,17 @@ class QueryFrontend:
     def _submit(self, query: PendingQuery) -> PendingQuery:
         if self._started_at is None:
             self._started_at = query.enqueued_at
-        self._queue.append(query)
         self.counters.queries_submitted += 1
-        if len(self._queue) >= self.max_batch_size:
-            self.flush()
+        if self._admit(query):
+            self._queue.append(query)
+            if len(self._queue) >= self.max_batch_size:
+                self.flush()
         return query
+
+    def _admit(self, query: PendingQuery) -> bool:
+        """Admission control: whether ``query`` joins the queue (a tier
+        that refuses it resolves it as shed)."""
+        return True
 
     def tick(self) -> int:
         """Event-loop hook: flush if the oldest request is past the
@@ -242,31 +265,152 @@ class QueryFrontend:
             return self.flush()
         return 0
 
-    def drain(self) -> int:
-        """Flush until the queue is empty (end-of-stream helper)."""
+    def flush(self) -> int:
+        """Answer every queued query, ``max_batch_size`` at a time;
+        returns how many queries left the queue.
+
+        What does not depend on the individual query is paid once per
+        batch: it decodes into ``ends`` / ``is_link`` arrays, the tier
+        answers it in one :meth:`_answer_batch` call, and each latency
+        series takes one reservoir update.  A batch leaves the queue
+        once every query in it is resolved, answered or shed; a flush
+        that raises leaves its unresolved queries at the head of the
+        queue, so the next flush answers them."""
         total = 0
         while self._queue:
-            total += self.flush()
+            batch = self._queue[:self.max_batch_size]
+            n = len(batch)
+            with self.telemetry.trace("serve.query", batch=n):
+                flushed_at = self.clock()
+                payloads = list(map(_payload, batch))
+                # a row of endpoints per query; a fraud query's account
+                # is both
+                ends = np.empty((n, 2), dtype=np.int64)
+                ends[:, 0] = np.fromiter(map(_first, payloads), np.int64, n)
+                ends[:, 1] = np.fromiter(map(_last, payloads), np.int64, n)
+                is_link = np.fromiter(map(len, payloads), np.int64, n) == 2
+                try:
+                    scores, served, fresh_at = self._answer_batch(
+                        batch, ends, is_link)
+                except BaseException:
+                    self._queue[:n] = [q for q in batch if not q.done]
+                    raise
+                scored_at = self.clock()
+                answered = batch
+                if served is not None:
+                    answered = list(compress(batch, served))
+                    scores = scores[served]
+                enqueued_at = np.fromiter(map(_enqueued_at, answered),
+                                          np.float64, len(answered))
+                latency_ms = (fresh_at - enqueued_at) * 1e3
+                if answered:
+                    self._record_flush(latency_ms, enqueued_at, flushed_at,
+                                       scored_at)
+                for q, score, ms in zip(answered, scores.tolist(),
+                                        latency_ms.tolist()):
+                    q.result = score
+                    q.latency_ms = ms
+                    q.done = True
+                del self._queue[:n]
+                self.counters.queries_completed += len(answered)
+                self.counters.batches_flushed += 1
+            total += n
         return total
+
+    # every flush empties the queue: the end-of-stream helper is one
+    drain = flush
 
     def _record_flush(self, latency_ms: np.ndarray, enqueued_at: np.ndarray,
                       flushed_at: float, scored_at: float) -> None:
         """Where the answered queries' time went, at one reservoir
-        update per series per flush: latency as the tier defines it,
-        queue wait from each submit to the flush's entry, and one
-        compute observation (entry → scored) the whole batch shares."""
+        update per series per flush: latency from each submit to the
+        batch's rows fresh, queue wait from each submit to the flush's
+        entry, and one compute observation (entry → scored) the whole
+        batch shares."""
         self.latency.record_many(latency_ms)
         self._queue_wait.record_many((flushed_at - enqueued_at) * 1e3)
         self._flush_compute.record((scored_at - flushed_at) * 1e3)
 
-    # -- observability export (shared by both serving tiers) ---------------------------
+    # -- ingestion and time ------------------------------------------------------------
+    def ingest_events(self, events: Iterable[EdgeEvent]) -> int:
+        """Fold live edge events into the resident graph and hand the
+        commit to the tier's engine(s); returns the batch size.
+
+        With a store attached the batch is WAL-logged *before* anything
+        moves (and before this method returns — ingestion is only
+        acknowledged once durable).  The embedding rows the batch
+        touches are invalidated but not recomputed: recomputation is
+        deferred to the flushes that read them, so event bursts
+        coalesce into partial recomputes.
+        """
+        events = list(events)
+        with self.telemetry.trace("serve.ingest", events=len(events)):
+            result = self._commit_events(events)
+            self._apply_commit(result)
+            self.counters.events_ingested += result.num_events
+            self.counters.commits += 1
+        return len(events)
+
+    def _commit_events(self, events: list) -> IngestResult:
+        """Fold the batch over the resident once, WAL it before anything
+        moves or is acknowledged, and commit that same fold (an empty
+        batch commits in O(1), unfolded and unlogged)."""
+        with self.telemetry.trace("serve.commit"):
+            folded = fold_event_batch(self.ingestor.resident, events) \
+                if events else None
+            if folded is not None and self.store is not None and \
+                    not self._store_replaying:
+                self.store.append_events(events, folded=folded)
+            return self.ingestor.commit(events, folded)
+
+    def advance_time(self, snapshot: GraphSnapshot | None = None, *,
+                     diff=None) -> None:
+        """Cross a timestep boundary: every engine settles the rows
+        still stale against the ending step's graph, moves its temporal
+        carries forward and recomputes every row.  With a store
+        attached the boundary seals a WAL timestep (a rebase
+        ``snapshot`` lands as a GD delta) and the engine state is
+        captured every ``state_interval`` boundaries.  ``diff`` is the
+        optional GD delta from the current resident to a rebase
+        ``snapshot``: with it the Ã maintainers advance incrementally
+        instead of rebuilding (recovery replay passes the store-decoded
+        delta here)."""
+        with self.telemetry.trace("serve.advance",
+                                  rebase=snapshot is not None):
+            if self.store is not None and not self._store_replaying:
+                if snapshot is not None:
+                    self.store.append_snapshot(snapshot)
+                else:
+                    self.store.seal_step()
+            if snapshot is not None:
+                self.ingestor.rebase(snapshot)
+            # counted first: the tier's hook reads the boundary's ordinal
+            self.counters.advances += 1
+            self.counters.rows_advanced += self._cross_boundary(snapshot,
+                                                                diff)
+            self._store_maybe_capture()
+
+    # -- stats ---------------------------------------------------------------------------
+    def stats(self) -> FrontendStats:
+        """Point-in-time view: counters, latency percentiles, elapsed
+        time, and the tier's own fields."""
+        now = self.clock()
+        elapsed = (now - self._started_at) if self._started_at is not None \
+            else 0.0
+        return self._stats_type(counters=self.counters,
+                                latency_p50_ms=self.latency.p50,
+                                latency_p95_ms=self.latency.p95,
+                                latency_p99_ms=self.latency.p99,
+                                latency_mean_ms=self.latency.mean,
+                                elapsed_s=elapsed, **self._tier_stats())
+
+    # -- observability export ----------------------------------------------------------
     def _collect_metrics(self) -> None:
         """Sync the authoritative plain-int counters into the metrics
         registry.  Runs at export time, never on the hot path — the
         registry mirrors, it does not double-count."""
-        import dataclasses
         reg = self.telemetry.registry
-        for field in dataclasses.fields(self.counters):
+        for field in fields(self.counters):
             reg.counter(f"serve_{field.name}_total").set_to(
                 getattr(self.counters, field.name))
         reg.gauge("serve_queue_depth",
@@ -318,7 +462,7 @@ class QueryFrontend:
         return render_dashboard(self.telemetry, slo=self.slo,
                                 title=title)
 
-    # -- durability plumbing (shared by ModelServer and ExecRouter) --------------
+    # -- durability ------------------------------------------------------------------------
     def attach_store(self, store, *, state_interval: int = 1,
                      capture: bool = True) -> None:
         """Make ingestion durable through a
@@ -354,37 +498,9 @@ class QueryFrontend:
         if capture:
             self._capture_store_state()
 
-    def _capture_state(self) -> tuple[dict, dict]:
-        """(meta, arrays) snapshot of the serving-engine state — the
-        tier-specific half of the durability plumbing."""
-        raise NotImplementedError
-
     def _capture_store_state(self) -> None:
         meta, arrays = self._capture_state()
         self.store.save_engine_state(meta, arrays)
-
-    def _commit_events(self, events: list) -> tuple[int, IngestResult]:
-        """Fold the batch over the resident once, WAL it before anything
-        moves or is acknowledged, and commit that same fold (an empty
-        batch commits in O(1), unfolded and unlogged)."""
-        with self.telemetry.trace("serve.commit"):
-            folded = fold_event_batch(self.ingestor.resident, events) \
-                if events else None
-            if folded is not None and self.store is not None and \
-                    not self._store_replaying:
-                self.store.append_events(events, folded=folded)
-            count = self.ingestor.push_batch(events)
-            return count, self.ingestor.commit(folded)
-
-    def _store_log_boundary(self, snapshot) -> None:
-        """Seal a WAL timestep at an ``advance_time`` boundary (a
-        rebase snapshot lands as a GD delta record)."""
-        if self.store is None or self._store_replaying:
-            return
-        if snapshot is not None:
-            self.store.append_snapshot(snapshot)
-        else:
-            self.store.seal_step()
 
     def _store_maybe_capture(self) -> None:
         """Capture engine state every ``state_interval`` boundaries."""
@@ -392,11 +508,19 @@ class QueryFrontend:
                 self.counters.advances % self._store_state_interval == 0:
             self._capture_store_state()
 
-    @staticmethod
-    def _recovery_state(store, checkpoint, model, kwargs):
-        """Shared ``recover()`` prologue: resolve the model/heads from
-        a checkpoint, fetch the newest engine capture, and materialize
-        the resident graph at the capture point."""
+    @classmethod
+    def recover(cls, store, *, checkpoint: str | None = None,
+                model: DynamicGNN | None = None,
+                state_interval: int = 1, **kwargs):
+        """Reboot a crashed tier from (model checkpoint, newest
+        engine-state capture, WAL tail replay).
+
+        The recovered tier's resident graph, temporal state and served
+        embeddings equal the pre-crash tier's exactly: the capture
+        restores the per-vertex arrays bit for bit and the tail ops
+        re-run through the same ``ingest_events`` / ``advance_time``
+        numerics.  ``kwargs`` go to the tier's constructor.
+        """
         if checkpoint is not None:
             from repro.train.checkpoint import load_model_checkpoint
             ckpt = load_model_checkpoint(checkpoint)
@@ -412,7 +536,9 @@ class QueryFrontend:
                 "attach_store(...) so recovery has a starting point")
         meta, arrays = state
         resident = store._state_at_record(meta["record_index"])
-        return model, meta, arrays, resident
+        tier = cls._restore(model, resident, meta, arrays, kwargs)
+        tier._replay_store_tail(store, meta["record_index"], state_interval)
+        return tier
 
     def _replay_store_tail(self, store, record_index: int,
                            state_interval: int) -> bool:
@@ -476,6 +602,8 @@ class ModelServer(QueryFrontend):
         Seconds-returning callable (default ``time.perf_counter``).
     """
 
+    _stats_type = ServerStats
+
     def __init__(self, model: DynamicGNN, snapshot: GraphSnapshot, *,
                  link_head: EdgeScorer | None = None,
                  fraud_head: Linear | None = None,
@@ -485,52 +613,19 @@ class ModelServer(QueryFrontend):
                  telemetry: Telemetry | None = None,
                  kernel_backend=None,
                  clock: Callable[[], float] = time.perf_counter) -> None:
-        self._init_frontend(max_batch_size, flush_latency_ms, clock,
-                            telemetry)
-        self.model = model
+        self._init_frontend(model, snapshot, ServerCounters(), link_head,
+                            fraud_head, max_batch_size, flush_latency_ms,
+                            clock, telemetry)
         self.engine = InferenceEngine(model, snapshot,
                                       telemetry=self.telemetry,
                                       kernel_backend=kernel_backend)
-        self.ingestor = StreamIngestor(snapshot)
-        self.link_head = link_head
-        self.fraud_head = fraud_head
         self.incremental = incremental
-        self.counters = ServerCounters()
         # a commit since the last flush: the next flush refreshes only
-        # its batch's cone (see flush)
+        # its batch's cone (see _answer_batch)
         self._fresh_commit = False
         self.engine.advance()  # prime embeddings for the initial snapshot
         self.counters.advances += 1
 
-    # -- durability ----------------------------------------------------------------
-    # attach_store (WAL-before-ack, timestep seals, periodic captures)
-    # is inherited from QueryFrontend; this class supplies the capture
-    # payload and the recovery assembly.
-    def _capture_state(self) -> tuple[dict, dict]:
-        return capture_engine_state(self.engine)
-
-    @classmethod
-    def recover(cls, store, *, checkpoint: str | None = None,
-                model: DynamicGNN | None = None,
-                state_interval: int = 1, **kwargs) -> "ModelServer":
-        """Reboot a crashed server from (model checkpoint, newest
-        engine-state capture, WAL tail replay).
-
-        The recovered server's resident graph, temporal state and
-        served embeddings equal the pre-crash server's exactly: the
-        capture restores the per-vertex arrays bit-for-bit and the tail
-        ops re-run through the same ``ingest_events`` /
-        ``advance_time`` numerics.
-        """
-        model, meta, arrays, resident = cls._recovery_state(
-            store, checkpoint, model, kwargs)
-        server = cls(model, resident, **kwargs)
-        restore_engine_state(server.engine, meta, arrays)
-        server._replay_store_tail(store, meta["record_index"],
-                                  state_interval)
-        return server
-
-    # -- cache plumbing ------------------------------------------------------------
     @property
     def cache(self) -> EmbeddingCache:
         return self.engine.cache
@@ -539,16 +634,69 @@ class ModelServer(QueryFrontend):
     def num_vertices(self) -> int:
         return self.engine.num_vertices
 
+    # -- tier hooks --------------------------------------------------------------------
+    def _apply_commit(self, result: IngestResult) -> None:
+        if self.incremental:
+            # the GD delta rides along so the engine's Ã maintainer
+            # applies it incrementally instead of rebuilding
+            self.engine.set_snapshot(result.snapshot, seeds=result.dirty,
+                                     diff=result.diff)
+            self._fresh_commit = True
+        else:
+            # the full-recompute baseline keeps the pre-kernel cost
+            # profile: no delta, full operator rebuild
+            self.engine.set_snapshot(result.snapshot, seeds=None)
+
+    def _cross_boundary(self, snapshot: GraphSnapshot | None,
+                        diff) -> int:
+        # rows still stale against the ending step settle first (one
+        # full refresh, counted like any other)
+        self._refresh()
+        self._fresh_commit = False
+        self.engine.advance(snapshot, diff=diff if self.incremental
+                            else None)
+        return self.engine.num_vertices
+
+    def _answer_batch(self, batch: list, ends: np.ndarray,
+                      is_link: np.ndarray) -> tuple:
+        """Refresh the cache and score the batch from it.
+
+        The refresh follows a ski-rental rule.  The first flush after a
+        commit recomputes only its batch's read cone; a second flush
+        before the next commit recomputes every row still stale, so
+        read-heavy steps pay at most two refreshes per commit, and the
+        boundary settles whatever no flush read."""
+        self._refresh(ends.ravel() if self._fresh_commit else None)
+        self._fresh_commit = False
+        fresh_at = self.clock()
+        z = self.cache.embeddings
+        scores = np.empty(len(ends))
+        if is_link.any():
+            scores[is_link] = score_links(z, ends[is_link], self.link_head)
+        if not is_link.all():
+            is_fraud = ~is_link
+            scores[is_fraud] = score_fraud(z, ends[is_fraud, 0],
+                                           self.fraud_head)
+        return scores, None, fresh_at
+
+    def _capture_state(self) -> tuple[dict, dict]:
+        return capture_engine_state(self.engine)
+
+    @classmethod
+    def _restore(cls, model: DynamicGNN, resident: GraphSnapshot,
+                 meta: dict, arrays: dict, kwargs: dict) -> "ModelServer":
+        server = cls(model, resident, **kwargs)
+        restore_engine_state(server.engine, meta, arrays)
+        return server
+
     def _collect_tier_metrics(self, reg) -> None:
         maintainer = self.engine.maintainer
-        reg.counter("serve_maintainer_updates_total").set_to(
-            maintainer.updates)
-        reg.counter("serve_maintainer_incremental_total").set_to(
-            maintainer.incremental_updates)
-        reg.counter("serve_maintainer_full_rebuilds_total").set_to(
-            maintainer.full_rebuilds)
-        reg.counter("serve_maintainer_fallbacks_total").set_to(
-            maintainer.fallbacks)
+        for series, field in (("updates", "updates"),
+                              ("incremental", "incremental_updates"),
+                              ("full_rebuilds", "full_rebuilds"),
+                              ("fallbacks", "fallbacks")):
+            reg.counter(f"serve_maintainer_{series}_total").set_to(
+                getattr(maintainer, field))
         reg.counter("serve_engine_steps_total",
                     "Timestep boundaries the engine crossed").set_to(
             self.engine.steps)
@@ -566,127 +714,6 @@ class ModelServer(QueryFrontend):
             reg.gauge("serve_cache_hit_rate",
                       "Fraction of rows served from the embedding "
                       "cache").set(hit_rate)
-
-    def stats(self) -> ServerStats:
-        now = self.clock()
-        elapsed = (now - self._started_at) if self._started_at is not None \
-            else 0.0
-        # copy the counters so the stats object really is point-in-time
-        return ServerStats(counters=replace(self.counters),
-                           latency_p50_ms=self.latency.p50,
-                           latency_p95_ms=self.latency.p95,
-                           latency_p99_ms=self.latency.p99,
-                           latency_mean_ms=self.latency.mean,
-                           elapsed_s=elapsed)
-
-    # -- ingestion --------------------------------------------------------------------
-    def ingest_events(self, events: Iterable[EdgeEvent]) -> int:
-        """Fold live edge events into the resident graph.
-
-        With a store attached the batch is WAL-logged *before* it is
-        applied (and before this method returns — ingestion is only
-        acknowledged once durable).  The embedding cache is invalidated
-        (k-hop) but not refreshed — recomputation is deferred to the
-        flushes that read it, so event bursts coalesce into partial
-        recomputes.
-        """
-        events = list(events)
-        with self.telemetry.trace("serve.ingest", events=len(events)):
-            count, result = self._commit_events(events)
-            self.counters.events_ingested += result.num_events
-            self.counters.commits += 1
-            if self.incremental:
-                # the GD delta rides along so the engine's Ã maintainer
-                # applies it incrementally instead of rebuilding
-                self.engine.set_snapshot(result.snapshot,
-                                         seeds=result.dirty,
-                                         diff=result.diff)
-                self._fresh_commit = True
-            else:
-                # the full-recompute baseline keeps the pre-kernel cost
-                # profile: no delta, full operator rebuild
-                self.engine.set_snapshot(result.snapshot, seeds=None)
-        return count
-
-    def advance_time(self, snapshot: GraphSnapshot | None = None, *,
-                     diff=None) -> None:
-        """Cross a timestep boundary: rows still stale against the ending
-        step's graph are settled (one full refresh, counted like any
-        other), then temporal carries move forward and every row
-        recomputes (both serving modes pay this).  With a store attached
-        the boundary seals a timestep in the WAL (a rebase snapshot
-        lands as a GD delta) and the engine state is captured every
-        ``state_interval`` boundaries.  ``diff`` is the optional GD
-        delta from the current resident to a rebase ``snapshot`` — with
-        it the engine's Ã maintainer advances incrementally instead of
-        rebuilding (recovery replay passes the store-decoded delta
-        here)."""
-        with self.telemetry.trace("serve.advance",
-                                  rebase=snapshot is not None):
-            self._store_log_boundary(snapshot)
-            self._refresh()
-            self._fresh_commit = False
-            self.engine.advance(snapshot, diff=diff if self.incremental
-                                else None)
-            if snapshot is not None:
-                self.ingestor.rebase(snapshot)
-            self.counters.advances += 1
-            self.counters.rows_advanced += self.engine.num_vertices
-            self._store_maybe_capture()
-
-    # -- queries ----------------------------------------------------------------------
-    def flush(self) -> int:
-        """Refresh the cache and answer every queued query in one batch.
-
-        What does not depend on the individual query is paid once per
-        batch: it decodes into arrays, both heads score into one array
-        and each latency series takes one reservoir update.  The batch
-        leaves the queue only once answered, so a flush that raises (a
-        failing refresh) loses nothing — the next flush answers it.
-
-        The refresh follows a ski-rental rule.  The first flush after a
-        commit recomputes only its batch's read cone; a second flush
-        before the next commit recomputes every row still stale, so
-        read-heavy steps pay at most two refreshes per commit, and the
-        boundary settles whatever no flush read."""
-        if not self._queue:
-            return 0
-        batch = self._queue[:self.max_batch_size]
-        n = len(batch)
-        with self.telemetry.trace("serve.query", batch=n):
-            flushed_at = self.clock()
-            payloads = list(map(_payload, batch))
-            # a row of endpoints per query; a fraud query's account is both
-            ends = np.empty((n, 2), dtype=np.int64)
-            ends[:, 0] = np.fromiter(map(_first, payloads), np.int64, n)
-            ends[:, 1] = np.fromiter(map(_last, payloads), np.int64, n)
-            is_link = np.fromiter(map(len, payloads), np.int64, n) == 2
-            enqueued_at = np.fromiter(map(_enqueued_at, batch),
-                                      np.float64, n)
-            self._refresh(ends.ravel() if self._fresh_commit else None)
-            self._fresh_commit = False
-            z = self.cache.embeddings
-            now = self.clock()
-            scores = np.empty(n)
-            if is_link.any():
-                scores[is_link] = self._score_links(z, ends[is_link])
-            if not is_link.all():
-                is_fraud = ~is_link
-                scores[is_fraud] = self._score_fraud(z, ends[is_fraud, 0])
-            latency_ms = (now - enqueued_at) * 1e3
-            self._record_flush(latency_ms, enqueued_at, flushed_at,
-                               self.clock())
-            for q, score, ms in zip(batch, scores.tolist(),
-                                    latency_ms.tolist()):
-                q.result = score
-                q.latency_ms = ms
-                q.done = True
-            del self._queue[:n]
-            self.counters.queries_completed += n
-            self.counters.batches_flushed += 1
-        if self._queue:  # drained in max_batch_size chunks
-            return n + self.flush()
-        return n
 
     # -- scoring ----------------------------------------------------------------------
     def _refresh(self, reads: np.ndarray | None = None) -> None:
@@ -709,10 +736,3 @@ class ModelServer(QueryFrontend):
             self.counters.rows_recomputed += recomputed
             self.counters.rows_served_from_cache += \
                 self.engine.num_vertices - recomputed
-
-    def _score_links(self, z: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-        return score_links(z, pairs, self.link_head)
-
-    def _score_fraud(self, z: np.ndarray,
-                     accounts: np.ndarray) -> np.ndarray:
-        return score_fraud(z, accounts, self.fraud_head)

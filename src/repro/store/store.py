@@ -268,6 +268,32 @@ class GraphStore:
         return idx
 
     # -- replay engine -------------------------------------------------------------------
+    @staticmethod
+    def _replay(state: GraphSnapshot, records: Iterable
+                ) -> Iterator[tuple[str | None, object, GraphSnapshot]]:
+        """The one WAL replay loop: fold each ``EVENTS`` / ``DIFF``
+        record into ``state``, check each ``SEAL`` against it (a
+        mismatch raises :class:`StoreError`), and yield ``(op, payload,
+        state)`` per record — :meth:`replay_tail`'s ops, or ``(None,
+        None)`` for a record that leaves the graph alone."""
+        for record in records:
+            if record.kind == KIND_EVENTS:
+                events = codec.decode_events(record.payload)
+                state = codec.fold_events(state, events)
+                yield "events", events, state
+            elif record.kind == KIND_DIFF:
+                diff, state, _ = codec.decode_diff(record.payload, state)
+                yield "rebase", (state, diff), state
+            elif record.kind == KIND_SEAL:
+                meta, _ = codec.unpack_record(record.payload)
+                if meta["result_checksum"] != codec.edge_checksum(state):
+                    raise StoreError(
+                        f"replay diverged: state at seal #{meta['step']} "
+                        f"fails the sealed checksum")
+                yield "advance", None, state
+            else:
+                yield None, None, state
+
     def _state_at_record(self, idx: int, *,
                          start: tuple[int, GraphSnapshot] | None = None
                          ) -> GraphSnapshot:
@@ -305,22 +331,11 @@ class GraphStore:
         if state is None:
             state = _empty_snapshot(self.num_vertices)
         depth = 0
-        for record in self.wal.scan_from(base_idx + 1, idx + 1):
-            if record.kind == KIND_DIFF:
-                _, state, _ = codec.decode_diff(record.payload, state)
+        for op, _, state in self._replay(
+                state, self.wal.scan_from(base_idx + 1, idx + 1)):
+            if op in ("events", "rebase"):
                 self.records_replayed += 1
                 depth += 1
-            elif record.kind == KIND_EVENTS:
-                state = codec.fold_events(
-                    state, codec.decode_events(record.payload))
-                self.records_replayed += 1
-                depth += 1
-            elif record.kind == KIND_SEAL:
-                meta, _ = codec.unpack_record(record.payload)
-                if meta["result_checksum"] != codec.edge_checksum(state):
-                    raise StoreError(
-                        f"replay diverged: state at seal #{meta['step']} "
-                        f"fails the sealed checksum")
         # the distribution of tail-replay lengths is the store's
         # time-travel cost profile (bounded by the compaction interval)
         self.replay_depth.observe(depth)
@@ -435,17 +450,7 @@ class GraphStore:
         inconsistency."""
         state = _empty_snapshot(self.num_vertices)
         count = 0
-        for record in self.wal.scan():
-            if record.kind == KIND_DIFF:
-                _, state, _ = codec.decode_diff(record.payload, state)
-            elif record.kind == KIND_EVENTS:
-                state = codec.fold_events(
-                    state, codec.decode_events(record.payload))
-            elif record.kind == KIND_SEAL:
-                meta, _ = codec.unpack_record(record.payload)
-                if meta["result_checksum"] != codec.edge_checksum(state):
-                    raise StoreError(
-                        f"seal #{meta['step']} checksum mismatch")
+        for _, _, state in self._replay(state, self.wal.scan()):
             count += 1
         if codec.edge_checksum(state) != codec.edge_checksum(self._tip):
             raise StoreError("verified log state disagrees with the "
@@ -527,20 +532,16 @@ class GraphStore:
         ``ingest_events`` / ``advance_time`` paths.  ``start`` is the
         graph state at ``after_record`` when the caller already
         materialized it (recovery always has — rebuilding it here would
-        replay the log prefix a second time).
+        replay the log prefix a second time).  A seal whose checksum
+        disagrees with the replayed graph raises :class:`StoreError`
+        before its boundary is yielded.
         """
         state = start if start is not None \
             else self._state_at_record(after_record)
-        for record in self.wal.scan_from(after_record + 1):
-            if record.kind == KIND_EVENTS:
-                events = codec.decode_events(record.payload)
-                state = codec.fold_events(state, events)
-                yield ("events", events)
-            elif record.kind == KIND_DIFF:
-                diff, state, _ = codec.decode_diff(record.payload, state)
-                yield ("rebase", (state, diff))
-            elif record.kind == KIND_SEAL:
-                yield ("advance", None)
+        for op, payload, _ in self._replay(
+                state, self.wal.scan_from(after_record + 1)):
+            if op is not None:
+                yield op, payload
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"GraphStore(path={self.path!r}, N={self.num_vertices}, "

@@ -273,8 +273,7 @@ def test_wrong_base_checksum_leaves_worker_untouched(world):
     transport = router.transports[0]
     service = transport.service
     ingestor = StreamIngestor(world.dtdg[0])
-    ingestor.push_batch(events_between(world.dtdg[0], world.dtdg[1]))
-    commit = ingestor.commit()
+    commit = ingestor.commit(events_between(world.dtdg[0], world.dtdg[1]))
     dirty = expand_dirty(commit.snapshot, commit.dirty,
                          router.model.num_layers)
     bad = replace(commit.diff,

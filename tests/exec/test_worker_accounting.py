@@ -74,8 +74,7 @@ class TestCharge:
 
         worker = make_worker(snapshot, 0, AutoClock())
         ingestor = StreamIngestor(snapshot)
-        ingestor.push_batch([EdgeEvent(0, 13), EdgeEvent(5, 2)])
-        commit = ingestor.commit()
+        commit = ingestor.commit([EdgeEvent(0, 13), EdgeEvent(5, 2)])
         dirty = expand_dirty(commit.snapshot, commit.dirty, 2)
         rows = np.arange(4, dtype=np.int64)
         seen = [worker.busy_s]

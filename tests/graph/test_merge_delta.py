@@ -207,12 +207,11 @@ class TestCarriedChecksum:
         rng = np.random.default_rng(0)
         ing = StreamIngestor(_snap([[0, 1]], n=40))
         for _ in range(25):
-            ing.push_batch(
+            result = ing.commit([
                 EdgeEvent(int(u), int(v), "add" if add else "remove", 1.5)
                 for u, v, add in zip(rng.integers(40, size=30),
                                      rng.integers(40, size=30),
-                                     rng.random(30) < 0.6))
-            result = ing.commit()
+                                     rng.random(30) < 0.6)])
             assert result.snapshot._mix is not None
             assert edge_checksum(result.snapshot) == \
                 _checksum(result.snapshot.edges, 40)

@@ -218,11 +218,13 @@ def oracle_gcn_project(aggregated, weight, skip_concat=False, relu=True):
 # ---------------------------------------------------------------------------
 # Until the array-shaped flush this was the body of ModelServer.flush: a
 # touched-vertex set, two enumerate passes, np.array over a list of
-# tuples, one _resolve and one scalar latency.record per query.  The live
+# tuples, one resolve and one scalar latency.record per query.  The live
 # flush must leave every handle, counter, stale layer and the latency
 # reservoir exactly where this leaves them.
 
 def flush_oracle(server) -> int:
+    from repro.serve.server import score_fraud, score_links
+
     if not server._queue:
         return 0
     batch, server._queue = server._queue[:server.max_batch_size], \
@@ -237,17 +239,23 @@ def flush_oracle(server) -> int:
     links = [(i, q) for i, q in enumerate(batch) if q.kind == "link"]
     frauds = [(i, q) for i, q in enumerate(batch) if q.kind == "fraud"]
     now = server.clock()
+
+    def resolve(q, score):
+        q.result = float(score)
+        q.latency_ms = (now - q.enqueued_at) * 1e3
+        q.done = True
+
     if links:
         pairs = np.array([q.payload for _, q in links], dtype=np.int64)
-        scores = server._score_links(z, pairs)
-        for (_, q), s in zip(links, scores):
-            q._resolve(s, now)
+        for (_, q), s in zip(links, score_links(z, pairs,
+                                                server.link_head)):
+            resolve(q, s)
     if frauds:
         accounts = np.array([q.payload[0] for _, q in frauds],
                             dtype=np.int64)
-        scores = server._score_fraud(z, accounts)
-        for (_, q), s in zip(frauds, scores):
-            q._resolve(s, now)
+        for (_, q), s in zip(frauds, score_fraud(z, accounts,
+                                                 server.fraud_head)):
+            resolve(q, s)
     for q in batch:
         server.latency.record(q.latency_ms)
     server.counters.queries_completed += len(batch)

@@ -63,8 +63,7 @@ def test_incremental_equals_full_recompute_over_stream(stream20, name):
         events = events_between(ingestor.resident, dtdg[t])
         chunk = max(1, len(events) // 4)
         for lo in range(0, len(events), chunk):
-            ingestor.push_batch(events[lo:lo + chunk])
-            result = ingestor.commit()
+            result = ingestor.commit(events[lo:lo + chunk])
             inc.set_snapshot(result.snapshot, seeds=result.dirty)
             rows = inc.refresh()
             full.set_snapshot(result.snapshot, seeds=None)
@@ -101,8 +100,7 @@ def test_unflushed_events_settle_before_advance(stream20, name):
         events = events_between(ingestor.resident, dtdg[t])
         chunk = max(1, len(events) // 3)
         for lo in range(0, len(events), chunk):
-            ingestor.push_batch(events[lo:lo + chunk])
-            result = ingestor.commit()
+            result = ingestor.commit(events[lo:lo + chunk])
             eager.set_snapshot(result.snapshot, seeds=result.dirty)
             eager.refresh()
             # lazy accumulates dirt, deliberately never refreshed
@@ -155,8 +153,7 @@ def test_refresh_touches_only_dirty_region(stream20):
     engine.advance()
     ingestor = StreamIngestor(dtdg[0])
     events = events_between(dtdg[0], dtdg[1])[:5]
-    ingestor.push_batch(events)
-    result = ingestor.commit()
+    result = ingestor.commit(events)
     engine.set_snapshot(result.snapshot, seeds=result.dirty)
     rows = engine.refresh()
     assert 0 < rows < dtdg.num_vertices

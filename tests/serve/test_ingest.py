@@ -28,43 +28,42 @@ class TestEdgeEvent:
 class TestStreamIngestor:
     def test_add_edge(self):
         ing = StreamIngestor(snap(4, [[0, 1]]))
-        ing.push(EdgeEvent(2, 3))
-        result = ing.commit()
+        result = ing.commit([EdgeEvent(2, 3)])
         assert result.snapshot == snap(4, [[0, 1], [2, 3]])
         np.testing.assert_array_equal(result.dirty, [2, 3])
         assert result.num_events == 1
 
     def test_remove_edge(self):
         ing = StreamIngestor(snap(4, [[0, 1], [2, 3]]))
-        ing.push(EdgeEvent(2, 3, op="remove"))
-        result = ing.commit()
+        result = ing.commit([EdgeEvent(2, 3, op="remove")])
         assert result.snapshot == snap(4, [[0, 1]])
 
     def test_remove_missing_edge_noop(self):
         ing = StreamIngestor(snap(4, [[0, 1]]))
-        ing.push(EdgeEvent(1, 2, op="remove"))
-        result = ing.commit()
+        result = ing.commit([EdgeEvent(1, 2, op="remove")])
         assert result.snapshot == snap(4, [[0, 1]])
         # endpoints still reported dirty (conservative)
         np.testing.assert_array_equal(result.dirty, [1, 2])
 
     def test_add_existing_edge_accumulates_value(self):
         ing = StreamIngestor(snap(4, [[0, 1]], values=[2.0]))
-        ing.push(EdgeEvent(0, 1, value=3.0))
-        result = ing.commit()
+        result = ing.commit([EdgeEvent(0, 1, value=3.0)])
         np.testing.assert_allclose(result.snapshot.values, [5.0])
 
     def test_remove_then_add_replaces_value(self):
         ing = StreamIngestor(snap(4, [[0, 1]], values=[2.0]))
-        ing.push(EdgeEvent(0, 1, op="remove"))
-        ing.push(EdgeEvent(0, 1, value=7.0))
-        result = ing.commit()
+        result = ing.commit([EdgeEvent(0, 1, op="remove"),
+                             EdgeEvent(0, 1, value=7.0)])
         assert result.snapshot == snap(4, [[0, 1]], values=[7.0])
 
     def test_out_of_range_endpoint_rejected(self):
-        ing = StreamIngestor(snap(4, [[0, 1]]))
+        base = snap(4, [[0, 1]])
+        ing = StreamIngestor(base)
         with pytest.raises(DatasetError):
-            ing.push(EdgeEvent(0, 4))
+            ing.commit([EdgeEvent(2, 3), EdgeEvent(0, 4)])
+        # the whole batch is refused before anything moves
+        assert ing.resident is base
+        assert ing.total_events == ing.total_commits == 0
 
     def test_empty_commit(self):
         base = snap(4, [[0, 1]])
@@ -85,14 +84,12 @@ class TestStreamIngestor:
         base = snap(5, [[0, 1], [1, 2], [3, 4]])
         mirror = snap(5, [[0, 1], [1, 2], [3, 4]])
         ing = StreamIngestor(base)
-        ing.push_batch([EdgeEvent(2, 3), EdgeEvent(1, 2, op="remove")])
-        result = ing.commit()
+        result = ing.commit([EdgeEvent(2, 3), EdgeEvent(1, 2, op="remove")])
         assert apply_diff(mirror, result.diff) == result.snapshot
 
     def test_counters_and_payload(self):
         ing = StreamIngestor(snap(4, [[0, 1]]))
-        ing.push_batch([EdgeEvent(1, 2), EdgeEvent(2, 3)])
-        result = ing.commit()
+        result = ing.commit([EdgeEvent(1, 2), EdgeEvent(2, 3)])
         assert ing.total_events == 2
         assert ing.total_commits == 1
         assert ing.total_payload_nbytes == result.payload_nbytes > 0
@@ -137,8 +134,7 @@ class TestEventsBetween:
         dtdg = evolving_dtdg(40, 6, 60, churn=0.3, seed=9)
         ing = StreamIngestor(dtdg[0])
         for t in range(1, dtdg.num_timesteps):
-            ing.push_batch(events_between(ing.resident, dtdg[t]))
-            ing.commit()
+            ing.commit(events_between(ing.resident, dtdg[t]))
             assert ing.resident == dtdg[t], f"mismatch at t={t}"
 
     def test_value_change_becomes_replace_pair(self):
@@ -146,8 +142,7 @@ class TestEventsBetween:
         b = snap(4, [[0, 1], [1, 2]], values=[1.0, 4.0])
         events = events_between(a, b)
         ing = StreamIngestor(a)
-        ing.push_batch(events)
-        assert ing.commit().snapshot == b
+        assert ing.commit(events).snapshot == b
 
     def test_tiny_relative_value_change_not_dropped(self):
         """Value comparison must be exact: a 5e-6 relative change on a
@@ -157,6 +152,5 @@ class TestEventsBetween:
         events = events_between(a, b)
         assert len(events) == 2  # remove + add
         ing = StreamIngestor(a)
-        ing.push_batch(events)
-        np.testing.assert_array_equal(ing.commit().snapshot.values,
+        np.testing.assert_array_equal(ing.commit(events).snapshot.values,
                                       [2_000_010.0])

@@ -130,8 +130,7 @@ def test_worker_mirror_fold(stream, arm):
     ingestor = StreamIngestor(first)
     arm()
     for batch in batches:
-        ingestor.push_batch(batch)
-        result = ingestor.commit()
+        result = ingestor.commit(batch)
         service.rpc_apply_delta(
             result.diff, expand_dirty(result.snapshot, result.dirty, 2))
         np.testing.assert_array_equal(service.resident.edges,
@@ -149,8 +148,7 @@ def test_store_append_and_replay(stream, arm, tmp_path):
     arm()
     for batch in batches:
         store.append_events(batch)
-        ingestor.push_batch(batch)
-        ingestor.commit()
+        ingestor.commit(batch)
     assert store.tip == ingestor.resident
     replayed = [payload for kind, payload in
                 store.replay_tail(sealed, start=first) if kind == "events"]

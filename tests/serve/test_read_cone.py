@@ -302,8 +302,7 @@ def test_stratified_refresh_matches_the_eager_oracle(stream, name):
     ingestor = StreamIngestor(stream[0])
     for t in (1, 2):
         for batch in _batches(stream, t):
-            ingestor.push_batch(batch)
-            result = ingestor.commit()
+            result = ingestor.commit(batch)
             for engine in (lazy, eager):
                 engine.set_snapshot(result.snapshot, seeds=result.dirty,
                                     diff=result.diff)

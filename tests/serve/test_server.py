@@ -181,6 +181,30 @@ class TestFlushFailure:
             == server.counters.queries_completed == 3
 
 
+class TestDrainAfterFailedFlushes:
+    def test_drain_loops_instead_of_recursing(self, world, monkeypatch):
+        """Failed flushes keep their batches queued, so more batches can
+        pile up than the stack could recurse through: the flush used to
+        drain by ``return n + self.flush()`` and ``drain()`` died with
+        ``RecursionError`` two thousand queries short."""
+        server = make_server(world, max_batch_size=1)
+        server.ingest_events([EdgeEvent(0, 1), EdgeEvent(2, 3)])
+        refresh = server.engine.refresh
+        monkeypatch.setattr(server.engine, "refresh",
+                            lambda reads=None: (_ for _ in ()).throw(
+                                RuntimeError("boom")))
+        for i in range(3000):
+            with pytest.raises(RuntimeError, match="boom"):
+                server.submit_fraud(i % 80)
+        queued = list(server._queue)
+        assert len(queued) == 3000
+        monkeypatch.setattr(server.engine, "refresh", refresh)
+        assert server.drain() == 3000
+        assert not server._queue and all(q.done for q in queued)
+        assert server.counters.queries_completed == \
+            server.counters.batches_flushed == 3000
+
+
 class TestPerFlushNotPerQuery:
     """The read path's fixed costs, pinned by counts rather than timing."""
 

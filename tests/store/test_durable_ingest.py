@@ -15,6 +15,8 @@ state moves, and no redundant capture after recovery.
   capture it started from plus the WAL still reproduce the state); the
   sharded tier takes one only when the tail crossed a boundary, because
   single-worker revival replays event-only tails.
+* The tail replay checks every seal: a seal whose checksum disagrees
+  with the replayed graph stops ``recover()``.
 """
 
 import os
@@ -23,15 +25,15 @@ import sys
 import numpy as np
 import pytest
 
-from repro.errors import DatasetError
+from repro.errors import DatasetError, StoreError
 from repro.exec import ExecRouter
 from repro.graph import AMLSimConfig, generate_amlsim
 from repro.models import build_model
 from repro.nn.linear import Linear
 from repro.serve import EdgeEvent, ModelServer, events_between
 from repro.serve import ingest
-from repro.store import GraphStore
-from repro.store.wal import DeltaLog
+from repro.store import GraphStore, codec
+from repro.store.wal import KIND_SEAL, DeltaLog
 
 
 @pytest.fixture(scope="module")
@@ -56,13 +58,14 @@ def _tier(kind, dtdg, path=None, **kwargs):
     return tier
 
 
-def _recover(kind, path):
+def _recover(kind, path, store=None):
     model = build_model("cdgcn", in_features=2, seed=0)
     fraud = Linear(model.embed_dim, 2, np.random.default_rng(9))
     cls = ModelServer if kind == "server" else ExecRouter
     extra = {} if kind == "server" else {"backend": "simulated"}
-    return cls.recover(GraphStore.open(str(path)), model=model,
-                       fraud_head=fraud, **extra)
+    if store is None:
+        store = GraphStore.open(str(path))
+    return cls.recover(store, model=model, fraud_head=fraud, **extra)
 
 
 def _embeddings(tier):
@@ -132,6 +135,7 @@ def test_failed_wal_append_moves_nothing(stream, kind, tmp_path,
         t.ingest_events(first)
     resident, tip = tier.ingestor.resident, tier.store.tip
     records = tier.store.wal.num_records
+    folded = (tier.ingestor.total_events, tier.ingestor.total_commits)
     counters = (tier.counters.events_ingested, tier.counters.commits)
 
     def refuse(self, kind, payload):
@@ -145,7 +149,8 @@ def test_failed_wal_append_moves_nothing(stream, kind, tmp_path,
     assert tier.ingestor.resident is resident
     assert tier.store.tip is tip
     assert tier.store.wal.num_records == records
-    assert not tier.ingestor._pending
+    assert (tier.ingestor.total_events, tier.ingestor.total_commits) == \
+        folded
     assert (tier.counters.events_ingested, tier.counters.commits) == \
         counters
     # the same batch then ingests cleanly, exactly once
@@ -184,6 +189,7 @@ def test_rejected_batch_moves_nothing(stream, kind, bad, tmp_path):
         t.ingest_events(first)
     resident, tip = tier.ingestor.resident, tier.store.tip
     records = tier.store.wal.num_records
+    folded = (tier.ingestor.total_events, tier.ingestor.total_commits)
     stale = [cache.stale.copy() for cache in _caches(tier)]
 
     with pytest.raises(DatasetError):
@@ -192,7 +198,8 @@ def test_rejected_batch_moves_nothing(stream, kind, bad, tmp_path):
     assert tier.ingestor.resident is resident
     assert tier.store.tip is tip
     assert tier.store.wal.num_records == records
-    assert not tier.ingestor._pending
+    assert (tier.ingestor.total_events, tier.ingestor.total_commits) == \
+        folded
     for before, cache in zip(stale, _caches(tier)):
         np.testing.assert_array_equal(cache.stale, before)
     for t in (tier, clean):
@@ -277,3 +284,20 @@ def test_worker_revives_after_boundary_crossing_recovery(stream, tmp_path):
         clean.ingest_events(events_between(stream[t - 1], stream[t]))
     np.testing.assert_array_equal(_embeddings(rec), _embeddings(clean))
     _close(rec, clean)
+
+
+@pytest.mark.parametrize("kind", TIERS)
+def test_recover_refuses_a_seal_the_tail_disagrees_with(stream, kind,
+                                                        tmp_path):
+    """A seal recorded over another graph than the one the tail replays
+    to stops recovery, as it stops materialization: the tail used to
+    replay past it."""
+    live = _tier(kind, stream, tmp_path / "s")
+    live.ingest_events(events_between(stream[0], stream[1]))
+    store = live.store
+    store.wal.append(KIND_SEAL, codec.pack_record(
+        {"kind": "seal", "step": store.num_timesteps,
+         "result_checksum": codec.edge_checksum(stream[0])}, {}))
+    with pytest.raises(StoreError, match="seal"):
+        _recover(kind, None, store=store)
+    _close(live)
