@@ -23,6 +23,9 @@ tier's delivery contract:
   breaker-tripped primary fails over to the first live, admitted
   replica and that replica *becomes* the primary.  Replicas converge
   through the same sequenced delta stream, so failover is bit-exact.
+  A ``refresh`` reaches only the read target and a read never
+  refreshes, so a read on any replica but the one that answered the
+  last refresh refreshes its rows there first.
 * **circuit breaker** — per replica, consecutive failures past a
   threshold open the breaker: the replica is skipped (fail-fast)
   until a cooldown elapses, then one half-open probe either closes it
@@ -31,7 +34,8 @@ tier's delivery contract:
 The channel raises :class:`WorkerDeadError` only when *no* replica can
 serve — the signal the router's degraded mode keys on.  Every retry,
 timeout, failover, breaker trip and replica death is reported through
-``on_event`` so the router can count them into the telemetry registry.
+``on_event`` so the router can count them into the telemetry registry,
+and so is every refresh the channel runs (``rows`` it recomputed).
 """
 
 from __future__ import annotations
@@ -49,8 +53,9 @@ __all__ = ["IDEMPOTENT_VERBS", "MUTATING_VERBS", "RetryPolicy",
            "CircuitBreaker", "ShardChannel"]
 
 # pure reads: re-executing on any replica returns the same answer
+# (a refresh only recomputes rows to the values they already denote)
 IDEMPOTENT_VERBS = frozenset({
-    "refresh", "embedding_rows", "score", "ping", "halo_rows",
+    "refresh", "embedding_rows", "ping", "halo_rows",
     "export_temporal", "export_state", "stats", "telemetry",
     "debug_sleep"})
 
@@ -177,6 +182,7 @@ class ShardChannel:
                          for _ in self.replicas]
         self._failed = [False] * len(self.replicas)
         self._primary = 0
+        self._refreshed: int | None = None  # replica of the last refresh
         self._pending = None
 
     def _live(self) -> list[int]:
@@ -290,9 +296,15 @@ class ShardChannel:
             raise fatal
         if seq is None:
             if replies:
-                return next(iter(replies.values()))
-            return self._retry_read(
-                verb, lambda t: t.call(verb, *args), deadline, attempts=1)
+                i, out = next(iter(replies.items()))
+            else:
+                i, out = self._retry_read(
+                    verb, lambda i: self.replicas[i].call(verb, *args),
+                    deadline, attempts=1)
+            if verb == "refresh":
+                self._refreshed = i
+                self.on_event("refresh", rows=out)
+            return out
         # sequenced write: every replica that has not yet applied it
         # either applies on retry or leaves the replica set
         for i in targets:
@@ -304,7 +316,8 @@ class ShardChannel:
         if not replies:
             raise WorkerDeadError(
                 f"shard {self.shard_id}: no replica could apply {verb}")
-        return replies[min(replies)]
+        # the read target's reply: its counts are the ones its reads see
+        return replies.get(self._primary, replies[min(replies)])
 
     def call(self, verb: str, *args):
         self.submit(verb, *args)
@@ -321,9 +334,9 @@ class ShardChannel:
             i = self._read_target()  # raises once the shard is down
             self.on_event("retry", verb=verb, replica=i)
             try:
-                out = invoke(self.replicas[i])
+                out = invoke(i)
                 self._record_success(i)
-                return out
+                return i, out
             except RETRYABLE as exc:
                 last = exc
                 self._record_failure(i, verb, exc)
@@ -360,25 +373,28 @@ class ShardChannel:
 
     # -- reads with transport fast paths ----------------------------------------------
     def embedding_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Served rows from the read target (keeps each transport's
-        shared-memory fast path), with read failover on failure."""
+        """Stored rows from the read target (keeps each transport's
+        shared-memory fast path), with read failover on failure.  A read
+        does not refresh, and only the replica that answered the last
+        ``refresh`` computed the rows it was asked for, so a read that
+        lands on any other replica (a failover, silent or not) refreshes
+        ``rows``' cone there first."""
+        def read(i: int) -> np.ndarray:
+            t = self.replicas[i]
+            if i != self._refreshed:
+                self.on_event("refresh", rows=t.call("refresh", rows))
+            return t.embedding_rows(rows)
+
         t0 = self.clock()
         i = self._read_target()
         try:
-            out = self.replicas[i].embedding_rows(rows)
+            out = read(i)
             self._record_success(i)
             return out
         except RETRYABLE as exc:
             self._record_failure(i, "embedding_rows", exc)
-        return self._retry_read("embedding_rows",
-                                lambda t: t.embedding_rows(rows),
-                                t0 + self.policy.deadline_s, attempts=1)
-
-    def telemetry(self) -> tuple:
-        return self.call("telemetry")
-
-    def worker_stats(self):
-        return self.call("stats")
+        return self._retry_read("embedding_rows", read,
+                                t0 + self.policy.deadline_s, attempts=1)[1]
 
     # -- liveness ---------------------------------------------------------------------
     def ping(self, timeout: float | None = None) -> bool:

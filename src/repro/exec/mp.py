@@ -269,8 +269,6 @@ class MultiprocessBackend:
         lite = WorkerBoot(shard_id=boot.shard_id, model=boot.model,
                           snapshot=None, owner=boot.owner,
                           num_shards=boot.num_shards,
-                          link_head=boot.link_head,
-                          fraud_head=boot.fraud_head,
                           replica_id=boot.replica_id,
                           kernel_backend=boot.kernel_backend)
         parent_conn, child_conn = self._ctx.Pipe()

@@ -14,12 +14,15 @@ processes (:class:`MultiprocessBackend`) with identical numerics.
   batch once, expands the dirty frontier once (k hops, k = model
   depth), splits the GD delta by vertex block for wire accounting, and
   fans delta + pre-expanded frontier out to the shards;
-* **queries** — the same flush as ``ModelServer``; each batch groups
-  by the owner of its queries' primary vertices with array operations
-  (span ``exec.coalesce``) and issues one pipelined refresh + one score
-  RPC per touched shard (span ``exec.rpc``); link queries whose
-  endpoints live on different shards gather the remote endpoint's
-  embedding row from its owner (counted as cross-shard row fetches);
+* **queries** — the same flush as ``ModelServer``, under its refresh
+  rule: each batch groups its endpoints by owner with array operations
+  (span ``exec.coalesce``) and sends each touched shard one pipelined
+  ``refresh`` RPC (span ``exec.rpc``) — of its reads' cone on the first
+  flush after a commit, of every stale row on a later one — then reads
+  the endpoint rows from their owners (a shared-memory copy on the real
+  backend) and scores them with ``ModelServer``'s own heads.  Every row
+  read is charged to the ``query_rows`` comm label; a link whose
+  endpoints live on different shards counts as a cross-shard row fetch;
 * **halo exchange** — ghost rows' frozen temporal state (LSTM carries,
   M-product history) is mirrored owner → ghost in bulk at every
   timestep boundary and incrementally whenever an event pulls a vertex
@@ -111,10 +114,10 @@ class ExecCounters(FrontendCounters):
     queries_shed: int = 0          # rejected by admission control
     halo_dirty_rows: int = 0
     cross_shard_events: int = 0
-    remote_row_fetches: int = 0
+    remote_row_fetches: int = 0    # link endpoints off the home shard
     remote_row_bytes: int = 0
     delta_bytes_fanout: int = 0
-    score_rpcs: int = 0
+    score_rpcs: int = 0            # flush RPCs: one per touched shard
     worker_restarts: int = 0       # crash recoveries performed
     heartbeats: int = 0
     heartbeat_failures: int = 0
@@ -283,7 +286,7 @@ class ExecRouter(QueryFrontend):
         # cross-shard payload ledger, exported in the Communicator's
         # comm_bytes_total{label=} family: labels "delta" (delta
         # fan-out), "halo" (temporal-state mirroring), "query_rows"
-        # (remote embedding gathers)
+        # (the endpoint rows a flush reads off the workers)
         self._comm_bytes: dict = defaultdict(int)
         self._comm_full_bytes: dict = defaultdict(int)
 
@@ -361,9 +364,7 @@ class ExecRouter(QueryFrontend):
         incarnation."""
         boot = WorkerBoot(shard_id=shard, model=self.model,
                           snapshot=snapshot, owner=self.plan.owner,
-                          num_shards=self.num_shards,
-                          link_head=self.link_head,
-                          fraud_head=self.fraud_head, replica_id=replica,
+                          num_shards=self.num_shards, replica_id=replica,
                           kernel_backend=self.kernel_backend)
         transport = self.backend.spawn(boot, clock=self.clock)
         # RPCs carry the router's trace context once tracing is on
@@ -392,6 +393,10 @@ class ExecRouter(QueryFrontend):
         counters = self.counters
 
         def observe(event: str, **kw) -> None:
+            if event == "refresh":
+                counters.refreshes += kw["rows"] > 0
+                counters.rows_recomputed += kw["rows"]
+                return
             field, series, help = _CHANNEL_EVENTS[event]
             setattr(counters, field, getattr(counters, field) + 1)
             reg.counter(series, help, shard=label).inc()
@@ -543,13 +548,15 @@ class ExecRouter(QueryFrontend):
             self._sync_entrants(entrants)
 
     def _cross_boundary(self, rebase: GraphSnapshot | None, diff) -> int:
-        """Promote carries everywhere, run the bulk halo exchange,
-        recompute every covered row, then let the rebalancer look at
-        the query skew.  Workers fold a rebase ``diff`` into their own
-        mirror; the full snapshot ships only when there is no delta
-        for it."""
+        """Settle the rows no flush read and promote carries everywhere,
+        run the bulk halo exchange, recompute every covered row, then
+        let the rebalancer look at the query skew.  Workers fold a
+        rebase ``diff`` into their own mirror; the full snapshot ships
+        only when there is no delta for it."""
         ship = rebase if (rebase is not None and diff is None) else None
-        _, dead = self._fanout("begin_advance", lambda s: (ship, diff))
+        settled, dead = self._fanout("begin_advance", lambda s: (ship, diff))
+        self.counters.refreshes += sum(map(bool, settled.values()))
+        self.counters.rows_recomputed += sum(settled.values())
         down = self._tolerate_boundary_dead(dead, "begin_advance")
         if self.num_shards > 1:
             with self.telemetry.trace("serve.halo_sync", kind="boundary"):
@@ -643,7 +650,7 @@ class ExecRouter(QueryFrontend):
 
     # -- queries ----------------------------------------------------------------------
     def _answer_batch(self, batch: list, ends: np.ndarray,
-                      is_link: np.ndarray) -> tuple:
+                      is_link: np.ndarray, cone: bool) -> tuple:
         """Route and score one decoded batch.  A worker death mid-batch
         triggers revival (or, with degraded serving enabled, leaves the
         shard down) and a single retry of the whole batch; a batch the
@@ -661,7 +668,7 @@ class ExecRouter(QueryFrontend):
                 s for s in range(self.num_shards)
                 if not self.channels[s].alive}
             try:
-                return self._route(batch, ends, is_link, down=down)
+                return self._route(batch, ends, is_link, cone, down=down)
             except (WorkerDeadError, WorkerTimeoutError):
                 try:
                     down = set()
@@ -672,7 +679,7 @@ class ExecRouter(QueryFrontend):
                             down.add(s)
                     pending = np.fromiter((not q.done for q in batch),
                                           bool, len(batch))
-                    return self._route(batch, ends, is_link, down=down,
+                    return self._route(batch, ends, is_link, cone, down=down,
                                        pending=pending)
                 except (ExecError, StoreError):
                     for q in batch:
@@ -682,61 +689,58 @@ class ExecRouter(QueryFrontend):
                             self.counters.queries_shed += 1
                     raise
 
-    def _route(self, batch: list, ends: np.ndarray, is_link: np.ndarray, *,
-               down, pending: np.ndarray | None = None) -> tuple:
-        """One attempt at a batch: group the ``pending`` queries (all
-        when ``None``) by owner shard, refresh every touched live shard
-        in one pipelined round, answer queries that touch a ``down``
-        shard from its boundary cache, then one score RPC per owner."""
+    def _route(self, batch: list, ends: np.ndarray, is_link: np.ndarray,
+               cone: bool, *, down, pending: np.ndarray | None = None
+               ) -> tuple:
+        """One attempt at a batch: group the endpoints of the
+        ``pending`` queries (all when ``None``) by owner, send every
+        touched live shard one pipelined refresh (of its reads' cone
+        when ``cone``), answer queries that touch a ``down`` shard from
+        its boundary cache, then read the endpoint rows from their
+        owners and score the rest."""
         n = len(batch)
         owner = self.plan.owner
         with self.telemetry.trace("exec.coalesce", batch=n):
-            home, other = owner[ends[:, 0]], owner[ends[:, 1]]
             ok = np.ones(n, dtype=bool) if pending is None \
                 else pending.copy()
-            touched = np.concatenate([home[ok], other[ok]])
+            # live endpoints of a degraded query are read too, for its
+            # stale answer
+            reads = np.unique(ends[ok])
+            holder = owner[reads]
+            home, other = owner[ends[:, 0]], owner[ends[:, 1]]
             degraded = np.zeros(n, dtype=bool)
             if down:
                 dead = np.fromiter(down, np.int64, len(down))
                 degraded = ok & (np.isin(home, dead) | np.isin(other, dead))
                 ok &= ~degraded
-            # live endpoints of a degraded query still need a refresh
-            # before their rows are read for the stale answer
-            needed = sorted(set(np.unique(touched).tolist()) - set(down))
-            scoring = np.unique(home[ok]).tolist()
-        # every touched shard consumes its dirty set before any of its
-        # embeddings are read — one pipelined refresh round-trip
-        results, dead_shards = self._fanout("refresh", lambda s: (),
-                                            shards=needed)
+                live = ~np.isin(holder, dead)
+                reads, holder = reads[live], holder[live]
+            mine = {s: holder == s for s in np.unique(holder).tolist()}
+        _, dead_shards = self._fanout(
+            "refresh", lambda s: (reads[mine[s]],) if cone else (),
+            shards=mine)
         if dead_shards:
             raise WorkerDeadError(f"shards {dead_shards} died during "
                                   f"refresh")
         fresh_at = self.clock()
-        self.counters.refreshes += sum(map(bool, results.values()))
-        self.counters.rows_recomputed += sum(results.values())
+        self.counters.score_rpcs += len(mine)
         stale = self._answer_degraded(batch, ends, is_link,
                                       np.flatnonzero(degraded), down) \
             if degraded.any() else {}
-        # gather the remote link endpoints first (shared-memory reads
-        # for the real backend), then pipeline one score RPC per shard
-        calls = {}
-        for s in scoring:
-            mine = ok & (home == s)
-            links, frauds = mine & is_link, mine & ~is_link
-            pairs = ends[links]
-            dst_rows = self._gather_rows(pairs[:, 1], home=s) \
-                if len(pairs) else np.empty((0, self.model.embed_dim))
-            calls[s] = (links, frauds, pairs, dst_rows, ends[frauds, 0])
-        results, dead_shards = self._fanout(
-            "score", lambda s: calls[s][2:], shards=scoring)
-        if dead_shards:
-            raise WorkerDeadError(f"shards {dead_shards} died during "
-                                  f"scoring")
-        self.counters.score_rpcs += len(scoring)
+        z = np.empty((len(reads), self.model.embed_dim))
+        for s, rows in mine.items():
+            z[rows] = self.channels[s].embedding_rows(reads[rows])
+        at = np.searchsorted(reads, ends)
+        links, frauds = ok & is_link, ok & ~is_link
         scores = np.empty(n)
-        for s in scoring:
-            links, frauds = calls[s][:2]
-            scores[links], scores[frauds] = results[s]
+        if links.any():
+            scores[links] = score_links(z, at[links], self.link_head)
+        if frauds.any():
+            scores[frauds] = score_fraud(z, at[frauds, 0], self.fraud_head)
+        self._comm_charge("query_rows", z.nbytes)
+        cut = int(np.count_nonzero(links & (home != other)))
+        self.counters.remote_row_fetches += cut
+        self.counters.remote_row_bytes += cut * z.itemsize * z.shape[1]
         for i, (score, staleness) in stale.items():
             scores[i] = score
             batch[i].staleness = staleness
@@ -783,20 +787,6 @@ class ExecRouter(QueryFrontend):
             self.counters.queries_shed += 1
             self.counters.queries_shed_stale += 1
         return answers
-
-    def _gather_rows(self, rows: np.ndarray, home: int) -> np.ndarray:
-        owners = self.plan.owner[rows]
-        out = np.empty((len(rows), self.model.embed_dim))
-        for s in np.unique(owners):
-            s = int(s)
-            mask = owners == s
-            got = self.channels[s].embedding_rows(rows[mask])
-            out[mask] = got
-            if s != home:
-                self.counters.remote_row_fetches += int(mask.sum())
-                self.counters.remote_row_bytes += got.nbytes
-                self._comm_charge("query_rows", got.nbytes)
-        return out
 
     def gathered_embeddings(self) -> np.ndarray:
         """Full embedding matrix from each shard's owned rows (the
@@ -926,7 +916,7 @@ class ExecRouter(QueryFrontend):
                 raise ExecError(
                     "WAL tail crosses a timestep boundary; single-worker "
                     "revival cannot replay it — recover() the tier")
-            result = ingestor.commit(payload)
+            result = ingestor.commit(*payload)
             dirty = expand_dirty(result.snapshot, result.dirty,
                                  self.model.num_layers)
             entrants, _ = channel.call("apply_delta", result.diff, dirty)

@@ -4,14 +4,18 @@ A :class:`WorkerService` is the half of the execution tier that lives
 *with* the worker — in-process for the simulated backend, inside the
 spawned process for the multiprocessing backend; the two backends host
 the same service and differ by the transport only.  It owns one
-:class:`~repro.serve.sharded.engine.ShardEngine` over its vertex block
-plus the scoring heads, and everything derived from the resident graph
-lives in that engine: each ``apply_delta`` / rebase folds the GD delta
-into the engine's resident snapshot with
+:class:`~repro.serve.sharded.engine.ShardEngine` over its vertex block,
+and everything derived from the resident graph lives in that engine:
+each ``apply_delta`` / rebase folds the GD delta into the engine's
+resident snapshot with
 :func:`~repro.graph.diff.apply_diff` (checksum-verified before any
 state mutates, bit-exact) and the engine's own ``Ã`` maintainer advances
 by the same delta, degree features included.  Its cache keeps the
-single-engine stale-layer rule (:mod:`repro.serve.sharded.engine`).
+single-engine stale-layer rule (:mod:`repro.serve.sharded.engine`),
+and ``refresh(reads)`` recomputes the read cone as ``ModelServer``
+does.  A read never refreshes: ``embedding_rows`` returns the cache
+array as the shared-memory path does, and the router scores the rows
+it read (the worker holds no scoring head).
 
 Every unit of model work is timed into ``busy_s`` — the per-worker busy
 clock from which the tier's critical path is derived, exactly how the
@@ -28,11 +32,10 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import ConfigError, ExecError
+from repro.errors import ExecError
 from repro.graph.diff import apply_diff
 from repro.graph.snapshot import GraphSnapshot
 from repro.obs import Telemetry
-from repro.serve.server import score_fraud, score_links
 from repro.serve.sharded.engine import ShardEngine
 from repro.exec.transport import WorkerBoot, WorkerStats, payload_nbytes
 
@@ -42,8 +45,8 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 
 class WorkerService:
-    """One shard's serving worker (engine + heads + busy clock) and
-    the RPC dispatch onto it."""
+    """One shard's serving worker (engine + busy clock) and the RPC
+    dispatch onto it."""
 
     def __init__(self, boot: WorkerBoot, *,
                  clock: Callable[[], float] = time.perf_counter,
@@ -74,13 +77,10 @@ class WorkerService:
         self.engine = ShardEngine(boot.model, boot.snapshot, boot.block,
                                   telemetry=self.telemetry,
                                   kernel_backend=boot.kernel_backend)
-        self.link_head = boot.link_head
-        self.fraud_head = boot.fraud_head
         self.clock = clock
         self.busy_s = 0.0
         self.rows_recomputed = 0
         self.rows_advanced = 0
-        self.queries_scored = 0
         self.deltas_applied = 0
         # backend hook run after every op that (re)writes embeddings —
         # the mp backend uses it to keep the shared-memory embedding
@@ -140,14 +140,17 @@ class WorkerService:
                 self._applied.popitem(last=False)
         return out
 
-    def rpc_begin_advance(self, snapshot, diff) -> None:
+    def rpc_begin_advance(self, snapshot, diff) -> int:
         """Cross into a boundary, rebasing onto ``snapshot`` or — the
-        O(delta) wire — onto the resident advanced by ``diff``."""
+        O(delta) wire — onto the resident advanced by ``diff``; returns
+        the rows the settle of the ending step recomputed."""
         t0 = self.clock()
         if diff is not None:
             snapshot = apply_diff(self.resident, diff)
-        self.engine.begin_advance(snapshot, diff=diff)
+        settled = self.engine.begin_advance(snapshot, diff=diff)
+        self.rows_recomputed += settled
         self._charge(t0)
+        return settled
 
     def rpc_finish_advance(self) -> int:
         t0 = self.clock()
@@ -177,47 +180,24 @@ class WorkerService:
         return entrants, len(np.intersect1d(rows, engine.halo,
                                             assume_unique=True))
 
-    def rpc_refresh(self) -> int:
+    def rpc_refresh(self, reads=None) -> int:
+        """Recompute the stale rows the owned ``reads`` depend on (every
+        stale covered row when ``None``); returns how many ran."""
         t0 = self.clock()
-        recomputed = self.engine.refresh()
+        recomputed = self.engine.refresh(reads)
         self.rows_recomputed += recomputed
         self._charge(t0)
         self.on_embeddings()
         return recomputed
 
     def rpc_embedding_rows(self, rows) -> np.ndarray:
-        """Served embedding rows (caller must route owned/covered rows;
-        the engine is authoritative for its block only)."""
+        """Stored embedding rows, as the shared-memory read sees them:
+        the caller routes owned rows and refreshes them first (the
+        engine is authoritative for its block only)."""
         t0 = self.clock()
-        out = self.engine.embeddings[rows]
+        out = self.engine.cache.embeddings[rows]
         self._charge(t0)
         return out
-
-    def rpc_score(self, link_pairs, link_dst_rows, fraud_accounts) -> tuple:
-        """Score a routed query group.
-
-        ``link_pairs`` are ``(src, dst)`` vertex ids with every ``src``
-        owned here; ``link_dst_rows`` carries the embedding rows of the
-        ``dst`` column (gathered remotely by the router when the owner
-        is another shard).  Returns (link scores, fraud scores).
-        """
-        t0 = self.clock()
-        z = self.engine.embeddings
-        link_scores = np.empty(0)
-        fraud_scores = np.empty(0)
-        if len(link_pairs):
-            stacked = np.concatenate([z[link_pairs[:, 0]], link_dst_rows],
-                                     axis=0)
-            m = len(link_pairs)
-            idx = np.stack([np.arange(m), np.arange(m, 2 * m)], axis=1)
-            link_scores = score_links(stacked, idx, self.link_head)
-        if len(fraud_accounts):
-            if self.fraud_head is None:
-                raise ConfigError("fraud queries need a fraud_head")
-            fraud_scores = score_fraud(z, fraud_accounts, self.fraud_head)
-        self.queries_scored += len(link_pairs) + len(fraud_accounts)
-        self._charge(t0)
-        return link_scores, fraud_scores
 
     def rpc_halo_rows(self) -> np.ndarray:
         return self.engine.halo
@@ -245,7 +225,6 @@ class WorkerService:
         return WorkerStats(busy_s=self.busy_s,
                            rows_recomputed=self.rows_recomputed,
                            rows_advanced=self.rows_advanced,
-                           queries_scored=self.queries_scored,
                            deltas_applied=self.deltas_applied,
                            coverage_rows=len(self.engine.coverage),
                            rpc_calls=dict(self.rpc_calls),
@@ -263,8 +242,6 @@ class WorkerService:
             self.rows_recomputed)
         reg.counter("worker_rows_advanced_total").set_to(
             self.rows_advanced)
-        reg.counter("worker_queries_scored_total").set_to(
-            self.queries_scored)
         reg.counter("worker_deltas_applied_total").set_to(
             self.deltas_applied)
         reg.gauge("worker_coverage_rows",

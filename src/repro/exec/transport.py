@@ -2,8 +2,8 @@
 
 The sharded tier's router/worker split was designed as a message
 protocol (deltas and pre-expanded dirty frontiers with their hop
-counts in, entrant rows and scores out) but executed as plain method
-calls.  This module names that protocol: a :class:`WorkerTransport` is
+counts in, entrant rows and embedding rows out) but executed as plain
+method calls.  This module names that protocol: a :class:`WorkerTransport` is
 one shard worker reachable through ``submit``/``result`` — submit posts
 an RPC and returns immediately, result blocks for the reply — so a
 router can *pipeline* a fan-out (submit to every shard, then collect)
@@ -12,9 +12,11 @@ regardless of whether the worker lives in this process
 OS process over pipes and shared memory (:mod:`repro.exec.mp`).
 
 The RPC surface is deliberately the shard worker's verb set —
-``begin_advance`` / ``finish_advance`` / ``apply_delta`` / ``refresh``
-/ ``embedding_rows`` / ``score`` / ``import_temporal`` — plus the
-state-transplant verbs recovery needs.  Payloads are GD deltas and row
+``begin_advance`` / ``finish_advance`` / ``apply_delta`` /
+``refresh(reads)`` / ``embedding_rows`` / ``import_temporal`` — plus
+the state-transplant verbs recovery needs.  Workers hold no scoring
+head: a flush refreshes each touched shard's read cone, and the router
+scores the rows it reads.  Payloads are GD deltas and row
 sets, never snapshots: every worker folds each delta into its own
 resident mirror (:func:`~repro.graph.diff.apply_diff` is exact), which
 is what keeps the wire O(delta) and the two backends bit-identical.
@@ -29,7 +31,6 @@ import numpy as np
 from repro.errors import ExecError
 from repro.graph.snapshot import GraphSnapshot
 from repro.models.base import DynamicGNN
-from repro.nn.linear import EdgeScorer, Linear
 
 __all__ = ["WorkerBoot", "TransportStats", "WorkerStats",
            "WorkerTransport", "payload_nbytes"]
@@ -69,8 +70,6 @@ class WorkerBoot:
     snapshot: GraphSnapshot
     owner: np.ndarray
     num_shards: int
-    link_head: EdgeScorer | None = None
-    fraud_head: Linear | None = None
     # which replica of the shard this worker is (0 = the initial
     # primary); only telemetry naming depends on it — replicas are
     # numerically identical by construction
@@ -111,7 +110,6 @@ class WorkerStats:
     busy_s: float = 0.0
     rows_recomputed: int = 0
     rows_advanced: int = 0
-    queries_scored: int = 0
     deltas_applied: int = 0
     coverage_rows: int = 0
     rpc_calls: dict = field(default_factory=dict)

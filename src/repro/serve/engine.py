@@ -309,18 +309,20 @@ class InferenceEngine:
         return self.embeddings
 
     def begin_advance(self, snapshot: GraphSnapshot | None = None, *,
-                      diff: SnapshotDiff | None = None) -> None:
-        """First half of :meth:`advance`: settle, rebase, promote."""
+                      diff: SnapshotDiff | None = None) -> int:
+        """First half of :meth:`advance`: settle, rebase, promote;
+        returns how many rows the settle recomputed."""
         # rows still dirty against the current resident are consumed
         # first: the carries a boundary promotes must reflect the
         # end-of-step graph, not a mid-step one
-        if self._primed and self.cache.num_dirty:
-            self.refresh()
+        settled = self.refresh() if self._primed and self.cache.num_dirty \
+            else 0
         if snapshot is not None:
             self.set_snapshot(snapshot, seeds=None, diff=diff)
         if self._primed:
             self._promote_carries()
         self._evolve_weights()
+        return settled
 
     def finish_advance(self) -> int:
         """Second half of :meth:`advance`: recompute every row; returns

@@ -158,8 +158,10 @@ class StreamIngestor:
         base), and the touched endpoints are returned as ``dirty``.
         ``folded`` is ``fold_event_batch(resident, events)`` when the
         caller already computed it (a serving tier folds once, logs the
-        batch, then commits): it is adopted instead of folding again.
-        The fold validates every event, so a bad endpoint raises
+        batch, then commits; a WAL replay hands over its own fold): it
+        is adopted instead of folding again, once its delta's base
+        checksum proves it was folded over this resident.  The fold
+        validates every event, so a bad endpoint raises
         :class:`~repro.errors.DatasetError` before anything moves.
         """
         prev = self._resident
@@ -176,8 +178,12 @@ class StreamIngestor:
 
         # the fold hands back the transition in the GD wire format — what
         # a remote mirror holding the same base replays
-        curr, dirty, diff = folded if folded is not None \
-            else fold_event_batch(prev, events)
+        if folded is None:
+            folded = fold_event_batch(prev, events)
+        elif folded[2].base_checksum != edge_checksum(prev):
+            raise DatasetError("event batch was folded over a graph that "
+                               "is not the resident")
+        curr, dirty, diff = folded
         self._resident = curr
         self.total_events += len(events)
         self.total_commits += 1

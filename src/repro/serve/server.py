@@ -130,9 +130,11 @@ class QueryFrontend:
     * ``_cross_boundary(snapshot, diff)`` — move every engine past a
       timestep boundary (onto ``snapshot`` when it rebases, ``diff``
       being the delta to it when known); returns the rows advanced;
-    * ``_answer_batch(batch, ends, is_link)`` — score one decoded batch
-      (``ends`` holds a row of endpoints per query, a fraud query's
-      account in both columns).  Returns ``(scores, served, fresh_at)``:
+    * ``_answer_batch(batch, ends, is_link, cone)`` — refresh by the
+      flush rule (:meth:`flush`; the batch's read cone when ``cone``,
+      every stale row otherwise) and score one decoded batch (``ends``
+      holds a row of endpoints per query, a fraud query's account in
+      both columns).  Returns ``(scores, served, fresh_at)``:
       ``served`` is ``None`` when every query was answered, else the
       mask of those that were (the tier resolved the rest as shed), and
       ``fresh_at`` is the clock once the rows the batch reads were
@@ -178,6 +180,8 @@ class QueryFrontend:
         self._started_at: float | None = None
         self.slo = None              # attached SloEngine (attach_slo)
         self.store = None            # attached GraphStore (durability)
+        # a commit since the last flush or boundary (the flush rule)
+        self._fresh_commit = False
         self._store_state_interval = 1
         self._store_replaying = False
 
@@ -275,7 +279,13 @@ class QueryFrontend:
         series takes one reservoir update.  A batch leaves the queue
         once every query in it is resolved, answered or shed; a flush
         that raises leaves its unresolved queries at the head of the
-        queue, so the next flush answers them."""
+        queue, so the next flush answers them.
+
+        The refresh follows a ski-rental rule on both tiers.  The first
+        batch after a commit recomputes only its read cone; a later one
+        before the next commit recomputes every row still stale, so
+        read-heavy steps pay at most two refreshes per commit, and the
+        boundary settles whatever no flush read."""
         total = 0
         while self._queue:
             batch = self._queue[:self.max_batch_size]
@@ -289,9 +299,10 @@ class QueryFrontend:
                 ends[:, 0] = np.fromiter(map(_first, payloads), np.int64, n)
                 ends[:, 1] = np.fromiter(map(_last, payloads), np.int64, n)
                 is_link = np.fromiter(map(len, payloads), np.int64, n) == 2
+                cone, self._fresh_commit = self._fresh_commit, False
                 try:
                     scores, served, fresh_at = self._answer_batch(
-                        batch, ends, is_link)
+                        batch, ends, is_link, cone)
                 except BaseException:
                     self._queue[:n] = [q for q in batch if not q.done]
                     raise
@@ -344,24 +355,26 @@ class QueryFrontend:
         coalesce into partial recomputes.
         """
         events = list(events)
-        with self.telemetry.trace("serve.ingest", events=len(events)):
-            result = self._commit_events(events)
-            self._apply_commit(result)
-            self.counters.events_ingested += result.num_events
-            self.counters.commits += 1
+        self._ingest(events)
         return len(events)
 
-    def _commit_events(self, events: list) -> IngestResult:
+    def _ingest(self, events: list, folded: tuple | None = None) -> None:
         """Fold the batch over the resident once, WAL it before anything
-        moves or is acknowledged, and commit that same fold (an empty
-        batch commits in O(1), unfolded and unlogged)."""
-        with self.telemetry.trace("serve.commit"):
-            folded = fold_event_batch(self.ingestor.resident, events) \
-                if events else None
-            if folded is not None and self.store is not None and \
-                    not self._store_replaying:
-                self.store.append_events(events, folded=folded)
-            return self.ingestor.commit(events, folded)
+        moves or is acknowledged, commit that same fold (an empty batch
+        commits in O(1), unfolded and unlogged) and hand the commit to
+        the tier.  ``folded`` is the fold a WAL replay already made: it
+        commits as it stands, unlogged."""
+        with self.telemetry.trace("serve.ingest", events=len(events)):
+            with self.telemetry.trace("serve.commit"):
+                if folded is None and events:
+                    folded = fold_event_batch(self.ingestor.resident, events)
+                    if self.store is not None and not self._store_replaying:
+                        self.store.append_events(events, folded=folded)
+                result = self.ingestor.commit(events, folded)
+            self._apply_commit(result)
+            self._fresh_commit = True
+            self.counters.events_ingested += result.num_events
+            self.counters.commits += 1
 
     def advance_time(self, snapshot: GraphSnapshot | None = None, *,
                      diff=None) -> None:
@@ -388,6 +401,7 @@ class QueryFrontend:
             self.counters.advances += 1
             self.counters.rows_advanced += self._cross_boundary(snapshot,
                                                                 diff)
+            self._fresh_commit = False
             self._store_maybe_capture()
 
     # -- stats ---------------------------------------------------------------------------
@@ -559,7 +573,7 @@ class QueryFrontend:
             for op, payload in store.replay_tail(
                     record_index, start=self.ingestor.resident):
                 if op == "events":
-                    self.ingest_events(payload)
+                    self._ingest(*payload)
                 elif op == "rebase":
                     # snapshot-sealed boundary: the decoded GD delta
                     # keeps the resident Ã maintainer incremental
@@ -620,9 +634,6 @@ class ModelServer(QueryFrontend):
                                       telemetry=self.telemetry,
                                       kernel_backend=kernel_backend)
         self.incremental = incremental
-        # a commit since the last flush: the next flush refreshes only
-        # its batch's cone (see _answer_batch)
-        self._fresh_commit = False
         self.engine.advance()  # prime embeddings for the initial snapshot
         self.counters.advances += 1
 
@@ -641,7 +652,6 @@ class ModelServer(QueryFrontend):
             # applies it incrementally instead of rebuilding
             self.engine.set_snapshot(result.snapshot, seeds=result.dirty,
                                      diff=result.diff)
-            self._fresh_commit = True
         else:
             # the full-recompute baseline keeps the pre-kernel cost
             # profile: no delta, full operator rebuild
@@ -652,22 +662,15 @@ class ModelServer(QueryFrontend):
         # rows still stale against the ending step settle first (one
         # full refresh, counted like any other)
         self._refresh()
-        self._fresh_commit = False
         self.engine.advance(snapshot, diff=diff if self.incremental
                             else None)
         return self.engine.num_vertices
 
     def _answer_batch(self, batch: list, ends: np.ndarray,
-                      is_link: np.ndarray) -> tuple:
-        """Refresh the cache and score the batch from it.
-
-        The refresh follows a ski-rental rule.  The first flush after a
-        commit recomputes only its batch's read cone; a second flush
-        before the next commit recomputes every row still stale, so
-        read-heavy steps pay at most two refreshes per commit, and the
-        boundary settles whatever no flush read."""
-        self._refresh(ends.ravel() if self._fresh_commit else None)
-        self._fresh_commit = False
+                      is_link: np.ndarray, cone: bool) -> tuple:
+        """Refresh the cache (the batch's read cone when ``cone``) and
+        score the batch from it."""
+        self._refresh(ends.ravel() if cone else None)
         fresh_at = self.clock()
         z = self.cache.embeddings
         scores = np.empty(len(ends))

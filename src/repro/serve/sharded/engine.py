@@ -114,9 +114,10 @@ class ShardEngine(InferenceEngine):
     # inherited advance (all shards promote, then ghosts sync, then all
     # shards compute).
     def begin_advance(self, snapshot: GraphSnapshot | None = None, *,
-                      diff=None) -> None:
-        super().begin_advance(snapshot, diff=diff)
+                      diff=None) -> int:
+        settled = super().begin_advance(snapshot, diff=diff)
         self.rebuild_halo()
+        return settled
 
     # -- temporal-state mirroring ----------------------------------------------------
     # The frozen per-vertex temporal state entering the current timestep

@@ -308,8 +308,10 @@ def decode_events(data: bytes) -> list:
             for s, d, o, v in zip(src, dst, op, value)]
 
 
-def fold_events(snapshot: GraphSnapshot, events) -> GraphSnapshot:
-    """Fold an event batch into a snapshot during WAL replay.
+def fold_events(snapshot: GraphSnapshot, events) -> tuple:
+    """Fold an event batch into a snapshot during WAL replay; returns
+    the whole fold, ``(snapshot, touched, diff)``, so a recovering tier
+    commits it instead of folding the batch again.
 
     Delegates to :func:`repro.serve.ingest.fold_event_batch` — the ONE
     definition of the event-fold semantics — so a store replay and the
@@ -318,7 +320,7 @@ def fold_events(snapshot: GraphSnapshot, events) -> GraphSnapshot:
     importable without pulling the serving package in at import time.)
     """
     from repro.serve.ingest import fold_event_batch
-    return fold_event_batch(snapshot, events)[0]
+    return fold_event_batch(snapshot, events)
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ class GraphStore:
         with self.telemetry.trace("store.append", kind="events",
                                   events=len(events)):
             if folded is None:
-                new_tip = codec.fold_events(self._tip, events)
+                new_tip = codec.fold_events(self._tip, events)[0]
             elif folded[2].base_checksum != codec.edge_checksum(self._tip):
                 raise StoreError("event batch was folded over a graph "
                                  "that is not the store tip")
@@ -279,8 +279,9 @@ class GraphStore:
         for record in records:
             if record.kind == KIND_EVENTS:
                 events = codec.decode_events(record.payload)
-                state = codec.fold_events(state, events)
-                yield "events", events, state
+                folded = codec.fold_events(state, events)
+                state = folded[0]
+                yield "events", (events, folded), state
             elif record.kind == KIND_DIFF:
                 diff, state, _ = codec.decode_diff(record.payload, state)
                 yield "rebase", (state, diff), state
@@ -520,7 +521,10 @@ class GraphStore:
                     start: GraphSnapshot | None = None
                     ) -> Iterator[tuple[str, object]]:
         """Yield serving operations recorded after ``after_record``:
-        ``("events", [EdgeEvent...])`` for intra-step batches,
+        ``("events", (events, folded))`` for intra-step batches — the
+        batch and its :func:`~repro.serve.ingest.fold_event_batch`
+        triple over the replayed state, which a recovering tier commits
+        as it stands —
         ``("advance", None)`` for topology-free timestep seals, and
         ``("rebase", (snapshot, diff))`` for snapshot-sealed boundaries
         — the decoded GD delta rides along so a recovering server's

@@ -4,11 +4,16 @@ link/fraud query sequence through ``ModelServer``, a one-shard
 
 ``QueryFrontend`` writes ingest, advance, flush, recover and stats once
 for every tier, so the tiers must agree bit for bit on every score and
-exactly on the counters the front door keeps.  The registry series each
-tier exports are pinned against ``front_door_series_parent.json``,
-recorded at the commit before the front door was shared (when each tier
-still carried its own copy of those methods): the merge renamed,
-dropped and added no series.
+exactly on the counters the front door keeps; a one-shard router also
+recomputes exactly the rows ``ModelServer`` does.  The registry series
+each tier exports are pinned against ``front_door_series_parent.json``,
+first recorded before the front door was shared (the merge renamed,
+dropped and added no series) and re-recorded once when workers stopped
+scoring: the worker ``score`` verb's series and
+``worker_queries_scored_total`` went, ``refresh`` gained a payload
+series (it carries the flush's reads), and the one-shard router gained
+the ``query_rows`` comm series (it reads every endpoint row off its
+worker).
 
 Re-record (deliberate series changes only, and say so in CHANGES.md):
 ``PYTHONPATH=src python tests/exec/test_front_door.py``.
@@ -129,6 +134,14 @@ def test_front_door_counters_agree(runs):
     assert want["queries_completed"] == want["queries_submitted"] == 132
     for kind in TIERS[1:]:
         assert shared(runs[kind][0]) == want, kind
+    # one worker pays exactly ModelServer's refresh rule: each flush's
+    # read cone after a commit, every stale row on a later flush, and
+    # the boundary settle of what no flush read
+    def work(tier):
+        return tier.counters.rows_recomputed, tier.counters.refreshes
+
+    assert work(runs["server"][0]) == (1012, 24)
+    assert work(runs["router1"][0]) == work(runs["server"][0])
 
 
 def test_exported_series_match_the_parent(runs):

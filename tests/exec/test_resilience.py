@@ -223,6 +223,43 @@ def test_mp_replica_failover_mid_stream(world):
 
 
 @pytest.mark.parametrize("backend", ["simulated", "multiprocess"])
+def test_primary_lost_between_refresh_and_read(world, oracle, backend):
+    """A read does not refresh, and a flush's refresh reaches only the
+    read target.  Kill shard 0's primary after a flush's refresh and
+    before its rows are read: the read fails over to a replica that
+    took every write but not that refresh, and must still answer
+    fresh rows, bit-equal to the fault-free oracle.  The router counts
+    the rows each replica recomputed while it was the read target."""
+    router = make_router(world, backend=backend, replicas=2)
+    first, second = router.channels[0].replicas
+    fanout = router._fanout
+    refreshes, at_kill = [], []
+
+    def kill_after_fourth_refresh(method, args_fn, shards=None):
+        out = fanout(method, args_fn, shards)
+        if method == "refresh":
+            refreshes.append(method)
+            if len(refreshes) == 4:
+                at_kill.extend(t.call("stats").rows_recomputed
+                               for t in (first, second))
+                first.debug_exit()
+        return out
+
+    router._fanout = kill_after_fourth_refresh
+    scores, emb = replay(router, world)
+    counters = router.counters
+    worked = at_kill[0] - at_kill[1] + sum(
+        ch.primary.call("stats").rows_recomputed for ch in router.channels)
+    router.close()
+
+    assert counters.failovers == 1 and counters.replica_deaths == 1
+    assert counters.rows_recomputed == worked
+    s_ref, e_ref = oracle
+    assert float(np.abs(scores - s_ref).max()) == 0.0
+    assert float(np.abs(emb - e_ref).max()) == 0.0
+
+
+@pytest.mark.parametrize("backend", ["simulated", "multiprocess"])
 def test_duplicated_apply_delta_is_noop(world, oracle, backend):
     """At-least-once wire, exactly-once application: every apply_delta
     delivered twice under the same sequence id must be absorbed by the

@@ -13,7 +13,6 @@ import pytest
 from repro.exec import WorkerBoot, WorkerService
 from repro.graph.snapshot import GraphSnapshot
 from repro.models import build_model
-from repro.nn.linear import Linear
 from repro.serve import EdgeEvent, StreamIngestor, expand_dirty
 
 
@@ -40,10 +39,7 @@ def make_worker(snapshot, replica_id, clock):
     model = build_model("cdgcn", in_features=2, seed=0)
     owner = np.repeat(np.arange(2, dtype=np.int64), 12)
     boot = WorkerBoot(shard_id=0, model=model, snapshot=snapshot,
-                      owner=owner, num_shards=2,
-                      fraud_head=Linear(model.embed_dim, 2,
-                                        np.random.default_rng(9)),
-                      replica_id=replica_id)
+                      owner=owner, num_shards=2, replica_id=replica_id)
     return WorkerService(boot, clock=clock)
 
 
@@ -83,9 +79,6 @@ class TestCharge:
                    lambda: worker.rpc_apply_delta(commit.diff, dirty),
                    worker.rpc_refresh,
                    lambda: worker.rpc_embedding_rows(rows),
-                   lambda: worker.rpc_score(
-                       np.empty((0, 2), dtype=np.int64),
-                       np.empty((0, 0)), rows),
                    lambda: worker.rpc_adopt_state(
                        [(worker.engine.block,
                          worker.rpc_export_state()[0])], 1,

@@ -150,7 +150,7 @@ def test_store_append_and_replay(stream, arm, tmp_path):
         store.append_events(batch)
         ingestor.commit(batch)
     assert store.tip == ingestor.resident
-    replayed = [payload for kind, payload in
+    replayed = [payload[0] for kind, payload in
                 store.replay_tail(sealed, start=first) if kind == "events"]
     assert [len(b) for b in replayed] == [len(b) for b in batches]
     reopened = GraphStore.open(str(tmp_path / "s"))

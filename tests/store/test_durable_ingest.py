@@ -4,7 +4,8 @@ state moves, and no redundant capture after recovery.
 * A serving tier folds each event batch once (``fold_event_batch``),
   hands the fold to ``GraphStore.append_events`` and then commits the
   same fold — counted here by wrapping the function wherever ``repro``
-  imported it, the way ``perf/tracer.py`` wraps it.
+  imported it, the way ``perf/tracer.py`` wraps it.  Recovery and worker
+  revival commit the fold the WAL replay made: one per logged batch.
 * If the WAL append raises, nothing has moved: resident, counters,
   engine and store tip are as before, and the same batch then ingests
   cleanly.
@@ -244,6 +245,50 @@ def test_recover_on_event_only_tail_writes_no_capture(stream, kind,
     assert _captures(path) == before
     np.testing.assert_array_equal(_embeddings(rec), _embeddings(live))
     _close(rec, live)
+
+
+@pytest.mark.parametrize("kind", TIERS)
+def test_recovery_folds_each_tail_batch_once(stream, kind, tmp_path,
+                                             fold_calls):
+    """``recover()`` commits the fold its WAL replay made: a six-batch
+    event tail costs six folds beyond ``GraphStore.open``'s own tip
+    replay, not a second one per batch in ``ingest_events``."""
+    path = tmp_path / "s"
+    live = _tier(kind, stream, path)
+    for t in range(1, 4):
+        events = events_between(stream[t - 1], stream[t])
+        live.ingest_events(events[:40])
+        live.ingest_events(events[40:])
+    store = GraphStore.open(str(path))
+    before = len(fold_calls)
+    rec = _recover(kind, None, store=store)
+    assert len(fold_calls) - before == 6
+    assert rec.ingestor.resident == live.ingestor.resident
+    np.testing.assert_array_equal(_embeddings(rec), _embeddings(live))
+    _close(rec, live)
+
+
+def test_revival_folds_each_tail_batch_once(stream, tmp_path, fold_calls):
+    """A revived worker replays the WAL tail through the replay's own
+    folds: one per logged batch."""
+    live = _tier("router", stream, tmp_path / "s")
+    clean = _tier("router", stream)
+    for t in range(1, 4):
+        events = events_between(stream[t - 1], stream[t])
+        for tier in (live, clean):
+            tier.ingest_events(events[:40])
+            tier.ingest_events(events[40:])
+    live.transports[0].debug_exit()
+    q = live.submit_fraud(0)
+    want = clean.submit_fraud(0)
+    before = len(fold_calls)
+    live.drain()
+    assert len(fold_calls) - before == 6
+    assert live.counters.worker_restarts == 1
+    clean.drain()
+    assert q.result == want.result
+    np.testing.assert_array_equal(_embeddings(live), _embeddings(clean))
+    _close(live, clean)
 
 
 def test_second_crash_right_after_recovery_is_exact(stream, tmp_path):
