@@ -83,7 +83,7 @@ import numpy as np
 from repro.errors import ConfigError, ExecError, StoreError, \
     WorkerDeadError, WorkerTimeoutError
 from repro.graph.diff import split_diff_by_blocks
-from repro.graph.snapshot import GraphSnapshot
+from repro.graph.snapshot import GraphSnapshot, sorted_unique
 from repro.models.base import DynamicGNN
 from repro.nn.linear import EdgeScorer, Linear
 from repro.obs import Telemetry
@@ -612,7 +612,7 @@ class ExecRouter(QueryFrontend):
                 not self.channels[target].alive:
             return  # degraded shard: it will resync on revival
         owners = self.plan.owner[rows]
-        for src in np.unique(owners):
+        for src in sorted_unique(owners):
             src = int(src)
             if src == target:
                 continue
@@ -705,7 +705,7 @@ class ExecRouter(QueryFrontend):
                 else pending.copy()
             # live endpoints of a degraded query are read too, for its
             # stale answer
-            reads = np.unique(ends[ok])
+            reads = sorted_unique(ends[ok])
             holder = owner[reads]
             home, other = owner[ends[:, 0]], owner[ends[:, 1]]
             degraded = np.zeros(n, dtype=bool)
@@ -715,7 +715,8 @@ class ExecRouter(QueryFrontend):
                 ok &= ~degraded
                 live = ~np.isin(holder, dead)
                 reads, holder = reads[live], holder[live]
-            mine = {s: holder == s for s in np.unique(holder).tolist()}
+            mine = {s: holder == s
+                    for s in sorted_unique(holder).tolist()}
         _, dead_shards = self._fanout(
             "refresh", lambda s: (reads[mine[s]],) if cone else (),
             shards=mine)

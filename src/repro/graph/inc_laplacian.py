@@ -46,7 +46,7 @@ import scipy.sparse as sp
 from repro.errors import DatasetError
 from repro.graph.diff import (SnapshotDiff, _keys as _ekeys, _mix,
                               _read_delta)
-from repro.graph.snapshot import GraphSnapshot
+from repro.graph.snapshot import GraphSnapshot, sorted_unique
 from repro.tensor.backend import KernelBackend, resolve_backend
 from repro.tensor.sparse import SparseMatrix
 
@@ -85,7 +85,7 @@ def diff_touched_vertices(diff: SnapshotDiff,
         raise DatasetError(f"diff produces {diff.nnz} edges, snapshot "
                            f"holds {curr.num_edges}")
     changed = curr.edges[np.asarray(diff.changed_pos, dtype=np.int64)]
-    return np.unique(np.concatenate([
+    return sorted_unique(np.concatenate([
         np.asarray(edges, dtype=np.int64).reshape(-1)
         for edges in (diff.removed, diff.added, changed)]))
 

@@ -14,7 +14,7 @@ import numpy as np
 from repro.errors import DatasetError
 from repro.tensor.sparse import INDEX_BYTES, VALUE_BYTES, SparseMatrix
 
-__all__ = ["GraphSnapshot", "canonical_edges"]
+__all__ = ["GraphSnapshot", "canonical_edges", "sorted_unique"]
 
 
 def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
@@ -25,6 +25,21 @@ def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
 
 def _strictly_increasing(keys: np.ndarray) -> bool:
     return len(keys) < 2 or bool((keys[1:] > keys[:-1]).all())
+
+
+def sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """``np.unique(ids)`` (flattened) by one sort and a neighbour mask.
+
+    numpy 2.x's ``unique`` (and ``union1d``, which calls it) hashes
+    integer input, which at the sizes the commit path sees — a delta's
+    endpoints, a read cone — runs 10-20x slower than a sort."""
+    ids = np.sort(ids, axis=None)
+    if len(ids) < 2:
+        return ids
+    first = np.empty(len(ids), dtype=bool)
+    first[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    return ids[first]
 
 
 def _canonicalize(edges: np.ndarray, values: np.ndarray | None,

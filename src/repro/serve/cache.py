@@ -47,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.graph.snapshot import GraphSnapshot
+from repro.graph.snapshot import GraphSnapshot, sorted_unique
 from repro.graph.traversal import undirected_distances
 
 __all__ = ["EmbeddingCache", "expand_dirty"]
@@ -66,7 +66,7 @@ def expand_dirty(snapshot: GraphSnapshot, seeds: np.ndarray,
     """
     if hops > np.iinfo(np.int8).max:
         raise ConfigError(f"hops={hops} does not fit int8 hop counts")
-    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+    seeds = sorted_unique(np.asarray(seeds, dtype=np.int64))
     if hops <= 0 or len(seeds) == 0 or snapshot.num_edges == 0:
         return seeds, np.zeros(len(seeds), dtype=np.int8)
     dist = undirected_distances(snapshot.num_vertices, snapshot.edges,
@@ -165,7 +165,7 @@ class EmbeddingCache:
         """
         if self.all_dirty:
             return
-        seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+        seeds = sorted_unique(np.asarray(seeds, dtype=np.int64))
         fresh = np.setdiff1d(seeds, self._expanded, assume_unique=True)
         self.seeds_deduplicated += len(seeds) - len(fresh)
         if len(fresh) == 0:
@@ -174,7 +174,8 @@ class EmbeddingCache:
                                     fresh, self.num_layers)
         region = np.flatnonzero(dist <= self.num_layers)
         self.mark_within(region, dist[region])
-        self._expanded = np.union1d(self._expanded, fresh)
+        self._expanded = sorted_unique(np.concatenate((self._expanded,
+                                                       fresh)))
 
     def mark_within(self, rows: np.ndarray, hops: np.ndarray) -> None:
         """Mark the unique ``rows`` of a k-hop region stale, each from the

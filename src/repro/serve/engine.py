@@ -80,7 +80,7 @@ from repro.errors import ConfigError
 from repro.graph.diff import SnapshotDiff
 from repro.graph.inc_laplacian import LaplacianMaintainer
 from repro.tensor.backend import KernelBackend, resolve_backend
-from repro.graph.snapshot import GraphSnapshot
+from repro.graph.snapshot import GraphSnapshot, sorted_unique
 from repro.models.base import DynamicGNN
 from repro.models.cdgcn import CDGCN
 from repro.models.evolvegcn import EvolveGCN
@@ -373,13 +373,13 @@ class InferenceEngine:
         exact (the cache's invariant)."""
         stale = self.cache.stale
         csr = self._maintainer.laplacian.csr
-        rows = np.unique(np.asarray(reads, dtype=np.int64))
+        rows = sorted_unique(np.asarray(reads, dtype=np.int64))
         top = len(self.layers) - 1
         plan = []
         for idx in range(top, -1, -1):
             if idx < top:
                 rows = self.kernel_backend.row_slice(csr, rows).indices
-            rows = np.unique(rows[stale[rows] <= idx])
+            rows = sorted_unique(rows[stale[rows] <= idx])
             plan.append(rows)
         return plan[::-1]
 

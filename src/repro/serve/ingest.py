@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from repro.errors import ConfigError, DatasetError
 from repro.graph.diff import (SnapshotDiff, diff_snapshots, edge_checksum,
                               fold_delta)
-from repro.graph.snapshot import GraphSnapshot
+from repro.graph.snapshot import GraphSnapshot, sorted_unique
 
 __all__ = ["EdgeEvent", "IngestResult", "StreamIngestor",
            "events_between", "fold_event_batch"]
@@ -74,35 +75,72 @@ def fold_event_batch(snapshot: GraphSnapshot, events: Iterable[EdgeEvent]
     A batch with an endpoint that is not an integer, or one that would
     write an edge value that is not finite, raises
     :class:`~repro.errors.DatasetError` before anything moves.
+
+    The batch is read once into columns (endpoints, op, add values) and
+    reduced in numpy: each key's last remove by ``maximum.at``, the
+    adds after it summed by ``add.at``, which is unbuffered and applies
+    them in event order — the same left-to-right float sum, from
+    ``0.0``, as a per-event dict fold, bit for bit.
     """
     n = snapshot.num_vertices
-    add_value: dict[int, float] = {}
-    removed: set[int] = set()
-    touched: set[int] = set()
-    for event in events:
-        try:
-            src, dst = operator.index(event.src), operator.index(event.dst)
-        except TypeError:
-            raise DatasetError(f"event endpoint {(event.src, event.dst)} "
-                               f"is not an integer vertex id") from None
-        if not (0 <= src < n and 0 <= dst < n):
-            raise DatasetError(f"event endpoint {(src, dst)} outside the "
-                               f"vertex set of size {n}")
-        touched.add(src)
-        touched.add(dst)
-        key = src * n + dst
-        if event.op == "add":
-            add_value[key] = add_value.get(key, 0.0) + event.value
-        else:
-            add_value.pop(key, None)
-            removed.add(key)
+    events = events if isinstance(events, Sequence) else list(events)
+    src, dst = _endpoint_columns([e.src for e in events],
+                                 [e.dst for e in events], n)
+    is_add = np.array([e.op == "add" for e in events], dtype=bool)
+    # a remove's value is never read (nor converted)
+    values = np.array([e.value for e in compress(events, is_add.tolist())],
+                      dtype=np.float64)
 
-    adds = sorted(add_value.items())
-    curr, diff = fold_delta(
-        snapshot, np.array(sorted(removed), dtype=np.int64),
-        np.array([key for key, _ in adds], dtype=np.int64),
-        np.array([value for _, value in adds], dtype=np.float64))
-    return curr, np.array(sorted(touched), dtype=np.int64), diff
+    keys, at = np.unique(src * np.int64(n) + dst, return_inverse=True)
+    order = np.arange(len(events), dtype=np.int64)
+    last_remove = np.full(len(keys), -1, dtype=np.int64)
+    np.maximum.at(last_remove, at[~is_add], order[~is_add])
+    # the adds no later remove of their key dropped
+    kept = order[is_add] > last_remove[at[is_add]]
+    add_at = at[is_add][kept]
+    sums = np.zeros(len(keys), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a non-finite sum is fold_delta's to reject
+        np.add.at(sums, add_at, values[kept])
+    added = np.zeros(len(keys), dtype=bool)
+    added[add_at] = True
+    curr, diff = fold_delta(snapshot, keys[last_remove >= 0], keys[added],
+                            sums[added])
+    return curr, sorted_unique(np.concatenate((src, dst))), diff
+
+
+def _endpoint_columns(src: list, dst: list, n: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoint columns as int64 arrays, every endpoint checked to
+    be an integer vertex id in ``[0, n)``.  Validated on the arrays;
+    only a batch that fails the check is walked event by event, to
+    raise for the first offending event in batch order."""
+    try:
+        cols = np.array(src), np.array(dst)
+    except (TypeError, ValueError, OverflowError):
+        cols = None
+    # an all-bool column takes the walk, where Python bools pass and
+    # numpy bools do not (numpy casts either to int inside an int column)
+    if cols is not None and all(
+            col.dtype.kind in "iu" and col.shape == (len(src),)
+            for col in cols):
+        cols = tuple(col.astype(np.int64, copy=False) for col in cols)
+        if not len(src) or (min(cols[0].min(), cols[1].min()) >= 0
+                            and max(cols[0].max(), cols[1].max()) < n):
+            return cols
+    for raw in zip(src, dst):
+        try:
+            pair = operator.index(raw[0]), operator.index(raw[1])
+        except TypeError:
+            raise DatasetError(f"event endpoint {raw} is not an integer "
+                               f"vertex id") from None
+        if not (0 <= pair[0] < n and 0 <= pair[1] < n):
+            raise DatasetError(f"event endpoint {pair} outside the "
+                               f"vertex set of size {n}")
+    # every endpoint is valid: Python bools, or objects with __index__
+    # numpy would not type
+    return tuple(np.array([operator.index(v) for v in col], dtype=np.int64)
+                 for col in (src, dst))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,36 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_row_index
 
 from repro.tensor.backend.base import KERNEL_NAMES, KernelBackend
 
 __all__ = ["ReferenceBackend"]
+
+
+def _row_slice(csr: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """``csr[rows]`` for an integer row array: the C kernel scipy's
+    fancy row index ends in (``csr_row_index``: same kernel, same entry
+    order, bit-identical output), without the index normalization and
+    constructor re-scan that cost several times the copy on a small
+    slice."""
+    idx = np.result_type(csr.indptr, csr.indices)
+    indptr = csr.indptr.astype(idx, copy=False)
+    rows = np.asarray(rows, dtype=idx).reshape(-1)
+    if len(rows) and (rows.min() < 0 or rows.max() >= csr.shape[0]):
+        raise IndexError(f"row index out of range for {csr.shape[0]} rows")
+    out_indptr = np.zeros(len(rows) + 1, dtype=idx)
+    np.cumsum(indptr[rows + 1] - indptr[rows], out=out_indptr[1:])
+    nnz = int(out_indptr[-1])
+    out_indices = np.empty(nnz, dtype=idx)
+    out_data = np.empty(nnz, dtype=csr.data.dtype)
+    csr_row_index(len(rows), rows, indptr,
+                  csr.indices.astype(idx, copy=False), csr.data,
+                  out_indices, out_data)
+    sub = sp.csr_matrix.__new__(sp.csr_matrix)
+    sub.data, sub.indices, sub.indptr = out_data, out_indices, out_indptr
+    sub._shape = (len(rows), csr.shape[1])
+    return sub
 
 
 class ReferenceBackend(KernelBackend):
@@ -32,12 +58,12 @@ class ReferenceBackend(KernelBackend):
         # per-row accumulation in the multiply matches the full product
         # bit-for-bit; the sliced matrix rides along as ctx so a
         # backward pass reuses it instead of re-slicing
-        sub = csr[rows]
+        sub = _row_slice(csr, rows)
         return sub @ x, sub
 
     def spmm_rows_t(self, csr: sp.csr_matrix, rows: np.ndarray,
                     g: np.ndarray, ctx: object = None) -> np.ndarray:
-        sub = ctx if ctx is not None else csr[rows]
+        sub = ctx if ctx is not None else _row_slice(csr, rows)
         return sub.T @ g
 
     # -- structure ---------------------------------------------------------------
@@ -46,7 +72,7 @@ class ReferenceBackend(KernelBackend):
 
     def row_slice(self, csr: sp.csr_matrix, rows: np.ndarray
                   ) -> sp.csr_matrix:
-        return csr[rows]
+        return _row_slice(csr, rows)
 
     # -- maintainer primitives ---------------------------------------------------
     def degree_counts(self, vertices: np.ndarray, n: int) -> np.ndarray:

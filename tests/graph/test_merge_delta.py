@@ -29,8 +29,14 @@ N = 5
 CLEAR = "clear"     # a batch entry: remove every resident edge
 
 _vertex = st.integers(0, N - 1)
-_event = st.tuples(_vertex, _vertex, st.sampled_from(["add", "add", "remove"]),
-                   st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0, 3.25]))
+_op = st.sampled_from(["add", "add", "remove"])
+# 1e16 + 1.0 − 1e16 is 0.0 left to right and 1.0 in any other order, and
+# 0.0 + −0.0 is +0.0: a fold that sums out of event order, or not from
+# 0.0, reads a different bit pattern
+_ordered = st.sampled_from([1e16, 1.0, -1e16, -0.0])
+_event = st.tuples(_vertex, _vertex, _op,
+                   st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0, 3.25])
+                   | _ordered)
 _batch = st.lists(st.one_of(_event, st.just(CLEAR)), max_size=12)
 _initial = st.lists(st.tuples(_vertex, _vertex, st.sampled_from([1.0, 0.3])),
                     max_size=10)
@@ -150,6 +156,64 @@ def test_fold_and_apply_match_the_oracles(initial, batches):
     for name in ("data", "indices", "indptr"):
         np.testing.assert_array_equal(getattr(live, name),
                                       getattr(rebuilt, name))
+
+
+def _assert_same_bits(got, want):
+    """Snapshots equal value bit for value bit (``-0.0`` is not ``0.0``)."""
+    _assert_same_snapshot(got, want)
+    np.testing.assert_array_equal(got.values.view(np.int64),
+                                  want.values.view(np.int64))
+
+
+_small = st.integers(0, 2)     # three vertices: keys and self-loops collide
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_small, _small, _op, _ordered), max_size=16),
+       st.lists(st.tuples(_small, _small), max_size=4))
+def test_fold_sums_each_key_in_event_order(batch, initial):
+    """The columnar fold against the per-event dict fold on one crowded
+    key space: order-dependent sums, remove→add and add→remove on one
+    key, removes of absent edges, self-loops — values compared bit for
+    bit, the delta field for field."""
+    base = GraphSnapshot(3, np.array(initial, dtype=np.int64).reshape(-1, 2),
+                         np.full(len(initial), 1.0))
+    events = [EdgeEvent(*entry) for entry in batch]
+    want, want_touched, want_diff = oracle_fold_event_batch(base, events)
+    curr, touched, diff = fold_event_batch(base, events)
+    _assert_same_bits(curr, want)
+    _assert_same_diff(diff, want_diff)
+    np.testing.assert_array_equal(diff.added_values.view(np.int64),
+                                  want_diff.added_values.view(np.int64))
+    np.testing.assert_array_equal(touched, want_touched)
+    assert touched.dtype == np.int64
+
+
+@pytest.mark.parametrize("events, value", [
+    ([("add", 1e16), ("add", 1.0), ("add", -1e16)], 0.0),
+    ([("add", 1.0), ("add", 1e16), ("add", -1e16)], 0.0),
+    ([("add", 1e16), ("add", -1e16), ("add", 1.0)], 1.0),
+    ([("add", -0.0)], 0.0),
+    ([("add", 5.0), ("remove", 0.0), ("add", 2.0)], 2.0),   # remove→add
+    ([("add", 5.0), ("remove", 0.0)], None),                # add→remove
+    ([("remove", 0.0)], None),                              # absent
+], ids=["sum-left-to-right", "small-first", "cancel-first", "minus-zero",
+        "remove-add", "add-remove", "absent-remove"])
+@pytest.mark.parametrize("edge", [(1, 2), (3, 3)], ids=["edge", "self-loop"])
+def test_fold_value_of_one_key(events, value, edge):
+    base = _snap([[0, 1]])
+    curr, touched, _ = fold_event_batch(
+        base, [EdgeEvent(*edge, op, v) for op, v in events])
+    want = oracle_fold_event_batch(
+        base, [EdgeEvent(*edge, op, v) for op, v in events])[0]
+    _assert_same_bits(curr, want)
+    at = np.flatnonzero((curr.edges == edge).all(axis=1))
+    if value is None:
+        assert len(at) == 0
+    else:
+        assert curr.values[at].view(np.int64).tolist() == \
+            np.array([value]).view(np.int64).tolist()
+    assert touched.tolist() == sorted(set(edge))
 
 
 def _snap(pairs, values=None, n=N):

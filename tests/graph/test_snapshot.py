@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import DatasetError
 from repro.graph import GraphSnapshot, canonical_edges
-from repro.graph.snapshot import count_common_edges
+from repro.graph.snapshot import count_common_edges, sorted_unique
 
 
 class TestCanonicalEdges:
@@ -181,3 +181,27 @@ class TestOverlap:
         ea = canonical_edges(np.array(sorted(sa), dtype=np.int64).reshape(-1, 2))
         eb = canonical_edges(np.array(sorted(sb), dtype=np.int64).reshape(-1, 2))
         assert count_common_edges(ea, eb) == len(sa & sb)
+
+
+_int64 = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-3, 3), max_size=40),           # crowded
+    st.lists(_int64, max_size=40),                        # full range
+    st.tuples(_int64, st.integers(0, 30)).map(            # all equal
+        lambda vc: [vc[0]] * vc[1])))
+def test_sorted_unique_is_unique(ids):
+    """The sort-based id set equals ``np.unique`` (empty, length-1 and
+    all-equal arrays included), dtype and all, and leaves its input
+    alone."""
+    ids = np.array(ids, dtype=np.int64)
+    before = ids.copy()
+    got = sorted_unique(ids)
+    want = np.unique(ids)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(ids, before)
+    # 2-D input flattens, as np.unique's does
+    np.testing.assert_array_equal(sorted_unique(ids.reshape(-1, 1)), want)

@@ -122,6 +122,38 @@ class TestFoldValidation:
         with pytest.raises(DatasetError):
             fold_event_batch(self.BASE, [EdgeEvent(2, 3)] + events)
 
+    @pytest.mark.parametrize("events, message", [
+        ([EdgeEvent(2, 3), EdgeEvent(1.0, 2)],
+         "event endpoint (1.0, 2) is not an integer vertex id"),
+        # the first offender in batch order wins, whatever its kind
+        ([EdgeEvent(2, 3), EdgeEvent(0, 4), EdgeEvent(1.5, 2)],
+         "event endpoint (0, 4) outside the vertex set of size 4"),
+        ([EdgeEvent(2, 2.5), EdgeEvent(0, 4)],
+         "event endpoint (2, 2.5) is not an integer vertex id"),
+        ([EdgeEvent(True, 9)],
+         "event endpoint (1, 9) outside the vertex set of size 4"),
+        ([EdgeEvent(np.int64(9), np.int32(1))],
+         "event endpoint (9, 1) outside the vertex set of size 4"),
+        ([EdgeEvent(np.int64(1), np.int64(-1))],
+         "event endpoint (1, -1) outside the vertex set of size 4"),
+        ([EdgeEvent(2, 3), EdgeEvent(2 ** 63, 1)],
+         "event endpoint (9223372036854775808, 1) outside the vertex set "
+         "of size 4"),
+        ([EdgeEvent(2 ** 64, 1)],
+         "event endpoint (18446744073709551616, 1) outside the vertex set "
+         "of size 4"),
+    ], ids=["float-after-valid", "range-before-float", "float-before-range",
+            "bool", "np-int64", "np-negative", "2**63", "2**64"])
+    def test_first_bad_endpoint_named_exactly(self, events, message):
+        with pytest.raises(DatasetError) as err:
+            fold_event_batch(self.BASE, events)
+        assert str(err.value) == message
+
+    def test_bool_endpoints_fold_like_ints(self):
+        want = fold_event_batch(self.BASE, [EdgeEvent(1, 0)])[0]
+        assert fold_event_batch(self.BASE, [EdgeEvent(True, False)])[0] \
+            == want
+
     def test_numpy_integer_endpoints_fold_like_ints(self):
         want = fold_event_batch(self.BASE, [EdgeEvent(2, 3)])[0]
         got = fold_event_batch(self.BASE,

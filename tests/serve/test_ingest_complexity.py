@@ -2,10 +2,11 @@
 assert, so it cannot flake on a loaded host).
 
 The regression fence for "no sort and no re-diff on the commit path":
-``diff_snapshots``, ``canonical_edges`` and ``numpy.lexsort`` raise when
-called, and ``isin`` / ``setdiff1d`` / ``sort`` / ``argsort`` /
-``unique`` raise when handed an array as large as the graph (set
-algebra over a delta or a vertex set is fine).  Every front door that
+``diff_snapshots``, ``canonical_edges``, ``numpy.lexsort`` and
+``numpy.union1d`` raise when called, and ``isin`` / ``setdiff1d`` /
+``sort`` / ``argsort`` / ``unique`` raise when handed an array as large
+as the graph (set algebra over a delta or a vertex set is fine, by sort:
+numpy 2.x's ``union1d`` hashes).  Every front door that
 advances a resident snapshot by a delta must then pass untouched.
 """
 
@@ -74,6 +75,8 @@ def arm(monkeypatch):
                         getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, forbidden(name))
         monkeypatch.setattr(np, "lexsort", forbidden("numpy.lexsort"))
+        # hashes its input on numpy 2.x: id sets on this path sort
+        monkeypatch.setattr(np, "union1d", forbidden("numpy.union1d"))
         for name in ("isin", "setdiff1d", "sort", "argsort", "unique"):
             monkeypatch.setattr(np, name, sized(name))
 
@@ -91,6 +94,8 @@ def test_the_fence_is_live(stream, arm):
         np.lexsort((first.edges[:, 1], first.edges[:, 0]))
     with pytest.raises(AssertionError, match="graph-sized"):
         np.isin(first.keys, first.keys[:3])
+    with pytest.raises(AssertionError, match="union1d"):
+        np.union1d(first.keys[:3], first.keys[3:6])
     with pytest.raises(AssertionError, match="diff_snapshots"):
         events_between(first, first)
 

@@ -103,6 +103,40 @@ def test_transpose_and_row_slice(kb, index_dtype):
     np.testing.assert_array_equal(got_s.data, want_s.data)
 
 
+@pytest.mark.parametrize("index_dtype", INDEX_DTYPES)
+@pytest.mark.parametrize("rows", ["perm", "dup", "empty", "one"])
+def test_reference_row_slice_is_scipys(index_dtype, rows):
+    """The reference backend calls scipy's row-gather kernel directly;
+    its slice, products and backward equal scipy's ``csr[rows]`` path
+    bit for bit — duplicated rows, empty CSR rows and an empty
+    selection included — and an out-of-range row raises."""
+    ref = get_backend("reference")
+    csr = _csr(density=0.005, index_dtype=index_dtype)  # some rows empty
+    assert (np.diff(csr.indptr) == 0).any()
+    rows = {"perm": _rows(csr.shape[0], seed=7),
+            "dup": np.array([3, 3, 0, 399, 3], dtype=np.int64),
+            "empty": np.empty(0, dtype=np.int64),
+            "one": np.array([17], dtype=np.int64)}[rows]
+    want = csr[rows]
+    got = ref.row_slice(csr, rows)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name),
+                                      getattr(want, name))
+    x = np.random.default_rng(8).standard_normal((csr.shape[1], 4))
+    g = np.random.default_rng(9).standard_normal((len(rows), 4))
+    out, ctx = ref.spmm_rows(csr, rows, x)
+    np.testing.assert_array_equal(out, want @ x)
+    np.testing.assert_array_equal(ref.spmm_rows_t(csr, rows, g, ctx),
+                                  want.T @ g)
+    np.testing.assert_array_equal(ref.spmm_rows_t(csr, rows, g),
+                                  want.T @ g)
+    with pytest.raises(IndexError):
+        ref.row_slice(csr, np.array([0, csr.shape[0]]))
+    with pytest.raises(IndexError):
+        ref.row_slice(csr, np.array([-1]))
+
+
 def test_degree_counts(kb):
     ref = get_backend("reference")
     vertices = np.random.default_rng(6).integers(0, 50, size=300)
