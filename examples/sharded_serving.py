@@ -105,7 +105,7 @@ def main() -> None:
     print(f"events ingested       {c.events_ingested} "
           f"({c.cross_shard_events} delta edges crossed shards)")
     print(f"ghost dirty rows      {c.halo_dirty_rows}")
-    print(f"halo state shipped    {traffic.rows_shipped} rows / "
+    print(f"halo state pulled     {traffic.rows_shipped} rows / "
           f"{traffic.bytes_shipped / 1024:.1f} KiB")
     print(f"cross-shard fetches   {c.remote_row_fetches} embedding rows")
     print(f"per-shard queries     {list(stats.per_shard_queries)}")

@@ -55,9 +55,8 @@ __all__ = ["IDEMPOTENT_VERBS", "MUTATING_VERBS", "RetryPolicy",
 # pure reads: re-executing on any replica returns the same answer
 # (a refresh only recomputes rows to the values they already denote)
 IDEMPOTENT_VERBS = frozenset({
-    "refresh", "embedding_rows", "ping", "halo_rows",
-    "export_temporal", "export_state", "stats", "telemetry",
-    "debug_sleep"})
+    "refresh", "embedding_rows", "ping", "export_state", "stats",
+    "telemetry", "debug_sleep"})
 
 # state-changing verbs: sequenced for exactly-once application
 MUTATING_VERBS = frozenset({

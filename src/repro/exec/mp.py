@@ -2,9 +2,10 @@
 
 :class:`MultiprocessBackend` spawns each shard worker into its own
 process (fork start method).  The read-mostly blocks — canonical edge
-list, edge values, and the worker's embedding block — live in
-``multiprocessing.shared_memory`` segments mapped once at spawn; the
-pipe carries only GD deltas, row sets, scores, and control messages.  The worker binds its engine's
+list, edge values, the worker's embedding block, the frozen board —
+live in ``multiprocessing.shared_memory`` segments mapped once at
+spawn; the pipe carries only GD deltas, row sets, scores, and control
+messages.  The worker binds its engine's
 output layer directly onto the shared embedding block, so the router
 reads served rows with a memcpy instead of an RPC round-trip.
 
@@ -29,8 +30,9 @@ from repro.errors import ExecError, ReproError, WorkerDeadError, \
     WorkerTimeoutError
 from repro.exec.service import WorkerService
 from repro.exec.shm import ArraySpec, map_array, share_array, \
-    snapshot_from_shared
+    share_zeros, snapshot_from_shared
 from repro.exec.transport import TransportStats, WorkerBoot, WorkerTransport
+from repro.serve.sharded.halo import FrozenBoard
 
 __all__ = ["ProcessTransport", "MultiprocessBackend"]
 
@@ -40,18 +42,21 @@ def _worker_main(conn, boot: WorkerBoot, manifest: dict) -> None:
     handles = []
     mapped = 0
     views = {}
-    for key in ("edges", "values"):
-        seg, view = map_array(manifest[key])
-        handles.append(seg)
-        views[key] = view
-        mapped += manifest[key].nbytes
-    emb_seg, emb_view = map_array(manifest["embeddings"], writeable=True)
-    handles.append(emb_seg)
-    mapped += manifest["embeddings"].nbytes
+    # the board (a multi-shard tier's) and the embeddings are written
+    for key in ("edges", "values", "embeddings", "board"):
+        if key in manifest:
+            seg, views[key] = map_array(
+                manifest[key], writeable=key in ("embeddings", "board"))
+            handles.append(seg)
+            mapped += manifest[key].nbytes
+    emb_view = views["embeddings"]
+    board = FrozenBoard(boot.model, manifest["num_vertices"],
+                        boot.num_shards, views["board"]) \
+        if "board" in views else None
 
     boot.snapshot = snapshot_from_shared(manifest["num_vertices"],
                                          views["edges"], views["values"])
-    service = WorkerService(boot)
+    service = WorkerService(boot, board=board)
 
     def bind_embeddings() -> None:
         # the engine recomputes in place, so once the output layer IS
@@ -91,7 +96,7 @@ def _worker_main(conn, boot: WorkerBoot, manifest: dict) -> None:
     except (EOFError, KeyboardInterrupt):
         pass
     finally:
-        del service, views, boot
+        del service, views, boot, board
         for seg in handles:
             seg.close()
 
@@ -239,6 +244,7 @@ class MultiprocessBackend:
         self._ctx = multiprocessing.get_context("fork")
         self._segments = []            # every handle this backend created
         self._topology = None          # (snapshot id, manifest fragment)
+        self._board = None             # the tier's board (>1 shard)
         self.shm_bytes_mapped = 0      # summed across worker mappings
 
     def _topology_manifest(self, boot: WorkerBoot) -> dict:
@@ -265,6 +271,13 @@ class MultiprocessBackend:
             np.zeros((n, boot.model.embed_dim)), f"emb{boot.shard_id}")
         self._segments.append(emb_seg)
         manifest["embeddings"] = emb_spec
+        if boot.num_shards > 1:
+            # one board per tier: revived and rebalanced workers attach
+            if self._board is None:
+                seg, self._board = share_zeros((FrozenBoard.nbytes(
+                    boot.model, n, boot.num_shards),), np.uint8, "board")
+                self._segments.append(seg)
+            manifest["board"] = self._board
 
         lite = WorkerBoot(shard_id=boot.shard_id, model=boot.model,
                           snapshot=None, owner=boot.owner,
@@ -299,3 +312,4 @@ class MultiprocessBackend:
                 pass
         self._segments.clear()
         self._topology = None
+        self._board = None

@@ -23,10 +23,11 @@ processes (:class:`MultiprocessBackend`) with identical numerics.
   backend) and scores them with ``ModelServer``'s own heads.  Every row
   read is charged to the ``query_rows`` comm label; a link whose
   endpoints live on different shards counts as a cross-shard row fetch;
-* **halo exchange** — ghost rows' frozen temporal state (LSTM carries,
-  M-product history) is mirrored owner → ghost in bulk at every
-  timestep boundary and incrementally whenever an event pulls a vertex
-  into a shard's halo mid-step (:class:`HaloTraffic` counts both);
+* **halo exchange** — ghost rows' frozen temporal state never passes
+  the router: owners publish it to the backend's frozen board and each
+  shard pulls its halo from it (:mod:`repro.serve.sharded.halo`) — on
+  an ``import_temporal`` doorbell at a boundary, inside ``apply_delta``
+  mid-step; the router counts what the workers report pulled;
 * **rebalancing** — per-vertex query loads are tracked, and when the
   per-shard skew exceeds ``rebalance_skew`` at a timestep boundary the
   tier re-partitions onto load-weighted blocks and transplants the
@@ -103,9 +104,6 @@ from repro.exec.transport import WorkerBoot
 from repro.store.recovery import pack_shard_export, unpack_sharded_state
 
 __all__ = ["ExecCounters", "ExecStats", "ExecRouter"]
-
-_EMPTY = np.empty(0, dtype=np.int64)
-
 
 @dataclass
 class ExecCounters(FrontendCounters):
@@ -285,7 +283,7 @@ class ExecRouter(QueryFrontend):
         self._per_shard_queries = np.zeros(plan.num_shards, dtype=np.int64)
         # cross-shard payload ledger, exported in the Communicator's
         # comm_bytes_total{label=} family: labels "delta" (delta
-        # fan-out), "halo" (temporal-state mirroring), "query_rows"
+        # fan-out), "halo" (frozen rows the workers pulled), "query_rows"
         # (the endpoint rows a flush reads off the workers)
         self._comm_bytes: dict = defaultdict(int)
         self._comm_full_bytes: dict = defaultdict(int)
@@ -514,10 +512,10 @@ class ExecRouter(QueryFrontend):
 
     # -- commits and boundaries --------------------------------------------------------
     def _apply_commit(self, result) -> None:
-        """Expand the dirty frontier once, fan the GD delta out to every
-        worker and sync halo entrants; a worker that dies during the
-        fan-out is revived from the latest capture + WAL tail before
-        the commit returns."""
+        """Expand the dirty frontier once and fan the GD delta out to
+        every worker (each pulls its halo entrants itself); a worker
+        that dies during the fan-out is revived from the latest capture
+        + WAL tail before the commit returns."""
         snap = result.snapshot
         t0 = self.clock()
         dirty = expand_dirty(snap, result.dirty, self.model.num_layers)
@@ -536,31 +534,34 @@ class ExecRouter(QueryFrontend):
         with self.telemetry.trace("serve.fanout", shards=self.num_shards):
             results, dead = self._fanout(
                 "apply_delta", lambda s: (result.diff, dirty))
-        entrants: dict = {}
-        for s, (rows, ghost_dirty) in results.items():
-            entrants[s] = rows
+        pulled = False
+        for s, (pull, ghost_dirty) in results.items():
+            pulled |= self.traffic.count(s, pull)
             self.counters.halo_dirty_rows += ghost_dirty
         for s in dead:
-            revived = self._revive_or_degrade(s)
-            if revived is not None:
-                entrants[s] = revived
-        with self.telemetry.trace("serve.halo_sync", kind="entrants"):
-            self._sync_entrants(entrants)
+            self._revive_or_degrade(s)
+        self.traffic.entrant_syncs += pulled
 
     def _cross_boundary(self, rebase: GraphSnapshot | None, diff) -> int:
-        """Settle the rows no flush read and promote carries everywhere,
-        run the bulk halo exchange, recompute every covered row, then
-        let the rebalancer look at the query skew.  Workers fold a
-        rebase ``diff`` into their own mirror; the full snapshot ships
-        only when there is no delta for it."""
+        """Settle the rows no flush read, promote and publish carries
+        everywhere, let each shard pull its halo off the board and
+        recompute every covered row, then let the rebalancer look at
+        the query skew.  Workers fold a rebase ``diff`` into their own
+        mirror; the full snapshot ships only when there is no delta for
+        it."""
         ship = rebase if (rebase is not None and diff is None) else None
         settled, dead = self._fanout("begin_advance", lambda s: (ship, diff))
         self.counters.refreshes += sum(map(bool, settled.values()))
         self.counters.rows_recomputed += sum(settled.values())
         down = self._tolerate_boundary_dead(dead, "begin_advance")
         if self.num_shards > 1:
-            with self.telemetry.trace("serve.halo_sync", kind="boundary"):
-                self._sync_halos(down=down)
+            pulls, dead = self._fanout(
+                "import_temporal", lambda s: (),
+                shards=[s for s in range(self.num_shards) if s not in down])
+            down |= self._tolerate_boundary_dead(dead, "import_temporal")
+            for s, pull in pulls.items():
+                self.traffic.count(s, pull)
+            self.traffic.boundary_syncs += 1
         live = [s for s in range(self.num_shards) if s not in down]
         results, dead = self._fanout("finish_advance", lambda s: (),
                                      shards=live)
@@ -604,50 +605,6 @@ class ExecRouter(QueryFrontend):
                 continue
             self._stale_cache[s] = (rows, self.counters.advances)
 
-    # -- halo exchange (over channels) -------------------------------------------------
-    def _ship(self, target: int, rows: np.ndarray) -> None:
-        if len(rows) == 0:
-            return
-        if self.max_staleness is not None and \
-                not self.channels[target].alive:
-            return  # degraded shard: it will resync on revival
-        owners = self.plan.owner[rows]
-        for src in sorted_unique(owners):
-            src = int(src)
-            if src == target:
-                continue
-            if self.max_staleness is not None and \
-                    not self.channels[src].alive:
-                continue  # the owner is down: its ghost rows freeze
-            chunk = rows[owners == src]
-            payload = self.channels[src].call("export_temporal", chunk)
-            nbytes = self.channels[target].call("import_temporal",
-                                                chunk, payload)
-            self.traffic.rows_shipped += len(chunk)
-            self.traffic.bytes_shipped += nbytes
-            self.traffic.messages += 1
-            self.traffic.rows_per_shard[target] += len(chunk)
-            self.traffic.bytes_per_shard[target] += nbytes
-            self._comm_charge("halo", nbytes)
-
-    def _sync_halos(self, down=frozenset()) -> None:
-        live = [s for s in range(self.num_shards) if s not in down]
-        halos, dead = self._fanout("halo_rows", lambda s: (), shards=live)
-        if self.max_staleness is None:
-            self._require_all_alive(dead, "halo sync")
-        for target in sorted(halos):
-            self._ship(target, halos[target])
-        self.traffic.boundary_syncs += 1
-
-    def _sync_entrants(self, entrants: dict) -> None:
-        shipped = False
-        for target in sorted(entrants):
-            if len(entrants[target]):
-                self._ship(target, entrants[target])
-                shipped = True
-        if shipped:
-            self.traffic.entrant_syncs += 1
-
     # -- queries ----------------------------------------------------------------------
     def _answer_batch(self, batch: list, ends: np.ndarray,
                       is_link: np.ndarray, cone: bool) -> tuple:
@@ -673,10 +630,10 @@ class ExecRouter(QueryFrontend):
                 try:
                     down = set()
                     for s in range(self.num_shards):
-                        if not self.channels[s].alive and \
-                                self._revive_or_degrade(s) is None and \
-                                not self.channels[s].alive:
-                            down.add(s)
+                        if not self.channels[s].alive:
+                            self._revive_or_degrade(s)
+                            if not self.channels[s].alive:
+                                down.add(s)
                     pending = np.fromiter((not q.done for q in batch),
                                           bool, len(batch))
                     return self._route(batch, ends, is_link, cone, down=down,
@@ -866,29 +823,26 @@ class ExecRouter(QueryFrontend):
             return
         super()._store_maybe_capture()
 
-    def _revive_or_degrade(self, shard: int) -> np.ndarray | None:
+    def _revive_or_degrade(self, shard: int) -> None:
         """Try crash recovery for one down shard; with degraded serving
         enabled, a shard that cannot be revived (no store, no usable
         capture, boundary-spanning tail) is left down — its queries
         serve stale until it can be brought back — instead of failing
-        the calling operation.  Returns the revival's entrant rows, or
-        ``None`` when the shard stays down."""
+        the calling operation."""
         try:
-            return self._revive(shard)
+            self._revive(shard)
         except (ExecError, StoreError):
             if self.max_staleness is None:
                 raise
-            return None
 
-    def _revive(self, shard: int) -> np.ndarray:
+    def _revive(self, shard: int) -> None:
         """Respawn one dead worker from the latest capture + WAL tail.
 
         The capture's per-shard exports cover *every* vertex, so the
         revived worker's ghost temporal state is already exact; the
         tail (event batches only — boundaries force a tier-level
-        recover) replays through its own apply_delta RPCs.  Returns the
-        entrant rows of the final replayed batch, so the caller can run
-        the entrant sync it was about to do when the worker died."""
+        recover) replays through its own apply_delta RPCs, each pulling
+        its entrants from the board."""
         if self.store is None:
             raise WorkerDeadError(
                 f"shard {shard} died with no store attached — revival "
@@ -909,7 +863,6 @@ class ExecRouter(QueryFrontend):
                                 stream=self._next_incarnation)
         channel.reset([transport])
         channel.call("adopt_state", exports, int(meta["steps"]), dirty)
-        entrants = _EMPTY
         ingestor = StreamIngestor(resident)
         for op, payload in self.store.replay_tail(meta["record_index"],
                                                   start=resident):
@@ -920,9 +873,9 @@ class ExecRouter(QueryFrontend):
             result = ingestor.commit(*payload)
             dirty = expand_dirty(result.snapshot, result.dirty,
                                  self.model.num_layers)
-            entrants, _ = channel.call("apply_delta", result.diff, dirty)
+            pull, _ = channel.call("apply_delta", result.diff, dirty)
+            self.traffic.count(shard, pull)
         self.counters.worker_restarts += 1
-        return entrants
 
     # -- rebalancing ------------------------------------------------------------------
     def observed_skew(self) -> float:
@@ -1035,6 +988,9 @@ class ExecRouter(QueryFrontend):
                 nbytes)
         for s, rows in sorted(traffic.rows_per_shard.items()):
             reg.counter("shard_halo_rows_total", shard=str(s)).set_to(rows)
+        if traffic.rows_shipped:  # label "halo": the rows pulled
+            self._comm_bytes["halo"] = self._comm_full_bytes["halo"] = \
+                traffic.bytes_shipped
         for label in sorted(self._comm_bytes):
             reg.counter("comm_bytes_total",
                         "Cross-shard payload bytes by traffic class",

@@ -17,6 +17,11 @@ does.  A read never refreshes: ``embedding_rows`` returns the cache
 array as the shared-memory path does, and the router scores the rows
 it read (the worker holds no scoring head).
 
+In a multi-shard tier it publishes its block's frozen rows to the
+tier's :class:`~repro.serve.sharded.halo.FrozenBoard` and pulls its
+ghosts' rows from it (``import_temporal`` and ``apply_delta``), so no
+ghost row travels through the router.
+
 Every unit of model work is timed into ``busy_s`` — the per-worker busy
 clock from which the tier's critical path is derived, exactly how the
 training side charges per-rank :class:`~repro.cluster.clock.RankClock`
@@ -37,6 +42,7 @@ from repro.graph.diff import apply_diff
 from repro.graph.snapshot import GraphSnapshot
 from repro.obs import Telemetry
 from repro.serve.sharded.engine import ShardEngine
+from repro.serve.sharded.halo import FrozenBoard
 from repro.exec.transport import WorkerBoot, WorkerStats, payload_nbytes
 
 __all__ = ["WorkerService"]
@@ -51,7 +57,8 @@ class WorkerService:
     def __init__(self, boot: WorkerBoot, *,
                  clock: Callable[[], float] = time.perf_counter,
                  on_embeddings: Callable[[], None] | None = None,
-                 telemetry: Telemetry | None = None) -> None:
+                 telemetry: Telemetry | None = None,
+                 board: FrozenBoard | None = None) -> None:
         self.boot = boot
         self.shard_id = boot.shard_id
         # the worker's own telemetry: its registry is harvested (and
@@ -77,6 +84,7 @@ class WorkerService:
         self.engine = ShardEngine(boot.model, boot.snapshot, boot.block,
                                   telemetry=self.telemetry,
                                   kernel_backend=boot.kernel_backend)
+        self.board = board  # the tier's frozen board (None: one shard)
         self.clock = clock
         self.busy_s = 0.0
         self.rows_recomputed = 0
@@ -95,6 +103,20 @@ class WorkerService:
 
     def _charge(self, t0: float) -> None:
         self.busy_s += self.clock() - t0
+
+    # -- the frozen board: ``step`` is the step the state enters --------------------
+    def _publish(self, step: int) -> None:
+        if self.board is not None:
+            self.board.publish(self.shard_id, self.engine.block,
+                               self.engine.state_arrays(), step)
+
+    def _pull(self, rows: np.ndarray, step: int, kind: str) -> tuple:
+        if self.board is None or len(rows) == 0:
+            return 0, 0, 0
+        with self.telemetry.trace("serve.halo_sync", kind=kind,
+                                  rows=len(rows)):
+            return self.board.pull(rows, self.boot.owner,
+                                   self.engine.state_arrays(), step)
 
     # -- RPC surface (dispatch targets) -----------------------------------------------
     def dispatch(self, method: str, args: tuple, ctx: tuple | None = None,
@@ -148,9 +170,20 @@ class WorkerService:
         if diff is not None:
             snapshot = apply_diff(self.resident, diff)
         settled = self.engine.begin_advance(snapshot, diff=diff)
+        self._publish(self.engine.steps + 1)
         self.rows_recomputed += settled
         self._charge(t0)
         return settled
+
+    def rpc_import_temporal(self) -> tuple:
+        """Pull the whole halo's frozen rows off the board; the router
+        rings it between ``begin_advance`` (every live owner published)
+        and ``finish_advance``.  Returns ``(rows, bytes, owners)``."""
+        t0 = self.clock()
+        pulled = self._pull(self.engine.halo, self.engine.steps + 1,
+                            "boundary")
+        self._charge(t0)
+        return pulled
 
     def rpc_finish_advance(self) -> int:
         t0 = self.clock()
@@ -164,21 +197,21 @@ class WorkerService:
         """Fold one commit's GD delta into the mirror and mark the
         router's expansion ``dirty = (rows, hops)`` stale by hop count.
         ``apply_diff`` rejects a delta that does not extend the resident
-        before anything mutates.  Returns the rows newly pulled into
-        this shard's halo (whose frozen temporal state the exchange must
-        import before the next refresh touches them) and the count of
-        dirty ghost rows."""
+        before anything mutates.  Pulls the rows the delta brought into
+        the halo; returns that pull's ``(rows, bytes, owners)`` and the
+        count of dirty ghost rows."""
         t0 = self.clock()
         engine = self.engine
         rows, hops = dirty
         engine.set_snapshot(apply_diff(self.resident, diff), seeds=_EMPTY,
                             diff=diff)
-        entrants = engine.relax_halo(rows)
+        pulled = self._pull(engine.relax_halo(rows), engine.steps,
+                            "entrants")
         engine.cache.mark_within(rows, hops)
         self.deltas_applied += 1
         self._charge(t0)
-        return entrants, len(np.intersect1d(rows, engine.halo,
-                                            assume_unique=True))
+        return pulled, len(np.intersect1d(rows, engine.halo,
+                                          assume_unique=True))
 
     def rpc_refresh(self, reads=None) -> int:
         """Recompute the stale rows the owned ``reads`` depend on (every
@@ -199,15 +232,6 @@ class WorkerService:
         self._charge(t0)
         return out
 
-    def rpc_halo_rows(self) -> np.ndarray:
-        return self.engine.halo
-
-    def rpc_export_temporal(self, rows) -> list:
-        return self.engine.export_temporal(rows)
-
-    def rpc_import_temporal(self, rows, payload) -> int:
-        return self.engine.import_temporal(rows, payload)
-
     def rpc_export_state(self) -> tuple:
         engine = self.engine
         block = engine.block
@@ -218,6 +242,7 @@ class WorkerService:
     def rpc_adopt_state(self, exports, steps, dirty) -> None:
         t0 = self.clock()
         self.engine.adopt_state(exports, steps, dirty)
+        self._publish(steps)
         self._charge(t0)
         self.on_embeddings()
 

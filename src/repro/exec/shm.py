@@ -1,9 +1,11 @@
 """Shared-memory plumbing for the multiprocessing backend.
 
 The read-mostly blocks of a serving tier — the boot topology (edge list
-+ values) and each worker's embedding block — are mapped once into ``multiprocessing.shared_memory`` segments and
-never travel over the pipe.  Only deltas, row sets, and scores do,
-which is the paper's wire discipline (ship O(delta), share O(graph)).
++ values), each worker's embedding block and a multi-shard tier's
+frozen board — are mapped once into ``multiprocessing.shared_memory``
+segments and never travel over the pipe.  Only deltas, row sets, and
+scores do, which is the paper's wire discipline (ship O(delta), share
+O(graph)).
 
 Ownership protocol: the **router process creates and unlinks** every
 segment; workers attach, wrap numpy views, and close their handles at
@@ -22,7 +24,7 @@ import numpy as np
 
 from repro.graph.snapshot import GraphSnapshot
 
-__all__ = ["ArraySpec", "share_array", "map_array",
+__all__ = ["ArraySpec", "share_array", "share_zeros", "map_array",
            "snapshot_from_shared"]
 
 
@@ -47,14 +49,22 @@ def share_array(array: np.ndarray, tag: str
     The caller (router) owns the handle and must ``unlink()`` it when
     the backend closes."""
     array = np.ascontiguousarray(array)
-    name = f"repro_{tag}_{uuid.uuid4().hex[:12]}"
-    nbytes = max(1, array.nbytes)  # zero-size arrays still need a page
-    seg = shared_memory.SharedMemory(create=True, name=name, size=nbytes)
+    seg, spec = share_zeros(array.shape, array.dtype, tag)
     if array.nbytes:
         np.ndarray(array.shape, dtype=array.dtype,
                    buffer=seg.buf)[...] = array
-    return seg, ArraySpec(name=seg.name, shape=tuple(array.shape),
-                          dtype=str(array.dtype))
+    return seg, spec
+
+
+def share_zeros(shape: tuple, dtype, tag: str
+                ) -> tuple[shared_memory.SharedMemory, ArraySpec]:
+    """A fresh zero-filled segment for a ``shape`` / ``dtype`` array
+    (no page touched); owned as :func:`share_array`'s."""
+    spec = ArraySpec(name=f"repro_{tag}_{uuid.uuid4().hex[:12]}",
+                     shape=tuple(shape), dtype=str(np.dtype(dtype)))
+    # zero-size arrays still need a page
+    return shared_memory.SharedMemory(create=True, name=spec.name,
+                                      size=max(1, spec.nbytes)), spec
 
 
 def map_array(spec: ArraySpec, *, writeable: bool = False

@@ -7,7 +7,8 @@ speaks and hosting the same
 private ``Ã`` maintainer, every delta checksum-verified before it is
 folded.  It differs from the multiprocessing backend by the transport
 and nothing else; being deterministic and single-process, it is the
-oracle the real backend must match bit for bit.
+oracle the real backend must match bit for bit.  A multi-shard tier's
+frozen board is a heap array every in-process worker holds.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable
 
 from repro.errors import WorkerDeadError
 from repro.exec.service import WorkerService
+from repro.serve.sharded.halo import FrozenBoard
 from repro.exec.transport import TransportStats, WorkerBoot, \
     WorkerTransport, payload_nbytes
 
@@ -86,12 +88,17 @@ class SimulatedBackend:
 
     name = "simulated"
     shm_bytes_mapped = 0  # nothing is mapped: workers share the heap
+    _board: FrozenBoard | None = None  # the tier's; none for one shard
 
     def spawn(self, boot: WorkerBoot, *,
               clock: Callable[[], float] = time.perf_counter
               ) -> LocalTransport:
-        return LocalTransport(boot.shard_id,
-                              WorkerService(boot, clock=clock))
+        if boot.num_shards > 1 and self._board is None:
+            self._board = FrozenBoard(boot.model,
+                                      boot.snapshot.num_vertices,
+                                      boot.num_shards)
+        return LocalTransport(boot.shard_id, WorkerService(
+            boot, clock=clock, board=self._board))
 
     def close(self) -> None:
-        """Nothing to release."""
+        self._board = None

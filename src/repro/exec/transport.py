@@ -14,7 +14,8 @@ OS process over pipes and shared memory (:mod:`repro.exec.mp`).
 The RPC surface is deliberately the shard worker's verb set —
 ``begin_advance`` / ``finish_advance`` / ``apply_delta`` /
 ``refresh(reads)`` / ``embedding_rows`` / ``import_temporal`` — plus
-the state-transplant verbs recovery needs.  Workers hold no scoring
+the state-transplant verbs recovery needs; ghost rows themselves move
+through the tier's frozen board.  Workers hold no scoring
 head: a flush refreshes each touched shard's read cone, and the router
 scores the rows it reads.  Payloads are GD deltas and row
 sets, never snapshots: every worker folds each delta into its own

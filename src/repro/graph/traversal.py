@@ -27,13 +27,17 @@ def undirected_distances(num_vertices: int, edges: np.ndarray,
     dist[seeds] = 0
     if max_hops <= 0 or len(edges) == 0 or len(seeds) == 0:
         return dist
+    # contiguous endpoint columns, taken once: every hop gathers from
+    # them, and the strided (E, 2) views cost twice as much to index
+    src = np.ascontiguousarray(edges[:, 0])
+    dst = np.ascontiguousarray(edges[:, 1])
     frontier = np.zeros(num_vertices, dtype=bool)
     frontier[seeds] = True
     reach = frontier.copy()
     for d in range(1, max_hops + 1):
         nxt = np.zeros(num_vertices, dtype=bool)
-        nxt[edges[frontier[edges[:, 0]], 1]] = True
-        nxt[edges[frontier[edges[:, 1]], 0]] = True
+        nxt[dst[frontier[src]]] = True
+        nxt[src[frontier[dst]]] = True
         frontier = nxt & ~reach
         if not frontier.any():
             break

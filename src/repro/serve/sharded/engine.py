@@ -23,12 +23,12 @@ the live ghost rings), never the full vertex set.
 
 What cannot be derived locally is the frozen temporal state of ghost
 rows (LSTM carries entering the current timestep, M-product history
-frames): those are *owned* by their home shard and mirrored here by the
-router's halo exchange (:mod:`repro.serve.sharded.halo`) — once per
+frames): those are *owned* by their home shard, and pulled here from
+the tier's frozen board (:mod:`repro.serve.sharded.halo`) — once per
 timestep boundary for the whole halo, and incrementally whenever an
-edge event pulls a new vertex into the halo mid-step.  EvolveGCN has no per-vertex
-recurrence; its weight LSTM is replicated and every shard evolves it
-identically, so its halo exchange ships zero temporal bytes.
+edge event pulls a new vertex into the halo mid-step.  EvolveGCN has
+no per-vertex recurrence; its weight LSTM is replicated and every
+shard evolves it identically, so it pulls zero bytes.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ from repro.serve.engine import REPLICATED_STATE, InferenceEngine
 from repro.serve.sharded.plan import relax_distances
 
 __all__ = ["ShardEngine"]
-
-# state-schema prefixes of the frozen per-vertex state a ghost row mirrors
-_MIRRORED = ("pre_carry/", "history/")
 
 
 class ShardEngine(InferenceEngine):
@@ -97,7 +94,7 @@ class ShardEngine(InferenceEngine):
         """Lower the distance field after edge additions touching
         ``region`` (the global dirty set); returns the rows that newly
         entered (or deepened into) the computed coverage and therefore
-        need their frozen temporal state imported from their owner."""
+        need their frozen temporal state pulled from their owner."""
         before = self._dist.copy()
         relax_distances(self._dist, self._resident.edges, region,
                         self.max_ring)
@@ -110,34 +107,14 @@ class ShardEngine(InferenceEngine):
         return rows[self._dist[rows] <= self.max_ring - idx]
 
     # -- advance protocol -------------------------------------------------------------
-    # The router runs the halo exchange between the two halves of the
-    # inherited advance (all shards promote, then ghosts sync, then all
-    # shards compute).
+    # The worker pulls its halo's frozen rows between the two halves of
+    # the inherited advance (all shards promote and publish, then pull,
+    # then compute).
     def begin_advance(self, snapshot: GraphSnapshot | None = None, *,
                       diff=None) -> int:
         settled = super().begin_advance(snapshot, diff=diff)
         self.rebuild_halo()
         return settled
-
-    # -- temporal-state mirroring ----------------------------------------------------
-    # The frozen per-vertex temporal state entering the current timestep
-    # is what a ghost row cannot reproduce locally: the schema's
-    # pre_carry/ and history/ arrays.  Rows are exported by the owner
-    # (always exact for its block) and written into a mirroring shard's
-    # arrays, in schema order.
-    def _frozen(self) -> list[np.ndarray]:
-        return [array for name, array in self.state_arrays().items()
-                if name.startswith(_MIRRORED)]
-
-    def export_temporal(self, rows: np.ndarray) -> list[np.ndarray]:
-        return [array[rows] for array in self._frozen()]
-
-    def import_temporal(self, rows: np.ndarray,
-                        payload: list[np.ndarray]) -> int:
-        """Install exported temporal rows; returns payload bytes."""
-        for array, part in zip(self._frozen(), payload, strict=True):
-            array[rows] = part
-        return sum(part.nbytes for part in payload)
 
     # -- state transplant (rebalancing) ----------------------------------------------
     def export_state_rows(self, rows: np.ndarray) -> dict:

@@ -13,7 +13,11 @@ scoring: the worker ``score`` verb's series and
 ``worker_queries_scored_total`` went, ``refresh`` gained a payload
 series (it carries the flush's reads), and the one-shard router gained
 the ``query_rows`` comm series (it reads every endpoint row off its
-worker).
+worker), and once more when workers began pulling ghost rows from the
+frozen board themselves: the per-verb series of the deleted
+``halo_rows`` / ``export_temporal`` verbs went, and so did the payload
+series of ``import_temporal``, now a doorbell with no arguments; every
+``shard_halo_*`` and ``comm_bytes_total{label="halo"}`` series stayed.
 
 Re-record (deliberate series changes only, and say so in CHANGES.md):
 ``PYTHONPATH=src python tests/exec/test_front_door.py``.

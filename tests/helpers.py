@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import os
+import time
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import pytest
 
+from repro.exec import ExecRouter
+from repro.exec.service import WorkerService
+from repro.exec.simulated import LocalTransport, SimulatedBackend
+from repro.graph.snapshot import sorted_unique
 from repro.tensor import Tensor
 from repro.tensor.backend import available_backends
 
@@ -157,6 +162,33 @@ def oracle_apply_diff(prev, diff):
     values[np.asarray(diff.changed_pos, dtype=np.int64)] = \
         diff.changed_values
     return GraphSnapshot(n, edges, values)
+
+
+def oracle_undirected_distances(num_vertices: int, edges: np.ndarray,
+                                seeds: np.ndarray,
+                                max_hops: int) -> np.ndarray:
+    """The mask-frontier BFS of ``repro.graph.traversal`` as first
+    written: every hop indexes the strided ``edges[:, 0]`` /
+    ``edges[:, 1]`` views of the ``(E, 2)`` array.  The library takes
+    contiguous endpoint columns once instead; distances must match."""
+    dist = np.full(num_vertices, max_hops + 1, dtype=np.int64)
+    seeds = np.asarray(seeds, dtype=np.int64)
+    dist[seeds] = 0
+    if max_hops <= 0 or len(edges) == 0 or len(seeds) == 0:
+        return dist
+    frontier = np.zeros(num_vertices, dtype=bool)
+    frontier[seeds] = True
+    reach = frontier.copy()
+    for d in range(1, max_hops + 1):
+        nxt = np.zeros(num_vertices, dtype=bool)
+        nxt[edges[frontier[edges[:, 0]], 1]] = True
+        nxt[edges[frontier[edges[:, 1]], 0]] = True
+        frontier = nxt & ~reach
+        if not frontier.any():
+            break
+        dist[frontier] = d
+        reach |= frontier
+    return dist
 
 
 def edge_set(snapshot) -> set[tuple[int, int]]:
@@ -452,3 +484,94 @@ def sequential_fit(model, dtdg, task, *, num_blocks, epochs, learning_rate,
                 fit.reuse_stats.append(reuse.stats)
         optimizer.step()
     return fit
+
+
+# -- the router-relayed halo exchange ------------------------------------------
+# the frozen per-vertex state the relay mirrored: every layer's
+_RELAYED = ("pre_carry/", "history/")
+
+
+class _BoardlessBackend(SimulatedBackend):
+    """In-process workers without a frozen board: they publish and pull
+    nothing, so the router has to move ghost rows itself."""
+
+    def spawn(self, boot, *, clock=time.perf_counter):
+        return LocalTransport(boot.shard_id,
+                              WorkerService(boot, clock=clock))
+
+
+class RelayRouter(ExecRouter):
+    """``ExecRouter`` with the halo exchange it ran before owners
+    published to a frozen board: the router copies each ghost's frozen
+    rows out of the owner's engine and into every live replica of the
+    ghost's shard, one ``(owner, ghost shard)`` chunk at a time, over
+    every layer's ``pre_carry/`` and ``history/`` arrays — in bulk
+    where a boundary rings ``import_temporal`` and, after each commit's
+    ``apply_delta``, for the rows the commit pulled into a halo.
+
+    It keeps the board's stale-owner rule: an owner's rows are copied
+    only when the step its engine last promoted into (``begin_advance``)
+    or adopted (``adopt_state``) is the ghost's own step, read from the
+    owner's engine even after its worker died (the state a board keeps
+    for a dead owner).  A revived worker's ghosts come from the capture
+    it adopts, which is current (revival replays events only).
+    ``traffic`` counts what the relay moved, at the full row width.
+    Simulated backend only: it reads worker engines in-process."""
+
+    def __init__(self, *args, **kwargs):
+        self._stamps: dict[int, int] = {}
+        kwargs["backend"] = _BoardlessBackend()
+        super().__init__(*args, **kwargs)
+
+    def _engine(self, shard: int):
+        """The shard's read target's engine, alive or not."""
+        return self.channels[shard].primary.service.engine
+
+    def _fanout(self, method, args_fn, shards=None):
+        if method == "import_temporal":
+            for target in sorted(range(self.num_shards) if shards is None
+                                 else shards):
+                engine = self._engine(target)
+                self._relay(target, engine.halo, engine.steps + 1)
+        dists = [self._engine(s)._dist.copy()
+                 for s in range(self.num_shards)] \
+            if method == "apply_delta" else None
+        results, dead = super()._fanout(method, args_fn, shards)
+        if method in ("begin_advance", "adopt_state"):
+            for s in results:
+                self._stamps[s] = self._engine(s).steps \
+                    + (method == "begin_advance")
+        elif method == "apply_delta":
+            shipped = False
+            for target in sorted(results):
+                engine = self._engine(target)
+                dist = engine._dist
+                entrants = np.flatnonzero((dist < dists[target])
+                                          & (dist <= engine.max_ring))
+                shipped |= self._relay(target, entrants, engine.steps)
+            self.traffic.entrant_syncs += shipped
+        return results, dead
+
+    def _relay(self, target: int, rows: np.ndarray, step: int) -> bool:
+        channel = self.channels[target]
+        engines = [channel.replicas[i].service.engine
+                   for i in channel._live()]
+        owners = self.plan.owner[rows]
+        shipped = False
+        for src in sorted_unique(owners).tolist():
+            if src == target or self._stamps.get(src) != step:
+                continue
+            chunk = rows[owners == src]
+            payload = [array[chunk] for name, array in
+                       self._engine(src).state_arrays().items()
+                       if name.startswith(_RELAYED)]
+            for engine in engines:
+                mirrored = [array for name, array in
+                            engine.state_arrays().items()
+                            if name.startswith(_RELAYED)]
+                for array, part in zip(mirrored, payload, strict=True):
+                    array[chunk] = part
+            self.traffic.count(target, (len(chunk), sum(
+                part.nbytes for part in payload), 1))
+            shipped = True
+        return shipped

@@ -21,8 +21,7 @@ from repro.graph import AMLSimConfig, GraphSnapshot, generate_amlsim
 from repro.models import MODEL_NAMES, build_model
 from repro.serve import EdgeEvent, InferenceEngine, ModelServer
 from repro.tensor.functional import PANEL_ROWS, _sigmoid
-from repro.serve.sharded import ShardPlan
-from repro.serve.sharded.engine import ShardEngine
+from repro.serve.sharded import FrozenBoard, ShardEngine, ShardPlan
 from tests.helpers import oracle_sigmoid
 
 
@@ -160,7 +159,9 @@ def test_panel_scratch_never_escapes(stream, name):
     reachable += _temporal_state(engine)
     reachable += [a for pair in cache.pre_carry for a in pair]
     reachable += [f for frames in engine._history for f in frames]
-    reachable += engine.export_temporal(rows)
+    board = FrozenBoard(engine.model, engine.num_vertices, 2)
+    board.publish(0, engine.block, engine.state_arrays(), 1)
+    reachable += list(board.planes.values())
     reachable += list(exported.values())
     assert len(reachable) > 6
     for scratch in _workspace(engine):
