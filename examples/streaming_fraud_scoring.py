@@ -94,13 +94,13 @@ def main() -> None:
             # score the accounts that just transacted, plus a random audit
             touched = {e.src for e in batch} | {e.dst for e in batch}
             audit = set(rng.integers(0, dtdg.num_vertices, 8).tolist())
-            queries = {acct: server.submit_fraud(acct)
-                       for acct in sorted(touched | audit)}
+            accounts = np.array(sorted(touched | audit))
+            queries = server.submit_fraud_many(accounts)   # one chunk
             server.drain()
-            for acct, query in queries.items():
-                if query.result >= 0.5:
-                    flagged[acct] = max(flagged.get(acct, 0.0),
-                                        query.result)
+            hits = queries.scores >= 0.5
+            for acct, score in zip(accounts[hits].tolist(),
+                                   queries.scores[hits].tolist()):
+                flagged[acct] = max(flagged.get(acct, 0.0), score)
         print(f"  week {t}: {len(events):4d} events streamed, "
               f"{len(flagged)} accounts flagged so far")
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import time
 
 import numpy as np
 
@@ -141,14 +140,12 @@ class ProcessTransport(WorkerTransport):
         else:
             envelope = (method, args)
         payload = pickle.dumps(envelope)
-        t0 = time.perf_counter()
         try:
             self.conn.send_bytes(payload)
         except (BrokenPipeError, OSError) as exc:
             self._dead = True
             raise WorkerDeadError(
                 f"shard {self.shard_id}: pipe broke on send") from exc
-        self.stats.send_seconds += time.perf_counter() - t0
         self.stats.roundtrips += 1
         self.stats.bytes_sent += len(payload)
         self._pending = True
@@ -185,7 +182,6 @@ class ProcessTransport(WorkerTransport):
         if self._emb_view is not None and not self._pending and self.alive:
             out = self._emb_view[rows].copy()
             self.stats.shm_rows_read += len(rows)
-            self.stats.shm_bytes_read += out.nbytes
             return out
         return self.call("embedding_rows", rows)
 

@@ -92,8 +92,7 @@ from repro.serve.cache import expand_dirty
 from repro.serve.engine import InferenceEngine
 from repro.serve.ingest import StreamIngestor
 from repro.serve.metrics import FrontendCounters, FrontendStats
-from repro.serve.server import PendingQuery, QueryFrontend, \
-    score_fraud, score_links
+from repro.serve.server import QueryFrontend, score_fraud, score_links
 from repro.serve.sharded.halo import HaloTraffic
 from repro.serve.sharded.plan import ShardPlan
 from repro.exec.channel import RetryPolicy, ShardChannel
@@ -320,7 +319,7 @@ class ExecRouter(QueryFrontend):
     def under_backpressure(self) -> bool:
         """True while the queue sits above the high watermark."""
         return self.max_inflight is not None and \
-            len(self._queue) >= self.backpressure_ratio * self.max_inflight
+            self._queued >= self.backpressure_ratio * self.max_inflight
 
     @property
     def transports(self) -> list:
@@ -452,20 +451,18 @@ class ExecRouter(QueryFrontend):
                                             else full_nbytes)
 
     # -- admission control -------------------------------------------------------------
-    def _admit(self, query: PendingQuery) -> bool:
+    def _admit(self, m: int) -> int:
         if self.max_inflight is None:
-            return True
-        depth = len(self._queue)
-        if depth >= self.max_inflight:
-            # shed: resolve immediately with no result so the caller
-            # can retry/degrade instead of waiting behind a full queue
-            self.counters.queries_shed += 1
-            query.shed = True
-            query.done = True
-            return False
-        if depth < self.backpressure_ratio * self.max_inflight <= depth + 1:
+            return m
+        depth = self._queued
+        admitted = min(m, max(0, self.max_inflight - depth))
+        # the rest is shed: resolved at once with no result, so the
+        # caller can retry/degrade instead of waiting behind a full queue
+        self.counters.queries_shed += m - admitted
+        if depth < self.backpressure_ratio * self.max_inflight \
+                <= depth + admitted:
             self.counters.backpressure_events += 1  # edge-triggered
-        return True
+        return admitted
 
     # -- liveness ----------------------------------------------------------------------
     def heartbeat(self, timeout: float = 1.0) -> list[int]:
@@ -606,15 +603,16 @@ class ExecRouter(QueryFrontend):
             self._stale_cache[s] = (rows, self.counters.advances)
 
     # -- queries ----------------------------------------------------------------------
-    def _answer_batch(self, batch: list, ends: np.ndarray,
-                      is_link: np.ndarray, cone: bool) -> tuple:
+    def _answer_batch(self, ends: np.ndarray, is_link: np.ndarray,
+                      cone: bool, shed: np.ndarray) -> tuple:
         """Route and score one decoded batch.  A worker death mid-batch
         triggers revival (or, with degraded serving enabled, leaves the
-        shard down) and a single retry of the whole batch; a batch the
-        tier still cannot answer is *aborted* — every unresolved query
-        resolves shed, so the batch leaves the queue and its admission
-        slots release instead of leaking with their callers parked."""
-        with self.telemetry.trace("exec.dispatch", batch=len(batch)):
+        shard down) and a single retry of the queries still unresolved;
+        a batch the tier still cannot answer is *aborted* — every
+        unresolved query is marked shed, so the batch leaves the queue
+        and its admission slots release instead of leaking with their
+        callers parked."""
+        with self.telemetry.trace("exec.dispatch", batch=len(ends)):
             home = self.plan.owner[ends[:, 0]]
             np.add.at(self._per_shard_queries, home, 1)
             # the rebalancer's signal: queries per vertex, both link
@@ -625,7 +623,7 @@ class ExecRouter(QueryFrontend):
                 s for s in range(self.num_shards)
                 if not self.channels[s].alive}
             try:
-                return self._route(batch, ends, is_link, cone, down=down)
+                return self._route(ends, is_link, cone, shed, down=down)
             except (WorkerDeadError, WorkerTimeoutError):
                 try:
                     down = set()
@@ -634,32 +632,26 @@ class ExecRouter(QueryFrontend):
                             self._revive_or_degrade(s)
                             if not self.channels[s].alive:
                                 down.add(s)
-                    pending = np.fromiter((not q.done for q in batch),
-                                          bool, len(batch))
-                    return self._route(batch, ends, is_link, cone, down=down,
-                                       pending=pending)
+                    return self._route(ends, is_link, cone, shed,
+                                       down=down)
                 except (ExecError, StoreError):
-                    for q in batch:
-                        if not q.done:
-                            q.shed = True
-                            q.done = True
-                            self.counters.queries_shed += 1
+                    self.counters.queries_shed += int(
+                        np.count_nonzero(~shed))
+                    shed[:] = True
                     raise
 
-    def _route(self, batch: list, ends: np.ndarray, is_link: np.ndarray,
-               cone: bool, *, down, pending: np.ndarray | None = None
-               ) -> tuple:
-        """One attempt at a batch: group the endpoints of the
-        ``pending`` queries (all when ``None``) by owner, send every
-        touched live shard one pipelined refresh (of its reads' cone
-        when ``cone``), answer queries that touch a ``down`` shard from
-        its boundary cache, then read the endpoint rows from their
-        owners and score the rest."""
-        n = len(batch)
+    def _route(self, ends: np.ndarray, is_link: np.ndarray, cone: bool,
+               shed: np.ndarray, *, down) -> tuple:
+        """One attempt at the batch's queries not yet ``shed``: group
+        their endpoints by owner, send every touched live shard one
+        pipelined refresh (of its reads' cone when ``cone``), answer
+        queries that touch a ``down`` shard from its boundary cache,
+        then read the endpoint rows from their owners and score the
+        rest."""
+        n = len(ends)
         owner = self.plan.owner
         with self.telemetry.trace("exec.coalesce", batch=n):
-            ok = np.ones(n, dtype=bool) if pending is None \
-                else pending.copy()
+            ok = ~shed
             # live endpoints of a degraded query are read too, for its
             # stale answer
             reads = sorted_unique(ends[ok])
@@ -682,9 +674,9 @@ class ExecRouter(QueryFrontend):
                                   f"refresh")
         fresh_at = self.clock()
         self.counters.score_rpcs += len(mine)
-        stale = self._answer_degraded(batch, ends, is_link,
-                                      np.flatnonzero(degraded), down) \
-            if degraded.any() else {}
+        stale = self._answer_degraded(ends, is_link,
+                                      np.flatnonzero(degraded), down,
+                                      shed) if degraded.any() else {}
         z = np.empty((len(reads), self.model.embed_dim))
         for s, rows in mine.items():
             z[rows] = self.channels[s].embedding_rows(reads[rows])
@@ -699,22 +691,23 @@ class ExecRouter(QueryFrontend):
         cut = int(np.count_nonzero(links & (home != other)))
         self.counters.remote_row_fetches += cut
         self.counters.remote_row_bytes += cut * z.itemsize * z.shape[1]
-        for i, (score, staleness) in stale.items():
-            scores[i] = score
-            batch[i].staleness = staleness
-            ok[i] = True
+        staleness = None
+        if stale:
+            staleness = np.full(n, -1, dtype=np.int64)
+            for i, (score, lag) in stale.items():
+                scores[i] = score
+                staleness[i] = lag
         self.counters.degraded_queries += len(stale)
-        return scores, None if ok.all() else ok, fresh_at
+        return scores, fresh_at, staleness
 
-    def _answer_degraded(self, batch: list, ends: np.ndarray,
-                         is_link: np.ndarray, rows: np.ndarray,
-                         down) -> dict:
+    def _answer_degraded(self, ends: np.ndarray, is_link: np.ndarray,
+                         rows: np.ndarray, down, shed: np.ndarray) -> dict:
         """Bounded-staleness serving for the queries at ``rows``, which
         touch down shards: score each from the last boundary's cached
         embeddings with how many boundaries behind the tip it is, and
-        shed anything staler than ``max_staleness`` (or unservable
-        because nothing was ever cached).  Returns ``{row: (score,
-        staleness)}`` for the queries answered."""
+        mark ``shed`` anything staler than ``max_staleness`` (or
+        unservable because nothing was ever cached).  Returns ``{row:
+        (score, staleness)}`` for the queries answered."""
         answers = {}
         for i in rows.tolist():
             vertices = ends[i].tolist() if is_link[i] else [int(ends[i, 0])]
@@ -740,8 +733,7 @@ class ExecRouter(QueryFrontend):
                                      self.fraud_head)[0]
                 answers[i] = (score, staleness)
                 continue
-            batch[i].shed = True
-            batch[i].done = True
+            shed[i] = True
             self.counters.queries_shed += 1
             self.counters.queries_shed_stale += 1
         return answers

@@ -94,9 +94,7 @@ class TransportStats:
     roundtrips: int = 0
     bytes_sent: int = 0
     bytes_received: int = 0
-    send_seconds: float = 0.0
     shm_rows_read: int = 0         # embedding rows read via shared memory
-    shm_bytes_read: int = 0
 
 
 @dataclass(frozen=True)

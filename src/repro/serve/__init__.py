@@ -13,8 +13,8 @@ from repro.serve.ingest import (EdgeEvent, IngestResult, StreamIngestor,
                                 events_between)
 from repro.serve.cache import EmbeddingCache, expand_dirty
 from repro.serve.engine import InferenceEngine
-from repro.serve.server import (ModelServer, PendingQuery, QueryFrontend,
-                                score_fraud, score_links)
+from repro.serve.server import (ModelServer, PendingQuery, QueryBatch,
+                                QueryFrontend, score_fraud, score_links)
 from repro.serve.metrics import LatencyTracker, ServerCounters, ServerStats
 from repro.serve.sharded import ShardEngine, ShardPlan
 
@@ -22,8 +22,8 @@ __all__ = [
     "EdgeEvent", "IngestResult", "StreamIngestor", "events_between",
     "EmbeddingCache", "expand_dirty",
     "InferenceEngine",
-    "ModelServer", "PendingQuery", "QueryFrontend", "score_links",
-    "score_fraud",
+    "ModelServer", "PendingQuery", "QueryBatch", "QueryFrontend",
+    "score_links", "score_fraud",
     "LatencyTracker", "ServerCounters", "ServerStats",
     "ShardPlan", "ShardEngine",
 ]

@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, fields
-from itertools import compress
-from operator import attrgetter, index, itemgetter
+from operator import attrgetter, index
 from typing import Callable, Iterable
 
 import numpy as np
@@ -41,14 +40,15 @@ from repro.store.recovery import (capture_engine_state,
                                   restore_engine_state)
 from repro.tensor.functional import _fill, _gemm, _tiled
 
-__all__ = ["PendingQuery", "QueryFrontend", "ModelServer", "score_links",
-           "score_fraud"]
+__all__ = ["PendingQuery", "QueryBatch", "QueryFrontend", "ModelServer",
+           "score_links", "score_fraud"]
 
 
-# C-speed field readers: a flush decodes its batch through these instead
-# of running a Python-level pass per query
-_payload, _enqueued_at = attrgetter("payload"), attrgetter("enqueued_at")
-_first, _last = itemgetter(0), itemgetter(-1)
+# C-speed field readers: a flush decodes its handles through these
+# instead of running a Python-level pass per query
+_src, _dst = attrgetter("src"), attrgetter("dst")
+_kind, _enqueued_at = attrgetter("kind"), attrgetter("enqueued_at")
+_is_link = "link".__eq__
 
 
 def _row_softmax(z: np.ndarray) -> np.ndarray:
@@ -98,10 +98,14 @@ def score_fraud(z: np.ndarray, accounts: np.ndarray,
 
 @dataclass(slots=True)
 class PendingQuery:
-    """Handle returned by ``submit_*``; resolved at flush time."""
+    """Handle returned by ``submit_link`` / ``submit_fraud``; resolved
+    at flush time.  One heap object per query: the endpoints sit in two
+    int slots (a fraud query's account in both), so the handle owns no
+    tuple for the cyclic collector to track."""
 
     kind: str                     # "link" | "fraud"
-    payload: tuple
+    src: int
+    dst: int
     enqueued_at: float
     done: bool = False
     result: float | None = None
@@ -114,14 +118,165 @@ class PendingQuery:
     # fresh; None means the query never went through a degraded path.
     staleness: int | None = None
 
+    @property
+    def payload(self) -> tuple:
+        """The query's vertices: ``(src, dst)`` or ``(account,)``."""
+        return (self.src, self.dst) if self.kind == "link" else (self.src,)
+
+
+@dataclass(slots=True, eq=False)
+class QueryBatch:
+    """Handle returned by ``submit_links`` / ``submit_fraud_many``: one
+    chunk of queries of one kind, read through arrays of one row per
+    query.  Rows resolve at flush time as :class:`PendingQuery` handles
+    do (a flush may answer part of a chunk): ``scores`` and
+    ``latency_ms`` are NaN until a row is answered and stay NaN for a
+    shed row; ``staleness`` is -1 where the row never went through a
+    degraded path (a handle's ``None``)."""
+
+    kind: str                     # "link" | "fraud"
+    ends: np.ndarray              # (m, 2) endpoints, an account in both
+    enqueued_at: float            # one clock read for the chunk
+    scores: np.ndarray
+    done: np.ndarray
+    latency_ms: np.ndarray
+    shed: np.ndarray
+    staleness: np.ndarray
+
+    @classmethod
+    def _open(cls, kind: str, ends: np.ndarray,
+              enqueued_at: float) -> "QueryBatch":
+        m = len(ends)
+        return cls(kind, ends, enqueued_at, np.full(m, np.nan),
+                   np.zeros(m, dtype=bool), np.full(m, np.nan),
+                   np.zeros(m, dtype=bool), np.full(m, -1, dtype=np.int64))
+
+    @property
+    def src(self) -> np.ndarray:
+        return self.ends[:, 0]
+
+    @property
+    def dst(self) -> np.ndarray:
+        return self.ends[:, 1]
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+
+def _span_extra(entries) -> int:
+    """Queries beyond one per entry among queue ``entries``: a chunk
+    span ``(chunk, lo, hi)`` holds ``hi - lo``, a handle one."""
+    return sum(e[2] - e[1] - 1 for e in entries
+               if type(e) is not PendingQuery)
+
+
+def _resolve(parts: list, scores: np.ndarray, latency_ms: np.ndarray,
+             shed: np.ndarray | None, staleness: np.ndarray | None) -> None:
+    """Resolve every query of an answered batch, handles one by one and
+    chunk spans by slice.  With ``shed`` (``None``: every query answered
+    fresh) its positions resolve shed and the rest answered, stamped
+    with their ``staleness`` where it is not -1."""
+    pos = 0
+    for part in parts:
+        m = len(part) if type(part) is list else part[2] - part[1]
+        at = slice(pos, pos + m)
+        if type(part) is list and shed is None:
+            for q, score, ms in zip(part, scores[at].tolist(),
+                                    latency_ms[at].tolist()):
+                q.result = score
+                q.latency_ms = ms
+                q.done = True
+        elif type(part) is list:
+            for q, score, ms, gone, lag in zip(
+                    part, scores[at].tolist(), latency_ms[at].tolist(),
+                    shed[at].tolist(), staleness[at].tolist()):
+                if gone:
+                    q.shed = True
+                else:
+                    q.result = score
+                    q.latency_ms = ms
+                    if lag >= 0:
+                        q.staleness = lag
+                q.done = True
+        else:
+            chunk, lo, hi = part
+            if shed is None:
+                chunk.scores[lo:hi] = scores[at]
+                chunk.latency_ms[lo:hi] = latency_ms[at]
+            else:
+                chunk.scores[lo:hi] = np.where(shed[at], np.nan, scores[at])
+                chunk.latency_ms[lo:hi] = np.where(shed[at], np.nan,
+                                                   latency_ms[at])
+                chunk.shed[lo:hi] = shed[at]
+                chunk.staleness[lo:hi] = staleness[at]
+            chunk.done[lo:hi] = True
+        pos += m
+
+
+def _unresolved(parts: list, shed: np.ndarray) -> list:
+    """After a batch's answer raised: resolve the positions the tier
+    shed and return the rest as queue entries, in order (a chunk span
+    with shed rows splits into its runs of unresolved ones)."""
+    out, pos = [], 0
+    for part in parts:
+        if type(part) is list:
+            for q, gone in zip(part, shed[pos:pos + len(part)].tolist()):
+                if gone:
+                    q.shed = q.done = True
+                else:
+                    out.append(q)
+            pos += len(part)
+            continue
+        chunk, lo, hi = part
+        gone = shed[pos:pos + hi - lo]
+        chunk.shed[lo:hi] |= gone
+        chunk.done[lo:hi] |= gone
+        keep = np.flatnonzero(~gone) + lo
+        for run in np.split(keep, np.flatnonzero(np.diff(keep) > 1) + 1):
+            if len(run):
+                out.append((chunk, int(run[0]), int(run[-1]) + 1))
+        pos += hi - lo
+    return out
+
+
+def _decode_run(run: list) -> tuple:
+    """``(ends, is_link, enqueued_at)`` of a run of handles, through
+    the C-speed field readers: no Python-level pass per query."""
+    m = len(run)
+    ends = np.empty((m, 2), dtype=np.int64)
+    ends[:, 0] = np.fromiter(map(_src, run), np.int64, m)
+    ends[:, 1] = np.fromiter(map(_dst, run), np.int64, m)
+    return (ends, np.fromiter(map(_is_link, map(_kind, run)), bool, m),
+            np.fromiter(map(_enqueued_at, run), np.float64, m))
+
+
+def _decode(parts: list) -> tuple:
+    """A batch's ``(ends, is_link, enqueued_at)`` arrays, one row per
+    query: runs of handles as :func:`_decode_run`, chunk spans by
+    slice."""
+    if len(parts) == 1 and type(parts[0]) is list:
+        return _decode_run(parts[0])
+    pieces = []
+    for part in parts:
+        if type(part) is list:
+            pieces.append(_decode_run(part))
+        else:
+            chunk, lo, hi = part
+            pieces.append((chunk.ends[lo:hi],
+                           np.full(hi - lo, chunk.kind == "link"),
+                           np.full(hi - lo, chunk.enqueued_at)))
+    return tuple(map(np.concatenate, zip(*pieces)))
+
 
 class QueryFrontend:
     """The one front door of both serving tiers (:class:`ModelServer`
     and the sharded :class:`~repro.exec.router.ExecRouter`): ingest,
     advance, flush, recover and stats are written here once, with the
-    query queue (flushed when ``max_batch_size`` requests are queued or
+    query queue (flushed when ``max_batch_size`` queries are queued or
     the oldest has waited ``flush_latency_ms``, checked by :meth:`tick`),
-    the WAL and captures, the counters and the latency series.
+    the WAL and captures, the counters and the latency series.  The
+    queue holds scalar handles and spans of array chunks and counts
+    queries, not entries.
 
     A tier supplies only what touches its engines (``docs/execution.md``):
 
@@ -130,15 +285,19 @@ class QueryFrontend:
     * ``_cross_boundary(snapshot, diff)`` — move every engine past a
       timestep boundary (onto ``snapshot`` when it rebases, ``diff``
       being the delta to it when known); returns the rows advanced;
-    * ``_answer_batch(batch, ends, is_link, cone)`` — refresh by the
+    * ``_answer_batch(ends, is_link, cone, shed)`` — refresh by the
       flush rule (:meth:`flush`; the batch's read cone when ``cone``,
       every stale row otherwise) and score one decoded batch (``ends``
       holds a row of endpoints per query, a fraud query's account in
-      both columns).  Returns ``(scores, served, fresh_at)``:
-      ``served`` is ``None`` when every query was answered, else the
-      mask of those that were (the tier resolved the rest as shed), and
-      ``fresh_at`` is the clock once the rows the batch reads were
-      fresh, where the answered queries' latency ends;
+      both columns).  It reports by batch position and never touches a
+      handle: it sets ``shed[i]`` for each query it resolves as shed
+      (also when it raises), and returns ``(scores, fresh_at,
+      staleness)`` — ``fresh_at`` is the clock once the rows the batch
+      reads were fresh, where the answered queries' latency ends, and
+      ``staleness`` is ``None`` or a row per query, -1 where the answer
+      is fresh;
+    * ``_admit(m)`` — admission control: how many of ``m`` queries
+      offered in order join the queue (the rest resolve shed);
     * ``_capture_state()`` / ``_restore(model, resident, meta, arrays,
       kwargs)`` — the engine state as ``(meta, arrays)``, and a tier
       booted at ``resident`` holding a capture;
@@ -176,7 +335,13 @@ class QueryFrontend:
         self._flush_compute = attach(
             "serve_compute_ms", LatencyTracker(),
             "Per-flush time from flush entry to the batch scored")
-        self._queue: list[PendingQuery] = []
+        # handles and chunk spans ``(chunk, lo, hi)``: the queue holds
+        # len(_queue) + _extra queries, and _spans says it may hold a span
+        self._queue: list = []
+        self._extra = 0
+        self._spans = False
+        # the resident vertex set is fixed for the tier's life
+        self._num_vertices = snapshot.num_vertices
         self._started_at: float | None = None
         self.slo = None              # attached SloEngine (attach_slo)
         self.store = None            # attached GraphStore (durability)
@@ -204,28 +369,40 @@ class QueryFrontend:
     # -- queries ----------------------------------------------------------------------
     def submit_link(self, src: int, dst: int) -> PendingQuery:
         """Probability that edge ``(src, dst)`` exists/appears."""
-        n = self.num_vertices
+        n = self._num_vertices
         try:
             s, d = index(src), index(dst)
         except TypeError:
             s = d = -1
         if not (0 <= s < n and 0 <= d < n):
             self._reject_vertices((src, dst), n)
-        return self._submit(PendingQuery("link", (s, d), self.clock()))
+        return self._submit(PendingQuery("link", s, d, self.clock()))
 
     def submit_fraud(self, account: int) -> PendingQuery:
         """Probability that ``account`` is a suspicious (laundering)
         vertex, from the node-classification head."""
         if self.fraud_head is None:
             raise ConfigError("fraud queries need a fraud_head")
-        n = self.num_vertices
+        n = self._num_vertices
         try:
             a = index(account)
         except TypeError:
             a = -1
         if not 0 <= a < n:
             self._reject_vertices((account,), n)
-        return self._submit(PendingQuery("fraud", (a,), self.clock()))
+        return self._submit(PendingQuery("fraud", a, a, self.clock()))
+
+    def submit_links(self, src, dst) -> QueryBatch:
+        """:meth:`submit_link` for each pair of the equal-length integer
+        arrays ``src`` / ``dst``, as one chunk behind one handle."""
+        return self._submit_chunk("link", src, dst)
+
+    def submit_fraud_many(self, accounts) -> QueryBatch:
+        """:meth:`submit_fraud` for each of the integer array
+        ``accounts``, as one chunk behind one handle."""
+        if self.fraud_head is None:
+            raise ConfigError("fraud queries need a fraud_head")
+        return self._submit_chunk("fraud", accounts, accounts)
 
     @staticmethod
     def _reject_vertices(ids: tuple, n: int) -> None:
@@ -248,23 +425,82 @@ class QueryFrontend:
         if self._started_at is None:
             self._started_at = query.enqueued_at
         self.counters.queries_submitted += 1
-        if self._admit(query):
+        if self._admit(1):
             self._queue.append(query)
-            if len(self._queue) >= self.max_batch_size:
+            if len(self._queue) + self._extra >= self.max_batch_size:
                 self.flush()
+        else:
+            query.shed = query.done = True
         return query
 
-    def _admit(self, query: PendingQuery) -> bool:
-        """Admission control: whether ``query`` joins the queue (a tier
-        that refuses it resolves it as shed)."""
-        return True
+    def _submit_chunk(self, kind: str, src, dst) -> QueryBatch:
+        """Validate a chunk's ids with one comparison and enqueue it as
+        the scalar calls would its queries one by one: admission and
+        the full-queue flush fall at the same queries, so a sequence
+        gets the same flushes, sheds and scores either way."""
+        src, dst = np.asarray(src), np.asarray(dst)
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise ConfigError(
+                f"query id arrays must be 1-D and of one length, got "
+                f"shapes {src.shape} and {dst.shape}")
+        n, m = self._num_vertices, len(src)
+        ends = np.empty((m, 2), dtype=np.int64)
+        if m and not (src.dtype.kind in "biu" and dst.dtype.kind in "biu"):
+            # a float would be truncated to some other vertex
+            self._reject_vertices([v for pair in zip(src.tolist(),
+                                                     dst.tolist())
+                                   for v in pair], n)
+        ends[:, 0], ends[:, 1] = src, dst
+        # a negative (or wrapped) id reads as a huge unsigned one
+        bad = np.flatnonzero(ends.view(np.uint64) >= n)
+        if len(bad):
+            first = int(bad[0])
+            self._reject_vertices(((src, dst)[first % 2][first // 2],), n)
+        chunk = QueryBatch._open(kind, ends, self.clock())
+        if m and self._started_at is None:
+            self._started_at = chunk.enqueued_at
+        pos = 0
+        while pos < m:
+            queued = self._queued
+            take = min(m - pos, max(1, self.max_batch_size - queued))
+            admitted = self._admit(take)
+            if admitted:
+                self._queue.append((chunk, pos, pos + admitted))
+                self._extra += admitted - 1
+                self._spans = True
+            if admitted < take:
+                # the queue is at its bound and no flush comes: every
+                # later query is refused too
+                self._admit(m - pos - take)
+                take = m - pos
+            self.counters.queries_submitted += take
+            chunk.shed[pos + admitted:pos + take] = True
+            chunk.done[pos + admitted:pos + take] = True
+            pos += take
+            if admitted and queued + admitted >= self.max_batch_size:
+                self.flush()
+        return chunk
+
+    def _admit(self, m: int) -> int:
+        """Admission control: how many of ``m`` queries offered in
+        order join the queue (the front door resolves the rest as
+        shed)."""
+        return m
+
+    @property
+    def _queued(self) -> int:
+        """Queries waiting in the queue."""
+        return len(self._queue) + self._extra
 
     def tick(self) -> int:
         """Event-loop hook: flush if the oldest request is past the
         latency budget.  Returns the number of completed queries."""
         if not self._queue:
             return 0
-        waited_ms = (self.clock() - self._queue[0].enqueued_at) * 1e3
+        head = self._queue[0]
+        if type(head) is not PendingQuery:
+            head = head[0]
+        waited_ms = (self.clock() - head.enqueued_at) * 1e3
         if waited_ms >= self.flush_latency_ms:
             return self.flush()
         return 0
@@ -276,10 +512,13 @@ class QueryFrontend:
         What does not depend on the individual query is paid once per
         batch: it decodes into ``ends`` / ``is_link`` arrays, the tier
         answers it in one :meth:`_answer_batch` call, and each latency
-        series takes one reservoir update.  A batch leaves the queue
-        once every query in it is resolved, answered or shed; a flush
-        that raises leaves its unresolved queries at the head of the
-        queue, so the next flush answers them.
+        series takes one reservoir update.  A batch takes
+        ``max_batch_size`` queries across the queue's entries and cuts
+        a chunk where its boundary falls, so scalars and chunks of one
+        sequence flush alike.  A batch leaves the queue once every query
+        in it is resolved, answered or shed; a flush that raises leaves
+        its unresolved queries at the head of the queue, so the next
+        flush answers them.
 
         The refresh follows a ski-rental rule on both tiers.  The first
         batch after a commit recomputes only its read cone; a later one
@@ -288,48 +527,81 @@ class QueryFrontend:
         boundary settles whatever no flush read."""
         total = 0
         while self._queue:
-            batch = self._queue[:self.max_batch_size]
-            n = len(batch)
+            parts, n, k, rest = self._next_batch()
             with self.telemetry.trace("serve.query", batch=n):
                 flushed_at = self.clock()
-                payloads = list(map(_payload, batch))
-                # a row of endpoints per query; a fraud query's account
-                # is both
-                ends = np.empty((n, 2), dtype=np.int64)
-                ends[:, 0] = np.fromiter(map(_first, payloads), np.int64, n)
-                ends[:, 1] = np.fromiter(map(_last, payloads), np.int64, n)
-                is_link = np.fromiter(map(len, payloads), np.int64, n) == 2
+                ends, is_link, enqueued_at = _decode(parts)
                 cone, self._fresh_commit = self._fresh_commit, False
+                shed = np.zeros(n, dtype=bool)
                 try:
-                    scores, served, fresh_at = self._answer_batch(
-                        batch, ends, is_link, cone)
+                    scores, fresh_at, staleness = self._answer_batch(
+                        ends, is_link, cone, shed)
                 except BaseException:
-                    self._queue[:n] = [q for q in batch if not q.done]
+                    self._replace_head(k, _unresolved(parts, shed) + rest)
                     raise
                 scored_at = self.clock()
-                answered = batch
-                if served is not None:
-                    answered = list(compress(batch, served))
-                    scores = scores[served]
-                enqueued_at = np.fromiter(map(_enqueued_at, answered),
-                                          np.float64, len(answered))
                 latency_ms = (fresh_at - enqueued_at) * 1e3
+                answered = n - int(np.count_nonzero(shed))
+                if answered == n and staleness is None:
+                    _resolve(parts, scores, latency_ms, None, None)
+                else:
+                    if staleness is None:
+                        staleness = np.full(n, -1, dtype=np.int64)
+                    _resolve(parts, scores, latency_ms, shed, staleness)
+                    latency_ms, enqueued_at = latency_ms[~shed], \
+                        enqueued_at[~shed]
                 if answered:
                     self._record_flush(latency_ms, enqueued_at, flushed_at,
                                        scored_at)
-                for q, score, ms in zip(answered, scores.tolist(),
-                                        latency_ms.tolist()):
-                    q.result = score
-                    q.latency_ms = ms
-                    q.done = True
-                del self._queue[:n]
-                self.counters.queries_completed += len(answered)
+                self._replace_head(k, rest)
+                self.counters.queries_completed += answered
                 self.counters.batches_flushed += 1
             total += n
         return total
 
     # every flush empties the queue: the end-of-stream helper is one
     drain = flush
+
+    def _next_batch(self) -> tuple:
+        """The queue's head batch of up to ``max_batch_size`` queries:
+        ``(parts, n, k, rest)`` — its parts (runs of handles and chunk
+        spans) holding ``n`` queries, taken from the first ``k`` queue
+        entries, and ``rest``, what stays queued of a span the batch
+        boundary cuts."""
+        queue, limit = self._queue, self.max_batch_size
+        if not self._spans:
+            run = queue[:limit]
+            return [run], len(run), len(run), []
+        parts, run, n, k = [], [], 0, 0
+        for k, entry in enumerate(queue, 1):
+            if type(entry) is PendingQuery:
+                run.append(entry)
+                n += 1
+            else:
+                if run:
+                    parts.append(run)
+                    run = []
+                chunk, lo, hi = entry
+                if n + hi - lo > limit:
+                    cut = lo + limit - n
+                    parts.append((chunk, lo, cut))
+                    return parts, limit, k, [(chunk, cut, hi)]
+                parts.append(entry)
+                n += hi - lo
+            if n == limit:
+                break
+        if run:
+            parts.append(run)
+        return parts, n, k, []
+
+    def _replace_head(self, k: int, entries: list) -> None:
+        """Put ``entries`` in place of the queue's first ``k``."""
+        if self._spans:
+            self._extra += _span_extra(entries) - \
+                _span_extra(self._queue[:k])
+        self._queue[:k] = entries
+        if not self._queue:
+            self._spans = False
 
     def _record_flush(self, latency_ms: np.ndarray, enqueued_at: np.ndarray,
                       flushed_at: float, scored_at: float) -> None:
@@ -428,7 +700,7 @@ class QueryFrontend:
             reg.counter(f"serve_{field.name}_total").set_to(
                 getattr(self.counters, field.name))
         reg.gauge("serve_queue_depth",
-                  "Pending queries awaiting a flush").set(len(self._queue))
+                  "Pending queries awaiting a flush").set(self._queued)
         self._collect_tier_metrics(reg)
         if self.store is not None:
             self.store.collect_metrics(reg)
@@ -666,10 +938,10 @@ class ModelServer(QueryFrontend):
                             else None)
         return self.engine.num_vertices
 
-    def _answer_batch(self, batch: list, ends: np.ndarray,
-                      is_link: np.ndarray, cone: bool) -> tuple:
+    def _answer_batch(self, ends: np.ndarray, is_link: np.ndarray,
+                      cone: bool, shed: np.ndarray) -> tuple:
         """Refresh the cache (the batch's read cone when ``cone``) and
-        score the batch from it."""
+        score the batch from it; nothing is shed."""
         self._refresh(ends.ravel() if cone else None)
         fresh_at = self.clock()
         z = self.cache.embeddings
@@ -680,7 +952,7 @@ class ModelServer(QueryFrontend):
             is_fraud = ~is_link
             scores[is_fraud] = score_fraud(z, ends[is_fraud, 0],
                                            self.fraud_head)
-        return scores, None, fresh_at
+        return scores, fresh_at, None
 
     def _capture_state(self) -> tuple[dict, dict]:
         return capture_engine_state(self.engine)

@@ -37,6 +37,23 @@ class TestAdmissionControl:
                    for q in queries if not q.shed)
         router.close()
 
+    def test_a_chunk_sheds_its_rows_above_the_bound(self, world):
+        router = make_router(world, max_batch_size=64,
+                             flush_latency_ms=1e6, max_inflight=8,
+                             backpressure_ratio=0.5)
+        first = router.submit_fraud(0)
+        chunk = router.submit_links(np.arange(12), (np.arange(12) + 1) % 120)
+        assert chunk.shed.tolist() == [False] * 7 + [True] * 5
+        assert chunk.done.tolist() == chunk.shed.tolist()
+        assert router.counters.queries_shed == 5
+        assert router.counters.backpressure_events == 1
+        assert router.under_backpressure
+        router.drain()
+        assert chunk.done.all() and not first.shed
+        assert np.isnan(chunk.scores).tolist() == chunk.shed.tolist()
+        assert router.counters.queries_completed == 8
+        router.close()
+
     def test_backpressure_is_edge_triggered(self, world):
         router = make_router(world, max_batch_size=64,
                              flush_latency_ms=1e6, max_inflight=10,

@@ -1,5 +1,7 @@
 """Tests for the batched model server (queue policy, scoring, stats)."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,6 +148,73 @@ class TestScoring:
         assert before != after  # degree features of 0/1 changed
 
 
+class TestArraySubmits:
+    def test_chunks_score_as_scalars(self, world):
+        """A chunk's rows get the scalar calls' scores and stamps, also
+        when flush boundaries cut it (batches of 5 over 12 + 9 rows)."""
+        clock = FakeClock()
+        kwargs = dict(max_batch_size=5, clock=clock)
+        scalar, chunked = make_server(world, **kwargs), \
+            make_server(world, **kwargs)
+        src, dst = np.arange(12) * 5 % 80, np.arange(12) * 3 % 80
+        handles = [scalar.submit_link(a, b) for a, b in zip(src, dst)]
+        links = chunked.submit_links(src, dst)
+        clock.tick(0.002)
+        handles += [scalar.submit_fraud(a) for a in dst[:9]]
+        frauds = chunked.submit_fraud_many(dst[:9])
+        for server in (scalar, chunked):
+            server.drain()
+        assert chunked.counters == scalar.counters
+        assert chunked.counters.batches_flushed == 5
+        for rows, got in ((slice(0, 12), links), (slice(12, 21), frauds)):
+            want = handles[rows]
+            np.testing.assert_array_equal(got.scores,
+                                          [q.result for q in want])
+            np.testing.assert_array_equal(got.latency_ms,
+                                          [q.latency_ms for q in want])
+            assert got.done.all() and not got.shed.any()
+            assert (got.staleness == -1).all()
+        np.testing.assert_array_equal(links.src, src)
+        np.testing.assert_array_equal(frauds.dst, dst[:9])
+        assert (len(links), links.kind, frauds.kind) == (12, "link",
+                                                         "fraud")
+
+    def test_bad_ids_rejected_before_anything_moves(self, world):
+        server = make_server(world, max_batch_size=10)
+        n = server.engine.num_vertices
+        bad = [([0, -1], [1, 2], "vertex -1 outside"),
+               ([0, 1], [2, n], f"vertex {n} outside"),
+               (np.array([1, 2**63 + 5], dtype=np.uint64), [0, 0],
+                f"vertex {2**63 + 5} outside"),
+               ([0, 2.5], [1, 1], "vertex 0.0 outside"),
+               ([1, 2], [0.0, 1.0], "vertex 0.0 outside")]
+        for src, dst, message in bad:
+            with pytest.raises(ConfigError, match=message):
+                server.submit_links(src, dst)
+        with pytest.raises(ConfigError, match="1-D and of one length"):
+            server.submit_links([0, 1], [1])
+        with pytest.raises(ConfigError, match="1-D and of one length"):
+            server.submit_fraud_many(3)
+        with pytest.raises(ConfigError, match=f"vertex {n} outside"):
+            server.submit_fraud_many([0, n])
+        assert server.counters.queries_submitted == 0
+        assert not server._queue
+        # bools and every integer dtype are ids
+        ok = server.submit_links(np.array([1, 0], np.int32),
+                                 np.array([True, False]))
+        empty = server.submit_fraud_many([])
+        assert len(empty) == 0 and server.counters.queries_submitted == 2
+        assert server.drain() == 2 and ok.done.all()
+        with pytest.raises(ConfigError, match="fraud_head"):
+            make_server(world, fraud_head=None).submit_fraud_many([0])
+
+    def test_a_handle_derives_its_payload(self, world):
+        server = make_server(world, max_batch_size=10)
+        link, fraud = server.submit_link(3, 4), server.submit_fraud(5)
+        assert (link.src, link.dst, link.payload) == (3, 4, (3, 4))
+        assert (fraud.src, fraud.dst, fraud.payload) == (5, 5, (5,))
+
+
 class TestFlushFailure:
     def test_a_flush_that_raises_keeps_its_batch(self, world,
                                                  monkeypatch):
@@ -204,6 +273,61 @@ class TestDrainAfterFailedFlushes:
         assert server.counters.queries_completed == \
             server.counters.batches_flushed == 3000
 
+    def test_a_failed_flush_keeps_the_rest_of_a_chunk(self, world,
+                                                      monkeypatch):
+        """A batch boundary cuts a chunk and the batch fails: the cut
+        rows go back to the head, ahead of the chunk's rest and what
+        came after it, and the next flush answers them as if nothing
+        had failed."""
+        events = [EdgeEvent(0, 1), EdgeEvent(2, 3)]
+        calm = make_server(world, max_batch_size=4)
+        calm.ingest_events(events)
+        want = calm.submit_fraud_many(np.arange(6))
+        calm.drain()
+
+        server = make_server(world, max_batch_size=64)
+        server.ingest_events(events)
+        chunk = server.submit_fraud_many(np.arange(6))
+        tail = server.submit_link(0, 1)
+        refresh = server.engine.refresh
+        monkeypatch.setattr(server.engine, "refresh",
+                            lambda reads=None: (_ for _ in ()).throw(
+                                RuntimeError("boom")))
+        server.max_batch_size = 4           # the batch cuts the chunk
+        with pytest.raises(RuntimeError, match="boom"):
+            server.flush()
+        assert server._queued == 7 and not chunk.done.any()
+        assert server._queue[-1] is tail
+        monkeypatch.setattr(server.engine, "refresh", refresh)
+        assert server.drain() == 7
+        np.testing.assert_array_equal(chunk.scores, want.scores)
+        assert tail.done and not server._queued
+
+    def test_a_failed_flush_resolves_what_the_tier_shed(self, world,
+                                                        monkeypatch):
+        """Rows the tier marked shed before it raised resolve shed; the
+        rest of a chunk stays queued in its runs, in order."""
+        server = make_server(world, max_batch_size=64)
+        chunk = server.submit_fraud_many(np.arange(6))
+        tail = server.submit_fraud(7)
+
+        def answer(ends, is_link, cone, shed):
+            shed[[1, 2, 4, 6]] = True
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(server, "_answer_batch", answer)
+        with pytest.raises(RuntimeError, match="boom"):
+            server.flush()
+        gone = [False, True, True, False, True, False]
+        assert chunk.shed.tolist() == chunk.done.tolist() == gone
+        assert tail.shed and tail.done and tail.result is None
+        assert server._queued == 3 and len(server._queue) == 3
+        monkeypatch.undo()
+        assert server.drain() == 3
+        assert chunk.done.all() and chunk.shed.tolist() == gone
+        assert np.isnan(chunk.scores).tolist() == gone
+        assert server.counters.queries_completed == 3
+
 
 class TestPerFlushNotPerQuery:
     """The read path's fixed costs, pinned by counts rather than timing."""
@@ -218,6 +342,50 @@ class TestPerFlushNotPerQuery:
         server.submit_fraud(3)                  # fills the batch: flushes
         assert server.counters.batches_flushed == 1
         assert clock.reads - before - 64 <= 3   # flushed / now / scored
+
+    def test_a_chunk_reads_the_clock_once(self, world):
+        clock = FakeClock()
+        server = make_server(world, max_batch_size=64, clock=clock)
+        before = clock.reads
+        links = server.submit_links(np.arange(40), np.arange(40)[::-1])
+        frauds = server.submit_fraud_many(np.arange(23))
+        assert clock.reads - before == 2        # one per chunk
+        assert server.counters.batches_flushed == 0
+        assert "serve_queue_depth 63" in server.prometheus()
+        server.submit_fraud(3)                  # fills the batch: flushes
+        assert server.counters.batches_flushed == 1
+        assert clock.reads - before - 3 <= 3
+        assert links.done.all() and frauds.done.all()
+
+    def test_a_query_costs_one_tracked_object(self, world):
+        """Each object the cyclic collector tracks counts towards its
+        next collection; a handle that owned a payload tuple too cost
+        two per query, and one more per query brings back the full
+        collections of a read-heavy replay.  A chunk costs O(1)."""
+        server = make_server(world, max_batch_size=100_000)
+        k = 512
+        ids = [(i % 80, (i * 7) % 80) for i in range(k)]
+        src, dst = np.array(ids).T.copy()
+        handles = []
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            for i, (a, b) in enumerate(ids):
+                handles.append(server.submit_link(a, b) if i % 2
+                               else server.submit_fraud(a))
+            scalars = len(gc.get_objects())
+            chunks = [server.submit_links(src, dst),
+                      server.submit_fraud_many(src)]
+            after = len(gc.get_objects())
+        finally:
+            gc.enable()
+        assert server.counters.batches_flushed == 0
+        assert scalars - before <= k + 8
+        assert after - scalars <= 8
+        assert server.drain() == 3 * k
+        assert all(q.done for q in handles)
+        assert all(c.done.all() for c in chunks)
 
     def test_latency_series_never_take_the_scalar_path(self, world,
                                                        monkeypatch):
