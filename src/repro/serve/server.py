@@ -163,13 +163,6 @@ class QueryBatch:
         return len(self.ends)
 
 
-def _span_extra(entries) -> int:
-    """Queries beyond one per entry among queue ``entries``: a chunk
-    span ``(chunk, lo, hi)`` holds ``hi - lo``, a handle one."""
-    return sum(e[2] - e[1] - 1 for e in entries
-               if type(e) is not PendingQuery)
-
-
 def _resolve(parts: list, scores: np.ndarray, latency_ms: np.ndarray,
              shed: np.ndarray | None, staleness: np.ndarray | None) -> None:
     """Resolve every query of an answered batch, handles one by one and
@@ -239,33 +232,34 @@ def _unresolved(parts: list, shed: np.ndarray) -> list:
     return out
 
 
-def _decode_run(run: list) -> tuple:
-    """``(ends, is_link, enqueued_at)`` of a run of handles, through
-    the C-speed field readers: no Python-level pass per query."""
-    m = len(run)
-    ends = np.empty((m, 2), dtype=np.int64)
-    ends[:, 0] = np.fromiter(map(_src, run), np.int64, m)
-    ends[:, 1] = np.fromiter(map(_dst, run), np.int64, m)
-    return (ends, np.fromiter(map(_is_link, map(_kind, run)), bool, m),
-            np.fromiter(map(_enqueued_at, run), np.float64, m))
-
-
-def _decode(parts: list) -> tuple:
-    """A batch's ``(ends, is_link, enqueued_at)`` arrays, one row per
-    query: runs of handles as :func:`_decode_run`, chunk spans by
+def _decode(parts: list, n: int) -> tuple:
+    """The ``(ends, is_link, enqueued_at)`` arrays of a batch of ``n``
+    queries, one row per query: runs of handles through the C-speed
+    field readers (no Python-level pass per query), chunk spans by
     slice."""
-    if len(parts) == 1 and type(parts[0]) is list:
-        return _decode_run(parts[0])
-    pieces = []
+    ends = np.empty((n, 2), dtype=np.int64)
+    is_link = np.empty(n, dtype=bool)
+    enqueued_at = np.empty(n)
+    pos = 0
     for part in parts:
         if type(part) is list:
-            pieces.append(_decode_run(part))
+            m = len(part)
+            at = slice(pos, pos + m)
+            ends[at, 0] = np.fromiter(map(_src, part), np.int64, m)
+            ends[at, 1] = np.fromiter(map(_dst, part), np.int64, m)
+            is_link[at] = np.fromiter(map(_is_link, map(_kind, part)),
+                                      bool, m)
+            enqueued_at[at] = np.fromiter(map(_enqueued_at, part),
+                                          np.float64, m)
         else:
             chunk, lo, hi = part
-            pieces.append((chunk.ends[lo:hi],
-                           np.full(hi - lo, chunk.kind == "link"),
-                           np.full(hi - lo, chunk.enqueued_at)))
-    return tuple(map(np.concatenate, zip(*pieces)))
+            m = hi - lo
+            at = slice(pos, pos + m)
+            ends[at] = chunk.ends[lo:hi]
+            is_link[at] = chunk.kind == "link"
+            enqueued_at[at] = chunk.enqueued_at
+        pos += m
+    return ends, is_link, enqueued_at
 
 
 class QueryFrontend:
@@ -336,10 +330,9 @@ class QueryFrontend:
             "serve_compute_ms", LatencyTracker(),
             "Per-flush time from flush entry to the batch scored")
         # handles and chunk spans ``(chunk, lo, hi)``: the queue holds
-        # len(_queue) + _extra queries, and _spans says it may hold a span
+        # len(_queue) + _extra queries
         self._queue: list = []
         self._extra = 0
-        self._spans = False
         # the resident vertex set is fixed for the tier's life
         self._num_vertices = snapshot.num_vertices
         self._started_at: float | None = None
@@ -394,12 +387,19 @@ class QueryFrontend:
 
     def submit_links(self, src, dst) -> QueryBatch:
         """:meth:`submit_link` for each pair of the equal-length integer
-        arrays ``src`` / ``dst``, as one chunk behind one handle."""
+        arrays ``src`` / ``dst``, as one chunk behind one handle.
+
+        A flush the chunk fills runs inside this call, as a scalar
+        submit's does.  If it raises, the error carries the chunk as
+        ``exc.batch``: its queued rows stay queued (or shed, as the tier
+        resolved them), and the rows after them were never offered and
+        resolve shed."""
         return self._submit_chunk("link", src, dst)
 
     def submit_fraud_many(self, accounts) -> QueryBatch:
         """:meth:`submit_fraud` for each of the integer array
-        ``accounts``, as one chunk behind one handle."""
+        ``accounts``, as one chunk behind one handle (a flush that
+        raises inside the call: as in :meth:`submit_links`)."""
         if self.fraud_head is None:
             raise ConfigError("fraud queries need a fraud_head")
         return self._submit_chunk("fraud", accounts, accounts)
@@ -467,7 +467,6 @@ class QueryFrontend:
             if admitted:
                 self._queue.append((chunk, pos, pos + admitted))
                 self._extra += admitted - 1
-                self._spans = True
             if admitted < take:
                 # the queue is at its bound and no flush comes: every
                 # later query is refused too
@@ -478,7 +477,14 @@ class QueryFrontend:
             chunk.done[pos + admitted:pos + take] = True
             pos += take
             if admitted and queued + admitted >= self.max_batch_size:
-                self.flush()
+                try:
+                    self.flush()
+                except BaseException as exc:
+                    # the rows not yet offered never join the queue:
+                    # they resolve shed, and the error carries the chunk
+                    chunk.shed[pos:] = chunk.done[pos:] = True
+                    exc.batch = chunk
+                    raise
         return chunk
 
     def _admit(self, m: int) -> int:
@@ -530,14 +536,15 @@ class QueryFrontend:
             parts, n, k, rest = self._next_batch()
             with self.telemetry.trace("serve.query", batch=n):
                 flushed_at = self.clock()
-                ends, is_link, enqueued_at = _decode(parts)
+                ends, is_link, enqueued_at = _decode(parts, n)
                 cone, self._fresh_commit = self._fresh_commit, False
                 shed = np.zeros(n, dtype=bool)
                 try:
                     scores, fresh_at, staleness = self._answer_batch(
                         ends, is_link, cone, shed)
                 except BaseException:
-                    self._replace_head(k, _unresolved(parts, shed) + rest)
+                    self._replace_head(k, _unresolved(parts, shed) + rest,
+                                       int(np.count_nonzero(shed)))
                     raise
                 scored_at = self.clock()
                 latency_ms = (fresh_at - enqueued_at) * 1e3
@@ -553,7 +560,7 @@ class QueryFrontend:
                 if answered:
                     self._record_flush(latency_ms, enqueued_at, flushed_at,
                                        scored_at)
-                self._replace_head(k, rest)
+                self._replace_head(k, rest, n)
                 self.counters.queries_completed += answered
                 self.counters.batches_flushed += 1
             total += n
@@ -569,39 +576,34 @@ class QueryFrontend:
         entries, and ``rest``, what stays queued of a span the batch
         boundary cuts."""
         queue, limit = self._queue, self.max_batch_size
-        if not self._spans:
-            run = queue[:limit]
-            return [run], len(run), len(run), []
-        parts, run, n, k = [], [], 0, 0
-        for k, entry in enumerate(queue, 1):
+        parts, n, k = [], 0, 0
+        while n < limit and k < len(queue):
+            entry = queue[k]
             if type(entry) is PendingQuery:
-                run.append(entry)
-                n += 1
-            else:
-                if run:
-                    parts.append(run)
-                    run = []
-                chunk, lo, hi = entry
-                if n + hi - lo > limit:
-                    cut = lo + limit - n
-                    parts.append((chunk, lo, cut))
-                    return parts, limit, k, [(chunk, cut, hi)]
-                parts.append(entry)
-                n += hi - lo
-            if n == limit:
-                break
-        if run:
-            parts.append(run)
+                # a run of handles ends at the limit or the next span
+                run = queue[k:k + limit - n]
+                types = list(map(type, run))
+                if tuple in types:
+                    run = run[:types.index(tuple)]
+                parts.append(run)
+                n += len(run)
+                k += len(run)
+                continue
+            chunk, lo, hi = entry
+            k += 1
+            if n + hi - lo > limit:
+                cut = lo + limit - n
+                parts.append((chunk, lo, cut))
+                return parts, limit, k, [(chunk, cut, hi)]
+            parts.append(entry)
+            n += hi - lo
         return parts, n, k, []
 
-    def _replace_head(self, k: int, entries: list) -> None:
-        """Put ``entries`` in place of the queue's first ``k``."""
-        if self._spans:
-            self._extra += _span_extra(entries) - \
-                _span_extra(self._queue[:k])
+    def _replace_head(self, k: int, entries: list, resolved: int) -> None:
+        """Put ``entries`` in place of the queue's first ``k``, which
+        held ``resolved`` queries more than ``entries`` do."""
+        self._extra += k - len(entries) - resolved
         self._queue[:k] = entries
-        if not self._queue:
-            self._spans = False
 
     def _record_flush(self, latency_ms: np.ndarray, enqueued_at: np.ndarray,
                       flushed_at: float, scored_at: float) -> None:

@@ -249,6 +249,38 @@ class TestFlushFailure:
         assert server.counters.queries_submitted \
             == server.counters.queries_completed == 3
 
+    def test_a_chunk_whose_flush_raises_says_where(self, world,
+                                                   monkeypatch):
+        """A chunk larger than a batch fills the queue inside its submit
+        and that flush raises: the error carries the chunk, the rows it
+        had queued stay queued as a scalar loop's would, and the rows it
+        never offered resolve shed instead of reading as pending."""
+        events = [EdgeEvent(0, 1), EdgeEvent(2, 3)]
+        calm = make_server(world, max_batch_size=4)
+        calm.ingest_events(events)
+        want = [calm.submit_fraud(a) for a in range(4)]
+        calm.drain()
+
+        server = make_server(world, max_batch_size=4)
+        server.ingest_events(events)        # dirty rows: flush must refresh
+        refresh = server.engine.refresh
+        monkeypatch.setattr(server.engine, "refresh",
+                            lambda reads=None: (_ for _ in ()).throw(
+                                RuntimeError("boom")))
+        with pytest.raises(RuntimeError, match="boom") as err:
+            server.submit_fraud_many(np.arange(10))
+        chunk = err.value.batch
+        never = [False] * 4 + [True] * 6
+        assert chunk.shed.tolist() == chunk.done.tolist() == never
+        assert server._queued == 4
+        assert server.counters.queries_submitted == 4
+        monkeypatch.setattr(server.engine, "refresh", refresh)
+        assert server.drain() == 4
+        assert chunk.done.all() and chunk.shed.tolist() == never
+        assert chunk.scores[:4].tolist() == [q.result for q in want]
+        assert np.isnan(chunk.scores[4:]).all()
+        assert server.counters.queries_completed == 4
+
 
 class TestDrainAfterFailedFlushes:
     def test_drain_loops_instead_of_recursing(self, world, monkeypatch):
