@@ -99,17 +99,36 @@ class Histogram:
     """
 
     kind = "histogram"
-    __slots__ = ("reservoir_size", "_samples", "_count", "_sum", "_rng")
+    __slots__ = ("reservoir_size", "_reservoir", "_pending", "_npending",
+                 "_count", "_sum", "_rng")
 
     def __init__(self, reservoir_size: int = 1024, seed: int = 0) -> None:
         if reservoir_size < 1:
             raise ValueError(
                 f"reservoir_size must be >= 1, got {reservoir_size}")
         self.reservoir_size = reservoir_size
-        self._samples: list[float] = []
+        self._reservoir: list[float] = []
+        # observe_many's batches not yet offered to the reservoir: the
+        # last _npending items of the stream
+        self._pending: list[np.ndarray] = []
+        self._npending = 0
         self._count = 0
         self._sum = 0.0
         self._rng = np.random.default_rng(seed)
+
+    @property
+    def _samples(self) -> list[float]:
+        """The reservoir, every recorded value offered to it."""
+        if self._pending:
+            self._fold()
+        return self._reservoir
+
+    def _fold(self) -> None:
+        """Offer the pending batches to the reservoir as one run."""
+        values = np.concatenate(self._pending).tolist()
+        first = self._count - self._npending + 1
+        self._pending, self._npending = [], 0
+        self._offer(values, first)
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -117,24 +136,29 @@ class Histogram:
             raise ValueError(
                 f"refusing non-finite observation {value!r}: it would "
                 f"silently poison the running mean and every percentile")
+        if self._pending:
+            self._fold()
         self._count += 1
         self._sum += value
         self._offer((value,), self._count)
 
     def observe_many(self, values) -> None:
         """:meth:`observe` applied to each of ``values`` in stream
-        order, at one validation, one sum and one RNG draw per batch.
+        order, at one validation and one sum per batch.
 
         All-or-nothing: a non-finite value anywhere in the batch raises
         :class:`ValueError` before any stream state moves.  ``count`` is
         exact; ``sum`` accumulates the batch's own sum (so it can differ
-        from the scalar path in the last bits); the reservoir ends up
+        from the scalar path in the last bits).  The reservoir update
+        waits until ``reservoir_size`` values are pending or something
+        reads the reservoir, then runs once over all of them; it ends up
         sample for sample where scalar calls would have left it.
         """
-        values = np.asarray(values, dtype=np.float64).ravel()
+        # a copy: the batch is read again when it is folded
+        values = np.array(values, dtype=np.float64).ravel()
         if not values.size:
             return
-        total = float(values.sum())
+        total = float(np.add.reduce(values))
         # a finite sum proves every term finite (NaN and inf both
         # survive addition); only a non-finite one needs the full scan
         if not math.isfinite(total) and not np.isfinite(values).all():
@@ -142,10 +166,12 @@ class Histogram:
                 "refusing a batch with non-finite observations: they "
                 "would silently poison the running mean and every "
                 "percentile")
-        first = self._count + 1
         self._count += values.size
         self._sum += total
-        self._offer(values.tolist(), first)
+        self._pending.append(values)
+        self._npending += values.size
+        if self._npending >= self.reservoir_size:
+            self._fold()
 
     def _offer(self, values, first: int) -> None:
         """The one reservoir update rule.  ``values`` (a sequence of
@@ -158,7 +184,7 @@ class Histogram:
         item wins a shared slot.  One RNG call covers the whole run,
         and a run of one draws a plain float, so a stream split into
         runs any way leaves the same reservoir."""
-        samples = self._samples
+        samples = self._reservoir
         size = self.reservoir_size
         room = size - len(samples)
         if room >= len(values):
@@ -247,6 +273,8 @@ class Histogram:
             raise ValueError(
                 f"cannot absorb count={count}, sum={total}")
         samples = [float(v) for v in samples]
+        if self._pending:
+            self._fold()
         self._count += count
         self._sum += total
         # the shipped samples stand for the tail of the merged stream

@@ -17,6 +17,10 @@ served row has the bits of the trained one.
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
+
 import numpy as np
 
 from repro.errors import ShapeError
@@ -69,6 +73,95 @@ def _panels(rows: int):
     cover ``rows``, in order (the order fixes every panel-wise sum)."""
     return ((lo, min(lo + PANEL_ROWS, rows))
             for lo in range(0, rows, PANEL_ROWS))
+
+
+class _PanelPool:
+    """Runs a cell step's panels on every core the process may use.
+
+    :meth:`run` hands the fixed :func:`_panels` partition to the calling
+    thread and ``threads − 1`` helper threads, each taking the next
+    unclaimed panel until none is left.  The partition does not depend
+    on the thread count, and a panel's result does not depend on which
+    thread ran it, so any count gives the same bits; a caller that sums
+    across panels keeps one partial per panel and adds them in panel
+    order.  Helpers run numpy only: no kernel backend, no span.
+
+    The helpers start on the first step of two or more panels, and a
+    forked child forgets its parent's (they do not survive the fork) and
+    starts its own when it needs them.  ``threads`` is the CPU affinity
+    unless set (tests pin it).
+    """
+
+    def __init__(self) -> None:
+        self.threads: int | None = None
+        self._inboxes: list[queue.SimpleQueue] = []
+        self._grow = threading.Lock()
+        os.register_at_fork(after_in_child=self._forget)
+
+    def _forget(self) -> None:
+        self._inboxes = []
+        self._grow = threading.Lock()
+
+    @staticmethod
+    def _serve(inbox: queue.SimpleQueue) -> None:
+        while True:
+            share, done = inbox.get()
+            error = None
+            try:
+                share()
+            except BaseException as exc:   # handed to the caller
+                error = exc
+            # hold none of the step's arrays once its caller may go on
+            share = None
+            done.put(error)
+            error = None
+
+    def _helpers(self, count: int) -> list[queue.SimpleQueue]:
+        with self._grow:
+            while len(self._inboxes) < count:
+                inbox = queue.SimpleQueue()
+                threading.Thread(target=self._serve, args=(inbox,),
+                                 name="repro-panel", daemon=True).start()
+                self._inboxes.append(inbox)
+            return self._inboxes[:count]
+
+    def run(self, rows: int, share) -> None:
+        """Call ``share(panels)`` once per thread; together the calls
+        see each ``(k, (lo, hi))`` of ``enumerate(_panels(rows))`` once.
+        Returns when every share has; the first exception a share
+        raised is raised here."""
+        todo = enumerate(_panels(rows))
+        threads = min(self.threads or len(os.sched_getaffinity(0)),
+                      -(-rows // PANEL_ROWS))
+        if threads < 2:
+            share(todo)
+            return
+        claim, done = threading.Lock(), queue.SimpleQueue()
+        helpers = self._helpers(threads - 1)
+        for inbox in helpers:
+            inbox.put((lambda: share(_claims(todo, claim)), done))
+        try:
+            share(_claims(todo, claim))
+        finally:
+            # no share may outlive the call: they write the step's arrays
+            errors = [done.get() for _ in helpers]
+        for error in errors:
+            if error is not None:
+                raise error
+
+
+def _claims(todo, claim: threading.Lock):
+    """The items of the shared iterator ``todo`` that this share
+    claims, one at a time."""
+    while True:
+        with claim:
+            item = next(todo, None)
+        if item is None:
+            return
+        yield item
+
+
+_PANEL_POOL = _PanelPool()
 
 
 def _fill(dst: np.ndarray, src: np.ndarray) -> None:
@@ -190,8 +283,9 @@ def tanh(x) -> Tensor:
 def lstm_cell_forward(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
                       w_ih: np.ndarray, w_hh: np.ndarray, bias: np.ndarray,
                       keep: bool = False):
-    """One LSTM cell step on arrays: :func:`lstm_panel` a panel at a
-    time, the parameters in their ``[i, f, g, o]`` column layout.
+    """One LSTM cell step on arrays: :func:`lstm_panel` on each panel,
+    the panels spread over the cores (:class:`_PanelPool`), the
+    parameters in their ``[i, f, g, o]`` column layout.
 
     Returns ``(h, c, gates, tanh_c)``.  The activated gate planes
     ``(4, rows, hidden)`` (order i, f, o, g) and ``tanh(c)`` are all a
@@ -204,17 +298,21 @@ def lstm_cell_forward(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     gates, tanh_c = (np.empty((4, rows, hs)), np.empty((rows, hs))) if keep \
         else (None, None)
     span = min(_tiled(rows), PANEL_ROWS)
-    xs, hp = np.empty((span, x.shape[1])), np.empty((span, hs))
-    planes, scratch = np.empty((4, span, hs)), np.empty((4, span, hs))
-    for lo, hi in _panels(rows):
-        _fill(xs, x[lo:hi])
-        _fill(hp, h_prev[lo:hi])
-        lstm_panel(xs, hp, c_prev[lo:hi], *packed, planes, scratch, hi - lo,
-                   c=c[lo:hi], h_out=h[lo:hi],
-                   tanh_c=None if tanh_c is None else tanh_c[lo:hi])
-        if keep:
-            # the panel ran on cache-resident planes; keep a copy
-            gates[:, lo:hi] = planes[:, :hi - lo]
+
+    def share(panels):
+        xs, hp = np.empty((span, x.shape[1])), np.empty((span, hs))
+        planes, scratch = np.empty((4, span, hs)), np.empty((4, span, hs))
+        for _, (lo, hi) in panels:
+            _fill(xs, x[lo:hi])
+            _fill(hp, h_prev[lo:hi])
+            lstm_panel(xs, hp, c_prev[lo:hi], *packed, planes, scratch,
+                       hi - lo, c=c[lo:hi], h_out=h[lo:hi],
+                       tanh_c=None if tanh_c is None else tanh_c[lo:hi])
+            if keep:
+                # the panel ran on cache-resident planes; keep a copy
+                gates[:, lo:hi] = planes[:, :hi - lo]
+
+    _PANEL_POOL.run(rows, share)
     return h, c, gates, tanh_c
 
 
@@ -229,7 +327,9 @@ def lstm_cell(x, h_prev, c_prev, w_ih, w_hh, bias) -> tuple[Tensor, Tensor]:
     forms ``dz`` (columns ``[i, f, g, o]``, the parameters' layout) one
     panel at a time from the kept gate planes and issues each of
     ``dz·W_ihᵀ``, ``dz·W_hhᵀ``, ``xᵀ·dz``, ``h_prevᵀ·dz`` once per
-    panel, for the inputs that require a gradient.
+    panel, for the inputs that require a gradient; the panels run on
+    :class:`_PanelPool`, and the weight and bias partials are added in
+    panel order.
     """
     ins = tuple(as_tensor(t) for t in (x, h_prev, c_prev, w_ih, w_hh, bias))
     need = [t.requires_grad for t in ins]
@@ -247,43 +347,54 @@ def lstm_cell(x, h_prev, c_prev, w_ih, w_hh, bias) -> tuple[Tensor, Tensor]:
 
     def backward_c(dc):
         dh = pending.pop() if pending else None
-        dx, dhp, dcp, dwi, dwh, db = (
-            np.zeros(t.shape) if n else None
-            for t, n in zip((xd, hd, cd, wi, wh, bd), need))
+        dx, dhp, dcp = (np.zeros(t.shape) if n else None
+                        for t, n in zip((xd, hd, cd), need))
+        # one partial per panel of xᵀ·dz, h_prevᵀ·dz and Σdz, added
+        # 0 + p₀ + p₁ + … below: the serial panel loop's own sum
+        count = -(-rows // PANEL_ROWS)
+        parts = [np.empty((count,) + t.shape) if n else None
+                 for t, n in zip((wi, wh, bd), need[3:])]
         span = min(rows, PANEL_ROWS)
-        dzs, slope = np.empty((span, 4 * hs)), np.empty((span, hs))
-        for lo, hi in _panels(rows):
-            i, f, o, g = gates[:, lo:hi]
-            dz, s = dzs[:hi - lo], slope[:hi - lo]
-            di, df, dg, do = (dz[:, k * hs:(k + 1) * hs] for k in range(4))
-            d = dc[lo:hi]
-            # through the activations: s·(1 − s) on i, f, o; 1 − g² on g
-            np.multiply(d, g, out=di)
-            di *= i
-            di *= np.subtract(1.0, i, out=s)
-            np.multiply(d, cd[lo:hi], out=df)
-            df *= f
-            df *= np.subtract(1.0, f, out=s)
-            np.multiply(d, i, out=dg)
-            dg *= np.subtract(1.0, np.multiply(g, g, out=s), out=s)
-            if dh is None:
-                do[...] = 0.0
-            else:
-                np.multiply(dh[lo:hi], tanh_c[lo:hi], out=do)
-                do *= o
-                do *= np.subtract(1.0, o, out=s)
-            if need[0]:
-                np.matmul(dz, wi.T, out=dx[lo:hi])
-            if need[1]:
-                np.matmul(dz, wh.T, out=dhp[lo:hi])
-            if need[2]:
-                np.multiply(d, f, out=dcp[lo:hi])
-            if need[3]:
-                dwi += xd[lo:hi].T @ dz
-            if need[4]:
-                dwh += hd[lo:hi].T @ dz
-            if need[5]:
-                db += dz.sum(axis=0)
+
+        def share(panels):
+            dzs, slope = np.empty((span, 4 * hs)), np.empty((span, hs))
+            for k, (lo, hi) in panels:
+                i, f, o, g = gates[:, lo:hi]
+                dz, s = dzs[:hi - lo], slope[:hi - lo]
+                di, df, dg, do = (dz[:, j * hs:(j + 1) * hs]
+                                  for j in range(4))
+                d = dc[lo:hi]
+                # through the activations: s·(1 − s) on i, f, o; 1 − g² on g
+                np.multiply(d, g, out=di)
+                di *= i
+                di *= np.subtract(1.0, i, out=s)
+                np.multiply(d, cd[lo:hi], out=df)
+                df *= f
+                df *= np.subtract(1.0, f, out=s)
+                np.multiply(d, i, out=dg)
+                dg *= np.subtract(1.0, np.multiply(g, g, out=s), out=s)
+                if dh is None:
+                    do[...] = 0.0
+                else:
+                    np.multiply(dh[lo:hi], tanh_c[lo:hi], out=do)
+                    do *= o
+                    do *= np.subtract(1.0, o, out=s)
+                if need[0]:
+                    np.matmul(dz, wi.T, out=dx[lo:hi])
+                if need[1]:
+                    np.matmul(dz, wh.T, out=dhp[lo:hi])
+                if need[2]:
+                    np.multiply(d, f, out=dcp[lo:hi])
+                if need[3]:
+                    np.matmul(xd[lo:hi].T, dz, out=parts[0][k])
+                if need[4]:
+                    np.matmul(hd[lo:hi].T, dz, out=parts[1][k])
+                if need[5]:
+                    dz.sum(axis=0, out=parts[2][k])
+
+        _PANEL_POOL.run(rows, share)
+        dwi, dwh, db = (None if p is None
+                        else sum(p, np.zeros(p.shape[1:])) for p in parts)
         return dx, dhp, dcp, dwi, dwh, db
 
     c_out = Tensor._make(c, ins, backward_c)

@@ -74,6 +74,46 @@ class TestSameAsScalar:
         assert got._samples == want._samples
         assert got.count == want.count
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["one", "many", "read"]),
+                              st.lists(_finite, max_size=30)),
+                    max_size=25),
+           st.integers(1, 16))
+    def test_interleaved_scalars_batches_and_reads(self, ops, reservoir):
+        """Batches wait to be offered to the reservoir; a scalar
+        ``observe`` and every read must still see the stream in order."""
+        got = Histogram(reservoir_size=reservoir, seed=4)
+        stream = []
+        for op, values in ops:
+            if op == "one" and values:
+                got.observe(values[0])
+                stream.append(values[0])
+            elif op == "many":
+                batch = np.array(values)
+                got.observe_many(batch)
+                stream.extend(values)
+                batch[:] = -1.0          # the caller reuses its buffer
+            else:
+                got.percentile(50.0)
+        want = _scalar(stream, reservoir_size=reservoir, seed=4)
+        assert got._samples == want._samples
+        assert got.count == want.count
+
+    def test_the_fold_waits_for_a_read_or_a_full_reservoir(self):
+        hist = Histogram(reservoir_size=256, seed=6)
+        hist.observe_many(np.arange(300.0))          # full, 44 competed
+        state = hist._rng.bit_generator.state
+        for i in range(3):
+            hist.observe_many(np.arange(64.0) + i)   # 192 pending
+        assert hist._rng.bit_generator.state == state
+        hist.observe_many(np.arange(64.0))           # 256 pending: fold
+        assert hist._rng.bit_generator.state != state
+        state = hist._rng.bit_generator.state
+        hist.observe_many(np.arange(8.0))
+        assert hist._rng.bit_generator.state == state
+        hist.p50                                     # a read folds
+        assert hist._rng.bit_generator.state != state
+
     def test_count_exact_and_sum_close_on_100k_stream(self):
         values = np.random.default_rng(42).exponential(5.0, size=100_000)
         want = _scalar(values.tolist(), reservoir_size=1024)
