@@ -2,14 +2,17 @@
 
 The paper derives edge-level predictions "via concatenating the
 embeddings of the edge end-points and applying a fully connected layer"
-(§6.4); :class:`EdgeScorer` implements exactly that head.
+(§6.4); :class:`EdgeScorer` computes exactly that head, through the
+identity ``concat(z_u, z_v)·W = z_u·W[:d] + z_v·W[d:]``: every vertex is
+projected once and each pair adds two narrow rows
+(:func:`repro.tensor.functional.edge_logits`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor import Module, Parameter, Tensor, init, ops
+from repro.tensor import Module, Parameter, Tensor, functional as F, init
 
 __all__ = ["Linear", "EdgeScorer"]
 
@@ -42,8 +45,15 @@ class Linear(Module):
 class EdgeScorer(Module):
     """Classify vertex pairs from concatenated endpoint embeddings.
 
-    ``forward(z, pairs)`` gathers ``z[u] ‖ z[v]`` for each pair and maps
-    it to ``num_classes`` logits.
+    ``forward(z, pairs)`` maps ``z[u] ‖ z[v]`` for each pair to
+    ``num_classes`` logits through ``fc``.  It never forms the
+    concatenation: ``fc``'s weight splits into the halves that multiply
+    ``z[u]`` and ``z[v]``, so ``Z`` is projected once per vertex and a
+    pair's logits are the sum of two ``num_classes``-wide rows, one tape
+    node per call (:func:`~repro.tensor.functional.edge_logits`).  The
+    parameters stay ``fc``'s, so the ``state_dict`` keys and the FLOP
+    charge :meth:`Linear.flops` are those of the concatenated form.
+    A vertex id outside ``[0, len(z))`` raises :class:`ShapeError`.
     """
 
     def __init__(self, embed_dim: int, num_classes: int,
@@ -54,7 +64,5 @@ class EdgeScorer(Module):
         self.fc = Linear(2 * embed_dim, num_classes, rng)
 
     def forward(self, embeddings: Tensor, pairs: np.ndarray) -> Tensor:
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        src = embeddings[pairs[:, 0]]
-        dst = embeddings[pairs[:, 1]]
-        return self.fc(ops.concat([src, dst], axis=1))
+        return F.edge_logits(embeddings, self.fc.weight, self.fc.bias,
+                             pairs)

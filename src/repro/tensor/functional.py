@@ -12,11 +12,14 @@ The serving engine runs them on its panel scratch; the fused tape
 primitives :func:`lstm_cell` and :func:`gcn_project` run them for their
 forward, O(1) tape nodes each with a hand-written backward
 (``docs/kernels.md``, "Training dense path: fused tape nodes").  So a
-served row has the bits of the trained one.
+served row has the bits of the trained one.  The §6.4 link head is one
+more such node, :func:`edge_logits` (``docs/kernels.md``, "Link head:
+half-logits per vertex").
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import queue
 import threading
@@ -30,7 +33,8 @@ __all__ = [
     "relu", "sigmoid", "tanh", "softmax", "log_softmax", "cross_entropy",
     "binary_cross_entropy_with_logits", "mse_loss",
     "lstm_cell", "lstm_cell_forward", "lstm_panel", "gcn_project",
-    "project_panel", "window_mean", "TILE_ROWS", "PANEL_ROWS",
+    "edge_logits", "project_panel", "window_mean", "TILE_ROWS",
+    "PANEL_ROWS",
 ]
 
 # Every dense GEMM of a model step takes a tile of exactly TILE_ROWS rows
@@ -433,10 +437,69 @@ def gcn_project(aggregated, weight, skip_concat: bool = False,
     return Tensor._make(out, (a, w), backward)
 
 
+def edge_logits(embeddings, weight, bias, pairs) -> Tensor:
+    """The §6.4 link head ``[z_u ‖ z_v]·W + b`` over ``(u, v)`` pairs, as
+    one tape node paid per vertex rather than per pair.
+
+    ``concat(z_u, z_v)·W = z_u·W[:d] + z_v·W[d:]``, so two GEMMs project
+    every vertex to its half-logits ``P = Z·W[:d]`` and ``Q = Z·W[d:]``
+    (``N × C`` each) and a pair's logits are ``P[u] + Q[v] + b``: the
+    gathers move ``C``-wide rows, not ``d``-wide ones, and nothing is
+    concatenated.  Backward scatters the ``C``-wide gradient over ``u``
+    and over ``v`` with one ``np.bincount`` each (every cell summed in
+    pair order), then ``dZ = dP·W[:d]ᵀ + dQ·W[d:]ᵀ``,
+    ``dW = [Zᵀ·dP ; Zᵀ·dQ]`` and ``db = Σg``.
+
+    ``pairs`` holds ``(m, 2)`` vertex ids in ``[0, N)``; a negative or
+    too large id raises :class:`ShapeError` naming the first one.
+    """
+    z, w, b = as_tensor(embeddings), as_tensor(weight), as_tensor(bias)
+    zd, wd = z.data, w.data
+    rows, dim = zd.shape
+    if wd.shape[0] != 2 * dim:
+        raise ShapeError(f"edge_logits: weight {wd.shape} does not take "
+                         f"two {dim}-wide endpoint embeddings")
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if len(pairs) and (pairs.min() < 0 or pairs.max() >= rows):
+        ids = pairs.ravel()
+        k = int(np.argmax((ids < 0) | (ids >= rows)))
+        raise ShapeError(f"pair {k // 2} names vertex {ids[k]}, outside "
+                         f"[0, {rows})")
+    u, v = pairs[:, 0], pairs[:, 1]
+    w_u, w_v = wd[:dim], wd[dim:]
+    p, q = zd @ w_u, zd @ w_v
+    out = np.take(p, u, axis=0)
+    out += np.take(q, v, axis=0)
+    out += b.data
+
+    def backward(g):
+        dz = dw = None
+        if z.requires_grad or w.requires_grad:
+            # dP (dQ): g's row for each pair added into row u (v) of a
+            # flat (N, C), in pair order
+            width = g.shape[1]
+            cells = np.arange(width)
+            dp, dq = (np.bincount((ends[:, None] * width + cells).ravel(),
+                                  g.ravel(), rows * width)
+                      .reshape(rows, width) for ends in (u, v))
+            if z.requires_grad:
+                dz = dp @ w_u.T
+                dz += dq @ w_v.T
+            if w.requires_grad:
+                dw = np.concatenate([zd.T @ dp, zd.T @ dq])
+        return dz, dw, g.sum(axis=0) if b.requires_grad else None
+
+    return Tensor._make(out, (z, w, b), backward)
+
+
 def _stable_log_softmax(z: np.ndarray) -> np.ndarray:
-    zmax = z.max(axis=-1, keepdims=True)
-    shifted = z - zmax
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    # the row max and row sum one column at a time: numpy reduces a short
+    # last axis row by row, ~30x slower on the link head's (m, 2) logits;
+    # the max is exact and the sum keeps numpy's order below 8 columns
+    zmax = functools.reduce(np.maximum, np.moveaxis(z, -1, 0))
+    shifted = z - zmax[..., None]
+    total = functools.reduce(np.add, np.moveaxis(np.exp(shifted), -1, 0))
+    return shifted - np.log(total)[..., None]
 
 
 def softmax(x) -> Tensor:

@@ -6,7 +6,10 @@ timestep, a ``θ`` fraction of that snapshot's edges get label 1 and an
 equal number of random vertex pairs get label 0; the test set is built
 the same way from the held-out final snapshot.  Pairs are classified by
 concatenating the two endpoint embeddings and applying a fully
-connected layer.
+connected layer.  The head computes it as
+``concat(z_u, z_v)·W = z_u·W[:d] + z_v·W[d:]`` (:class:`EdgeScorer`):
+each vertex is projected once per timestep and a pair sums two
+2-wide rows, one tape node per timestep.
 
 Both tasks expose a *block* loss — ``loss_block(embeddings, t_start)``
 — additive over blocks, which is the contract the checkpointed and
@@ -137,6 +140,10 @@ class LinkPredictionTask:
         return float((pred == sample.labels).mean())
 
     def head_flops_per_step(self) -> float:
+        """The §6.4 ledger's head charge: the concatenated FC layer over
+        the mean pair count, as the paper's head computes it.  The
+        per-vertex half-logits compute the same logits; the charge (and
+        so the ledger) stays that of the concatenated form."""
         rows = int(np.mean([len(s.pairs) for s in self.samples])) \
             if self.samples else 0
         return self.head.fc.flops(rows)

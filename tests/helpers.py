@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from typing import Callable, NamedTuple, Sequence
@@ -243,6 +244,49 @@ def oracle_gcn_project(aggregated, weight, skip_concat=False, relu=True):
     if skip_concat:
         out = ops.concat([aggregated, out], axis=1)
     return F.relu(out) if relu else out
+
+
+# Until the fused half-logit node (repro.tensor.functional.edge_logits)
+# this was the body of EdgeScorer.forward: two (m, d) endpoint gathers,
+# their concatenation and the FC layer, 5 tape nodes per call.  The
+# fused node projects each vertex once and must match it to summation
+# order (tests/nn/test_fused_ops.py).
+
+def oracle_edge_logits(embeddings, weight, bias, pairs):
+    from repro.tensor import ops
+
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    src = embeddings[pairs[:, 0]]
+    dst = embeddings[pairs[:, 1]]
+    return ops.concat([src, dst], axis=1) @ weight + bias
+
+
+@contextlib.contextmanager
+def scatter_add_forbidden():
+    """Make ``np.add.at`` raise for the duration: the training path
+    scatters through ``np.bincount`` or a CSC product, in index order
+    (a ufunc's own attributes are read-only, so the module attribute is
+    swapped)."""
+
+    class NoScatterAdd:
+        def __init__(self, add):
+            self._add = add
+
+        def __call__(self, *args, **kwargs):
+            return self._add(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._add, name)
+
+        def at(self, *args, **kwargs):
+            raise AssertionError("np.add.at on the training path")
+
+    add = np.add
+    np.add = NoScatterAdd(add)
+    try:
+        yield
+    finally:
+        np.add = add
 
 
 # ---------------------------------------------------------------------------

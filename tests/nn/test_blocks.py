@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ShapeError
 from repro.graph import GraphSnapshot, normalized_laplacian
 from repro.nn import (EdgeScorer, GCNLayer, Linear, LSTMCell, WeightLSTMCell,
                       m_matrix, m_transform_frames)
@@ -65,6 +65,20 @@ class TestEdgeScorer:
         out.backward()
         assert z.grad is not None
         assert np.abs(z.grad).sum() > 0
+
+    @pytest.mark.parametrize("pairs, named", [
+        ([[0, 1], [2, -1], [-3, 0]], "pair 1 names vertex -1,"),
+        ([[0, 1], [4, 2], [9, 0]], "pair 1 names vertex 4,"),
+        ([[0, 1], [3, 2], [0, 7]], "pair 2 names vertex 7,"),
+    ])
+    def test_rejects_the_first_bad_vertex_id(self, pairs, named):
+        """A negative id would wrap to vertex ``N − k`` through numpy
+        indexing; it is refused, as is one past the last vertex."""
+        scorer = EdgeScorer(3, 2, rng())
+        z = Tensor(rng().normal(size=(4, 3)), requires_grad=True)
+        with pytest.raises(ShapeError, match=named) as err:
+            scorer(z, np.array(pairs))
+        assert "outside [0, 4)" in str(err.value)
 
 
 class TestGCNLayer:

@@ -1,6 +1,6 @@
 """The fused tape nodes of the training dense path against the composed
 ops they replaced (docs/kernels.md, "Training dense path: fused tape
-nodes").
+nodes" and "Link head: half-logits per vertex").
 
 ``F.lstm_cell`` and ``F.gcn_project`` must match
 ``tests/helpers.py::oracle_lstm_cell`` / ``oracle_gcn_project`` across
@@ -12,7 +12,10 @@ issues one GEMM over all rows (a GEMV at one row): BLAS may pick
 another kernel for a tile than for all rows at once, so values and
 gradients are held to the training tier's tolerance contract —
 summation order, 1e-12.  What the tiles buy is asserted exactly: a row
-gets the same bits whatever rows share the call.
+gets the same bits whatever rows share the call.  ``F.edge_logits``
+must match ``oracle_edge_logits`` (the concatenated head) to the same
+tolerance, on repeated vertices, self-pairs and zero pairs, with
+``np.add.at`` forbidden.
 """
 
 import itertools
@@ -21,9 +24,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nn import GCNLayer, LSTMCell, WeightLSTMCell
+from repro.nn import EdgeScorer, GCNLayer, LSTMCell, WeightLSTMCell
 from repro.tensor import Tensor, functional as F, no_grad
-from tests.helpers import oracle_gcn_project, oracle_lstm_cell
+from tests.helpers import (oracle_edge_logits, oracle_gcn_project,
+                           oracle_lstm_cell, scatter_add_forbidden)
 
 PANEL = F.PANEL_ROWS
 ROWS = [1, 2, PANEL - 1, PANEL, PANEL + 1, 3 * PANEL + 7]
@@ -275,6 +279,82 @@ def test_gcn_layer_is_one_tape_node(skip_concat, activation):
     assert out.shape[1] == layer.output_dim
     # the projection, its input and the weight
     assert out.backward(np.ones(out.shape)) == 3
+
+
+# -- the link head --------------------------------------------------------------------
+def _run_head(head, z, weight, bias, pairs, upstream, need_z=True):
+    leaves = (Tensor(z, requires_grad=need_z),
+              Tensor(weight, requires_grad=True),
+              Tensor(bias, requires_grad=True))
+    out = head(*leaves, pairs)
+    out.backward(upstream)
+    return out, leaves
+
+
+def _assert_head_matches_oracle(z, weight, bias, pairs, upstream,
+                                need_z=True):
+    with scatter_add_forbidden():
+        got = _run_head(F.edge_logits, z, weight, bias, pairs, upstream,
+                        need_z)
+    want = _run_head(oracle_edge_logits, z, weight, bias, pairs, upstream,
+                     need_z)
+    _assert_same_values(got[0].data, want[0].data)
+    for fused, composed in zip(got[1], want[1]):
+        if composed.grad is None:
+            assert fused.grad is None
+        else:
+            np.testing.assert_allclose(fused.grad, composed.grad, **TOL)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 12),
+       dim=st.sampled_from([1, 3, 16]), classes=st.sampled_from([1, 2, 3]),
+       order=st.sampled_from("CF"), need_z=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_link_head_matches_concat_oracle(data, rows, dim, classes, order,
+                                         need_z, seed):
+    """Few vertices and up to 4× as many pairs: repeated vertices and
+    self-pairs ``(v, v)`` come up all the time, zero pairs too."""
+    vertex = st.integers(0, rows - 1)
+    pairs = np.array(data.draw(st.lists(st.tuples(vertex, vertex),
+                                        max_size=4 * rows)),
+                     dtype=np.int64).reshape(-1, 2)
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(rows, dim))
+    weight = _ordered(rng.normal(size=(2 * dim, classes)), order)
+    bias = rng.normal(size=classes)
+    upstream = rng.normal(size=(len(pairs), classes))
+    _assert_head_matches_oracle(z, weight, bias, pairs, upstream, need_z)
+
+
+@pytest.mark.parametrize("pairs", [
+    [[2, 2], [2, 2], [0, 0]],            # self-pairs, one of them twice
+    [[1, 3], [3, 1], [1, 3], [1, 1]],    # a vertex at both ends
+    np.empty((0, 2), dtype=np.int64),    # zero pairs
+], ids=["self", "repeats", "empty"])
+def test_link_head_edge_cases(pairs):
+    rng = np.random.default_rng(8)
+    pairs = np.asarray(pairs, dtype=np.int64)
+    z, weight = rng.normal(size=(5, 4)), rng.normal(size=(8, 2))
+    upstream = rng.normal(size=(len(pairs), 2))
+    _assert_head_matches_oracle(z, weight, rng.normal(size=2), pairs,
+                                upstream)
+
+
+def test_link_head_is_one_tape_node_and_none_under_no_grad():
+    rng = np.random.default_rng(6)
+    scorer = EdgeScorer(4, 2, rng)
+    z = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+    pairs = rng.integers(0, 7, size=(20, 2))
+    out = scorer(z, pairs)
+    # the sum, the head, the embeddings and fc's weight and bias
+    assert out.sum().backward() == 5
+    with no_grad():
+        out = scorer(z, pairs)
+    assert out.is_leaf and not out.requires_grad and out._parents == ()
+    np.testing.assert_allclose(
+        out.data, oracle_edge_logits(z, scorer.fc.weight, scorer.fc.bias,
+                                     pairs).data, **TOL)
 
 
 # -- the fixed tiles: a row's bits do not depend on its neighbours ------------------

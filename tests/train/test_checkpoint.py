@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.graph import evolving_dtdg
+from repro.graph import GraphSnapshot, evolving_dtdg
 from repro.models import MODEL_NAMES, build_model
 from repro.tensor import Tensor
 from repro.train import CheckpointRunner, LinkPredictionTask
@@ -217,6 +217,50 @@ class TestModelPersistence:
         np.testing.assert_allclose(loaded.fraud_head.weight.data,
                                    fraud.weight.data)
         assert loaded.extra == {"dataset": "amlsim"}
+
+    def test_checkpoint_of_the_concat_head_loads(self, tmp_path):
+        """``checkpoint_parent.npz`` was written before the link head
+        stopped concatenating (TM-GCN, seed 0, both heads drawn from
+        ``default_rng(0)``).  It loads into today's ``EdgeScorer``, whose
+        logits are the concatenated head's, and boots a server; today's
+        writer still produces the same keys and arrays."""
+        import os
+        from repro.nn.linear import EdgeScorer, Linear
+        from repro.serve import ModelServer
+        from repro.train import (load_model_checkpoint,
+                                 save_model_checkpoint)
+        from tests.helpers import oracle_edge_logits
+        path = os.path.join(os.path.dirname(__file__),
+                            "checkpoint_parent.npz")
+        loaded = load_model_checkpoint(path)
+        head = loaded.link_head
+        assert sorted(head.state_dict()) == ["fc.bias", "fc.weight"]
+        rng = np.random.default_rng(1)
+        z = rng.normal(size=(5, head.embed_dim))
+        pairs = rng.integers(0, 5, size=(9, 2))
+        np.testing.assert_allclose(
+            head(z, pairs).data,
+            oracle_edge_logits(z, head.fc.weight, head.fc.bias, pairs).data,
+            rtol=1e-12, atol=1e-12)
+        snapshot = GraphSnapshot(5, np.array([[0, 1], [1, 2], [3, 4]]))
+        server = ModelServer.from_checkpoint(path, snapshot)
+        np.testing.assert_array_equal(server.link_head.fc.weight.data,
+                                      head.fc.weight.data)
+        query = server.submit_link(0, 1)
+        server.drain()
+        assert query.done and 0.0 < query.result < 1.0
+
+        model = build_model("tmgcn", in_features=2, seed=0)
+        heads = np.random.default_rng(0)
+        link = EdgeScorer(model.embed_dim, 2, heads)
+        fraud = Linear(model.embed_dim, 2, heads)
+        again = save_model_checkpoint(str(tmp_path / "now.npz"), model,
+                                      "tmgcn", link_head=link,
+                                      fraud_head=fraud)
+        with np.load(path) as before, np.load(again) as now:
+            assert before.files == now.files
+            for key in before.files:
+                np.testing.assert_array_equal(before[key], now[key])
 
     def test_suffixless_path_roundtrips(self, tmp_path):
         """np.savez appends '.npz' on its own; the checkpoint writer

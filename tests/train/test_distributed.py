@@ -15,7 +15,7 @@ from repro.graph import evolving_dtdg
 from repro.models import MODEL_NAMES, build_model
 from repro.train import DistConfig, DistributedTrainer, LinkPredictionTask
 from repro.train.preprocess import degree_features
-from tests.helpers import sequential_fit
+from tests.helpers import scatter_add_forbidden, sequential_fit
 
 
 N, T = 18, 9
@@ -265,38 +265,22 @@ class TestHybridEngine:
 
 class TestTapeSize:
     """A deterministic guard on the training dense path: the fused cell
-    records 2 tape nodes per step and the fused projection 1 (composed
-    ops: 17 and 3), so an edit that silently falls back fails a count,
-    not a timing."""
+    records 2 tape nodes per step, the fused projection 1 and the link
+    head 1 (composed ops: 17, 3 and 5), so an edit that silently falls
+    back fails a count, not a timing."""
 
-    def test_cdgcn_epoch_stays_on_the_fused_path(self, monkeypatch):
+    def test_cdgcn_epoch_stays_on_the_fused_path(self):
         dtdg = make_dtdg(seed=4, t=4)          # 3 train steps + held-out
         trainer = make_distributed("cdgcn", dtdg, num_ranks=2,
                                    partitioning="snapshot",
                                    reuse_aggregation=True)
         assert trainer.train_t == 3 and trainer.model.num_layers == 2
 
-        class NoScatterAdd:
-            """``np.add`` with ``at`` forbidden (a ufunc's own attributes
-            are read-only, so the module attribute is swapped)."""
-
-            def __init__(self, add):
-                self._add = add
-
-            def __call__(self, *args, **kwargs):
-                return self._add(*args, **kwargs)
-
-            def __getattr__(self, name):
-                return getattr(self._add, name)
-
-            def at(self, *args, **kwargs):
-                raise AssertionError("np.add.at on the training path")
-
-        monkeypatch.setattr(np, "add", NoScatterAdd(np.add))
-        result = trainer.train_epoch()
-        monkeypatch.undo()
-        # composed ops visited 156 (146 non-leaf); fused: 54 (44)
-        assert 0 < result.tape_nodes <= 60
+        with scatter_add_forbidden():
+            result = trainer.train_epoch()
+        # composed ops visited 156 (146 non-leaf); fused cell and
+        # projection: 54 (44); and the fused link head: 42 (32)
+        assert 0 < result.tape_nodes <= 48
         assert trainer.telemetry.registry.value("train_tape_nodes") == \
             result.tape_nodes
 
