@@ -34,7 +34,7 @@ __all__ = [
     "binary_cross_entropy_with_logits", "mse_loss",
     "lstm_cell", "lstm_cell_forward", "lstm_panel", "gcn_project",
     "edge_logits", "project_panel", "window_mean", "TILE_ROWS",
-    "PANEL_ROWS",
+    "PANEL_ROWS", "SPAN_ROWS",
 ]
 
 # Every dense GEMM of a model step takes a tile of exactly TILE_ROWS rows
@@ -43,10 +43,15 @@ __all__ = [
 # serving recompute and a one-row refresh.  The elementwise passes
 # between the GEMMs run over a panel of tiles, on its live rows: numpy's
 # per-call cost is spread over PANEL_ROWS rows while a few-row refresh
-# pays for one tile.  The sweeps that chose both are in docs/kernels.md
-# ("Dense epilogue", "Training dense path").
+# pays for one tile.  PANEL_ROWS also fixes the partition of every sum
+# across rows.  The training cell's thread pool hands out spans of
+# SPAN_ROWS rows, whole panels each, so a thread runs long numpy calls
+# between its turns at the GIL; a span never changes a bit.  The sweeps
+# that chose all three are in docs/kernels.md ("Dense epilogue",
+# "Training dense path", "Spans, not panels").
 TILE_ROWS = 64
 PANEL_ROWS = 4 * TILE_ROWS
+SPAN_ROWS = 4 * PANEL_ROWS
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
@@ -72,25 +77,26 @@ def _tiled(rows: int) -> int:
     return -(-rows // TILE_ROWS) * TILE_ROWS
 
 
-def _panels(rows: int):
-    """The ``(lo, hi)`` row ranges of at most ``PANEL_ROWS`` rows that
-    cover ``rows``, in order (the order fixes every panel-wise sum)."""
-    return ((lo, min(lo + PANEL_ROWS, rows))
-            for lo in range(0, rows, PANEL_ROWS))
+def _ranges(rows: int, size: int):
+    """The ``(lo, hi)`` row ranges of at most ``size`` rows that cover
+    ``rows``, in order (with ``PANEL_ROWS``, the order of every
+    panel-wise sum)."""
+    return ((lo, min(lo + size, rows)) for lo in range(0, rows, size))
 
 
 class _PanelPool:
-    """Runs a cell step's panels on every core the process may use.
+    """Runs a cell step's spans on every core the process may use.
 
-    :meth:`run` hands the fixed :func:`_panels` partition to the calling
-    thread and ``threads − 1`` helper threads, each taking the next
-    unclaimed panel until none is left.  The partition does not depend
-    on the thread count, and a panel's result does not depend on which
-    thread ran it, so any count gives the same bits; a caller that sums
-    across panels keeps one partial per panel and adds them in panel
-    order.  Helpers run numpy only: no kernel backend, no span.
+    :meth:`run` hands the fixed partition into ``SPAN_ROWS``-row spans
+    to the calling thread and ``threads − 1`` helper threads, each
+    taking the next unclaimed span until none is left.  The partition
+    does not depend on the thread count, and a span's result does not
+    depend on which thread ran it, so any count gives the same bits; a
+    caller that sums across rows keeps one partial per panel (a span
+    holds whole panels) and adds them in panel order.  Helpers run numpy
+    only: no kernel backend, no tracer span.
 
-    The helpers start on the first step of two or more panels, and a
+    The helpers start on the first step of two or more spans, and a
     forked child forgets its parent's (they do not survive the fork) and
     starts its own when it needs them.  ``threads`` is the CPU affinity
     unless set (tests pin it).
@@ -130,13 +136,13 @@ class _PanelPool:
             return self._inboxes[:count]
 
     def run(self, rows: int, share) -> None:
-        """Call ``share(panels)`` once per thread; together the calls
-        see each ``(k, (lo, hi))`` of ``enumerate(_panels(rows))`` once.
+        """Call ``share(spans)`` once per thread; together the calls
+        see each ``(lo, hi)`` of ``_ranges(rows, SPAN_ROWS)`` once.
         Returns when every share has; the first exception a share
         raised is raised here."""
-        todo = enumerate(_panels(rows))
+        todo = _ranges(rows, SPAN_ROWS)
         threads = min(self.threads or len(os.sched_getaffinity(0)),
-                      -(-rows // PANEL_ROWS))
+                      -(-rows // SPAN_ROWS))
         if threads < 2:
             share(todo)
             return
@@ -287,33 +293,33 @@ def tanh(x) -> Tensor:
 def lstm_cell_forward(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
                       w_ih: np.ndarray, w_hh: np.ndarray, bias: np.ndarray,
                       keep: bool = False):
-    """One LSTM cell step on arrays: :func:`lstm_panel` on each panel,
-    the panels spread over the cores (:class:`_PanelPool`), the
+    """One LSTM cell step on arrays: :func:`lstm_panel` on each span,
+    the spans spread over the cores (:class:`_PanelPool`), the
     parameters in their ``[i, f, g, o]`` column layout.
 
     Returns ``(h, c, gates, tanh_c)``.  The activated gate planes
     ``(4, rows, hidden)`` (order i, f, o, g) and ``tanh(c)`` are all a
     backward needs beside the inputs and outputs; without ``keep`` they
-    live on one panel of scratch and come back as ``None``.
+    live on one span of scratch and come back as ``None``.
     """
     rows, hs = c_prev.shape
     packed = [_gate_major(p, hs) for p in (w_ih, w_hh, bias)]
     h, c = np.empty((rows, hs)), np.empty((rows, hs))
     gates, tanh_c = (np.empty((4, rows, hs)), np.empty((rows, hs))) if keep \
         else (None, None)
-    span = min(_tiled(rows), PANEL_ROWS)
+    span = min(_tiled(rows), SPAN_ROWS)
 
-    def share(panels):
+    def share(spans):
         xs, hp = np.empty((span, x.shape[1])), np.empty((span, hs))
         planes, scratch = np.empty((4, span, hs)), np.empty((4, span, hs))
-        for _, (lo, hi) in panels:
+        for lo, hi in spans:
             _fill(xs, x[lo:hi])
             _fill(hp, h_prev[lo:hi])
             lstm_panel(xs, hp, c_prev[lo:hi], *packed, planes, scratch,
                        hi - lo, c=c[lo:hi], h_out=h[lo:hi],
                        tanh_c=None if tanh_c is None else tanh_c[lo:hi])
             if keep:
-                # the panel ran on cache-resident planes; keep a copy
+                # the span ran on cache-resident planes; keep a copy
                 gates[:, lo:hi] = planes[:, :hi - lo]
 
     _PANEL_POOL.run(rows, share)
@@ -329,11 +335,11 @@ def lstm_cell(x, h_prev, c_prev, w_ih, w_hh, bias) -> tuple[Tensor, Tensor]:
     itself in ``pending`` for ``c``'s backward to take for the o-gate
     (an unused ``h`` leaves it empty: ``do = 0``).  ``c``'s backward
     forms ``dz`` (columns ``[i, f, g, o]``, the parameters' layout) one
-    panel at a time from the kept gate planes and issues each of
+    span at a time from the kept gate planes and issues each of
     ``dz·W_ihᵀ``, ``dz·W_hhᵀ``, ``xᵀ·dz``, ``h_prevᵀ·dz`` once per
-    panel, for the inputs that require a gradient; the panels run on
-    :class:`_PanelPool`, and the weight and bias partials are added in
-    panel order.
+    panel of the span, for the inputs that require a gradient.  Both
+    backwards run their spans on :class:`_PanelPool`, and the weight
+    and bias partials are added in panel order.
     """
     ins = tuple(as_tensor(t) for t in (x, h_prev, c_prev, w_ih, w_hh, bias))
     need = [t.requires_grad for t in ins]
@@ -345,9 +351,16 @@ def lstm_cell(x, h_prev, c_prev, w_ih, w_hh, bias) -> tuple[Tensor, Tensor]:
 
     def backward_h(dh):
         pending.append(dh)
-        d = np.multiply(tanh_c, tanh_c)
-        np.subtract(1.0, d, out=d)
-        return (np.multiply(d, dh * gates[2], out=d),)
+        d = np.empty((rows, hs))
+
+        def share(spans):
+            for lo, hi in spans:
+                t, s = tanh_c[lo:hi], d[lo:hi]
+                np.subtract(1.0, np.multiply(t, t, out=s), out=s)
+                s *= dh[lo:hi] * gates[2, lo:hi]
+
+        _PANEL_POOL.run(rows, share)
+        return (d,)
 
     def backward_c(dc):
         dh = pending.pop() if pending else None
@@ -358,11 +371,11 @@ def lstm_cell(x, h_prev, c_prev, w_ih, w_hh, bias) -> tuple[Tensor, Tensor]:
         count = -(-rows // PANEL_ROWS)
         parts = [np.empty((count,) + t.shape) if n else None
                  for t, n in zip((wi, wh, bd), need[3:])]
-        span = min(rows, PANEL_ROWS)
+        span = min(rows, SPAN_ROWS)
 
-        def share(panels):
+        def share(spans):
             dzs, slope = np.empty((span, 4 * hs)), np.empty((span, hs))
-            for k, (lo, hi) in panels:
+            for lo, hi in spans:
                 i, f, o, g = gates[:, lo:hi]
                 dz, s = dzs[:hi - lo], slope[:hi - lo]
                 di, df, dg, do = (dz[:, j * hs:(j + 1) * hs]
@@ -383,18 +396,22 @@ def lstm_cell(x, h_prev, c_prev, w_ih, w_hh, bias) -> tuple[Tensor, Tensor]:
                     np.multiply(dh[lo:hi], tanh_c[lo:hi], out=do)
                     do *= o
                     do *= np.subtract(1.0, o, out=s)
-                if need[0]:
-                    np.matmul(dz, wi.T, out=dx[lo:hi])
-                if need[1]:
-                    np.matmul(dz, wh.T, out=dhp[lo:hi])
                 if need[2]:
                     np.multiply(d, f, out=dcp[lo:hi])
-                if need[3]:
-                    np.matmul(xd[lo:hi].T, dz, out=parts[0][k])
-                if need[4]:
-                    np.matmul(hd[lo:hi].T, dz, out=parts[1][k])
-                if need[5]:
-                    dz.sum(axis=0, out=parts[2][k])
+                # the products, one panel at a time: the one-panel bits
+                for k, (a, b) in enumerate(_ranges(hi - lo, PANEL_ROWS),
+                                           lo // PANEL_ROWS):
+                    dzp, r = dz[a:b], slice(lo + a, lo + b)
+                    if need[0]:
+                        np.matmul(dzp, wi.T, out=dx[r])
+                    if need[1]:
+                        np.matmul(dzp, wh.T, out=dhp[r])
+                    if need[3]:
+                        np.matmul(xd[r].T, dzp, out=parts[0][k])
+                    if need[4]:
+                        np.matmul(hd[r].T, dzp, out=parts[1][k])
+                    if need[5]:
+                        dzp.sum(axis=0, out=parts[2][k])
 
         _PANEL_POOL.run(rows, share)
         dwi, dwh, db = (None if p is None

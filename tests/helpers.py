@@ -261,6 +261,97 @@ def oracle_edge_logits(embeddings, weight, bias, pairs):
     return ops.concat([src, dst], axis=1) @ weight + bias
 
 
+# Until the cell's thread pool handed out SPAN_ROWS-row spans this was
+# repro.tensor.functional's LSTM cell on one thread: the forward (with
+# and without kept gates), backward_h and backward_c, one PANEL_ROWS
+# panel at a time.  The span-wise cell must match it bit for bit for any
+# row and thread count (tests/nn/test_cell_spans.py).
+
+def oracle_lstm_cell_panels(x, h_prev, c_prev, w_ih, w_hh, bias):
+    """``(h, c, gates, tanh_c)``: ``h`` and ``c`` are the cell's two
+    tape nodes; ``gates`` and ``tanh_c`` are the kept arrays, ``None``
+    when nothing requires a gradient or under ``no_grad``."""
+    from repro.tensor import functional as F
+    from repro.tensor.tensor import as_tensor, is_grad_enabled
+
+    ins = tuple(as_tensor(t) for t in (x, h_prev, c_prev, w_ih, w_hh, bias))
+    need = [t.requires_grad for t in ins]
+    xd, hd, cd, wi, wh, bd = (t.data for t in ins)
+    keep = is_grad_enabled() and any(need)
+    rows, hs = cd.shape
+    panels = [(lo, min(lo + F.PANEL_ROWS, rows))
+              for lo in range(0, rows, F.PANEL_ROWS)]
+
+    packed = [F._gate_major(p, hs) for p in (wi, wh, bd)]
+    h, c = np.empty((rows, hs)), np.empty((rows, hs))
+    gates, tanh_c = (np.empty((4, rows, hs)), np.empty((rows, hs))) if keep \
+        else (None, None)
+    span = min(F._tiled(rows), F.PANEL_ROWS)
+    xs, hp = np.empty((span, xd.shape[1])), np.empty((span, hs))
+    planes, scratch = np.empty((4, span, hs)), np.empty((4, span, hs))
+    for lo, hi in panels:
+        F._fill(xs, xd[lo:hi])
+        F._fill(hp, hd[lo:hi])
+        F.lstm_panel(xs, hp, cd[lo:hi], *packed, planes, scratch, hi - lo,
+                     c=c[lo:hi], h_out=h[lo:hi],
+                     tanh_c=None if tanh_c is None else tanh_c[lo:hi])
+        if keep:
+            gates[:, lo:hi] = planes[:, :hi - lo]
+    pending: list[np.ndarray] = []
+
+    def backward_h(dh):
+        pending.append(dh)
+        d = np.multiply(tanh_c, tanh_c)
+        np.subtract(1.0, d, out=d)
+        return (np.multiply(d, dh * gates[2], out=d),)
+
+    def backward_c(dc):
+        dh = pending.pop() if pending else None
+        dx, dhp, dcp = (np.zeros(t.shape) if n else None
+                        for t, n in zip((xd, hd, cd), need))
+        parts = [np.empty((len(panels),) + t.shape) if n else None
+                 for t, n in zip((wi, wh, bd), need[3:])]
+        dzs = np.empty((min(rows, F.PANEL_ROWS), 4 * hs))
+        slope = np.empty((len(dzs), hs))
+        for k, (lo, hi) in enumerate(panels):
+            i, f, o, g = gates[:, lo:hi]
+            dz, s = dzs[:hi - lo], slope[:hi - lo]
+            di, df, dg, do = (dz[:, j * hs:(j + 1) * hs] for j in range(4))
+            d = dc[lo:hi]
+            np.multiply(d, g, out=di)
+            di *= i
+            di *= np.subtract(1.0, i, out=s)
+            np.multiply(d, cd[lo:hi], out=df)
+            df *= f
+            df *= np.subtract(1.0, f, out=s)
+            np.multiply(d, i, out=dg)
+            dg *= np.subtract(1.0, np.multiply(g, g, out=s), out=s)
+            if dh is None:
+                do[...] = 0.0
+            else:
+                np.multiply(dh[lo:hi], tanh_c[lo:hi], out=do)
+                do *= o
+                do *= np.subtract(1.0, o, out=s)
+            if need[0]:
+                np.matmul(dz, wi.T, out=dx[lo:hi])
+            if need[1]:
+                np.matmul(dz, wh.T, out=dhp[lo:hi])
+            if need[2]:
+                np.multiply(d, f, out=dcp[lo:hi])
+            if need[3]:
+                np.matmul(xd[lo:hi].T, dz, out=parts[0][k])
+            if need[4]:
+                np.matmul(hd[lo:hi].T, dz, out=parts[1][k])
+            if need[5]:
+                dz.sum(axis=0, out=parts[2][k])
+        dwi, dwh, db = (None if p is None
+                        else sum(p, np.zeros(p.shape[1:])) for p in parts)
+        return dx, dhp, dcp, dwi, dwh, db
+
+    c_out = Tensor._make(c, ins, backward_c)
+    return Tensor._make(h, (c_out,), backward_h), c_out, gates, tanh_c
+
+
 @contextlib.contextmanager
 def scatter_add_forbidden():
     """Make ``np.add.at`` raise for the duration: the training path

@@ -1,6 +1,6 @@
-"""The LSTM cell's panel runner (docs/kernels.md, "Panels on every
-core"): the fixed ``PANEL_ROWS`` partition spread over threads gives
-the one-thread bits, for any thread count.
+"""The LSTM cell's runner (docs/kernels.md, "Panels on every core" and
+"Spans, not panels"): the fixed partition into ``SPAN_ROWS``-row spans
+spread over threads gives the one-thread bits, for any thread count.
 
 The thread count is pinned through the runner's private ``threads``
 attribute; 1 is the serial loop, 3 puts more threads than cores on a
@@ -32,7 +32,7 @@ from repro.tensor import Tensor, functional as F, no_grad
 from repro.train import DistConfig, DistributedTrainer, LinkPredictionTask
 from repro.train.preprocess import degree_features
 
-PANEL = F.PANEL_ROWS
+PANEL, SPAN = F.PANEL_ROWS, F.SPAN_ROWS
 ROWS = [2 * PANEL, 2 * PANEL + 1, 3 * PANEL + 7, 5 * PANEL]
 THREADS = [1, 2, 3]
 POOL = F._PANEL_POOL
@@ -62,10 +62,11 @@ def alarm():
 
 # -- the runner ---------------------------------------------------------------------
 @pytest.mark.parametrize("count", THREADS)
-@pytest.mark.parametrize("rows", [1, PANEL, PANEL + 1, 64 * PANEL + 3])
+@pytest.mark.parametrize("rows",
+                         [1, PANEL, PANEL + 1, SPAN + 1, 64 * PANEL + 3])
 def test_every_panel_runs_once(threads, count, rows):
     """Threads switch every microsecond, so a claim the lock did not
-    guard would hand a panel out twice, or drop one."""
+    guard would hand a span (whole panels) out twice, or drop one."""
     threads(count)
     seen, lock = [], threading.Lock()
 
@@ -80,21 +81,21 @@ def test_every_panel_runs_once(threads, count, rows):
         POOL.run(rows, share)
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(seen) == list(enumerate(F._panels(rows)))
+    assert sorted(seen) == list(F._ranges(rows, SPAN))
 
 
 def test_a_caller_error_waits_for_the_helpers(threads):
-    """The caller's share fails on its first panel; the call returns
-    only once the helper has run every other panel."""
+    """The caller's share fails on its first span; the call returns
+    only once the helper has run every other span."""
     threads(2)
-    rows, seen = 8 * PANEL, []
+    rows, seen = 8 * SPAN, []
 
-    def share(panels):
-        for k, _ in panels:
+    def share(spans):
+        for lo, _ in spans:
             if threading.current_thread() is threading.main_thread():
                 raise RuntimeError("caller share failed")
             time.sleep(0.01)
-            seen.append(k)
+            seen.append(lo)
 
     with pytest.raises(RuntimeError, match="caller share failed"):
         POOL.run(rows, share)
@@ -103,11 +104,11 @@ def test_a_caller_error_waits_for_the_helpers(threads):
 
 def test_a_helper_error_reaches_the_caller_and_the_pool_survives(
         threads, monkeypatch):
-    """The caller's first panel waits until a helper has claimed one,
+    """The caller's first span waits until a helper has claimed one,
     so the helper's share is sure to run, and raise."""
     threads(2)
     rng = np.random.default_rng(0)
-    rows, hs = 5 * PANEL, 4
+    rows, hs = SPAN + PANEL, 4
     arrays = [rng.normal(size=s) for s in
               [(rows, 3), (rows, hs), (rows, hs), (3, 4 * hs),
                (hs, 4 * hs), (4 * hs,)]]
@@ -132,7 +133,7 @@ def test_a_helper_error_reaches_the_caller_and_the_pool_survives(
 def test_an_idle_helper_holds_no_array_of_the_last_step(threads):
     threads(2)
     rng = np.random.default_rng(4)
-    rows, hs = 4 * PANEL, 4
+    rows, hs = 2 * SPAN, 4
     arrays = [rng.normal(size=s) for s in
               [(rows, 3), (rows, hs), (rows, hs), (3, 4 * hs),
                (hs, 4 * hs), (4 * hs,)]]
@@ -224,7 +225,7 @@ def test_weight_gradients_are_panel_partials_added_in_order(threads, count):
         return [t.grad for t in ins[3:]]
 
     want = [np.zeros(a.shape) for a in data[3:]]
-    for lo, hi in F._panels(rows):
+    for lo, hi in F._ranges(rows, PANEL):
         for total, part in zip(want, grads(lo, hi)):
             total += part
     _assert_equal(grads(0, rows), want)
@@ -248,7 +249,7 @@ def _fit(model_name, dtdg):
 @pytest.mark.parametrize("model_name", ["cdgcn", "egcn"])
 def test_three_epochs_are_byte_identical_for_any_thread_count(
         threads, model_name):
-    dtdg = evolving_dtdg(3 * PANEL + 40, 5, 2500, churn=0.3, seed=4)
+    dtdg = evolving_dtdg(2 * SPAN + 40, 5, 2500, churn=0.3, seed=4)
     dtdg.set_features(degree_features(dtdg))
     runs = {}
     for count in THREADS:
@@ -263,7 +264,7 @@ def test_three_epochs_are_byte_identical_for_any_thread_count(
 def test_a_multiprocess_router_serves_after_a_pooled_epoch(threads):
     """Workers fork from a process whose helpers are running."""
     threads(2)
-    dtdg = evolving_dtdg(3 * PANEL, 3, 2000, churn=0.3, seed=6)
+    dtdg = evolving_dtdg(2 * SPAN, 3, 2000, churn=0.3, seed=6)
     dtdg.set_features(degree_features(dtdg))
     _fit("cdgcn", dtdg)
     assert any(t.name == "repro-panel" for t in threading.enumerate())
@@ -297,7 +298,7 @@ def test_a_forked_child_starts_its_own_helpers(threads):
     their inboxes would wait forever."""
     threads(2)
     rng = np.random.default_rng(8)
-    rows, hs = 3 * PANEL + 7, 4
+    rows, hs = 2 * SPAN + 7, 4
     arrays = [rng.normal(size=s) for s in
               [(rows, 3), (rows, hs), (rows, hs), (3, 4 * hs),
                (hs, 4 * hs), (4 * hs,)]]
@@ -338,28 +339,33 @@ for name in ("cdgcn", "egcn"):
     server.submit_link(0, 1)
     server.drain()
 rng = np.random.default_rng(0)
-rows = {panel}
-F.lstm_cell_forward(rng.normal(size=(rows, 3)), rng.normal(size=(rows, 4)),
-                    rng.normal(size=(rows, 4)), rng.normal(size=(3, 16)),
-                    rng.normal(size=(4, 16)), rng.normal(size=16))
-served = threading.active_count() - before
-rows += 1
-F.lstm_cell_forward(rng.normal(size=(rows, 3)), rng.normal(size=(rows, 4)),
-                    rng.normal(size=(rows, 4)), rng.normal(size=(3, 16)),
-                    rng.normal(size=(4, 16)), rng.normal(size=16))
-print(served, threading.active_count() - before)
+
+
+def step(rows):
+    F.lstm_cell_forward(rng.normal(size=(rows, 3)),
+                        rng.normal(size=(rows, 4)),
+                        rng.normal(size=(rows, 4)), rng.normal(size=(3, 16)),
+                        rng.normal(size=(4, 16)), rng.normal(size=16))
+    return threading.active_count() - before
+
+
+served = step({panel})
+one_span = [step({panel} + 1), step({span})]
+print(served, *one_span, step({span} + 1))
 """
 
 
-def test_no_thread_starts_before_a_two_panel_step():
+def test_no_thread_starts_before_a_two_span_step():
     """Serving (the engine's own panel loop; EvolveGCN's weight cell has
-    far fewer rows than a panel) and one-panel steps start no thread;
-    the first two-panel step starts the helpers."""
-    script = _NO_STRAY.format(rows=3 * PANEL, panel=PANEL)
+    far fewer rows than a span) and one-span steps, also of two or more
+    panels, start no thread; the first two-span step starts the
+    helpers."""
+    script = _NO_STRAY.format(rows=2 * SPAN + PANEL, panel=PANEL, span=SPAN)
     src = os.path.dirname(os.path.dirname(repro.__file__))
     out = subprocess.run([sys.executable, "-c", script], check=True,
                          capture_output=True, text=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": src})
-    served, pooled = map(int, out.stdout.split())
+    served, two_panels, four_panels, pooled = map(int, out.stdout.split())
     assert served == 0
+    assert two_panels == four_panels == 0
     assert pooled == min(len(os.sched_getaffinity(0)), 2) - 1
