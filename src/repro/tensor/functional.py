@@ -1,9 +1,9 @@
-"""Differentiable activations and losses.
+"""The fused tape nodes of the three dynamic-GNN models and their loss.
 
-Everything needed by the three dynamic-GNN models: ReLU for GCN (paper
-Eq. 2), sigmoid/tanh for the LSTM gates (paper §5.1/§5.2), and the
-cross-entropy losses used for link prediction and node classification
-(paper §2.2, §6.4).
+The LSTM cell with its sigmoid/tanh gates (paper §5.1/§5.2), the GCN
+projection with its ReLU (paper Eq. 2), the link head and the
+cross-entropy used for link prediction and node classification (paper
+§2.2, §6.4).
 
 Each model step's dense arithmetic is written once here, on arrays:
 the LSTM cell (:func:`lstm_panel`), the GCN projection
@@ -30,11 +30,9 @@ from repro.errors import ShapeError
 from repro.tensor.tensor import Tensor, as_tensor, is_grad_enabled
 
 __all__ = [
-    "relu", "sigmoid", "tanh", "softmax", "log_softmax", "cross_entropy",
-    "binary_cross_entropy_with_logits", "mse_loss",
-    "lstm_cell", "lstm_cell_forward", "lstm_panel", "gcn_project",
-    "edge_logits", "project_panel", "window_mean", "TILE_ROWS",
-    "PANEL_ROWS", "SPAN_ROWS",
+    "cross_entropy", "lstm_cell", "lstm_cell_forward", "lstm_panel",
+    "gcn_project", "edge_logits", "project_panel", "window_mean",
+    "TILE_ROWS", "PANEL_ROWS", "SPAN_ROWS",
 ]
 
 # Every dense GEMM of a model step takes a tile of exactly TILE_ROWS rows
@@ -259,37 +257,6 @@ def window_mean(frames: list[np.ndarray], out: np.ndarray,
 
 
 # -- tape ops ---------------------------------------------------------------------
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-    mask = x.data > 0
-    out = x.data * mask
-
-    def backward(g):
-        return (g * mask,)
-
-    return Tensor._make(out, (x,), backward)
-
-
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    out = _sigmoid(x.data, np.empty_like(x.data), np.empty_like(x.data))
-
-    def backward(g):
-        return (g * out * (1.0 - out),)
-
-    return Tensor._make(out, (x,), backward)
-
-
-def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.tanh(x.data)
-
-    def backward(g):
-        return (g * (1.0 - out * out),)
-
-    return Tensor._make(out, (x,), backward)
-
-
 def lstm_cell_forward(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
                       w_ih: np.ndarray, w_hh: np.ndarray, bias: np.ndarray,
                       keep: bool = False):
@@ -519,28 +486,6 @@ def _stable_log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(total)[..., None]
 
 
-def softmax(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.exp(_stable_log_softmax(x.data))
-
-    def backward(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return Tensor._make(out, (x,), backward)
-
-
-def log_softmax(x) -> Tensor:
-    x = as_tensor(x)
-    out = _stable_log_softmax(x.data)
-    soft = np.exp(out)
-
-    def backward(g):
-        return (g - soft * g.sum(axis=-1, keepdims=True),)
-
-    return Tensor._make(out, (x,), backward)
-
-
 def cross_entropy(logits, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy between row logits and integer labels.
 
@@ -571,36 +516,3 @@ def cross_entropy(logits, labels: np.ndarray) -> Tensor:
         return (grad * (g / n),)
 
     return Tensor._make(out, (logits,), backward)
-
-
-def binary_cross_entropy_with_logits(logits, targets: np.ndarray) -> Tensor:
-    """Mean BCE over arbitrary-shape logits against 0/1 targets."""
-    logits = as_tensor(logits)
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != logits.shape:
-        raise ShapeError(
-            f"targets shape {targets.shape} != logits shape {logits.shape}")
-    z = logits.data
-    # log(1 + exp(-|z|)) + max(z, 0) - z*t  (numerically stable)
-    loss = np.maximum(z, 0) - z * targets + np.log1p(np.exp(-np.abs(z)))
-    out = np.asarray(loss.mean())
-    n = z.size
-
-    def backward(g):
-        sig = _sigmoid(z, np.empty_like(z), np.empty_like(z))
-        return ((sig - targets) * (g / n),)
-
-    return Tensor._make(out, (logits,), backward)
-
-
-def mse_loss(pred, target: np.ndarray) -> Tensor:
-    pred = as_tensor(pred)
-    target = np.asarray(target, dtype=np.float64)
-    diff = pred.data - target
-    out = np.asarray((diff * diff).mean())
-    n = diff.size
-
-    def backward(g):
-        return (2.0 * diff * (g / n),)
-
-    return Tensor._make(out, (pred,), backward)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "zeros", "orthogonal"]
+__all__ = ["xavier_uniform", "orthogonal"]
 
 
 def xavier_uniform(shape: tuple[int, ...],
@@ -22,18 +22,6 @@ def xavier_uniform(shape: tuple[int, ...],
     fan_in, fan_out = _fans(shape)
     bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape: tuple[int, ...],
-                  rng: np.random.Generator,
-                  gain: float = 1.0) -> np.ndarray:
-    fan_in, fan_out = _fans(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def zeros(shape: tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape, dtype=np.float64)
 
 
 def orthogonal(shape: tuple[int, ...],

@@ -38,7 +38,6 @@ class Module:
     def __init__(self) -> None:
         self._params: dict[str, Parameter] = {}
         self._modules: dict[str, Module] = {}
-        self.training = True
 
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
@@ -57,23 +56,6 @@ class Module:
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
-
-    def named_modules(self, prefix: str = "") -> Iterator[tuple[str, "Module"]]:
-        yield prefix.rstrip("."), self
-        for name in sorted(self._modules):
-            yield from self._modules[name].named_modules(
-                prefix=f"{prefix}{name}.")
-
-    # -- training-state management -------------------------------------------------
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
-    def train(self, mode: bool = True) -> "Module":
-        self.training = mode
-        for m in self._modules.values():
-            m.train(mode)
-        return self
 
     # -- serialization ---------------------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:

@@ -1,8 +1,5 @@
-"""Gradient-descent optimizers over :class:`Parameter` lists.
-
-SGD (with momentum) and Adam, matching the training setup used in the
-paper's per-epoch timing and convergence studies.
-"""
+"""The Adam optimizer over :class:`Parameter` lists, the training setup
+used in the paper's per-epoch timing and convergence studies."""
 
 from __future__ import annotations
 
@@ -11,70 +8,35 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.tensor.module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Adam"]
 
 
-class Optimizer:
-    """Base optimizer: holds parameters, steps on their ``.grad``."""
+class Adam:
+    """Adam optimizer (Kingma & Ba): holds parameters, steps on their
+    ``.grad``."""
 
-    def __init__(self, params: list[Parameter], lr: float) -> None:
+    def __init__(self, params: list[Parameter], lr: float = 0.001,
+                 betas: tuple[float, float] = (0.9, 0.999),
+                 eps: float = 1e-8, weight_decay: float = 0.0) -> None:
         self.params = list(params)
         if not self.params:
             raise ConfigError("optimizer created with no parameters")
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: list[Parameter], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += g
-                g = v
-            p.data -= self.lr * g
-
-
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba), the default in the training harness."""
-
-    def __init__(self, params: list[Parameter], lr: float = 0.001,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0) -> None:
-        super().__init__(params, lr)
         b1, b2 = betas
         if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
             raise ConfigError(f"betas must be in [0, 1), got {betas}")
+        self.lr = lr
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
 
     def step(self) -> None:
         self._t += 1
@@ -94,18 +56,3 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
-    """Clip gradients in place to a global L2 norm; returns the norm."""
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    norm = float(np.sqrt(total))
-    if norm > max_norm > 0:
-        scale = max_norm / (norm + 1e-12)
-        for p in params:
-            if p.grad is not None:
-                p.grad *= scale
-    return norm

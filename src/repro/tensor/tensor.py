@@ -12,8 +12,7 @@ block-wise timeline checkpointing (paper §3.1) is built.
 
 Design notes
 ------------
-* Gradients are stored on leaf tensors with ``requires_grad=True`` and on
-  any intermediate for which ``retain_grad`` was requested.
+* Gradients are stored on leaf tensors with ``requires_grad=True`` only.
 * The backward pass walks a topological order of the recorded tape, so the
   cost is linear in the number of recorded ops.
 * All data is kept as ``float64`` by default for reproducibility of the
@@ -84,7 +83,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "_retain", "name")
+                 "name")
 
     def __init__(self, data, requires_grad: bool = False,
                  name: str | None = None, dtype=np.float64) -> None:
@@ -95,7 +94,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
-        self._retain = False
         self.name = name
 
     # -- basic introspection -------------------------------------------------
@@ -151,11 +149,6 @@ class Tensor:
             self.grad = grad.copy()
         else:
             self.grad += grad
-
-    def retain_grad(self) -> "Tensor":
-        """Request that ``self.grad`` be populated even for a non-leaf."""
-        self._retain = True
-        return self
 
     def detach(self) -> "Tensor":
         """Return a new leaf tensor sharing data but cut from the graph.
@@ -218,9 +211,9 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.is_leaf or node._retain:
+            if node.is_leaf:
                 node._accumulate(g)
-            if node._backward is not None:
+            else:
                 node._backward_into(g, grads)
         return len(topo)
 
@@ -254,39 +247,15 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        from repro.tensor import ops
-        return ops.sub(self, other)
-
-    def __rsub__(self, other):
-        from repro.tensor import ops
-        return ops.sub(other, self)
-
     def __mul__(self, other):
         from repro.tensor import ops
         return ops.mul(self, other)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        from repro.tensor import ops
-        return ops.div(self, other)
-
-    def __rtruediv__(self, other):
-        from repro.tensor import ops
-        return ops.div(other, self)
-
-    def __neg__(self):
-        from repro.tensor import ops
-        return ops.neg(self)
-
     def __matmul__(self, other):
         from repro.tensor import ops
         return ops.matmul(self, other)
-
-    def __pow__(self, exponent: float):
-        from repro.tensor import ops
-        return ops.power(self, exponent)
 
     def __getitem__(self, index):
         from repro.tensor import ops
@@ -296,24 +265,6 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False):
         from repro.tensor import ops
         return ops.sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        from repro.tensor import ops
-        return ops.mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        from repro.tensor import ops
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return ops.reshape(self, shape)
-
-    def transpose(self, axes: tuple[int, ...] | None = None):
-        from repro.tensor import ops
-        return ops.transpose(self, axes)
-
-    @property
-    def T(self):
-        return self.transpose()
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])

@@ -14,7 +14,7 @@ from repro.exec import ExecRouter
 from repro.exec.service import WorkerService
 from repro.exec.simulated import LocalTransport, SimulatedBackend
 from repro.graph.snapshot import sorted_unique
-from repro.tensor import Tensor
+from repro.tensor import Tensor, as_tensor
 from repro.tensor.backend import available_backends
 
 
@@ -221,29 +221,61 @@ def oracle_sigmoid(z: np.ndarray) -> np.ndarray:
 # gcn_project) these were the bodies of LSTMCell.forward and
 # GCNLayer.forward_precomputed: 17 and 3 tape nodes of elementary ops.
 # The fused primitives, whose GEMMs run on fixed tiles, must match them
-# to summation order (tests/nn/test_fused_ops.py).
+# to summation order (tests/nn/test_fused_ops.py).  The four elementary
+# ops below left repro.tensor with the general autograd; they are the
+# old repro.tensor.functional.{sigmoid, tanh, relu} and ops.concat, and
+# tests/tensor/test_functional.py / test_ops.py check their gradients.
+
+def sigmoid(x) -> Tensor:
+    from repro.tensor.functional import _sigmoid
+
+    x = as_tensor(x)
+    out = _sigmoid(x.data, np.empty_like(x.data), np.empty_like(x.data))
+    return Tensor._make(out, (x,), lambda g: (g * out * (1.0 - out),))
+
+
+def tanh(x) -> Tensor:
+    x = as_tensor(x)
+    out = np.tanh(x.data)
+    return Tensor._make(out, (x,), lambda g: (g * (1.0 - out * out),))
+
+
+def relu(x) -> Tensor:
+    x = as_tensor(x)
+    mask = x.data > 0
+    return Tensor._make(x.data * mask, (x,), lambda g: (g * mask,))
+
+
+def concat(tensors: Sequence, axis: int = 0) -> Tensor:
+    from repro.errors import ShapeError
+
+    ts = [as_tensor(t) for t in tensors]
+    if not ts:
+        raise ShapeError("concat of empty sequence")
+    out = np.concatenate([t.data for t in ts], axis=axis)
+    splits = np.cumsum([t.data.shape[axis] for t in ts])[:-1]
+    return Tensor._make(out, ts,
+                        lambda g: tuple(np.split(g, splits, axis=axis)))
+
 
 def oracle_lstm_cell(x, h_prev, c_prev, w_ih, w_hh, bias):
-    from repro.tensor import functional as F
-
     gates = x @ w_ih + h_prev @ w_hh + bias
     hs = c_prev.shape[1]
-    i = F.sigmoid(gates[:, 0 * hs:1 * hs])
-    f = F.sigmoid(gates[:, 1 * hs:2 * hs])
-    g = F.tanh(gates[:, 2 * hs:3 * hs])
-    o = F.sigmoid(gates[:, 3 * hs:4 * hs])
+    i = sigmoid(gates[:, 0 * hs:1 * hs])
+    f = sigmoid(gates[:, 1 * hs:2 * hs])
+    g = tanh(gates[:, 2 * hs:3 * hs])
+    o = sigmoid(gates[:, 3 * hs:4 * hs])
     c = f * c_prev + i * g
-    h = o * F.tanh(c)
+    h = o * tanh(c)
     return h, c
 
 
-def oracle_gcn_project(aggregated, weight, skip_concat=False, relu=True):
-    from repro.tensor import functional as F, ops
-
+def oracle_gcn_project(aggregated, weight, skip_concat=False,
+                       use_relu=True):
     out = aggregated @ weight
     if skip_concat:
-        out = ops.concat([aggregated, out], axis=1)
-    return F.relu(out) if relu else out
+        out = concat([aggregated, out], axis=1)
+    return relu(out) if use_relu else out
 
 
 # Until the fused half-logit node (repro.tensor.functional.edge_logits)
@@ -253,12 +285,10 @@ def oracle_gcn_project(aggregated, weight, skip_concat=False, relu=True):
 # order (tests/nn/test_fused_ops.py).
 
 def oracle_edge_logits(embeddings, weight, bias, pairs):
-    from repro.tensor import ops
-
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     src = embeddings[pairs[:, 0]]
     dst = embeddings[pairs[:, 1]]
-    return ops.concat([src, dst], axis=1) @ weight + bias
+    return concat([src, dst], axis=1) @ weight + bias
 
 
 # Until the cell's thread pool handed out SPAN_ROWS-row spans this was

@@ -29,9 +29,14 @@ def make_workload(seed=0):
     return dtdg, laps, frames
 
 
+def zero_grads(*modules):
+    for module in modules:
+        for p in module.parameters():
+            p.zero_grad()
+
+
 def full_gradients(model, task, laps, frames):
-    model.zero_grad()
-    task.head.zero_grad()
+    zero_grads(model, task.head)
     outs = model(laps, frames)
     loss = task.loss_full(outs)
     loss.backward()
@@ -67,8 +72,7 @@ class TestGradientEquivalence:
                                              laps[:t_train],
                                              frames[:t_train])
 
-        model.zero_grad()
-        task.head.zero_grad()
+        zero_grads(model, task.head)
         runner = CheckpointRunner(model, num_blocks)
         result = runner.run_epoch(laps[:t_train], frames[:t_train],
                                   task.loss_block)
@@ -92,8 +96,7 @@ class TestCheckpointMechanics:
         t_train = task.num_train_timesteps
         ref_loss, ref_grads = full_gradients(model, task, laps[:t_train],
                                              frames[:t_train])
-        model.zero_grad()
-        task.head.zero_grad()
+        zero_grads(model, task.head)
         result = CheckpointRunner(model, 1).run_epoch(
             laps[:t_train], frames[:t_train], task.loss_block)
         assert result.loss == pytest.approx(ref_loss, rel=1e-9)
@@ -106,7 +109,7 @@ class TestCheckpointMechanics:
         t_train = task.num_train_timesteps
         peaks = {}
         for nb in (1, 2, 4):
-            model.zero_grad()
+            zero_grads(model)
             result = CheckpointRunner(model, nb).run_epoch(
                 laps[:t_train], frames[:t_train], task.loss_block)
             peaks[nb] = result.peak_live_timesteps
@@ -120,7 +123,7 @@ class TestCheckpointMechanics:
         t_train = task.num_train_timesteps
         bytes_by_nb = {}
         for nb in (2, 4):
-            model.zero_grad()
+            zero_grads(model)
             result = CheckpointRunner(model, nb).run_epoch(
                 laps[:t_train], frames[:t_train], task.loss_block)
             bytes_by_nb[nb] = result.carry_bytes
